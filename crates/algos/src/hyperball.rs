@@ -26,7 +26,7 @@
 //! with `m = 2^p` registers carries a relative standard error of
 //! `1.04/√m` but ships `m` bytes per exchanged vertex. The macro-built
 //! [`HllP4`]..[`HllP12`] types cover `p ∈ {4..12}` (2 to 512 value
-//! lanes); [`HllSketch`] is the historical `p = 6` default, and
+//! lanes); [`HllSketch`] is the `p = 6` default, and
 //! [`run_hyperball_with`] runs the analytics at any member. Every
 //! precision exercises the same width-aware value layer — `p = 12` is
 //! also what sizes `MAX_VALUE_LANES`.

@@ -4,7 +4,7 @@
 //! Then et al.'s "The More the Merrier" insight is that `B` concurrent
 //! BFS runs over one graph can share every edge scan: give each source a
 //! *lane* of per-vertex state and fold all `B` frontiers in one pass.
-//! Here that costs nothing structurally — the PR 6 value layer already
+//! Here that costs nothing structurally — the value layer already
 //! stripes multi-lane values per vertex — so a batch is just a vertex
 //! program whose value is [`MultiDist<B>`]: `B` independent `u32`
 //! distances packed two per 64-bit lane, merged by element-wise min.

@@ -45,7 +45,7 @@ fn bench_cost_and_selection(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for a in &acts {
-                let pc = cost::partition_costs(a, &pcie, 8);
+                let pc = cost::partition_costs_sized(a, &pcie, 8, 0);
                 acc += pc.tef + pc.tec + pc.tiz;
             }
             black_box(acc)
@@ -55,8 +55,9 @@ fn bench_cost_and_selection(c: &mut Criterion) {
         b.iter(|| black_box(select::select_engines(&acts, &pcie, 8, Selection::Hybrid, &params)))
     });
     let decisions = select::select_engines(&acts, &pcie, 8, Selection::Hybrid, &params);
+    let narrow_lane = hyt_core::ValueLayout::narrow().lane_bytes();
     g.bench_function("task_combine_k4", |b| {
-        b.iter(|| black_box(combine::combine_tasks(&decisions, 4, true)))
+        b.iter(|| black_box(combine::combine_tasks_sized(&decisions, 4, true, narrow_lane)))
     });
     g.finish();
 }

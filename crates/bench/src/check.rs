@@ -312,42 +312,50 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 4: full-duplex peer links overlap the symmetric legs of the
-    // ring exchange — the PR 3 half-duplex model under-reports rings, so
-    // the full-duplex exchange must be strictly faster at D in {4, 8}
-    // while values and iterations stay bit-identical (duplex is a
-    // queueing discipline, never a semantic change).
+    // ISSUE 4: each direction of a peer link owns its own queue, so the
+    // symmetric legs of the ring exchange overlap: the all-active
+    // exchange of a D in {4, 8} ring system must price strictly below
+    // its busiest link's total wire occupancy (forward + reverse busy —
+    // the figure one shared queue per link would have priced), while
+    // values and iterations match the single-device run (queueing is
+    // never a semantic change).
     {
         let g = hyt_graph::generators::power_law_preferential(1 << 14, 12.0, 2.2, 7, true);
         let src = crate::context::source_vertex(&g);
-        let run = |d: usize, half: bool| {
+        let run = |d: usize| {
             let mut cfg = SystemKind::HyTGraph.configure(base_config());
             cfg.num_devices = d;
             cfg.topology = hyt_core::TopologyKind::Ring;
-            if half {
-                cfg.peer_link = cfg.peer_link.half_duplex();
-            }
             cfg.threads = 1;
             let mut sys = hyt_core::HyTGraphSystem::new(g.clone(), cfg);
+            let mut owned = vec![0u64; d];
+            for v in 0..g.num_vertices() {
+                let dev = sys.device_plan().device_of(sys.graph().owner_of(v));
+                owned[dev as usize] += hyt_core::runner::EXCHANGE_RECORD_BYTES;
+            }
+            let report = sys.interconnect().price_all_gather(&owned, &vec![true; d]);
             let r = sys.run(hyt_algos::Sssp::from_source(src));
-            let exchange: f64 = r.per_iteration.iter().map(|it| it.exchange.time).sum();
-            (r.values, r.iterations, exchange)
+            (r.values, r.iterations, report)
         };
+        let (v1, i1, _) = run(1);
         let mut pass = true;
         let mut evidence = String::new();
         for d in [4usize, 8] {
-            let (vh, ih, xh) = run(d, true);
-            let (vf, if_, xf) = run(d, false);
-            pass &= xf < xh && vh == vf && ih == if_;
+            let (v, i, x) = run(d);
+            let shared = x.per_link_busy[hyt_sim::topology::HOST_LINK + 1..]
+                .iter()
+                .fold(0.0f64, |a, &b| a.max(b));
+            pass &= x.makespan < shared && v == v1 && i == i1;
             evidence.push_str(&format!(
-                "D={d}: half-duplex {:.3}ms -> full-duplex {:.3}ms, values/iters match: {}; ",
-                xh * 1e3,
-                xf * 1e3,
-                vh == vf && ih == if_
+                "D={d}: busiest link occupancy {:.3}us -> per-direction queues {:.3}us, \
+                 values/iters match D=1: {}; ",
+                shared * 1e6,
+                x.makespan * 1e6,
+                v == v1 && i == i1
             ));
         }
         out.push(CheckResult::new(
-            "Duplex: full-duplex ring strictly beats half-duplex ring at D in {4,8}",
+            "Duplex: the ring exchange prices strictly below its busiest link's two-way occupancy at D in {4,8}",
             pass,
             evidence,
         ));
@@ -409,7 +417,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
     // the second pass re-routes or splits them off the busiest one; the
     // pass is pricing-only, so values and iterations stay bit-identical.
     {
-        let ladder = crate::context::scaled_route_ladder();
         // Synthetic skewed exchange: one device publishes ~80x the rest,
         // so its egress queues are the bottleneck and splitting the
         // opposite-side batch across the two ring directions must win.
@@ -419,7 +426,7 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
             base_config().machine.pcie,
             base_config().peer_link,
         )
-        .with_route_breakpoints(&ladder);
+        .with_route_breakpoints(&hyt_core::config::ROUTE_LADDER);
         let mut owned = [10_000u64; 8];
         owned[0] = 800_000;
         let participates = [true; 8];
@@ -435,7 +442,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
             let mut cfg = SystemKind::HyTGraph.configure(base_config());
             cfg.num_devices = 8;
             cfg.topology = hyt_core::TopologyKind::Ring;
-            cfg.route_breakpoints = ladder.clone();
             cfg.load_aware_exchange = load_aware;
             cfg.threads = 1;
             let mut sys = hyt_core::HyTGraphSystem::new(g.clone(), cfg);
@@ -475,8 +481,8 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
     // — a sparse exchange whose makespan is the store-and-forward chain
     // floor pipelines down toward the bottleneck hop, with wire
     // occupancy, byte counts, and payload identical; and a degenerate
-    // chunk (>= the batch, a single chunk — equivalently the knob off)
-    // reprices the store-and-forward model (PR 4) bit-identically.
+    // chunk (>= the batch, a single chunk) reprices the
+    // store-and-forward model bit-identically.
     {
         use hyt_core::LinkSpec;
         let pcie = base_config().machine.pcie;
@@ -644,27 +650,25 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 7 (the bugfix): the exchange-overlap window is the successor
-    // iteration's *measured* analysis span — `hidden_i =
-    // min(makespan_i, span_{i+1})`, the final iteration hides nothing,
-    // and the legacy fixed five-copy constant demonstrably over-hides
-    // while leaving values untouched.
+    // ISSUE 7: the exchange hides under the successor iteration's
+    // *measured* analysis span — `hidden_i = min(makespan_i,
+    // span_{i+1})`, the final iteration hides nothing, something is
+    // hidden at all, and the run total is exactly the serial sum of
+    // (timeline + exchange + orchestration) minus what was hidden, with
+    // values matching the single-device run.
     {
         use hyt_core::runner::{analysis_span, ITERATION_OVERHEAD_COPIES};
-        use hyt_core::OverlapWindow;
         let g = hyt_graph::generators::rmat(11, 10.0, 9, true);
-        let run = |window: OverlapWindow| {
+        let run = |d: usize| {
             let mut cfg = SystemKind::HyTGraph.configure(base_config());
-            cfg.num_devices = 4;
+            cfg.num_devices = d;
             cfg.threads = 1;
-            cfg.overlap_exchange = true;
-            cfg.overlap_window = window;
             let lat = cfg.machine.pcie.copy_latency;
             let mut sys = hyt_core::HyTGraphSystem::new(g.clone(), cfg);
             (sys.run(hyt_algos::Sssp::from_source(0)), lat)
         };
-        let (m, lat) = run(OverlapWindow::Measured);
-        let (l, _) = run(OverlapWindow::FixedConstant);
+        let (m, lat) = run(4);
+        let (single, _) = run(1);
         let n = m.per_iteration.len();
         let eps = 1e-12;
         let mut windowed = n >= 3;
@@ -675,20 +679,26 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
             windowed &= (cur.exchange.hidden - cur.exchange.time.min(span)).abs() < eps;
         }
         let final_zero = m.per_iteration[n - 1].exchange.hidden == 0.0;
-        let total_hidden = |r: &hyt_core::RunResult<u32>| {
-            r.per_iteration.iter().map(|it| it.exchange.hidden).sum()
-        };
-        let (hm, hl): (f64, f64) = (total_hidden(&m), total_hidden(&l));
+        let hidden: f64 = m.per_iteration.iter().map(|it| it.exchange.hidden).sum();
+        let serial: f64 = m
+            .per_iteration
+            .iter()
+            .map(|it| {
+                let timeline = it.per_device.iter().fold(0.0f64, |a, d| a.max(d.time));
+                timeline + it.exchange.time + ITERATION_OVERHEAD_COPIES * lat
+            })
+            .sum();
+        let balanced = (m.total_time + hidden - serial).abs() < eps;
         out.push(CheckResult::new(
             "Overlap window: hidden = min(makespan, next analysis span), 0 on the final iteration",
-            windowed && final_zero && hl > hm + eps && m.values == l.values,
+            windowed && final_zero && hidden > 0.0 && balanced && m.values == single.values,
             format!(
-                "measured window hides {:.3}us vs legacy constant {:.3}us over {n} iterations \
-                 (fixed window {:.3}us); final iteration hides 0: {final_zero}; values identical: {}",
-                hm * 1e6,
-                hl * 1e6,
-                ITERATION_OVERHEAD_COPIES * lat * 1e6,
-                m.values == l.values
+                "measured window hides {:.3}us of a {:.3}ms serial sum over {n} iterations; \
+                 final iteration hides 0: {final_zero}; total + hidden == serial sum: {balanced}; \
+                 values match D=1: {}",
+                hidden * 1e6,
+                serial * 1e3,
+                m.values == single.values
             ),
         ));
     }

@@ -43,14 +43,6 @@ pub fn base_config() -> HyTGraphConfig {
     HyTGraphConfig::default()
 }
 
-/// The byte-size-aware route-probe ladder scaled to the proxy datasets:
-/// batch sizes shrink by `2^SCALE_SHIFT` alongside the machine's
-/// latencies, so the rungs must shrink with them to keep the
-/// latency/bandwidth crossover at the same *relative* batch size.
-pub fn scaled_route_ladder() -> Vec<u64> {
-    hyt_core::ROUTE_BREAKPOINT_LADDER.iter().map(|&b| (b >> SCALE_SHIFT).max(1)).collect()
-}
-
 /// A configuration on a different GPU (Fig. 10), same scaling.
 pub fn config_for_gpu(gpu: GpuModel) -> HyTGraphConfig {
     HyTGraphConfig {

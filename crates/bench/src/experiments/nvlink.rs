@@ -11,17 +11,17 @@
 //! * **axis 2 — topology**: host-only / ring / all-to-all at `D = 4`
 //!   devices, with contention-aware engine selection on;
 //! * **axis 3 — mixed generations** (ISSUE 4): a `D = 8` ring whose
-//!   bridges carry *different* specs — PR 3's uniform half-duplex model
-//!   beside the full-duplex fix, an alternating NVLink2/NVLink4 ring,
-//!   and a ring with one 2 GB/s bridge whose pair routing sends back to
-//!   host staging while its neighbours detour device-via-device;
+//!   bridges carry *different* specs — a uniform NVLink2 ring, an
+//!   alternating NVLink2/NVLink4 ring, and a ring with one 2 GB/s bridge
+//!   whose pair routing sends back to host staging while its neighbours
+//!   detour device-via-device;
 //! * **axis 4 — routing model** (ISSUE 5): the same `D = 8` ring walked
-//!   from the PR 4 static single-probe table through byte-size-aware
-//!   breakpoint routing, the load-aware re-route/split second pass, and
-//!   cut-through forwarding — the rerouted/split-bytes columns show the
-//!   second pass working, and the exchange column may only shrink.
+//!   from the static sized route ladder through the load-aware
+//!   re-route/split second pass and cut-through forwarding — the
+//!   rerouted/split-bytes columns show the second pass working, and the
+//!   exchange column may only shrink.
 //!
-//! Three findings the tables show:
+//! Four findings the tables show:
 //!
 //! 1. runtimes scale with bandwidth, but on a single device the engine
 //!    *mix* is invariant — formulas (1)–(3) compare TLP counts in RTT
@@ -33,9 +33,8 @@
 //!    mix rows;
 //! 3. peer topologies drain the exchange off the host link: the per-link
 //!    class breakdown shows host bytes collapsing to zero on the clique;
-//! 4. full-duplex rings overlap the two directions of every bridge and
-//!    forward distance ≥ 2 pairs device-via-device, so the half-duplex
-//!    PR 3 row over-reports the ring exchange, and the slow-bridge row
+//! 4. rings overlap the two directions of every bridge and forward
+//!    distance ≥ 2 pairs device-via-device, and the slow-bridge row
 //!    shows bytes reappearing on the host link.
 //!
 //! Set `REPRO_SMOKE=1` to run a reduced sweep (2 bandwidths; the
@@ -78,8 +77,7 @@ fn mixed_ring_rows() -> Vec<(&'static str, HyTGraphConfig)> {
         })
         .collect();
     vec![
-        ("uniform NVLink2, half-duplex (PR 3)", ring(nvlink2.half_duplex(), Vec::new())),
-        ("uniform NVLink2, full-duplex", ring(nvlink2, Vec::new())),
+        ("uniform NVLink2", ring(nvlink2, Vec::new())),
         ("alternating NVLink4/NVLink2", ring(nvlink2, alternating)),
         (
             "one 2 GB/s bridge (0, 1)",
@@ -200,11 +198,10 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     }
 
     // Mixed-generation axis (ISSUE 4): a D = 8 ring on the paper's PCIe3
-    // host, with per-link specs. Rows walk from PR 3's uniform
-    // half-duplex model to the full-duplex fix, an alternating
-    // NVLink2/NVLink4 ring, and a 2 GB/s slow bridge — the last sends
-    // its pair back to host staging (host KB > 0) while neighbours
-    // detour device-via-device (fwd KB grows).
+    // host, with per-link specs. Rows walk from a uniform ring to an
+    // alternating NVLink2/NVLink4 ring and a 2 GB/s slow bridge — the
+    // last sends its pair back to host staging (host KB > 0) while
+    // neighbours detour device-via-device (fwd KB grows).
     let mut mixed = Table::new(
         format!(
             "Extension: mixed-generation ring (HyTGraph SSSP on FS, D={MIXED_DEVICES}, PCIe3 host)"
@@ -229,37 +226,34 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         ]);
     }
 
-    // Routing-model axis (ISSUE 5): the uniform D = 8 full-duplex ring
-    // under progressively smarter routing. Pricing-only changes: values
+    // Routing-model axis (ISSUE 5): the uniform D = 8 ring under
+    // progressively smarter routing. Pricing-only changes: values
     // and iterations are identical row to row, and the load-aware rows
     // can only shrink the exchange.
-    let shift = crate::context::SCALE_SHIFT;
-    let ladder = crate::context::scaled_route_ladder();
     let routing_rows: Vec<(&str, HyTGraphConfig)> = {
-        let row = |breakpoints: Vec<u64>, load_aware: bool, cut: Option<u64>| {
+        let row = |load_aware: bool, peer_link: LinkSpec| {
             let base = HyTGraphConfig {
                 topology: TopologyKind::Ring,
                 num_devices: MIXED_DEVICES,
-                route_breakpoints: breakpoints,
                 load_aware_exchange: load_aware,
-                cut_through: cut,
+                peer_link,
                 threads: 1,
                 ..base_config()
             };
             SystemKind::HyTGraph.configure(base)
         };
-        let chunk = (256u64 << 10) >> shift;
+        let link = base_config().peer_link;
+        let chunk = (256u64 << 10) >> crate::context::SCALE_SHIFT;
         vec![
-            ("static single-probe (PR 4)", row(Vec::new(), false, None)),
-            ("byte-size-aware breakpoints", row(ladder.clone(), false, None)),
-            ("breakpoints + load-aware", row(ladder.clone(), true, None)),
-            ("breakpoints + load-aware + cut-through", row(ladder, true, Some(chunk.max(1)))),
+            ("sized route ladder", row(false, link)),
+            ("ladder + load-aware", row(true, link)),
+            ("ladder + load-aware + cut-through", row(true, link.with_cut_through(chunk))),
         ]
     };
     let mut routing = Table::new(
         format!(
-            "Extension: routing-model axis (HyTGraph SSSP on FS, D={MIXED_DEVICES} \
-             full-duplex ring, PCIe3 host)"
+            "Extension: routing-model axis (HyTGraph SSSP on FS, D={MIXED_DEVICES} ring, \
+             PCIe3 host)"
         ),
         &["routing", "time", "exch", "host KB", "peer KB", "fwd KB", "rrt KB", "split KB"],
     );

@@ -39,8 +39,8 @@
 //!
 //! Engine pricing, exchange sizing, and budget carving all derive the
 //! per-vertex footprint from the program's [`ValueLayout`] instead of
-//! assuming ~8 bytes; [`ValueLayout::narrow`] reproduces the historical
-//! constants exactly, so every pre-existing program prices identically.
+//! assuming ~8 bytes; [`ValueLayout::narrow`] is the paper's 8-byte
+//! footprint, so every single-lane program prices as the paper does.
 //!
 //! # Convergence contract (non-monotone folds allowed)
 //!
@@ -236,9 +236,9 @@ impl VertexValue for F32Pair {
 /// layer consumes it: storage lanes (budget carving, staging buffers)
 /// and wire bytes (exchange records, compaction gathers).
 ///
-/// [`ValueLayout::narrow`] — one lane, 8 wire bytes — reproduces the
-/// historical hard-coded constants exactly, so it is the identity layout
-/// for every pre-existing 64-bit-atom program.
+/// [`ValueLayout::narrow`] — one lane, 8 wire bytes — is the paper's
+/// per-vertex footprint, so it is the identity layout for every
+/// 64-bit-atom program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct ValueLayout {
     /// 64-bit storage lanes per vertex ([`VertexValue::LANES`]).
@@ -254,7 +254,7 @@ impl ValueLayout {
         ValueLayout { lanes: V::LANES as u32, wire_bytes: V::WIRE_BYTES }
     }
 
-    /// The single-lane 64-bit-atom layout every pre-refactor program had.
+    /// The single-lane 64-bit-atom layout.
     pub const fn narrow() -> ValueLayout {
         ValueLayout { lanes: 1, wire_bytes: 8 }
     }
@@ -265,15 +265,15 @@ impl ValueLayout {
     }
 
     /// Bytes per record of the inter-device frontier exchange: a 32-bit
-    /// vertex id plus this value's wire payload. Narrow layout: 12, the
-    /// historical `EXCHANGE_RECORD_BYTES`.
+    /// vertex id plus this value's wire payload. Narrow layout: 12
+    /// (`EXCHANGE_RECORD_BYTES`).
     pub const fn record_bytes(&self) -> u64 {
         EXCHANGE_ID_BYTES + self.wire_bytes
     }
 
     /// GPU-resident vertex-associated bytes per vertex: 16 bytes of
     /// value-independent state (row offset, neighbour index, activity
-    /// bitmaps) plus the value lanes. Narrow layout: 24, the historical
+    /// bitmaps) plus the value lanes. Narrow layout: 24, the
     /// `VERTEX_STATE_BYTES` carved out of device memory before edge data
     /// can be cached (Section II-A's data placement).
     pub const fn state_bytes(&self) -> u64 {
@@ -778,8 +778,8 @@ mod tests {
     fn value_layouts_derive_widths() {
         let narrow = ValueLayout::narrow();
         assert_eq!((narrow.lanes, narrow.wire_bytes), (1, 8));
-        assert_eq!(narrow.record_bytes(), 12, "historical EXCHANGE_RECORD_BYTES");
-        assert_eq!(narrow.state_bytes(), 24, "historical VERTEX_STATE_BYTES");
+        assert_eq!(narrow.record_bytes(), 12, "EXCHANGE_RECORD_BYTES");
+        assert_eq!(narrow.state_bytes(), 24, "VERTEX_STATE_BYTES");
         assert_eq!(narrow.compaction_surplus(), 0);
         // u64/f64/F32Pair are exactly the narrow layout.
         assert_eq!(ValueLayout::of::<u64>(), narrow);

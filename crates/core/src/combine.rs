@@ -27,17 +27,6 @@ pub struct CombinedTask {
     pub members: Vec<usize>,
 }
 
-/// Combine per-partition engine decisions into scheduling units with the
-/// narrow 8-byte-per-vertex value footprint (the exact historical
-/// packaging). Wide-value programs go through [`combine_tasks_sized`].
-pub fn combine_tasks(
-    decisions: &[(usize, EngineKind)],
-    k: usize,
-    combining: bool,
-) -> Vec<CombinedTask> {
-    combine_tasks_sized(decisions, k, combining, crate::ValueLayout::narrow().lane_bytes())
-}
-
 /// Combine per-partition engine decisions into scheduling units.
 ///
 /// `decisions` is `(partition index, engine)` in ascending partition order
@@ -124,10 +113,13 @@ mod tests {
     use super::*;
     use EngineKind::*;
 
+    /// Resident value footprint of the narrow (single 64-bit lane) layout.
+    const NARROW: u64 = crate::ValueLayout::narrow().lane_bytes();
+
     #[test]
     fn consecutive_filters_merge_up_to_k() {
         let d: Vec<_> = (0..10).map(|i| (i, ExpFilter)).collect();
-        let tasks = combine_tasks(&d, 4, true);
+        let tasks = combine_tasks_sized(&d, 4, true, NARROW);
         let sizes: Vec<_> = tasks.iter().map(|t| t.members.len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
         assert_eq!(tasks[0].members, vec![0, 1, 2, 3]);
@@ -138,7 +130,7 @@ mod tests {
         // Partitions 0,1 filter; 2 chose ZC; 3,4 filter.
         let d =
             vec![(0, ExpFilter), (1, ExpFilter), (2, ImpZeroCopy), (3, ExpFilter), (4, ExpFilter)];
-        let tasks = combine_tasks(&d, 4, true);
+        let tasks = combine_tasks_sized(&d, 4, true, NARROW);
         let filters: Vec<_> =
             tasks.iter().filter(|t| t.kind == ExpFilter).map(|t| t.members.clone()).collect();
         assert_eq!(filters, vec![vec![0, 1], vec![3, 4]]);
@@ -148,7 +140,7 @@ mod tests {
     fn inactive_partition_gaps_also_break_runs() {
         // Indices 0 and 2 are filter but 1 was inactive (absent).
         let d = vec![(0, ExpFilter), (2, ExpFilter)];
-        let tasks = combine_tasks(&d, 4, true);
+        let tasks = combine_tasks_sized(&d, 4, true, NARROW);
         let filters: Vec<_> =
             tasks.iter().filter(|t| t.kind == ExpFilter).map(|t| t.members.clone()).collect();
         assert_eq!(filters, vec![vec![0], vec![2]]);
@@ -163,7 +155,7 @@ mod tests {
             (3, ImpZeroCopy),
             (4, ExpCompaction),
         ];
-        let tasks = combine_tasks(&d, 4, true);
+        let tasks = combine_tasks_sized(&d, 4, true, NARROW);
         assert_eq!(tasks.len(), 2);
         let ec = tasks.iter().find(|t| t.kind == ExpCompaction).unwrap();
         assert_eq!(ec.members, vec![0, 2, 4]);
@@ -174,21 +166,23 @@ mod tests {
     #[test]
     fn combining_disabled_gives_singletons() {
         let d = vec![(0, ExpFilter), (1, ExpFilter), (2, ImpZeroCopy)];
-        let tasks = combine_tasks(&d, 4, false);
+        let tasks = combine_tasks_sized(&d, 4, false, NARROW);
         assert_eq!(tasks.len(), 3);
         assert!(tasks.iter().all(|t| t.members.len() == 1));
     }
 
     #[test]
     fn empty_decisions_empty_tasks() {
-        assert!(combine_tasks(&[], 4, true).is_empty());
+        assert!(combine_tasks_sized(&[], 4, true, NARROW).is_empty());
     }
 
     #[test]
     fn wide_lanes_shrink_filter_runs() {
         let d: Vec<_> = (0..10).map(|i| (i, ExpFilter)).collect();
-        // 8-byte lanes: bitwise the narrow combiner.
-        assert_eq!(combine_tasks_sized(&d, 4, true, 8), combine_tasks(&d, 4, true));
+        // Narrow lanes keep the paper's k = 4 runs.
+        let sizes: Vec<_> =
+            combine_tasks_sized(&d, 4, true, NARROW).iter().map(|t| t.members.len()).collect();
+        assert_eq!(sizes, vec![4, 4, 2]);
         // 16-byte states halve the effective run length (k = 2).
         let sizes: Vec<_> =
             combine_tasks_sized(&d, 4, true, 16).iter().map(|t| t.members.len()).collect();
@@ -211,7 +205,7 @@ mod tests {
             (5, ImpUnified),
             (6, ExpFilter),
         ];
-        let tasks = combine_tasks(&d, 2, true);
+        let tasks = combine_tasks_sized(&d, 2, true, NARROW);
         let mut seen: Vec<usize> = tasks.iter().flat_map(|t| t.members.clone()).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5, 6]);

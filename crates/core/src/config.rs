@@ -29,29 +29,23 @@ pub enum AsyncMode {
     },
 }
 
-/// How the exchange-overlap window is sized when `overlap_exchange` is
-/// on: what portion of the next iteration's work iteration `i`'s routed
-/// all-gather may hide under.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OverlapWindow {
-    /// Size the window per iteration from what actually runs next: the
-    /// overlappable analysis share of the orchestration overhead
-    /// ([`crate::runner::ANALYSIS_SPAN_COPIES`] launch latencies),
-    /// scaled by the fraction of partitions the *next* iteration's
-    /// activity analysis actually prices. An exchange followed by no
-    /// further iteration (frontier drained, or the `max_iterations` cap)
-    /// hides nothing — there is no next analysis to hide under. The
-    /// default.
-    #[default]
-    Measured,
-    /// The historical fixed window of
-    /// [`crate::runner::ITERATION_OVERHEAD_COPIES`] launch latencies,
-    /// regardless of what the next iteration does (it over-hides
-    /// whenever the next analysis is shorter than the constant, and
-    /// hides under a final iteration that never materialises when the
-    /// frontier drains). Kept reproducible for differential suites.
-    FixedConstant,
-}
+/// The route-probe ladder every system's interconnect is finished with:
+/// [`hyt_sim::ROUTE_BREAKPOINT_LADDER`] shrunk by [`SCALE_SHIFT`]. Batch
+/// sizes shrink by `2^SCALE_SHIFT` alongside the machine's latencies, so
+/// the rungs shrink with them to keep the latency/bandwidth crossover at
+/// the same *relative* batch size; each exchange batch then takes the
+/// route that is cheapest at its own size. A rung never scales below one
+/// byte (probe sizes must be positive).
+pub const ROUTE_LADDER: [u64; 5] = {
+    let mut ladder = hyt_sim::ROUTE_BREAKPOINT_LADDER;
+    let mut i = 0;
+    while i < ladder.len() {
+        let scaled = ladder[i] >> SCALE_SHIFT;
+        ladder[i] = if scaled == 0 { 1 } else { scaled };
+        i += 1;
+    }
+    ladder
+};
 
 /// Full configuration of a run.
 #[derive(Clone, Debug)]
@@ -87,13 +81,11 @@ pub struct HyTGraphConfig {
     /// clique that the frontier exchange routes over (direct, forwarded
     /// device-via-device, or host-staged — whichever prices cheapest).
     pub topology: TopologyKind,
-    /// Bandwidth/latency/duplex of each peer link when `topology` has
-    /// any. Full-duplex by default (per-direction queues); call
-    /// [`LinkSpec::half_duplex`] for the conservative PR 3 queueing
-    /// discipline. Host-only configs and uniform half-duplex *cliques*
-    /// price bit-identically to PR 3; rings do not, because routing now
-    /// forwards distance ≥ 2 pairs device-via-device instead of always
-    /// host-staging them (that mispricing was the bug).
+    /// Bandwidth, latency and cut-through chunk size of each peer link
+    /// when `topology` has any. Each direction of a peer link owns its
+    /// own contention queue, so the two legs of a symmetric exchange
+    /// overlap. Forwarded chains price store-and-forward unless every
+    /// hop advertises a chunk ([`LinkSpec::with_cut_through`]).
     pub peer_link: LinkSpec,
     /// Per-link spec overrides applied on top of the uniform `topology`
     /// build: each `(a, b, spec)` entry re-prices the peer link between
@@ -103,40 +95,15 @@ pub struct HyTGraphConfig {
     /// (e.g. a slow bridge sends its pair back to host staging). Empty
     /// by default.
     pub link_overrides: Vec<(u32, u32, LinkSpec)>,
-    /// Route-probe sizes for byte-size-aware routing: when non-empty,
-    /// the interconnect's route tables are rebuilt at this ladder of
-    /// probe sizes and each exchange batch picks the route that is
-    /// cheapest *at its size* (latency-bound tiny batches may take
-    /// fewer hops than bandwidth-bound bulk ones). Empty by default:
-    /// routes come from the single legacy
-    /// [`hyt_sim::ROUTE_PROBE_BYTES`] probe, bit-identical to PR 4.
-    /// [`hyt_sim::ROUTE_BREAKPOINT_LADDER`] is a ready-made ladder
-    /// (scale it alongside the machine for proxy-sized datasets).
-    pub route_breakpoints: Vec<u64>,
     /// Re-route the frontier exchange for load: after the static pass,
     /// a deterministic bounded greedy moves (or splits) batches off the
     /// busiest contention queue onto their next-cheapest path whenever
     /// that strictly lowers the priced makespan
     /// ([`hyt_sim::Interconnect::price_all_gather_load_aware`]) — never
-    /// worse than the static routing. Off by default so exchanges price
-    /// bit-identically to PR 4.
+    /// worse than the static routing. Off by default: the second pass
+    /// re-prices the whole exchange per candidate move, which costs far
+    /// more host time per iteration than the static pass.
     pub load_aware_exchange: bool,
-    /// Cut-through chunk size for forwarded chains: when set, every
-    /// peer link without an explicit per-link chunk forwards in chunks
-    /// of this many bytes, pricing multi-hop detours as pipelined
-    /// chunks (bottleneck hop + per-hop ramp) instead of full
-    /// store-and-forward. `None` (the default) keeps store-and-forward,
-    /// bit-identical to PR 4.
-    pub cut_through: Option<u64>,
-    /// Overlap the inter-device frontier exchange with the next
-    /// iteration's cost analysis instead of pricing it as a post-barrier
-    /// serial segment (ROADMAP item 3). Off by default so the serial
-    /// baseline stays reproducible.
-    pub overlap_exchange: bool,
-    /// How the overlap window is sized when `overlap_exchange` is on:
-    /// measured per-iteration from the next analysis span (the default),
-    /// or the historical fixed constant for differential suites.
-    pub overlap_window: OverlapWindow,
     /// Device-affine migration: between iterations (and, because the
     /// device plan is resident, between back-to-back runs on one
     /// system), move a partition to the device its activity keeps
@@ -199,11 +166,7 @@ impl Default for HyTGraphConfig {
             topology: TopologyKind::HostOnly,
             peer_link: LinkSpec::nvlink().scaled(SCALE_SHIFT),
             link_overrides: Vec::new(),
-            route_breakpoints: Vec::new(),
             load_aware_exchange: false,
-            cut_through: None,
-            overlap_exchange: false,
-            overlap_window: OverlapWindow::Measured,
             affine_migration: false,
             peer_zc: false,
             contention_aware_selection: false,
@@ -241,21 +204,16 @@ mod tests {
         assert_eq!(c.device_assignment, DeviceAssignment::EdgeBalanced);
         assert_eq!(c.topology, TopologyKind::HostOnly, "the paper's platform has no peer links");
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
-        assert!(c.route_breakpoints.is_empty(), "single-probe routing is the PR 4 baseline");
-        assert!(!c.load_aware_exchange, "static routing is the reproducible baseline");
-        assert_eq!(c.cut_through, None, "store-and-forward is the PR 4 baseline");
-        assert_eq!(c.peer_link.duplex, hyt_sim::Duplex::Full, "NVLink is full-duplex");
-        assert!(!c.overlap_exchange, "the serial exchange is the reproducible baseline");
-        assert_eq!(
-            c.overlap_window,
-            OverlapWindow::Measured,
-            "overlap, when enabled, hides under the measured next analysis span"
-        );
+        assert_eq!(c.peer_link.cut_through, None, "chains store-and-forward unless a link chunks");
+        assert!(!c.load_aware_exchange, "the second routing pass is opt-in");
         assert!(!c.affine_migration, "static placement is the reproducible baseline");
         assert!(!c.peer_zc, "peer-served zero-copy is opt-in");
         assert!(!c.contention_aware_selection, "contended costs are opt-in");
         assert_eq!(c.select_params.contention, 1.0);
         assert_eq!(c.select_params.peer_zc_scale, 1.0, "no peer rung unless a warm copy exists");
+        let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
+        let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), ring);
+        assert_eq!(sys.interconnect().route_breakpoints(), ROUTE_LADDER);
     }
 
     #[test]

@@ -73,18 +73,6 @@ impl PartitionCosts {
     }
 }
 
-/// Compute formulas (1)–(3) for one partition's activity snapshot with
-/// the narrow (≤ 8-byte-value) per-vertex payload — the exact historical
-/// pricing. See [`partition_costs_sized`] for wide-value programs.
-#[must_use = "partition costs drive filter/compaction/zero-copy selection; dropping them skips the decision"]
-pub fn partition_costs(
-    act: &PartitionActivity,
-    pcie: &PcieModel,
-    bytes_per_edge: u64,
-) -> PartitionCosts {
-    partition_costs_sized(act, pcie, bytes_per_edge, 0)
-}
-
 /// Compute formulas (1)–(3) for one partition's activity snapshot.
 ///
 /// `bytes_per_edge` is `d1` (+ weight bytes on weighted graphs — the
@@ -98,7 +86,7 @@ pub fn partition_costs(
 /// moves whole partitions of *edge* data and zero-copy reads neighbour
 /// arrays in place, so neither ships vertex values; compaction's gather
 /// packages `|Ai|` value payloads alongside the index. Zero for every
-/// narrow program (exact identity with [`partition_costs`]); for
+/// narrow program; for
 /// sketch-width values it is what can flip a compaction win to
 /// zero-copy.
 #[must_use = "partition costs drive filter/compaction/zero-copy selection; dropping them skips the decision"]
@@ -165,7 +153,7 @@ mod tests {
         // Partition: 100k total edges, 10k active across 100 vertices,
         // 400 zero-copy requests, d1 = 4 bytes.
         let a = act(100, 10_000, 100_000, 400);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         // Tef: 400_000 bytes / 32768 = 12.207 fractional TLPs.
         assert!((c.tef - 400_000.0 / 32_768.0).abs() < 1e-12);
         // Tec: 40_000 + 100*8 = 40_800 bytes -> 1.245 TLPs.
@@ -181,7 +169,7 @@ mod tests {
         // request padding makes ZC lose to a saturated bulk copy.
         // 32k vertices, degree 4 each: 128k edges, 32k requests.
         let a = act(32_768, 131_072, 131_072, 32_768);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         // Tef: 524288 B -> 16 TLPs. Tiz: 128 TLPs at full RTT.
         assert!(c.tef < c.tiz, "tef {} tiz {}", c.tef, c.tiz);
     }
@@ -190,7 +178,7 @@ mod tests {
     fn sparse_high_degree_prefers_zc() {
         // 3 active vertices with 32 neighbours each in a big partition.
         let a = act(3, 96, 1_000_000, 3);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         assert!(c.tiz < c.tef, "tiz {} tef {}", c.tiz, c.tef);
         assert!(c.tiz < 1.0); // one unsaturated TLP, nearly-fixed cost
     }
@@ -198,7 +186,7 @@ mod tests {
     #[test]
     fn empty_partition_costs_nothing_active() {
         let a = act(0, 0, 50_000, 0);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         assert_eq!(c.tec, 0.0);
         assert_eq!(c.tiz, 0.0);
         assert!(c.tef > 0.0); // filter would still ship the whole thing
@@ -213,7 +201,7 @@ mod tests {
         // active payload is tiny, so shipping exactly it (plus d2 indexes)
         // beats both the bulk copy and the per-request-padded reads.
         let a = act(50, 200, 50_000, 50);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         // Hand-computed, m·MR = 32768 B per TLP:
         assert!((c.tef - 200_000.0 / 32_768.0).abs() < 1e-12);
         assert!((c.tec - (200.0 * 4.0 + 50.0 * 8.0) / 32_768.0).abs() < 1e-12);
@@ -227,7 +215,7 @@ mod tests {
         // Everything active at degree 4: compaction pays d2 per vertex for
         // nothing, zero-copy pays one padded request per vertex.
         let a = act(8_192, 32_768, 32_768, 8_192);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         assert!((c.tef - 4.0).abs() < 1e-12); // 131072 B / 32768
         assert!((c.tec - 6.0).abs() < 1e-12); // (131072 + 65536) B / 32768
         let want_tiz = 32.0 / 0.95; // 8192/256 TLPs at full RTT_zc
@@ -241,7 +229,7 @@ mod tests {
         // saturated runs make zero-copy's requests efficient, and it skips
         // compaction's index bytes (and, off-formula, its CPU gather).
         let a = act(4, 4_096, 1_000_000, 128);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         assert!((c.tef - 4_000_000.0 / 32_768.0).abs() < 1e-12);
         assert!((c.tec - (4_096.0 * 4.0 + 4.0 * 8.0) / 32_768.0).abs() < 1e-12);
         let want_tiz = 0.5 * (0.625 + 0.375 * (4_096.0 / 1_000_000.0)) / 0.95;
@@ -252,7 +240,7 @@ mod tests {
     #[test]
     fn contention_is_identity_at_one_and_favours_zero_copy_beyond() {
         let a = act(100, 10_000, 100_000, 400);
-        let c = partition_costs(&a, &bus(), 4);
+        let c = partition_costs_sized(&a, &bus(), 4, 0);
         let c1 = c.under_contention(1.0, ZC_CONTENTION_SHARE);
         assert_eq!(c, c1, "contention 1.0 must be bitwise identity");
         let c8 = c.under_contention(8.0, ZC_CONTENTION_SHARE);
@@ -270,9 +258,7 @@ mod tests {
     #[test]
     fn value_surplus_prices_compaction_only() {
         let a = act(100, 10_000, 100_000, 400);
-        let narrow = partition_costs(&a, &bus(), 4);
-        // Zero surplus is bitwise the historical pricing.
-        assert_eq!(partition_costs_sized(&a, &bus(), 4, 0), narrow);
+        let narrow = partition_costs_sized(&a, &bus(), 4, 0);
         // A 64-byte-wire value (56 surplus) charges formula (2) exactly
         // |Ai|·56 more bytes and leaves (1) and (3) untouched.
         let wide = partition_costs_sized(&a, &bus(), 4, 56);
@@ -284,8 +270,8 @@ mod tests {
     #[test]
     fn weight_bytes_scale_all_formulas() {
         let a = act(100, 10_000, 100_000, 400);
-        let c4 = partition_costs(&a, &bus(), 4);
-        let c8 = partition_costs(&a, &bus(), 8);
+        let c4 = partition_costs_sized(&a, &bus(), 4, 0);
+        let c8 = partition_costs_sized(&a, &bus(), 8, 0);
         assert!(c8.tef >= 2.0 * c4.tef - 1.0); // ceil slack
         assert!(c8.tec >= 2.0 * c4.tec - 1.0);
     }

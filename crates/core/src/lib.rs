@@ -60,10 +60,10 @@ pub use api::{
     EdgeCtx, F32Pair, InitialFrontier, PriorityMode, ValueLayout, Values, VertexProgram,
     VertexValue, MAX_VALUE_LANES,
 };
-pub use config::{AsyncMode, HyTGraphConfig, OverlapWindow};
-pub use cost::{partition_costs, partition_costs_sized, PartitionCosts};
+pub use config::{AsyncMode, HyTGraphConfig};
+pub use cost::{partition_costs_sized, PartitionCosts};
 pub use hyt_engines::EngineKind;
-pub use hyt_sim::{Duplex, Interconnect, LinkSpec, Route, TopologyKind, ROUTE_BREAKPOINT_LADDER};
+pub use hyt_sim::{Interconnect, LinkSpec, Route, TopologyKind};
 pub use runner::{
     HyTGraphSystem, MigrationEvent, MutationReport, COMPACTION_HORIZON_ITERS,
     MIGRATION_HORIZON_ITERS,

@@ -29,13 +29,11 @@
 //! direct NVLink-class peer link (`config.topology` ring / all-to-all,
 //! optionally re-priced per link by `config.link_overrides`), a
 //! forwarded device-via-device multi-hop path, or staging through the
-//! host root complex; legs on disjoint direction queues overlap (peer
-//! links are full-duplex by default).
-//! With `config.overlap_exchange` the exchange further hides under the
-//! next iteration's cost analysis instead of sitting after the barrier;
-//! the window is sized per iteration from the span that analysis
-//! actually takes ([`crate::config::OverlapWindow::Measured`]), with the
-//! historical fixed-constant window kept for differential suites.
+//! host root complex; legs on disjoint direction queues overlap (each
+//! direction of a peer link owns its own queue). The exchange further
+//! hides under the next iteration's cost analysis instead of sitting
+//! after the barrier; the window is sized per iteration from the span
+//! that analysis actually takes ([`analysis_span`]).
 //!
 //! Kernels still execute in the *global* contribution-driven priority
 //! order — the iteration barrier means device placement cannot change
@@ -48,7 +46,7 @@
 
 use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram};
 use crate::combine::{combine_tasks_sized, CombinedTask};
-use crate::config::{AsyncMode, HyTGraphConfig, OverlapWindow};
+use crate::config::{AsyncMode, HyTGraphConfig, ROUTE_LADDER};
 use crate::kernel::{run_kernel, EdgeSource};
 use crate::priority::order_tasks;
 use crate::select::{select_engines_sharded_by, DeviceBudgets, SelectParams, Selection};
@@ -87,7 +85,7 @@ pub const ANALYSIS_SPAN_COPIES: f64 = 4.0;
 /// by the fraction of partitions the analysis prices (inactive
 /// partitions fail the bitmap test immediately and cost ~nothing). This
 /// is the measured window the previous iteration's exchange may hide
-/// under ([`crate::config::OverlapWindow::Measured`]).
+/// under.
 pub fn analysis_span(copy_latency: f64, active_partitions: u32, total_partitions: u32) -> f64 {
     if total_partitions == 0 {
         return 0.0;
@@ -106,8 +104,8 @@ pub const CPU_ITERATION_OVERHEAD: f64 = 100.0e-6;
 /// index / row offsets, activity bitmaps) for the narrow single-lane
 /// layout: carved out of device memory before edge data can be cached
 /// (Section II-A's data placement). The live figure is the program's
-/// [`ValueLayout::state_bytes`] — this constant documents the historical
-/// 64-bit-atom value.
+/// [`ValueLayout::state_bytes`] — this constant is its value for one
+/// 64-bit atom.
 pub const VERTEX_STATE_BYTES: u64 = ValueLayout::narrow().state_bytes();
 
 /// Bytes per record of the inter-device frontier exchange for the narrow
@@ -298,6 +296,15 @@ fn build_placement(
     (affinity, devices)
 }
 
+/// Which devices own at least one of the `num_parts` partitions.
+fn shard_holders(devices: &DevicePlan, num_parts: usize) -> Vec<bool> {
+    let mut holders = vec![false; devices.num_devices() as usize];
+    for pid in 0..num_parts as u32 {
+        holders[devices.device_of(pid) as usize] = true;
+    }
+    holders
+}
+
 /// Grus-like partition residency (unified-memory as a prefetch cache).
 struct GrusState {
     /// Partition is (or is being) cached in device memory.
@@ -320,27 +327,16 @@ impl HyTGraphSystem {
         let parts = PartitionSet::build(&working, config.partition_bytes);
         let num_hubs = hub.as_ref().map_or(0, |h| h.num_hubs);
         let nd = config.num_devices.max(1) as u32;
-        // The blanket cut-through knob applies to every peer link that
-        // does not carry its own per-link chunk size already. Routing
-        // through LinkSpec::with_cut_through keeps its chunk validation
-        // (a zero chunk must fail at build time, not divide-by-zero in
-        // pricing).
-        let cut = |spec: hyt_sim::LinkSpec| match config.cut_through {
-            Some(chunk) if spec.cut_through.is_none() => spec.with_cut_through(chunk),
-            _ => spec,
-        };
         let mut interconnect = Interconnect::build(
             config.topology,
             nd as usize,
             config.machine.pcie,
-            cut(config.peer_link),
+            config.peer_link,
         );
         for &(a, b, spec) in &config.link_overrides {
-            interconnect = interconnect.with_link_spec(a, b, cut(spec));
+            interconnect = interconnect.with_link_spec(a, b, spec);
         }
-        if !config.route_breakpoints.is_empty() {
-            interconnect = interconnect.with_route_breakpoints(&config.route_breakpoints);
-        }
+        let interconnect = interconnect.with_route_breakpoints(&ROUTE_LADDER);
         // The affinity matrix serves both priced features: cost-driven
         // initial placement and between-iteration affine migration. It is
         // estimated once, before any program runs, with the narrow
@@ -350,10 +346,7 @@ impl HyTGraphSystem {
         // boundaries).
         let (affinity, devices) =
             build_placement(&config, &interconnect, &working, &parts, num_hubs);
-        let mut shard_holders = vec![false; devices.num_devices() as usize];
-        for pid in 0..parts.len() as u32 {
-            shard_holders[devices.device_of(pid) as usize] = true;
-        }
+        let shard_holders = shard_holders(&devices, parts.len());
         let nd = devices.num_devices() as usize;
         let sim = MultiGpuSim::with_interconnect(nd, config.num_streams, interconnect.clone());
         HyTGraphSystem {
@@ -428,12 +421,27 @@ impl HyTGraphSystem {
     }
 
     /// Map an original vertex id to the working (hub-sorted) id space.
-    fn to_working(&self, v: VertexId) -> VertexId {
-        self.hub.as_ref().map_or(v, |h| h.to_new(v))
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::VertexOutOfRange`] when `v` is not a vertex of the
+    /// resident graph: ids arrive from callers (mutation batches, query
+    /// sources), and the hub permutation only covers `0..num_vertices`.
+    pub(crate) fn to_working(&self, v: VertexId) -> Result<VertexId, GraphError> {
+        let num_vertices = self.graph.num_vertices();
+        if v >= num_vertices {
+            return Err(GraphError::VertexOutOfRange { vertex: v, num_vertices });
+        }
+        Ok(self.hub.as_ref().map_or(v, |h| h.to_new(v)))
     }
 
     /// Run `program` to convergence and return values in original-id order
     /// plus the full statistics record.
+    ///
+    /// # Panics
+    ///
+    /// If the program seeds its initial frontier with a vertex outside
+    /// the graph.
     pub fn run<P: VertexProgram>(&mut self, program: P) -> RunResult<P::Value> {
         let nv = self.graph.num_vertices();
         let hub = self.hub.as_ref();
@@ -450,7 +458,8 @@ impl HyTGraphSystem {
             }
             InitialFrontier::Set(seeds) => {
                 for v in seeds {
-                    frontier.insert(self.to_working(v));
+                    // hyt-lint: allow(unwrap-in-lib) -- a seed outside the graph is a bug in the VertexProgram, not input: the session service rejects out-of-range sources at submit
+                    frontier.insert(self.to_working(v).expect("initial frontier seed in range"));
                 }
             }
         }
@@ -460,7 +469,8 @@ impl HyTGraphSystem {
         let bpe = self.effective_bytes_per_edge::<P>();
         // Every width-sensitive layer derives its per-vertex footprint
         // from the program's declared value layout (lanes resident, wire
-        // bytes exchanged); narrow programs get the historical constants.
+        // bytes exchanged); narrow programs get [`VERTEX_STATE_BYTES`] and
+        // [`EXCHANGE_RECORD_BYTES`].
         let layout = ValueLayout::of::<P::Value>();
         // Device memory left for edge data once vertex state is resident,
         // derated by the UM driver-headroom utilisation.
@@ -519,17 +529,12 @@ impl HyTGraphSystem {
             // exposed — both run endings (frontier drain and the
             // max_iterations cap) leave the last record's hidden at 0
             // by construction.
-            if let Some(cur) = per_iteration.last().filter(|_| {
-                self.config.overlap_exchange
-                    && self.config.overlap_window == OverlapWindow::Measured
-                    && per_iteration.len() >= 2
-            }) {
+            if let [.., prev, cur] = per_iteration.as_mut_slice() {
                 let window = analysis_span(
                     self.config.machine.pcie.copy_latency,
                     cur.active_partitions,
                     cur.total_partitions,
                 );
-                let prev = &mut per_iteration[iter as usize - 1];
                 let hidden = prev.exchange.time.min(window);
                 prev.exchange.hidden = hidden;
                 prev.time -= hidden;
@@ -706,19 +711,12 @@ impl HyTGraphSystem {
     /// above still covers exactly that applied prefix, so the system
     /// stays consistent with the partially-mutated graph.
     pub fn apply_mutations(&mut self, batch: &MutationBatch) -> Result<MutationReport, GraphError> {
-        let mut applied = 0usize;
+        // Working-id endpoints of each applied op, in batch order.
+        let mut touched: Vec<[VertexId; 2]> = Vec::with_capacity(batch.ops().len());
         let mut failure: Option<GraphError> = None;
         for op in batch.ops() {
-            let r = match *op {
-                EdgeOp::Insert { src, dst, weight } => {
-                    self.graph.insert(self.to_working(src), self.to_working(dst), weight)
-                }
-                EdgeOp::Delete { src, dst } => {
-                    self.graph.delete(self.to_working(src), self.to_working(dst))
-                }
-            };
-            match r {
-                Ok(()) => applied += 1,
+            match self.apply_op(op) {
+                Ok(ends) => touched.push(ends),
                 Err(e) => {
                     failure = Some(e);
                     break;
@@ -744,9 +742,9 @@ impl HyTGraphSystem {
         // Reactivation frontier (working ids, deduplicated by the bitmap),
         // reported back in original ids.
         let frontier = Frontier::new(self.graph.num_vertices());
-        for op in batch.ops() {
-            frontier.insert(self.to_working(op.src()));
-            frontier.insert(self.to_working(op.dst()));
+        for &[s, d] in &touched {
+            frontier.insert(s);
+            frontier.insert(d);
         }
         let mut reactivated: Vec<VertexId> =
             frontier.iter().map(|v| self.hub.as_ref().map_or(v, |h| h.to_old(v))).collect();
@@ -758,13 +756,24 @@ impl HyTGraphSystem {
             self.compact_now();
         }
         Ok(MutationReport {
-            applied,
+            applied: touched.len(),
             dirty_partitions: dirty,
             reactivated,
             delta_surplus,
             fold_cost,
             compacted,
         })
+    }
+
+    /// Apply one op (original ids) to the working-id graph, returning its
+    /// working-id endpoints.
+    fn apply_op(&mut self, op: &EdgeOp) -> Result<[VertexId; 2], GraphError> {
+        let (s, d) = (self.to_working(op.src())?, self.to_working(op.dst())?);
+        match *op {
+            EdgeOp::Insert { weight, .. } => self.graph.insert(s, d, weight)?,
+            EdgeOp::Delete { .. } => self.graph.delete(s, d)?,
+        }
+        Ok([s, d])
     }
 
     /// Fold the delta segments into a fresh base and rebuild everything
@@ -784,10 +793,7 @@ impl HyTGraphSystem {
         self.parts = parts;
         self.affinity = affinity;
         self.devices = devices;
-        self.shard_holders = vec![false; self.devices.num_devices() as usize];
-        for pid in 0..self.parts.len() as u32 {
-            self.shard_holders[self.devices.device_of(pid) as usize] = true;
-        }
+        self.shard_holders = shard_holders(&self.devices, self.parts.len());
         self.warm_copies = vec![None; self.parts.len()];
         self.react_records = vec![0; self.parts.len()];
         self.observed_iters = 0;
@@ -997,40 +1003,21 @@ impl HyTGraphSystem {
         let timeline = sim.schedule(&dev_tasks);
         let exchange_report = self.price_exchange(&next, exchange_owned, layout.record_bytes());
         counters.exchange_bytes += exchange_report.payload_bytes;
-        // With overlap on, the exchange hides under the next iteration's
-        // cost analysis: only the residual stays on the critical path.
-        // The overlap is legal on both axes: the data is disjoint (last
-        // iteration's published values vs the freshly-drained frontier's
-        // activity scan), and the resources are too — the analysis
-        // overhead is GPU-side bitmap work plus launch/driver latency
-        // (it is *scaled by* the copy latency, not DMA occupancy of the
-        // bus), so exchange legs keep their exclusive link queues while
-        // it runs. The serial baseline stays the default.
+        // The exchange hides under the next iteration's cost analysis:
+        // only the residual stays on the critical path. The overlap is
+        // legal on both axes: the data is disjoint (last iteration's
+        // published values vs the freshly-drained frontier's activity
+        // scan), and the resources are too — the analysis overhead is
+        // GPU-side bitmap work plus launch/driver latency (it is
+        // *scaled by* the copy latency, not DMA occupancy of the bus),
+        // so exchange legs keep their exclusive link queues while it
+        // runs. The successor's analysis span is unknown until that
+        // analysis runs, so the exchange is recorded fully exposed here
+        // (`hidden` = 0) and the driver patches it once the successor
+        // has sized the window.
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
-        let hidden = match (cfg.overlap_exchange, cfg.overlap_window) {
-            // Measured window: the next iteration's analysis span is
-            // unknown until that analysis runs, so the exchange is
-            // recorded fully exposed here and the driver patches
-            // `hidden` (and the iteration time) once the successor has
-            // sized it. A final iteration is never patched: its
-            // exchange hides under nothing.
-            (true, OverlapWindow::Measured) => 0.0,
-            // Historical fixed-constant window: hides up to the whole
-            // orchestration overhead whether or not the next analysis
-            // is that long (or runs at all — only the max_iterations
-            // cap zeroes it). Kept bit-reproducible for differential
-            // suites; this is the over-hiding the measured window
-            // fixes.
-            (true, OverlapWindow::FixedConstant) if iteration + 1 < cfg.max_iterations => {
-                exchange_report.hidden_under(analysis_time)
-            }
-            _ => 0.0,
-        };
-        let exchange = ExchangeStats {
-            hidden,
-            peer_zc_bytes: peer_zc_total,
-            ..ExchangeStats::from(&exchange_report)
-        };
+        let exchange =
+            ExchangeStats { peer_zc_bytes: peer_zc_total, ..ExchangeStats::from(&exchange_report) };
 
         let per_device: Vec<DeviceIterationStats> = (0..nd)
             .map(|d| DeviceIterationStats {
@@ -1052,7 +1039,7 @@ impl HyTGraphSystem {
             total_partitions: self.parts.len() as u32,
             mix,
             tasks: dev_tasks.iter().map(Vec::len).sum::<usize>() as u32,
-            time: timeline.makespan + exchange.exposed() + analysis_time,
+            time: timeline.makespan + exchange.time + analysis_time,
             transfer_time: timeline.bus_busy + exchange.host_time + exchange.peer_time,
             compute_time: timeline.gpu_busy_total(),
             compaction_time: timeline.cpu_busy,
@@ -1071,7 +1058,7 @@ impl HyTGraphSystem {
     /// vertices and receives every other shard-holder's batch, routed
     /// over the configured interconnect on each pair's cheapest path *at
     /// its batch size* — a direct peer link, a forwarded multi-hop peer
-    /// path (pipelined when `cut_through` chunks are configured), or
+    /// path (pipelined when every hop advertises a cut-through chunk), or
     /// staging through the host root complex — with legs queueing per
     /// direction queue ([`Interconnect::price_all_gather`]). With
     /// `config.load_aware_exchange` a second pass re-routes or splits
@@ -1258,10 +1245,7 @@ impl HyTGraphSystem {
         let from = self.devices.device_of(pid);
         self.devices.reassign(pid, self.parts.get(pid).num_edges(), to);
         self.warm_copies[pid as usize] = Some(from);
-        self.shard_holders.fill(false);
-        for p in 0..self.parts.len() as u32 {
-            self.shard_holders[self.devices.device_of(p) as usize] = true;
-        }
+        self.shard_holders = shard_holders(&self.devices, self.parts.len());
         self.migration_log.push(MigrationEvent { partition: pid, from, to, copy_cost });
         // Fresh evidence for the next decision: the plan just changed, so
         // the old observations no longer describe it.
@@ -1576,21 +1560,6 @@ mod tests {
         let mut sys = HyTGraphSystem::new(g, cfg);
         let without_hub = sys.run(MiniSssp);
         assert_eq!(with_hub.values, without_hub.values);
-    }
-
-    #[test]
-    #[should_panic(expected = "cut-through chunks must be non-empty")]
-    fn zero_cut_through_chunks_fail_at_build_time() {
-        // A zero chunk must be rejected when the interconnect is built,
-        // not divide-by-zero later in chain pricing.
-        let g = generators::chain(3, true);
-        let cfg = HyTGraphConfig {
-            cut_through: Some(0),
-            topology: hyt_sim::TopologyKind::Ring,
-            num_devices: 2,
-            ..HyTGraphConfig::default()
-        };
-        let _ = HyTGraphSystem::new(g, cfg);
     }
 
     #[test]

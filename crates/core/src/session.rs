@@ -99,6 +99,10 @@ pub enum RejectReason {
     OverBudget,
     /// The overflow queue is at `max_queue`.
     QueueFull,
+    /// A traversal's source vertex is not a vertex of the resident
+    /// graph: running it could answer nothing, and it would take its
+    /// whole cohort down with it.
+    SourceOutOfRange,
 }
 
 /// Outcome of [`SessionService::submit`]. Every arm carries the quote —
@@ -313,7 +317,7 @@ pub struct SessionService<B: SessionBackend> {
 
 impl<B: SessionBackend> SessionService<B> {
     /// Wrap a resident system. The system keeps whatever configuration
-    /// it was built with — device count, topology, overlap mode — and
+    /// it was built with — device count, topology, placement — and
     /// the service's repeat runs rely on its resident-reuse contract.
     pub fn new(system: HyTGraphSystem, backend: B, config: SessionConfig) -> Self {
         assert!(backend.widths().contains(&1), "backend must support width-1 cohorts");
@@ -372,6 +376,11 @@ impl<B: SessionBackend> SessionService<B> {
     /// order is arrival order.
     pub fn submit(&mut self, kind: QueryKind) -> Admission {
         let quote = self.quote(&kind);
+        if let QueryKind::Bfs(src) | QueryKind::Sssp(src) = kind {
+            if self.system.to_working(src).is_err() {
+                return Admission::Rejected { reason: RejectReason::SourceOutOfRange, quote };
+            }
+        }
         if quote.sweep_rtt > self.config.admission_budget {
             return Admission::Rejected { reason: RejectReason::OverBudget, quote };
         }

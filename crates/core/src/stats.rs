@@ -78,11 +78,9 @@ pub struct ExchangeStats {
     /// host-only topology).
     pub time: SimTime,
     /// Portion of `time` hidden under the next iteration's cost
-    /// analysis when `overlap_exchange` is on (0 otherwise), sized by
-    /// the configured `OverlapWindow`. Under the measured window it
-    /// never exceeds the successor iteration's actual analysis span and
-    /// is always 0 on a run's final iteration — there is no successor
-    /// to hide under.
+    /// analysis. It never exceeds the successor iteration's actual
+    /// analysis span and is always 0 on a run's final iteration — there
+    /// is no successor to hide under.
     pub hidden: SimTime,
     /// Host root-complex busy time (staged uploads + downloads).
     pub host_time: SimTime,
@@ -138,7 +136,7 @@ impl ExchangeStats {
 }
 
 /// One routed all-gather, as the runner records it (`hidden` starts at 0;
-/// the runner sets it when `overlap_exchange` applies).
+/// the driver sets it once the successor iteration has sized the window).
 impl From<&hyt_sim::ExchangeReport> for ExchangeStats {
     fn from(r: &hyt_sim::ExchangeReport) -> Self {
         ExchangeStats {

@@ -200,20 +200,12 @@ pub fn plan_compaction(
 /// uses this to price each device's *slice* of a combined compaction task
 /// while the real gather (which feeds the kernel) happens once for the
 /// whole task.
-pub fn price_compaction(
-    machine: &MachineModel,
-    acts: &[&PartitionActivity],
-    bytes_per_edge: u64,
-) -> TaskPlan {
-    price_compaction_sized(machine, acts, bytes_per_edge, 0)
-}
-
-/// [`price_compaction`] for programs whose per-vertex value is wider
-/// than the narrow 8-byte slot: the gather additionally stages
-/// `value_surplus` bytes of value payload per active vertex (the
-/// program's `ValueLayout::compaction_surplus`), matching what cost
-/// formula (2) charged when this engine was selected. Zero is an exact
-/// identity with [`price_compaction`].
+///
+/// For programs whose per-vertex value is wider than the narrow 8-byte
+/// slot the gather additionally stages `value_surplus` bytes of value
+/// payload per active vertex (the program's
+/// `ValueLayout::compaction_surplus`), matching what cost formula (2)
+/// charged when this engine was selected. Zero for narrow programs.
 pub fn price_compaction_sized(
     machine: &MachineModel,
     acts: &[&PartitionActivity],
@@ -319,7 +311,7 @@ mod tests {
         );
         let refs: Vec<_> = acts.iter().filter(|a| a.is_active()).collect();
         let full = plan_compaction(&machine, g.view(), &refs, g.bytes_per_edge(), 4);
-        let priced = price_compaction(&machine, &refs, g.bytes_per_edge());
+        let priced = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 0);
         assert_eq!(priced.cpu_time, full.cpu_time);
         assert_eq!(priced.transfer_time, full.transfer_time);
         assert_eq!(priced.kernel_time, full.kernel_time);
@@ -347,10 +339,7 @@ mod tests {
             4,
         );
         let refs: Vec<_> = acts.iter().filter(|a| a.is_active()).collect();
-        let narrow = price_compaction(&machine, &refs, g.bytes_per_edge());
-        // Zero surplus is bitwise the narrow pricing.
-        let zero = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 0);
-        assert_eq!(zero.counters, narrow.counters);
+        let narrow = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 0);
         // A 64-byte-wire sketch stages 56 extra bytes per active vertex.
         let wide = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 56);
         let extra = narrow.active_vertices.len() as u64 * 56;

@@ -1,11 +1,10 @@
 //! Typed errors for malformed graph input and streaming mutations.
 //!
-//! Historically the construction paths either `debug_assert!`ed
-//! (vanishing in release builds and silently corrupting the CSR) or
-//! returned ad-hoc `String`s. Everything user-facing now funnels through
-//! [`GraphError`] so callers can match on the failure instead of parsing
-//! prose: out-of-range endpoints, duplicate-edge overflow, deletions of
-//! absent edges, and located parse/format problems.
+//! A `debug_assert!` vanishes in release builds and lets bad input
+//! silently corrupt the CSR, and an ad-hoc `String` cannot be matched
+//! on, so everything user-facing funnels through [`GraphError`]:
+//! out-of-range endpoints, duplicate-edge overflow, deletions of absent
+//! edges, and located parse/format problems.
 
 use crate::{VertexId, Weight};
 use std::fmt;

@@ -56,7 +56,7 @@ pub use multi::{MultiGpuSim, MultiTimeline};
 pub use pcie::PcieModel;
 pub use streams::{Phase, PhaseSpan, Resource, SimTask, StreamSim, Timeline};
 pub use topology::{
-    Duplex, ExchangeReport, Interconnect, Link, LinkClass, LinkRate, LinkSpec, Route, TopologyKind,
+    ExchangeReport, Interconnect, Link, LinkClass, LinkRate, LinkSpec, Route, TopologyKind,
     MAX_REROUTE_ROUNDS, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES,
 };
 pub use um::{UmCache, UmModel};

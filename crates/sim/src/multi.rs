@@ -8,11 +8,11 @@
 //!
 //! * **Interconnect queues** — each contention queue of the configured
 //!   [`Interconnect`] (one for the host root complex, one per direction
-//!   of every full-duplex peer link) is tracked independently.
+//!   of every peer link) is tracked independently.
 //!   Edge-slice transfers and zero-copy reads are host-routed (the data
 //!   lives in host memory), so they queue on the host root complex from
-//!   every device — with the host-only topology this is exactly the
-//!   legacy single shared bus. Peer queues carry the inter-device
+//!   every device — with the host-only topology this is exactly one
+//!   shared bus. Peer queues carry the inter-device
 //!   frontier exchange, priced by [`Interconnect::price_all_gather`]
 //!   over the byte-size-aware route tables (or its load-aware variant,
 //!   [`Interconnect::price_all_gather_load_aware`], which re-routes and
@@ -83,7 +83,7 @@ pub struct MultiGpuSim {
 
 impl MultiGpuSim {
     /// A scheduler over `num_devices` devices with `num_streams` streams
-    /// each (both clamped to at least 1), on the legacy host-only
+    /// each (both clamped to at least 1), on the host-only
     /// interconnect (one shared root complex).
     pub fn new(num_devices: usize, num_streams: usize) -> Self {
         let nd = num_devices.max(1);
@@ -119,7 +119,7 @@ impl MultiGpuSim {
         let nd = self.num_devices;
         // One slot per interconnect contention queue. Host-routed task
         // traffic from device `d` queues on `host_link_of(d)`'s single
-        // queue — with one root complex that is the legacy shared bus.
+        // queue — with one root complex that is the shared bus.
         let mut link_free = vec![0.0f64; self.interconnect.num_queues()];
         let mut cpu_free = 0.0f64;
         let mut gpu_free = vec![0.0f64; nd];

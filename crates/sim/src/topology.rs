@@ -1,11 +1,10 @@
 //! Topology-aware interconnect: heterogeneous links, routed (possibly
 //! multi-hop) paths, and per-direction contention.
 //!
-//! PR 2's multi-device model priced every byte — edge slices *and* the
-//! inter-device frontier exchange — on one shared PCIe root complex,
-//! which is exactly the "one flat bus" assumption the paper's Section
-//! VIII names as the open frontier. This module makes the interconnect a
-//! first-class object:
+//! Pricing every byte — edge slices *and* the inter-device frontier
+//! exchange — on one shared PCIe root complex is exactly the "one flat
+//! bus" assumption the paper's Section VIII names as the open frontier.
+//! This module makes the interconnect a first-class object:
 //!
 //! * a [`Link`] is one contended wire with its own pricing: the **host
 //!   root complex** (all devices' PCIe lanes converge there, priced with
@@ -15,22 +14,21 @@
 //!   (x4 beside x8 bridges, NVLink 2 beside NVLink 4) are first-class —
 //!   see [`Interconnect::ring_with_specs`], [`Interconnect::mesh`], and
 //!   [`Interconnect::with_link_spec`];
-//! * peer links are **full-duplex by default** ([`Duplex::Full`]): each
-//!   direction owns its own contention queue, so the two legs of a
-//!   symmetric exchange overlap instead of serialising. [`Duplex::Half`]
-//!   keeps the PR 3 model (both directions share one queue) and prices
-//!   bit-identically to it. The host root complex always stays **one**
-//!   TLP-quantised queue, preserving the legacy shared-bus reduction;
+//! * peer links are **full-duplex**: each direction owns its own
+//!   contention queue, so the two legs of a symmetric exchange overlap
+//!   instead of serialising. The host root complex always stays **one**
+//!   TLP-quantised queue, so a host-only interconnect is the serial
+//!   shared bus;
 //! * an [`Interconnect`] is a set of links in one of three named shapes
-//!   ([`TopologyKind`]) — host-only (the legacy shared bus), a ring of
+//!   ([`TopologyKind`]) — host-only (the shared bus), a ring of
 //!   neighbour links, or a fully-connected clique — optionally edited
 //!   per link into an arbitrary heterogeneous mesh;
 //! * [`Interconnect::route`] returns the **cheapest priced path** for a
 //!   device-to-device transfer of a given *size*, chosen at build time
 //!   from a dense **per-breakpoint** route table: routes are probed at a
 //!   ladder of payload sizes ([`Interconnect::with_route_breakpoints`];
-//!   the default ladder is the single legacy [`ROUTE_PROBE_BYTES`]
-//!   probe), and `route(src, dst, bytes)` selects the table whose probe
+//!   a freshly built interconnect probes at [`ROUTE_PROBE_BYTES`]
+//!   alone), and `route(src, dst, bytes)` selects the table whose probe
 //!   matches the batch, so latency-bound tiny batches may legitimately
 //!   take fewer hops than bandwidth-bound bulk ones. Each entry is
 //!   **direct** over a peer link, **forwarded** device-via-device over a
@@ -47,10 +45,9 @@
 //! * [`Interconnect::price_all_gather`] plays a frontier all-gather
 //!   against the per-direction contention queues: legs on disjoint
 //!   queues overlap, legs sharing a queue serialise. With the host-only
-//!   topology this reduces *bit-identically* to the legacy serial-bus
-//!   pricing (asserted by tests), so every pre-topology differential
-//!   guarantee carries over; uniform-spec half-duplex cliques reduce
-//!   bit-identically to the PR 3 per-link queues.
+//!   topology this reduces *bit-identically* to serial-bus pricing
+//!   (asserted by tests), so the multi-device differential guarantees
+//!   hold on every topology.
 //! * [`Interconnect::price_all_gather_load_aware`] adds a second,
 //!   *load-aware* pass: given the static pass's per-queue busy times, a
 //!   deterministic bounded greedy re-routes batches off the busiest
@@ -74,15 +71,14 @@ pub const HOST_LINK: usize = 0;
 /// priced as one upload plus one download of the probe on the root
 /// complex. An [`Interconnect`] built without
 /// [`Interconnect::with_route_breakpoints`] probes at exactly this one
-/// size, reproducing the legacy single-probe table bit-identically.
+/// size.
 pub const ROUTE_PROBE_BYTES: u64 = 1 << 20;
 
 /// A log-spaced ladder of route-probe sizes (4 KiB … 64 MiB) for
 /// byte-size-aware routing: pass it to
 /// [`Interconnect::with_route_breakpoints`] so latency-bound tiny
 /// batches and bandwidth-bound bulk batches each get the route that is
-/// cheapest *at their size*. The legacy [`ROUTE_PROBE_BYTES`] probe is
-/// one of the rungs.
+/// cheapest *at their size*. [`ROUTE_PROBE_BYTES`] is one of the rungs.
 pub const ROUTE_BREAKPOINT_LADDER: [u64; 5] =
     [4 << 10, 64 << 10, ROUTE_PROBE_BYTES, 16 << 20, 64 << 20];
 
@@ -99,7 +95,7 @@ const REROUTE_EPS: f64 = 1e-9;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// No peer links: every transfer is staged through the host root
-    /// complex. The legacy (PR 2) model; the default.
+    /// complex. The paper's platform; the default.
     #[default]
     HostOnly,
     /// Each device has a direct link to its two ring neighbours
@@ -142,36 +138,20 @@ impl TopologyKind {
     }
 }
 
-/// Queue discipline of a peer link's two directions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Duplex {
-    /// Both directions share one contention queue (the PR 3 model;
-    /// conservative, and the simpler invariant to test).
-    Half,
-    /// Each direction owns its own queue at the spec's bandwidth — the
-    /// real NVLink discipline, which lets the two legs of a symmetric
-    /// exchange overlap. The default.
-    #[default]
-    Full,
-}
-
-/// Bandwidth/latency/duplex of an NVLink-class point-to-point link. The
-/// bandwidth is *per direction*; [`Duplex`] decides whether the two
-/// directions contend for one queue or run independently.
+/// Bandwidth, latency and cut-through chunk of an NVLink-class
+/// point-to-point link. The bandwidth is *per direction*, and each
+/// direction owns its own contention queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkSpec {
     /// Effective (practical) bandwidth per direction, bytes/second.
     pub bandwidth: f64,
     /// Fixed per-transfer software/launch latency, seconds.
     pub latency: SimTime,
-    /// One shared queue (PR 3) or one queue per direction (NVLink).
-    pub duplex: Duplex,
     /// Cut-through chunk size in bytes: when every hop of a forwarded
     /// chain advertises one, the chain pipelines chunks of the smallest
     /// advertised size across its hops ([`Interconnect::chain_time`])
     /// instead of store-and-forwarding the whole batch per hop. `None`
-    /// (the default) keeps the chain store-and-forward, pricing
-    /// bit-identically to the pre-cut-through model.
+    /// (the default) keeps the chain store-and-forward.
     pub cut_through: Option<u64>,
 }
 
@@ -179,19 +159,17 @@ impl LinkSpec {
     /// NVLink 2.0-class bridge: ~50 GB/s nominal per direction, derated
     /// to practical throughput like the PCIe model; P2P copies skip the
     /// host staging so their launch latency is about half a `cudaMemcpy`.
-    /// Full-duplex, as the hardware is.
     pub fn nvlink() -> Self {
         Self::with_nominal_bw(50.0e9)
     }
 
-    /// A full-duplex peer link with the given *nominal* per-direction
+    /// A peer link with the given *nominal* per-direction
     /// bandwidth (bytes/s), derated by the same practical fraction as the
     /// PCIe model.
     pub fn with_nominal_bw(nominal: f64) -> Self {
         LinkSpec {
             bandwidth: nominal * crate::pcie::PRACTICAL_FRACTION,
             latency: 5.0e-6,
-            duplex: Duplex::Full,
             cut_through: None,
         }
     }
@@ -203,22 +181,6 @@ impl LinkSpec {
     pub fn with_cut_through(mut self, chunk: u64) -> Self {
         assert!(chunk > 0, "cut-through chunks must be non-empty");
         self.cut_through = Some(chunk);
-        self
-    }
-
-    /// The same link with both directions sharing one queue — the PR 3
-    /// queueing discipline. (Host-only and uniform half-duplex cliques
-    /// then price bit-identically to PR 3; rings still differ, because
-    /// routing now forwards their distance ≥ 2 pairs device-via-device
-    /// instead of always host-staging them.)
-    pub fn half_duplex(mut self) -> Self {
-        self.duplex = Duplex::Half;
-        self
-    }
-
-    /// The same link with one queue per direction (the default).
-    pub fn full_duplex(mut self) -> Self {
-        self.duplex = Duplex::Full;
         self
     }
 
@@ -253,7 +215,8 @@ pub enum LinkClass {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkRate {
     /// TLP-quantised explicit-copy pricing (the PCIe root complex) —
-    /// keeps host-staged legs bit-identical to the legacy bus model.
+    /// keeps host-staged legs bit-identical to the single-device bus
+    /// model.
     Pcie(PcieModel),
     /// Smooth latency + bandwidth pricing (NVLink-class peer links).
     Smooth(LinkSpec),
@@ -281,21 +244,9 @@ pub struct Link {
     pub rate: LinkRate,
 }
 
-impl Link {
-    /// Queues this link exposes: one for the host root complex and
-    /// half-duplex peers, two (one per direction) for full-duplex peers.
-    fn queue_count(&self) -> usize {
-        match self.rate {
-            LinkRate::Smooth(s) if s.duplex == Duplex::Full => 2,
-            _ => 1,
-        }
-    }
-}
-
 /// The priced path of one device-to-device transfer, chosen at build
 /// time as the cheapest of direct / multi-hop-forwarded / host-staged
-/// at each configured route-probe size ([`ROUTE_PROBE_BYTES`] alone by
-/// default).
+/// at each configured route-probe size.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Route {
     /// A direct peer link (link-table index).
@@ -383,8 +334,8 @@ fn apply_move(frags: &[Fragment], i: usize, mv: &RerouteMove) -> Vec<Fragment> {
 
 /// A set of links connecting `D` devices and the host, plus the dense
 /// tables derived from them at build time: direct-peer adjacency, the
-/// per-pair cheapest route, and the queue layout. All lookups that PR 3
-/// answered with a linear scan of the link table are O(1) here.
+/// per-pair cheapest route, and the queue layout, so every lookup is
+/// O(1).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Interconnect {
     kind: TopologyKind,
@@ -395,8 +346,8 @@ pub struct Interconnect {
     peer_adj: Vec<Option<usize>>,
     /// Route-probe sizes (ascending, deduplicated, never empty): one
     /// dense route table is built per breakpoint, and
-    /// [`Interconnect::route`] selects by batch size. The default is the
-    /// single legacy [`ROUTE_PROBE_BYTES`] probe.
+    /// [`Interconnect::route`] selects by batch size. A fresh build
+    /// probes at [`ROUTE_PROBE_BYTES`] alone.
     breakpoints: Vec<u64>,
     /// Dense `breakpoints × nd × nd` cheapest-route tables, breakpoint-
     /// major (the diagonal holds `HostStaged` but is never consulted: a
@@ -408,7 +359,7 @@ pub struct Interconnect {
     /// path outright). `None` when the peer fabric admits no such path.
     alt_routes: Vec<Option<Vec<usize>>>,
     /// Per link: `[forward, reverse]` queue ids. Both entries coincide
-    /// for single-queue links (host, half-duplex peers).
+    /// for the host root complex, which is one queue.
     queue_of: Vec<[usize; 2]>,
     num_queues: usize,
 }
@@ -565,12 +516,14 @@ impl Interconnect {
         self.queue_of = Vec::with_capacity(self.links.len());
         let mut q = 0usize;
         for link in &self.links {
-            match link.queue_count() {
-                2 => {
+            // The host root complex is one TLP-quantised queue; each
+            // direction of a peer link owns its own.
+            match link.class {
+                LinkClass::Peer => {
                     self.queue_of.push([q, q + 1]);
                     q += 2;
                 }
-                _ => {
+                LinkClass::Host => {
                     self.queue_of.push([q, q]);
                     q += 1;
                 }
@@ -631,9 +584,7 @@ impl Interconnect {
     /// Cheapest route per ordered pair *per breakpoint*: per-source
     /// Dijkstra over the peer fabric (hop cost = the link's probe
     /// transfer time at that breakpoint), compared against host staging
-    /// (probe upload + probe download on the root complex). With the
-    /// default single-breakpoint ladder this is exactly the legacy
-    /// single-probe table.
+    /// (probe upload + probe download on the root complex).
     ///
     /// The host comparison is per-pair and static — a known relaxation:
     /// [`Interconnect::price_all_gather`] amortises a staged source's
@@ -711,7 +662,7 @@ impl Interconnect {
         (routes, alts)
     }
 
-    /// The legacy shared-bus interconnect (no peer links).
+    /// The shared-bus interconnect (no peer links).
     pub fn host_only(num_devices: usize, host: PcieModel) -> Self {
         Self::build(TopologyKind::HostOnly, num_devices, host, LinkSpec::nvlink())
     }
@@ -731,15 +682,15 @@ impl Interconnect {
         self.links.len()
     }
 
-    /// Total contention queues: one for the host root complex and each
-    /// half-duplex peer link, two for each full-duplex peer link.
+    /// Total contention queues: one for the host root complex, two (one
+    /// per direction) for each peer link.
     pub fn num_queues(&self) -> usize {
         self.num_queues
     }
 
     /// The queue serving `link` in direction `reverse` (`false` =
-    /// `endpoints.0 → endpoints.1`). Single-queue links return the same
-    /// id for both directions.
+    /// `endpoints.0 → endpoints.1`). The host root complex returns the
+    /// same id for both directions.
     pub fn queue(&self, link: usize, reverse: bool) -> usize {
         self.queue_of[link][reverse as usize]
     }
@@ -951,9 +902,9 @@ impl Interconnect {
     /// a forwarded multi-hop peer path (the batch pays — and occupies —
     /// every hop), or the shared host staging path — one upload per
     /// source (the host copy is reused for every host-routed destination)
-    /// and one aggregated download per destination, exactly the legacy
-    /// shared-bus exchange. Legs queue per *direction* queue (full-duplex
-    /// links run their two directions concurrently) and overlap across
+    /// and one aggregated download per destination, exactly the
+    /// shared-bus exchange. Legs queue per *direction* queue (a peer
+    /// link runs its two directions concurrently) and overlap across
     /// queues, so the makespan is the busiest queue — floored by the
     /// longest single-batch store-and-forward chain ([`ExchangeReport::
     /// critical_path`]): a forwarded batch's hops serialise even when
@@ -963,8 +914,8 @@ impl Interconnect {
     /// not played out.)
     ///
     /// Host legs are queued in ascending device order, upload before
-    /// download — the legacy pricing order — which keeps the host-only
-    /// result bit-identical to the pre-topology serial bus model.
+    /// download, which keeps the host-only result bit-identical to the
+    /// serial bus model.
     #[must_use = "an ExchangeReport is a priced plan, not an action; dropping it discards the pricing"]
     pub fn price_all_gather(&self, owned: &[u64], participates: &[bool]) -> ExchangeReport {
         match self.all_gather_payload(owned, participates) {
@@ -1057,9 +1008,8 @@ impl Interconnect {
     }
 
     /// One fragment per ordered participant pair with a non-empty batch,
-    /// on its sized static route, in ascending `(src, dst)` order (the
-    /// legacy pricing order, so the static evaluation is bit-identical
-    /// to the pre-sized accumulation).
+    /// on its sized static route, in ascending `(src, dst)` order (f64
+    /// accumulation order is part of the priced result).
     fn static_fragments(&self, owned: &[u64], participates: &[bool]) -> Vec<Fragment> {
         let nd = self.num_devices;
         let mut frags = Vec::new();
@@ -1091,10 +1041,9 @@ impl Interconnect {
     /// per source (staged destinations share the host copy, so the
     /// upload is the largest staged fragment — exact, because only
     /// unsplit fragments may host-stage and each carries the source's
-    /// full publication, reproducing the legacy per-source upload) and
-    /// one aggregated download per destination, queued in ascending
-    /// device order, upload before download — the legacy pricing order. The makespan
-    /// is the busiest queue floored by the slowest fragment's chain
+    /// full publication) and one aggregated download per destination,
+    /// queued in ascending device order, upload before download. The
+    /// makespan is the busiest queue floored by the slowest fragment's chain
     /// serialisation ([`Interconnect::chain_time`], evaluated
     /// *per fragment*, so a split batch floors by its slowest half, not
     /// the original batch).
@@ -1314,8 +1263,8 @@ pub struct ExchangeReport {
     /// identical for every topology, unlike the per-link byte counts.
     pub payload_bytes: u64,
     /// Busy time per link (index = link id; `HOST_LINK` first). For a
-    /// full-duplex link this is the *sum* of its two direction queues
-    /// (total wire occupancy).
+    /// peer link this is the *sum* of its two direction queues (total
+    /// wire occupancy) — the figure one shared queue would have priced.
     pub per_link_busy: Vec<SimTime>,
     /// Busy time per contention queue (host root complex first, then
     /// each link's queues in link order). The makespan is the maximum
@@ -1336,9 +1285,7 @@ impl ExchangeReport {
     /// [`critical_path`](ExchangeReport::critical_path)). Equivalently,
     /// the hidden portion is `min(makespan, window)`: a window longer
     /// than the busiest queue cannot hide more exchange than exists, and
-    /// a window of zero (no next iteration) hides nothing. This is the
-    /// per-queue-derived overlap window sizing of the iteration driver's
-    /// `overlap_exchange` mode.
+    /// a window of zero (no next iteration) hides nothing.
     pub fn hidden_under(&self, window: SimTime) -> SimTime {
         self.makespan.min(window.max(0.0))
     }
@@ -1360,13 +1307,9 @@ mod tests {
         PcieModel::pcie3()
     }
 
-    fn legacy_serial_exchange(
-        pcie: &PcieModel,
-        owned: &[u64],
-        participates: &[bool],
-    ) -> (f64, u64) {
-        // The PR 2 pricing, verbatim: per participating device, one
-        // upload and one download on the single shared bus.
+    fn serial_bus_exchange(pcie: &PcieModel, owned: &[u64], participates: &[bool]) -> (f64, u64) {
+        // The reference pricing: per participating device, one upload
+        // and one download on the single shared bus.
         let total: u64 = owned.iter().zip(participates).filter(|&(_, &p)| p).map(|(&o, _)| o).sum();
         let mut time = 0.0;
         let mut bytes = 0u64;
@@ -1409,13 +1352,9 @@ mod tests {
     #[test]
     fn queue_counts_follow_duplex() {
         let p = pcie();
-        // Full-duplex (default): host queue + 2 per peer link.
+        // Host queue + one per direction of every peer link.
         let full = Interconnect::build(TopologyKind::Ring, 4, p, LinkSpec::nvlink());
         assert_eq!(full.num_queues(), 1 + 2 * 4);
-        // Half-duplex: one queue per link, the PR 3 layout.
-        let half = Interconnect::build(TopologyKind::Ring, 4, p, LinkSpec::nvlink().half_duplex());
-        assert_eq!(half.num_queues(), 1 + 4);
-        assert_eq!(half.queue(1, false), half.queue(1, true));
         assert_ne!(full.queue(1, false), full.queue(1, true));
         // The host root complex is always one queue.
         assert_eq!(full.queue(HOST_LINK, false), full.queue(HOST_LINK, true));
@@ -1503,10 +1442,10 @@ mod tests {
         let owned = [1200u64, 0, 96, 50_000];
         let participates = [true, true, true, false];
         let r = ic.price_all_gather(&owned, &participates);
-        let (legacy_time, legacy_bytes) = legacy_serial_exchange(&p, &owned, &participates);
-        assert_eq!(r.makespan, legacy_time, "host-only must reduce to the serial bus exactly");
-        assert_eq!(r.host_time, legacy_time);
-        assert_eq!(r.host_bytes, legacy_bytes);
+        let (serial_time, serial_bytes) = serial_bus_exchange(&p, &owned, &participates);
+        assert_eq!(r.makespan, serial_time, "host-only must reduce to the serial bus exactly");
+        assert_eq!(r.host_time, serial_time);
+        assert_eq!(r.host_bytes, serial_bytes);
         assert_eq!(r.peer_bytes, 0);
         assert_eq!(r.forwarded_bytes, 0);
         assert_eq!(r.peer_time, 0.0);
@@ -1515,11 +1454,11 @@ mod tests {
     }
 
     #[test]
-    fn uniform_half_duplex_clique_is_bit_identical_to_pr3_per_link_queues() {
-        // The PR 3 pricing for an all-to-all clique, verbatim: every
-        // ordered pair's batch rides its direct link's single queue.
+    fn uniform_clique_rides_every_batch_on_its_own_direction_queue() {
+        // On an all-to-all clique every ordered pair's batch is the only
+        // leg on its direct link's direction queue.
         let p = pcie();
-        let spec = LinkSpec::nvlink().half_duplex();
+        let spec = LinkSpec::nvlink();
         let ic = Interconnect::build(TopologyKind::AllToAll, 4, p, spec);
         let owned = [400u64, 900, 16, 120];
         let participates = [true; 4];
@@ -1531,8 +1470,7 @@ mod tests {
                 link_busy[l] += spec.transfer_time(owned[s as usize]);
             }
         }
-        let makespan = link_busy.iter().fold(0.0f64, |a, &b| a.max(b));
-        assert_eq!(r.makespan, makespan);
+        assert_eq!(r.makespan, spec.transfer_time(900), "the largest batch binds");
         assert_eq!(r.per_link_busy, link_busy);
         assert_eq!(r.host_bytes, 0);
         assert_eq!(r.forwarded_bytes, 0);
@@ -1581,23 +1519,16 @@ mod tests {
 
     #[test]
     fn full_duplex_overlaps_the_symmetric_legs() {
-        // Two devices, one link, symmetric batches: half-duplex
-        // serialises the two directions, full-duplex overlaps them
-        // exactly — each direction queue carries one leg.
-        let p = pcie();
+        // Two devices, one link, symmetric batches: each direction
+        // queue carries one leg, so the legs overlap exactly where one
+        // shared queue (the link's total wire occupancy) would have
+        // serialised them.
         let owned = [64_000u64, 64_000];
-        let participates = [true; 2];
         let leg = LinkSpec::nvlink().transfer_time(64_000);
-        let half = Interconnect::build(TopologyKind::Ring, 2, p, LinkSpec::nvlink().half_duplex())
-            .price_all_gather(&owned, &participates);
-        let full = Interconnect::build(TopologyKind::Ring, 2, p, LinkSpec::nvlink())
-            .price_all_gather(&owned, &participates);
-        assert!((half.makespan - 2.0 * leg).abs() < EPS);
+        let full = Interconnect::build(TopologyKind::Ring, 2, pcie(), LinkSpec::nvlink())
+            .price_all_gather(&owned, &[true; 2]);
         assert!((full.makespan - leg).abs() < EPS, "symmetric legs must overlap");
-        // Wire occupancy and byte counts are duplex-invariant.
-        assert_eq!(full.per_link_busy, half.per_link_busy);
-        assert_eq!(full.peer_bytes, half.peer_bytes);
-        assert_eq!(full.payload_bytes, half.payload_bytes);
+        assert!((full.per_link_busy[1] - 2.0 * leg).abs() < EPS);
     }
 
     #[test]
@@ -1700,11 +1631,7 @@ mod tests {
         // totals.
         let mut q = 0;
         for (l, link) in ic.links().iter().enumerate() {
-            let n = if matches!(link.rate, LinkRate::Smooth(s) if s.duplex == Duplex::Full) {
-                2
-            } else {
-                1
-            };
+            let n = if link.class == LinkClass::Peer { 2 } else { 1 };
             let sum: f64 = r.per_queue_busy[q..q + n].iter().sum();
             assert!((r.per_link_busy[l] - sum).abs() < EPS);
             q += n;
@@ -1728,7 +1655,7 @@ mod tests {
         assert_eq!(ic.route_breakpoints(), &[ROUTE_PROBE_BYTES]);
         let laddered = ic.clone().with_route_breakpoints(&[1 << 20, 4 << 10, 4 << 10, 64 << 20]);
         assert_eq!(laddered.route_breakpoints(), &[4 << 10, 1 << 20, 64 << 20]);
-        // Re-probing at the single legacy size reproduces the default
+        // Re-probing at the single default size reproduces the default
         // tables exactly.
         let same = laddered.with_route_breakpoints(&[ROUTE_PROBE_BYTES]);
         assert_eq!(same, ic);
@@ -1833,6 +1760,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cut-through chunks must be non-empty")]
+    fn zero_cut_through_chunks_fail_at_build_time() {
+        // A zero chunk must be rejected when the spec is built, not
+        // divide-by-zero later in chain pricing.
+        let _ = LinkSpec::nvlink().with_cut_through(0);
+    }
+
+    #[test]
     fn cut_through_shrinks_the_sparse_detour_exchange_and_only_that() {
         // One publisher, one far receiver on a 4-link line: the makespan
         // is the 3-hop serialisation floor, which cut-through pipelines
@@ -1857,7 +1792,7 @@ mod tests {
     #[test]
     fn load_aware_pass_splits_the_skewed_ring_and_strictly_improves() {
         // Device 0 publishes ~80x more than anyone else on a D = 8
-        // full-duplex ring: statically its two egress direction queues
+        // ring: statically its two egress direction queues
         // carry 4 and 3 of its batches, and the 4-hop opposite batch
         // floors the makespan at 4 hop times. Splitting that batch
         // across the two ring directions rebalances to ~3.5 hop times.
@@ -1933,7 +1868,7 @@ mod tests {
         let s = LinkSpec::nvlink();
         let sc = s.scaled(10);
         assert_eq!(sc.bandwidth, s.bandwidth);
-        assert_eq!(sc.duplex, s.duplex);
+        assert_eq!(sc.cut_through, s.cut_through);
         assert!((sc.latency - s.latency / 1024.0).abs() < 1e-18);
         assert_eq!(s.transfer_time(0), 0.0);
         assert!(s.transfer_time(1 << 20) > s.latency);

@@ -72,8 +72,8 @@ pub mod prelude {
         Php, Sssp,
     };
     pub use hyt_core::{
-        Admission, AsyncMode, EngineKind, HyTGraphConfig, HyTGraphSystem, OverlapWindow, QueryKind,
-        QueryOutput, RunResult, SessionConfig, SessionService, SystemKind,
+        Admission, AsyncMode, EngineKind, HyTGraphConfig, HyTGraphSystem, QueryKind, QueryOutput,
+        RunResult, SessionConfig, SessionService, SystemKind,
     };
     pub use hyt_graph::{Csr, GraphBuilder, VertexId};
     pub use hyt_sim::GpuModel;

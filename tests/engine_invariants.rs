@@ -2,7 +2,7 @@
 //! times must be mutually consistent and must agree with the closed-form
 //! TLP formulas, on random graphs and random frontiers.
 
-use hytgraph::core::{cost, partition_costs};
+use hytgraph::core::{cost, partition_costs_sized};
 use hytgraph::engines::{analyze_partitions, compaction, filter, zero_copy, UnifiedState};
 use hytgraph::graph::{generators, Csr, EdgeList, Frontier, PartitionSet};
 use hytgraph::sim::{MachineModel, UmCache, UmModel};
@@ -160,8 +160,8 @@ proptest! {
         let a1 = analyze_partitions(g.view(), &parts, &sparse, &machine.pcie, bpe, 2);
         let a2 = analyze_partitions(g.view(), &parts, &dense, &machine.pcie, bpe, 2);
         for (s, d) in a1.iter().zip(&a2) {
-            let cs: cost::PartitionCosts = partition_costs(s, &machine.pcie, bpe);
-            let cd: cost::PartitionCosts = partition_costs(d, &machine.pcie, bpe);
+            let cs: cost::PartitionCosts = partition_costs_sized(s, &machine.pcie, bpe, 0);
+            let cd: cost::PartitionCosts = partition_costs_sized(d, &machine.pcie, bpe, 0);
             prop_assert_eq!(cs.tef, cd.tef);
             prop_assert!(cs.tec <= cd.tec + 1e-12);
             prop_assert!(cs.tiz <= cd.tiz + 1e-12);

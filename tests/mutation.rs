@@ -237,3 +237,38 @@ fn delete_heavy_stream_compacts_and_stays_correct() {
     }
     assert!(compacted_ever, "a delete-heavy stream must trip the priced compaction");
 }
+
+#[test]
+fn out_of_range_endpoints_return_the_typed_error_and_keep_the_applied_prefix() {
+    // Ids arrive from callers; on the default (hub-sorted) system an id
+    // past the graph used to index the hub permutation out of bounds.
+    use hytgraph::graph::GraphError;
+    const FAR: u32 = 1_000_000;
+    let base = base_graph();
+    let nv = base.num_vertices();
+    let c = cfg(4, TopologyKind::Ring, DeviceAssignment::EdgeBalanced);
+    assert!(c.contribution_scheduling, "the hub-sorted path is the one under test");
+    let mut sys = HyTGraphSystem::new(base.clone(), c.clone());
+    let mut shadow = Shadow::of(&base);
+    for bad in 0..3u32 {
+        // One valid insert ahead of the failing op: the prefix must stay.
+        let (s, d) = (7 + bad, 11);
+        assert!(!shadow.weights.contains_key(&(s, d)));
+        let mut batch = MutationBatch::new();
+        batch.insert_weighted(s, d, 2);
+        match bad {
+            0 => batch.insert_weighted(3, FAR, 5),
+            1 => batch.insert_weighted(FAR, 3, 5),
+            _ => batch.delete(3, FAR),
+        };
+        let err = sys.apply_mutations(&batch).unwrap_err();
+        assert_eq!(err, GraphError::VertexOutOfRange { vertex: FAR, num_vertices: nv });
+        shadow.weights.insert((s, d), 2);
+        assert_eq!(sys.graph().num_edges(), shadow.weights.len() as u64);
+        assert_eq!(
+            sys.run(Sssp::from_source(0)).values,
+            hytgraph::algos::reference::dijkstra(&shadow.to_csr(), 0),
+            "op {bad}: the run after a rejected batch diverged from the oracle"
+        );
+    }
+}

@@ -1,89 +1,75 @@
-//! Regressions for the exchange-overlap window fix.
+//! The exchange-overlap window.
 //!
-//! The overlap feature hides iteration `i`'s routed exchange under
-//! iteration `i+1`'s cost analysis. The original implementation capped
-//! the hidden time by the *fixed* per-iteration overhead constant —
-//! crediting a full five-copy window even when the next iteration's
-//! analysis was nearly idle (a drained frontier prices almost nothing)
-//! and even on the run's *last* iteration, which has no successor to
-//! hide under at all. The fix derives the window from the next
-//! iteration's **actual** analysis span:
+//! Iteration `i`'s routed exchange hides under iteration `i+1`'s cost
+//! analysis, and the window is that analysis's **actual** span — a
+//! drained frontier prices almost nothing, and a run's *last* iteration
+//! has no successor to hide under at all:
 //!
 //! ```text
 //! window_i = ANALYSIS_SPAN_COPIES · copy_latency · active_frac_{i+1}
 //! hidden_i = min(exchange_makespan_i, window_i),  hidden_last = 0
 //! ```
-//!
-//! and keeps the old behaviour reachable as
-//! [`OverlapWindow::FixedConstant`] so differential suites can still
-//! reproduce historical timelines.
 
 use hytgraph::algos::Sssp;
 use hytgraph::core::runner::{analysis_span, ANALYSIS_SPAN_COPIES, ITERATION_OVERHEAD_COPIES};
-use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, OverlapWindow, RunResult, SystemKind};
+use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, RunResult, SystemKind};
 use hytgraph::graph::{generators, DeviceAssignment};
 
 const EPS: f64 = 1e-12;
 
-fn overlap_config(window: OverlapWindow, max_iterations: u32) -> HyTGraphConfig {
+fn sharded_config(devices: usize, max_iterations: u32) -> HyTGraphConfig {
     let mut cfg = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
-    cfg.num_devices = 4;
+    cfg.num_devices = devices;
     cfg.device_assignment = DeviceAssignment::EdgeBalanced;
     cfg.threads = 1;
-    cfg.overlap_exchange = true;
-    cfg.overlap_window = window;
     cfg.max_iterations = max_iterations;
     cfg
 }
 
-fn run(window: OverlapWindow, max_iterations: u32) -> (RunResult<u32>, f64) {
+fn run(max_iterations: u32) -> (RunResult<u32>, f64) {
     let g = generators::rmat(11, 10.0, 9, true);
-    let cfg = overlap_config(window, max_iterations);
+    let cfg = sharded_config(4, max_iterations);
     let copy_latency = cfg.machine.pcie.copy_latency;
     let mut sys = HyTGraphSystem::new(g, cfg);
     (sys.run(Sssp::from_source(0)), copy_latency)
 }
 
-/// The core satellite claim: under the measured window, iteration `i`
-/// never hides more than `min(its exchange makespan, iteration i+1's
-/// actual analysis span)`, and the final iteration hides nothing.
+/// Iteration `i` never hides more than `min(its exchange makespan,
+/// iteration i+1's actual analysis span)`, the final iteration hides
+/// nothing, and the run total is the serial sum minus what was hidden.
 #[test]
 fn hidden_is_bounded_by_next_iterations_measured_analysis_span() {
-    let (r, copy_latency) = run(OverlapWindow::Measured, u32::MAX);
+    let (r, copy_latency) = run(u32::MAX);
     assert!(r.iterations >= 3, "need a multi-iteration run to exercise the window");
     let n = r.per_iteration.len();
-    let mut any_hidden = false;
     for i in 0..n - 1 {
         let cur = &r.per_iteration[i];
         let next = &r.per_iteration[i + 1];
         let window = analysis_span(copy_latency, next.active_partitions, next.total_partitions);
+        // Not just bounded by both: the window is used exactly.
         assert!(
-            cur.exchange.hidden <= cur.exchange.time + EPS,
-            "iteration {i} hid more exchange than it had"
-        );
-        assert!(
-            cur.exchange.hidden <= window + EPS,
-            "iteration {i} hid {} over a successor analysis span of only {window}",
+            (cur.exchange.hidden - cur.exchange.time.min(window)).abs() < EPS,
+            "iteration {i} hid {} of a {} exchange under a successor span of {window}",
             cur.exchange.hidden,
+            cur.exchange.time,
         );
-        // Not just bounded: the window is used exactly.
-        assert!((cur.exchange.hidden - cur.exchange.time.min(window)).abs() < EPS);
-        any_hidden |= cur.exchange.hidden > 0.0;
     }
-    assert!(any_hidden, "overlap hid nothing at all");
     // Natural drain: the final iteration has no successor analysis.
     assert_eq!(r.per_iteration[n - 1].exchange.hidden, 0.0);
-    // Consistency: total time equals the serial run minus total hidden.
-    let (serial, _) = {
-        let g = generators::rmat(11, 10.0, 9, true);
-        let mut cfg = overlap_config(OverlapWindow::Measured, u32::MAX);
-        cfg.overlap_exchange = false;
-        let mut sys = HyTGraphSystem::new(g, cfg);
-        (sys.run(Sssp::from_source(0)), ())
-    };
     let hidden: f64 = r.per_iteration.iter().map(|it| it.exchange.hidden).sum();
-    assert_eq!(serial.values, r.values);
-    assert!((serial.total_time - r.total_time - hidden).abs() < 1e-9);
+    assert!(hidden > 0.0, "overlap hid nothing at all");
+    // Consistency: what each iteration would cost with its exchange
+    // fully exposed — timeline, exchange, orchestration — sums to the
+    // run total plus everything hidden.
+    let serial: f64 = r
+        .per_iteration
+        .iter()
+        .map(|it| {
+            let timeline = it.per_device.iter().fold(0.0f64, |a, d| a.max(d.time));
+            timeline + it.exchange.time + ITERATION_OVERHEAD_COPIES * copy_latency
+        })
+        .sum();
+    assert!((r.total_time + hidden - serial).abs() < EPS);
 }
 
 /// The max-iterations cap is the other way a run can end; the capped
@@ -91,16 +77,16 @@ fn hidden_is_bounded_by_next_iterations_measured_analysis_span() {
 /// `cap+1` whose analysis could absorb it).
 #[test]
 fn capped_final_iteration_hides_nothing() {
-    let (full, _) = run(OverlapWindow::Measured, u32::MAX);
+    let (full, _) = run(u32::MAX);
     let cap = full.iterations / 2;
     assert!(cap >= 2);
-    let (r, _) = run(OverlapWindow::Measured, cap);
+    let (r, _) = run(cap);
     assert_eq!(r.iterations, cap, "run must actually stop at the cap");
     let last = r.per_iteration.last().unwrap();
     assert!(last.exchange.time > 0.0, "capped mid-run iteration still exchanges");
     assert_eq!(last.exchange.hidden, 0.0);
     // Every non-final iteration matches the uncapped run's record
-    // exactly — the fix only changes who counts as "final".
+    // exactly — the cap only changes who counts as "final".
     for (a, b) in r.per_iteration[..cap as usize - 1]
         .iter()
         .zip(full.per_iteration[..cap as usize - 1].iter())
@@ -108,47 +94,6 @@ fn capped_final_iteration_hides_nothing() {
         assert!((a.exchange.hidden - b.exchange.hidden).abs() < EPS);
         assert!((a.time - b.time).abs() < EPS);
     }
-}
-
-/// The legacy window is still reachable for differential suites, and it
-/// demonstrably over-hides: a fixed five-copy credit regardless of how
-/// little successor analysis actually exists.
-#[test]
-fn fixed_constant_window_reproduces_the_old_overreport() {
-    let (legacy, copy_latency) = run(OverlapWindow::FixedConstant, u32::MAX);
-    let (measured, _) = run(OverlapWindow::Measured, u32::MAX);
-    // Same computation either way — the window only re-attributes time.
-    assert_eq!(legacy.values, measured.values);
-    assert_eq!(legacy.iterations, measured.iterations);
-
-    let n = legacy.per_iteration.len();
-    let fixed_window = ITERATION_OVERHEAD_COPIES * copy_latency;
-    for it in &legacy.per_iteration[..n - 1] {
-        // Exactly the historical rule: min(makespan, 5·copy_latency).
-        assert!((it.exchange.hidden - it.exchange.time.min(fixed_window)).abs() < EPS);
-    }
-    assert_eq!(legacy.per_iteration[n - 1].exchange.hidden, 0.0);
-
-    // The bug the fix removes: the legacy window credits more hidden
-    // time than the successor analysis span can actually absorb.
-    let legacy_hidden: f64 = legacy.per_iteration.iter().map(|it| it.exchange.hidden).sum();
-    let measured_hidden: f64 = measured.per_iteration.iter().map(|it| it.exchange.hidden).sum();
-    assert!(
-        legacy_hidden > measured_hidden + EPS,
-        "legacy window should over-hide: {legacy_hidden} vs {measured_hidden}"
-    );
-    let mut overcredits = 0u32;
-    for i in 0..n - 1 {
-        let next = &measured.per_iteration[i + 1];
-        let span = analysis_span(copy_latency, next.active_partitions, next.total_partitions);
-        if legacy.per_iteration[i].exchange.hidden > span + EPS {
-            overcredits += 1;
-        }
-    }
-    assert!(
-        overcredits > 0,
-        "expected at least one iteration where the fixed window exceeds the real span"
-    );
 }
 
 /// The measured window's parts: the analysis span is the overlappable
@@ -166,23 +111,22 @@ fn analysis_span_scales_with_active_fraction() {
     assert_eq!(analysis_span(lat, 3, 0), 0.0);
 }
 
-/// Overlap is pure attribution under every window: values and iteration
-/// counts are bit-identical across off / measured / legacy.
+/// Overlap is pure attribution: the sharded run, whose exchanges hide
+/// time, computes the values and iteration count of the single-device
+/// run, which has no exchange to hide.
 #[test]
-fn overlap_window_never_touches_values() {
+fn hiding_the_exchange_never_touches_values() {
     let g = generators::rmat(10, 8.0, 5, true);
-    let mut results = Vec::new();
-    for (overlap, window) in [
-        (false, OverlapWindow::Measured),
-        (true, OverlapWindow::Measured),
-        (true, OverlapWindow::FixedConstant),
-    ] {
-        let mut cfg = overlap_config(window, u32::MAX);
-        cfg.overlap_exchange = overlap;
-        let mut sys = HyTGraphSystem::new(g.clone(), cfg);
-        let r = sys.run(Sssp::from_source(3));
-        results.push((r.values, r.iterations));
-    }
-    assert_eq!(results[0], results[1]);
-    assert_eq!(results[0], results[2]);
+    let results: Vec<_> = [1usize, 4]
+        .into_iter()
+        .map(|devices| {
+            let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(devices, u32::MAX));
+            let r = sys.run(Sssp::from_source(3));
+            let hidden: f64 = r.per_iteration.iter().map(|it| it.exchange.hidden).sum();
+            (r.values, r.iterations, hidden)
+        })
+        .collect();
+    assert_eq!((&results[0].0, results[0].1), (&results[1].0, results[1].1));
+    assert_eq!(results[0].2, 0.0, "a single device exchanges nothing");
+    assert!(results[1].2 > 0.0, "the sharded run hid nothing");
 }

@@ -10,11 +10,11 @@
 //!   sized-table makespan; the logical payload is invariant; and the
 //!   makespan never undercuts the per-fragment chain-serialisation
 //!   floor.
-//! * **oracle** — with every new knob off (single-probe routing, no
-//!   cut-through, static pass) the all-gather prices **bit-identically**
-//!   to the PR 4 model, re-implemented here verbatim from the public
-//!   route/queue API: exact `==` on the makespan, the per-queue busy
-//!   vector, and every byte counter — no epsilon.
+//! * **oracle** — on a freshly built interconnect (single-probe
+//!   routing, no cut-through, static pass) the all-gather prices
+//!   **bit-identically** to the reference model re-implemented here from
+//!   the public route/queue API: exact `==` on the makespan, the
+//!   per-queue busy vector, and every byte counter — no epsilon.
 //! * **cut-through** — chunked forwarding only lowers the chain floor:
 //!   wire occupancy and byte counters are unchanged, the makespan and
 //!   critical path never grow, and `cut_through = None` reproduces the
@@ -48,7 +48,7 @@ fn mixed_fabric(gens: &[usize], slow_sel: usize) -> Interconnect {
     ic
 }
 
-/// The PR 4 all-gather pricing, re-implemented verbatim from the public
+/// The reference all-gather pricing, re-implemented from the public
 /// API: per-pair single-probe routes, per-direction queue occupancy,
 /// shared host upload per source + aggregated download per destination
 /// (ascending device order, upload before download), makespan = busiest
@@ -202,7 +202,7 @@ proptest! {
             participates_bits.iter().cycle().take(nd).copied().collect();
         participates[0] = true;
         // Both a mixed-generation ring (with an optional slow bridge)
-        // and the uniform named shapes must reproduce PR 4 exactly.
+        // and the uniform named shapes must reproduce the oracle exactly.
         let ics = [
             mixed_fabric(&gens, slow_sel),
             Interconnect::build(TopologyKind::ALL[kind_idx], nd, PcieModel::pcie3(), spec(gens[0])),
@@ -255,9 +255,10 @@ proptest! {
 
 #[test]
 fn load_aware_system_runs_are_value_transparent() {
-    // End-to-end: the full runner with ladder + load-aware + cut-through
-    // computes bit-identical values and iterations to the all-defaults
-    // run — routing is pricing-only — while the exchange never grows.
+    // End-to-end: the full runner with load-aware routing and
+    // cut-through links computes bit-identical values and iterations to
+    // the all-defaults run — routing is pricing-only — while the
+    // exchange never grows.
     use hytgraph::prelude::*;
     let g = hytgraph::graph::generators::power_law_preferential(1 << 12, 8.0, 2.2, 11, true);
     let run = |smart: bool| {
@@ -268,11 +269,8 @@ fn load_aware_system_runs_are_value_transparent() {
             ..HyTGraphConfig::default()
         };
         if smart {
-            let shift = hytgraph::core::config::SCALE_SHIFT;
-            cfg.route_breakpoints =
-                ROUTE_BREAKPOINT_LADDER.iter().map(|&b| (b >> shift).max(1)).collect();
             cfg.load_aware_exchange = true;
-            cfg.cut_through = Some(256);
+            cfg.peer_link = cfg.peer_link.with_cut_through(256);
         }
         let mut sys = HyTGraphSystem::new(g.clone(), cfg);
         let r = sys.run(Bfs::from_source(0));

@@ -290,6 +290,42 @@ fn real_quotes_drive_admission_queueing_and_rejection() {
     assert!(tight.run_next().is_none());
 }
 
+/// A traversal whose source is not a vertex of the resident graph is
+/// refused at `submit` (it used to be admitted and then panic inside
+/// its cohort, taking the valid queries beside it down): exactly the
+/// out-of-range queries are rejected, nothing is enqueued for them, and
+/// the rest of the stream answers as if they had never been sent.
+#[test]
+fn out_of_range_sources_are_rejected_without_disturbing_the_stream() {
+    use hytgraph::core::session::RejectReason;
+    let g = generators::rmat(9, 8.0, 21, true);
+    let far = 1_000_000u32;
+    let valid = [QueryKind::Bfs(3), QueryKind::Bfs(17), QueryKind::Sssp(5), QueryKind::Sssp(40)];
+    let answers = |stream: &[QueryKind]| {
+        let sys = HyTGraphSystem::new(g.clone(), cfg(4, TopologyKind::Ring));
+        let mut svc = SessionService::new(sys, AlgoBackend, SessionConfig::default());
+        let mut rejected = Vec::new();
+        for kind in stream {
+            if let Admission::Rejected { reason, quote } = svc.submit(kind.clone()) {
+                assert_eq!(reason, RejectReason::SourceOutOfRange);
+                assert_eq!(quote, svc.quote(kind), "a rejection still carries the quote");
+                rejected.push(kind.clone());
+            }
+        }
+        let done: Vec<_> = svc.drain().into_iter().map(|c| (c.kind, c.output)).collect();
+        (rejected, done)
+    };
+    let mut hostile = valid.to_vec();
+    hostile.insert(1, QueryKind::Bfs(far));
+    hostile.insert(4, QueryKind::Sssp(far));
+    let (rejected, done) = answers(&hostile);
+    assert_eq!(rejected, [QueryKind::Bfs(far), QueryKind::Sssp(far)]);
+    let (none_rejected, clean) = answers(&valid);
+    assert!(none_rejected.is_empty());
+    assert_eq!(done, clean);
+    assert_eq!(done.len(), valid.len());
+}
+
 /// ISSUE satellite: fairness of mutation requests in mixed streams.
 /// A [`QueryKind::Mutate`] is a FIFO barrier — it must never overtake a
 /// query admitted before it, and (the starvation side) no query admitted
