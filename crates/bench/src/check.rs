@@ -583,11 +583,11 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         let pcie = hyt_sim::PcieModel::pcie3();
         let acts = std::slice::from_ref(&a);
         let narrow_params = SelectParams::default();
-        let narrow = select_engines(acts, &pcie, 4, Selection::Hybrid, &narrow_params)[0].1;
+        let narrow = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| narrow_params)[0].1;
         let sketch = ValueLayout { lanes: 8, wire_bytes: 64 };
         let wide_params =
             SelectParams { value_surplus: sketch.compaction_surplus(), ..SelectParams::default() };
-        let wide = select_engines(acts, &pcie, 4, Selection::Hybrid, &wide_params)[0].1;
+        let wide = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| wide_params)[0].1;
         out.push(CheckResult::new(
             "Width-aware pricing: a 64B sketch flips an engine choice 8B values keep",
             narrow == EngineKind::ExpCompaction

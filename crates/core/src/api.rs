@@ -587,20 +587,42 @@ impl<V: VertexValue> Values<V> {
 
     fn read_lanes(&self, v: VertexId) -> V {
         let base = v as usize * V::LANES;
-        let mut buf = [0u64; MAX_VALUE_LANES];
-        for (i, slot) in buf[..V::LANES].iter_mut().enumerate() {
-            *slot = self.bits[base + i].load(Ordering::Relaxed);
-        }
-        V::load_lanes(&buf[..V::LANES])
+        with_lane_buf::<V, _>(|buf| {
+            for (i, slot) in buf.iter_mut().enumerate() {
+                *slot = self.bits[base + i].load(Ordering::Relaxed);
+            }
+            V::load_lanes(buf)
+        })
     }
 
     fn write_lanes(&self, v: VertexId, val: V) {
-        let mut buf = [0u64; MAX_VALUE_LANES];
-        val.store_lanes(&mut buf[..V::LANES]);
         let base = v as usize * V::LANES;
-        for (i, &b) in buf[..V::LANES].iter().enumerate() {
-            self.bits[base + i].store(b, Ordering::Relaxed);
-        }
+        with_lane_buf::<V, _>(|buf| {
+            val.store_lanes(buf);
+            for (i, &b) in buf.iter().enumerate() {
+                self.bits[base + i].store(b, Ordering::Relaxed);
+            }
+        })
+    }
+}
+
+/// Lane count up to which a wide read or write stages through a small
+/// stack array instead of a [`MAX_VALUE_LANES`]-sized one.
+const SMALL_VALUE_LANES: usize = 16;
+
+/// Run `f` over a zeroed staging buffer of exactly `V::LANES` lanes.
+///
+/// The branch folds at monomorphisation. Zeroing the full
+/// [`MAX_VALUE_LANES`] array costs 4 KB per access unless the optimiser
+/// inlines every lane accessor and elides it, and whether it does turned
+/// on unrelated code elsewhere in the build (HyperBall's 8-lane kernel
+/// measured ±40 % between otherwise equivalent builds); values of up to
+/// [`SMALL_VALUE_LANES`] lanes therefore never touch more than 128 bytes.
+fn with_lane_buf<V: VertexValue, R>(f: impl FnOnce(&mut [u64]) -> R) -> R {
+    if V::LANES <= SMALL_VALUE_LANES {
+        f(&mut [0u64; SMALL_VALUE_LANES][..V::LANES])
+    } else {
+        f(&mut [0u64; MAX_VALUE_LANES][..V::LANES])
     }
 }
 

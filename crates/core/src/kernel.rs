@@ -18,7 +18,7 @@
 //! improves after it was scattered.
 
 use crate::api::{EdgeCtx, Values, VertexProgram};
-use hyt_engines::CompactedSubgraph;
+use hyt_engines::{chunk_ranges, par_map, CompactedSubgraph};
 use hyt_graph::{AdjacencyView, Frontier, VertexId};
 
 /// Where a kernel reads its edges from.
@@ -64,44 +64,18 @@ pub fn run_kernel<P: VertexProgram>(
     seed_override: Option<&[P::Value]>,
     threads: usize,
 ) -> KernelStats {
-    let n = active.len();
-    if n == 0 {
-        return KernelStats::default();
-    }
-    let threads = threads.clamp(1, n);
-    let chunk = n.div_ceil(threads);
-    crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(n);
-                s.spawn(move |_| {
-                    let mut stats = KernelStats::default();
-                    for i in lo..hi {
-                        scatter_one(
-                            program,
-                            source,
-                            active,
-                            i,
-                            values,
-                            next,
-                            seed_override,
-                            &mut stats,
-                        );
-                    }
-                    stats
-                })
-            })
-            .collect();
-        let mut total = KernelStats::default();
-        for h in handles {
-            // hyt-lint: allow(unwrap-in-lib) -- a panicked scatter worker has already lost updates; re-raising its panic is the correct propagation
-            total.merge(&h.join().expect("kernel worker panicked"));
+    let per_chunk = par_map(chunk_ranges(active.len(), threads), |range| {
+        let mut stats = KernelStats::default();
+        for i in range {
+            scatter_one(program, source, active, i, values, next, seed_override, &mut stats);
         }
-        total
-    })
-    // hyt-lint: allow(unwrap-in-lib) -- crossbeam scope errs only when a child panicked, which the join above already re-raises
-    .expect("kernel scope failed")
+        stats
+    });
+    let mut total = KernelStats::default();
+    for stats in &per_chunk {
+        total.merge(stats);
+    }
+    total
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -16,7 +16,13 @@
 //! * [`priority`] — hub-driven and Δ-driven contribution scheduling;
 //! * [`kernel`] — real host-side execution of vertex programs over exactly
 //!   the edges each engine delivers;
-//! * [`runner`] — the iteration driver weaving it together (Fig. 5);
+//! * [`runner`] — the iteration driver weaving it together (Fig. 5), and
+//!   the [`HyTGraphSystem`] it drives. Three private siblings hold the
+//!   system's other concerns, re-exported through `runner`: `migrate`
+//!   (placement, device-affine migration, peer-served zero-copy),
+//!   `mutate` (streaming mutations, delta compaction, the sweep-price
+//!   cache) and `grus` (the Grus baseline's residency, selection and
+//!   pricing);
 //! * [`systems`] — whole-system presets reproducing every Table V row;
 //! * [`session`] — the resident multi-tenant query service: cost-priced
 //!   admission control and MS-BFS-style query coalescing over one
@@ -48,7 +54,10 @@ pub mod api;
 pub mod combine;
 pub mod config;
 pub mod cost;
+mod grus;
 pub mod kernel;
+mod migrate;
+mod mutate;
 pub mod priority;
 pub mod runner;
 pub mod select;
@@ -68,7 +77,7 @@ pub use runner::{
     HyTGraphSystem, MigrationEvent, MutationReport, COMPACTION_HORIZON_ITERS,
     MIGRATION_HORIZON_ITERS,
 };
-pub use select::{DeviceBudgets, SelectParams, Selection};
+pub use select::{SelectParams, Selection};
 pub use session::{
     Admission, CohortOutcome, CompletedQuery, CostQuote, MutationOutcome, QueryId, QueryKind,
     QueryOutput, QueryShape, QueryStats, RejectReason, SessionBackend, SessionConfig,

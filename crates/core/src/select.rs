@@ -123,128 +123,68 @@ pub fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
 /// Returns `(partition index in acts, engine)` for active partitions, in
 /// partition order; inactive partitions are skipped (nothing to schedule).
 ///
-/// `GrusLike` and `UnifiedOnly` are stateful (device residency) and decided
-/// in `systems.rs`; this function handles the stateless policies.
+/// `params_of` receives each active partition's id and returns the
+/// [`SelectParams`] its selector prices with. This is how
+/// placement-dependent rungs enter Algorithm 1 — the runner lowers
+/// [`SelectParams::peer_zc_scale`] for exactly the partitions whose warm
+/// peer copy can feed their zero-copy reads; everyone else passes a
+/// constant closure. Every policy here is stateless per partition, so one
+/// pass is also what a sharded deployment's per-device selectors would
+/// decide between them. `GrusLike` is stateful (device residency) and is
+/// decided by the runner's Grus baseline instead.
 pub fn select_engines(
     acts: &[PartitionActivity],
     pcie: &PcieModel,
     bytes_per_edge: u64,
     selection: Selection,
-    params: &SelectParams,
+    params_of: impl Fn(u32) -> SelectParams,
 ) -> Vec<(usize, EngineKind)> {
     acts.iter()
         .enumerate()
         .filter(|(_, a)| a.is_active())
-        .map(|(i, a)| (i, stateless_kind(a, pcie, bytes_per_edge, selection, params)))
+        .map(|(i, a)| {
+            let kind = match selection {
+                Selection::Hybrid => {
+                    let params = params_of(a.partition);
+                    choose_engine(
+                        &partition_costs_sized(a, pcie, bytes_per_edge, params.value_surplus),
+                        &params,
+                    )
+                }
+                Selection::FilterOnly => EngineKind::ExpFilter,
+                Selection::CompactionOnly => EngineKind::ExpCompaction,
+                Selection::ZeroCopyOnly => EngineKind::ImpZeroCopy,
+                Selection::UnifiedOnly | Selection::GrusLike => EngineKind::ImpUnified,
+                Selection::CpuOnly => unreachable!("CPU-only systems bypass engine selection"),
+            };
+            (i, kind)
+        })
         .collect()
 }
 
-/// The stateless per-partition rule shared by [`select_engines`] and
-/// [`select_engines_sharded`].
-fn stateless_kind(
-    a: &PartitionActivity,
-    pcie: &PcieModel,
-    bytes_per_edge: u64,
-    selection: Selection,
-    params: &SelectParams,
-) -> EngineKind {
-    match selection {
-        Selection::Hybrid => choose_engine(
-            &partition_costs_sized(a, pcie, bytes_per_edge, params.value_surplus),
-            params,
-        ),
-        Selection::FilterOnly => EngineKind::ExpFilter,
-        Selection::CompactionOnly => EngineKind::ExpCompaction,
-        Selection::ZeroCopyOnly => EngineKind::ImpZeroCopy,
-        Selection::UnifiedOnly | Selection::GrusLike => EngineKind::ImpUnified,
-        Selection::CpuOnly => unreachable!("CPU-only systems bypass engine selection"),
-    }
-}
-
-/// Per-device engine selection: each device's selector sees only the
-/// partitions it owns — the paper computes selection on the GPU, and in a
-/// sharded deployment each device analyses its own shard. The merged
-/// result is returned in ascending partition order.
-///
-/// Because every policy handled here is stateless per partition, the
-/// merged decisions are *identical* to a global [`select_engines`] pass (a
-/// unit test asserts it); the value of the per-device structure is that
-/// stateful residency policies (Grus, pure UM) can layer per-device
-/// [`DeviceBudgets`] on top without the devices observing each other.
+/// [`select_engines`] with constant `params`; `devices` is ignored. Kept
+/// only because the frozen `wall` benchmark harness calls it by this name.
 pub fn select_engines_sharded(
     acts: &[PartitionActivity],
-    devices: &DevicePlan,
+    _devices: &DevicePlan,
     pcie: &PcieModel,
     bytes_per_edge: u64,
     selection: Selection,
     params: &SelectParams,
 ) -> Vec<(usize, EngineKind)> {
-    select_engines_sharded_by(acts, devices, pcie, bytes_per_edge, selection, |_| *params)
+    select_engines(acts, pcie, bytes_per_edge, selection, |_| *params)
 }
 
-/// [`select_engines_sharded`] with per-partition parameters: `params_of`
-/// receives each active partition's id and returns the [`SelectParams`]
-/// its selector prices with. This is how placement-dependent rungs enter
-/// Algorithm 1 — the runner lowers
-/// [`SelectParams::peer_zc_scale`] for exactly the partitions whose warm
-/// peer copy can feed their zero-copy reads — without the stateless
-/// policies losing their global-equals-sharded property (a constant
-/// closure reproduces [`select_engines_sharded`] bit-identically).
-pub fn select_engines_sharded_by(
-    acts: &[PartitionActivity],
-    devices: &DevicePlan,
-    pcie: &PcieModel,
-    bytes_per_edge: u64,
-    selection: Selection,
-    params_of: impl Fn(u32) -> SelectParams,
-) -> Vec<(usize, EngineKind)> {
-    let mut out = Vec::new();
-    for d in 0..devices.num_devices() {
-        for (i, a) in acts.iter().enumerate() {
-            if !a.is_active() || devices.device_of(a.partition) != d {
-                continue;
-            }
-            let params = params_of(a.partition);
-            out.push((i, stateless_kind(a, pcie, bytes_per_edge, selection, &params)));
-        }
-    }
-    out.sort_unstable_by_key(|&(i, _)| i);
-    out
-}
-
-/// An even carve-up of the device edge budget across `D` devices: each
-/// simulated GPU caches edge data out of its own memory, so the stateful
-/// residency policies (unified-memory LRU, Grus pin-until-full) get
-/// `total / D` each instead of one shared pool.
-#[derive(Clone, Debug)]
-pub struct DeviceBudgets {
-    per_device: Vec<u64>,
-}
-
-impl DeviceBudgets {
-    /// Split `total` bytes across `num_devices` (minimum 1) devices,
-    /// spreading the remainder over the lowest device ids.
-    pub fn split(total: u64, num_devices: usize) -> DeviceBudgets {
-        let n = num_devices.max(1);
-        let base = total / n as u64;
-        let rem = (total % n as u64) as usize;
-        DeviceBudgets { per_device: (0..n).map(|i| base + u64::from(i < rem)).collect() }
-    }
-
-    /// Budget of device `d`.
-    pub fn get(&self, d: usize) -> u64 {
-        self.per_device[d]
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.per_device.len()
-    }
-
-    /// Never empty (minimum one device).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
+/// An even carve-up of the device edge budget across `num_devices`
+/// (minimum 1) devices, the remainder spread over the lowest device ids:
+/// each simulated GPU caches edge data out of its own memory, so the
+/// stateful residency policies (unified-memory LRU, Grus pin-until-full)
+/// get `total / D` each instead of one shared pool.
+pub(crate) fn device_budgets(total: u64, num_devices: usize) -> Vec<u64> {
+    let n = num_devices.max(1);
+    let base = total / n as u64;
+    let rem = (total % n as u64) as usize;
+    (0..n).map(|i| base + u64::from(i < rem)).collect()
 }
 
 #[cfg(test)]
@@ -324,10 +264,11 @@ mod tests {
             },
         ];
         let pcie = PcieModel::pcie3();
-        let sel = select_engines(&acts, &pcie, 4, Selection::FilterOnly, &SelectParams::default());
+        let sel =
+            select_engines(&acts, &pcie, 4, Selection::FilterOnly, |_| SelectParams::default());
         assert_eq!(sel, vec![(0, EngineKind::ExpFilter)]); // inactive skipped
         let sel =
-            select_engines(&acts, &pcie, 4, Selection::ZeroCopyOnly, &SelectParams::default());
+            select_engines(&acts, &pcie, 4, Selection::ZeroCopyOnly, |_| SelectParams::default());
         assert_eq!(sel, vec![(0, EngineKind::ImpZeroCopy)]);
     }
 
@@ -344,7 +285,7 @@ mod tests {
         let acts = hyt_engines::analyze_partitions(g.view(), &ps, &f, &pcie, g.bytes_per_edge(), 4);
         let params = SelectParams::default();
         for sel in [Selection::Hybrid, Selection::FilterOnly, Selection::ZeroCopyOnly] {
-            let global = select_engines(&acts, &pcie, 4, sel, &params);
+            let global = select_engines(&acts, &pcie, 4, sel, |_| params);
             for d in [1u32, 2, 4] {
                 let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
                 let sharded = select_engines_sharded(&acts, &plan, &pcie, 4, sel, &params);
@@ -368,34 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_by_with_constant_closure_matches_sharded() {
-        use hyt_graph::{generators, DeviceAssignment, Frontier, PartitionSet};
-        let g = generators::rmat(9, 6.0, 5, true);
-        let ps = PartitionSet::build_count(&g, 12);
-        let f = Frontier::new(g.num_vertices());
-        for v in (0..g.num_vertices()).step_by(5) {
-            f.insert(v);
-        }
-        let pcie = PcieModel::pcie3();
-        let acts = hyt_engines::analyze_partitions(g.view(), &ps, &f, &pcie, 4, 2);
-        let params = SelectParams::default();
-        let plan = DevicePlan::build(&ps, 4, DeviceAssignment::EdgeBalanced, 0);
-        let a = select_engines_sharded(&acts, &plan, &pcie, 4, Selection::Hybrid, &params);
-        let b = select_engines_sharded_by(&acts, &plan, &pcie, 4, Selection::Hybrid, |_| params);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn device_budgets_split_evenly_with_remainder_low() {
-        let b = DeviceBudgets::split(10, 4);
-        assert_eq!(b.len(), 4);
-        assert_eq!((0..4).map(|d| b.get(d)).collect::<Vec<_>>(), vec![3, 3, 2, 2]);
-        let one = DeviceBudgets::split(77, 1);
-        assert_eq!(one.get(0), 77);
-        let clamped = DeviceBudgets::split(5, 0);
-        assert_eq!(clamped.len(), 1);
-        assert_eq!(clamped.get(0), 5);
-        assert!(!clamped.is_empty());
+        assert_eq!(device_budgets(10, 4), vec![3, 3, 2, 2]);
+        assert_eq!(device_budgets(77, 1), vec![77]);
+        // Zero devices clamps to one: never empty.
+        assert_eq!(device_budgets(5, 0), vec![5]);
     }
 
     #[test]
@@ -416,10 +334,10 @@ mod tests {
         let pcie = PcieModel::pcie3();
         let acts = std::slice::from_ref(&a);
         let narrow = SelectParams::default();
-        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, &narrow);
+        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| narrow);
         assert_eq!(sel[0].1, EngineKind::ExpCompaction);
         let wide = SelectParams { value_surplus: 56, ..SelectParams::default() };
-        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, &wide);
+        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| wide);
         assert_eq!(sel[0].1, EngineKind::ImpZeroCopy);
     }
 
@@ -442,8 +360,9 @@ mod tests {
             zc_requests: 3,
         };
         let pcie = PcieModel::pcie3();
-        let sel =
-            select_engines(&[dense, sparse], &pcie, 4, Selection::Hybrid, &SelectParams::default());
+        let sel = select_engines(&[dense, sparse], &pcie, 4, Selection::Hybrid, |_| {
+            SelectParams::default()
+        });
         assert_eq!(sel[0].1, EngineKind::ExpFilter);
         assert_eq!(sel[1].1, EngineKind::ImpZeroCopy);
     }

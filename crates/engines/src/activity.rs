@@ -15,6 +15,7 @@
 //! back"); we parallelise across partitions with scoped threads, which
 //! plays the same role on the simulated platform.
 
+use crate::par::{chunk_ranges, par_map};
 use hyt_graph::{AdjacencyView, Frontier, PartitionSet, VertexId};
 use hyt_sim::PcieModel;
 
@@ -52,8 +53,9 @@ impl PartitionActivity {
 /// Analyse every partition against the current frontier.
 ///
 /// Returns one [`PartitionActivity`] per partition, in partition order.
-/// Runs on `threads` scoped worker threads (pass 1 for deterministic
-/// single-thread debugging; results are identical either way).
+/// The partitions are split into `threads` contiguous chunks analysed
+/// concurrently ([`par_map`]; 1 stays on the calling thread). Results are
+/// identical for every thread count.
 pub fn analyze_partitions(
     graph: AdjacencyView<'_>,
     parts: &PartitionSet,
@@ -62,35 +64,14 @@ pub fn analyze_partitions(
     bytes_per_edge: u64,
     threads: usize,
 ) -> Vec<PartitionActivity> {
-    let n = parts.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    let chunk = n.div_ceil(threads);
-    crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(n);
-                s.spawn(move |_| {
-                    (lo..hi)
-                        .map(|i| {
-                            analyze_one(graph, parts, frontier, pcie, bytes_per_edge, i as u32)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            // hyt-lint: allow(unwrap-in-lib) -- a panicked analysis worker leaves partitions unpriced; re-raising its panic is the correct propagation
-            out.extend(h.join().expect("activity analysis worker panicked"));
-        }
-        out
+    par_map(chunk_ranges(parts.len(), threads), |range| {
+        range
+            .map(|i| analyze_one(graph, parts, frontier, pcie, bytes_per_edge, i as u32))
+            .collect::<Vec<_>>()
     })
-    // hyt-lint: allow(unwrap-in-lib) -- crossbeam scope errs only when a child panicked, which the join above already re-raises
-    .expect("activity analysis scope failed")
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Analyse a single partition (the sequential kernel of

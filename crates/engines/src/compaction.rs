@@ -7,18 +7,23 @@
 //! `Σ_{v∈Ai} Do(v)·d1 + |Ai|·d2` (formula (2)'s numerator) at the price of
 //! real CPU and memory-bandwidth work.
 //!
-//! The gather here is *real*: [`compact`] produces an actual
-//! [`CompactedSubgraph`] with the relocated arrays, built in parallel by
-//! range-splitting the active list across scoped threads (each thread owns
-//! a disjoint output range computed by a prefix sum, so no locks are
-//! needed). `hyt-core`'s kernel then executes the vertex program against
-//! this structure — if the gather were wrong, algorithm results would be
-//! wrong and the oracle tests would catch it.
+//! The engine is a pair. [`price_compaction_sized`] prices a task from
+//! the activity sums alone (the gathered volume is closed-form). The
+//! gather itself is *real* and is the engines' one delivery primitive:
+//! [`compact`] produces an actual [`CompactedSubgraph`] with the relocated
+//! arrays, built in parallel by range-splitting the active list across
+//! scoped threads (each thread owns a disjoint output range computed by a
+//! prefix sum, so no locks are needed). `hyt-core` gathers once per
+//! combined task and its kernel executes the vertex program against this
+//! structure — if the gather were wrong, algorithm results would be wrong
+//! and the oracle tests would catch it.
 
 use crate::activity::PartitionActivity;
+use crate::par::{chunk_ranges, par_map};
 use crate::plan::{EngineKind, TaskPlan};
 use hyt_graph::{AdjacencyView, VertexId, Weight, INDEX_BYTES};
-use hyt_sim::{MachineModel, TransferCounters};
+use hyt_sim::MachineModel;
+use std::ops::Range;
 
 /// A compacted subgraph: the active vertices' neighbour runs relocated
 /// into contiguous arrays, plus the index for addressing them.
@@ -86,120 +91,63 @@ pub fn compact(graph: AdjacencyView<'_>, active: &[VertexId], threads: usize) ->
     let mut col_index = vec![0 as VertexId; total];
     let mut weights = graph.is_weighted().then(|| vec![0 as Weight; total]);
 
-    let threads = threads.clamp(1, n.max(1));
-    let chunk = n.div_ceil(threads.max(1)).max(1);
-    let col_chunks = split_at_offsets(&mut col_index, &offsets, chunk);
-    let weight_chunks = weights.as_mut().map(|w| split_at_offsets(w, &offsets, chunk));
-
-    crossbeam::scope(|s| {
-        let mut wchunks = weight_chunks;
-        for (ci, cols) in col_chunks.into_iter().enumerate() {
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(n);
-            let ws = wchunks.as_mut().map(|v| v.remove(0));
-            let offsets = &offsets;
-            s.spawn(move |_| {
-                let mut cursor = 0usize;
-                let mut ws = ws;
-                for (i, &v) in active[lo..hi].iter().enumerate() {
-                    let run_len = (offsets[lo + i + 1] - offsets[lo + i]) as usize;
-                    let mut k = cursor;
-                    for (n, w) in graph.edges_of(v) {
-                        cols[k] = n;
-                        if let Some(wv) = ws.as_mut() {
-                            wv[k] = w;
-                        }
-                        k += 1;
-                    }
-                    debug_assert_eq!(k, cursor + run_len, "live run length drifted mid-gather");
-                    cursor += run_len;
+    let ranges = chunk_ranges(n, threads);
+    let col_chunks = split_at_offsets(&mut col_index, &offsets, &ranges);
+    let mut weight_chunks =
+        weights.as_mut().map(|w| split_at_offsets(w, &offsets, &ranges).into_iter());
+    let jobs: Vec<_> = ranges
+        .into_iter()
+        .zip(col_chunks)
+        .map(|(range, cols)| (range, cols, weight_chunks.as_mut().and_then(Iterator::next)))
+        .collect();
+    par_map(jobs, |(range, cols, mut ws)| {
+        let mut cursor = 0usize;
+        for i in range {
+            let run_len = (offsets[i + 1] - offsets[i]) as usize;
+            let mut k = cursor;
+            for (n, w) in graph.edges_of(active[i]) {
+                cols[k] = n;
+                if let Some(wv) = ws.as_mut() {
+                    wv[k] = w;
                 }
-            });
+                k += 1;
+            }
+            debug_assert_eq!(k, cursor + run_len, "live run length drifted mid-gather");
+            cursor += run_len;
         }
-    })
-    // hyt-lint: allow(unwrap-in-lib) -- crossbeam scope errs only when a gather worker panicked; the subgraph would be incomplete, so re-raise
-    .expect("compaction worker panicked");
+    });
 
     CompactedSubgraph { vertices: active.to_vec(), offsets, col_index, weights }
 }
 
-/// Split `data` into per-chunk mutable slices aligned to the vertex-chunk
-/// boundaries given by `offsets` (chunk size in vertices).
-fn split_at_offsets<'a, T>(data: &'a mut [T], offsets: &[u64], chunk: usize) -> Vec<&'a mut [T]> {
-    let n = offsets.len() - 1;
-    let mut out = Vec::new();
+/// Split `data` into one mutable slice per vertex range, cut at the edge
+/// offsets of the range boundaries (`ranges` contiguous from 0).
+fn split_at_offsets<'a, T>(
+    data: &'a mut [T],
+    offsets: &[u64],
+    ranges: &[Range<usize>],
+) -> Vec<&'a mut [T]> {
+    let mut out = Vec::with_capacity(ranges.len());
     let mut rest = data;
-    let mut consumed = 0u64;
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + chunk).min(n);
-        let end = offsets[hi];
-        let (head, tail) = rest.split_at_mut((end - consumed) as usize);
+    for r in ranges {
+        let (head, tail) = rest.split_at_mut((offsets[r.end] - offsets[r.start]) as usize);
         out.push(head);
         rest = tail;
-        consumed = end;
-        lo = hi;
     }
     out
 }
 
-/// Price an ExpTM-compaction task over the given partitions' activity and
-/// materialise the real compacted subgraph.
-///
-/// `machine` supplies `Thpt_cpt` and the bus model; `graph` supplies the
-/// data. The active sets of all partitions are merged into one task (the
-/// paper's task combiner pre-combines compaction partitions on the GPU,
+/// Price an ExpTM-compaction task from the activity sums alone. The
+/// active sets of all partitions are merged into one task (the paper's
+/// task combiner pre-combines compaction partitions on the GPU,
 /// Algorithm 1 line 6).
-pub fn plan_compaction(
-    machine: &MachineModel,
-    graph: AdjacencyView<'_>,
-    acts: &[&PartitionActivity],
-    bytes_per_edge: u64,
-    threads: usize,
-) -> TaskPlan {
-    let mut active = Vec::new();
-    let mut partitions = Vec::with_capacity(acts.len());
-    let mut active_edges = 0u64;
-    for a in acts {
-        partitions.push(a.partition);
-        active.extend_from_slice(&a.active_vertices);
-        active_edges += a.active_edges;
-    }
-    let compacted = compact(graph, &active, threads);
-    let bytes = compacted.transfer_bytes(bytes_per_edge);
-    let cpu_time = machine.compaction_time(bytes);
-    let transfer_time = machine.pcie.explicit_copy_time(bytes);
-    let kernel_time = machine.kernel.kernel_time(active_edges);
-    let counters = TransferCounters {
-        explicit_bytes: bytes,
-        tlps: machine.pcie.explicit_copy_tlps(bytes),
-        compaction_bytes: bytes,
-        kernel_edges: active_edges,
-        kernel_launches: 1,
-        ..Default::default()
-    };
-    TaskPlan {
-        kind: EngineKind::ExpCompaction,
-        partitions,
-        active_vertices: active,
-        active_edges,
-        cpu_time,
-        transfer_time,
-        kernel_time,
-        counters,
-        compacted: Some(compacted),
-    }
-}
-
-/// Price an ExpTM-compaction task from the activity sums alone, without
-/// materialising the gather.
 ///
 /// The gathered volume is closed-form — `Σ_{v∈Ai} Do(v)·d1 + |Ai|·d2` —
-/// so every timing and counter field equals [`plan_compaction`]'s (a unit
-/// test asserts it); only `compacted` is `None`. The multi-device runner
-/// uses this to price each device's *slice* of a combined compaction task
-/// while the real gather (which feeds the kernel) happens once for the
-/// whole task.
+/// so the priced bytes equal the `transfer_bytes` of the subgraph
+/// [`compact`] materialises over the same active set (a unit test asserts
+/// it). The multi-device runner prices each device's *slice* of a combined
+/// compaction task with this while the real gather (which feeds the
+/// kernel) happens once for the whole task.
 ///
 /// For programs whose per-vertex value is wider than the narrow 8-byte
 /// slot the gather additionally stages `value_surplus` bytes of value
@@ -212,44 +160,22 @@ pub fn price_compaction_sized(
     bytes_per_edge: u64,
     value_surplus: u64,
 ) -> TaskPlan {
-    let mut active = Vec::new();
-    let mut partitions = Vec::with_capacity(acts.len());
-    let mut active_edges = 0u64;
-    for a in acts {
-        partitions.push(a.partition);
-        active.extend_from_slice(&a.active_vertices);
-        active_edges += a.active_edges;
-    }
-    let bytes = active_edges * bytes_per_edge + active.len() as u64 * (INDEX_BYTES + value_surplus);
-    let cpu_time = machine.compaction_time(bytes);
-    let transfer_time = machine.pcie.explicit_copy_time(bytes);
-    let kernel_time = machine.kernel.kernel_time(active_edges);
-    let counters = TransferCounters {
-        explicit_bytes: bytes,
-        tlps: machine.pcie.explicit_copy_tlps(bytes),
-        compaction_bytes: bytes,
-        kernel_edges: active_edges,
-        kernel_launches: 1,
-        ..Default::default()
-    };
-    TaskPlan {
-        kind: EngineKind::ExpCompaction,
-        partitions,
-        active_vertices: active,
-        active_edges,
-        cpu_time,
-        transfer_time,
-        kernel_time,
-        counters,
-        compacted: None,
-    }
+    let active: u64 = acts.iter().map(|a| a.active_vertices.len() as u64).sum();
+    let mut plan = TaskPlan::over(EngineKind::ExpCompaction, machine, acts);
+    let bytes = plan.active_edges * bytes_per_edge + active * (INDEX_BYTES + value_surplus);
+    plan.cpu_time = machine.compaction_time(bytes);
+    plan.transfer_time = machine.pcie.explicit_copy_time(bytes);
+    plan.counters.explicit_bytes = bytes;
+    plan.counters.tlps = machine.pcie.explicit_copy_tlps(bytes);
+    plan.counters.compaction_bytes = bytes;
+    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hyt_graph::{generators, Frontier, PartitionSet};
-    use hyt_sim::PcieModel;
+    use hyt_sim::{PcieModel, TransferCounters};
 
     #[test]
     fn compacted_edges_match_source() {
@@ -292,15 +218,18 @@ mod tests {
         assert_eq!(c.transfer_bytes(4), sum_deg * 4 + 3 * INDEX_BYTES);
     }
 
-    #[test]
-    fn price_compaction_matches_plan_compaction() {
-        let g = generators::rmat(9, 8.0, 11, true);
+    /// Every `step`-th vertex active over 8 partitions: the graph, the
+    /// active partitions' records, and the merged active list.
+    fn sparse_activity(
+        seed: u64,
+        step: usize,
+    ) -> (hyt_graph::Csr, Vec<PartitionActivity>, Vec<VertexId>) {
+        let g = generators::rmat(9, 8.0, seed, true);
         let ps = PartitionSet::build_count(&g, 8);
         let f = Frontier::new(g.num_vertices());
-        for v in (0..g.num_vertices()).step_by(5) {
+        for v in (0..g.num_vertices()).step_by(step) {
             f.insert(v);
         }
-        let machine = MachineModel::paper_platform();
         let acts = crate::activity::analyze_partitions(
             g.view(),
             &ps,
@@ -309,40 +238,42 @@ mod tests {
             g.bytes_per_edge(),
             4,
         );
-        let refs: Vec<_> = acts.iter().filter(|a| a.is_active()).collect();
-        let full = plan_compaction(&machine, g.view(), &refs, g.bytes_per_edge(), 4);
+        let active = f.to_vec();
+        (g, acts.into_iter().filter(PartitionActivity::is_active).collect(), active)
+    }
+
+    #[test]
+    fn price_compaction_matches_materialised_gather() {
+        let (g, acts, active) = sparse_activity(11, 5);
+        let refs: Vec<_> = acts.iter().collect();
+        let machine = MachineModel::paper_platform();
+        let gathered = compact(g.view(), &active, 4);
+        let bytes = gathered.transfer_bytes(g.bytes_per_edge());
         let priced = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 0);
-        assert_eq!(priced.cpu_time, full.cpu_time);
-        assert_eq!(priced.transfer_time, full.transfer_time);
-        assert_eq!(priced.kernel_time, full.kernel_time);
-        assert_eq!(priced.counters, full.counters);
-        assert_eq!(priced.active_vertices, full.active_vertices);
-        assert_eq!(priced.partitions, full.partitions);
-        assert!(priced.compacted.is_none());
+        assert_eq!(priced.cpu_time, machine.compaction_time(bytes));
+        assert_eq!(priced.transfer_time, machine.pcie.explicit_copy_time(bytes));
+        assert_eq!(priced.kernel_time, machine.kernel.kernel_time(gathered.num_edges()));
+        let want = TransferCounters {
+            explicit_bytes: bytes,
+            tlps: machine.pcie.explicit_copy_tlps(bytes),
+            compaction_bytes: bytes,
+            kernel_edges: gathered.num_edges(),
+            kernel_launches: 1,
+            ..Default::default()
+        };
+        assert_eq!(priced.counters, want);
+        assert_eq!(priced.partitions, acts.iter().map(|a| a.partition).collect::<Vec<_>>());
     }
 
     #[test]
     fn value_surplus_adds_per_active_vertex_bytes() {
-        let g = generators::rmat(9, 8.0, 11, true);
-        let ps = PartitionSet::build_count(&g, 8);
-        let f = Frontier::new(g.num_vertices());
-        for v in (0..g.num_vertices()).step_by(7) {
-            f.insert(v);
-        }
+        let (g, acts, active) = sparse_activity(11, 7);
+        let refs: Vec<_> = acts.iter().collect();
         let machine = MachineModel::paper_platform();
-        let acts = crate::activity::analyze_partitions(
-            g.view(),
-            &ps,
-            &f,
-            &PcieModel::pcie3(),
-            g.bytes_per_edge(),
-            4,
-        );
-        let refs: Vec<_> = acts.iter().filter(|a| a.is_active()).collect();
         let narrow = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 0);
         // A 64-byte-wire sketch stages 56 extra bytes per active vertex.
         let wide = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 56);
-        let extra = narrow.active_vertices.len() as u64 * 56;
+        let extra = active.len() as u64 * 56;
         assert_eq!(wide.counters.explicit_bytes, narrow.counters.explicit_bytes + extra);
         assert_eq!(wide.counters.compaction_bytes, narrow.counters.compaction_bytes + extra);
         // Transfer time can only grow (it may tie when the extra bytes
@@ -353,29 +284,16 @@ mod tests {
 
     #[test]
     fn plan_merges_partitions_and_prices_phases() {
-        let g = generators::rmat(9, 8.0, 5, true);
-        let ps = PartitionSet::build_count(&g, 8);
-        let f = Frontier::new(g.num_vertices());
-        for v in (0..g.num_vertices()).step_by(7) {
-            f.insert(v);
-        }
+        let (g, acts, active) = sparse_activity(5, 7);
+        let refs: Vec<_> = acts.iter().collect();
         let machine = MachineModel::paper_platform();
-        let acts = crate::activity::analyze_partitions(
-            g.view(),
-            &ps,
-            &f,
-            &PcieModel::pcie3(),
-            g.bytes_per_edge(),
-            4,
-        );
-        let refs: Vec<_> = acts.iter().filter(|a| a.is_active()).collect();
-        let plan = plan_compaction(&machine, g.view(), &refs, g.bytes_per_edge(), 4);
+        let plan = price_compaction_sized(&machine, &refs, g.bytes_per_edge(), 0);
         assert_eq!(plan.kind, EngineKind::ExpCompaction);
-        assert_eq!(plan.active_vertices.len(), f.count() as usize);
         assert!(plan.cpu_time > 0.0);
         assert!(plan.transfer_time > 0.0);
         assert!(plan.kernel_time > 0.0);
-        let c = plan.compacted.as_ref().unwrap();
+        let c = compact(g.view(), &active, 4);
+        assert_eq!(c.len(), active.len());
         assert_eq!(c.num_edges(), plan.active_edges);
         assert_eq!(plan.counters.explicit_bytes, c.transfer_bytes(g.bytes_per_edge()));
         assert_eq!(plan.counters.compaction_bytes, plan.counters.explicit_bytes);

@@ -1,9 +1,9 @@
-//! Task plans: what an engine promises to deliver and at what cost.
+//! Task plans: the price of delivering a task's active edges through one
+//! engine. A plan carries no data — the gather and the kernel run once per
+//! combined task in `hyt-core`, over the activity records themselves.
 
-use hyt_graph::VertexId;
-use hyt_sim::{SimTask, SimTime, TransferCounters};
-
-use crate::compaction::CompactedSubgraph;
+use crate::activity::PartitionActivity;
+use hyt_sim::{MachineModel, SimTask, SimTime, TransferCounters};
 
 /// Which transfer engine a task uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,9 +38,6 @@ pub struct TaskPlan {
     pub kind: EngineKind,
     /// Partitions covered (≥1; >1 after task combining).
     pub partitions: Vec<u32>,
-    /// Active vertices the kernel must process (global ids, ascending
-    /// within each partition).
-    pub active_vertices: Vec<VertexId>,
     /// Edges the kernel will relax.
     pub active_edges: u64,
     /// Host CPU phase duration (compaction; 0 for other engines).
@@ -51,12 +48,30 @@ pub struct TaskPlan {
     pub kernel_time: SimTime,
     /// Traffic this task generates (merged into iteration counters).
     pub counters: TransferCounters,
-    /// The real compacted subgraph (ExpTM-compaction only): the kernel
-    /// consumes this instead of the host CSR, exactly like Subway.
-    pub compacted: Option<CompactedSubgraph>,
 }
 
 impl TaskPlan {
+    /// The part of a price every engine shares: the partitions covered,
+    /// their summed active edges, and the one kernel launch that relaxes
+    /// them. The CPU and bus phases are zero and the traffic counters
+    /// empty; each engine fills in its own.
+    pub fn over(kind: EngineKind, machine: &MachineModel, acts: &[&PartitionActivity]) -> TaskPlan {
+        let active_edges = acts.iter().map(|a| a.active_edges).sum();
+        TaskPlan {
+            kind,
+            partitions: acts.iter().map(|a| a.partition).collect(),
+            active_edges,
+            cpu_time: 0.0,
+            transfer_time: 0.0,
+            kernel_time: machine.kernel.kernel_time(active_edges),
+            counters: TransferCounters {
+                kernel_edges: active_edges,
+                kernel_launches: 1,
+                ..Default::default()
+            },
+        }
+    }
+
     /// Convert to a stream-schedulable task. Zero-copy and unified-memory
     /// fuse transfer and kernel (implicit overlap); explicit engines
     /// pipeline transfer → kernel; compaction prepends the CPU phase.
@@ -102,13 +117,11 @@ mod tests {
         TaskPlan {
             kind,
             partitions: vec![0],
-            active_vertices: vec![1, 2],
             active_edges: 10,
             cpu_time: 1.0,
             transfer_time: 2.0,
             kernel_time: 3.0,
             counters: TransferCounters::default(),
-            compacted: None,
         }
     }
 

@@ -18,7 +18,7 @@
 use crate::activity::PartitionActivity;
 use crate::plan::{EngineKind, TaskPlan};
 use hyt_graph::AdjacencyView;
-use hyt_sim::{MachineModel, TransferCounters, UmCache};
+use hyt_sim::{MachineModel, UmCache};
 
 /// Persistent unified-memory residency state.
 #[derive(Debug)]
@@ -64,42 +64,18 @@ impl UnifiedState {
         bytes_per_edge: u64,
     ) -> TaskPlan {
         let bpe = bytes_per_edge;
-        let mut partitions = Vec::with_capacity(acts.len());
-        let mut active_vertices = Vec::new();
-        let mut active_edges = 0u64;
         let mut faulted_pages = 0u64;
-        for a in acts {
-            partitions.push(a.partition);
-            active_edges += a.active_edges;
-            for &v in &a.active_vertices {
-                active_vertices.push(v);
-                let start = graph.edge_offset(v) * bpe;
-                let len = graph.out_degree(v) * bpe;
-                faulted_pages += self.cache.touch_range(start, len);
-            }
+        for &v in acts.iter().flat_map(|a| &a.active_vertices) {
+            faulted_pages +=
+                self.cache.touch_range(graph.edge_offset(v) * bpe, graph.out_degree(v) * bpe);
         }
-        let transfer_time = machine.um.migrate_time(faulted_pages);
-        let kernel_time = machine.kernel.kernel_time(active_edges);
         let um_bytes = faulted_pages * machine.um.page_bytes;
-        let counters = TransferCounters {
-            um_bytes,
-            page_faults: faulted_pages,
-            tlps: machine.pcie.explicit_copy_tlps(um_bytes),
-            kernel_edges: active_edges,
-            kernel_launches: 1,
-            ..Default::default()
-        };
-        TaskPlan {
-            kind: EngineKind::ImpUnified,
-            partitions,
-            active_vertices,
-            active_edges,
-            cpu_time: 0.0,
-            transfer_time,
-            kernel_time,
-            counters,
-            compacted: None,
-        }
+        let mut plan = TaskPlan::over(EngineKind::ImpUnified, machine, acts);
+        plan.transfer_time = machine.um.migrate_time(faulted_pages);
+        plan.counters.um_bytes = um_bytes;
+        plan.counters.page_faults = faulted_pages;
+        plan.counters.tlps = machine.pcie.explicit_copy_tlps(um_bytes);
+        plan
     }
 }
 

@@ -18,51 +18,26 @@
 
 use crate::activity::PartitionActivity;
 use crate::plan::{EngineKind, TaskPlan};
-use hyt_sim::{MachineModel, TransferCounters};
+use hyt_sim::MachineModel;
 
 /// Price an ImpTM-zero-copy task over one or more (task-combined)
 /// partitions. The merged task launches a single kernel (Algorithm 1
 /// line 11) whose on-demand reads occupy bus and GPU together.
 pub fn plan_zero_copy(machine: &MachineModel, acts: &[&PartitionActivity]) -> TaskPlan {
-    let mut partitions = Vec::with_capacity(acts.len());
-    let mut active_vertices = Vec::new();
-    let mut active_edges = 0u64;
-    let mut total_edges = 0u64;
-    let mut requests = 0u64;
-    for a in acts {
-        partitions.push(a.partition);
-        active_vertices.extend_from_slice(&a.active_vertices);
-        active_edges += a.active_edges;
-        total_edges += a.total_edges;
-        requests += a.zc_requests;
-    }
+    let total_edges: u64 = acts.iter().map(|a| a.total_edges).sum();
+    let requests: u64 = acts.iter().map(|a| a.zc_requests).sum();
+    let mut plan = TaskPlan::over(EngineKind::ImpZeroCopy, machine, acts);
     // One merged kernel pools outstanding requests across partitions
     // (Algorithm 1 line 11): TLP count is a single global ceiling, and the
     // TLP round-trip uses the pooled active ratio. (Formula (3)'s
     // per-partition ceiling is the *selection* estimate, computed in
     // hyt-core's cost module.)
     let tlps = machine.pcie.zero_copy_tlps(requests);
-    let ratio = if total_edges == 0 { 0.0 } else { active_edges as f64 / total_edges as f64 };
-    let transfer_time = tlps as f64 * machine.pcie.rtt_zc(ratio);
-    let kernel_time = machine.kernel.kernel_time(active_edges);
-    let counters = TransferCounters {
-        zero_copy_bytes: requests * machine.pcie.request_bytes,
-        tlps,
-        kernel_edges: active_edges,
-        kernel_launches: 1,
-        ..Default::default()
-    };
-    TaskPlan {
-        kind: EngineKind::ImpZeroCopy,
-        partitions,
-        active_vertices,
-        active_edges,
-        cpu_time: 0.0,
-        transfer_time,
-        kernel_time,
-        counters,
-        compacted: None,
-    }
+    let ratio = if total_edges == 0 { 0.0 } else { plan.active_edges as f64 / total_edges as f64 };
+    plan.transfer_time = tlps as f64 * machine.pcie.rtt_zc(ratio);
+    plan.counters.zero_copy_bytes = requests * machine.pcie.request_bytes;
+    plan.counters.tlps = tlps;
+    plan
 }
 
 #[cfg(test)]

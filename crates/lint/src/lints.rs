@@ -104,11 +104,14 @@ const ATOMIC_OWNER_FILES: [&str; 3] =
 
 /// Files in scope for `hardcoded-value-bytes`: the pricing / exchange /
 /// cost layers that must derive every byte figure from `ValueLayout`.
-const BYTE_SCOPE_FILES: [&str; 7] = [
+const BYTE_SCOPE_FILES: [&str; 10] = [
     "core/src/cost.rs",
     "core/src/select.rs",
     "core/src/combine.rs",
     "core/src/runner.rs",
+    "core/src/migrate.rs",
+    "core/src/mutate.rs",
+    "core/src/grus.rs",
     "core/src/session.rs",
     "sim/src/topology.rs",
     "sim/src/pcie.rs",

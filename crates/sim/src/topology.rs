@@ -1272,31 +1272,6 @@ pub struct ExchangeReport {
     pub per_queue_busy: Vec<SimTime>,
 }
 
-impl ExchangeReport {
-    /// How much of this exchange a concurrent window of `window` seconds
-    /// can hide, assuming the window starts at the same barrier the
-    /// exchange legs start at.
-    ///
-    /// Every contention queue begins draining at the barrier and the
-    /// queues run concurrently, so after `window` seconds of overlapped
-    /// work the residual exchange time is `max(makespan − window, 0)` —
-    /// the makespan here being exactly the busiest entry of
-    /// [`per_queue_busy`](ExchangeReport::per_queue_busy) (floored by
-    /// [`critical_path`](ExchangeReport::critical_path)). Equivalently,
-    /// the hidden portion is `min(makespan, window)`: a window longer
-    /// than the busiest queue cannot hide more exchange than exists, and
-    /// a window of zero (no next iteration) hides nothing.
-    pub fn hidden_under(&self, window: SimTime) -> SimTime {
-        self.makespan.min(window.max(0.0))
-    }
-
-    /// The exchange time left on the critical path after a concurrent
-    /// window of `window` seconds: `makespan − hidden_under(window)`.
-    pub fn exposed_after(&self, window: SimTime) -> SimTime {
-        self.makespan - self.hidden_under(window)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1872,28 +1847,5 @@ mod tests {
         assert!((sc.latency - s.latency / 1024.0).abs() < 1e-18);
         assert_eq!(s.transfer_time(0), 0.0);
         assert!(s.transfer_time(1 << 20) > s.latency);
-    }
-
-    #[test]
-    fn hidden_under_is_bounded_by_makespan_and_window() {
-        let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
-        let owned = [64u64 << 10; 4];
-        let r = ic.price_all_gather(&owned, &[true; 4]);
-        assert!(r.makespan > 0.0);
-        // The makespan is the per-queue-busy maximum (floored by the
-        // chain critical path) — the quantity any overlap window bites.
-        let busiest = r.per_queue_busy.iter().cloned().fold(0.0f64, f64::max);
-        assert!((r.makespan - busiest.max(r.critical_path)).abs() < EPS);
-        // A window shorter than the makespan hides exactly the window...
-        let w = r.makespan / 3.0;
-        assert!((r.hidden_under(w) - w).abs() < EPS);
-        assert!((r.exposed_after(w) - (r.makespan - w)).abs() < EPS);
-        // ...a longer one hides everything but never more than exists...
-        assert!((r.hidden_under(10.0 * r.makespan) - r.makespan).abs() < EPS);
-        assert_eq!(r.exposed_after(10.0 * r.makespan), 0.0);
-        // ...and a zero or negative window (no next analysis) hides none.
-        assert_eq!(r.hidden_under(0.0), 0.0);
-        assert_eq!(r.hidden_under(-1.0), 0.0);
-        assert_eq!(ExchangeReport::default().hidden_under(1.0), 0.0);
     }
 }

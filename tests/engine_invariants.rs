@@ -89,17 +89,19 @@ proptest! {
         if refs.is_empty() {
             return Ok(());
         }
-        let plan = compaction::plan_compaction(&machine, g.view(), &refs, bpe, 4);
-        let c = plan.compacted.as_ref().unwrap();
+        let plan = compaction::price_compaction_sized(&machine, &refs, bpe, 0);
+        let c = compaction::compact(g.view(), &f.to_vec(), 4);
         // The gather holds exactly the active edges.
         let want_edges: u64 = refs.iter().map(|a| a.active_edges).sum();
         prop_assert_eq!(c.num_edges(), want_edges);
-        // Formula (2) numerator: active edges x d1 + |A| x d2.
-        let want_bytes = want_edges * bpe + plan.active_vertices.len() as u64 * 8;
+        // Formula (2) numerator: active edges x d1 + |A| x d2 — priced in
+        // closed form, and exactly what the materialised gather occupies.
+        let want_bytes = want_edges * bpe + c.len() as u64 * 8;
         prop_assert_eq!(plan.counters.explicit_bytes, want_bytes);
+        prop_assert_eq!(plan.counters.explicit_bytes, c.transfer_bytes(bpe));
         // Compaction never ships more than filter would.
         let filter_bytes: u64 = refs.iter().map(|a| a.total_edges * bpe).sum();
-        prop_assert!(want_bytes <= filter_bytes + plan.active_vertices.len() as u64 * 8);
+        prop_assert!(want_bytes <= filter_bytes + c.len() as u64 * 8);
     }
 
     #[test]
