@@ -54,7 +54,7 @@ impl PartitionActivity {
 ///
 /// Returns one [`PartitionActivity`] per partition, in partition order.
 /// The partitions are split into `threads` contiguous chunks analysed
-/// concurrently ([`par_map`]; 1 stays on the calling thread). Results are
+/// concurrently ([`par_map`]). Results are
 /// identical for every thread count.
 pub fn analyze_partitions(
     graph: AdjacencyView<'_>,
