@@ -52,9 +52,9 @@ fn bench_cost_and_selection(c: &mut Criterion) {
         })
     });
     g.bench_function("algorithm1_select", |b| {
-        b.iter(|| black_box(select::select_engines(&acts, &pcie, 8, Selection::Hybrid, |_| params)))
+        b.iter(|| black_box(select::select_engines(&acts, &pcie, 8, Selection::Hybrid, &params)))
     });
-    let decisions = select::select_engines(&acts, &pcie, 8, Selection::Hybrid, |_| params);
+    let decisions = select::select_engines(&acts, &pcie, 8, Selection::Hybrid, &params);
     let narrow_lane = hyt_core::ValueLayout::narrow().lane_bytes();
     g.bench_function("task_combine_k4", |b| {
         b.iter(|| black_box(combine::combine_tasks_sized(&decisions, 4, true, narrow_lane)))

@@ -411,72 +411,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 5: load-aware routing is never worse than the static table
-    // and strictly better on a skewed D=8 ring — the static sized routes
-    // pile a skewed publisher's batches onto its two egress queues while
-    // the second pass re-routes or splits them off the busiest one; the
-    // pass is pricing-only, so values and iterations stay bit-identical.
-    {
-        // Synthetic skewed exchange: one device publishes ~80x the rest,
-        // so its egress queues are the bottleneck and splitting the
-        // opposite-side batch across the two ring directions must win.
-        let ring = hyt_core::Interconnect::build(
-            hyt_core::TopologyKind::Ring,
-            8,
-            base_config().machine.pcie,
-            base_config().peer_link,
-        )
-        .with_route_breakpoints(&hyt_core::config::ROUTE_LADDER);
-        let mut owned = [10_000u64; 8];
-        owned[0] = 800_000;
-        let participates = [true; 8];
-        let stat = ring.price_all_gather(&owned, &participates);
-        let load = ring.price_all_gather_load_aware(&owned, &participates);
-        let skew_strict = load.makespan < stat.makespan && load.payload_bytes == stat.payload_bytes;
-
-        // Full system: the pass may only shrink the priced exchange;
-        // values and convergence are untouched.
-        let g = hyt_graph::generators::power_law_preferential(1 << 14, 12.0, 2.2, 7, true);
-        let src = crate::context::source_vertex(&g);
-        let run = |load_aware: bool| {
-            let mut cfg = SystemKind::HyTGraph.configure(base_config());
-            cfg.num_devices = 8;
-            cfg.topology = hyt_core::TopologyKind::Ring;
-            cfg.load_aware_exchange = load_aware;
-            cfg.threads = 1;
-            let mut sys = hyt_core::HyTGraphSystem::new(g.clone(), cfg);
-            let r = sys.run(hyt_algos::Sssp::from_source(src));
-            let per: Vec<f64> = r.per_iteration.iter().map(|it| it.exchange.time).collect();
-            let mut x = hyt_core::ExchangeStats::default();
-            for it in &r.per_iteration {
-                x.merge(&it.exchange);
-            }
-            (r.values, r.iterations, per, x)
-        };
-        let (vs, is, per_s, _) = run(false);
-        let (vl, il, per_l, xl) = run(true);
-        let never_worse =
-            per_s.len() == per_l.len() && per_s.iter().zip(&per_l).all(|(&s, &l)| l <= s + 1e-15);
-        let system_strict = per_l.iter().sum::<f64>() < per_s.iter().sum::<f64>();
-        out.push(CheckResult::new(
-            "Load-aware routing: never worse, strictly better on a skewed D=8 ring, values identical",
-            skew_strict && never_worse && system_strict && vs == vl && is == il,
-            format!(
-                "skewed exchange {:.3}us -> {:.3}us (split KB {:.1}, rerouted KB {:.1}); \
-                 SSSP exchange total {:.3}ms -> {:.3}ms over {} iterations, \
-                 per-iteration never worse: {never_worse}, values/iters match: {}",
-                stat.makespan * 1e6,
-                load.makespan * 1e6,
-                load.split_bytes as f64 / 1024.0,
-                load.rerouted_bytes as f64 / 1024.0,
-                per_s.iter().sum::<f64>() * 1e3,
-                per_l.iter().sum::<f64>() * 1e3,
-                per_s.len(),
-                vs == vl && is == il && xl.time >= 0.0
-            ),
-        ));
-    }
-
     // ISSUE 5: cut-through forwarding strictly shrinks a >= 3-hop detour
     // — a sparse exchange whose makespan is the store-and-forward chain
     // floor pipelines down toward the bottleneck hop, with wire
@@ -583,11 +517,11 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         let pcie = hyt_sim::PcieModel::pcie3();
         let acts = std::slice::from_ref(&a);
         let narrow_params = SelectParams::default();
-        let narrow = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| narrow_params)[0].1;
+        let narrow = select_engines(acts, &pcie, 4, Selection::Hybrid, &narrow_params)[0].1;
         let sketch = ValueLayout { lanes: 8, wire_bytes: 64 };
         let wide_params =
             SelectParams { value_surplus: sketch.compaction_surplus(), ..SelectParams::default() };
-        let wide = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| wide_params)[0].1;
+        let wide = select_engines(acts, &pcie, 4, Selection::Hybrid, &wide_params)[0].1;
         out.push(CheckResult::new(
             "Width-aware pricing: a 64B sketch flips an engine choice 8B values keep",
             narrow == EngineKind::ExpCompaction

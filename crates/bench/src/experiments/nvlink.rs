@@ -15,11 +15,9 @@
 //!   alternating NVLink2/NVLink4 ring, and a ring with one 2 GB/s bridge
 //!   whose pair routing sends back to host staging while its neighbours
 //!   detour device-via-device;
-//! * **axis 4 — routing model** (ISSUE 5): the same `D = 8` ring walked
-//!   from the static sized route ladder through the load-aware
-//!   re-route/split second pass and cut-through forwarding — the
-//!   rerouted/split-bytes columns show the second pass working, and the
-//!   exchange column may only shrink.
+//! * **axis 4 — routing model** (ISSUE 5): the same `D = 8` ring on the
+//!   static sized route ladder, without and with cut-through forwarding
+//!   — the exchange column may only shrink.
 //!
 //! Four findings the tables show:
 //!
@@ -226,16 +224,15 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         ]);
     }
 
-    // Routing-model axis (ISSUE 5): the uniform D = 8 ring under
-    // progressively smarter routing. Pricing-only changes: values
-    // and iterations are identical row to row, and the load-aware rows
-    // can only shrink the exchange.
+    // Routing-model axis (ISSUE 5): the uniform D = 8 ring without and
+    // with cut-through forwarding. Pricing-only: values and iterations
+    // are identical row to row, and cut-through can only shrink the
+    // exchange.
     let routing_rows: Vec<(&str, HyTGraphConfig)> = {
-        let row = |load_aware: bool, peer_link: LinkSpec| {
+        let row = |peer_link: LinkSpec| {
             let base = HyTGraphConfig {
                 topology: TopologyKind::Ring,
                 num_devices: MIXED_DEVICES,
-                load_aware_exchange: load_aware,
                 peer_link,
                 threads: 1,
                 ..base_config()
@@ -245,9 +242,8 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         let link = base_config().peer_link;
         let chunk = (256u64 << 10) >> crate::context::SCALE_SHIFT;
         vec![
-            ("sized route ladder", row(false, link)),
-            ("ladder + load-aware", row(true, link)),
-            ("ladder + load-aware + cut-through", row(true, link.with_cut_through(chunk))),
+            ("sized route ladder", row(link)),
+            ("ladder + cut-through", row(link.with_cut_through(chunk))),
         ]
     };
     let mut routing = Table::new(
@@ -255,7 +251,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             "Extension: routing-model axis (HyTGraph SSSP on FS, D={MIXED_DEVICES} ring, \
              PCIe3 host)"
         ),
-        &["routing", "time", "exch", "host KB", "peer KB", "fwd KB", "rrt KB", "split KB"],
+        &["routing", "time", "exch", "host KB", "peer KB", "fwd KB"],
     );
     for (label, cfg) in routing_rows {
         let m = run_algo_with_config(SystemKind::HyTGraph, AlgoKind::Sssp, &g, cfg);
@@ -270,8 +266,6 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             format!("{:.1}", x.host_bytes as f64 / 1024.0),
             format!("{:.1}", x.peer_bytes as f64 / 1024.0),
             format!("{:.1}", x.forwarded_bytes as f64 / 1024.0),
-            format!("{:.1}", x.rerouted_bytes as f64 / 1024.0),
-            format!("{:.1}", x.split_bytes as f64 / 1024.0),
         ]);
     }
 

@@ -830,6 +830,24 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
+        /// Call `read` — which checks one snapshot and returns whether it
+        /// showed a committed write — at least `min_reads` times *and*
+        /// until a write has been seen: on a small host the writers may
+        /// not be scheduled before a fixed read count is spent, and the
+        /// checks would pass vacuously on the initial state. Yields only
+        /// until then — pinned to one core, every yield hands a spinning
+        /// writer a whole slice.
+        fn read_until_a_write_is_seen(min_reads: u32, mut read: impl FnMut() -> bool) {
+            let (mut reads, mut saw_write) = (0u32, false);
+            while reads < min_reads || !saw_write {
+                saw_write |= read();
+                reads += 1;
+                if !saw_write {
+                    std::thread::yield_now();
+                }
+            }
+        }
+
         /// Single-lane values are one atom: the two f32 halves of an
         /// [`F32Pair`] can never be observed from different writes.
         #[test]
@@ -850,10 +868,11 @@ mod tests {
                     })
                 })
                 .collect();
-            for _ in 0..50_000 {
+            read_until_a_write_is_seen(50_000, || {
                 let p = vals.snapshot()[0];
                 assert_eq!(p.b, -p.a, "torn single-lane read: {p:?}");
-            }
+                p.a != 0.0
+            });
             stop.store(true, Ordering::Relaxed);
             for w in writers {
                 w.join().unwrap();
@@ -885,7 +904,7 @@ mod tests {
                     })
                 })
                 .collect();
-            for _ in 0..20_000 {
+            read_until_a_write_is_seen(20_000, || {
                 let w = vals.snapshot()[0];
                 for (i, &lane) in w.0.iter().enumerate() {
                     assert_eq!(
@@ -894,7 +913,8 @@ mod tests {
                         "lane {i} of {w:?} matches no committed state"
                     );
                 }
-            }
+                w.0[0] > 0
+            });
             stop.store(true, Ordering::Relaxed);
             for w in writers {
                 w.join().unwrap();

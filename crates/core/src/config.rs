@@ -95,38 +95,18 @@ pub struct HyTGraphConfig {
     /// (e.g. a slow bridge sends its pair back to host staging). Empty
     /// by default.
     pub link_overrides: Vec<(u32, u32, LinkSpec)>,
-    /// Re-route the frontier exchange for load: after the static pass,
-    /// a deterministic bounded greedy moves (or splits) batches off the
-    /// busiest contention queue onto their next-cheapest path whenever
-    /// that strictly lowers the priced makespan
-    /// ([`hyt_sim::Interconnect::price_all_gather_load_aware`]) — never
-    /// worse than the static routing. Off by default: the second pass
-    /// re-prices the whole exchange per candidate move, which costs far
-    /// more host time per iteration than the static pass.
-    pub load_aware_exchange: bool,
     /// Device-affine migration: between iterations (and, because the
     /// device plan is resident, between back-to-back runs on one
     /// system), move a partition to the device its activity keeps
     /// coupling it with whenever the one-off bulk copy — priced over the
     /// routed interconnect — is cheaper than
     /// [`crate::runner::MIGRATION_HORIZON_ITERS`] more iterations of
-    /// exchange at the observed rate. Strict-improvement-only, like the
-    /// load-aware re-route pass; values are bit-identical by
-    /// construction (placement never changes what a synchronised
-    /// iteration computes). Off by default so placements stay static and
-    /// reproducible.
+    /// exchange at the observed rate. Strict-improvement-only; values
+    /// are bit-identical by construction (placement never changes what
+    /// a synchronised iteration computes). An opt-in *feature*, not a
+    /// compatibility switch: stateful placement is a behaviour choice,
+    /// and off keeps placements static and reproducible.
     pub affine_migration: bool,
-    /// Peer-served zero-copy: after a migration leaves a warm copy of a
-    /// partition on its previous device, the new owner's zero-copy
-    /// engine reads over their direct peer link instead of host-staging
-    /// through the root complex — priced as one more rung in the
-    /// engine-selection crossover
-    /// ([`crate::select::SelectParams::peer_zc_scale`]) and reported as
-    /// the `peer_zc_bytes` column of
-    /// [`crate::stats::ExchangeStats`]. Only ever *lowers* the priced
-    /// zero-copy cost (the rung is skipped when the peer link is no
-    /// faster than the host path). Off by default.
-    pub peer_zc: bool,
     /// Inflate Algorithm 1's transfer costs by the number of devices
     /// sharing the host link (see `PartitionCosts::under_contention`),
     /// shifting the ZC/filter crossover with `D`. Off by default: the
@@ -166,9 +146,7 @@ impl Default for HyTGraphConfig {
             topology: TopologyKind::HostOnly,
             peer_link: LinkSpec::nvlink().scaled(SCALE_SHIFT),
             link_overrides: Vec::new(),
-            load_aware_exchange: false,
             affine_migration: false,
-            peer_zc: false,
             contention_aware_selection: false,
             num_streams: 4,
             threads: default_threads(),
@@ -205,12 +183,9 @@ mod tests {
         assert_eq!(c.topology, TopologyKind::HostOnly, "the paper's platform has no peer links");
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
         assert_eq!(c.peer_link.cut_through, None, "chains store-and-forward unless a link chunks");
-        assert!(!c.load_aware_exchange, "the second routing pass is opt-in");
         assert!(!c.affine_migration, "static placement is the reproducible baseline");
-        assert!(!c.peer_zc, "peer-served zero-copy is opt-in");
         assert!(!c.contention_aware_selection, "contended costs are opt-in");
         assert_eq!(c.select_params.contention, 1.0);
-        assert_eq!(c.select_params.peer_zc_scale, 1.0, "no peer rung unless a warm copy exists");
         let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
         let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), ring);
         assert_eq!(sys.interconnect().route_breakpoints(), ROUTE_LADDER);

@@ -19,10 +19,9 @@
 //! * [`runner`] — the iteration driver weaving it together (Fig. 5), and
 //!   the [`HyTGraphSystem`] it drives. Three private siblings hold the
 //!   system's other concerns, re-exported through `runner`: `migrate`
-//!   (placement, device-affine migration, peer-served zero-copy),
-//!   `mutate` (streaming mutations, delta compaction, the sweep-price
-//!   cache) and `grus` (the Grus baseline's residency, selection and
-//!   pricing);
+//!   (placement, device-affine migration), `mutate` (streaming
+//!   mutations, delta compaction, the sweep-price cache) and `grus` (the
+//!   Grus baseline's residency, selection and pricing);
 //! * [`systems`] — whole-system presets reproducing every Table V row;
 //! * [`session`] — the resident multi-tenant query service: cost-priced
 //!   admission control and MS-BFS-style query coalescing over one

@@ -1,18 +1,16 @@
-//! Placement, device-affine migration, and peer-served zero-copy: where
-//! partitions live, when one moves, and what a moved partition's warm
-//! copy is worth.
+//! Placement and device-affine migration: where partitions live and
+//! when one moves.
 //!
 //! Placement is decided once at build time (and again after a delta
 //! compaction) by [`build_placement`]. With
 //! [`HyTGraphConfig::affine_migration`] on, the runner calls
-//! `maybe_migrate` between iterations; a migrated partition leaves a warm
-//! copy behind, which `config.peer_zc` lets Algorithm 1 and the zero-copy
-//! price read over the direct peer link instead of host staging.
+//! `maybe_migrate` between iterations. A moved partition's edge data is
+//! read from host memory like any other; the copy left on its old device
+//! is not consulted (README, "Opt-ins decided by measurement").
 
 use crate::config::HyTGraphConfig;
 use crate::runner::{HyTGraphSystem, EXCHANGE_RECORD_BYTES};
 use crate::ValueLayout;
-use hyt_engines::{zero_copy, PartitionActivity, TaskPlan};
 use hyt_graph::placement::{plan_cost_driven, AffinityMatrix, PlacementPricer, AFFINITY_DENSE_CAP};
 use hyt_graph::{Csr, DeviceAssignment, DevicePlan, Frontier, PartitionSet};
 use hyt_sim::Interconnect;
@@ -56,11 +54,6 @@ pub(crate) struct MigrationState {
     /// builds, past [`AFFINITY_DENSE_CAP`], or when neither feature is
     /// on).
     affinity: Option<AffinityMatrix>,
-    /// `warm_copies[p]` = the device a migration moved partition `p`
-    /// *off*, whose edge cache still holds `p`'s data. Peer-served
-    /// zero-copy (`config.peer_zc`) reads against that copy over the
-    /// direct peer link when it prices below host staging.
-    warm_copies: Vec<Option<u32>>,
     /// Per-partition newly-activated-vertex observations feeding the
     /// planner (reset after every applied migration).
     react_records: Vec<u64>,
@@ -71,12 +64,11 @@ pub(crate) struct MigrationState {
 }
 
 impl MigrationState {
-    /// Fresh state over `num_parts` partitions: nothing observed, nothing
-    /// warm, nothing moved.
+    /// Fresh state over `num_parts` partitions: nothing observed,
+    /// nothing moved.
     pub(crate) fn new(affinity: Option<AffinityMatrix>, num_parts: usize) -> Self {
         MigrationState {
             affinity,
-            warm_copies: vec![None; num_parts],
             react_records: vec![0; num_parts],
             observed_iters: 0,
             log: Vec::new(),
@@ -90,12 +82,9 @@ impl MigrationState {
         *self = MigrationState { log, ..MigrationState::new(affinity, num_parts) };
     }
 
-    /// Partition `pid`'s adjacency changed: its warm copy predates the
-    /// mutation (serving zero-copy reads from it would read the old
-    /// adjacency) and its old activations described the old adjacency, so
-    /// the planner starts over for it.
+    /// Partition `pid`'s adjacency changed: its old activations described
+    /// the old adjacency, so the planner starts over for it.
     pub(crate) fn invalidate(&mut self, pid: u32) {
-        self.warm_copies[pid as usize] = None;
         self.react_records[pid as usize] = 0;
     }
 }
@@ -164,74 +153,6 @@ impl HyTGraphSystem {
     /// [`HyTGraphConfig::affine_migration`] is on).
     pub fn migrations(&self) -> &[MigrationEvent] {
         &self.migration.log
-    }
-
-    /// The device still holding a warm copy of `pid`'s edge data after a
-    /// migration moved the partition elsewhere (`None` for never-moved
-    /// partitions).
-    pub fn warm_copy_of(&self, pid: u32) -> Option<u32> {
-        self.migration.warm_copies.get(pid as usize).copied().flatten()
-    }
-
-    /// The Tiz scale factor partition `pid` earns from a warm peer copy,
-    /// or `None` when its zero-copy reads must host-stage as usual:
-    /// peer-served zero-copy is off, the partition never migrated, it
-    /// migrated back onto its warm copy's device, or the peer link does
-    /// not actually price below the host path
-    /// ([`Interconnect::peer_read_scale`]).
-    pub(crate) fn peer_zc_scale_of(&self, pid: u32) -> Option<f64> {
-        if !self.config.peer_zc {
-            return None;
-        }
-        let holder = self.warm_copy_of(pid)?;
-        let reader = self.devices.device_of(pid);
-        if reader == holder {
-            return None;
-        }
-        self.interconnect.peer_read_scale(reader, holder)
-    }
-
-    /// Price a zero-copy slice with warm peer copies in play
-    /// (`config.peer_zc`): the merged launch's kernel time and transfer
-    /// counters are unchanged — it is still one kernel reading the same
-    /// request bytes — but the read path is re-priced per stream. The
-    /// host-staged partitions pool their TLP windows as before; each
-    /// peer-served partition prices its own stream and scales it by its
-    /// link's advantage over host staging (pricing the streams
-    /// separately is conservative: fewer requests pool per window).
-    /// Returns the plan and the request bytes that bypassed the host.
-    pub(crate) fn plan_zero_copy_peer_aware(
-        &self,
-        srefs: &[&PartitionActivity],
-    ) -> (TaskPlan, u64) {
-        let machine = &self.config.machine;
-        let mut plan = zero_copy::plan_zero_copy(machine, srefs);
-        if !self.config.peer_zc {
-            return (plan, 0);
-        }
-        let mut host: Vec<&PartitionActivity> = Vec::new();
-        let mut peer: Vec<(&PartitionActivity, f64)> = Vec::new();
-        for a in srefs {
-            match self.peer_zc_scale_of(a.partition) {
-                Some(scale) => peer.push((a, scale)),
-                None => host.push(a),
-            }
-        }
-        if peer.is_empty() {
-            return (plan, 0);
-        }
-        let mut transfer = 0.0;
-        if !host.is_empty() {
-            transfer += zero_copy::plan_zero_copy(machine, &host).transfer_time;
-        }
-        let mut peer_bytes = 0u64;
-        for (a, scale) in &peer {
-            let single = zero_copy::plan_zero_copy(machine, std::slice::from_ref(a));
-            transfer += single.transfer_time * scale;
-            peer_bytes += single.counters.zero_copy_bytes;
-        }
-        plan.transfer_time = transfer;
-        (plan, peer_bytes)
     }
 
     /// Device-affine migration (one decision per iteration): observe
@@ -322,7 +243,6 @@ impl HyTGraphSystem {
         let from = self.devices.device_of(pid);
         self.devices.reassign(pid, self.parts.get(pid).num_edges(), to);
         self.shard_holders = shard_holders(&self.devices, self.parts.len());
-        state.warm_copies[pid as usize] = Some(from);
         state.log.push(MigrationEvent { partition: pid, from, to, copy_cost });
         // Fresh evidence for the next decision: the plan just changed, so
         // the old observations no longer describe it.

@@ -28,8 +28,8 @@ pub struct MutationReport {
     /// Ops applied (equals the batch length on success).
     pub applied: usize,
     /// Partitions whose adjacency changed, ascending. Exactly these had
-    /// their cached sweep prices, warm peer copies, and migration
-    /// observations invalidated; clean partitions keep their plan.
+    /// their cached sweep prices and migration observations
+    /// invalidated; clean partitions keep their plan.
     pub dirty_partitions: Vec<u32>,
     /// The reactivation frontier in original-id order: every touched
     /// source plus the incident boundary vertices (the destinations
@@ -145,9 +145,9 @@ impl HyTGraphSystem {
     /// is fixed at build time and never re-derived. After the batch:
     ///
     /// * partitions whose adjacency changed are marked dirty: their
-    ///   cached sweep prices ([`Self::price_full_sweep`]), warm peer
-    ///   copies, and migration observations are dropped, while clean
-    ///   partitions keep their plan, placement, and prices;
+    ///   cached sweep prices ([`Self::price_full_sweep`]) and migration
+    ///   observations are dropped, while clean partitions keep their
+    ///   plan, placement, and prices;
     /// * the reactivation frontier — touched sources plus incident
     ///   boundary destinations — is computed through the frontier
     ///   machinery and reported in original ids;
@@ -225,7 +225,7 @@ impl HyTGraphSystem {
 
     /// Fold the delta segments into a fresh base and rebuild everything
     /// the partition structure feeds: partitions, affinity, the
-    /// partition→device plan, shard holders, warm copies, and migration
+    /// partition→device plan, shard holders, and migration
     /// observations. The hub permutation, interconnect, route tables, and
     /// the resident scheduler are untouched — they do not depend on the
     /// edge set. The sweep cache clears wholesale: partition boundaries

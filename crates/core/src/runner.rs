@@ -19,8 +19,8 @@
 //!
 //! [`HyTGraphSystem`]'s other concerns live in private sibling modules and
 //! are re-exported from this one: `migrate` (placement, device-affine
-//! migration, peer-served zero-copy), `mutate` (mutation batches, delta
-//! compaction, the sweep-price cache) and `grus` (the Grus baseline).
+//! migration), `mutate` (mutation batches, delta compaction, the
+//! sweep-price cache) and `grus` (the Grus baseline).
 //!
 //! # Multi-device sharding
 //!
@@ -59,10 +59,11 @@ use crate::kernel::{run_kernel, EdgeSource};
 use crate::migrate::{build_placement, shard_holders, MigrationState};
 use crate::mutate::SweepCache;
 use crate::priority::order_tasks;
-use crate::select::{device_budgets, select_engines, SelectParams, Selection};
+use crate::select::{device_budgets, select_engines, Selection};
 use crate::stats::{DeviceIterationStats, EngineMix, ExchangeStats, IterationStats, RunResult};
 use hyt_engines::{
-    analyze_partitions, compaction, filter, EngineKind, PartitionActivity, TaskPlan, UnifiedState,
+    analyze_partitions, compaction, filter, zero_copy, EngineKind, PartitionActivity, TaskPlan,
+    UnifiedState,
 };
 use hyt_graph::{
     hub_sort, Csr, DeltaCsr, DevicePlan, Frontier, GraphError, PartitionSet, VertexId,
@@ -510,17 +511,7 @@ impl HyTGraphSystem {
         select_params.value_surplus = layout.compaction_surplus();
         let decisions = match &mut state.residency {
             Residency::Grus(grus) => grus.select(&acts, &self.parts, devices, bpe),
-            // Peer-served zero-copy enters Algorithm 1 as one more rung:
-            // partitions whose warm peer copy can feed their on-demand
-            // reads see Tiz scaled by the peer link's advantage. With
-            // `peer_zc` off (or no warm copies yet) the closure is
-            // constant.
-            _ => select_engines(&acts, &machine.pcie, bpe, cfg.selection, |pid| {
-                match self.peer_zc_scale_of(pid) {
-                    Some(scale) => SelectParams { peer_zc_scale: scale, ..select_params },
-                    None => select_params,
-                }
-            }),
+            _ => select_engines(&acts, &machine.pcie, bpe, cfg.selection, &select_params),
         };
         let mut mix = EngineMix::default();
         let mut dev_mix = vec![EngineMix::default(); nd];
@@ -536,7 +527,6 @@ impl HyTGraphSystem {
         let next = Frontier::new(self.graph.num_vertices());
         let mut dev_tasks: Vec<Vec<SimTask>> = vec![Vec::new(); nd];
         let mut counters = TransferCounters::new();
-        let mut peer_zc_total = 0u64;
         for task in &tasks {
             let refs: Vec<&PartitionActivity> = task.members.iter().map(|&i| &acts[i]).collect();
 
@@ -568,8 +558,7 @@ impl HyTGraphSystem {
                             layout.compaction_surplus(),
                         ),
                         EngineKind::ImpZeroCopy => {
-                            let (mut p, peer_bytes) = self.plan_zero_copy_peer_aware(srefs);
-                            peer_zc_total += peer_bytes;
+                            let mut p = zero_copy::plan_zero_copy(machine, srefs);
                             if matches!(state.residency, Residency::Grus(_)) {
                                 GrusResidency::penalize_zero_copy(&mut p);
                             }
@@ -660,8 +649,7 @@ impl HyTGraphSystem {
         // (`hidden` = 0) and the driver patches it once the successor
         // has sized the window.
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
-        let exchange =
-            ExchangeStats { peer_zc_bytes: peer_zc_total, ..ExchangeStats::from(&exchange_report) };
+        let exchange = ExchangeStats::from(&exchange_report);
 
         let per_device: Vec<DeviceIterationStats> = (0..nd)
             .map(|d| DeviceIterationStats {
@@ -702,11 +690,8 @@ impl HyTGraphSystem {
     /// its batch size* — a direct peer link, a forwarded multi-hop peer
     /// path (pipelined when every hop advertises a cut-through chunk), or
     /// staging through the host root complex — with legs queueing per
-    /// direction queue ([`Interconnect::price_all_gather`]). With
-    /// `config.load_aware_exchange` a second pass re-routes or splits
-    /// batches off the busiest queue whenever that strictly lowers the
-    /// priced makespan
-    /// ([`Interconnect::price_all_gather_load_aware`]).
+    /// direction queue ([`Interconnect::price_all_gather`]): one static
+    /// pass, no exchange-time re-routing.
     ///
     /// Only devices that own a shard participate: a spare device with no
     /// partitions computes nothing, so it neither publishes nor
@@ -732,11 +717,7 @@ impl HyTGraphSystem {
         for v in next.iter() {
             owned[self.devices.device_of(self.parts.owner_of(v)) as usize] += record_bytes;
         }
-        if self.config.load_aware_exchange {
-            self.interconnect.price_all_gather_load_aware(owned, &self.shard_holders)
-        } else {
-            self.interconnect.price_all_gather(owned, &self.shard_holders)
-        }
+        self.interconnect.price_all_gather(owned, &self.shard_holders)
     }
 
     /// Newly-activated vertices that the already-loaded task data can
@@ -938,7 +919,13 @@ mod tests {
     fn startup_passes_charge_once() {
         let g = generators::rmat(9, 6.0, 4, true);
         let time_with = |passes: f64| {
-            let cfg = HyTGraphConfig { startup_edge_passes: passes, ..HyTGraphConfig::default() };
+            // One thread: async kernels race at `threads > 1`, and a
+            // different trajectory between the two runs is not a charge.
+            let cfg = HyTGraphConfig {
+                startup_edge_passes: passes,
+                threads: 1,
+                ..HyTGraphConfig::default()
+            };
             let mut sys = HyTGraphSystem::new(g.clone(), cfg);
             sys.run(MiniSssp).total_time
         };

@@ -66,15 +66,6 @@ pub struct SelectParams {
     /// pricing identity; the runner sets it from the live program so
     /// wide sketch values pay their true formula-(2) freight.
     pub value_surplus: u64,
-    /// Peer-served zero-copy rung: the factor formula (3)'s `Tiz` is
-    /// scaled by when this partition's on-demand reads can be served
-    /// from a warm peer copy over a direct link instead of host pinned
-    /// memory (`hyt_sim::Interconnect::peer_read_scale`). `1.0` — the
-    /// default, and whenever no warm copy exists — is an exact pricing
-    /// identity; values below 1 make the implicit engine win the
-    /// crossover more often, which is the point: a peer-fed read stream
-    /// is cheaper than the same stream through the root complex.
-    pub peer_zc_scale: f64,
 }
 
 impl Default for SelectParams {
@@ -85,7 +76,6 @@ impl Default for SelectParams {
             contention: 1.0,
             zc_contention_share: crate::cost::ZC_CONTENTION_SHARE,
             value_surplus: 0,
-            peer_zc_scale: 1.0,
         }
     }
 }
@@ -106,10 +96,7 @@ impl SelectParams {
 /// The hybrid rule for one partition (Algorithm 1 lines 4–12), applied
 /// to the contention-adjusted costs.
 pub fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
-    let mut costs = costs.under_contention(p.contention, p.zc_contention_share);
-    // Peer-served zero-copy rung: a warm peer copy feeds the on-demand
-    // read stream over a direct link, scaling Tiz down (1.0 = no rung).
-    costs.tiz *= p.peer_zc_scale;
+    let costs = costs.under_contention(p.contention, p.zc_contention_share);
     if costs.tec < p.alpha * costs.tef && costs.tec < p.beta * costs.tiz {
         EngineKind::ExpCompaction
     } else if costs.tef < costs.tiz {
@@ -123,34 +110,26 @@ pub fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
 /// Returns `(partition index in acts, engine)` for active partitions, in
 /// partition order; inactive partitions are skipped (nothing to schedule).
 ///
-/// `params_of` receives each active partition's id and returns the
-/// [`SelectParams`] its selector prices with. This is how
-/// placement-dependent rungs enter Algorithm 1 — the runner lowers
-/// [`SelectParams::peer_zc_scale`] for exactly the partitions whose warm
-/// peer copy can feed their zero-copy reads; everyone else passes a
-/// constant closure. Every policy here is stateless per partition, so one
-/// pass is also what a sharded deployment's per-device selectors would
-/// decide between them. `GrusLike` is stateful (device residency) and is
-/// decided by the runner's Grus baseline instead.
+/// Every policy here is stateless per partition, so one pass is also
+/// what a sharded deployment's per-device selectors would decide between
+/// them. `GrusLike` is stateful (device residency) and is decided by the
+/// runner's Grus baseline instead.
 pub fn select_engines(
     acts: &[PartitionActivity],
     pcie: &PcieModel,
     bytes_per_edge: u64,
     selection: Selection,
-    params_of: impl Fn(u32) -> SelectParams,
+    params: &SelectParams,
 ) -> Vec<(usize, EngineKind)> {
     acts.iter()
         .enumerate()
         .filter(|(_, a)| a.is_active())
         .map(|(i, a)| {
             let kind = match selection {
-                Selection::Hybrid => {
-                    let params = params_of(a.partition);
-                    choose_engine(
-                        &partition_costs_sized(a, pcie, bytes_per_edge, params.value_surplus),
-                        &params,
-                    )
-                }
+                Selection::Hybrid => choose_engine(
+                    &partition_costs_sized(a, pcie, bytes_per_edge, params.value_surplus),
+                    params,
+                ),
                 Selection::FilterOnly => EngineKind::ExpFilter,
                 Selection::CompactionOnly => EngineKind::ExpCompaction,
                 Selection::ZeroCopyOnly => EngineKind::ImpZeroCopy,
@@ -162,8 +141,8 @@ pub fn select_engines(
         .collect()
 }
 
-/// [`select_engines`] with constant `params`; `devices` is ignored. Kept
-/// only because the frozen `wall` benchmark harness calls it by this name.
+/// [`select_engines`]; `devices` is ignored. Kept only because the frozen
+/// `wall` benchmark harness calls it by this name.
 pub fn select_engines_sharded(
     acts: &[PartitionActivity],
     _devices: &DevicePlan,
@@ -172,7 +151,7 @@ pub fn select_engines_sharded(
     selection: Selection,
     params: &SelectParams,
 ) -> Vec<(usize, EngineKind)> {
-    select_engines(acts, pcie, bytes_per_edge, selection, |_| *params)
+    select_engines(acts, pcie, bytes_per_edge, selection, params)
 }
 
 /// An even carve-up of the device edge budget across `num_devices`
@@ -264,11 +243,10 @@ mod tests {
             },
         ];
         let pcie = PcieModel::pcie3();
-        let sel =
-            select_engines(&acts, &pcie, 4, Selection::FilterOnly, |_| SelectParams::default());
+        let sel = select_engines(&acts, &pcie, 4, Selection::FilterOnly, &SelectParams::default());
         assert_eq!(sel, vec![(0, EngineKind::ExpFilter)]); // inactive skipped
         let sel =
-            select_engines(&acts, &pcie, 4, Selection::ZeroCopyOnly, |_| SelectParams::default());
+            select_engines(&acts, &pcie, 4, Selection::ZeroCopyOnly, &SelectParams::default());
         assert_eq!(sel, vec![(0, EngineKind::ImpZeroCopy)]);
     }
 
@@ -285,27 +263,13 @@ mod tests {
         let acts = hyt_engines::analyze_partitions(g.view(), &ps, &f, &pcie, g.bytes_per_edge(), 4);
         let params = SelectParams::default();
         for sel in [Selection::Hybrid, Selection::FilterOnly, Selection::ZeroCopyOnly] {
-            let global = select_engines(&acts, &pcie, 4, sel, |_| params);
+            let global = select_engines(&acts, &pcie, 4, sel, &params);
             for d in [1u32, 2, 4] {
                 let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
                 let sharded = select_engines_sharded(&acts, &plan, &pcie, 4, sel, &params);
                 assert_eq!(sharded, global, "{sel:?} with {d} devices");
             }
         }
-    }
-
-    #[test]
-    fn peer_zc_rung_flips_filter_to_zero_copy() {
-        // Filter narrowly beats zero-copy against host pinned memory…
-        let c = costs(10.0, 100.0, 12.0);
-        assert_eq!(choose_engine(&c, &SelectParams::default()), EngineKind::ExpFilter);
-        // …but a warm peer copy serving the same reads at 0.6x flips the
-        // crossover to the implicit engine.
-        let peer = SelectParams { peer_zc_scale: 0.6, ..SelectParams::default() };
-        assert_eq!(choose_engine(&c, &peer), EngineKind::ImpZeroCopy);
-        // The neutral scale is an exact identity (1.0 * tiz == tiz).
-        let neutral = SelectParams { peer_zc_scale: 1.0, ..SelectParams::default() };
-        assert_eq!(choose_engine(&c, &neutral), choose_engine(&c, &SelectParams::default()));
     }
 
     #[test]
@@ -334,10 +298,10 @@ mod tests {
         let pcie = PcieModel::pcie3();
         let acts = std::slice::from_ref(&a);
         let narrow = SelectParams::default();
-        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| narrow);
+        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, &narrow);
         assert_eq!(sel[0].1, EngineKind::ExpCompaction);
         let wide = SelectParams { value_surplus: 56, ..SelectParams::default() };
-        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, |_| wide);
+        let sel = select_engines(acts, &pcie, 4, Selection::Hybrid, &wide);
         assert_eq!(sel[0].1, EngineKind::ImpZeroCopy);
     }
 
@@ -360,9 +324,8 @@ mod tests {
             zc_requests: 3,
         };
         let pcie = PcieModel::pcie3();
-        let sel = select_engines(&[dense, sparse], &pcie, 4, Selection::Hybrid, |_| {
-            SelectParams::default()
-        });
+        let sel =
+            select_engines(&[dense, sparse], &pcie, 4, Selection::Hybrid, &SelectParams::default());
         assert_eq!(sel[0].1, EngineKind::ExpFilter);
         assert_eq!(sel[1].1, EngineKind::ImpZeroCopy);
     }

@@ -96,19 +96,11 @@ pub struct ExchangeStats {
     /// forwarded routes (zero when every route is direct or
     /// host-staged).
     pub forwarded_bytes: u64,
-    /// Bytes of whole batches the load-aware second pass moved off
-    /// their static route (zero unless `load_aware_exchange` found a
-    /// strictly-improving re-route).
+    /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub rerouted_bytes: u64,
-    /// Bytes travelling on the secondary halves of batches the
-    /// load-aware pass split across two disjoint peer paths.
+    /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub split_bytes: u64,
-    /// Zero-copy request bytes served over a direct peer link from a
-    /// migrated partition's warm copy instead of host-staging through
-    /// the root complex (`config.peer_zc`; zero unless a migration left
-    /// a warm copy and the peer link priced below the host path). These
-    /// bytes also appear in the iteration's `zero_copy_bytes` transfer
-    /// counter — this column records which of them bypassed the host.
+    /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub peer_zc_bytes: u64,
 }
 
@@ -129,9 +121,6 @@ impl ExchangeStats {
         self.host_bytes += other.host_bytes;
         self.peer_bytes += other.peer_bytes;
         self.forwarded_bytes += other.forwarded_bytes;
-        self.rerouted_bytes += other.rerouted_bytes;
-        self.split_bytes += other.split_bytes;
-        self.peer_zc_bytes += other.peer_zc_bytes;
     }
 }
 
@@ -147,9 +136,7 @@ impl From<&hyt_sim::ExchangeReport> for ExchangeStats {
             host_bytes: r.host_bytes,
             peer_bytes: r.peer_bytes,
             forwarded_bytes: r.forwarded_bytes,
-            rerouted_bytes: r.rerouted_bytes,
-            split_bytes: r.split_bytes,
-            peer_zc_bytes: 0,
+            ..ExchangeStats::default()
         }
     }
 }

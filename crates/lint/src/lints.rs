@@ -104,6 +104,7 @@ const ATOMIC_OWNER_FILES: [&str; 3] =
 
 /// Files in scope for `hardcoded-value-bytes`: the pricing / exchange /
 /// cost layers that must derive every byte figure from `ValueLayout`.
+/// An entry ending in `/` is a directory segment (see [`in_scope`]).
 const BYTE_SCOPE_FILES: [&str; 10] = [
     "core/src/cost.rs",
     "core/src/select.rs",
@@ -113,13 +114,13 @@ const BYTE_SCOPE_FILES: [&str; 10] = [
     "core/src/mutate.rs",
     "core/src/grus.rs",
     "core/src/session.rs",
-    "sim/src/topology.rs",
+    "sim/src/topology/",
     "sim/src/pcie.rs",
 ];
 
 /// Files in scope for `float-eq-in-pricing`.
 const FLOAT_SCOPE_FILES: [&str; 3] =
-    ["core/src/cost.rs", "core/src/select.rs", "sim/src/topology.rs"];
+    ["core/src/cost.rs", "core/src/select.rs", "sim/src/topology/"];
 
 /// The path segment that owns base-CSR storage for `no-direct-csr-mut`:
 /// every file of the graph crate (`csr.rs` defines the builder,
@@ -144,8 +145,12 @@ const ATOMIC_TYPES: [&str; 12] = [
 
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-fn suffix_match(path: &str, suffixes: &[&str]) -> bool {
-    suffixes.iter().any(|s| path.ends_with(s))
+/// Is `path` one of the `scope` files (suffix-matched), or inside one of
+/// its directory segments (entries ending in `/`, matched anywhere in the
+/// path the way [`CSR_OWNER_SEGMENT`] is)? A module cut into sibling
+/// files stays linted without listing each sibling.
+fn in_scope(path: &str, scope: &[&str]) -> bool {
+    scope.iter().any(|s| if s.ends_with('/') { path.contains(s) } else { path.ends_with(s) })
 }
 
 /// Lint one file's source. `rel_path` is the workspace-relative path
@@ -465,7 +470,7 @@ fn emit(
 /// `hyt_core::api`) and *named* constants are the only sanctioned
 /// spellings of these figures.
 fn lint_hardcoded_value_bytes(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !suffix_match(file.rel_path, &BYTE_SCOPE_FILES) {
+    if !in_scope(file.rel_path, &BYTE_SCOPE_FILES) {
         return;
     }
     for &i in &file.code {
@@ -525,7 +530,7 @@ fn lint_unwrap_in_lib(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// three owner files. Applies to test code too — ownership is a file
 /// property (see module docs).
 fn lint_atomics_allowlist(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if suffix_match(file.rel_path, &ATOMIC_OWNER_FILES) {
+    if in_scope(file.rel_path, &ATOMIC_OWNER_FILES) {
         return;
     }
     for (i, t) in file.toks.iter().enumerate() {
@@ -566,7 +571,7 @@ fn lint_atomics_allowlist(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// float-named identifier operand, in the pricing files. The sanctioned
 /// bit-identity spelling `a.to_bits() == b.to_bits()` is exempt.
 fn lint_float_eq_in_pricing(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !suffix_match(file.rel_path, &FLOAT_SCOPE_FILES) {
+    if !in_scope(file.rel_path, &FLOAT_SCOPE_FILES) {
         return;
     }
     let floaty = |t: &Tok<'_>| -> bool {
@@ -783,6 +788,19 @@ mod tests {
         // Named const: the sanctioned spelling.
         let src3 = "/// Record bytes.\npub const REC_BYTES: u64 = 12;\n";
         assert_eq!(lints_of("crates/core/src/cost.rs", src3), vec![]);
+    }
+
+    #[test]
+    fn pricing_lints_follow_the_topology_module_into_its_directory() {
+        let float = "fn f(x: f64) -> bool { x == 0.5 }\n";
+        let bytes = "fn f() -> u64 { let record_bytes = 12 * n; record_bytes }\n";
+        let price = "crates/sim/src/topology/price.rs";
+        assert_eq!(lints_of(price, float), vec![(1, "float-eq-in-pricing")]);
+        assert_eq!(lints_of(price, bytes), vec![(1, "hardcoded-value-bytes")]);
+        // A sibling of the directory, not a member: out of scope.
+        let multi = "crates/sim/src/multi.rs";
+        assert_eq!(lints_of(multi, float), vec![]);
+        assert_eq!(lints_of(multi, bytes), vec![]);
     }
 
     #[test]

@@ -34,10 +34,8 @@
 //!   meshes, each link with its own spec, duplex discipline, and
 //!   optional cut-through chunk size), byte-size-aware cheapest-path
 //!   transfer routing (per-breakpoint route tables; direct,
-//!   device-via-device forwarded, or host-staged), per-direction-queue
-//!   contention pricing of the frontier all-gather, and an optional
-//!   load-aware second pass that re-routes or splits batches off the
-//!   busiest queue.
+//!   device-via-device forwarded, or host-staged), and
+//!   per-direction-queue contention pricing of the frontier all-gather.
 //! * [`clock`] — transfer/volume counters used by Table VI.
 
 pub mod clock;
@@ -57,7 +55,7 @@ pub use pcie::PcieModel;
 pub use streams::{Phase, PhaseSpan, Resource, SimTask, StreamSim, Timeline};
 pub use topology::{
     ExchangeReport, Interconnect, Link, LinkClass, LinkRate, LinkSpec, Route, TopologyKind,
-    MAX_REROUTE_ROUNDS, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES,
+    ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES,
 };
 pub use um::{UmCache, UmModel};
 

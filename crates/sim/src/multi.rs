@@ -14,9 +14,8 @@
 //!   every device — with the host-only topology this is exactly one
 //!   shared bus. Peer queues carry the inter-device
 //!   frontier exchange, priced by [`Interconnect::price_all_gather`]
-//!   over the byte-size-aware route tables (or its load-aware variant,
-//!   [`Interconnect::price_all_gather_load_aware`], which re-routes and
-//!   splits batches off the busiest queue).
+//!   over the byte-size-aware route tables (one static pass: each pair
+//!   rides the route that is cheapest at its batch size).
 //! * **CPU** — the host compaction pool serves every device's gather
 //!   requests and serialises with itself.
 //!

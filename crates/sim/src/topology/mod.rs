@@ -1,0 +1,70 @@
+//! Topology-aware interconnect: heterogeneous links, routed (possibly
+//! multi-hop) paths, and per-direction contention.
+//!
+//! Pricing every byte — edge slices *and* the inter-device frontier
+//! exchange — on one shared PCIe root complex is exactly the "one flat
+//! bus" assumption the paper's Section VIII names as the open frontier.
+//! This module makes the interconnect a first-class object:
+//!
+//! * a [`Link`] is one contended wire with its own pricing: the **host
+//!   root complex** (all devices' PCIe lanes converge there, priced with
+//!   the TLP-quantised [`PcieModel`](crate::PcieModel)) or an
+//!   **NVLink-class peer link** between two devices (smooth latency +
+//!   bandwidth, [`LinkSpec`]).
+//!   Every peer link carries its *own* spec, so mixed-generation meshes
+//!   (x4 beside x8 bridges, NVLink 2 beside NVLink 4) are first-class —
+//!   see [`Interconnect::ring_with_specs`], [`Interconnect::mesh`], and
+//!   [`Interconnect::with_link_spec`];
+//! * peer links are **full-duplex**: each direction owns its own
+//!   contention queue, so the two legs of a symmetric exchange overlap
+//!   instead of serialising. The host root complex always stays **one**
+//!   TLP-quantised queue, so a host-only interconnect is the serial
+//!   shared bus;
+//! * an [`Interconnect`] is a set of links in one of three named shapes
+//!   ([`TopologyKind`]) — host-only (the shared bus), a ring of
+//!   neighbour links, or a fully-connected clique — optionally edited
+//!   per link into an arbitrary heterogeneous mesh;
+//! * [`Interconnect::route`] returns the **cheapest priced path** for a
+//!   device-to-device transfer of a given *size*, chosen at build time
+//!   from a dense **per-breakpoint** route table: routes are probed at a
+//!   ladder of payload sizes ([`Interconnect::with_route_breakpoints`];
+//!   a freshly built interconnect probes at [`ROUTE_PROBE_BYTES`]
+//!   alone), and `route(src, dst, bytes)` selects the table whose probe
+//!   matches the batch, so latency-bound tiny batches may legitimately
+//!   take fewer hops than bandwidth-bound bulk ones. Each entry is
+//!   **direct** over a peer link, **forwarded** device-via-device over a
+//!   multi-hop peer path, or **host-staged** (up then down on the root
+//!   complex) when the peer fabric is absent or slower. A slow bridge
+//!   therefore shifts its pair's traffic back to host staging instead of
+//!   being used blindly;
+//! * forwarded chains price **store-and-forward** by default (each hop
+//!   waits for the whole batch); a [`LinkSpec::with_cut_through`] chunk
+//!   size lets a chain pipeline chunks across its hops instead, pricing
+//!   the chain as the bottleneck hop's stream plus a one-chunk ramp on
+//!   every other hop ([`Interconnect::chain_time`]). `cut_through =
+//!   None` (the default) reproduces the store-and-forward sum exactly;
+//! * [`Interconnect::price_all_gather`] plays a frontier all-gather
+//!   against the per-direction contention queues: legs on disjoint
+//!   queues overlap, legs sharing a queue serialise. With the host-only
+//!   topology this reduces *bit-identically* to serial-bus pricing
+//!   (asserted by tests), so the multi-device differential guarantees
+//!   hold on every topology.
+//!
+//! Three private siblings, re-exported here so every
+//! `hyt_sim::topology::*` path resolves: `spec` (the link vocabulary),
+//! `route` (builders, the per-breakpoint route tables, contention-free
+//! path pricing) and `price` (the contended all-gather and its
+//! [`ExchangeReport`]).
+
+mod price;
+mod route;
+mod spec;
+
+pub use price::ExchangeReport;
+pub use route::{Interconnect, Route, HOST_LINK, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES};
+pub use spec::{Link, LinkClass, LinkRate, LinkSpec, TopologyKind};
+
+// One test module for all three siblings (not one per file): the suite
+// tracks tests by path, and these keep their `topology::tests::*` names.
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,473 @@
+use super::*;
+use crate::pcie::PcieModel;
+
+const EPS: f64 = 1e-12;
+
+fn pcie() -> PcieModel {
+    PcieModel::pcie3()
+}
+
+fn serial_bus_exchange(pcie: &PcieModel, owned: &[u64], participates: &[bool]) -> (f64, u64) {
+    // The reference pricing: per participating device, one upload
+    // and one download on the single shared bus.
+    let total: u64 = owned.iter().zip(participates).filter(|&(_, &p)| p).map(|(&o, _)| o).sum();
+    let mut time = 0.0;
+    let mut bytes = 0u64;
+    for (d, &o) in owned.iter().enumerate() {
+        if !participates[d] {
+            continue;
+        }
+        for b in [o, total - o] {
+            if b > 0 {
+                time += pcie.explicit_copy_time(b);
+                bytes += b;
+            }
+        }
+    }
+    (time, bytes)
+}
+
+#[test]
+fn topology_kind_parse_roundtrips() {
+    for k in TopologyKind::ALL {
+        assert_eq!(TopologyKind::parse(k.name()), Some(k));
+    }
+    assert_eq!(TopologyKind::parse(TopologyKind::Mesh.name()), Some(TopologyKind::Mesh));
+    assert_eq!(TopologyKind::parse("a2a"), Some(TopologyKind::AllToAll));
+    assert_eq!(TopologyKind::parse("HOST"), Some(TopologyKind::HostOnly));
+    assert_eq!(TopologyKind::parse("torus"), None);
+}
+
+#[test]
+fn link_counts_per_topology() {
+    let p = pcie();
+    let s = LinkSpec::nvlink();
+    assert_eq!(Interconnect::build(TopologyKind::HostOnly, 4, p, s).num_links(), 1);
+    assert_eq!(Interconnect::build(TopologyKind::Ring, 4, p, s).num_links(), 1 + 4);
+    assert_eq!(Interconnect::build(TopologyKind::Ring, 2, p, s).num_links(), 1 + 1);
+    assert_eq!(Interconnect::build(TopologyKind::Ring, 1, p, s).num_links(), 1);
+    assert_eq!(Interconnect::build(TopologyKind::AllToAll, 4, p, s).num_links(), 1 + 6);
+}
+
+#[test]
+fn queue_counts_follow_duplex() {
+    let p = pcie();
+    // Host queue + one per direction of every peer link.
+    let full = Interconnect::build(TopologyKind::Ring, 4, p, LinkSpec::nvlink());
+    assert_eq!(full.num_queues(), 1 + 2 * 4);
+    assert_ne!(full.queue(1, false), full.queue(1, true));
+    // The host root complex is always one queue.
+    assert_eq!(full.queue(HOST_LINK, false), full.queue(HOST_LINK, true));
+    assert_eq!(Interconnect::host_only(4, p).num_queues(), 1);
+}
+
+#[test]
+fn ring_routes_neighbours_direct_and_opposites_forwarded() {
+    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
+    assert!(matches!(ic.route(0, 1, ROUTE_PROBE_BYTES), Route::Direct(_)));
+    assert!(matches!(ic.route(3, 0, ROUTE_PROBE_BYTES), Route::Direct(_)));
+    // Opposite pairs forward two fast hops rather than paying two
+    // TLP-quantised host copies.
+    match ic.route(0, 2, ROUTE_PROBE_BYTES) {
+        Route::Forwarded(hops) => assert_eq!(hops.len(), 2),
+        r => panic!("expected a 2-hop forward, got {r:?}"),
+    }
+    assert!(matches!(ic.route(1, 3, ROUTE_PROBE_BYTES), Route::Forwarded(_)));
+    // Peer lookup is direction-agnostic and O(1).
+    assert_eq!(ic.peer_link(1, 0), ic.peer_link(0, 1));
+    assert_eq!(ic.peer_link(0, 2), None);
+}
+
+#[test]
+fn all_to_all_routes_everything_direct() {
+    let ic = Interconnect::build(TopologyKind::AllToAll, 5, pcie(), LinkSpec::nvlink());
+    for a in 0..5u32 {
+        for b in 0..5u32 {
+            if a != b {
+                assert!(matches!(ic.route(a, b, ROUTE_PROBE_BYTES), Route::Direct(_)), "{a}->{b}");
+            }
+        }
+    }
+}
+
+#[test]
+fn host_only_routes_everything_host_staged() {
+    let ic = Interconnect::host_only(3, pcie());
+    for a in 0..3u32 {
+        for b in 0..3u32 {
+            if a != b {
+                assert_eq!(ic.route(a, b, ROUTE_PROBE_BYTES), &Route::HostStaged);
+            }
+        }
+    }
+}
+
+#[test]
+fn slow_bridge_shifts_its_pair_back_to_host_staging() {
+    // D = 8 uniform ring: every pair rides the peer fabric (max 4
+    // hops beat two TLP-quantised host copies).
+    let uniform = Interconnect::build(TopologyKind::Ring, 8, pcie(), LinkSpec::nvlink());
+    for d in 1..8u32 {
+        assert_ne!(uniform.route(0, d, ROUTE_PROBE_BYTES), &Route::HostStaged, "0->{d}");
+    }
+    // Derate the (0, 1) bridge to 2 GB/s: the direct hop is slower
+    // than host staging and so is the 7-hop detour, so exactly that
+    // pair falls back to the host; its neighbours re-route around.
+    let slow = uniform.clone().with_link_spec(0, 1, LinkSpec::with_nominal_bw(2.0e9));
+    assert_eq!(slow.route(0, 1, ROUTE_PROBE_BYTES), &Route::HostStaged);
+    assert_eq!(slow.route(1, 0, ROUTE_PROBE_BYTES), &Route::HostStaged);
+    // A pair whose short path crosses the slow bridge detours the
+    // long way around instead (0 → 7 → … → 3 is five fast hops,
+    // cheaper than both the bridge and the host).
+    match slow.route(0, 3, ROUTE_PROBE_BYTES) {
+        Route::Forwarded(hops) => {
+            assert_eq!(hops.len(), 5, "must detour away from the slow bridge")
+        }
+        r => panic!("expected a detour, got {r:?}"),
+    }
+    // Route costs still respect the choice: host staging is cheapest
+    // for the slow pair at the probe size.
+    let probe = ROUTE_PROBE_BYTES;
+    let direct_slow = slow.transfer_time(slow.peer_link(0, 1).unwrap(), probe);
+    assert!(slow.route_cost(0, 1, probe) < direct_slow);
+}
+
+#[test]
+fn host_only_all_gather_is_bit_identical_to_legacy_serial_bus() {
+    let p = pcie();
+    let ic = Interconnect::host_only(4, p);
+    let owned = [1200u64, 0, 96, 50_000];
+    let participates = [true, true, true, false];
+    let r = ic.price_all_gather(&owned, &participates);
+    let (serial_time, serial_bytes) = serial_bus_exchange(&p, &owned, &participates);
+    assert_eq!(r.makespan, serial_time, "host-only must reduce to the serial bus exactly");
+    assert_eq!(r.host_time, serial_time);
+    assert_eq!(r.host_bytes, serial_bytes);
+    assert_eq!(r.peer_bytes, 0);
+    assert_eq!(r.forwarded_bytes, 0);
+    assert_eq!(r.peer_time, 0.0);
+    // Payload counts each record once per receiving peer.
+    assert_eq!(r.payload_bytes, (1200 + 96) * 2);
+}
+
+#[test]
+fn uniform_clique_rides_every_batch_on_its_own_direction_queue() {
+    // On an all-to-all clique every ordered pair's batch is the only
+    // leg on its direct link's direction queue.
+    let p = pcie();
+    let spec = LinkSpec::nvlink();
+    let ic = Interconnect::build(TopologyKind::AllToAll, 4, p, spec);
+    let owned = [400u64, 900, 16, 120];
+    let participates = [true; 4];
+    let r = ic.price_all_gather(&owned, &participates);
+    let mut link_busy = vec![0.0f64; ic.num_links()];
+    for s in 0..4u32 {
+        for d in (0..4u32).filter(|&d| d != s) {
+            let l = ic.peer_link(s, d).unwrap();
+            link_busy[l] += spec.transfer_time(owned[s as usize]);
+        }
+    }
+    assert_eq!(r.makespan, spec.transfer_time(900), "the largest batch binds");
+    assert_eq!(r.per_link_busy, link_busy);
+    assert_eq!(r.host_bytes, 0);
+    assert_eq!(r.forwarded_bytes, 0);
+}
+
+#[test]
+fn payload_bytes_are_topology_invariant() {
+    let p = pcie();
+    let owned = [400u64, 900, 16, 0];
+    let participates = [true; 4];
+    let payloads: Vec<u64> = TopologyKind::ALL
+        .iter()
+        .map(|&k| {
+            Interconnect::build(k, 4, p, LinkSpec::nvlink())
+                .price_all_gather(&owned, &participates)
+                .payload_bytes
+        })
+        .collect();
+    assert_eq!(payloads[0], (400 + 900 + 16) * 3);
+    assert!(payloads.windows(2).all(|w| w[0] == w[1]), "{payloads:?}");
+}
+
+#[test]
+fn peer_links_offload_and_shorten_the_exchange() {
+    let p = pcie();
+    // Large enough batches that bandwidth, not launch latency or TLP
+    // quantisation, dominates (tiny copies price identically on every
+    // route, which is the realistic fixed-cost floor).
+    let owned = [256_000u64; 4];
+    let participates = [true; 4];
+    let host = Interconnect::build(TopologyKind::HostOnly, 4, p, LinkSpec::nvlink())
+        .price_all_gather(&owned, &participates);
+    let ring = Interconnect::build(TopologyKind::Ring, 4, p, LinkSpec::nvlink())
+        .price_all_gather(&owned, &participates);
+    let a2a = Interconnect::build(TopologyKind::AllToAll, 4, p, LinkSpec::nvlink())
+        .price_all_gather(&owned, &participates);
+    assert!(ring.makespan < host.makespan, "ring {} host {}", ring.makespan, host.makespan);
+    assert!(a2a.makespan <= ring.makespan, "a2a {} ring {}", a2a.makespan, ring.makespan);
+    assert!(ring.host_bytes < host.host_bytes);
+    assert_eq!(a2a.host_bytes, 0, "a clique never stages through the host");
+    assert!(a2a.peer_bytes > 0 && ring.peer_bytes > 0);
+    // Opposite ring pairs forward through a neighbour now.
+    assert!(ring.forwarded_bytes > 0);
+    assert_eq!(a2a.forwarded_bytes, 0, "a clique never forwards");
+}
+
+#[test]
+fn full_duplex_overlaps_the_symmetric_legs() {
+    // Two devices, one link, symmetric batches: each direction
+    // queue carries one leg, so the legs overlap exactly where one
+    // shared queue (the link's total wire occupancy) would have
+    // serialised them.
+    let owned = [64_000u64, 64_000];
+    let leg = LinkSpec::nvlink().transfer_time(64_000);
+    let full = Interconnect::build(TopologyKind::Ring, 2, pcie(), LinkSpec::nvlink())
+        .price_all_gather(&owned, &[true; 2]);
+    assert!((full.makespan - leg).abs() < EPS, "symmetric legs must overlap");
+    assert!((full.per_link_busy[1] - 2.0 * leg).abs() < EPS);
+}
+
+#[test]
+fn sparse_forwarded_exchange_cannot_undercut_its_hop_chain() {
+    // One publisher, one opposite-side receiver on a 4-ring: the
+    // batch crosses two hops that depend on each other, so even
+    // though each hop sits on its own otherwise-idle queue (no
+    // other leg shares them), the exchange takes two hop times, not
+    // one.
+    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
+    let b = 200_000u64;
+    let r = ic.price_all_gather(&[b, 0, 0, 0], &[true, false, true, false]);
+    let hop = LinkSpec::nvlink().transfer_time(b);
+    assert!((r.critical_path - 2.0 * hop).abs() < EPS);
+    assert!((r.makespan - 2.0 * hop).abs() < EPS, "hop precedence must floor the makespan");
+    let busiest = r.per_queue_busy.iter().fold(0.0f64, |a, &x| a.max(x));
+    assert!((busiest - hop).abs() < EPS, "each queue carries one hop");
+}
+
+#[test]
+fn forwarded_legs_price_as_the_sum_of_their_hops() {
+    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
+    let b = 100_000u64;
+    let hop = LinkSpec::nvlink().transfer_time(b);
+    // Distance-2 pair: cost is exactly two hops, never less (the
+    // triangle inequality over its legs).
+    assert!((ic.route_cost(0, 2, b) - 2.0 * hop).abs() < EPS);
+    assert!(ic.route_cost(0, 2, b) >= ic.route_cost(0, 1, b) - EPS);
+    // And the direct pair prices one hop.
+    assert!((ic.route_cost(0, 1, b) - hop).abs() < EPS);
+}
+
+#[test]
+fn mesh_builder_prices_mixed_generations_per_link() {
+    let p = pcie();
+    let fast = LinkSpec::with_nominal_bw(200.0e9);
+    let slow = LinkSpec::with_nominal_bw(25.0e9);
+    let ic = Interconnect::mesh(3, p, &[(0, 1, fast), (1, 2, slow)]);
+    assert_eq!(ic.kind(), TopologyKind::Mesh, "a sparse mesh is not a clique");
+    assert_eq!(ic.num_links(), 3);
+    // A mesh kind builds bare (host link only) from the uniform
+    // builder; its links come from the caller.
+    assert_eq!(Interconnect::build(TopologyKind::Mesh, 3, p, fast).num_links(), 1);
+    let b = 1 << 20;
+    let l01 = ic.peer_link(0, 1).unwrap();
+    let l12 = ic.peer_link(1, 2).unwrap();
+    assert!(ic.transfer_time(l01, b) < ic.transfer_time(l12, b));
+    // (0, 2) has no link: it forwards over both generations.
+    match ic.route(0, 2, ROUTE_PROBE_BYTES) {
+        Route::Forwarded(hops) => assert_eq!(hops, &vec![l01, l12]),
+        r => panic!("expected forwarding, got {r:?}"),
+    }
+    let expect = ic.transfer_time(l01, b) + ic.transfer_time(l12, b);
+    assert!((ic.route_cost(0, 2, b) - expect).abs() < EPS);
+}
+
+#[test]
+fn ring_with_specs_assigns_in_link_order() {
+    let p = pcie();
+    let specs =
+        [LinkSpec::with_nominal_bw(50.0e9), LinkSpec::nvlink(), LinkSpec::with_nominal_bw(100.0e9)];
+    let ic = Interconnect::ring_with_specs(3, p, &specs);
+    assert_eq!(ic.num_links(), 1 + 3);
+    let l20 = ic.peer_link(2, 0).unwrap();
+    let b = 1 << 20;
+    // Link (2, 0) carries the 100 GB/s spec and is the fastest.
+    for l in 1..ic.num_links() {
+        if l != l20 {
+            assert!(ic.transfer_time(l20, b) < ic.transfer_time(l, b) + EPS);
+        }
+    }
+}
+
+#[test]
+fn all_gather_degenerate_cases_are_free() {
+    let ic = Interconnect::build(TopologyKind::Ring, 3, pcie(), LinkSpec::nvlink());
+    // One participant: no peers.
+    let r = ic.price_all_gather(&[10, 0, 0], &[true, false, false]);
+    assert_eq!(r.makespan, 0.0);
+    assert_eq!(r.payload_bytes, 0);
+    // Nothing to publish.
+    let r = ic.price_all_gather(&[0, 0, 0], &[true, true, true]);
+    assert_eq!(r.makespan, 0.0);
+    assert_eq!((r.host_bytes, r.peer_bytes), (0, 0));
+}
+
+#[test]
+fn makespan_is_the_busiest_queue_floored_by_the_critical_path() {
+    let ic = Interconnect::build(TopologyKind::Ring, 5, pcie(), LinkSpec::nvlink());
+    let r = ic.price_all_gather(&[100, 2000, 3, 77, 900], &[true; 5]);
+    let max = r.per_queue_busy.iter().fold(0.0f64, |a, &b| a.max(b));
+    assert!((r.makespan - max.max(r.critical_path)).abs() < EPS);
+    for &busy in &r.per_queue_busy {
+        assert!(busy <= r.makespan + EPS);
+    }
+    // Per-link busy sums its direction queues and tiles the class
+    // totals.
+    let mut q = 0;
+    for (l, link) in ic.links().iter().enumerate() {
+        let n = if link.class == LinkClass::Peer { 2 } else { 1 };
+        let sum: f64 = r.per_queue_busy[q..q + n].iter().sum();
+        assert!((r.per_link_busy[l] - sum).abs() < EPS);
+        q += n;
+    }
+    let sum: f64 = r.per_link_busy.iter().sum();
+    assert!((sum - r.host_time - r.peer_time).abs() < EPS);
+}
+
+/// A 3-device mesh whose (0, 1) pair has a slow direct bridge beside
+/// a fast 2-hop detour: bulk batches should forward, tiny ones go
+/// direct (two hop latencies cost more than the slow wire).
+fn slow_direct_fast_detour() -> Interconnect {
+    let fast = LinkSpec::with_nominal_bw(50.0e9);
+    let slow = LinkSpec::with_nominal_bw(2.0e9);
+    Interconnect::mesh(3, pcie(), &[(0, 1, slow), (0, 2, fast), (1, 2, fast)])
+}
+
+#[test]
+fn breakpoint_ladder_is_sorted_deduped_and_defaults_to_the_single_probe() {
+    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
+    assert_eq!(ic.route_breakpoints(), &[ROUTE_PROBE_BYTES]);
+    let laddered = ic.clone().with_route_breakpoints(&[1 << 20, 4 << 10, 4 << 10, 64 << 20]);
+    assert_eq!(laddered.route_breakpoints(), &[4 << 10, 1 << 20, 64 << 20]);
+    // Re-probing at the single default size reproduces the default
+    // tables exactly.
+    let same = laddered.with_route_breakpoints(&[ROUTE_PROBE_BYTES]);
+    assert_eq!(same, ic);
+}
+
+#[test]
+fn sized_routes_let_tiny_batches_take_fewer_hops_than_bulk() {
+    let ic = slow_direct_fast_detour().with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
+    // Bandwidth-bound bulk forwards over the fast detour…
+    match ic.route(0, 1, 64 << 20) {
+        Route::Forwarded(hops) => assert_eq!(hops.len(), 2),
+        r => panic!("bulk should detour, got {r:?}"),
+    }
+    // …while the latency-bound tiny batch rides the slow wire
+    // directly (one launch beats two).
+    assert!(
+        matches!(ic.route(0, 1, 4 << 10), Route::Direct(_)),
+        "tiny batches should go direct, got {:?}",
+        ic.route(0, 1, 4 << 10)
+    );
+    // Each choice is the cheaper one at its own size.
+    let direct = ic.peer_link(0, 1).unwrap();
+    assert!(ic.route_cost(0, 1, 4 << 10) <= ic.transfer_time(direct, 4 << 10) + EPS);
+    assert!(ic.route_cost(0, 1, 64 << 20) < ic.transfer_time(direct, 64 << 20));
+    // Sizes between rungs round up to the next rung's table.
+    assert_eq!(ic.route(0, 1, (4 << 10) + 1), ic.route(0, 1, 64 << 10));
+    // Sizes above the top rung use the top table.
+    assert_eq!(ic.route(0, 1, 1 << 40), ic.route(0, 1, 64 << 20));
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "src == dst is never routed")]
+fn routing_a_device_to_itself_fails_loudly() {
+    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
+    let _ = ic.route(2, 2, ROUTE_PROBE_BYTES);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "out of range")]
+fn host_link_of_rejects_devices_the_topology_does_not_span() {
+    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
+    let _ = ic.host_link_of(4);
+}
+
+#[test]
+fn host_link_of_maps_every_spanned_device_to_the_root_complex() {
+    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
+    for d in 0..4 {
+        assert_eq!(ic.host_link_of(d), HOST_LINK);
+    }
+}
+
+#[test]
+fn cut_through_pipelines_a_long_detour_toward_the_bottleneck_hop() {
+    let b = 64 << 20;
+    let chunk = 4 << 20;
+    let saf_spec = LinkSpec::with_nominal_bw(50.0e9);
+    let ct_spec = saf_spec.with_cut_through(chunk);
+    let line = |s: LinkSpec| Interconnect::mesh(4, pcie(), &[(0, 1, s), (1, 2, s), (2, 3, s)]);
+    let saf = line(saf_spec);
+    let ct = line(ct_spec);
+    let hops: Vec<usize> = (0..3).map(|i| saf.peer_link(i, i + 1).unwrap()).collect();
+    // Store-and-forward prices the sum of the hops; cut-through the
+    // bottleneck stream plus a one-chunk ramp on the other hops.
+    let hop_t = saf_spec.transfer_time(b);
+    assert!((saf.chain_time(&hops, b) - 3.0 * hop_t).abs() < EPS);
+    let chunk_t = ct_spec.transfer_time(chunk);
+    let expect = 3.0 * chunk_t + (b / chunk - 1) as f64 * chunk_t;
+    assert!((ct.chain_time(&hops, b) - expect).abs() < EPS);
+    assert!(ct.chain_time(&hops, b) < saf.chain_time(&hops, b), "cut-through must win here");
+    // Chunks at least the batch degenerate to store-and-forward, and
+    // chunking never prices above it (the min clamps pathological
+    // per-chunk latency).
+    let huge = line(saf_spec.with_cut_through(b));
+    assert_eq!(huge.chain_time(&hops, b), saf.chain_time(&hops, b));
+    let tiny = line(saf_spec.with_cut_through(64));
+    assert!(tiny.chain_time(&hops, b) <= saf.chain_time(&hops, b) + EPS);
+}
+
+#[test]
+#[should_panic(expected = "cut-through chunks must be non-empty")]
+fn zero_cut_through_chunks_fail_at_build_time() {
+    // A zero chunk must be rejected when the spec is built, not
+    // divide-by-zero later in chain pricing.
+    let _ = LinkSpec::nvlink().with_cut_through(0);
+}
+
+#[test]
+fn cut_through_shrinks_the_sparse_detour_exchange_and_only_that() {
+    // One publisher, one far receiver on a 4-link line: the makespan
+    // is the 3-hop serialisation floor, which cut-through pipelines
+    // down toward the bottleneck hop. Wire occupancy, byte counts
+    // and payload stay identical.
+    let b = 64 << 20;
+    let spec = LinkSpec::with_nominal_bw(50.0e9);
+    let line = |s: LinkSpec| Interconnect::mesh(4, pcie(), &[(0, 1, s), (1, 2, s), (2, 3, s)]);
+    let owned = [b, 0, 0, 0];
+    let participates = [true, false, false, true];
+    let saf = line(spec).price_all_gather(&owned, &participates);
+    let ct = line(spec.with_cut_through(4 << 20)).price_all_gather(&owned, &participates);
+    assert!(ct.critical_path < saf.critical_path);
+    assert!(ct.makespan < saf.makespan, "ct {} !< saf {}", ct.makespan, saf.makespan);
+    assert_eq!(ct.per_link_busy, saf.per_link_busy, "same bytes cross every wire");
+    assert_eq!(ct.per_queue_busy, saf.per_queue_busy);
+    assert_eq!(ct.peer_bytes, saf.peer_bytes);
+    assert_eq!(ct.forwarded_bytes, saf.forwarded_bytes);
+    assert_eq!(ct.payload_bytes, saf.payload_bytes);
+}
+
+#[test]
+fn link_spec_scaling_shrinks_latency_only() {
+    let s = LinkSpec::nvlink();
+    let sc = s.scaled(10);
+    assert_eq!(sc.bandwidth, s.bandwidth);
+    assert_eq!(sc.cut_through, s.cut_through);
+    assert!((sc.latency - s.latency / 1024.0).abs() < 1e-18);
+    assert_eq!(s.transfer_time(0), 0.0);
+    assert!(s.transfer_time(1 << 20) > s.latency);
+}

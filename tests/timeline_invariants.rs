@@ -176,12 +176,6 @@ proptest! {
         for &b in &r.per_queue_busy {
             prop_assert!(b <= r.makespan + EPS);
         }
-        // The load-aware pass may re-route or split batches, but its
-        // makespan still respects the (per-fragment) chain floor and
-        // never exceeds the static pass.
-        let la = ic.price_all_gather_load_aware(&owned, &participates);
-        prop_assert!(la.makespan >= la.critical_path - EPS, "load-aware under its chain floor");
-        prop_assert!(la.makespan <= r.makespan + EPS);
         // A link's wire occupancy is the sum of its queues, and class
         // totals tile the per-link vector.
         let link_sum: f64 = r.per_link_busy.iter().sum();
