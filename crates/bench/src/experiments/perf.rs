@@ -15,7 +15,10 @@
 //!   [`super::session::batched_sweep`]);
 //! * since v3: the placement table — `EdgeBalanced` vs `CostDriven`
 //!   assignment on the skewed mixed-generation D=8 ring (see
-//!   [`super::placement::placement_sweep`]).
+//!   [`super::placement::placement_sweep`]);
+//! * since v4: every grid record carries its attribution — scheduled
+//!   units, bus busy time and exposed exchange — so a moved makespan can
+//!   be decomposed from the diff alone.
 //!
 //! Since v3 the run also **diffs against the committed baseline**: any
 //! matching `(dataset, algo, devices)` record whose simulated makespan
@@ -36,7 +39,7 @@ use serde::Serialize;
 use serde_json::Value;
 
 /// Schema tag for the emitted JSON, bumped on layout changes.
-pub const PERF_SCHEMA: &str = "hytgraph-perf-v3";
+pub const PERF_SCHEMA: &str = "hytgraph-perf-v4";
 
 /// Fractional `total_time` growth over the committed baseline that
 /// fails a non-smoke `repro perf` run (25%).
@@ -57,6 +60,15 @@ pub struct PerfRecord {
     pub total_time: f64,
     /// Priced inter-device exchange payload in bytes (0 at `D = 1`).
     pub exchange_bytes: u64,
+    /// Scheduled units: Σ `IterationStats::tasks` — combined tasks after
+    /// slicing by owning device (since v4).
+    pub scheduled_units: u64,
+    /// Σ per-device `transfer_time`, seconds: the run's bus busy time
+    /// (since v4).
+    pub bus_busy: f64,
+    /// Σ `exchange.time − exchange.hidden`, seconds: the exchange left on
+    /// the critical path (since v4).
+    pub exchange_exposed: f64,
 }
 
 /// One batched-vs-serial throughput cell (schema v2): width `B`
@@ -117,8 +129,9 @@ pub struct PerfBaseline {
 
 /// The fields of a committed baseline the regression gate needs. Parsed
 /// leniently from the dynamic [`Value`] tree — older schemas still
-/// yield their records, so the first v3 run diffs against the committed
-/// v2 file, and a malformed file degrades to "no baseline".
+/// yield their records (fields they predate read as 0), so the first v4
+/// run diffs against the committed v3 file, and a malformed file
+/// degrades to "no baseline".
 #[derive(Debug, Default)]
 struct CommittedBaseline {
     schema: String,
@@ -143,6 +156,9 @@ fn parse_committed(text: &str) -> CommittedBaseline {
                 iterations: r.get("iterations")?.as_u64()? as u32,
                 total_time: r.get("total_time")?.as_f64()?,
                 exchange_bytes: r.get("exchange_bytes")?.as_u64()?,
+                scheduled_units: r.get("scheduled_units").and_then(Value::as_u64).unwrap_or(0),
+                bus_busy: r.get("bus_busy").and_then(Value::as_f64).unwrap_or(0.0),
+                exchange_exposed: r.get("exchange_exposed").and_then(Value::as_f64).unwrap_or(0.0),
             })
         })
         .collect();
@@ -193,6 +209,7 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
                 cfg.num_devices = d;
                 cfg.threads = 1; // bit-reproducible host kernels
                 let m = run_algo_with_config(SystemKind::HyTGraph, algo, &g, cfg);
+                let its = &m.per_iteration;
                 records.push(PerfRecord {
                     dataset: ds.name().to_string(),
                     algo: algo.name().to_string(),
@@ -200,6 +217,13 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
                     iterations: m.iterations,
                     total_time: m.total_time,
                     exchange_bytes: m.counters.exchange_bytes,
+                    scheduled_units: its.iter().map(|it| it.tasks as u64).sum(),
+                    bus_busy: its
+                        .iter()
+                        .flat_map(|it| &it.per_device)
+                        .map(|dev| dev.transfer_time)
+                        .sum(),
+                    exchange_exposed: its.iter().map(|it| it.exchange.exposed()).sum(),
                 });
             }
         }
@@ -279,7 +303,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     }
     let mut t = Table::new(
         format!("Perf baseline ({}, {})", baseline.schema, baseline.system),
-        &["dataset", "algo", "D", "iters", "time", "exchange KB"],
+        &["dataset", "algo", "D", "iters", "time", "exchange KB", "units", "bus", "exposed exch"],
     );
     for r in &baseline.records {
         t.row(vec![
@@ -289,6 +313,9 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             r.iterations.to_string(),
             secs(r.total_time),
             format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
+            r.scheduled_units.to_string(),
+            secs(r.bus_busy),
+            secs(r.exchange_exposed),
         ]);
     }
     let mut b = Table::new(

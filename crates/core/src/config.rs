@@ -57,7 +57,12 @@ pub struct HyTGraphConfig {
     pub select_params: SelectParams,
     /// Partition byte budget (default: 32 MB scaled by [`SCALE_SHIFT`]).
     pub partition_bytes: u64,
-    /// Task-combining width `k` (paper: 4).
+    /// Task-combining width `k` (paper: 4). The default is
+    /// [`hyt_graph::COMBINE_RUN`], the run length the edge-balanced
+    /// placement deals to one device, so at `D > 1` a combined run stays
+    /// one copy. Any other `k` still runs correctly with identical
+    /// values; combined runs that span devices are only sliced into one
+    /// copy per owning device.
     pub combine_k: usize,
     /// Enable the task combiner (Fig. 8 "TC").
     pub task_combining: bool,
@@ -136,7 +141,7 @@ impl Default for HyTGraphConfig {
             selection: Selection::Hybrid,
             select_params: SelectParams::default(),
             partition_bytes: PAPER_PARTITION_BYTES >> SCALE_SHIFT,
-            combine_k: 4,
+            combine_k: hyt_graph::COMBINE_RUN,
             task_combining: true,
             contribution_scheduling: true,
             hub_fraction: hyt_graph::hub_sort::HUB_FRACTION,

@@ -106,7 +106,6 @@ pub(crate) fn build_placement(
     interconnect: &Interconnect,
     working: &Csr,
     parts: &PartitionSet,
-    num_hubs: u32,
 ) -> (Option<AffinityMatrix>, DevicePlan) {
     let nd = config.num_devices.max(1) as u32;
     let wants_affinity = nd > 1
@@ -133,7 +132,7 @@ pub(crate) fn build_placement(
         }
         // CostDriven past the dense cap (or at D = 1) degrades to its
         // documented edge-balanced fallback inside DevicePlan::build.
-        (assignment, _) => DevicePlan::build(parts, nd, assignment, num_hubs),
+        (assignment, _) => DevicePlan::build(parts, nd, assignment, 0),
     };
     (affinity, devices)
 }

@@ -233,9 +233,8 @@ impl HyTGraphSystem {
     fn compact_now(&mut self) {
         let new_base = self.graph.compact();
         let parts = PartitionSet::build(&new_base, self.config.partition_bytes);
-        let num_hubs = self.hub.as_ref().map_or(0, |h| h.num_hubs);
         let (affinity, devices) =
-            build_placement(&self.config, &self.interconnect, &new_base, &parts, num_hubs);
+            build_placement(&self.config, &self.interconnect, &new_base, &parts);
         self.graph = DeltaCsr::with_partitions(new_base, &parts);
         self.migration.reset(affinity, parts.len());
         self.shard_holders = shard_holders(&devices, parts.len());

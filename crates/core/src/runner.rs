@@ -25,14 +25,18 @@
 //! # Multi-device sharding
 //!
 //! With `config.num_devices > 1` the partitions are statically assigned to
-//! `D` simulated GPUs (see [`hyt_graph::DevicePlan`]) and every combined
-//! task is *sliced* by owning device: each device prices its slice with
-//! its own engines (per-device unified-memory caches and Grus budgets of
-//! `edge_budget / D`) and schedules it on its own streams, while all
-//! devices contend for the configured [`Interconnect`]'s links and one
-//! host compaction pool ([`MultiGpuSim`]). Between iterations a routed
-//! all-gather publishes every device's newly-activated owned vertices
-//! (id + 64-bit value) to the peers along each pair's cheapest path: a
+//! `D` simulated GPUs (see [`hyt_graph::DevicePlan`]) in aligned runs of
+//! up to [`hyt_graph::COMBINE_RUN`] consecutive partitions, so a combined
+//! filter task inside one run stays one copy on one device. A task whose
+//! members span devices — the merged compaction and zero-copy tasks, a
+//! filter run straddling two placement runs, any run under a non-default
+//! `combine_k` — is *sliced* by owning device. Each device prices its
+//! slice with its own engines (per-device unified-memory caches and Grus
+//! budgets of `edge_budget / D`) and schedules it on its own streams,
+//! while all devices contend for the configured [`Interconnect`]'s links
+//! and one host compaction pool ([`MultiGpuSim`]). Between iterations a
+//! routed all-gather publishes every device's newly-activated owned
+//! vertices (id + 64-bit value) to the peers along each pair's cheapest path: a
 //! direct NVLink-class peer link (`config.topology` ring / all-to-all,
 //! optionally re-priced per link by `config.link_overrides`), a
 //! forwarded device-via-device multi-hop path, or staging through the
@@ -177,7 +181,6 @@ pub(crate) struct HubOrder {
     perm: Vec<VertexId>,
     /// `inv[new_id] = old_id`.
     inv: Vec<VertexId>,
-    pub(crate) num_hubs: u32,
 }
 
 impl HubOrder {
@@ -228,13 +231,12 @@ impl HyTGraphSystem {
     pub fn new(graph: Csr, config: HyTGraphConfig) -> Self {
         let (working, hub) = if config.contribution_scheduling {
             let sorted = hub_sort::hub_sort_with_fraction(&graph, config.hub_fraction);
-            let order = HubOrder { perm: sorted.perm, inv: sorted.inv, num_hubs: sorted.num_hubs };
+            let order = HubOrder { perm: sorted.perm, inv: sorted.inv };
             (sorted.graph, Some(order))
         } else {
             (graph, None)
         };
         let parts = PartitionSet::build(&working, config.partition_bytes);
-        let num_hubs = hub.as_ref().map_or(0, |h| h.num_hubs);
         let nd = config.num_devices.max(1) as u32;
         let mut interconnect = Interconnect::build(
             config.topology,
@@ -246,8 +248,7 @@ impl HyTGraphSystem {
             interconnect = interconnect.with_link_spec(a, b, spec);
         }
         let interconnect = interconnect.with_route_breakpoints(&ROUTE_LADDER);
-        let (affinity, devices) =
-            build_placement(&config, &interconnect, &working, &parts, num_hubs);
+        let (affinity, devices) = build_placement(&config, &interconnect, &working, &parts);
         let shard_holders = shard_holders(&devices, parts.len());
         let nd = devices.num_devices() as usize;
         let sim = MultiGpuSim::with_interconnect(nd, config.num_streams, interconnect.clone());
@@ -466,8 +467,9 @@ impl HyTGraphSystem {
     ///
     /// Kernels run in the global priority order regardless of `D` — the
     /// per-iteration barrier makes placement invisible to the computed
-    /// values — while pricing slices every combined task by owning device
-    /// and plays the slices on per-device timelines behind the shared bus.
+    /// values — while pricing slices each combined task by owning device
+    /// (one slice when the task lies on one device) and plays the slices
+    /// on per-device timelines behind the shared bus.
     fn run_iteration_gpu<P: VertexProgram>(
         &self,
         program: &P,

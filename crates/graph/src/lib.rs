@@ -53,7 +53,7 @@ pub use error::{GraphError, MAX_EDGE_MULTIPLICITY};
 pub use frontier::Frontier;
 pub use generators::GraphBuilder;
 pub use hub_sort::{hub_sort, HubSortResult};
-pub use partition::{DeviceAssignment, DevicePlan, Partition, PartitionSet};
+pub use partition::{DeviceAssignment, DevicePlan, Partition, PartitionSet, COMBINE_RUN};
 pub use placement::{placement_score, plan_cost_driven, AffinityMatrix, PlacementPricer};
 
 /// Vertex identifier. The paper assumes 4-byte vertex ids (`d1 = 4`), and so

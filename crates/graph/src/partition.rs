@@ -153,21 +153,28 @@ impl PartitionSet {
     }
 }
 
+/// Consecutive partitions dealt to one device as a unit under
+/// [`DeviceAssignment::EdgeBalanced`]: the paper's task-combining width
+/// `k = 4` (Algorithm 1 lines 15–24). The combiner merges up to `k`
+/// consecutive ExpTM-filter partitions into one copy, and a run split
+/// across devices is sliced back into per-device copies, so the placement
+/// deals in runs of the same width. `HyTGraphConfig::default().combine_k`
+/// is defined from this constant.
+pub const COMBINE_RUN: usize = 4;
+
 /// How partitions are assigned to simulated devices in a multi-GPU run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceAssignment {
-    /// Weighted round-robin: partitions are dealt, in id order, to the
-    /// device with the least accumulated edge weight (ties to the lowest
-    /// device id). Keeps per-device edge loads within one partition of
-    /// each other without reordering partitions.
+    /// Weighted round-robin over runs: partition ids are cut into aligned
+    /// runs `[r·run, (r+1)·run)` with `run = min(COMBINE_RUN, max(1,
+    /// P / D))`, and each run is dealt, in id order, to the device with
+    /// the least accumulated edge weight (ties to the lowest device id).
+    /// A combined filter task inside one run therefore stays on one
+    /// device, and per-device edge loads stay within one run of each
+    /// other. The clamp leaves at least `D` runs whenever `P ≥ D`, so a
+    /// small graph still spreads over every device instead of piling
+    /// onto the first few.
     EdgeBalanced,
-    /// Hub-aware: partitions containing hub vertices (the hub-sorted
-    /// prefix of the id space) are dealt strictly round-robin so every
-    /// device owns an equal share of the high-contribution partitions its
-    /// scheduler prioritises; the non-hub tail is then edge-balanced.
-    /// Falls back to [`DeviceAssignment::EdgeBalanced`] when the graph was
-    /// not hub-sorted (no hub prefix).
-    HubAware,
     /// Cost-driven: placements are *priced*, not positional. The planner
     /// ([`crate::placement::plan_cost_driven`]) scores candidate
     /// assignments with the partition-affinity matrix (expected exchange
@@ -200,29 +207,32 @@ pub struct DevicePlan {
 }
 
 impl DevicePlan {
-    /// Assign `parts` to `num_devices` devices (minimum 1) under
-    /// `assignment`. `num_hub_vertices` is the length of the hub-sorted
-    /// prefix of the vertex id space (0 when the graph is not hub-sorted);
-    /// only [`DeviceAssignment::HubAware`] reads it.
-    /// [`DeviceAssignment::CostDriven`] resolves to the edge-balanced
-    /// seed here (see its docs); the routed refinement needs a pricer.
+    /// Deal `parts` to `num_devices` devices (minimum 1) in the
+    /// edge-balanced runs of [`DeviceAssignment::EdgeBalanced`]. Both
+    /// variants build that plan: [`DeviceAssignment::CostDriven`]
+    /// resolves to it here (see its docs), because the routed refinement
+    /// needs a pricer. The last two arguments are therefore unread;
+    /// they stay because the frozen `wall` harness passes them (ROADMAP,
+    /// `wall` v2 item (a)).
+    ///
+    /// At `D = 1` every run lands on device 0, the single-device plan.
     ///
     /// # More devices than partitions
     ///
     /// With `num_devices > parts.len()` there is not enough work to go
-    /// around: both positional policies fill devices from the low ids up
-    /// (least-loaded ties break to the lowest id; the hub deal starts at
-    /// device 0), so the spare `num_devices − parts.len()` **highest**
-    /// device ids end the build owning no partition and carrying zero
-    /// load. Spares stay priced out of the run — the runner excludes
-    /// devices without a shard from the exchange — but they still size
-    /// the interconnect and split the per-device edge budget. A debug
-    /// assertion holds the build to this shape.
+    /// around: runs are single partitions and fill devices from the low
+    /// ids up (least-loaded ties break to the lowest id), so the spare
+    /// `num_devices − parts.len()` **highest** device ids end the build
+    /// owning no partition and carrying zero load. Spares stay priced
+    /// out of the run — the runner excludes devices without a shard from
+    /// the exchange — but they still size the interconnect and split the
+    /// per-device edge budget. A debug assertion holds the build to this
+    /// shape.
     pub fn build(
         parts: &PartitionSet,
         num_devices: u32,
-        assignment: DeviceAssignment,
-        num_hub_vertices: u32,
+        _assignment: DeviceAssignment,
+        _num_hub_vertices: u32,
     ) -> DevicePlan {
         let d = num_devices.max(1);
         let mut plan = DevicePlan {
@@ -230,18 +240,13 @@ impl DevicePlan {
             device_of: vec![0; parts.len()],
             loads: vec![0; d as usize],
         };
-        let mut dealt = 0u32; // hub partitions dealt round-robin so far
-        for p in parts.partitions() {
-            let dev = match assignment {
-                DeviceAssignment::HubAware if p.first_vertex < num_hub_vertices => {
-                    let dev = dealt % d;
-                    dealt += 1;
-                    dev
-                }
-                _ => plan.least_loaded(),
-            };
-            plan.device_of[p.id as usize] = dev;
-            plan.loads[dev as usize] += p.num_edges();
+        let run = COMBINE_RUN.min((parts.len() / d as usize).max(1));
+        for chunk in parts.partitions().chunks(run) {
+            let dev = plan.least_loaded();
+            for p in chunk {
+                plan.device_of[p.id as usize] = dev;
+                plan.loads[dev as usize] += p.num_edges();
+            }
         }
         debug_assert!(
             plan.device_of.iter().all(|&dev| (dev as usize) < parts.len().min(d as usize)),
@@ -434,41 +439,66 @@ mod tests {
         }
     }
 
+    /// Edges of the heaviest aligned run of `run` partitions.
+    fn max_run_edges(ps: &PartitionSet, run: usize) -> u64 {
+        ps.partitions().chunks(run).map(|c| c.iter().map(Partition::num_edges).sum()).max().unwrap()
+    }
+
     #[test]
     fn edge_balanced_loads_stay_close() {
         let g = generators::erdos_renyi(4096, 65_536, 1, false);
         let ps = PartitionSet::build_count(&g, 32);
         let plan = DevicePlan::build(&ps, 4, DeviceAssignment::EdgeBalanced, 0);
-        let max_part = ps.partitions().iter().map(Partition::num_edges).max().unwrap();
+        let max_run = max_run_edges(&ps, COMBINE_RUN);
         let loads: Vec<u64> = (0..4).map(|d| plan.load(d)).collect();
         let (lo, hi) = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
-        // Greedy least-loaded keeps the spread within one partition.
-        assert!(hi - lo <= max_part, "loads {loads:?}, max partition {max_part}");
+        // Greedy least-loaded over runs keeps the spread within one run.
+        assert!(hi - lo <= max_run, "loads {loads:?}, max run {max_run}");
     }
 
     #[test]
-    fn hub_aware_spreads_the_hub_prefix() {
-        let g = generators::rmat(10, 8.0, 5, true);
-        let ps = PartitionSet::build_count(&g, 16);
-        // Pretend the first 4 partitions' vertex prefix is hubs.
-        let num_hubs = ps.get(3).end_vertex;
-        let plan = DevicePlan::build(&ps, 4, DeviceAssignment::HubAware, num_hubs);
-        let hub_devices: Vec<u32> = (0..4).map(|p| plan.device_of(p)).collect();
-        let mut sorted = hub_devices.clone();
-        sorted.sort_unstable();
-        // One hub partition per device.
-        assert_eq!(sorted, vec![0, 1, 2, 3], "hub partitions on {hub_devices:?}");
-    }
-
-    #[test]
-    fn hub_aware_without_hubs_equals_edge_balanced() {
-        let g = generators::rmat(9, 6.0, 7, false);
-        let ps = PartitionSet::build_count(&g, 12);
-        let a = DevicePlan::build(&ps, 3, DeviceAssignment::HubAware, 0);
-        let b = DevicePlan::build(&ps, 3, DeviceAssignment::EdgeBalanced, 0);
-        for p in 0..ps.len() as u32 {
-            assert_eq!(a.device_of(p), b.device_of(p));
+    fn edge_balanced_keeps_every_aligned_run_on_one_device() {
+        let g = generators::rmat(11, 8.0, 3, true);
+        for d in [2u32, 4, 8] {
+            let ps = PartitionSet::build_count(&g, 6 * COMBINE_RUN as u32 * d);
+            assert!(ps.len() >= COMBINE_RUN * d as usize, "{} partitions at D={d}", ps.len());
+            let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
+            let ids: Vec<u32> = (0..ps.len() as u32).collect();
+            for run in ids.chunks(COMBINE_RUN) {
+                let dev = plan.device_of(run[0]);
+                assert!(
+                    run.iter().all(|&p| plan.device_of(p) == dev),
+                    "run {run:?} split at D={d}"
+                );
+            }
+            let max_run = max_run_edges(&ps, COMBINE_RUN);
+            let loads: Vec<u64> = (0..d).map(|dev| plan.load(dev)).collect();
+            let (lo, hi) = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
+            assert!(hi - lo <= max_run, "D={d}: loads {loads:?}, max run {max_run}");
         }
+    }
+
+    #[test]
+    fn edge_balanced_run_clamp_reaches_every_device() {
+        // D ≤ P < COMBINE_RUN·D: unclamped runs of COMBINE_RUN would
+        // leave devices empty; the clamp shortens runs to P / D.
+        let g = generators::rmat(10, 8.0, 5, true);
+        let mut checked = 0;
+        for d in [2u32, 3, 4, 8] {
+            for target in [d, d + 1, 2 * d, COMBINE_RUN as u32 * d - 1] {
+                let ps = PartitionSet::build_count(&g, target);
+                let p = ps.len();
+                if p < d as usize || p >= COMBINE_RUN * d as usize {
+                    continue;
+                }
+                let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
+                for dev in 0..d {
+                    assert!(!plan.partitions_on(dev).is_empty(), "device {dev} empty, P={p} D={d}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 8, "only {checked} (P, D) shapes fell in the clamp range");
     }
 
     #[test]
@@ -496,18 +526,14 @@ mod tests {
     fn spare_devices_are_the_highest_ids_under_every_policy() {
         // Documented behaviour for num_devices > partitions.len(): the
         // low device ids are filled first, the spare top ids own nothing
-        // and carry zero load — for both positional policies and for the
+        // and carry zero load — for the positional policy and for the
         // pricer-less CostDriven fallback.
         let g = generators::rmat(8, 6.0, 2, true);
         let ps = PartitionSet::build_count(&g, 3);
         let n = ps.len() as u32;
         let d = n + 5;
-        for assignment in [
-            DeviceAssignment::EdgeBalanced,
-            DeviceAssignment::HubAware,
-            DeviceAssignment::CostDriven,
-        ] {
-            let plan = DevicePlan::build(&ps, d, assignment, ps.get(0).end_vertex);
+        for assignment in [DeviceAssignment::EdgeBalanced, DeviceAssignment::CostDriven] {
+            let plan = DevicePlan::build(&ps, d, assignment, 0);
             for p in 0..n {
                 assert!(plan.device_of(p) < n, "{assignment:?} assigned past the partition count");
             }

@@ -1,11 +1,12 @@
 //! Cost-driven topology-aware placement: price placements, don't guess
 //! them.
 //!
-//! [`crate::DeviceAssignment::EdgeBalanced`] and `HubAware` are
-//! *positional* policies — they balance edge counts and hub shares but
-//! are blind to what the placement costs on a real fabric, so they
-//! happily scatter chatty partition pairs across slow bridges and make
-//! every multi-device run pay routed exchange for it. This module turns
+//! [`crate::DeviceAssignment::EdgeBalanced`] is a *positional* policy —
+//! it deals runs of [`crate::COMBINE_RUN`] consecutive partitions so
+//! combined copies stay whole and edge counts balance, but it is blind to
+//! what the placement costs on a real fabric, so it happily scatters
+//! chatty partition pairs across slow bridges and makes every
+//! multi-device run pay routed exchange for it. This module turns
 //! placement into a priced optimisation:
 //!
 //! 1. [`AffinityMatrix`] estimates, from the CSR cut structure alone,
@@ -32,10 +33,13 @@
 //!    `Interconnect::route`-based transfer costs.
 //!
 //! The planner is **never priced worse than the edge-balanced seed** by
-//! construction (it keeps whichever of {refined plan, edge-balanced
-//! seed} scores lower, ties to the seed), and on a *uniform* fabric —
-//! host-only, or identical links between every pair, where locality is
-//! fiction — it returns the edge-balanced plan bit-identically.
+//! construction (it keeps whichever of {refined plan, run-dealt
+//! edge-balanced seed} scores lower, ties to the seed), and on a
+//! *uniform* fabric — host-only, or identical links between every pair,
+//! where locality is fiction — it returns the edge-balanced plan
+//! bit-identically. The score has no transfer or fragmentation term: a
+//! refined plan that splits combinable runs is not charged for the
+//! extra copies (ROADMAP, device-scaling item).
 
 use crate::{Csr, DeviceAssignment, DevicePlan, PartitionSet};
 
