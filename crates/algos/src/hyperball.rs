@@ -39,6 +39,11 @@
 //! zero-copy ship exactly the changed vertices (the systolic update),
 //! with the switch decided per partition by formulas (1)–(3) instead of
 //! a global heuristic.
+//!
+//! Between devices the other half of "propagate only changed counters"
+//! holds per register: a published sketch prices a register bitmap plus
+//! the registers that rose this iteration, or the whole sketch when
+//! that is smaller (`VertexValue::wire_bytes_since`).
 
 use hyt_core::api::{EdgeCtx, InitialFrontier, VertexProgram, VertexValue};
 use hyt_core::{AsyncMode, HyTGraphConfig, HyTGraphSystem, RunResult};
@@ -81,6 +86,15 @@ fn splitmix64(v: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Non-zero bytes of `x`: fold each byte's bits into its low bit, then
+/// count the low bits.
+fn nonzero_bytes(x: u64) -> u64 {
+    let mut t = x | (x >> 4);
+    t |= t >> 2;
+    t |= t >> 1;
+    u64::from((t & 0x0101_0101_0101_0101).count_ones())
 }
 
 /// The interface shared by the whole precision family, letting
@@ -152,6 +166,11 @@ macro_rules! hll_precisions {
                 (self.lanes[j / 8] >> (8 * (j % 8))) as u8
             }
 
+            /// Registers that differ from `old`'s.
+            fn changed_registers(&self, old: &$name) -> u64 {
+                self.lanes.iter().zip(old.lanes.iter()).map(|(&a, &b)| nonzero_bytes(a ^ b)).sum()
+            }
+
             /// Element-wise register maximum — commutative, associative,
             /// idempotent, and monotone per lane (each register only
             /// grows), which is what makes lock-free torn reads of the
@@ -199,6 +218,16 @@ macro_rules! hll_precisions {
         impl VertexValue for $name {
             const LANES: usize = Self::SKETCH_LANES;
             const WIRE_BYTES: u64 = Self::REGISTERS as u64;
+
+            /// A `REGISTERS / 8`-byte bitmap of the changed registers plus
+            /// one byte per changed register, or the whole sketch when
+            /// that is smaller (a flag bit in the record's id says which).
+            /// Exact because register-max only raises registers, so the
+            /// changed ones rebuild `self` on a replica holding `old`.
+            fn wire_bytes_since(&self, old: &Self) -> u64 {
+                let sparse = Self::REGISTERS as u64 / 8 + self.changed_registers(old);
+                sparse.min(Self::WIRE_BYTES)
+            }
 
             fn to_bits(self) -> u64 {
                 unreachable!("wide values use the lane interface")
@@ -387,7 +416,7 @@ pub fn run_hyperball(graph: Csr, config: HyTGraphConfig) -> HyperBallResult {
 /// forcing synchronous mode (radius semantics; see [`HyperBallP`]).
 /// In-distance conventions — transpose the graph first for
 /// out-distances. Precision trades exchange bytes for accuracy: every
-/// published vertex ships `S::REGISTERS` wire bytes against a
+/// published vertex ships up to `S::REGISTERS` wire bytes against a
 /// per-counter error of [`HllValue::rse`].
 pub fn run_hyperball_with<S: HllValue>(graph: Csr, config: HyTGraphConfig) -> HyperBallResult<S> {
     let config = HyTGraphConfig { async_mode: AsyncMode::Sync, ..config };
@@ -478,6 +507,44 @@ mod tests {
         check::<HllP10>();
         check::<HllP11>();
         check::<HllP12>();
+    }
+
+    /// ISSUE 26: a changed-register record is a `R/8`-byte bitmap plus
+    /// one byte per changed register, capped at the full sketch.
+    #[test]
+    fn wire_bytes_since_prices_bitmap_plus_changed_registers() {
+        fn check<S: HllValue>() {
+            let r = S::REGISTERS as u64;
+            let empty = S::empty();
+            let one = S::singleton(7);
+            let all = S::load_lanes(&vec![0x0101_0101_0101_0101; S::LANES]);
+            assert_eq!(one.wire_bytes_since(&one), r / 8, "p={} unchanged", S::P);
+            assert_eq!(one.wire_bytes_since(&empty), r / 8 + 1, "p={} one raised", S::P);
+            assert_eq!(all.wire_bytes_since(&empty), r, "p={} all raised", S::P);
+            for (new, old) in [(one, empty), (all, empty), (all, one), (empty, empty)] {
+                assert!(new.wire_bytes_since(&old) <= S::WIRE_BYTES, "p={}", S::P);
+            }
+        }
+        check::<HllP4>();
+        check::<HllP5>();
+        check::<HllP6>();
+        check::<HllP7>();
+        check::<HllP8>();
+        check::<HllP9>();
+        check::<HllP10>();
+        check::<HllP11>();
+        check::<HllP12>();
+    }
+
+    #[test]
+    fn nonzero_bytes_counts_each_byte_once() {
+        assert_eq!(nonzero_bytes(0), 0);
+        assert_eq!(nonzero_bytes(0x80), 1);
+        assert_eq!(nonzero_bytes(0x0100_0000_0000_00FF), 2);
+        assert_eq!(nonzero_bytes(u64::MAX), 8);
+        for k in 0..8 {
+            assert_eq!(nonzero_bytes(1 << (8 * k + 7)), 1, "byte {k} high bit");
+        }
     }
 
     #[test]

@@ -574,6 +574,40 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
+    // ISSUE 26: the wide exchange ships only changed registers — a sync
+    // HyperBall record is id + register bitmap + the registers that rose,
+    // so on SK at D=8 the priced payload stays under 0.7x what the same
+    // records cost at the full 68 bytes, with registers bit-identical to
+    // D=1.
+    {
+        use hyt_algos::hyperball::run_hyperball;
+        const MAX_SHARE: f64 = 0.7;
+        let g = ctx.graph(DatasetId::Sk);
+        let run = |d: usize| {
+            let mut cfg = SystemKind::HyTGraph.configure(base_config());
+            cfg.num_devices = d;
+            cfg.threads = 1;
+            run_hyperball(g.clone(), cfg).run
+        };
+        let (r1, r8) = (run(1), run(8));
+        let records: u64 = r8.per_iteration.iter().map(|it| it.exchange.records).sum();
+        let full = records * r8.value_layout.record_bytes();
+        let shipped = r8.counters.exchange_bytes;
+        let share = shipped as f64 / full as f64;
+        let identical = r1.values == r8.values;
+        out.push(CheckResult::new(
+            "Wide exchange ships changed registers only: SK/HB D=8 bytes < 0.7x full records",
+            records > 0 && share < MAX_SHARE && identical,
+            format!(
+                "{records} records: {:.2} MB shipped vs {:.2} MB as full {} B records \
+                 ({share:.2}x); registers match D=1: {identical}",
+                shipped as f64 / 1e6,
+                full as f64 / 1e6,
+                r8.value_layout.record_bytes()
+            ),
+        ));
+    }
+
     // ISSUE 7: coalescing — batching 8 hub-anchored traversals into one
     // multi-source run answers every lane bit-identically to the serial
     // run it replaces AND strictly cuts the total exchanged payload

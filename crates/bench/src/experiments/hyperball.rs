@@ -7,9 +7,10 @@
 //! 1. **Accuracy** — the sketched neighbourhood function per radius
 //!    against the exact all-pairs-BFS oracle, with the standard HLL
 //!    relative-error budget (`4σ`, `σ = 1.04/√64`).
-//! 2. **Width-aware sharding** — `D ∈ {1, 2, 4, 8}`: the exchange is
-//!    priced at 68 bytes/record (id + 64 register bytes) instead of the
-//!    narrow 12, while the registers stay bit-identical to `D = 1`.
+//! 2. **Width-aware sharding** — `D ∈ {1, 2, 4, 8}`: a record is at most
+//!    68 bytes (id + 64 register bytes) instead of the narrow 12, and
+//!    since ISSUE 26 only id + 8-byte bitmap + the raised registers when
+//!    that is smaller, while the registers stay bit-identical to `D = 1`.
 //!
 //! Set `REPRO_SMOKE=1` for a smaller graph in CI.
 
@@ -79,12 +80,12 @@ pub fn run(_ctx: &mut Ctx) -> Vec<Table> {
     let layout = r.run.value_layout;
     let mut t = Table::new(
         format!(
-            "HyperBall sharding (record {} B = {} id + {} registers)",
+            "HyperBall sharding (full record {} B = {} id + {} registers)",
             layout.record_bytes(),
             layout.record_bytes() - layout.wire_bytes,
             layout.wire_bytes
         ),
-        &["D", "time", "iters", "exchange KB", "records", "registers==D1"],
+        &["D", "time", "iters", "exchange KB", "records", "B/record", "registers==D1"],
     );
     let mut baseline: Option<Vec<HllSketch>> = None;
     for d in [1usize, 2, 4, 8] {
@@ -101,12 +102,14 @@ pub fn run(_ctx: &mut Ctx) -> Vec<Table> {
             Some(b) => *b == rd.run.values,
         };
         let x = rd.run.counters.exchange_bytes;
+        let records: u64 = rd.run.per_iteration.iter().map(|it| it.exchange.records).sum();
         t.row(vec![
             d.to_string(),
             secs(rd.run.total_time),
             rd.run.iterations.to_string(),
             format!("{:.1}", x as f64 / 1024.0),
-            (x / layout.record_bytes()).to_string(),
+            records.to_string(),
+            if records == 0 { "-".into() } else { format!("{:.1}", x as f64 / records as f64) },
             if identical { "yes".into() } else { "NO".into() },
         ]);
     }

@@ -163,6 +163,17 @@ pub trait VertexValue: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'stati
     /// (e.g. 64 one-byte HLL registers) override it.
     const WIRE_BYTES: u64 = 8;
 
+    /// Bytes of state a record must carry to turn a replica holding `old`
+    /// into `self` (alongside [`EXCHANGE_ID_BYTES`] of id). The sync
+    /// exchange prices each published vertex with this against its
+    /// iteration-start value, which every replica already holds. Defaults
+    /// to the full [`WIRE_BYTES`](VertexValue::WIRE_BYTES); HLL sketches
+    /// override it to ship only the registers that rose.
+    fn wire_bytes_since(&self, old: &Self) -> u64 {
+        let _ = old;
+        Self::WIRE_BYTES
+    }
+
     /// Encode into the atomic cell (single-lane values).
     fn to_bits(self) -> u64;
     /// Decode from the atomic cell (single-lane values).

@@ -186,7 +186,9 @@ impl HyTGraphSystem {
         }
         // Static coupling is estimated with the narrow record; rescale to
         // the running program's wire record so the savings and the copy
-        // are priced in the same currency.
+        // are priced in the same currency. For sketch programs in sync
+        // runs the full record is an upper bound: their records carry
+        // only the changed registers (`VertexValue::wire_bytes_since`).
         let rb_ratio = layout.record_bytes() as f64 / EXCHANGE_RECORD_BYTES as f64;
         let route = |src: u32, dst: u32, bytes: f64| {
             if src == dst || bytes <= 0.0 {

@@ -36,7 +36,8 @@
 //! while all devices contend for the configured [`Interconnect`]'s links
 //! and one host compaction pool ([`MultiGpuSim`]). Between iterations a
 //! routed all-gather publishes every device's newly-activated owned
-//! vertices (id + 64-bit value) to the peers along each pair's cheapest path: a
+//! vertices (id + value, or id + changed registers for a sync HLL
+//! sketch) to the peers along each pair's cheapest path: a
 //! direct NVLink-class peer link (`config.topology` ring / all-to-all,
 //! optionally re-priced per link by `config.link_overrides`), a
 //! forwarded device-via-device multi-hop path, or staging through the
@@ -55,7 +56,9 @@
 //! deliberately changes engine choices with `D`. The differential suite
 //! in `tests/multi_gpu.rs` holds the runner to those claims.
 
-use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram};
+use crate::api::{
+    InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue, EXCHANGE_ID_BYTES,
+};
 use crate::combine::{combine_tasks_sized, CombinedTask};
 use crate::config::{AsyncMode, HyTGraphConfig, ROUTE_LADDER};
 use crate::grus::GrusResidency;
@@ -635,8 +638,13 @@ impl HyTGraphSystem {
         // restricted to that device — per-device priority ordering for
         // free. Play them against the interconnect's contention queues.
         let timeline = self.sim.schedule(&dev_tasks);
-        let exchange_report =
-            self.price_exchange(&next, &mut state.exchange_owned, layout.record_bytes());
+        let (exchange_report, records) = self.price_exchange(
+            &next,
+            &mut state.exchange_owned,
+            values,
+            snapshot.as_deref(),
+            layout.record_bytes(),
+        );
         counters.exchange_bytes += exchange_report.payload_bytes;
         // The exchange hides under the next iteration's cost analysis:
         // only the residual stays on the critical path. The overlap is
@@ -651,7 +659,7 @@ impl HyTGraphSystem {
         // (`hidden` = 0) and the driver patches it once the successor
         // has sized the window.
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
-        let exchange = ExchangeStats::from(&exchange_report);
+        let exchange = ExchangeStats { records, ..ExchangeStats::from(&exchange_report) };
 
         let per_device: Vec<DeviceIterationStats> = (0..nd)
             .map(|d| DeviceIterationStats {
@@ -700,26 +708,44 @@ impl HyTGraphSystem {
     /// subscribes (otherwise idle devices would inflate the exchange
     /// linearly when D exceeds the partition count). `owned` is
     /// caller-provided scratch (one slot per device), reused across
-    /// iterations. `record_bytes` is the program's
-    /// [`ValueLayout::record_bytes`] — id plus declared wire payload —
-    /// so 4-byte values price smaller batches than 8-byte ones and
-    /// 64-byte sketches price larger ones (which can move a batch onto
-    /// a different route rung of the breakpoint ladder).
-    fn price_exchange(
+    /// iterations.
+    ///
+    /// Record sizes: a sync iteration has its iteration-start `snapshot`,
+    /// which is exactly what every holder's replica of a vertex holds
+    /// after the previous all-gather, so each record is
+    /// [`EXCHANGE_ID_BYTES`] plus [`VertexValue::wire_bytes_since`] that
+    /// snapshot (an HLL sketch ships only its raised registers). Async
+    /// iterations have no snapshot and price the full `record_bytes`
+    /// ([`ValueLayout::record_bytes`]), as does every value keeping the
+    /// default hook. Record size can move a batch onto a different route
+    /// rung of the breakpoint ladder.
+    ///
+    /// Also returns the record count: published vertices × (holders − 1).
+    fn price_exchange<V: VertexValue>(
         &self,
         next: &Frontier,
         owned: &mut [u64],
+        values: &Values<V>,
+        snapshot: Option<&[V]>,
         record_bytes: u64,
-    ) -> ExchangeReport {
+    ) -> (ExchangeReport, u64) {
         let nd = self.devices.num_devices() as usize;
         if nd <= 1 {
-            return ExchangeReport::default();
+            return (ExchangeReport::default(), 0);
         }
         owned.fill(0);
+        let mut published = 0u64;
         for v in next.iter() {
-            owned[self.devices.device_of(self.parts.owner_of(v)) as usize] += record_bytes;
+            let bytes = match snapshot {
+                Some(snap) => EXCHANGE_ID_BYTES + values.get(v).wire_bytes_since(&snap[v as usize]),
+                None => record_bytes,
+            };
+            owned[self.devices.device_of(self.parts.owner_of(v)) as usize] += bytes;
+            published += 1;
         }
-        self.interconnect.price_all_gather(owned, &self.shard_holders)
+        let holders = self.shard_holders.iter().filter(|&&h| h).count() as u64;
+        let report = self.interconnect.price_all_gather(owned, &self.shard_holders);
+        (report, published * holders.saturating_sub(1))
     }
 
     /// Newly-activated vertices that the already-loaded task data can

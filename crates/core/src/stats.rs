@@ -96,6 +96,10 @@ pub struct ExchangeStats {
     /// forwarded routes (zero when every route is direct or
     /// host-staged).
     pub forwarded_bytes: u64,
+    /// Records delivered: published vertices × (shard holders − 1). With
+    /// changed-register records their sizes vary, so this is the count
+    /// `payload bytes / record bytes` no longer gives.
+    pub records: u64,
     /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub rerouted_bytes: u64,
     /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
@@ -121,6 +125,7 @@ impl ExchangeStats {
         self.host_bytes += other.host_bytes;
         self.peer_bytes += other.peer_bytes;
         self.forwarded_bytes += other.forwarded_bytes;
+        self.records += other.records;
     }
 }
 

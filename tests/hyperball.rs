@@ -11,9 +11,13 @@
 //!    device counts D ∈ {1, 2, 4, 8} and every topology: the merge is
 //!    idempotent and commutative and iterations are synchronous, so
 //!    placement can only change the timeline.
+//!
+//! ISSUE 26 adds the changed-register exchange: a record carries only the
+//! registers the merge raised, and they rebuild the sketch on a replica.
 
 use hytgraph::algos::hyperball::{run_hyperball, HllSketch, HLL_RSE};
 use hytgraph::algos::reference;
+use hytgraph::core::api::VertexValue;
 use hytgraph::core::{HyTGraphConfig, SystemKind, TopologyKind};
 use hytgraph::graph::{generators, DeviceAssignment, EdgeList};
 use proptest::prelude::*;
@@ -166,8 +170,44 @@ fn wide_layout_is_reported_and_exchange_records_are_sketch_sized() {
     assert_eq!(layout.lanes, 8, "64 HLL registers are 8 lanes");
     assert_eq!(layout.wire_bytes, 64);
     assert_eq!(layout.record_bytes(), 68);
-    // The all-gather payload is a whole number of (id + registers)
-    // records fanned out to the other shard holder.
-    assert!(r.run.counters.exchange_bytes > 0);
-    assert_eq!(r.run.counters.exchange_bytes % layout.record_bytes(), 0);
+    // Each record fanned out to the other shard holder is an id plus a
+    // register bitmap plus at least one raised register, and strictly
+    // below the full sketch on average: records shrink to what changed.
+    let bytes = r.run.counters.exchange_bytes;
+    let records: u64 = r.run.per_iteration.iter().map(|it| it.exchange.records).sum();
+    assert!(records > 0);
+    assert!(records * (4 + 8 + 1) <= bytes, "{bytes} B for {records} records");
+    assert!(bytes < records * layout.record_bytes(), "{bytes} B for {records} records");
+}
+
+/// Registers of a sketch, in register order (8 per lane, low byte first).
+fn registers(s: HllSketch) -> Vec<u8> {
+    let mut lanes = [0u64; HllSketch::SKETCH_LANES];
+    s.store_lanes(&mut lanes);
+    lanes.iter().flat_map(|l| l.to_le_bytes()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// ISSUE 26's replica invariant: a holder with `old` that receives the
+    /// registers the merge raised rebuilds `new` bit for bit, and the
+    /// record is priced as the bitmap plus exactly those registers.
+    #[test]
+    fn raised_registers_rebuild_the_merged_sketch(
+        a in proptest::collection::vec(any::<u32>(), 0..120),
+        b in proptest::collection::vec(any::<u32>(), 0..120),
+    ) {
+        let old = sketch_of(&a);
+        let new = old.merge(sketch_of(&b));
+        let (before, after) = (registers(old), registers(new));
+        let raised: Vec<usize> = (0..after.len()).filter(|&j| after[j] > before[j]).collect();
+        let mut replica = before;
+        for &j in &raised {
+            replica[j] = after[j];
+        }
+        prop_assert_eq!(&replica, &after);
+        let sparse = HllSketch::REGISTERS as u64 / 8 + raised.len() as u64;
+        prop_assert_eq!(new.wire_bytes_since(&old), sparse.min(HllSketch::WIRE_BYTES));
+    }
 }

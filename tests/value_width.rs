@@ -3,7 +3,7 @@
 //! value width instead of hard-coded 8-byte constants.
 
 use hytgraph::core::api::{EdgeCtx, InitialFrontier, ValueLayout, VertexProgram};
-use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, SystemKind};
+use hytgraph::core::{AsyncMode, HyTGraphConfig, HyTGraphSystem, IterationStats, SystemKind};
 use hytgraph::graph::{generators, DeviceAssignment, VertexId};
 
 /// Min-fold over `u32` values — 4 bytes on the wire (8-byte records).
@@ -70,6 +70,30 @@ fn four_byte_values_price_smaller_exchanges_than_eight_byte() {
     assert!(x32 < x64, "4-byte records must price a smaller exchange ({x32} vs {x64})");
     // Exactly the record-size ratio: 8 bytes/record vs 12 bytes/record.
     assert_eq!(x32 * 12, x64 * 8, "exchange must scale with declared record size");
+}
+
+/// ISSUE 26: sync runs price records against the iteration-start
+/// snapshot, but narrow values keep the default `wire_bytes_since`, so
+/// every record is still exactly `record_bytes` long.
+#[test]
+fn narrow_sync_exchange_prices_full_records() {
+    let g = generators::rmat(10, 8.0, 17, false);
+    for d in [2usize, 4, 8] {
+        let cfg = HyTGraphConfig { async_mode: AsyncMode::Sync, ..sharded_cfg(d) };
+        let r32 = HyTGraphSystem::new(g.clone(), cfg.clone()).run(Min32);
+        let r64 = HyTGraphSystem::new(g.clone(), cfg).run(Min64);
+        for (bytes, records, layout) in [
+            (r32.counters.exchange_bytes, records_of(&r32.per_iteration), r32.value_layout),
+            (r64.counters.exchange_bytes, records_of(&r64.per_iteration), r64.value_layout),
+        ] {
+            assert!(records > 0, "D={d} never exchanged");
+            assert_eq!(bytes, records * layout.record_bytes(), "D={d} {layout:?}");
+        }
+    }
+}
+
+fn records_of(iterations: &[IterationStats]) -> u64 {
+    iterations.iter().map(|it| it.exchange.records).sum()
 }
 
 #[test]
