@@ -28,8 +28,9 @@
 //! run's values bit-for-bit — and [`session`] plugs those batches into
 //! `hyt_core`'s resident query service as its algorithm backend.
 //!
-//! [`reference`] holds simple, obviously-correct sequential oracles; every
-//! program's converged output is tested against its oracle.
+//! [`reference`](mod@reference) holds simple, obviously-correct
+//! sequential oracles; every program's converged output is tested
+//! against its oracle.
 
 pub mod bfs;
 pub mod cc;

@@ -1,4 +1,4 @@
-//! Δ-based PageRank (Maiter-style accumulative iteration, reference [41]).
+//! Δ-based PageRank (Maiter-style accumulative iteration, reference \[41\]).
 //!
 //! State per vertex is `(rank, Δ)`: `rank` is settled mass, `Δ` is pending
 //! mass not yet pushed to neighbours. An active vertex atomically claims

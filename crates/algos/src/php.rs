@@ -1,6 +1,6 @@
 //! Penalised hitting probability (PHP) — the second Δ-accumulative
 //! algorithm the paper names for Δ-driven scheduling (Section VI-A,
-//! reference [41], Maiter).
+//! reference \[41\], Maiter).
 //!
 //! PHP measures proximity to a source vertex `s`: a random walk starts at
 //! `s` and at each step moves to an out-neighbour with probability

@@ -22,8 +22,8 @@
 //! Lane bit-identity (every lane of a batched run equals the serial
 //! run's values — see `multi_source`) is what makes coalescing safe to
 //! apply silently: a caller cannot tell whether its query rode alone or
-//! in a cohort except by reading its [`QueryStats`]
-//! (hyt_core::session::QueryStats).
+//! in a cohort except by reading its
+//! [`QueryStats`](hyt_core::session::QueryStats).
 
 use crate::hyperball::HllSketch;
 use crate::multi_source::{lane_values, MultiBfs, MultiDist, MultiSssp};

@@ -317,37 +317,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 3: contention-aware selection shifts the ZC/filter crossover
-    // with the device count — sharing the host link 8 ways must flip at
-    // least one partition-iteration from filter to zero-copy.
-    {
-        let g = ctx.graph(DatasetId::Fs);
-        let mix_at = |d: usize| {
-            let mut cfg = SystemKind::HyTGraph.configure(base_config());
-            cfg.num_devices = d;
-            cfg.contention_aware_selection = true;
-            cfg.threads = 1;
-            let mut sys = hyt_core::HyTGraphSystem::new(g.clone(), cfg);
-            let r = sys.run(hyt_algos::Sssp::from_source(crate::context::source_vertex(&g)));
-            hyt_core::EngineMix::sum_over(&r.per_iteration)
-        };
-        let m1 = mix_at(1);
-        let m8 = mix_at(8);
-        let (f1, _, z1, _) = m1.fractions();
-        let (f8, _, z8, _) = m8.fractions();
-        out.push(CheckResult::new(
-            "Contention: 8-way link sharing moves the engine mix from filter toward zero-copy",
-            z8 > z1 && f8 < f1,
-            format!(
-                "D=1: {:.0}% E-F / {:.0}% I-ZC -> D=8: {:.0}% E-F / {:.0}% I-ZC",
-                f1 * 100.0,
-                z1 * 100.0,
-                f8 * 100.0,
-                z8 * 100.0
-            ),
-        ));
-    }
-
     // ISSUE 4: each direction of a peer link owns its own queue, so the
     // symmetric legs of the ring exchange overlap: the all-active
     // exchange of a D in {4, 8} ring system must price strictly below

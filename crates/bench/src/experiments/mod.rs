@@ -114,7 +114,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             name: "nvlink",
-            about: "extension: bandwidth x topology sweep + contention-aware mix (Sec. VIII)",
+            about: "extension: bandwidth x topology x link-generation sweep (Sec. VIII)",
             run: nvlink::run,
         },
         Experiment {

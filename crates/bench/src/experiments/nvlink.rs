@@ -9,7 +9,7 @@
 //!   run at the swept nominal bandwidth (one interconnect generation at
 //!   a time);
 //! * **axis 2 — topology**: host-only / ring / all-to-all at `D = 4`
-//!   devices, with contention-aware engine selection on;
+//!   devices;
 //! * **axis 3 — mixed generations** (ISSUE 4): a `D = 8` ring whose
 //!   bridges carry *different* specs — a uniform NVLink2 ring, an
 //!   alternating NVLink2/NVLink4 ring, and a ring with one 2 GB/s bridge
@@ -19,19 +19,14 @@
 //!   static sized route ladder, without and with cut-through forwarding
 //!   — the exchange column may only shrink.
 //!
-//! Four findings the tables show:
+//! Three findings the tables show:
 //!
-//! 1. runtimes scale with bandwidth, but on a single device the engine
-//!    *mix* is invariant — formulas (1)–(3) compare TLP counts in RTT
-//!    units and RTT cancels (the original nvlink finding, kept as the
-//!    baseline table);
-//! 2. with `D` devices sharing the root complex the contended cost model
-//!    *does* shift the mix toward zero-copy (the ZC/filter crossover
-//!    moves with contention, ROADMAP item 4) — compare the D=1 and D=8
-//!    mix rows;
-//! 3. peer topologies drain the exchange off the host link: the per-link
+//! 1. runtimes scale with bandwidth, but the engine *mix* is invariant —
+//!    formulas (1)–(3) compare TLP counts in RTT units and RTT cancels
+//!    (the original nvlink finding, kept as the baseline table);
+//! 2. peer topologies drain the exchange off the host link: the per-link
 //!    class breakdown shows host bytes collapsing to zero on the clique;
-//! 4. rings overlap the two directions of every bridge and forward
+//! 3. rings overlap the two directions of every bridge and forward
 //!    distance ≥ 2 pairs device-via-device, and the slow-bridge row
 //!    shows bytes reappearing on the host link.
 //!
@@ -45,7 +40,7 @@ use hyt_core::{EngineMix, HyTGraphConfig, LinkSpec, SystemKind, TopologyKind};
 use hyt_graph::DatasetId;
 use hyt_sim::{MachineModel, PcieModel, UmModel};
 
-/// Devices in the topology/contention axis.
+/// Devices in the topology axis.
 const SWEEP_DEVICES: usize = 4;
 
 /// Devices in the mixed-generation ring axis (8, so the detour around a
@@ -94,15 +89,14 @@ fn machine_with_link(nominal_bw: f64) -> MachineModel {
 }
 
 /// HyTGraph config for one sweep cell: host link and peer links at
-/// `nominal_bw`, the given topology across `d` devices, contended
-/// selection on.
+/// `nominal_bw`, the given topology across `d` devices.
 fn cell_config(nominal_bw: f64, topology: TopologyKind, d: usize) -> HyTGraphConfig {
     let base = HyTGraphConfig {
         machine: machine_with_link(nominal_bw),
         peer_link: LinkSpec::with_nominal_bw(nominal_bw).scaled(crate::context::SCALE_SHIFT),
         topology,
         num_devices: d,
-        contention_aware_selection: true,
+        threads: 1,
         ..base_config()
     };
     SystemKind::HyTGraph.configure(base)
@@ -136,7 +130,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         &["link", "E-F", "E-C", "I-ZC"],
     );
     for &(label, bw) in links {
-        let base = HyTGraphConfig { machine: machine_with_link(bw), ..base_config() };
+        let base = HyTGraphConfig { machine: machine_with_link(bw), threads: 1, ..base_config() };
         let mut row = vec![label.to_string()];
         for sys in [SystemKind::ExpFilter, SystemKind::Subway, SystemKind::Emogi] {
             let cfg = sys.configure(base.clone());
@@ -150,12 +144,9 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         base_mix.row(vec![label.to_string(), pct(f), pct(c), pct(z)]);
     }
 
-    // Two-axis grid: bandwidth x topology at D = 4, contended selection.
+    // Two-axis grid: bandwidth x topology at D = 4.
     let mut grid = Table::new(
-        format!(
-            "Extension: bandwidth x topology grid (HyTGraph SSSP on FS, D={SWEEP_DEVICES}, \
-             contention-aware)"
-        ),
+        format!("Extension: bandwidth x topology grid (HyTGraph SSSP on FS, D={SWEEP_DEVICES})"),
         &[
             "link",
             "topology",
@@ -269,19 +260,5 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         ]);
     }
 
-    // Contention axis: the engine mix vs device count on the paper's
-    // PCIe3 link — the ZC/filter crossover moves as D inflates the
-    // contended explicit-copy costs.
-    let mut contention = Table::new(
-        "Extension: engine mix vs device count (contention-aware selection, PCIe3, host-only)",
-        &["D", "E-F", "E-C", "I-ZC"],
-    );
-    for d in [1usize, 2, 4, 8] {
-        let cfg = cell_config(16.0e9, TopologyKind::HostOnly, d);
-        let m = run_algo_with_config(SystemKind::HyTGraph, AlgoKind::Sssp, &g, cfg);
-        let (f, c, z, _) = mix_of(&m.per_iteration).fractions();
-        contention.row(vec![d.to_string(), pct(f), pct(c), pct(z)]);
-    }
-
-    vec![runtime, base_mix, grid, mixed, routing, contention]
+    vec![runtime, base_mix, grid, mixed, routing]
 }

@@ -416,18 +416,18 @@ pub trait VertexProgram: Sync {
         0.0
     }
 
-    /// End-of-iteration callback when [`OBSERVES_ITERATIONS`]
-    /// (`Self::OBSERVES_ITERATIONS`) is set: `values` is a snapshot of
-    /// every vertex's state *after* iteration `iteration`, in original
-    /// vertex-id order. Called for both the GPU and CPU-only paths, and
+    /// End-of-iteration callback when
+    /// [`OBSERVES_ITERATIONS`](Self::OBSERVES_ITERATIONS) is set:
+    /// `values` is a snapshot of every vertex's state *after* iteration
+    /// `iteration`, in original vertex-id order. Called for both the GPU and CPU-only paths, and
     /// for the final (nothing-activated) iteration too.
     fn observe_iteration(&self, _iteration: u32, _values: &[Self::Value]) {}
 }
 
 /// Shared references are programs too: a driver can run `&program` and
 /// keep the program afterwards — how observer programs (HyperBall) hand
-/// their accumulated trajectory back out of [`observe_iteration`]
-/// (`VertexProgram::observe_iteration`) state.
+/// their accumulated trajectory back out of
+/// [`observe_iteration`](VertexProgram::observe_iteration) state.
 impl<P: VertexProgram + ?Sized> VertexProgram for &P {
     type Value = P::Value;
     const NEEDS_WEIGHTED_DEGREE: bool = P::NEEDS_WEIGHTED_DEGREE;
@@ -474,7 +474,7 @@ impl<P: VertexProgram + ?Sized> VertexProgram for &P {
 ///
 /// Single-lane values are lock-free (CAS update loops, exactly the
 /// pre-refactor behaviour). Wide values serialise read-modify-write
-/// updates through [`VALUE_LOCK_STRIPES`] mutex stripes while keeping
+/// updates through `VALUE_LOCK_STRIPES` mutex stripes while keeping
 /// reads lock-free per lane — see the module docs for why torn reads are
 /// safe for lane-wise monotone merges.
 #[derive(Debug)]

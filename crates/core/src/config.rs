@@ -75,8 +75,8 @@ pub struct HyTGraphConfig {
     pub async_mode: AsyncMode,
     /// Simulated GPUs to shard partitions across (1 = the paper's
     /// single-device platform). Sharding changes only the timeline — the
-    /// computed values and convergence iteration are identical for every
-    /// device count.
+    /// computed values, convergence iteration and per-iteration engine
+    /// choices are identical for every device count.
     pub num_devices: usize,
     /// How partitions map to devices when `num_devices > 1`.
     pub device_assignment: DeviceAssignment,
@@ -112,12 +112,6 @@ pub struct HyTGraphConfig {
     /// compatibility switch: stateful placement is a behaviour choice,
     /// and off keeps placements static and reproducible.
     pub affine_migration: bool,
-    /// Inflate Algorithm 1's transfer costs by the number of devices
-    /// sharing the host link (see `PartitionCosts::under_contention`),
-    /// shifting the ZC/filter crossover with `D`. Off by default: the
-    /// contended costs change engine choices, so runs with different
-    /// device counts are no longer bit-comparable when this is on.
-    pub contention_aware_selection: bool,
     /// CUDA streams for the timeline simulator (per device).
     pub num_streams: usize,
     /// Host threads for real computation (kernels, compaction, analysis).
@@ -152,7 +146,6 @@ impl Default for HyTGraphConfig {
             peer_link: LinkSpec::nvlink().scaled(SCALE_SHIFT),
             link_overrides: Vec::new(),
             affine_migration: false,
-            contention_aware_selection: false,
             num_streams: 4,
             threads: default_threads(),
             max_iterations: 10_000,
@@ -189,8 +182,6 @@ mod tests {
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
         assert_eq!(c.peer_link.cut_through, None, "chains store-and-forward unless a link chunks");
         assert!(!c.affine_migration, "static placement is the reproducible baseline");
-        assert!(!c.contention_aware_selection, "contended costs are opt-in");
-        assert_eq!(c.select_params.contention, 1.0);
         let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
         let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), ring);
         assert_eq!(sys.interconnect().route_breakpoints(), ROUTE_LADDER);

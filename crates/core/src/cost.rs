@@ -26,17 +26,6 @@ use hyt_engines::PartitionActivity;
 use hyt_graph::INDEX_BYTES;
 use hyt_sim::PcieModel;
 
-/// Fraction of a zero-copy TLP's round-trip that actually competes for
-/// link bandwidth when several devices share the host root complex: the
-/// payload-proportional `1 − γ` share of the paper-platform dumpling
-/// factor (γ = 0.625). The fixed `γ` share is round-trip latency the
-/// root complex pipelines across devices' outstanding requests, so it
-/// does not stretch under sharing. This is the *default* used by
-/// [`SelectParams`](crate::SelectParams); the runner derives the live
-/// value from its machine's `PcieModel::gamma` so custom buses stay
-/// consistent with their own `rtt_zc` pricing.
-pub const ZC_CONTENTION_SHARE: f64 = 0.375;
-
 /// Per-partition engine costs in RTT units (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PartitionCosts {
@@ -46,31 +35,6 @@ pub struct PartitionCosts {
     pub tec: f64,
     /// Formula (3): ImpTM-zero-copy cost.
     pub tiz: f64,
-}
-
-impl PartitionCosts {
-    /// Effective costs when `contention` devices share the host link
-    /// (ROADMAP item 4; `1.0` = the paper's exclusively-owned bus, and
-    /// an exact identity).
-    ///
-    /// Bulk explicit copies (Tef, Tec's transfer term) hold the link for
-    /// whole saturated-TLP bursts; sharing it `D` ways hands each device
-    /// the link roughly `1/D` of the time, so both inflate by the full
-    /// contention factor. Zero-copy instead issues independent
-    /// outstanding requests that the root complex interleaves at request
-    /// granularity, so only the payload-proportional `zc_share` of its
-    /// round-trip (`1 − γ` for the machine's bus; see
-    /// [`ZC_CONTENTION_SHARE`]) contends. The asymmetry is what moves
-    /// the ZC/filter crossover — and the effective α/β thresholds — as
-    /// the device count grows.
-    pub fn under_contention(&self, contention: f64, zc_share: f64) -> PartitionCosts {
-        let c = contention.max(1.0);
-        PartitionCosts {
-            tef: self.tef * c,
-            tec: self.tec * c,
-            tiz: self.tiz * (1.0 + (c - 1.0) * zc_share.clamp(0.0, 1.0)),
-        }
-    }
 }
 
 /// Compute formulas (1)–(3) for one partition's activity snapshot.
@@ -235,24 +199,6 @@ mod tests {
         let want_tiz = 0.5 * (0.625 + 0.375 * (4_096.0 / 1_000_000.0)) / 0.95;
         assert!((c.tiz - want_tiz).abs() < 1e-12);
         assert!(c.tiz < c.tec && c.tec < c.tef, "want Tiz < Tec < Tef, got {c:?}");
-    }
-
-    #[test]
-    fn contention_is_identity_at_one_and_favours_zero_copy_beyond() {
-        let a = act(100, 10_000, 100_000, 400);
-        let c = partition_costs_sized(&a, &bus(), 4, 0);
-        let c1 = c.under_contention(1.0, ZC_CONTENTION_SHARE);
-        assert_eq!(c, c1, "contention 1.0 must be bitwise identity");
-        let c8 = c.under_contention(8.0, ZC_CONTENTION_SHARE);
-        assert_eq!(c8.tef, c.tef * 8.0);
-        assert_eq!(c8.tec, c.tec * 8.0);
-        // Zero-copy inflates by 1 + 7·0.375 = 3.625x — strictly less.
-        assert!((c8.tiz / c.tiz - 3.625).abs() < 1e-12);
-        assert!(c8.tiz / c.tiz < c8.tef / c.tef);
-        // Sub-1 factors clamp to the exclusive-bus identity.
-        assert_eq!(c.under_contention(0.0, ZC_CONTENTION_SHARE), c1);
-        // The default share is the paper bus's payload-proportional part.
-        assert_eq!(ZC_CONTENTION_SHARE, 1.0 - bus().gamma);
     }
 
     #[test]

@@ -49,12 +49,12 @@
 //!
 //! Kernels still execute in the *global* contribution-driven priority
 //! order — the iteration barrier means device placement cannot change
-//! what one synchronised iteration computes, so values and convergence
-//! iteration are **bit-identical** for every device count *and* every
-//! topology; only the timeline (and its per-device / per-link breakdown)
-//! changes. The exception is opt-in: `contention_aware_selection`
-//! deliberately changes engine choices with `D`. The differential suite
-//! in `tests/multi_gpu.rs` holds the runner to those claims.
+//! what one synchronised iteration computes, and Algorithm 1 prices each
+//! partition as if its device owned the bus, so values, convergence
+//! iteration and engine choices are **bit-identical** for every device
+//! count *and* every topology; only the timeline (and its per-device /
+//! per-link breakdown) changes. The differential suite in
+//! `tests/multi_gpu.rs` holds the runner to those claims.
 
 use crate::api::{
     InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue, EXCHANGE_ID_BYTES,
@@ -66,7 +66,7 @@ use crate::kernel::{run_kernel, EdgeSource};
 use crate::migrate::{build_placement, shard_holders, MigrationState};
 use crate::mutate::SweepCache;
 use crate::priority::order_tasks;
-use crate::select::{device_budgets, select_engines, Selection};
+use crate::select::{device_budgets, select_engines, SelectParams, Selection};
 use crate::stats::{DeviceIterationStats, EngineMix, ExchangeStats, IterationStats, RunResult};
 use hyt_engines::{
     analyze_partitions, compaction, filter, zero_copy, EngineKind, PartitionActivity, TaskPlan,
@@ -163,9 +163,8 @@ pub struct HyTGraphSystem {
     pub(crate) parts: PartitionSet,
     pub(crate) devices: DevicePlan,
     pub(crate) interconnect: Interconnect,
-    /// Devices that own at least one partition — they share the host
-    /// link, so they set the selection contention factor and are the
-    /// exchange participants.
+    /// Devices that own at least one partition: the exchange
+    /// participants.
     pub(crate) shard_holders: Vec<bool>,
     /// Run-constant discrete-event scheduler (see the reuse contract).
     sim: MultiGpuSim,
@@ -500,20 +499,11 @@ impl HyTGraphSystem {
             bpe,
             cfg.threads,
         );
-        // Opt-in contention awareness: Algorithm 1 priced the bus as if a
-        // device owned it exclusively; with the flag on, the selector
-        // sees the cost shift caused by the shard-holders sharing the
-        // host link.
-        let mut select_params = if cfg.contention_aware_selection {
-            let holders = self.shard_holders.iter().filter(|&&h| h).count();
-            cfg.select_params.with_contention(holders as f64, machine.pcie.gamma)
-        } else {
-            cfg.select_params
-        };
         // Wide values make compaction's gather ship real value payload
         // per active vertex; the selector must price that freight
         // (exact no-op for ≤ 8-byte values).
-        select_params.value_surplus = layout.compaction_surplus();
+        let select_params =
+            SelectParams { value_surplus: layout.compaction_surplus(), ..cfg.select_params };
         let decisions = match &mut state.residency {
             Residency::Grus(grus) => grus.select(&acts, &self.parts, devices, bpe),
             _ => select_engines(&acts, &machine.pcie, bpe, cfg.selection, &select_params),

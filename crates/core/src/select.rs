@@ -46,19 +46,6 @@ pub struct SelectParams {
     pub alpha: f64,
     /// Compaction-vs-zero-copy threshold (paper: 0.4).
     pub beta: f64,
-    /// Effective number of devices sharing the host link while this
-    /// selector's transfers run (`1.0` = exclusive bus, the paper's
-    /// platform and an exact no-op). Values above 1 inflate the bulk
-    /// explicit-copy costs faster than zero-copy
-    /// ([`PartitionCosts::under_contention`]), shifting the effective
-    /// α/β thresholds and the ZC/filter crossover with the device count.
-    pub contention: f64,
-    /// Payload-proportional share of a zero-copy round-trip that
-    /// contends for link bandwidth: `1 − γ` of the machine's bus. The
-    /// default matches the paper platform's γ = 0.625; the runner
-    /// derives the live value from its `PcieModel::gamma` so a custom
-    /// bus stays consistent with its own `rtt_zc` pricing.
-    pub zc_contention_share: f64,
     /// Per-active-vertex value bytes a compaction gather moves beyond
     /// the narrow `d2` slot — the program's
     /// [`ValueLayout::compaction_surplus`](crate::ValueLayout::compaction_surplus).
@@ -70,33 +57,12 @@ pub struct SelectParams {
 
 impl Default for SelectParams {
     fn default() -> Self {
-        SelectParams {
-            alpha: 0.8,
-            beta: 0.4,
-            contention: 1.0,
-            zc_contention_share: crate::cost::ZC_CONTENTION_SHARE,
-            value_surplus: 0,
-        }
+        SelectParams { alpha: 0.8, beta: 0.4, value_surplus: 0 }
     }
 }
 
-impl SelectParams {
-    /// These params with the contention factor set to `contention`
-    /// (clamped to at least the exclusive-bus 1.0) and the zero-copy
-    /// contention share derived from the machine's dumpling factor γ.
-    pub fn with_contention(self, contention: f64, gamma: f64) -> SelectParams {
-        SelectParams {
-            contention: contention.max(1.0),
-            zc_contention_share: 1.0 - gamma.clamp(0.0, 1.0),
-            ..self
-        }
-    }
-}
-
-/// The hybrid rule for one partition (Algorithm 1 lines 4–12), applied
-/// to the contention-adjusted costs.
+/// The hybrid rule for one partition (Algorithm 1 lines 4–12).
 pub fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
-    let costs = costs.under_contention(p.contention, p.zc_contention_share);
     if costs.tec < p.alpha * costs.tef && costs.tec < p.beta * costs.tiz {
         EngineKind::ExpCompaction
     } else if costs.tef < costs.tiz {
@@ -201,27 +167,6 @@ mod tests {
         assert_eq!(choose_engine(&costs(10.0, 9.0, 10.5), &loose), EngineKind::ExpCompaction);
         let strict = SelectParams { alpha: 0.1, beta: 0.1, ..SelectParams::default() };
         assert_eq!(choose_engine(&costs(10.0, 9.0, 10.5), &strict), EngineKind::ExpFilter);
-    }
-
-    #[test]
-    fn contention_flips_filter_to_zero_copy() {
-        let gamma = PcieModel::pcie3().gamma;
-        // Filter narrowly beats zero-copy on the exclusive bus…
-        let c = costs(10.0, 100.0, 12.0);
-        let exclusive = SelectParams::default();
-        assert_eq!(choose_engine(&c, &exclusive), EngineKind::ExpFilter);
-        // …but sharing the link 8 ways inflates the bulk copy 8x and
-        // zero-copy only 3.625x, so the crossover flips.
-        let shared = SelectParams::default().with_contention(8.0, gamma);
-        assert_eq!(choose_engine(&c, &shared), EngineKind::ImpZeroCopy);
-        // A decisive filter win survives contention.
-        let dense = costs(10.0, 100.0, 100.0);
-        assert_eq!(choose_engine(&dense, &shared), EngineKind::ExpFilter);
-        // with_contention clamps below the exclusive bus and derives the
-        // zero-copy share from the machine's dumpling factor.
-        let clamped = SelectParams::default().with_contention(0.5, gamma);
-        assert_eq!(clamped.contention, 1.0);
-        assert_eq!(clamped.zc_contention_share, 1.0 - gamma);
     }
 
     #[test]

@@ -202,8 +202,8 @@ pub trait SessionBackend {
     /// [`QueryKind::Mutate`] pairs (mutations run alone by contract).
     fn coalesces(&self, a: &QueryKind, b: &QueryKind) -> bool;
 
-    /// Execute one cohort (its length is one of [`widths`]
-    /// (SessionBackend::widths)) on the resident system, returning one
+    /// Execute one cohort (its length is one of
+    /// [`widths`](SessionBackend::widths)) on the resident system, returning one
     /// output per member in cohort order.
     fn execute(&self, system: &mut HyTGraphSystem, cohort: &[QueryKind]) -> CohortOutcome;
 }

@@ -4,7 +4,7 @@
 //! offline) and on RMAT-synthesised power-law graphs. We implement:
 //!
 //! * [`rmat`] — the recursive-matrix generator of Chakrabarti et al.
-//!   (reference [7] of the paper) with configurable `(a, b, c, d)`
+//!   (reference \[7\] of the paper) with configurable `(a, b, c, d)`
 //!   quadrant probabilities. This is both the paper's Fig. 9 workload and
 //!   the basis of our scaled-down dataset proxies.
 //! * [`erdos_renyi`] — uniform random graphs (degree-homogeneous contrast
@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Default RMAT quadrant probabilities (the literature-standard skew used
-/// by Graph500 and the paper's reference [7]).
+/// by Graph500 and the paper's reference \[7\]).
 pub const RMAT_A: f64 = 0.57;
 /// See [`RMAT_A`].
 pub const RMAT_B: f64 = 0.19;

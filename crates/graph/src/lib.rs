@@ -24,7 +24,7 @@
 //! * [`placement`] — cost-driven topology-aware partition→device
 //!   placement: the affinity matrix from the CSR cut structure and a
 //!   priced greedy + local-search planner.
-//! * [`hub_sort`] — hub gathering by `H(v) = Do·Di / (Domax·Dimax)`
+//! * [`hub_sort`](mod@hub_sort) — hub gathering by `H(v) = Do·Di / (Domax·Dimax)`
 //!   (Section VI-A, formula 4).
 //! * [`frontier`] — atomic bitmap frontiers with dense/sparse iteration.
 //! * [`degree`] — degree statistics and the bucketed distribution of

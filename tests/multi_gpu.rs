@@ -1,8 +1,9 @@
 //! Differential tests for multi-GPU sharded execution.
 //!
 //! The sharding contract (ISSUE 2): for any device count `D`, the runner
-//! must produce values and a convergence-iteration count **bit-identical**
-//! to the `D = 1` run — sharding may only change the timeline. These tests
+//! must produce values, a convergence-iteration count and per-iteration
+//! engine choices **bit-identical** to the `D = 1` run — sharding may only
+//! change the timeline. These tests
 //! hold the runner to that with fixed mid-size graphs, a proptest sweep
 //! over random graphs, and the sequential oracles as ground truth.
 //!
@@ -41,35 +42,51 @@ fn run_with<P: hytgraph::core::api::VertexProgram>(
     (r.values, r.iterations, r.total_time, r.counters.exchange_bytes)
 }
 
+/// Assert that a sharded run repeats the `D = 1` run `r1`: the same
+/// values (compared through `key`), iterations, and engine mix in every
+/// iteration.
+fn assert_same_run<V, K: PartialEq + std::fmt::Debug>(
+    r: &RunResult<V>,
+    r1: &RunResult<V>,
+    key: impl Fn(&RunResult<V>) -> K,
+    what: &str,
+) {
+    assert_eq!((key(r), r.iterations), (key(r1), r1.iterations), "{what} diverged");
+    let mixes = |r: &RunResult<V>| r.per_iteration.iter().map(|it| it.mix).collect::<Vec<_>>();
+    assert_eq!(mixes(r), mixes(r1), "{what} changed its engine choices");
+}
+
 #[test]
 fn all_four_algorithms_bit_identical_across_device_counts() {
+    // Algorithm 1 prices each partition as if its device owned the bus,
+    // so engine choices may not depend on D any more than values do.
     let g = generators::rmat(11, 10.0, 42, true);
     let assign = DeviceAssignment::EdgeBalanced;
+    let sys = |d: usize| HyTGraphSystem::new(g.clone(), sharded_config(d, assign));
+    let values = |r: &RunResult<u32>| r.values.clone();
 
-    let (sssp1, si1, _, x1) = run_with(&g, 1, assign, Sssp::from_source(0));
-    assert_eq!(x1, 0, "single-device runs must not pay the exchange");
-    assert_eq!(sssp1, reference::dijkstra(&g, 0));
-    let (bfs1, bi1, _, _) = run_with(&g, 1, assign, Bfs::from_source(0));
-    assert_eq!(bfs1, reference::bfs_depths(&g, 0));
-    let (cc1, ci1, _, _) = run_with(&g, 1, assign, Cc::new());
-    assert_eq!(cc1, reference::cc_labels(&g));
-    let pr1 = {
-        let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(1, assign));
-        let r = sys.run(PageRank::new());
-        (PageRank::ranks(&r), r.iterations)
-    };
+    let sssp1 = sys(1).run(Sssp::from_source(0));
+    assert_eq!(sssp1.counters.exchange_bytes, 0, "single-device runs must not pay the exchange");
+    assert_eq!(sssp1.values, reference::dijkstra(&g, 0));
+    let bfs1 = sys(1).run(Bfs::from_source(0));
+    assert_eq!(bfs1.values, reference::bfs_depths(&g, 0));
+    let cc1 = sys(1).run(Cc::new());
+    assert_eq!(cc1.values, reference::cc_labels(&g));
+    let pr1 = sys(1).run(PageRank::new());
 
     for d in [2usize, 4, 8] {
-        let (sssp, si, _, sx) = run_with(&g, d, assign, Sssp::from_source(0));
-        assert_eq!((sssp, si), (sssp1.clone(), si1), "SSSP diverged at D={d}");
-        assert!(sx > 0, "multi-device SSSP run never exchanged frontiers");
-        let (bfs, bi, _, _) = run_with(&g, d, assign, Bfs::from_source(0));
-        assert_eq!((bfs, bi), (bfs1.clone(), bi1), "BFS diverged at D={d}");
-        let (cc, ci, _, _) = run_with(&g, d, assign, Cc::new());
-        assert_eq!((cc, ci), (cc1.clone(), ci1), "CC diverged at D={d}");
-        let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(d, assign));
-        let r = sys.run(PageRank::new());
-        assert_eq!((PageRank::ranks(&r), r.iterations), pr1.clone(), "PageRank diverged at D={d}");
+        let sssp = sys(d).run(Sssp::from_source(0));
+        assert_same_run(&sssp, &sssp1, values, &format!("SSSP at D={d}"));
+        assert!(
+            sssp.counters.exchange_bytes > 0,
+            "multi-device SSSP run never exchanged frontiers"
+        );
+        let bfs = sys(d).run(Bfs::from_source(0));
+        assert_same_run(&bfs, &bfs1, values, &format!("BFS at D={d}"));
+        let cc = sys(d).run(Cc::new());
+        assert_same_run(&cc, &cc1, values, &format!("CC at D={d}"));
+        let pr = sys(d).run(PageRank::new());
+        assert_same_run(&pr, &pr1, PageRank::ranks, &format!("PageRank at D={d}"));
     }
 }
 
