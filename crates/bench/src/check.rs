@@ -623,59 +623,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 7: the exchange hides under the successor iteration's
-    // *measured* analysis span — `hidden_i = min(makespan_i,
-    // span_{i+1})`, the final iteration hides nothing, something is
-    // hidden at all, and the run total is exactly the serial sum of
-    // (timeline + exchange + orchestration) minus what was hidden, with
-    // values matching the single-device run.
-    {
-        use hyt_core::runner::{analysis_span, ITERATION_OVERHEAD_COPIES};
-        let g = hyt_graph::generators::rmat(11, 10.0, 9, true);
-        let run = |d: usize| {
-            let mut cfg = SystemKind::HyTGraph.configure(base_config());
-            cfg.num_devices = d;
-            cfg.threads = 1;
-            let lat = cfg.machine.pcie.copy_latency;
-            let mut sys = hyt_core::HyTGraphSystem::new(g.clone(), cfg);
-            (sys.run(hyt_algos::Sssp::from_source(0)), lat)
-        };
-        let (m, lat) = run(4);
-        let (single, _) = run(1);
-        let n = m.per_iteration.len();
-        let eps = 1e-12;
-        let mut windowed = n >= 3;
-        for i in 0..n - 1 {
-            let cur = &m.per_iteration[i];
-            let next = &m.per_iteration[i + 1];
-            let span = analysis_span(lat, next.active_partitions, next.total_partitions);
-            windowed &= (cur.exchange.hidden - cur.exchange.time.min(span)).abs() < eps;
-        }
-        let final_zero = m.per_iteration[n - 1].exchange.hidden == 0.0;
-        let hidden: f64 = m.per_iteration.iter().map(|it| it.exchange.hidden).sum();
-        let serial: f64 = m
-            .per_iteration
-            .iter()
-            .map(|it| {
-                let timeline = it.per_device.iter().fold(0.0f64, |a, d| a.max(d.time));
-                timeline + it.exchange.time + ITERATION_OVERHEAD_COPIES * lat
-            })
-            .sum();
-        let balanced = (m.total_time + hidden - serial).abs() < eps;
-        out.push(CheckResult::new(
-            "Overlap window: hidden = min(makespan, next analysis span), 0 on the final iteration",
-            windowed && final_zero && hidden > 0.0 && balanced && m.values == single.values,
-            format!(
-                "measured window hides {:.3}us of a {:.3}ms serial sum over {n} iterations; \
-                 final iteration hides 0: {final_zero}; total + hidden == serial sum: {balanced}; \
-                 values match D=1: {}",
-                hidden * 1e6,
-                serial * 1e3,
-                m.values == single.values
-            ),
-        ));
-    }
-
     // ISSUE 7: the resident session service — cost-model-priced admission
     // (shipping weights prices strictly dearer), one coalesced cohort for
     // compatible traversals, and per-request demux that matches fresh

@@ -17,8 +17,9 @@
 //!   assignment on the skewed mixed-generation D=8 ring (see
 //!   [`super::placement::placement_sweep`]);
 //! * since v4: every grid record carries its attribution — scheduled
-//!   units, bus busy time and exposed exchange — so a moved makespan can
-//!   be decomposed from the diff alone.
+//!   units, bus busy time and exposed exchange (the whole exchange time:
+//!   nothing hides it) — so a moved makespan can be decomposed from the
+//!   diff alone.
 //!
 //! Since v3 the run also **diffs against the committed baseline**: any
 //! matching `(dataset, algo, devices)` record whose simulated makespan
@@ -66,8 +67,9 @@ pub struct PerfRecord {
     /// Σ per-device `transfer_time`, seconds: the run's bus busy time
     /// (since v4).
     pub bus_busy: f64,
-    /// Σ `exchange.time − exchange.hidden`, seconds: the exchange left on
-    /// the critical path (since v4).
+    /// Σ `exchange.time`, seconds: the exchange on the critical path,
+    /// all of it, since it is charged after the iteration barrier (since
+    /// v4).
     pub exchange_exposed: f64,
 }
 
@@ -223,7 +225,7 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
                         .flat_map(|it| &it.per_device)
                         .map(|dev| dev.transfer_time)
                         .sum(),
-                    exchange_exposed: its.iter().map(|it| it.exchange.exposed()).sum(),
+                    exchange_exposed: its.iter().map(|it| it.exchange.time).sum(),
                 });
             }
         }

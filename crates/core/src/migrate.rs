@@ -194,7 +194,9 @@ impl HyTGraphSystem {
             if src == dst || bytes <= 0.0 {
                 0.0
             } else {
-                self.interconnect.route_cost(src, dst, bytes as u64)
+                // The field path, not `interconnect()`: `state` holds
+                // `self.migration` mutably.
+                self.sim.interconnect.route_cost(src, dst, bytes as u64)
             }
         };
         let mut best: Option<(f64, u32, u32, f64)> = None; // (net, pid, to, copy_cost)

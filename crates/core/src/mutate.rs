@@ -49,8 +49,8 @@ pub struct MutationReport {
 /// [`HyTGraphSystem::price_full_sweep`].
 #[derive(Default)]
 pub(crate) struct SweepCache {
-    /// Per-shape, per-partition sweep costs. Keyed like the session quote
-    /// cache (`needs_weights`, value lanes, wire bytes); a slot is `None`
+    /// Per-shape, per-partition sweep costs, keyed by the quote shape
+    /// (`needs_weights`, value lanes, wire bytes); a slot is `None`
     /// when that partition's adjacency changed since it was last priced,
     /// so a mutation invalidates exactly the dirty partitions and a
     /// re-quote re-prices only those.
@@ -234,7 +234,7 @@ impl HyTGraphSystem {
         let new_base = self.graph.compact();
         let parts = PartitionSet::build(&new_base, self.config.partition_bytes);
         let (affinity, devices) =
-            build_placement(&self.config, &self.interconnect, &new_base, &parts);
+            build_placement(&self.config, self.interconnect(), &new_base, &parts);
         self.graph = DeltaCsr::with_partitions(new_base, &parts);
         self.migration.reset(affinity, parts.len());
         self.shard_holders = shard_holders(&devices, parts.len());

@@ -42,10 +42,10 @@
 //! optionally re-priced per link by `config.link_overrides`), a
 //! forwarded device-via-device multi-hop path, or staging through the
 //! host root complex; legs on disjoint direction queues overlap (each
-//! direction of a peer link owns its own queue). The exchange further
-//! hides under the next iteration's cost analysis instead of sitting
-//! after the barrier; the window is sized per iteration from the span
-//! that analysis actually takes ([`analysis_span`]).
+//! direction of a peer link owns its own queue). The exchange is charged
+//! after the iteration barrier, so every [`IterationStats`] is final when
+//! its iteration returns: its time is the timeline makespan plus the
+//! exchange time plus [`ITERATION_OVERHEAD_COPIES`] copy latencies.
 //!
 //! Kernels still execute in the *global* contribution-driven priority
 //! order — the iteration barrier means device placement cannot change
@@ -83,33 +83,9 @@ pub use crate::mutate::{MutationReport, COMPACTION_HORIZON_ITERS};
 /// Per-iteration orchestration overhead (GPU-side cost analysis +
 /// selection result copy-back + frontier bookkeeping), expressed as a
 /// multiple of the explicit-copy launch latency so it scales with the
-/// machine model.
+/// machine model. Charged once per GPU iteration, serially after the
+/// timeline and the exchange: nothing overlaps it.
 pub const ITERATION_OVERHEAD_COPIES: f64 = 5.0;
-
-/// The share of [`ITERATION_OVERHEAD_COPIES`] that is the next
-/// iteration's *cost analysis* — the only overhead segment an exchange
-/// can legally hide under (GPU-side bitmap scans over data disjoint from
-/// the in-flight exchange records). The remaining copy is barrier
-/// bookkeeping that *consumes* the exchange's published values, so it
-/// can never overlap them. The full analysis span is only realised when
-/// every partition is active; [`analysis_span`] scales it by the
-/// fraction the analysis actually prices.
-pub const ANALYSIS_SPAN_COPIES: f64 = 4.0;
-
-/// The wall-clock span of one iteration's cost analysis, sized from what
-/// that iteration actually does: the overlappable
-/// [`ANALYSIS_SPAN_COPIES`] share of the orchestration overhead scaled
-/// by the fraction of partitions the analysis prices (inactive
-/// partitions fail the bitmap test immediately and cost ~nothing). This
-/// is the measured window the previous iteration's exchange may hide
-/// under.
-pub fn analysis_span(copy_latency: f64, active_partitions: u32, total_partitions: u32) -> f64 {
-    if total_partitions == 0 {
-        return 0.0;
-    }
-    let frac = active_partitions.min(total_partitions) as f64 / total_partitions as f64;
-    ANALYSIS_SPAN_COPIES * copy_latency * frac
-}
 
 /// Host (Galois-class) edge throughput for the CPU-only comparison rows.
 pub const CPU_EDGE_THROUGHPUT: f64 = 1.5e9;
@@ -162,12 +138,12 @@ pub struct HyTGraphSystem {
     pub(crate) hub: Option<HubOrder>,
     pub(crate) parts: PartitionSet,
     pub(crate) devices: DevicePlan,
-    pub(crate) interconnect: Interconnect,
     /// Devices that own at least one partition: the exchange
     /// participants.
     pub(crate) shard_holders: Vec<bool>,
     /// Run-constant discrete-event scheduler (see the reuse contract).
-    sim: MultiGpuSim,
+    /// It owns the system's one copy of the interconnect.
+    pub(crate) sim: MultiGpuSim,
     /// Placement evidence and history (`migrate.rs`).
     pub(crate) migration: MigrationState,
     /// Cached all-active sweep prices (`mutate.rs`).
@@ -253,14 +229,13 @@ impl HyTGraphSystem {
         let (affinity, devices) = build_placement(&config, &interconnect, &working, &parts);
         let shard_holders = shard_holders(&devices, parts.len());
         let nd = devices.num_devices() as usize;
-        let sim = MultiGpuSim::with_interconnect(nd, config.num_streams, interconnect.clone());
+        let sim = MultiGpuSim::with_interconnect(nd, config.num_streams, interconnect);
         HyTGraphSystem {
             graph: DeltaCsr::with_partitions(working, &parts),
             hub,
             migration: MigrationState::new(affinity, parts.len()),
             parts,
             devices,
-            interconnect,
             shard_holders,
             sim,
             sweep: SweepCache::default(),
@@ -270,7 +245,7 @@ impl HyTGraphSystem {
 
     /// The interconnect the devices contend on.
     pub fn interconnect(&self) -> &Interconnect {
-        &self.interconnect
+        &self.sim.interconnect
     }
 
     /// Number of vertices.
@@ -389,25 +364,6 @@ impl HyTGraphSystem {
             total_time += stats.time;
             total_counters.merge(&stats.counters);
             per_iteration.push(stats);
-            // Measured overlap window: iteration i's exchange hides
-            // under iteration i+1's analysis, whose span is only known
-            // once i+1 has run its activity analysis. Patch the
-            // predecessor's record now that it is. An exchange with no
-            // successor iteration is never patched and stays fully
-            // exposed — both run endings (frontier drain and the
-            // max_iterations cap) leave the last record's hidden at 0
-            // by construction.
-            if let [.., prev, cur] = per_iteration.as_mut_slice() {
-                let window = analysis_span(
-                    self.config.machine.pcie.copy_latency,
-                    cur.active_partitions,
-                    cur.total_partitions,
-                );
-                let hidden = prev.exchange.time.min(window);
-                prev.exchange.hidden = hidden;
-                prev.time -= hidden;
-                total_time -= hidden;
-            }
             // Device-affine migration: between iterations (the only
             // point where no iteration state is in flight) move at most
             // one partition to the device that keeps activating it,
@@ -636,18 +592,6 @@ impl HyTGraphSystem {
             layout.record_bytes(),
         );
         counters.exchange_bytes += exchange_report.payload_bytes;
-        // The exchange hides under the next iteration's cost analysis:
-        // only the residual stays on the critical path. The overlap is
-        // legal on both axes: the data is disjoint (last iteration's
-        // published values vs the freshly-drained frontier's activity
-        // scan), and the resources are too — the analysis overhead is
-        // GPU-side bitmap work plus launch/driver latency (it is
-        // *scaled by* the copy latency, not DMA occupancy of the bus),
-        // so exchange legs keep their exclusive link queues while it
-        // runs. The successor's analysis span is unknown until that
-        // analysis runs, so the exchange is recorded fully exposed here
-        // (`hidden` = 0) and the driver patches it once the successor
-        // has sized the window.
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
         let exchange = ExchangeStats { records, ..ExchangeStats::from(&exchange_report) };
 
@@ -734,7 +678,7 @@ impl HyTGraphSystem {
             published += 1;
         }
         let holders = self.shard_holders.iter().filter(|&&h| h).count() as u64;
-        let report = self.interconnect.price_all_gather(owned, &self.shard_holders);
+        let report = self.interconnect().price_all_gather(owned, &self.shard_holders);
         (report, published * holders.saturating_sub(1))
     }
 

@@ -44,7 +44,6 @@ use crate::api::ValueLayout;
 use crate::runner::HyTGraphSystem;
 use crate::stats::ExchangeStats;
 use hyt_graph::{MutationBatch, VertexId};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// What a point query asks of the resident system. (`Clone` but not
@@ -309,10 +308,6 @@ pub struct SessionService<B: SessionBackend> {
     admitted_cost: f64,
     batches: u64,
     completed: u64,
-    /// Full-sweep quotes per pricing shape: every query of one shape on
-    /// one resident graph prices identically, so the sweep is computed
-    /// once per shape, not per query.
-    quote_cache: HashMap<(bool, u32, u64), f64>,
 }
 
 impl<B: SessionBackend> SessionService<B> {
@@ -337,7 +332,6 @@ impl<B: SessionBackend> SessionService<B> {
             admitted_cost: 0.0,
             batches: 0,
             completed: 0,
-            quote_cache: HashMap::new(),
         }
     }
 
@@ -347,24 +341,17 @@ impl<B: SessionBackend> SessionService<B> {
     }
 
     /// Price a query of `kind` without submitting it: the worst-case
-    /// per-iteration transfer cost of its shape on the resident graph,
-    /// cached per shape. A [`QueryKind::Mutate`] is quoted through the
-    /// same formulas (1)–(3) sweep (the repricing work it can force is
-    /// bounded by one all-active sweep at the narrow shape) plus the
+    /// per-iteration transfer cost of its shape on the resident graph
+    /// (the system's sweep cache prices each partition once per shape
+    /// until a mutation dirties it). A [`QueryKind::Mutate`] is quoted
+    /// through the same formulas (1)–(3) sweep (the repricing work it can
+    /// force is bounded by one all-active sweep at the narrow shape) plus the
     /// current delta surplus — a graph already carrying deltas quotes
     /// mutations dearer, which is exactly the pressure that amortises
     /// into the compaction trigger.
     pub fn quote(&mut self, kind: &QueryKind) -> CostQuote {
         let shape = self.backend.query_shape(kind);
-        let key = (shape.needs_weights, shape.layout.lanes, shape.layout.wire_bytes);
-        let sweep = match self.quote_cache.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = self.system.price_full_sweep(shape.needs_weights, shape.layout);
-                self.quote_cache.insert(key, s);
-                s
-            }
-        };
+        let sweep = self.system.price_full_sweep(shape.needs_weights, shape.layout);
         let surplus =
             if matches!(kind, QueryKind::Mutate(_)) { self.system.delta_surplus() } else { 0.0 };
         CostQuote { sweep_rtt: sweep + surplus }
@@ -463,13 +450,6 @@ impl<B: SessionBackend> SessionService<B> {
             kinds.len(),
             "backend must demultiplex one output per cohort member"
         );
-        if kinds.iter().any(|k| matches!(k, QueryKind::Mutate(_))) {
-            // The graph just changed shape: every cached sweep is
-            // suspect. The system's own per-partition cache survives for
-            // clean partitions — re-quoting a shape re-prices only the
-            // dirty ones.
-            self.quote_cache.clear();
-        }
         self.batches += 1;
         self.clock += outcome.total_time;
         let share = outcome.exchange_payload_bytes as f64 / kinds.len() as f64;
@@ -614,13 +594,17 @@ mod tests {
     #[test]
     fn quotes_are_positive_shape_cached_and_weight_sensitive() {
         let mut s = service(1e12, 4);
+        let parts = s.system().num_partitions() as u64;
         let bfs = s.quote(&QueryKind::Bfs(0));
         assert!(bfs.sweep_rtt > 0.0);
-        // Same shape, different source: the cached sweep, bitwise.
+        assert_eq!(s.system().sweep_repriced(), parts, "a fresh shape prices every partition");
+        // Same shape, different source: the cached sweep, bitwise, with
+        // nothing re-priced.
         assert_eq!(s.quote(&QueryKind::Bfs(7)), bfs);
+        assert_eq!(s.system().sweep_repriced(), parts);
         // SSSP ships weights: strictly dearer on a weighted graph.
         assert!(s.quote(&QueryKind::Sssp(0)).sweep_rtt > bfs.sweep_rtt);
-        assert_eq!(s.quote_cache.len(), 2);
+        assert_eq!(s.system().sweep_repriced(), 2 * parts, "one sweep per shape");
     }
 
     #[test]
@@ -771,12 +755,18 @@ mod tests {
         s.submit(QueryKind::Mutate(batch));
         let done = s.drain();
         assert_eq!(done.len(), 1);
-        // The mutate cohort dropped every cached per-shape quote.
-        assert!(s.quote_cache.is_empty());
+        let dirty = match &done[0].output {
+            QueryOutput::Mutation(m) => m.dirty_partitions.len() as u64,
+            o => panic!("expected a mutation outcome, got {o:?}"),
+        };
+        assert!(dirty > 0);
         // Re-quoting: a mutation now prices the sweep plus the live
         // surplus of the deltas the last batch left behind (zero again
-        // only if it compacted).
+        // only if it compacted). The sweep re-prices exactly the
+        // partitions the batch dirtied.
+        let before = s.system().sweep_repriced();
         let mutate = s.quote(&QueryKind::Mutate(MutationBatch::new()));
+        assert_eq!(s.system().sweep_repriced() - before, dirty);
         let bfs = s.quote(&QueryKind::Bfs(0));
         let surplus = s.system.delta_surplus();
         assert!(surplus > 0.0, "the insert batch must leave deltas behind");

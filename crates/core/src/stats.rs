@@ -75,12 +75,10 @@ impl EngineMix {
 pub struct ExchangeStats {
     /// Routed exchange wall time: the busiest link's queue, since legs
     /// on disjoint links overlap (equals the serial bus time on the
-    /// host-only topology).
+    /// host-only topology). All of it is on the iteration's critical
+    /// path: the exchange is charged after the barrier.
     pub time: SimTime,
-    /// Portion of `time` hidden under the next iteration's cost
-    /// analysis. It never exceeds the successor iteration's actual
-    /// analysis span and is always 0 on a run's final iteration — there
-    /// is no successor to hide under.
+    /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub hidden: SimTime,
     /// Host root-complex busy time (staged uploads + downloads).
     pub host_time: SimTime,
@@ -109,17 +107,10 @@ pub struct ExchangeStats {
 }
 
 impl ExchangeStats {
-    /// Exchange wall time actually exposed on the critical path
-    /// (`time − hidden`).
-    pub fn exposed(&self) -> SimTime {
-        self.time - self.hidden
-    }
-
     /// Accumulate another iteration's exchange into this one (run-total
     /// reporting).
     pub fn merge(&mut self, other: &ExchangeStats) {
         self.time += other.time;
-        self.hidden += other.hidden;
         self.host_time += other.host_time;
         self.peer_time += other.peer_time;
         self.host_bytes += other.host_bytes;
@@ -129,13 +120,11 @@ impl ExchangeStats {
     }
 }
 
-/// One routed all-gather, as the runner records it (`hidden` starts at 0;
-/// the driver sets it once the successor iteration has sized the window).
+/// One routed all-gather, as the runner records it.
 impl From<&hyt_sim::ExchangeReport> for ExchangeStats {
     fn from(r: &hyt_sim::ExchangeReport) -> Self {
         ExchangeStats {
             time: r.makespan,
-            hidden: 0.0,
             host_time: r.host_time,
             peer_time: r.peer_time,
             host_bytes: r.host_bytes,
@@ -181,7 +170,10 @@ pub struct IterationStats {
     pub mix: EngineMix,
     /// Scheduled tasks after combining.
     pub tasks: u32,
-    /// Iteration makespan (simulated seconds).
+    /// Iteration makespan (simulated seconds), final when the iteration
+    /// returns: on the GPU path, the timeline makespan plus
+    /// `exchange.time` plus the per-iteration orchestration overhead
+    /// ([`crate::runner::ITERATION_OVERHEAD_COPIES`]).
     pub time: SimTime,
     /// Bus busy time within the iteration.
     pub transfer_time: SimTime,
@@ -208,8 +200,9 @@ pub struct RunResult<V> {
     pub values: Vec<V>,
     /// Iterations executed.
     pub iterations: u32,
-    /// Total simulated runtime (Σ iteration makespans + per-iteration
-    /// scheduling overhead).
+    /// Total simulated runtime: the startup edge passes plus the
+    /// in-order sum of every `per_iteration[i].time` (plus any migration
+    /// copies when [`crate::HyTGraphConfig::affine_migration`] is on).
     pub total_time: SimTime,
     /// Per-iteration records.
     pub per_iteration: Vec<IterationStats>,
@@ -265,12 +258,5 @@ mod tests {
     fn empty_mix_has_zero_fractions() {
         let m = EngineMix::default();
         assert_eq!(m.fractions(), (0.0, 0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn exchange_exposed_subtracts_hidden_time() {
-        let x = ExchangeStats { time: 5.0, hidden: 2.0, ..Default::default() };
-        assert!((x.exposed() - 3.0).abs() < 1e-12);
-        assert_eq!(ExchangeStats::default().exposed(), 0.0);
     }
 }

@@ -23,12 +23,13 @@
 //! * [`kernel`] — an analytic kernel-time model (edge throughput scaled by
 //!   core count, launch overhead). Real computation happens on CPU threads
 //!   in `hyt-engines`; this model only charges simulated *time*.
-//! * [`streams`] — a discrete-event timeline of CUDA-stream semantics:
-//!   per-stream ordering, three contended resources (PCIe, GPU compute,
-//!   CPU compaction pool), and makespan extraction (Fig. 6).
-//! * [`multi`] — the multi-device generalisation: per-device streams and
-//!   kernel engines behind a routed interconnect and one host compaction
-//!   pool.
+//! * [`streams`] — the vocabulary of the CUDA-stream timeline (Fig. 6):
+//!   tasks as ordered phases on three contended resources (PCIe, GPU
+//!   compute, CPU compaction pool), per-task and per-phase spans, and
+//!   `StreamSim`, the one-device view of `multi`'s scheduler.
+//! * [`multi`] — the one discrete-event list scheduler: per-device
+//!   streams and kernel engines behind a routed interconnect and one host
+//!   compaction pool, with makespan extraction.
 //! * [`topology`] — the interconnect itself: host root complex plus
 //!   optional NVLink-class peer links (ring / all-to-all / heterogeneous
 //!   meshes, each link with its own spec, duplex discipline, and

@@ -1,8 +1,9 @@
 //! Multi-device timeline: per-device streams and compute behind a routed
 //! interconnect.
 //!
-//! [`MultiGpuSim`] generalises [`StreamSim`](crate::StreamSim) to `D`
-//! simulated devices. Each device owns its own CUDA streams and its own
+//! [`MultiGpuSim`] is the simulator's one list scheduler, over `D`
+//! simulated devices ([`StreamSim`](crate::StreamSim) is its `D = 1`
+//! view). Each device owns its own CUDA streams and its own
 //! kernel engine (kernels on *different* devices overlap freely), while
 //! two resource families stay shared across the whole host:
 //!
@@ -19,13 +20,14 @@
 //! * **CPU** — the host compaction pool serves every device's gather
 //!   requests and serialises with itself.
 //!
-//! Scheduling is deterministic list scheduling, exactly like `StreamSim`:
-//! each device's task list is already in that device's priority order, and
-//! at every step the scheduler commits the task (across all devices) that
-//! could start earliest, breaking ties toward the lower device id. With
-//! `D = 1` this reduces phase-for-phase to `StreamSim::schedule` (asserted
-//! by a unit test), which is what keeps single-device runs bit-identical
-//! to the pre-sharding code path.
+//! Scheduling is deterministic list scheduling: each device's task list is
+//! already in that device's priority order, and at every step the
+//! scheduler commits the task (across all devices) that could start
+//! earliest, breaking ties toward the lower device id. Within a device,
+//! a task goes to the earliest-available stream (lowest index on ties)
+//! and each phase waits for its predecessor phase and its resource. With
+//! `D = 1` this is plain in-order list scheduling over one bus, one GPU
+//! and the host pool.
 
 use crate::streams::{Phase, PhaseSpan, Resource, SimTask, Timeline};
 use crate::topology::Interconnect;
@@ -113,7 +115,7 @@ impl MultiGpuSim {
 
     /// Play one priority-ordered task list per device and return the
     /// merged timeline. `tasks.len()` must equal `num_devices`.
-    pub fn schedule(&self, tasks: &[Vec<SimTask>]) -> MultiTimeline {
+    pub fn schedule<L: AsRef<[SimTask]>>(&self, tasks: &[L]) -> MultiTimeline {
         assert_eq!(tasks.len(), self.num_devices, "one task list per device");
         let nd = self.num_devices;
         // One slot per interconnect contention queue. Host-routed task
@@ -134,10 +136,7 @@ impl MultiGpuSim {
             // Pick the device whose head-of-queue task could start earliest.
             let mut best: Option<(f64, usize, usize)> = None; // (start, device, stream)
             for (d, queue) in tasks.iter().enumerate() {
-                if next[d] >= queue.len() {
-                    continue;
-                }
-                let task = &queue[next[d]];
+                let Some(task) = queue.as_ref().get(next[d]) else { continue };
                 let host = self.host_queue_of(d as u32);
                 let (sid, cursor) = earliest_stream(&stream_free[d]);
                 let start = match task.phases.first() {
@@ -152,7 +151,7 @@ impl MultiGpuSim {
                 }
             }
             let Some((_, d, sid)) = best else { break };
-            let task = &tasks[d][next[d]];
+            let task = &tasks[d].as_ref()[next[d]];
             let tid = next[d];
             next[d] += 1;
             let host = self.host_queue_of(d as u32);
@@ -238,22 +237,29 @@ mod tests {
 
     #[test]
     fn one_device_matches_stream_sim_exactly() {
+        // Durations in halves and quarters, so every span is exact.
         let tasks: Vec<SimTask> = vec![
-            SimTask::compaction("c", 0.5, 1.0, 0.7),
+            SimTask::compaction("c", 0.5, 1.0, 0.75),
             SimTask::zero_copy("z", 2.0, 1.5),
             explicit("e1", 1.0, 2.0),
-            explicit("e2", 0.3, 0.3),
+            explicit("e2", 0.25, 0.25),
         ];
         let single = StreamSim::new(3).schedule(&tasks);
-        let multi = MultiGpuSim::new(1, 3).schedule(&[tasks]);
+        let multi = MultiGpuSim::new(1, 3).schedule(&[&tasks]);
+        // c: cpu 0–0.5, bus 0.5–1.5, gpu 1.5–2.25. z (stream 1): bus and
+        // GPU are both free at 2.25, so 2.25–4.25. e1 (stream 2): bus
+        // 4.25–5.25, gpu 5.25–7.25. e2 (stream 0, free at 2.25): bus
+        // 5.25–5.5, gpu waits for e1 until 7.25, ends 7.5.
+        let spans: Vec<(f64, f64)> = single.spans.iter().map(|&(_, s, e)| (s, e)).collect();
+        assert_eq!(spans, [(0.0, 2.25), (2.25, 4.25), (4.25, 7.25), (5.25, 7.5)]);
+        assert_eq!(
+            (single.makespan, single.pcie_busy, single.gpu_busy, single.cpu_busy),
+            (7.5, 4.25, 4.5, 0.5)
+        );
         assert_eq!(multi.per_device.len(), 1);
-        let dev = &multi.per_device[0];
-        assert_eq!(dev.makespan, single.makespan);
-        assert_eq!(dev.pcie_busy, single.pcie_busy);
-        assert_eq!(dev.gpu_busy, single.gpu_busy);
-        assert_eq!(dev.cpu_busy, single.cpu_busy);
-        assert_eq!(dev.phase_spans, single.phase_spans);
-        assert_eq!(multi.makespan, single.makespan);
+        assert_eq!(multi.per_device[0].phase_spans, single.phase_spans);
+        assert_eq!(multi.per_device[0].spans, single.spans);
+        assert_eq!((multi.makespan, multi.bus_busy, multi.cpu_busy), (7.5, 4.25, 0.5));
     }
 
     #[test]

@@ -14,14 +14,16 @@
 //! execution, so transfer and compute occupy the bus and the GPU for the
 //! same interval (implicit transfer/compute overlap, Section V-B).
 //!
-//! [`StreamSim::schedule`] plays a task list (already in priority order)
-//! against `num_streams` streams and returns the [`Timeline`]: the
+//! This module holds the task and timeline vocabulary; the one list
+//! scheduler is [`MultiGpuSim::schedule`], and [`StreamSim`] is its
+//! one-device view. A schedule plays a task list (already in priority
+//! order) against `num_streams` streams and returns the [`Timeline`]: the
 //! makespan, per-resource busy times, and per-task spans. This is a
 //! deterministic, list-scheduling approximation of what the CUDA runtime
 //! does — tasks are dealt to the earliest-available stream in priority
 //! order, and each phase waits for its predecessor phase and its resource.
 
-use crate::SimTime;
+use crate::{MultiGpuSim, SimTime};
 
 /// One phase of a task on a named resource.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -151,82 +153,25 @@ impl Timeline {
     }
 }
 
-/// The multi-stream scheduler.
-#[derive(Clone, Copy, Debug)]
+/// The single-device scheduler: a one-device [`MultiGpuSim`] on the
+/// host-only interconnect, returning device 0's timeline. Kept for the
+/// frozen harness until ROADMAP's `wall` v2 item; the runner schedules
+/// through [`MultiGpuSim`] directly.
+#[derive(Clone, Debug)]
 pub struct StreamSim {
-    /// Number of CUDA streams (the paper uses 4 in Fig. 6).
-    pub num_streams: usize,
+    sim: MultiGpuSim,
 }
 
 impl StreamSim {
     /// A scheduler over `num_streams` streams (minimum 1).
     pub fn new(num_streams: usize) -> Self {
-        StreamSim { num_streams: num_streams.max(1) }
+        StreamSim { sim: MultiGpuSim::new(1, num_streams) }
     }
 
     /// Play `tasks` (already priority-ordered) and return the timeline.
     pub fn schedule(&self, tasks: &[SimTask]) -> Timeline {
-        let mut stream_free = vec![0.0f64; self.num_streams];
-        let mut pcie_free = 0.0f64;
-        let mut gpu_free = 0.0f64;
-        let mut cpu_free = 0.0f64;
-        let mut tl = Timeline::default();
-        for (tid, task) in tasks.iter().enumerate() {
-            // Deal to the earliest-available stream (stable tie-break).
-            let (sid, _) = stream_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-                .map_or((0, 0.0), |(sid, &t)| (sid, t));
-            let mut cursor = stream_free[sid];
-            let mut first = true;
-            let mut task_start = cursor;
-            for phase in &task.phases {
-                let dur = phase.duration();
-                let start = match phase {
-                    Phase::Cpu(_) => cursor.max(cpu_free),
-                    Phase::Transfer(_) => cursor.max(pcie_free),
-                    Phase::Kernel(_) => cursor.max(gpu_free),
-                    Phase::Fused { .. } => cursor.max(pcie_free).max(gpu_free),
-                };
-                let end = start + dur;
-                let span = |resource, fused| PhaseSpan { task: tid, resource, start, end, fused };
-                match phase {
-                    Phase::Cpu(t) => {
-                        cpu_free = end;
-                        tl.cpu_busy += t;
-                        tl.phase_spans.push(span(Resource::Cpu, false));
-                    }
-                    Phase::Transfer(t) => {
-                        pcie_free = end;
-                        tl.pcie_busy += t;
-                        tl.phase_spans.push(span(Resource::Pcie, false));
-                    }
-                    Phase::Kernel(t) => {
-                        gpu_free = end;
-                        tl.gpu_busy += t;
-                        tl.phase_spans.push(span(Resource::Gpu, false));
-                    }
-                    Phase::Fused { transfer, kernel } => {
-                        pcie_free = end;
-                        gpu_free = end;
-                        tl.pcie_busy += transfer;
-                        tl.gpu_busy += kernel;
-                        tl.phase_spans.push(span(Resource::Pcie, true));
-                        tl.phase_spans.push(span(Resource::Gpu, true));
-                    }
-                }
-                if first {
-                    task_start = start;
-                    first = false;
-                }
-                cursor = end;
-            }
-            stream_free[sid] = cursor;
-            tl.makespan = tl.makespan.max(cursor);
-            tl.spans.push((task.label.clone(), task_start, cursor));
-        }
-        tl
+        let mut tl = self.sim.schedule(&[tasks]);
+        tl.per_device.swap_remove(0)
     }
 }
 

@@ -75,8 +75,8 @@ fn interleaved_programs_do_not_leak_state_between_runs() {
 
 #[test]
 fn resident_reuse_holds_with_overlap_and_wide_values() {
-    // The two stateful-looking features — the deferred overlap patch and
-    // the multi-lane exchange scratch — must also leave no residue.
+    // The multi-lane exchange scratch, reused across iterations, must
+    // leave no residue between wide and narrow runs.
     let cfg = config(4);
     let mut resident = HyTGraphSystem::new(graph(), cfg.clone());
     let wide1 = fingerprint(&resident.run(MultiBfs::from_sources([0, 9, 3, 250])));

@@ -7,8 +7,8 @@
 //! * exclusive resources (the PCIe bus, each GPU's kernel engine, the
 //!   host compaction pool) never hold two overlapping spans;
 //! * fused zero-copy phases occupy bus and GPU for the *same* interval;
-//! * the multi-device scheduler degenerates to `StreamSim` at `D = 1` and
-//!   keeps bus exclusivity *across* devices.
+//! * the multi-device scheduler at `D = 1` gives `StreamSim`'s timeline
+//!   on every topology, and keeps bus exclusivity *across* devices.
 
 use hytgraph::sim::{
     Interconnect, LinkSpec, MultiGpuSim, PcieModel, Phase, PhaseSpan, Resource, SimTask, StreamSim,
