@@ -60,9 +60,6 @@ pub const HLL_P: u32 = 6;
 /// Registers per default sketch (`2^p`).
 pub const HLL_REGISTERS: usize = 1 << HLL_P;
 
-/// 64-bit lanes per default sketch (8 one-byte registers per lane).
-pub const HLL_LANES: usize = HLL_REGISTERS / 8;
-
 /// Standard relative standard error of the default 64-register counter:
 /// `1.04 / √64 = 0.13`.
 pub const HLL_RSE: f64 = 1.04 / 8.0;

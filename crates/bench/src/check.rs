@@ -416,46 +416,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 5: cut-through forwarding strictly shrinks a >= 3-hop detour
-    // — a sparse exchange whose makespan is the store-and-forward chain
-    // floor pipelines down toward the bottleneck hop, with wire
-    // occupancy, byte counts, and payload identical; and a degenerate
-    // chunk (>= the batch, a single chunk) reprices the
-    // store-and-forward model bit-identically.
-    {
-        use hyt_core::LinkSpec;
-        let pcie = base_config().machine.pcie;
-        let spec = LinkSpec::with_nominal_bw(50.0e9);
-        let line =
-            |s: LinkSpec| hyt_core::Interconnect::mesh(4, pcie, &[(0, 1, s), (1, 2, s), (2, 3, s)]);
-        let owned = [64u64 << 20, 0, 0, 0];
-        let participates = [true, false, false, true];
-        let saf = line(spec).price_all_gather(&owned, &participates);
-        let ct = line(spec.with_cut_through(4 << 20)).price_all_gather(&owned, &participates);
-        let degenerate =
-            line(spec.with_cut_through(64 << 20)).price_all_gather(&owned, &participates);
-        out.push(CheckResult::new(
-            "Cut-through: pipelined chunks strictly beat store-and-forward on a 3-hop detour",
-            ct.makespan < saf.makespan
-                && ct.critical_path < saf.critical_path
-                && ct.per_queue_busy == saf.per_queue_busy
-                && ct.payload_bytes == saf.payload_bytes
-                && ct.forwarded_bytes == saf.forwarded_bytes
-                && degenerate == saf,
-            format!(
-                "3-hop chain {:.3}ms -> {:.3}ms (floor {:.3} -> {:.3}ms), \
-                 occupancy/bytes identical: {}, chunk >= batch reprices store-and-forward \
-                 exactly: {}",
-                saf.makespan * 1e3,
-                ct.makespan * 1e3,
-                saf.critical_path * 1e3,
-                ct.critical_path * 1e3,
-                ct.per_queue_busy == saf.per_queue_busy && ct.peer_bytes == saf.peer_bytes,
-                degenerate == saf
-            ),
-        ));
-    }
-
     // Fig 9: Grus degrades far faster than HyTGraph across the size sweep.
     {
         let sweep = hyt_graph::datasets::rmat_sweep();

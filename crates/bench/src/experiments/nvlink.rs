@@ -14,10 +14,7 @@
 //!   bridges carry *different* specs — a uniform NVLink2 ring, an
 //!   alternating NVLink2/NVLink4 ring, and a ring with one 2 GB/s bridge
 //!   whose pair routing sends back to host staging while its neighbours
-//!   detour device-via-device;
-//! * **axis 4 — routing model** (ISSUE 5): the same `D = 8` ring on the
-//!   static sized route ladder, without and with cut-through forwarding
-//!   — the exchange column may only shrink.
+//!   detour device-via-device.
 //!
 //! Three findings the tables show:
 //!
@@ -31,7 +28,7 @@
 //!    shows bytes reappearing on the host link.
 //!
 //! Set `REPRO_SMOKE=1` to run a reduced sweep (2 bandwidths; the
-//! mixed-generation and routing-model axes always run) in CI.
+//! mixed-generation axis always runs) in CI.
 
 use crate::context::{base_config, run_algo_with_config, Ctx};
 use crate::table::{pct, secs, Table};
@@ -215,50 +212,5 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         ]);
     }
 
-    // Routing-model axis (ISSUE 5): the uniform D = 8 ring without and
-    // with cut-through forwarding. Pricing-only: values and iterations
-    // are identical row to row, and cut-through can only shrink the
-    // exchange.
-    let routing_rows: Vec<(&str, HyTGraphConfig)> = {
-        let row = |peer_link: LinkSpec| {
-            let base = HyTGraphConfig {
-                topology: TopologyKind::Ring,
-                num_devices: MIXED_DEVICES,
-                peer_link,
-                threads: 1,
-                ..base_config()
-            };
-            SystemKind::HyTGraph.configure(base)
-        };
-        let link = base_config().peer_link;
-        let chunk = (256u64 << 10) >> crate::context::SCALE_SHIFT;
-        vec![
-            ("sized route ladder", row(link)),
-            ("ladder + cut-through", row(link.with_cut_through(chunk))),
-        ]
-    };
-    let mut routing = Table::new(
-        format!(
-            "Extension: routing-model axis (HyTGraph SSSP on FS, D={MIXED_DEVICES} ring, \
-             PCIe3 host)"
-        ),
-        &["routing", "time", "exch", "host KB", "peer KB", "fwd KB"],
-    );
-    for (label, cfg) in routing_rows {
-        let m = run_algo_with_config(SystemKind::HyTGraph, AlgoKind::Sssp, &g, cfg);
-        let mut x = hyt_core::ExchangeStats::default();
-        for it in &m.per_iteration {
-            x.merge(&it.exchange);
-        }
-        routing.row(vec![
-            label.to_string(),
-            secs(m.total_time),
-            secs(x.time),
-            format!("{:.1}", x.host_bytes as f64 / 1024.0),
-            format!("{:.1}", x.peer_bytes as f64 / 1024.0),
-            format!("{:.1}", x.forwarded_bytes as f64 / 1024.0),
-        ]);
-    }
-
-    vec![runtime, base_mix, grid, mixed, routing]
+    vec![runtime, base_mix, grid, mixed]
 }

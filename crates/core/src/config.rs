@@ -86,19 +86,19 @@ pub struct HyTGraphConfig {
     /// clique that the frontier exchange routes over (direct, forwarded
     /// device-via-device, or host-staged — whichever prices cheapest).
     pub topology: TopologyKind,
-    /// Bandwidth, latency and cut-through chunk size of each peer link
-    /// when `topology` has any. Each direction of a peer link owns its
-    /// own contention queue, so the two legs of a symmetric exchange
-    /// overlap. Forwarded chains price store-and-forward unless every
-    /// hop advertises a chunk ([`LinkSpec::with_cut_through`]).
+    /// Bandwidth and latency of each peer link when `topology` has any.
+    /// Each direction of a peer link owns its own contention queue, so
+    /// the two legs of a symmetric exchange overlap. Forwarded chains
+    /// price store-and-forward: the sum of their hops.
     pub peer_link: LinkSpec,
     /// Per-link spec overrides applied on top of the uniform `topology`
     /// build: each `(a, b, spec)` entry re-prices the peer link between
     /// devices `a` and `b` — or adds one when the shape has none — so
-    /// mixed-generation rings and arbitrary heterogeneous meshes are
-    /// plain configuration. Routing re-plans around the edited links
-    /// (e.g. a slow bridge sends its pair back to host staging). Empty
-    /// by default.
+    /// mixed-generation rings and arbitrary heterogeneous fabrics are
+    /// plain configuration ([`hyt_sim::Interconnect::with_link_spec`],
+    /// which panics on an unusable spec). Routing re-plans around the
+    /// edited links (e.g. a slow bridge sends its pair back to host
+    /// staging). Empty by default.
     pub link_overrides: Vec<(u32, u32, LinkSpec)>,
     /// Device-affine migration: between iterations (and, because the
     /// device plan is resident, between back-to-back runs on one
@@ -180,11 +180,41 @@ mod tests {
         assert_eq!(c.device_assignment, DeviceAssignment::EdgeBalanced);
         assert_eq!(c.topology, TopologyKind::HostOnly, "the paper's platform has no peer links");
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
-        assert_eq!(c.peer_link.cut_through, None, "chains store-and-forward unless a link chunks");
         assert!(!c.affine_migration, "static placement is the reproducible baseline");
         let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
         let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), ring);
         assert_eq!(sys.interconnect().route_breakpoints(), ROUTE_LADDER);
+    }
+
+    #[test]
+    fn config_link_overrides_build_the_fabric_with_link_spec_builds() {
+        use hyt_sim::Interconnect;
+        let c = HyTGraphConfig::default();
+        let (pcie, peer) = (c.machine.pcie, c.peer_link);
+        let fast = LinkSpec::with_nominal_bw(200.0e9).scaled(SCALE_SHIFT);
+        let slow = LinkSpec::with_nominal_bw(2.0e9).scaled(SCALE_SHIFT);
+        let system = |num_devices, topology, link_overrides| {
+            let cfg = HyTGraphConfig { num_devices, topology, link_overrides, ..c.clone() };
+            crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), cfg)
+        };
+        // A D = 8 ring: two links re-priced (one named against its
+        // endpoint order) and one chord added.
+        let ring = system(8, TopologyKind::Ring, vec![(0, 1, fast), (7, 6, slow), (2, 6, fast)]);
+        let expect = Interconnect::build(TopologyKind::Ring, 8, pcie, peer)
+            .with_link_spec(0, 1, fast)
+            .with_link_spec(7, 6, slow)
+            .with_link_spec(2, 6, fast)
+            .with_route_breakpoints(&ROUTE_LADDER);
+        assert_eq!(*ring.interconnect(), expect);
+        // A D = 4 host-only system with two added links: a sparse
+        // mixed-generation fabric, built the same way.
+        let sparse = system(4, TopologyKind::HostOnly, vec![(0, 1, fast), (1, 2, slow)]);
+        let expect = Interconnect::build(TopologyKind::HostOnly, 4, pcie, peer)
+            .with_link_spec(0, 1, fast)
+            .with_link_spec(1, 2, slow)
+            .with_route_breakpoints(&ROUTE_LADDER);
+        assert_eq!(*sparse.interconnect(), expect);
+        assert_eq!(sparse.interconnect().kind(), TopologyKind::HostOnly);
     }
 
     #[test]

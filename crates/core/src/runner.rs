@@ -632,10 +632,10 @@ impl HyTGraphSystem {
     /// vertices and receives every other shard-holder's batch, routed
     /// over the configured interconnect on each pair's cheapest path *at
     /// its batch size* — a direct peer link, a forwarded multi-hop peer
-    /// path (pipelined when every hop advertises a cut-through chunk), or
-    /// staging through the host root complex — with legs queueing per
-    /// direction queue ([`Interconnect::price_all_gather`]): one static
-    /// pass, no exchange-time re-routing.
+    /// path (store-and-forward), or staging through the host root
+    /// complex — with legs queueing per direction queue
+    /// ([`Interconnect::price_all_gather`]): one static pass, no
+    /// exchange-time re-routing.
     ///
     /// Only devices that own a shard participate: a spare device with no
     /// partitions computes nothing, so it neither publishes nor

@@ -316,11 +316,6 @@ impl DeltaCsr {
         self.delta_live.iter().sum()
     }
 
-    /// Total tombstoned base edges.
-    pub fn dead_edges(&self) -> u64 {
-        self.dead_base.iter().sum()
-    }
-
     /// Drain the dirty-partition set accumulated since the last call:
     /// ids of partitions whose adjacency changed, ascending.
     pub fn take_dirty(&mut self) -> Vec<u32> {

@@ -31,9 +31,9 @@
 //!   streams and kernel engines behind a routed interconnect and one host
 //!   compaction pool, with makespan extraction.
 //! * [`topology`] — the interconnect itself: host root complex plus
-//!   optional NVLink-class peer links (ring / all-to-all / heterogeneous
-//!   meshes, each link with its own spec, duplex discipline, and
-//!   optional cut-through chunk size), byte-size-aware cheapest-path
+//!   optional NVLink-class peer links (ring / all-to-all, edited per link
+//!   into heterogeneous fabrics, each link with its own spec and duplex
+//!   discipline), byte-size-aware cheapest-path
 //!   transfer routing (per-breakpoint route tables; direct,
 //!   device-via-device forwarded, or host-staged), and
 //!   per-direction-queue contention pricing of the frontier all-gather.
@@ -55,8 +55,8 @@ pub use multi::{MultiGpuSim, MultiTimeline};
 pub use pcie::PcieModel;
 pub use streams::{Phase, PhaseSpan, Resource, SimTask, StreamSim, Timeline};
 pub use topology::{
-    ExchangeReport, Interconnect, Link, LinkClass, LinkRate, LinkSpec, Route, TopologyKind,
-    ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES,
+    ExchangeReport, Interconnect, Link, LinkSpec, Route, TopologyKind, ROUTE_BREAKPOINT_LADDER,
+    ROUTE_PROBE_BYTES,
 };
 pub use um::{UmCache, UmModel};
 

@@ -139,13 +139,6 @@ impl PcieModel {
         (self.gamma * self.rtt() + (1.0 - self.gamma) * r * self.rtt()) / self.zc_efficiency
     }
 
-    /// Wall time for zero-copy to service `requests` requests at the given
-    /// active-edge ratio (formula (3) without the per-partition ceil, which
-    /// engines apply when they know partition boundaries).
-    pub fn zero_copy_time(&self, requests: u64, active_ratio: f64) -> SimTime {
-        self.zero_copy_tlps(requests) as f64 * self.rtt_zc(active_ratio)
-    }
-
     /// Effective throughput (bytes/s) of zero-copy when every request
     /// carries exactly `granularity` bytes — the Fig. 3(e) curve. At 128 B
     /// this approaches explicit-copy bandwidth; at 32 B it collapses.

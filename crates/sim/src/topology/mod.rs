@@ -7,23 +7,22 @@
 //! This module makes the interconnect a first-class object:
 //!
 //! * a [`Link`] is one contended wire with its own pricing: the **host
-//!   root complex** (all devices' PCIe lanes converge there, priced with
-//!   the TLP-quantised [`PcieModel`](crate::PcieModel)) or an
-//!   **NVLink-class peer link** between two devices (smooth latency +
-//!   bandwidth, [`LinkSpec`]).
-//!   Every peer link carries its *own* spec, so mixed-generation meshes
-//!   (x4 beside x8 bridges, NVLink 2 beside NVLink 4) are first-class —
-//!   see [`Interconnect::ring_with_specs`], [`Interconnect::mesh`], and
-//!   [`Interconnect::with_link_spec`];
+//!   root complex** ([`Link::Host`]: all devices' PCIe lanes converge
+//!   there, priced with the TLP-quantised [`PcieModel`](crate::PcieModel))
+//!   or an **NVLink-class peer link** between two devices ([`Link::Peer`]:
+//!   smooth latency + bandwidth, [`LinkSpec`]).
+//!   Every peer link carries its *own* spec, so mixed-generation fabrics
+//!   (x4 beside x8 bridges, NVLink 2 beside NVLink 4) are first-class;
 //! * peer links are **full-duplex**: each direction owns its own
 //!   contention queue, so the two legs of a symmetric exchange overlap
 //!   instead of serialising. The host root complex always stays **one**
 //!   TLP-quantised queue, so a host-only interconnect is the serial
 //!   shared bus;
-//! * an [`Interconnect`] is a set of links in one of three named shapes
-//!   ([`TopologyKind`]) — host-only (the shared bus), a ring of
-//!   neighbour links, or a fully-connected clique — optionally edited
-//!   per link into an arbitrary heterogeneous mesh;
+//! * an [`Interconnect`] is one of three named shapes ([`TopologyKind`])
+//!   — host-only (the shared bus), a ring of neighbour links, or a
+//!   fully-connected clique — plus per-link edits
+//!   ([`Interconnect::with_link_spec`]) that re-price a link or add a
+//!   missing one, which is how any heterogeneous fabric is built;
 //! * [`Interconnect::route`] returns the **cheapest priced path** for a
 //!   device-to-device transfer of a given *size*, chosen at build time
 //!   from a dense **per-breakpoint** route table: routes are probed at a
@@ -37,12 +36,9 @@
 //!   complex) when the peer fabric is absent or slower. A slow bridge
 //!   therefore shifts its pair's traffic back to host staging instead of
 //!   being used blindly;
-//! * forwarded chains price **store-and-forward** by default (each hop
-//!   waits for the whole batch); a [`LinkSpec::with_cut_through`] chunk
-//!   size lets a chain pipeline chunks across its hops instead, pricing
-//!   the chain as the bottleneck hop's stream plus a one-chunk ramp on
-//!   every other hop ([`Interconnect::chain_time`]). `cut_through =
-//!   None` (the default) reproduces the store-and-forward sum exactly;
+//! * forwarded chains price **store-and-forward**: each hop waits for the
+//!   whole batch, so a chain costs the sum of its hops
+//!   ([`Interconnect::chain_time`]);
 //! * [`Interconnect::price_all_gather`] plays a frontier all-gather
 //!   against the per-direction contention queues: legs on disjoint
 //!   queues overlap, legs sharing a queue serialise. With the host-only
@@ -62,7 +58,7 @@ mod spec;
 
 pub use price::ExchangeReport;
 pub use route::{Interconnect, Route, HOST_LINK, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES};
-pub use spec::{Link, LinkClass, LinkRate, LinkSpec, TopologyKind};
+pub use spec::{Link, LinkSpec, TopologyKind};
 
 // One test module for all three siblings (not one per file): the suite
 // tracks tests by path, and these keep their `topology::tests::*` names.

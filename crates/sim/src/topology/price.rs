@@ -2,22 +2,23 @@
 //! interconnect, written against `route`'s public lookups only.
 
 use super::route::{Interconnect, Route, HOST_LINK};
+use super::spec::Link;
 use crate::SimTime;
 
 impl Interconnect {
     /// Occupy `link` in the direction leaving `from` with one transfer of
-    /// `bytes`; returns the device at the other end.
+    /// `bytes`; returns the device at the other end. Routes hop over peer
+    /// links only; the host root complex, one queue, would leave `from`
+    /// where it is.
     fn occupy(&self, report: &mut ExchangeReport, from: u32, link: usize, bytes: u64) -> u32 {
         let t = self.transfer_time(link, bytes);
-        // hyt-lint: allow(unwrap-in-lib) -- occupy is only invoked on peer links, which are always constructed with Some(endpoints)
-        let (a, b) = self.links()[link].endpoints.expect("peer link has endpoints");
-        report.per_queue_busy[self.queue(link, from != a)] += t;
+        let (reverse, to) = match self.links()[link] {
+            Link::Peer { ends: (a, b), .. } => (from != a, if from == a { b } else { a }),
+            Link::Host(_) => (false, from),
+        };
+        report.per_queue_busy[self.queue(link, reverse)] += t;
         report.per_link_busy[link] += t;
-        if from == a {
-            b
-        } else {
-            a
-        }
+        to
     }
 
     /// Price the end-of-iteration frontier all-gather: participating
@@ -26,16 +27,15 @@ impl Interconnect {
     ///
     /// Each pair's batch follows its cheapest route at the batch's own
     /// size: a direct peer link, a forwarded multi-hop peer path (the
-    /// batch pays — and occupies — every hop; cut-through only lowers
-    /// the chain's *serialisation floor*, the same bytes still cross
-    /// every wire), or the shared host staging path — one upload per
-    /// source (the host copy is reused for every host-routed destination)
-    /// and one aggregated download per destination, exactly the
-    /// shared-bus exchange. Legs queue per *direction* queue (a peer
-    /// link runs its two directions concurrently) and overlap across
-    /// queues, so the makespan is the busiest queue — floored by the
-    /// longest single-batch chain serialisation ([`ExchangeReport::
-    /// critical_path`], priced by [`Interconnect::chain_time`]): a
+    /// batch pays — and occupies — every hop), or the shared host
+    /// staging path — one upload per source (the host copy is reused for
+    /// every host-routed destination) and one aggregated download per
+    /// destination, exactly the shared-bus exchange. Legs queue per
+    /// *direction* queue (a peer link runs its two directions
+    /// concurrently) and overlap across queues, so the makespan is the
+    /// busiest queue — floored by the longest single-batch
+    /// store-and-forward chain ([`ExchangeReport::critical_path`], priced
+    /// by [`Interconnect::chain_time`]): a
     /// forwarded batch's hops serialise even when their queues are
     /// otherwise idle, so the exchange can never finish before its
     /// slowest routed batch has crossed every hop. (Still a relaxation:

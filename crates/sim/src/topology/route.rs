@@ -1,7 +1,7 @@
 //! The interconnect and its route tables: builders, the dense tables
 //! derived from the link set, and contention-free path pricing.
 
-use super::spec::{Link, LinkClass, LinkRate, LinkSpec, TopologyKind};
+use super::spec::{Link, LinkSpec, TopologyKind};
 use crate::pcie::PcieModel;
 use crate::SimTime;
 
@@ -74,80 +74,26 @@ pub struct Interconnect {
 impl Interconnect {
     /// Build the `kind` topology over `num_devices` devices (minimum 1):
     /// link 0 is always the host root complex priced by `host`; peer
-    /// links (if any) all carry the uniform `peer` spec. For mixed
-    /// generations use [`Interconnect::ring_with_specs`],
-    /// [`Interconnect::mesh`], or [`Interconnect::with_link_spec`].
+    /// links (if any) all carry the uniform `peer` spec. Mixed
+    /// generations and arbitrary fabrics are this plus
+    /// [`Interconnect::with_link_spec`] per edited link.
+    ///
+    /// # Panics
+    /// When the shape has a peer link and `peer` is unusable (see
+    /// [`Interconnect::with_link_spec`]).
     pub fn build(kind: TopologyKind, num_devices: usize, host: PcieModel, peer: LinkSpec) -> Self {
         let nd = num_devices.max(1);
-        let pairs: Vec<(u32, u32, LinkSpec)> = match kind {
-            // A mesh has no uniform link set: links come from the
-            // caller (`Interconnect::mesh`, `with_link_spec`,
-            // `link_overrides`).
-            TopologyKind::HostOnly | TopologyKind::Mesh => Vec::new(),
-            TopologyKind::Ring => ring_pairs(nd).into_iter().map(|(a, b)| (a, b, peer)).collect(),
+        let pairs: Vec<(u32, u32)> = match kind {
+            TopologyKind::HostOnly => Vec::new(),
+            TopologyKind::Ring => ring_pairs(nd),
             TopologyKind::AllToAll => {
-                let mut v = Vec::new();
-                for a in 0..nd as u32 {
-                    for b in a + 1..nd as u32 {
-                        v.push((a, b, peer));
-                    }
-                }
-                v
+                (0..nd as u32).flat_map(|a| (a + 1..nd as u32).map(move |b| (a, b))).collect()
             }
         };
-        Self::from_links(kind, nd, host, &pairs)
-    }
-
-    /// A ring whose `i`-th neighbour link (`i → (i+1) mod D`) carries
-    /// `specs[i]` — the mixed-generation ring builder. `specs.len()` must
-    /// equal the ring's link count (`D` for `D > 2`, 1 for `D = 2`, 0
-    /// below).
-    pub fn ring_with_specs(num_devices: usize, host: PcieModel, specs: &[LinkSpec]) -> Self {
-        let nd = num_devices.max(1);
-        let pairs = ring_pairs(nd);
-        assert_eq!(
-            specs.len(),
-            pairs.len(),
-            "a {nd}-device ring has {} links, got {} specs",
-            pairs.len(),
-            specs.len()
-        );
-        let links: Vec<(u32, u32, LinkSpec)> =
-            pairs.iter().zip(specs).map(|(&(a, b), &s)| (a, b, s)).collect();
-        Self::from_links(TopologyKind::Ring, nd, host, &links)
-    }
-
-    /// An arbitrary heterogeneous mesh: one peer link per `(a, b, spec)`
-    /// entry (order-insensitive endpoints, no self-loops, no duplicate
-    /// pairs). Pairs without a link route multi-hop or via the host,
-    /// whichever is cheaper.
-    pub fn mesh(num_devices: usize, host: PcieModel, links: &[(u32, u32, LinkSpec)]) -> Self {
-        Self::from_links(TopologyKind::Mesh, num_devices.max(1), host, links)
-    }
-
-    fn from_links(
-        kind: TopologyKind,
-        nd: usize,
-        host: PcieModel,
-        pairs: &[(u32, u32, LinkSpec)],
-    ) -> Self {
-        let mut links =
-            vec![Link { class: LinkClass::Host, endpoints: None, rate: LinkRate::Pcie(host) }];
-        let mut seen = vec![false; nd * nd];
-        for &(a, b, spec) in pairs {
-            assert!(a != b, "peer link ({a}, {b}) is a self-loop");
-            assert!(
-                (a as usize) < nd && (b as usize) < nd,
-                "peer link ({a}, {b}) exceeds {nd} devices"
-            );
-            let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
-            assert!(!seen[lo * nd + hi], "duplicate peer link ({a}, {b})");
-            seen[lo * nd + hi] = true;
-            links.push(Link {
-                class: LinkClass::Peer,
-                endpoints: Some((a, b)),
-                rate: LinkRate::Smooth(spec),
-            });
+        let mut links = vec![Link::Host(host)];
+        for (a, b) in pairs {
+            check_peer_link(nd, a, b, &peer);
+            links.push(Link::Peer { ends: (a, b), spec: peer });
         }
         let mut ic = Interconnect {
             kind,
@@ -187,22 +133,25 @@ impl Interconnect {
 
     /// The same interconnect with the `(a, b)` peer link re-priced to
     /// `spec` — or, when the pair has no link yet, with a new one added
-    /// (so a named shape can be edited into an arbitrary mesh). Route and
-    /// queue tables are rebuilt.
+    /// (so a named shape can be edited into an arbitrary fabric). A
+    /// re-priced link keeps its endpoint order. Route and queue tables
+    /// are rebuilt.
+    ///
+    /// # Panics
+    /// On a self-loop, an endpoint outside the fabric, or an unusable
+    /// `spec`: the bandwidth must be finite and positive and the latency
+    /// finite and non-negative (a zero or NaN bandwidth would read as a
+    /// missing link, a negative one would send route search into a
+    /// cycle).
     pub fn with_link_spec(mut self, a: u32, b: u32, spec: LinkSpec) -> Self {
-        let nd = self.num_devices;
-        assert!(a != b, "peer link ({a}, {b}) is a self-loop");
-        assert!(
-            (a as usize) < nd && (b as usize) < nd,
-            "peer link ({a}, {b}) exceeds {nd} devices"
-        );
-        match self.peer_adj[a as usize * nd + b as usize] {
-            Some(l) => self.links[l].rate = LinkRate::Smooth(spec),
-            None => self.links.push(Link {
-                class: LinkClass::Peer,
-                endpoints: Some((a, b)),
-                rate: LinkRate::Smooth(spec),
-            }),
+        check_peer_link(self.num_devices, a, b, &spec);
+        match self.peer_link(a, b) {
+            Some(l) => {
+                if let Link::Peer { spec: s, .. } = &mut self.links[l] {
+                    *s = spec;
+                }
+            }
+            None => self.links.push(Link::Peer { ends: (a, b), spec }),
         }
         self.finalize();
         self
@@ -213,25 +162,21 @@ impl Interconnect {
     fn finalize(&mut self) {
         let nd = self.num_devices;
         self.peer_adj = vec![None; nd * nd];
-        for (l, link) in self.links.iter().enumerate() {
-            if let Some((a, b)) = link.endpoints {
-                self.peer_adj[a as usize * nd + b as usize] = Some(l);
-                self.peer_adj[b as usize * nd + a as usize] = Some(l);
-            }
-        }
         self.queue_of = Vec::with_capacity(self.links.len());
         let mut q = 0usize;
-        for link in &self.links {
+        for (l, link) in self.links.iter().enumerate() {
             // The host root complex is one TLP-quantised queue; each
             // direction of a peer link owns its own.
-            match link.class {
-                LinkClass::Peer => {
-                    self.queue_of.push([q, q + 1]);
-                    q += 2;
-                }
-                LinkClass::Host => {
+            match *link {
+                Link::Host(_) => {
                     self.queue_of.push([q, q]);
                     q += 1;
+                }
+                Link::Peer { ends: (a, b), .. } => {
+                    self.peer_adj[a as usize * nd + b as usize] = Some(l);
+                    self.peer_adj[b as usize * nd + a as usize] = Some(l);
+                    self.queue_of.push([q, q + 1]);
+                    q += 2;
                 }
             }
         }
@@ -300,9 +245,9 @@ impl Interconnect {
         let nd = self.num_devices;
         let mut routes = vec![Route::HostStaged; self.breakpoints.len() * nd * nd];
         for (bi, &probe) in self.breakpoints.iter().enumerate() {
-            let host_cost = 2.0 * self.links[HOST_LINK].rate.transfer_time(probe);
+            let host_cost = 2.0 * self.links[HOST_LINK].transfer_time(probe);
             let hop_cost: Vec<SimTime> =
-                self.links.iter().map(|l| l.rate.transfer_time(probe)).collect();
+                self.links.iter().map(|l| l.transfer_time(probe)).collect();
             for src in 0..nd {
                 let (dist, via, prev) = self.dijkstra(src, &hop_cost);
                 for (dst, &d) in dist.iter().enumerate() {
@@ -348,8 +293,8 @@ impl Interconnect {
     }
 
     /// The queue serving `link` in direction `reverse` (`false` =
-    /// `endpoints.0 → endpoints.1`). The host root complex returns the
-    /// same id for both directions.
+    /// `ends.0 → ends.1` of a [`Link::Peer`]). The host root complex
+    /// returns the same id for both directions.
     pub fn queue(&self, link: usize, reverse: bool) -> usize {
         self.queue_of[link][reverse as usize]
     }
@@ -404,57 +349,18 @@ impl Interconnect {
     }
 
     /// Serialisation time of one `bytes`-sized batch crossing the hop
-    /// chain `hops` end to end (contention-free).
-    ///
-    /// Store-and-forward (any hop without a cut-through chunk): the sum
-    /// of every hop's transfer time — a hop cannot start until the
-    /// previous one delivered the whole batch. With cut-through on every
-    /// hop the chain pipelines chunks of the smallest advertised size
-    /// `c`: the first chunk ramps across all hops, then the remaining
-    /// `⌈bytes/c⌉ − 1` chunks drain at the bottleneck hop's chunk rate —
-    ///
-    /// ```text
-    /// T = min( Σᵢ Tᵢ(bytes),  Σᵢ Tᵢ(c) + (⌈bytes/c⌉ − 1) · maxᵢ Tᵢ(c) )
-    /// ```
-    ///
-    /// (the `min` models a forwarder that falls back to store-and-forward
-    /// when per-chunk launch latency would dominate, so cut-through never
-    /// prices a chain above the store-and-forward sum).
+    /// chain `hops` end to end (contention-free): store-and-forward, the
+    /// sum of every hop's transfer time — a hop cannot start until the
+    /// previous one delivered the whole batch.
     pub fn chain_time(&self, hops: &[usize], bytes: u64) -> SimTime {
-        let store_forward: SimTime = hops.iter().map(|&l| self.transfer_time(l, bytes)).sum();
-        if bytes == 0 || hops.len() < 2 {
-            return store_forward;
-        }
-        let mut chunk = u64::MAX;
-        for &l in hops {
-            match self.links[l].rate {
-                LinkRate::Smooth(s) => match s.cut_through {
-                    Some(c) => chunk = chunk.min(c),
-                    None => return store_forward,
-                },
-                // Host-class hops never cut through.
-                _ => return store_forward,
-            }
-        }
-        if chunk >= bytes {
-            return store_forward;
-        }
-        let chunks = bytes.div_ceil(chunk);
-        let mut ramp = 0.0;
-        let mut bottleneck = 0.0f64;
-        for &l in hops {
-            let t = self.transfer_time(l, chunk);
-            ramp += t;
-            bottleneck = bottleneck.max(t);
-        }
-        (ramp + (chunks - 1) as f64 * bottleneck).min(store_forward)
+        hops.iter().map(|&l| self.transfer_time(l, bytes)).sum()
     }
 
     /// Price `route(src, dst, bytes)` contention-free: the direct link's
-    /// transfer time, the forwarded chain's serialisation time
-    /// ([`Interconnect::chain_time`] — store-and-forward, or pipelined
-    /// under cut-through), or upload + download on the host root
-    /// complex. Queueing happens in [`Interconnect::price_all_gather`].
+    /// transfer time, the forwarded chain's store-and-forward sum
+    /// ([`Interconnect::chain_time`]), or upload + download on the host
+    /// root complex. Queueing happens in
+    /// [`Interconnect::price_all_gather`].
     pub fn route_cost(&self, src: u32, dst: u32, bytes: u64) -> SimTime {
         match self.route(src, dst, bytes) {
             Route::Direct(l) => self.transfer_time(*l, bytes),
@@ -465,7 +371,7 @@ impl Interconnect {
 
     /// Wall time of one transfer of `bytes` over link `link`.
     pub fn transfer_time(&self, link: usize, bytes: u64) -> SimTime {
-        self.links[link].rate.transfer_time(bytes)
+        self.links[link].transfer_time(bytes)
     }
 
     /// Does every ordered device pair price identically at every route
@@ -508,6 +414,24 @@ fn extract_hops(src: usize, dst: usize, via: &[Option<usize>], prev: &[usize]) -
     }
     hops.reverse();
     hops
+}
+
+/// Panic unless a peer link `(a, b)` priced by `spec` fits an
+/// `nd`-device fabric: distinct in-range endpoints, a finite positive
+/// bandwidth and a finite non-negative latency.
+fn check_peer_link(nd: usize, a: u32, b: u32, spec: &LinkSpec) {
+    assert!(a != b, "peer link ({a}, {b}) is a self-loop");
+    assert!((a as usize) < nd && (b as usize) < nd, "peer link ({a}, {b}) exceeds {nd} devices");
+    assert!(
+        spec.bandwidth.is_finite() && spec.bandwidth > 0.0,
+        "peer link ({a}, {b}) needs a finite positive bandwidth, got {}",
+        spec.bandwidth
+    );
+    assert!(
+        spec.latency.is_finite() && spec.latency >= 0.0,
+        "peer link ({a}, {b}) needs a finite non-negative latency, got {}",
+        spec.latency
+    );
 }
 
 /// Ring neighbour pairs for `nd` devices: `nd = 2` has a single link,

@@ -32,7 +32,8 @@ fn topology_kind_parse_roundtrips() {
     for k in TopologyKind::ALL {
         assert_eq!(TopologyKind::parse(k.name()), Some(k));
     }
-    assert_eq!(TopologyKind::parse(TopologyKind::Mesh.name()), Some(TopologyKind::Mesh));
+    // Other fabrics are a named shape edited per link, not a shape.
+    assert_eq!(TopologyKind::parse("mesh"), None);
     assert_eq!(TopologyKind::parse("a2a"), Some(TopologyKind::AllToAll));
     assert_eq!(TopologyKind::parse("HOST"), Some(TopologyKind::HostOnly));
     assert_eq!(TopologyKind::parse("torus"), None);
@@ -263,12 +264,10 @@ fn mesh_builder_prices_mixed_generations_per_link() {
     let p = pcie();
     let fast = LinkSpec::with_nominal_bw(200.0e9);
     let slow = LinkSpec::with_nominal_bw(25.0e9);
-    let ic = Interconnect::mesh(3, p, &[(0, 1, fast), (1, 2, slow)]);
-    assert_eq!(ic.kind(), TopologyKind::Mesh, "a sparse mesh is not a clique");
+    // A sparse fabric: the bare host-only shape plus two added links.
+    let ic = Interconnect::host_only(3, p).with_link_spec(0, 1, fast).with_link_spec(1, 2, slow);
+    assert_eq!(ic.kind(), TopologyKind::HostOnly, "the shape it was edited from");
     assert_eq!(ic.num_links(), 3);
-    // A mesh kind builds bare (host link only) from the uniform
-    // builder; its links come from the caller.
-    assert_eq!(Interconnect::build(TopologyKind::Mesh, 3, p, fast).num_links(), 1);
     let b = 1 << 20;
     let l01 = ic.peer_link(0, 1).unwrap();
     let l12 = ic.peer_link(1, 2).unwrap();
@@ -287,9 +286,14 @@ fn ring_with_specs_assigns_in_link_order() {
     let p = pcie();
     let specs =
         [LinkSpec::with_nominal_bw(50.0e9), LinkSpec::nvlink(), LinkSpec::with_nominal_bw(100.0e9)];
-    let ic = Interconnect::ring_with_specs(3, p, &specs);
+    let ic = Interconnect::build(TopologyKind::Ring, 3, p, specs[0])
+        .with_link_spec(1, 2, specs[1])
+        .with_link_spec(2, 0, specs[2]);
     assert_eq!(ic.num_links(), 1 + 3);
     let l20 = ic.peer_link(2, 0).unwrap();
+    // Re-pricing keeps the ring's link order and endpoint order.
+    assert_eq!(l20, 3);
+    assert_eq!(ic.links()[l20], Link::Peer { ends: (2, 0), spec: specs[2] });
     let b = 1 << 20;
     // Link (2, 0) carries the 100 GB/s spec and is the fastest.
     for l in 1..ic.num_links() {
@@ -325,7 +329,7 @@ fn makespan_is_the_busiest_queue_floored_by_the_critical_path() {
     // totals.
     let mut q = 0;
     for (l, link) in ic.links().iter().enumerate() {
-        let n = if link.class == LinkClass::Peer { 2 } else { 1 };
+        let n = if matches!(link, Link::Peer { .. }) { 2 } else { 1 };
         let sum: f64 = r.per_queue_busy[q..q + n].iter().sum();
         assert!((r.per_link_busy[l] - sum).abs() < EPS);
         q += n;
@@ -334,13 +338,16 @@ fn makespan_is_the_busiest_queue_floored_by_the_critical_path() {
     assert!((sum - r.host_time - r.peer_time).abs() < EPS);
 }
 
-/// A 3-device mesh whose (0, 1) pair has a slow direct bridge beside
+/// A 3-device fabric whose (0, 1) pair has a slow direct bridge beside
 /// a fast 2-hop detour: bulk batches should forward, tiny ones go
 /// direct (two hop latencies cost more than the slow wire).
 fn slow_direct_fast_detour() -> Interconnect {
     let fast = LinkSpec::with_nominal_bw(50.0e9);
     let slow = LinkSpec::with_nominal_bw(2.0e9);
-    Interconnect::mesh(3, pcie(), &[(0, 1, slow), (0, 2, fast), (1, 2, fast)])
+    Interconnect::host_only(3, pcie())
+        .with_link_spec(0, 1, slow)
+        .with_link_spec(0, 2, fast)
+        .with_link_spec(1, 2, fast)
 }
 
 #[test]
@@ -405,69 +412,37 @@ fn host_link_of_maps_every_spanned_device_to_the_root_complex() {
 }
 
 #[test]
-fn cut_through_pipelines_a_long_detour_toward_the_bottleneck_hop() {
-    let b = 64 << 20;
-    let chunk = 4 << 20;
-    let saf_spec = LinkSpec::with_nominal_bw(50.0e9);
-    let ct_spec = saf_spec.with_cut_through(chunk);
-    let line = |s: LinkSpec| Interconnect::mesh(4, pcie(), &[(0, 1, s), (1, 2, s), (2, 3, s)]);
-    let saf = line(saf_spec);
-    let ct = line(ct_spec);
-    let hops: Vec<usize> = (0..3).map(|i| saf.peer_link(i, i + 1).unwrap()).collect();
-    // Store-and-forward prices the sum of the hops; cut-through the
-    // bottleneck stream plus a one-chunk ramp on the other hops.
-    let hop_t = saf_spec.transfer_time(b);
-    assert!((saf.chain_time(&hops, b) - 3.0 * hop_t).abs() < EPS);
-    let chunk_t = ct_spec.transfer_time(chunk);
-    let expect = 3.0 * chunk_t + (b / chunk - 1) as f64 * chunk_t;
-    assert!((ct.chain_time(&hops, b) - expect).abs() < EPS);
-    assert!(ct.chain_time(&hops, b) < saf.chain_time(&hops, b), "cut-through must win here");
-    // Chunks at least the batch degenerate to store-and-forward, and
-    // chunking never prices above it (the min clamps pathological
-    // per-chunk latency).
-    let huge = line(saf_spec.with_cut_through(b));
-    assert_eq!(huge.chain_time(&hops, b), saf.chain_time(&hops, b));
-    let tiny = line(saf_spec.with_cut_through(64));
-    assert!(tiny.chain_time(&hops, b) <= saf.chain_time(&hops, b) + EPS);
-}
-
-#[test]
-#[should_panic(expected = "cut-through chunks must be non-empty")]
-fn zero_cut_through_chunks_fail_at_build_time() {
-    // A zero chunk must be rejected when the spec is built, not
-    // divide-by-zero later in chain pricing.
-    let _ = LinkSpec::nvlink().with_cut_through(0);
-}
-
-#[test]
-fn cut_through_shrinks_the_sparse_detour_exchange_and_only_that() {
-    // One publisher, one far receiver on a 4-link line: the makespan
-    // is the 3-hop serialisation floor, which cut-through pipelines
-    // down toward the bottleneck hop. Wire occupancy, byte counts
-    // and payload stay identical.
-    let b = 64 << 20;
-    let spec = LinkSpec::with_nominal_bw(50.0e9);
-    let line = |s: LinkSpec| Interconnect::mesh(4, pcie(), &[(0, 1, s), (1, 2, s), (2, 3, s)]);
-    let owned = [b, 0, 0, 0];
-    let participates = [true, false, false, true];
-    let saf = line(spec).price_all_gather(&owned, &participates);
-    let ct = line(spec.with_cut_through(4 << 20)).price_all_gather(&owned, &participates);
-    assert!(ct.critical_path < saf.critical_path);
-    assert!(ct.makespan < saf.makespan, "ct {} !< saf {}", ct.makespan, saf.makespan);
-    assert_eq!(ct.per_link_busy, saf.per_link_busy, "same bytes cross every wire");
-    assert_eq!(ct.per_queue_busy, saf.per_queue_busy);
-    assert_eq!(ct.peer_bytes, saf.peer_bytes);
-    assert_eq!(ct.forwarded_bytes, saf.forwarded_bytes);
-    assert_eq!(ct.payload_bytes, saf.payload_bytes);
-}
-
-#[test]
 fn link_spec_scaling_shrinks_latency_only() {
     let s = LinkSpec::nvlink();
     let sc = s.scaled(10);
-    assert_eq!(sc.bandwidth, s.bandwidth);
-    assert_eq!(sc.cut_through, s.cut_through);
+    assert_eq!(LinkSpec { latency: s.latency, ..sc }, s, "only the latency moves");
     assert!((sc.latency - s.latency / 1024.0).abs() < 1e-18);
     assert_eq!(s.transfer_time(0), 0.0);
     assert!(s.transfer_time(1 << 20) > s.latency);
+}
+
+fn ring4_with(spec: LinkSpec) -> Interconnect {
+    Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink())
+        .with_link_spec(0, 1, spec)
+}
+
+#[test]
+#[should_panic(expected = "peer link (0, 1) needs a finite positive bandwidth")]
+fn negative_bandwidth_links_are_rejected_where_they_enter_the_fabric() {
+    // Negative hop costs would make route search's predecessor links
+    // cycle, so the hop list would never end.
+    let _ = ring4_with(LinkSpec::with_nominal_bw(-1.0e9));
+}
+
+#[test]
+#[should_panic(expected = "peer link (0, 1) needs a finite positive bandwidth")]
+fn zero_bandwidth_links_are_rejected_where_they_enter_the_fabric() {
+    // An infinitely slow link would otherwise read as a missing one.
+    let _ = ring4_with(LinkSpec::with_nominal_bw(0.0));
+}
+
+#[test]
+#[should_panic(expected = "peer link (0, 1) needs a finite positive bandwidth")]
+fn nan_bandwidth_links_are_rejected_where_they_enter_the_fabric() {
+    let _ = ring4_with(LinkSpec { bandwidth: f64::NAN, ..LinkSpec::nvlink() });
 }

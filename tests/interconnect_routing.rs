@@ -31,11 +31,15 @@ fn spec(generation: usize) -> LinkSpec {
     LinkSpec::with_nominal_bw(GENERATIONS[generation % GENERATIONS.len()])
 }
 
-/// A mixed-generation ring over `gens.len()` devices (one entry per
-/// neighbour link).
+/// A mixed-generation ring over `gens.len()` devices: the
+/// `i → (i+1) mod D` link carries `spec(gens[i])`.
 fn mixed_ring(gens: &[usize]) -> Interconnect {
-    let specs: Vec<LinkSpec> = gens.iter().map(|&g| spec(g)).collect();
-    Interconnect::ring_with_specs(gens.len(), PcieModel::pcie3(), &specs)
+    let nd = gens.len();
+    let mut ic = Interconnect::build(TopologyKind::Ring, nd, PcieModel::pcie3(), spec(gens[0]));
+    for (i, &g) in gens.iter().enumerate() {
+        ic = ic.with_link_spec(i as u32, ((i + 1) % nd) as u32, spec(g));
+    }
+    ic
 }
 
 /// What one shared queue per link would have priced for `r`: the busiest

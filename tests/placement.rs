@@ -154,8 +154,11 @@ proptest! {
         let aff = AffinityMatrix::build(&g, &parts, 12);
         // A 2-device ring has a single link; larger rings have one per device.
         let nlinks = if d == 2 { 1 } else { d };
-        let specs: Vec<LinkSpec> = (0..nlinks).map(|i| gen_spec(gens[i % d])).collect();
-        let mut ic = Interconnect::ring_with_specs(d, PcieModel::pcie3(), &specs);
+        let mut ic =
+            Interconnect::build(TopologyKind::Ring, d, PcieModel::pcie3(), gen_spec(gens[0]));
+        for (i, &generation) in gens.iter().enumerate().take(nlinks) {
+            ic = ic.with_link_spec(i as u32, ((i + 1) % d) as u32, gen_spec(generation));
+        }
         if slow_sel < d {
             let (a, b) = (slow_sel as u32, ((slow_sel + 1) % d) as u32);
             ic = ic.with_link_spec(a, b, LinkSpec::with_nominal_bw(1.0e9).scaled(10));

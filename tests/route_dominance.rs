@@ -1,23 +1,20 @@
 //! Property suite for the sized routing layer (ISSUE 5): byte-size-aware
-//! breakpoint tables, the all-gather pricer, and cut-through forwarding.
+//! breakpoint tables and the all-gather pricer.
 //!
-//! Three families of invariants:
+//! Two families of invariants:
 //!
 //! * **dominance** — at every rung of the breakpoint ladder no pair's
 //!   route prices above host staging, which is always available.
-//! * **oracle** — with no cut-through chunk advertised, the all-gather
-//!   prices **bit-identically** to the reference model re-implemented
-//!   here from the public route/queue API, on single-probe fabrics and
-//!   on the five-rung ladder every system prices with: exact `==` on
-//!   the whole report — makespan, critical path, per-queue and per-link
-//!   busy vectors, every byte counter — no epsilon.
-//! * **cut-through** — chunked forwarding only lowers the chain floor:
-//!   wire occupancy and byte counters are unchanged, the makespan and
-//!   critical path never grow, and `cut_through = None` reproduces the
-//!   store-and-forward pricing exactly.
+//! * **oracle** — the all-gather prices **bit-identically** to the
+//!   reference model re-implemented here from the public route/queue
+//!   API, on single-probe fabrics and on the five-rung ladder every
+//!   system prices with: exact `==` on the whole report — makespan,
+//!   critical path, per-queue and per-link busy vectors, every byte
+//!   counter — no epsilon.
 
 use hytgraph::sim::{
-    ExchangeReport, Interconnect, LinkSpec, PcieModel, Route, TopologyKind, ROUTE_BREAKPOINT_LADDER,
+    ExchangeReport, Interconnect, Link, LinkSpec, PcieModel, Route, TopologyKind,
+    ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
 
@@ -31,11 +28,15 @@ fn spec(generation: usize) -> LinkSpec {
     LinkSpec::with_nominal_bw(GENERATIONS[generation % GENERATIONS.len()])
 }
 
-/// A mixed-generation interconnect: a ring with per-link specs, with an
-/// optional 1 GB/s slow bridge so host staging and detours win somewhere.
+/// A mixed-generation interconnect: a ring whose `i → (i+1) mod D` link
+/// carries `spec(gens[i])`, with an optional 1 GB/s slow bridge so host
+/// staging and detours win somewhere.
 fn mixed_fabric(gens: &[usize], slow_sel: usize) -> Interconnect {
-    let specs: Vec<LinkSpec> = gens.iter().map(|&g| spec(g)).collect();
-    let mut ic = Interconnect::ring_with_specs(gens.len(), PcieModel::pcie3(), &specs);
+    let nd = gens.len();
+    let mut ic = Interconnect::build(TopologyKind::Ring, nd, PcieModel::pcie3(), spec(gens[0]));
+    for (i, &g) in gens.iter().enumerate() {
+        ic = ic.with_link_spec(i as u32, ((i + 1) % nd) as u32, spec(g));
+    }
     if slow_sel < gens.len() {
         let (a, b) = (slow_sel as u32, ((slow_sel + 1) % gens.len()) as u32);
         ic = ic.with_link_spec(a, b, LinkSpec::with_nominal_bw(1.0e9));
@@ -49,8 +50,7 @@ fn mixed_fabric(gens: &[usize], slow_sel: usize) -> Interconnect {
 /// aggregated download per destination (ascending device order, upload
 /// before download), makespan = busiest queue floored by the longest
 /// store-and-forward chain. The floor is the oracle's own hop sum, not
-/// `chain_time`: these fabrics advertise no cut-through chunk, and the
-/// oracle stays independent of the code it checks.
+/// `chain_time`, so the oracle stays independent of the code it checks.
 fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> ExchangeReport {
     let nd = owned.len();
     let mut r = ExchangeReport {
@@ -64,6 +64,10 @@ fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> ExchangeRe
         return r;
     }
     r.payload_bytes = total * (holders as u64 - 1);
+    let ends = |link: usize| match ic.links()[link] {
+        Link::Peer { ends, .. } => ends,
+        Link::Host(_) => panic!("link {link} is the host root complex"),
+    };
     let occupy = |link: usize, reverse: bool, b: u64, r: &mut ExchangeReport| {
         let t = ic.transfer_time(link, b);
         r.per_queue_busy[ic.queue(link, reverse)] += t;
@@ -80,7 +84,7 @@ fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> ExchangeRe
         for d in (0..nd as u32).filter(|&d| d != s && participates[d as usize]) {
             match ic.route(s, d, b) {
                 Route::Direct(link) => {
-                    let (a, _) = ic.links()[*link].endpoints.unwrap();
+                    let (a, _) = ends(*link);
                     occupy(*link, s != a, b, &mut r);
                     r.peer_bytes += b;
                 }
@@ -88,7 +92,7 @@ fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> ExchangeRe
                     let mut cur = s;
                     let mut path_time = 0.0;
                     for &link in hops {
-                        let (a, bb) = ic.links()[link].endpoints.unwrap();
+                        let (a, bb) = ends(link);
                         path_time += occupy(link, cur != a, b, &mut r);
                         cur = if cur == a { bb } else { a };
                         r.peer_bytes += b;
@@ -173,62 +177,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn cut_through_only_lowers_the_chain_floor(
-        gens in proptest::collection::vec(0usize..6, 3..9),
-        owned_seed in proptest::collection::vec(0u64..2_000_000, 3..9),
-        chunk_kb in 1u64..512,
-    ) {
-        let nd = gens.len();
-        let owned: Vec<u64> = owned_seed.iter().cycle().take(nd).copied().collect();
-        let participates = vec![true; nd];
-        let plain: Vec<LinkSpec> = gens.iter().map(|&g| spec(g)).collect();
-        let chunked: Vec<LinkSpec> =
-            plain.iter().map(|s| s.with_cut_through(chunk_kb << 10)).collect();
-        let saf = Interconnect::ring_with_specs(nd, PcieModel::pcie3(), &plain)
-            .price_all_gather(&owned, &participates);
-        let ct = Interconnect::ring_with_specs(nd, PcieModel::pcie3(), &chunked)
-            .price_all_gather(&owned, &participates);
-        // Same routes, same bytes on every wire: occupancy and counters
-        // are bit-identical; only the serialisation floor may shrink.
-        prop_assert_eq!(&ct.per_queue_busy, &saf.per_queue_busy);
-        prop_assert_eq!(&ct.per_link_busy, &saf.per_link_busy);
-        prop_assert_eq!(ct.peer_bytes, saf.peer_bytes);
-        prop_assert_eq!(ct.host_bytes, saf.host_bytes);
-        prop_assert_eq!(ct.forwarded_bytes, saf.forwarded_bytes);
-        prop_assert_eq!(ct.payload_bytes, saf.payload_bytes);
-        prop_assert!(ct.critical_path <= saf.critical_path + EPS);
-        prop_assert!(ct.makespan <= saf.makespan + EPS);
-        prop_assert!(ct.makespan >= ct.critical_path - EPS);
-    }
-}
-
-#[test]
-fn cut_through_system_runs_are_value_transparent() {
-    // End-to-end: the full runner with cut-through links computes
-    // bit-identical values and iterations to the all-defaults run —
-    // routing is pricing-only — while the exchange never grows.
-    use hytgraph::prelude::*;
-    let g = hytgraph::graph::generators::power_law_preferential(1 << 12, 8.0, 2.2, 11, true);
-    let run = |cut_through: bool| {
-        let mut cfg = HyTGraphConfig {
-            num_devices: 8,
-            topology: TopologyKind::Ring,
-            threads: 1,
-            ..HyTGraphConfig::default()
-        };
-        if cut_through {
-            cfg.peer_link = cfg.peer_link.with_cut_through(256);
-        }
-        let mut sys = HyTGraphSystem::new(g.clone(), cfg);
-        let r = sys.run(Bfs::from_source(0));
-        let exchange: f64 = r.per_iteration.iter().map(|it| it.exchange.time).sum();
-        (r.values, r.iterations, exchange)
-    };
-    let (v0, i0, x0) = run(false);
-    let (v1, i1, x1) = run(true);
-    assert_eq!(v0, v1, "routing must never change computed values");
-    assert_eq!(i0, i1);
-    assert!(x1 <= x0 + 1e-12, "cut-through must never grow the exchange: {x1} vs {x0}");
 }
