@@ -218,13 +218,16 @@ macro_rules! hll_precisions {
 
             /// A `REGISTERS / 8`-byte bitmap of the changed registers plus
             /// one byte per changed register, or the whole sketch when
-            /// that is smaller (a flag bit in the record's id says which).
+            /// that is smaller (a form flag says which: the id's spare bit,
+            /// or a form bit in a bitmap batch).
             /// Exact because register-max only raises registers, so the
             /// changed ones rebuild `self` on a replica holding `old`.
             fn wire_bytes_since(&self, old: &Self) -> u64 {
                 let sparse = Self::REGISTERS as u64 / 8 + self.changed_registers(old);
                 sparse.min(Self::WIRE_BYTES)
             }
+
+            const TWO_FORM_RECORDS: bool = true;
 
             fn to_bits(self) -> u64 {
                 unreachable!("wide values use the lane interface")

@@ -370,11 +370,14 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
     // every pair rides the peer fabric (direct or forwarded), but
     // derating one bridge to 2 GB/s must shift its pair back to host
     // staging (the detour and the slow hop both price above two host
-    // copies), with values unchanged.
+    // legs), with values unchanged. PageRank drives it: its dense
+    // batches stay on the bulk route rung where host staging wins for
+    // the slow pair, while an SSSP frontier's batches, once dense ones
+    // ship a vertex bitmap, fit the rungs below it, where the pair keeps
+    // to the peer fabric.
     {
         use hyt_core::{LinkSpec, Route};
         let g = hyt_graph::generators::power_law_preferential(1 << 14, 12.0, 2.2, 7, true);
-        let src = crate::context::source_vertex(&g);
         let run = |overrides: Vec<(u32, u32, LinkSpec)>| {
             let mut cfg = SystemKind::HyTGraph.configure(base_config());
             cfg.num_devices = 8;
@@ -386,7 +389,7 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
                 sys.interconnect().route(0, 1, hyt_sim::ROUTE_PROBE_BYTES),
                 Route::HostStaged
             );
-            let r = sys.run(hyt_algos::Sssp::from_source(src));
+            let r = sys.run(hyt_algos::PageRank::new());
             let mut x = hyt_core::ExchangeStats::default();
             for it in &r.per_iteration {
                 x.merge(&it.exchange);

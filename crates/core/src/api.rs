@@ -137,7 +137,9 @@ use std::sync::Mutex;
 /// widest HyperBall precision, `p = 12` ⇒ 4096 one-byte registers).
 pub const MAX_VALUE_LANES: usize = 512;
 
-/// Bytes of the vertex-id half of an exchange record (a `u32` id).
+/// Bytes of the vertex-id half of an exchange record (a `u32` id) in an
+/// id-list batch; a dense batch ships a vertex bitmap instead when that
+/// is shorter ([`crate::exchange`]).
 pub const EXCHANGE_ID_BYTES: u64 = 4;
 
 /// Mutex stripes shared by all wide-value vertices of one [`Values`]
@@ -173,6 +175,13 @@ pub trait VertexValue: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'stati
         let _ = old;
         Self::WIRE_BYTES
     }
+
+    /// Whether [`wire_bytes_since`](VertexValue::wire_bytes_since) picks
+    /// between two record forms (the whole value, or a delta against the
+    /// replica's copy), so a receiver needs one form flag per record. An
+    /// id-list batch carries the flag in the id's spare bit; a bitmap
+    /// batch pays one form bit per record ([`crate::exchange`]).
+    const TWO_FORM_RECORDS: bool = false;
 
     /// Encode into the atomic cell (single-lane values).
     fn to_bits(self) -> u64;

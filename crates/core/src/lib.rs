@@ -14,6 +14,8 @@
 //! * [`combine`] — the task combiner (k = 4 consecutive filter partitions,
 //!   merged compaction / zero-copy sets);
 //! * [`priority`] — hub-driven and Δ-driven contribution scheduling;
+//! * [`exchange`] — the frontier-exchange batch encoding (id list or
+//!   vertex bitmap, whichever is shorter) and its price;
 //! * [`kernel`] — real host-side execution of vertex programs over exactly
 //!   the edges each engine delivers;
 //! * [`runner`] — the iteration driver weaving it together (Fig. 5), and
@@ -53,6 +55,7 @@ pub mod api;
 pub mod combine;
 pub mod config;
 pub mod cost;
+pub mod exchange;
 mod grus;
 pub mod kernel;
 mod migrate;

@@ -36,12 +36,14 @@
 //! while all devices contend for the configured [`Interconnect`]'s links
 //! and one host compaction pool ([`MultiGpuSim`]). Between iterations a
 //! routed all-gather publishes every device's newly-activated owned
-//! vertices (id + value, or id + changed registers for a sync HLL
-//! sketch) to the peers along each pair's cheapest path: a
+//! vertices (values, or changed registers for a sync HLL sketch, named
+//! by an id list or an owned-vertex bitmap, whichever is shorter:
+//! [`crate::exchange`]) to the peers along each pair's cheapest path: a
 //! direct NVLink-class peer link (`config.topology` ring / all-to-all,
 //! optionally re-priced per link by `config.link_overrides`), a
 //! forwarded device-via-device multi-hop path, or staging through the
-//! host root complex; legs on disjoint direction queues overlap (each
+//! host root complex, each host leg an explicit copy or a zero-copy run,
+//! whichever is cheaper; legs on disjoint direction queues overlap (each
 //! direction of a peer link owns its own queue). The exchange is charged
 //! after the iteration barrier, so every [`IterationStats`] is final when
 //! its iteration returns: its time is the timeline makespan plus the
@@ -56,11 +58,10 @@
 //! per-link breakdown) changes. The differential suite in
 //! `tests/multi_gpu.rs` holds the runner to those claims.
 
-use crate::api::{
-    InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue, EXCHANGE_ID_BYTES,
-};
+use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue};
 use crate::combine::{combine_tasks_sized, CombinedTask};
 use crate::config::{AsyncMode, HyTGraphConfig, ROUTE_LADDER};
+use crate::exchange::IdEncoding;
 use crate::grus::GrusResidency;
 use crate::kernel::{run_kernel, EdgeSource};
 use crate::migrate::{build_placement, shard_holders, MigrationState};
@@ -75,7 +76,7 @@ use hyt_engines::{
 use hyt_graph::{
     hub_sort, Csr, DeltaCsr, DevicePlan, Frontier, GraphError, PartitionSet, VertexId,
 };
-use hyt_sim::{ExchangeReport, Interconnect, MultiGpuSim, SimTask, TransferCounters};
+use hyt_sim::{Interconnect, MultiGpuSim, SimTask, TransferCounters};
 
 pub use crate::migrate::{MigrationEvent, MIGRATION_HORIZON_ITERS, MIGRATION_MIN_OBSERVATIONS};
 pub use crate::mutate::{MutationReport, COMPACTION_HORIZON_ITERS};
@@ -103,7 +104,9 @@ pub const VERTEX_STATE_BYTES: u64 = ValueLayout::narrow().state_bytes();
 
 /// Bytes per record of the inter-device frontier exchange for the narrow
 /// layout: a 32-bit vertex id plus the 64-bit value slot it carries. The
-/// live figure is the program's [`ValueLayout::record_bytes`].
+/// live figure is the program's [`ValueLayout::record_bytes`]; it is the
+/// ceiling, reached by id-list batches (a dense batch names its vertices
+/// with bitmap bits instead, [`crate::exchange`]).
 pub const EXCHANGE_RECORD_BYTES: u64 = ValueLayout::narrow().record_bytes();
 
 /// A configured system bound to one graph: construct once, run many
@@ -186,10 +189,22 @@ struct RunState {
     /// [`EXCHANGE_RECORD_BYTES`].
     layout: ValueLayout,
     residency: Residency,
-    /// Per-device publication sizes of the frontier exchange: scratch
-    /// reused across iterations, zero-filled before every use (see
-    /// `price_exchange`).
-    exchange_owned: Vec<u64>,
+    /// Per-device tallies and encoded batch sizes of the frontier
+    /// exchange: scratch reused across iterations, reset before every
+    /// use (see `price_exchange`).
+    exchange_batches: Vec<BatchTally>,
+    exchange_bytes: Vec<u64>,
+}
+
+/// One device's exchange batch before encoding.
+#[derive(Clone, Copy, Debug, Default)]
+struct BatchTally {
+    /// Vertices the device owns: the bits a bitmap batch would carry.
+    owned: u64,
+    /// Records the device publishes.
+    published: u64,
+    /// Value bytes of those records.
+    value_bytes: u64,
 }
 
 /// Device residency of edge data, for the policies that keep any: each
@@ -346,7 +361,8 @@ impl HyTGraphSystem {
                 }
                 _ => Residency::Stateless,
             },
-            exchange_owned: vec![0; nd],
+            exchange_batches: vec![BatchTally::default(); nd],
+            exchange_bytes: vec![0; nd],
         };
         let mut per_iteration: Vec<IterationStats> = Vec::new();
         let mut total_counters = TransferCounters::new();
@@ -584,16 +600,10 @@ impl HyTGraphSystem {
         // restricted to that device — per-device priority ordering for
         // free. Play them against the interconnect's contention queues.
         let timeline = self.sim.schedule(&dev_tasks);
-        let (exchange_report, records) = self.price_exchange(
-            &next,
-            &mut state.exchange_owned,
-            values,
-            snapshot.as_deref(),
-            layout.record_bytes(),
-        );
-        counters.exchange_bytes += exchange_report.payload_bytes;
+        let (exchange, payload_bytes) =
+            self.price_exchange(&next, state, values, snapshot.as_deref());
+        counters.exchange_bytes += payload_bytes;
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
-        let exchange = ExchangeStats { records, ..ExchangeStats::from(&exchange_report) };
 
         let per_device: Vec<DeviceIterationStats> = (0..nd)
             .map(|d| DeviceIterationStats {
@@ -628,58 +638,83 @@ impl HyTGraphSystem {
     }
 
     /// Price the end-of-iteration all-gather (D > 1 only): each device
-    /// publishes the `(id, value)` records of its newly-activated owned
-    /// vertices and receives every other shard-holder's batch, routed
+    /// publishes one encoded batch of its newly-activated owned vertices
+    /// and receives every other shard-holder's batch, routed
     /// over the configured interconnect on each pair's cheapest path *at
     /// its batch size* — a direct peer link, a forwarded multi-hop peer
     /// path (store-and-forward), or staging through the host root
-    /// complex — with legs queueing per direction queue
+    /// complex, explicit or zero-copy per leg — with legs queueing per
+    /// direction queue
     /// ([`Interconnect::price_all_gather`]): one static pass, no
     /// exchange-time re-routing.
     ///
     /// Only devices that own a shard participate: a spare device with no
     /// partitions computes nothing, so it neither publishes nor
     /// subscribes (otherwise idle devices would inflate the exchange
-    /// linearly when D exceeds the partition count). `owned` is
-    /// caller-provided scratch (one slot per device), reused across
-    /// iterations.
+    /// linearly when D exceeds the partition count). The tallies live in
+    /// `state`'s scratch, reused across iterations.
     ///
-    /// Record sizes: a sync iteration has its iteration-start `snapshot`,
-    /// which is exactly what every holder's replica of a vertex holds
-    /// after the previous all-gather, so each record is
-    /// [`EXCHANGE_ID_BYTES`] plus [`VertexValue::wire_bytes_since`] that
-    /// snapshot (an HLL sketch ships only its raised registers). Async
-    /// iterations have no snapshot and price the full `record_bytes`
-    /// ([`ValueLayout::record_bytes`]), as does every value keeping the
-    /// default hook. Record size can move a batch onto a different route
-    /// rung of the breakpoint ladder.
+    /// Batch sizes: each device's batch is its value bytes plus its id
+    /// section, the shorter of an id list and a bitmap over the vertices
+    /// the *current* plan gives it ([`IdEncoding::cheaper`];
+    /// migration can change the plan between iterations). Value bytes: a
+    /// sync iteration has its iteration-start `snapshot`, which is
+    /// exactly what every holder's replica of a vertex holds after the
+    /// previous all-gather, so each value is
+    /// [`VertexValue::wire_bytes_since`] that snapshot (an HLL sketch
+    /// ships only its raised registers, and its two record forms cost a
+    /// form bit per record in a bitmap batch). Async iterations have no
+    /// snapshot and price full [`ValueLayout::wire_bytes`] values, as
+    /// does every value keeping the default hook. Batch size can move a
+    /// batch onto a different route rung of the breakpoint ladder.
     ///
-    /// Also returns the record count: published vertices × (holders − 1).
+    /// Returns the iteration's exchange record — its record count is
+    /// published vertices × (holders − 1) — and the encoded payload bytes
+    /// delivered.
     fn price_exchange<V: VertexValue>(
         &self,
         next: &Frontier,
-        owned: &mut [u64],
+        state: &mut RunState,
         values: &Values<V>,
         snapshot: Option<&[V]>,
-        record_bytes: u64,
-    ) -> (ExchangeReport, u64) {
+    ) -> (ExchangeStats, u64) {
         let nd = self.devices.num_devices() as usize;
         if nd <= 1 {
-            return (ExchangeReport::default(), 0);
+            return (ExchangeStats::default(), 0);
         }
-        owned.fill(0);
-        let mut published = 0u64;
+        let batches = &mut state.exchange_batches;
+        batches.fill(BatchTally::default());
+        for p in self.parts.partitions() {
+            batches[self.devices.device_of(p.id) as usize].owned += u64::from(p.num_vertices());
+        }
         for v in next.iter() {
-            let bytes = match snapshot {
-                Some(snap) => EXCHANGE_ID_BYTES + values.get(v).wire_bytes_since(&snap[v as usize]),
-                None => record_bytes,
+            let value_bytes = match snapshot {
+                Some(snap) => values.get(v).wire_bytes_since(&snap[v as usize]),
+                None => state.layout.wire_bytes,
             };
-            owned[self.devices.device_of(self.parts.owner_of(v)) as usize] += bytes;
-            published += 1;
+            let batch = &mut batches[self.devices.device_of(self.parts.owner_of(v)) as usize];
+            batch.published += 1;
+            batch.value_bytes += value_bytes;
         }
+        let two_forms = snapshot.is_some() && V::TWO_FORM_RECORDS;
+        let mut bitmap_batches = 0;
+        for (bytes, b) in state.exchange_bytes.iter_mut().zip(batches.iter()) {
+            let encoding = IdEncoding::cheaper(b.published, b.owned, two_forms);
+            if b.published > 0 && encoding == IdEncoding::Bitmap {
+                bitmap_batches += 1;
+            }
+            *bytes = b.value_bytes + encoding.bytes(b.published, b.owned, two_forms);
+        }
+        let published: u64 = batches.iter().map(|b| b.published).sum();
         let holders = self.shard_holders.iter().filter(|&&h| h).count() as u64;
-        let report = self.interconnect().price_all_gather(owned, &self.shard_holders);
-        (report, published * holders.saturating_sub(1))
+        let report =
+            self.interconnect().price_all_gather(&state.exchange_bytes, &self.shard_holders);
+        let stats = ExchangeStats {
+            records: published * holders.saturating_sub(1),
+            bitmap_batches,
+            ..ExchangeStats::from(&report)
+        };
+        (stats, report.payload_bytes)
     }
 
     /// Newly-activated vertices that the already-loaded task data can

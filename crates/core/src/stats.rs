@@ -98,6 +98,10 @@ pub struct ExchangeStats {
     /// changed-register records their sizes vary, so this is the count
     /// `payload bytes / record bytes` no longer gives.
     pub records: u64,
+    /// Device batches that named their vertices with a bitmap over the
+    /// device's owned vertices instead of an id list, because it was
+    /// shorter ([`crate::exchange`]).
+    pub bitmap_batches: u64,
     /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub rerouted_bytes: u64,
     /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
@@ -117,6 +121,7 @@ impl ExchangeStats {
         self.peer_bytes += other.peer_bytes;
         self.forwarded_bytes += other.forwarded_bytes;
         self.records += other.records;
+        self.bitmap_batches += other.bitmap_batches;
     }
 }
 

@@ -9,7 +9,7 @@
 //! | `hardcoded-value-bytes` | `ValueLayout` is the only source of lane/wire/record byte figures; pricing code must not reintroduce the magic `8`/`12`/`24`/`64`/`68` |
 //! | `unwrap-in-lib` | no `.unwrap()`/`.expect(` in non-test library code — typed errors, or an allow documenting the invariant |
 //! | `atomics-allowlist` | atomic types and `Ordering::*` live only in the three files that own the concurrency story (`core/api.rs`, `core/priority.rs`, `graph/frontier.rs`) |
-//! | `float-eq-in-pricing` | no `==`/`!=` on float expressions in cost/selection/topology pricing — bit-identity goes through `to_bits()` |
+//! | `float-eq-in-pricing` | no `==`/`!=` on float expressions in cost/selection/topology/PCIe-leg pricing — bit-identity goes through `to_bits()` |
 //! | `undocumented-pub-const` | tunable `pub const`s carry a doc comment naming their unit |
 //! | `no-direct-csr-mut` | base-CSR storage is built/rebuilt only inside `crates/graph/src/` — everyone else mutates through `MutationBatch`/`DeltaCsr`, and only `compact()` folds deltas back |
 //!
@@ -105,11 +105,12 @@ const ATOMIC_OWNER_FILES: [&str; 3] =
 /// Files in scope for `hardcoded-value-bytes`: the pricing / exchange /
 /// cost layers that must derive every byte figure from `ValueLayout`.
 /// An entry ending in `/` is a directory segment (see [`in_scope`]).
-const BYTE_SCOPE_FILES: [&str; 10] = [
+const BYTE_SCOPE_FILES: [&str; 11] = [
     "core/src/cost.rs",
     "core/src/select.rs",
     "core/src/combine.rs",
     "core/src/runner.rs",
+    "core/src/exchange.rs",
     "core/src/migrate.rs",
     "core/src/mutate.rs",
     "core/src/grus.rs",
@@ -118,9 +119,10 @@ const BYTE_SCOPE_FILES: [&str; 10] = [
     "sim/src/pcie.rs",
 ];
 
-/// Files in scope for `float-eq-in-pricing`.
-const FLOAT_SCOPE_FILES: [&str; 3] =
-    ["core/src/cost.rs", "core/src/select.rs", "sim/src/topology/"];
+/// Files in scope for `float-eq-in-pricing`: the files that compare
+/// prices to make a decision.
+const FLOAT_SCOPE_FILES: [&str; 4] =
+    ["core/src/cost.rs", "core/src/select.rs", "sim/src/topology/", "sim/src/pcie.rs"];
 
 /// The path segment that owns base-CSR storage for `no-direct-csr-mut`:
 /// every file of the graph crate (`csr.rs` defines the builder,
@@ -829,6 +831,15 @@ mod tests {
         // Int compares: clean.
         let ints = "fn f(n: usize) -> bool { n == 12 }\n";
         assert_eq!(lints_of("crates/core/src/select.rs", ints), vec![]);
+    }
+
+    #[test]
+    fn float_eq_fires_in_the_pcie_leg_pricing() {
+        // The explicit-or-zero-copy min lives in pcie.rs: a float `==`
+        // deciding between the two prices must be flagged there.
+        let pick = "fn f(zero_copy_time: f64, t: f64) -> bool { zero_copy_time == t }\n";
+        assert_eq!(lints_of("crates/sim/src/pcie.rs", pick), vec![(1, "float-eq-in-pricing")]);
+        assert_eq!(lints_of("crates/sim/src/um.rs", pick), vec![]);
     }
 
     #[test]

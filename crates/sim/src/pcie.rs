@@ -139,6 +139,25 @@ impl PcieModel {
         (self.gamma * self.rtt() + (1.0 - self.gamma) * r * self.rtt()) / self.zc_efficiency
     }
 
+    /// Wall time of moving one contiguous run of `bytes` the cheaper way:
+    /// Algorithm 1's explicit-or-zero-copy rule applied to a single run.
+    /// The zero-copy side is formula (3) for a run of `⌈bytes / m⌉`
+    /// requests whose TLPs carry `fill = bytes / (tlps · m · MR)` of a
+    /// saturated payload, `tlps · RTT_zc(fill)`, with no copy launch.
+    /// Zero-copy wins runs too small to fill their last TLP and loses
+    /// multi-megabyte runs, where [`zc_efficiency`](Self::zc_efficiency)
+    /// costs more than one copy launch saves. Prices the host-staged legs
+    /// of the frontier exchange; engine tasks keep their own formulas.
+    pub fn hybrid_copy_time(&self, bytes: u64) -> SimTime {
+        if bytes == 0 {
+            return 0.0;
+        }
+        let tlps = self.zero_copy_tlps(bytes.div_ceil(self.request_bytes));
+        let fill = bytes as f64 / (tlps * self.tlp_payload()) as f64;
+        let zero_copy = tlps as f64 * self.rtt_zc(fill);
+        self.explicit_copy_time(bytes).min(zero_copy)
+    }
+
     /// Effective throughput (bytes/s) of zero-copy when every request
     /// carries exactly `granularity` bytes — the Fig. 3(e) curve. At 128 B
     /// this approaches explicit-copy bandwidth; at 32 B it collapses.
@@ -239,6 +258,30 @@ mod tests {
         assert!((t128 - b.explicit_bw * b.zc_efficiency).abs() / b.explicit_bw < 0.01);
         // At 32 B throughput collapses well below half (paper shows ~3x gap).
         assert!(t32 < 0.5 * t128, "t32 {t32:.3e} t128 {t128:.3e}");
+    }
+
+    #[test]
+    fn hybrid_copy_never_exceeds_explicit_and_wins_sub_tlp_runs() {
+        for b in [bus(), bus_scaled()] {
+            for bytes in [1u64, 100, 4096, 32 << 10, (32 << 10) + 1, 1 << 20, 8 << 20, 64 << 20] {
+                assert!(b.hybrid_copy_time(bytes) <= b.explicit_copy_time(bytes), "{bytes} B");
+            }
+            // A sub-TLP run pays a partly-filled zero-copy TLP instead of
+            // a copy launch plus a whole saturated one.
+            assert!(b.hybrid_copy_time(4096) < b.explicit_copy_time(4096));
+            // Multi-MB runs: the zero-copy efficiency loss outweighs one
+            // launch, so the explicit price stands.
+            for bytes in [8u64 << 20, 64 << 20] {
+                assert_eq!(b.hybrid_copy_time(bytes), b.explicit_copy_time(bytes), "{bytes} B");
+            }
+        }
+        assert_eq!(bus().hybrid_copy_time(0), 0.0);
+    }
+
+    /// The machine as scaled experiments run it: copy launches 1024×
+    /// cheaper, so explicit copies win from a smaller size.
+    fn bus_scaled() -> PcieModel {
+        PcieModel { copy_latency: bus().copy_latency / 1024.0, ..bus() }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! * a [`Link`] is one contended wire with its own pricing: the **host
 //!   root complex** ([`Link::Host`]: all devices' PCIe lanes converge
-//!   there, priced with the TLP-quantised [`PcieModel`](crate::PcieModel))
+//!   there, and each leg takes the cheaper of an explicit copy and a
+//!   zero-copy run, [`PcieModel::hybrid_copy_time`](crate::PcieModel::hybrid_copy_time))
 //!   or an **NVLink-class peer link** between two devices ([`Link::Peer`]:
 //!   smooth latency + bandwidth, [`LinkSpec`]).
 //!   Every peer link carries its *own* spec, so mixed-generation fabrics
@@ -16,8 +17,7 @@
 //! * peer links are **full-duplex**: each direction owns its own
 //!   contention queue, so the two legs of a symmetric exchange overlap
 //!   instead of serialising. The host root complex always stays **one**
-//!   TLP-quantised queue, so a host-only interconnect is the serial
-//!   shared bus;
+//!   queue, so a host-only interconnect is the serial shared bus;
 //! * an [`Interconnect`] is one of three named shapes ([`TopologyKind`])
 //!   — host-only (the shared bus), a ring of neighbour links, or a
 //!   fully-connected clique — plus per-link edits
@@ -42,9 +42,9 @@
 //! * [`Interconnect::price_all_gather`] plays a frontier all-gather
 //!   against the per-direction contention queues: legs on disjoint
 //!   queues overlap, legs sharing a queue serialise. With the host-only
-//!   topology this reduces *bit-identically* to serial-bus pricing
-//!   (asserted by tests), so the multi-device differential guarantees
-//!   hold on every topology.
+//!   topology this reduces *bit-identically* to a serial bus pricing
+//!   every leg with the same per-leg rule (asserted by tests), so the
+//!   multi-device differential guarantees hold on every topology.
 //!
 //! Three private siblings, re-exported here so every
 //! `hyt_sim::topology::*` path resolves: `spec` (the link vocabulary),

@@ -30,7 +30,8 @@ impl Interconnect {
     /// batch pays — and occupies — every hop), or the shared host
     /// staging path — one upload per source (the host copy is reused for
     /// every host-routed destination) and one aggregated download per
-    /// destination, exactly the shared-bus exchange. Legs queue per
+    /// destination, exactly the shared-bus exchange, each leg moving the
+    /// cheaper of explicit copy and zero-copy at its size. Legs queue per
     /// *direction* queue (a peer link runs its two directions
     /// concurrently) and overlap across queues, so the makespan is the
     /// busiest queue — floored by the longest single-batch
@@ -152,8 +153,11 @@ pub struct ExchangeReport {
     /// devices carried on behalf of the pair. Zero when every route is
     /// direct or host-staged.
     pub forwarded_bytes: u64,
-    /// Logical payload delivered (`Σ owned · (participants − 1)`) —
-    /// identical for every topology, unlike the per-link byte counts.
+    /// Payload delivered (`Σ owned · (participants − 1)`): the encoded
+    /// batch bytes the caller published (the runner's batches are id
+    /// list or vertex bitmap plus values, whichever is shorter), once per
+    /// receiver — identical for every topology, unlike the per-link byte
+    /// counts.
     pub payload_bytes: u64,
     /// Busy time per link (index = link id; `HOST_LINK` first). For a
     /// peer link this is the *sum* of its two direction queues (total

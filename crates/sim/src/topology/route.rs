@@ -165,8 +165,8 @@ impl Interconnect {
         self.queue_of = Vec::with_capacity(self.links.len());
         let mut q = 0usize;
         for (l, link) in self.links.iter().enumerate() {
-            // The host root complex is one TLP-quantised queue; each
-            // direction of a peer link owns its own.
+            // The host root complex is one queue; each direction of a
+            // peer link owns its own.
             match *link {
                 Link::Host(_) => {
                     self.queue_of.push([q, q]);

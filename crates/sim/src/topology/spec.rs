@@ -94,8 +94,9 @@ impl LinkSpec {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Link {
     /// The PCIe root complex every device's host lanes converge on: one
-    /// queue, priced with TLP-quantised explicit copies, which keeps
-    /// host-staged legs bit-identical to the single-device bus model.
+    /// queue. Each leg moves the cheaper way at its own size
+    /// ([`PcieModel::hybrid_copy_time`]): a TLP-quantised explicit copy,
+    /// or a zero-copy run whose last TLP may be partly filled.
     Host(PcieModel),
     /// A direct NVLink-class link between devices `ends.0` and `ends.1`,
     /// priced smooth latency + bandwidth; each direction owns a queue.
@@ -111,7 +112,7 @@ impl Link {
     /// Wall time of one transfer of `bytes`.
     pub fn transfer_time(&self, bytes: u64) -> SimTime {
         match self {
-            Link::Host(p) => p.explicit_copy_time(bytes),
+            Link::Host(p) => p.hybrid_copy_time(bytes),
             Link::Peer { spec, .. } => spec.transfer_time(bytes),
         }
     }

@@ -9,7 +9,8 @@ fn pcie() -> PcieModel {
 
 fn serial_bus_exchange(pcie: &PcieModel, owned: &[u64], participates: &[bool]) -> (f64, u64) {
     // The reference pricing: per participating device, one upload
-    // and one download on the single shared bus.
+    // and one download on the single shared bus, each leg the cheaper
+    // of an explicit copy and a zero-copy run.
     let total: u64 = owned.iter().zip(participates).filter(|&(_, &p)| p).map(|(&o, _)| o).sum();
     let mut time = 0.0;
     let mut bytes = 0u64;
@@ -19,7 +20,7 @@ fn serial_bus_exchange(pcie: &PcieModel, owned: &[u64], participates: &[bool]) -
         }
         for b in [o, total - o] {
             if b > 0 {
-                time += pcie.explicit_copy_time(b);
+                time += pcie.hybrid_copy_time(b);
                 bytes += b;
             }
         }
@@ -68,7 +69,7 @@ fn ring_routes_neighbours_direct_and_opposites_forwarded() {
     assert!(matches!(ic.route(0, 1, ROUTE_PROBE_BYTES), Route::Direct(_)));
     assert!(matches!(ic.route(3, 0, ROUTE_PROBE_BYTES), Route::Direct(_)));
     // Opposite pairs forward two fast hops rather than paying two
-    // TLP-quantised host copies.
+    // host legs.
     match ic.route(0, 2, ROUTE_PROBE_BYTES) {
         Route::Forwarded(hops) => assert_eq!(hops.len(), 2),
         r => panic!("expected a 2-hop forward, got {r:?}"),
@@ -106,7 +107,7 @@ fn host_only_routes_everything_host_staged() {
 #[test]
 fn slow_bridge_shifts_its_pair_back_to_host_staging() {
     // D = 8 uniform ring: every pair rides the peer fabric (max 4
-    // hops beat two TLP-quantised host copies).
+    // hops beat two host legs).
     let uniform = Interconnect::build(TopologyKind::Ring, 8, pcie(), LinkSpec::nvlink());
     for d in 1..8u32 {
         assert_ne!(uniform.route(0, d, ROUTE_PROBE_BYTES), &Route::HostStaged, "0->{d}");
@@ -340,11 +341,13 @@ fn makespan_is_the_busiest_queue_floored_by_the_critical_path() {
 
 /// A 3-device fabric whose (0, 1) pair has a slow direct bridge beside
 /// a fast 2-hop detour: bulk batches should forward, tiny ones go
-/// direct (two hop latencies cost more than the slow wire).
+/// direct (two hop latencies cost more than the slow wire). The host is
+/// a PCIe x1-class link, so that a tiny batch's two zero-copy host legs
+/// cannot undercut the peer paths this fixture compares.
 fn slow_direct_fast_detour() -> Interconnect {
     let fast = LinkSpec::with_nominal_bw(50.0e9);
     let slow = LinkSpec::with_nominal_bw(2.0e9);
-    Interconnect::host_only(3, pcie())
+    Interconnect::host_only(3, PcieModel::with_nominal_bw(1.0e9))
         .with_link_spec(0, 1, slow)
         .with_link_spec(0, 2, fast)
         .with_link_spec(1, 2, fast)

@@ -185,4 +185,18 @@ proptest! {
         prop_assert_eq!(cache.faults(), total_faults);
         prop_assert_eq!(cache.migrated_bytes(), total_faults * model.page_bytes);
     }
+
+    #[test]
+    fn hybrid_copy_time_is_monotone_and_never_above_explicit(
+        a in 0u64..(16 << 20),
+        b in 0u64..(16 << 20),
+        shift in 0u32..11,
+    ) {
+        // Both halves of the min are monotone in bytes, so the min is:
+        // a larger exchange leg never prices cheaper, at any scale.
+        let pcie = MachineModel::paper_platform().scaled(shift).pcie;
+        let (lo, hi) = (a.min(b), a.max(b));
+        prop_assert!(pcie.hybrid_copy_time(lo) <= pcie.hybrid_copy_time(hi), "{lo} B vs {hi} B");
+        prop_assert!(pcie.hybrid_copy_time(hi) <= pcie.explicit_copy_time(hi));
+    }
 }

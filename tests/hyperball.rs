@@ -170,13 +170,15 @@ fn wide_layout_is_reported_and_exchange_records_are_sketch_sized() {
     assert_eq!(layout.lanes, 8, "64 HLL registers are 8 lanes");
     assert_eq!(layout.wire_bytes, 64);
     assert_eq!(layout.record_bytes(), 68);
-    // Each record fanned out to the other shard holder is an id plus a
-    // register bitmap plus at least one raised register, and strictly
-    // below the full sketch on average: records shrink to what changed.
+    // Each record fanned out to the other shard holder carries a register
+    // bitmap plus at least one raised register; its id is 4 bytes, or a
+    // couple of bits when a dense batch ships a vertex bitmap. Records
+    // stay strictly below the full sketch on average: they shrink to
+    // what changed.
     let bytes = r.run.counters.exchange_bytes;
     let records: u64 = r.run.per_iteration.iter().map(|it| it.exchange.records).sum();
     assert!(records > 0);
-    assert!(records * (4 + 8 + 1) <= bytes, "{bytes} B for {records} records");
+    assert!(records * (8 + 1) <= bytes, "{bytes} B for {records} records");
     assert!(bytes < records * layout.record_bytes(), "{bytes} B for {records} records");
 }
 

@@ -72,9 +72,12 @@ fn four_byte_values_price_smaller_exchanges_than_eight_byte() {
     assert_eq!(x32 * 12, x64 * 8, "exchange must scale with declared record size");
 }
 
-/// ISSUE 26: sync runs price records against the iteration-start
-/// snapshot, but narrow values keep the default `wire_bytes_since`, so
-/// every record is still exactly `record_bytes` long.
+/// Sync runs price values against the iteration-start snapshot, but
+/// narrow values keep the default `wire_bytes_since`, so every value is
+/// full width. Ids cost at most a full id per record: an iteration's
+/// exchange is exactly `records × record_bytes` when every device batch
+/// lists its ids, and at most that when a dense batch ships a vertex
+/// bitmap instead (strictly less unless the bitmap only ties the list).
 #[test]
 fn narrow_sync_exchange_prices_full_records() {
     let g = generators::rmat(10, 8.0, 17, false);
@@ -82,13 +85,25 @@ fn narrow_sync_exchange_prices_full_records() {
         let cfg = HyTGraphConfig { async_mode: AsyncMode::Sync, ..sharded_cfg(d) };
         let r32 = HyTGraphSystem::new(g.clone(), cfg.clone()).run(Min32);
         let r64 = HyTGraphSystem::new(g.clone(), cfg).run(Min64);
-        for (bytes, records, layout) in [
-            (r32.counters.exchange_bytes, records_of(&r32.per_iteration), r32.value_layout),
-            (r64.counters.exchange_bytes, records_of(&r64.per_iteration), r64.value_layout),
-        ] {
-            assert!(records > 0, "D={d} never exchanged");
-            assert_eq!(bytes, records * layout.record_bytes(), "D={d} {layout:?}");
+        let mut saved = 0;
+        for (iterations, layout) in
+            [(&r32.per_iteration, r32.value_layout), (&r64.per_iteration, r64.value_layout)]
+        {
+            assert!(records_of(iterations) > 0, "D={d} never exchanged");
+            for it in iterations {
+                let bytes = it.counters.exchange_bytes;
+                let full = it.exchange.records * layout.record_bytes();
+                let at = format!("D={d} iteration {} {layout:?}", it.iteration);
+                if it.exchange.bitmap_batches == 0 {
+                    assert_eq!(bytes, full, "{at}: every batch listed its ids");
+                } else {
+                    assert!(bytes <= full, "{at}: a bitmap never costs more than the ids");
+                    saved += u64::from(bytes < full);
+                }
+            }
         }
+        // The all-active first iteration publishes every vertex.
+        assert!(saved > 0, "D={d}: no dense batch shipped a shorter bitmap");
     }
 }
 
