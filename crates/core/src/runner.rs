@@ -43,11 +43,10 @@
 //! optionally re-priced per link by `config.link_overrides`), a
 //! forwarded device-via-device multi-hop path, or staging through the
 //! host root complex, each host leg an explicit copy or a zero-copy run,
-//! whichever is cheaper; legs on disjoint direction queues overlap (each
-//! direction of a peer link owns its own queue). The exchange is charged
-//! after the iteration barrier, so every [`IterationStats`] is final when
-//! its iteration returns: its time is the timeline makespan plus the
-//! exchange time plus [`ITERATION_OVERHEAD_COPIES`] copy latencies.
+//! whichever is cheaper. The legs play on the tasks' list scheduler after
+//! the barrier, so every [`IterationStats`] is final when its iteration
+//! returns: its time is the barrier plus the legs' makespan plus
+//! [`ITERATION_OVERHEAD_COPIES`] copy latencies.
 //!
 //! Kernels still execute in the *global* contribution-driven priority
 //! order — the iteration barrier means device placement cannot change
@@ -76,7 +75,7 @@ use hyt_engines::{
 use hyt_graph::{
     hub_sort, Csr, DeltaCsr, DevicePlan, Frontier, GraphError, PartitionSet, VertexId,
 };
-use hyt_sim::{Interconnect, MultiGpuSim, SimTask, TransferCounters};
+use hyt_sim::{Interconnect, MultiGpuSim, MultiTimeline, SimTask, TransferCounters};
 
 pub use crate::migrate::{MigrationEvent, MIGRATION_HORIZON_ITERS, MIGRATION_MIN_OBSERVATIONS};
 pub use crate::mutate::{MutationReport, COMPACTION_HORIZON_ITERS};
@@ -598,10 +597,10 @@ impl HyTGraphSystem {
 
         // Each device's slice list inherits the global priority order
         // restricted to that device — per-device priority ordering for
-        // free. Play them against the interconnect's contention queues.
-        let timeline = self.sim.schedule(&dev_tasks);
+        // free. Play them, then the exchange's legs after the barrier.
+        let mut timeline = self.sim.schedule(&dev_tasks);
         let (exchange, payload_bytes) =
-            self.price_exchange(&next, state, values, snapshot.as_deref());
+            self.price_exchange(&next, state, values, snapshot.as_deref(), &mut timeline);
         counters.exchange_bytes += payload_bytes;
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
 
@@ -625,9 +624,9 @@ impl HyTGraphSystem {
             total_partitions: self.parts.len() as u32,
             mix,
             tasks: dev_tasks.iter().map(Vec::len).sum::<usize>() as u32,
-            time: timeline.makespan + exchange.time + analysis_time,
+            time: timeline.makespan + analysis_time,
             transfer_time: timeline.bus_busy + exchange.host_time + exchange.peer_time,
-            compute_time: timeline.gpu_busy_total(),
+            compute_time: timeline.per_device.iter().map(|t| t.gpu_busy).sum(),
             compaction_time: timeline.cpu_busy,
             exchange,
             per_device,
@@ -643,10 +642,9 @@ impl HyTGraphSystem {
     /// over the configured interconnect on each pair's cheapest path *at
     /// its batch size* — a direct peer link, a forwarded multi-hop peer
     /// path (store-and-forward), or staging through the host root
-    /// complex, explicit or zero-copy per leg — with legs queueing per
-    /// direction queue
-    /// ([`Interconnect::price_all_gather`]): one static pass, no
-    /// exchange-time re-routing.
+    /// complex, explicit or zero-copy per leg — one static pass, no
+    /// exchange-time re-routing. The legs play after `timeline`'s barrier
+    /// ([`MultiGpuSim::schedule_exchange`]), which they move.
     ///
     /// Only devices that own a shard participate: a spare device with no
     /// partitions computes nothing, so it neither publishes nor
@@ -677,6 +675,7 @@ impl HyTGraphSystem {
         state: &mut RunState,
         values: &Values<V>,
         snapshot: Option<&[V]>,
+        timeline: &mut MultiTimeline,
     ) -> (ExchangeStats, u64) {
         let nd = self.devices.num_devices() as usize;
         if nd <= 1 {
@@ -708,7 +707,7 @@ impl HyTGraphSystem {
         let published: u64 = batches.iter().map(|b| b.published).sum();
         let holders = self.shard_holders.iter().filter(|&&h| h).count() as u64;
         let report =
-            self.interconnect().price_all_gather(&state.exchange_bytes, &self.shard_holders);
+            self.sim.schedule_exchange(timeline, &state.exchange_bytes, &self.shard_holders);
         let stats = ExchangeStats {
             records: published * holders.saturating_sub(1),
             bitmap_batches,

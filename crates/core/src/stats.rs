@@ -73,10 +73,10 @@ impl EngineMix {
 /// exchange (all zeros on single-device or CPU-only iterations).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct ExchangeStats {
-    /// Routed exchange wall time: the busiest link's queue, since legs
-    /// on disjoint links overlap (equals the serial bus time on the
-    /// host-only topology). All of it is on the iteration's critical
-    /// path: the exchange is charged after the barrier.
+    /// Routed exchange wall time: the makespan of its legs on the list
+    /// scheduler, where legs on disjoint queues overlap (equals the
+    /// serial bus time on the host-only topology). All of it is on the
+    /// iteration's critical path: the legs play after the barrier.
     pub time: SimTime,
     /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub hidden: SimTime,
@@ -176,11 +176,12 @@ pub struct IterationStats {
     /// Scheduled tasks after combining.
     pub tasks: u32,
     /// Iteration makespan (simulated seconds), final when the iteration
-    /// returns: on the GPU path, the timeline makespan plus
-    /// `exchange.time` plus the per-iteration orchestration overhead
+    /// returns: on the GPU path, the task barrier plus `exchange.time`
+    /// plus the per-iteration orchestration overhead
     /// ([`crate::runner::ITERATION_OVERHEAD_COPIES`]).
     pub time: SimTime,
-    /// Bus busy time within the iteration.
+    /// Interconnect busy time within the iteration: the tasks' bus time
+    /// plus the exchange legs' host and peer link time.
     pub transfer_time: SimTime,
     /// GPU busy time.
     pub compute_time: SimTime,
@@ -222,17 +223,6 @@ impl<V> RunResult<V> {
     /// Transfer volume normalised to edge-data volume (Table VI's metric).
     pub fn transfer_ratio(&self, edge_bytes: u64) -> f64 {
         self.counters.transfer_ratio(edge_bytes)
-    }
-
-    /// Convenience: totals of the three phase-busy times (Fig. 3(c)).
-    pub fn phase_totals(&self) -> (SimTime, SimTime, SimTime) {
-        let mut t = (0.0, 0.0, 0.0);
-        for it in &self.per_iteration {
-            t.0 += it.compaction_time;
-            t.1 += it.transfer_time;
-            t.2 += it.compute_time;
-        }
-        t
     }
 }
 

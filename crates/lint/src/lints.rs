@@ -120,9 +120,14 @@ const BYTE_SCOPE_FILES: [&str; 11] = [
 ];
 
 /// Files in scope for `float-eq-in-pricing`: the files that compare
-/// prices to make a decision.
-const FLOAT_SCOPE_FILES: [&str; 4] =
-    ["core/src/cost.rs", "core/src/select.rs", "sim/src/topology/", "sim/src/pcie.rs"];
+/// prices to make a decision (`multi.rs` orders the exchange's legs).
+const FLOAT_SCOPE_FILES: [&str; 5] = [
+    "core/src/cost.rs",
+    "core/src/select.rs",
+    "sim/src/topology/",
+    "sim/src/pcie.rs",
+    "sim/src/multi.rs",
+];
 
 /// The path segment that owns base-CSR storage for `no-direct-csr-mut`:
 /// every file of the graph crate (`csr.rs` defines the builder,
@@ -800,9 +805,9 @@ mod tests {
         assert_eq!(lints_of(price, float), vec![(1, "float-eq-in-pricing")]);
         assert_eq!(lints_of(price, bytes), vec![(1, "hardcoded-value-bytes")]);
         // A sibling of the directory, not a member: out of scope.
-        let multi = "crates/sim/src/multi.rs";
-        assert_eq!(lints_of(multi, float), vec![]);
-        assert_eq!(lints_of(multi, bytes), vec![]);
+        let streams = "crates/sim/src/streams.rs";
+        assert_eq!(lints_of(streams, float), vec![]);
+        assert_eq!(lints_of(streams, bytes), vec![]);
     }
 
     #[test]
@@ -840,6 +845,15 @@ mod tests {
         let pick = "fn f(zero_copy_time: f64, t: f64) -> bool { zero_copy_time == t }\n";
         assert_eq!(lints_of("crates/sim/src/pcie.rs", pick), vec![(1, "float-eq-in-pricing")]);
         assert_eq!(lints_of("crates/sim/src/um.rs", pick), vec![]);
+    }
+
+    #[test]
+    fn float_eq_fires_in_the_leg_scheduler() {
+        // The scheduler prices the exchange by ordering legs on their
+        // start times: a float `==` tie test there must be flagged.
+        let tie = "fn f(start: f64, best_time: f64) -> bool { start == best_time }\n";
+        assert_eq!(lints_of("crates/sim/src/multi.rs", tie), vec![(1, "float-eq-in-pricing")]);
+        assert_eq!(lints_of("crates/sim/src/streams.rs", tie), vec![]);
     }
 
     #[test]

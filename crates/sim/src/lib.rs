@@ -25,18 +25,19 @@
 //!   in `hyt-engines`; this model only charges simulated *time*.
 //! * [`streams`] — the vocabulary of the CUDA-stream timeline (Fig. 6):
 //!   tasks as ordered phases on three contended resources (PCIe, GPU
-//!   compute, CPU compaction pool), per-task and per-phase spans, and
-//!   `StreamSim`, the one-device view of `multi`'s scheduler.
+//!   compute, CPU compaction pool) plus exchange hops on interconnect
+//!   queues, spans, and `StreamSim`, the one-device view of `multi`'s
+//!   scheduler.
 //! * [`multi`] — the one discrete-event list scheduler: per-device
 //!   streams and kernel engines behind a routed interconnect and one host
-//!   compaction pool, with makespan extraction.
+//!   compaction pool, then the frontier exchange's legs.
 //! * [`topology`] — the interconnect itself: host root complex plus
 //!   optional NVLink-class peer links (ring / all-to-all, edited per link
 //!   into heterogeneous fabrics, each link with its own spec and duplex
 //!   discipline), byte-size-aware cheapest-path
 //!   transfer routing (per-breakpoint route tables; direct,
-//!   device-via-device forwarded, or host-staged), and
-//!   per-direction-queue contention pricing of the frontier all-gather.
+//!   device-via-device forwarded, or host-staged), and the frontier
+//!   all-gather routed into per-direction-queue legs.
 //! * [`clock`] — transfer/volume counters used by Table VI.
 
 pub mod clock;

@@ -1,71 +1,52 @@
 //! Multi-device timeline: per-device streams and compute behind a routed
-//! interconnect.
+//! interconnect, and the frontier exchange's legs on it.
 //!
 //! [`MultiGpuSim`] is the simulator's one list scheduler, over `D`
 //! simulated devices ([`StreamSim`](crate::StreamSim) is its `D = 1`
-//! view). Each device owns its own CUDA streams and its own
-//! kernel engine (kernels on *different* devices overlap freely), while
-//! two resource families stay shared across the whole host:
+//! view). Each device owns its streams and its kernel engine (kernels on
+//! *different* devices overlap freely); shared across the host are each
+//! contention queue of the [`Interconnect`] (one for the host root
+//! complex, one per direction of every peer link) and the host
+//! compaction pool. Task traffic is host-routed (edge data lives in host
+//! memory), so with the host-only topology it queues on one shared bus.
 //!
-//! * **Interconnect queues** — each contention queue of the configured
-//!   [`Interconnect`] (one for the host root complex, one per direction
-//!   of every peer link) is tracked independently.
-//!   Edge-slice transfers and zero-copy reads are host-routed (the data
-//!   lives in host memory), so they queue on the host root complex from
-//!   every device — with the host-only topology this is exactly one
-//!   shared bus. Peer queues carry the inter-device
-//!   frontier exchange, priced by [`Interconnect::price_all_gather`]
-//!   over the byte-size-aware route tables (one static pass: each pair
-//!   rides the route that is cheapest at its batch size).
-//! * **CPU** — the host compaction pool serves every device's gather
-//!   requests and serialises with itself.
-//!
-//! Scheduling is deterministic list scheduling: each device's task list is
-//! already in that device's priority order, and at every step the
-//! scheduler commits the task (across all devices) that could start
-//! earliest, breaking ties toward the lower device id. Within a device,
-//! a task goes to the earliest-available stream (lowest index on ties)
-//! and each phase waits for its predecessor phase and its resource. With
-//! `D = 1` this is plain in-order list scheduling over one bus, one GPU
-//! and the host pool.
+//! One loop plays two kinds of lane: a device's task list, in that
+//! device's priority order, and an exchange leg chain, one batch's
+//! [`Phase::Link`] hops in route order, played after the barrier
+//! ([`MultiGpuSim::schedule_exchange`]). Each step commits the lane head
+//! that could start earliest. A task takes its device's earliest-free
+//! stream (lowest index on ties) and each phase waits for its predecessor
+//! and its resource; a hop waits only for its chain's previous hop and
+//! its queue. Ties go to the chain with more hops left, then to the lower
+//! lane: the lower device, or the earlier leg in routing order.
 
 use crate::streams::{Phase, PhaseSpan, Resource, SimTask, Timeline};
-use crate::topology::Interconnect;
+use crate::topology::{ExchangeReport, Interconnect};
 use crate::{PcieModel, SimTime};
+use std::ops::Range;
 
 /// Completed multi-device schedule.
 #[derive(Clone, Debug, Default)]
 pub struct MultiTimeline {
-    /// Elapsed time until the last device drains (the iteration barrier).
+    /// Elapsed time until the last device drains (the iteration barrier)
+    /// or, once the exchange has played, until its last leg lands.
     pub makespan: SimTime,
-    /// Shared-bus busy time (all devices).
+    /// Shared-bus busy time of the tasks (all devices).
     pub bus_busy: SimTime,
     /// Host compaction-pool busy time (all devices).
     pub cpu_busy: SimTime,
     /// Per-device timelines: device-local makespan, busy times and spans.
     pub per_device: Vec<Timeline>,
-    /// Shared-bus occupations as `(device, start, end)`, in schedule
-    /// order — bus exclusivity must hold across devices, not just within
-    /// one device's timeline.
+    /// Shared-bus occupations of the tasks as `(device, start, end)`, in
+    /// schedule order (bus exclusivity must hold across devices).
     pub bus_spans: Vec<(u32, SimTime, SimTime)>,
-    /// Busy time per interconnect contention queue (index = queue id:
-    /// host root complex first, then each peer link's direction queues
-    /// in link order — see [`Interconnect::queue`]). Task traffic is
-    /// host-routed, so peer entries stay zero here; the frontier
-    /// exchange occupies them separately.
+    /// Busy time per interconnect contention queue (index =
+    /// [`Interconnect::queue`] id, host root complex first). Task traffic
+    /// is host-routed, so only exchange legs occupy the peer entries.
     pub link_busy: Vec<SimTime>,
-}
-
-impl MultiTimeline {
-    /// Total GPU compute work across devices (Σ per-device busy time).
-    pub fn gpu_busy_total(&self) -> SimTime {
-        self.per_device.iter().map(|t| t.gpu_busy).sum()
-    }
-
-    /// Makespan of the busiest single device.
-    pub fn max_device_makespan(&self) -> SimTime {
-        self.per_device.iter().map(|t| t.makespan).fold(0.0, f64::max)
-    }
+    /// Played exchange hops in commit order (so each chain's in hop
+    /// order); `task` is the leg chain's index.
+    pub link_spans: Vec<PhaseSpan>,
 }
 
 /// Deterministic list scheduler over `D` devices behind a routed
@@ -76,9 +57,8 @@ pub struct MultiGpuSim {
     pub num_devices: usize,
     /// CUDA streams per device.
     pub num_streams: usize,
-    /// The link set devices contend on. Task transfers are host-routed
-    /// (edge data is host-resident) and queue on each device's host
-    /// link; peer links are occupied by the frontier exchange.
+    /// The link set devices contend on: task transfers queue on each
+    /// device's host link, the frontier exchange on any link.
     pub interconnect: Interconnect,
 }
 
@@ -107,123 +87,225 @@ impl MultiGpuSim {
         MultiGpuSim { num_devices: nd, num_streams: num_streams.max(1), interconnect }
     }
 
-    /// Contention queue serving `device`'s host-side task traffic (the
-    /// host root complex is a single queue in both directions).
-    fn host_queue_of(&self, device: u32) -> usize {
-        self.interconnect.queue(self.interconnect.host_link_of(device), false)
-    }
-
     /// Play one priority-ordered task list per device and return the
     /// merged timeline. `tasks.len()` must equal `num_devices`.
     pub fn schedule<L: AsRef<[SimTask]>>(&self, tasks: &[L]) -> MultiTimeline {
         assert_eq!(tasks.len(), self.num_devices, "one task list per device");
-        let nd = self.num_devices;
-        // One slot per interconnect contention queue. Host-routed task
-        // traffic from device `d` queues on `host_link_of(d)`'s single
-        // queue — with one root complex that is the shared bus.
-        let mut link_free = vec![0.0f64; self.interconnect.num_queues()];
-        let mut cpu_free = 0.0f64;
-        let mut gpu_free = vec![0.0f64; nd];
-        let mut stream_free = vec![vec![0.0f64; self.num_streams]; nd];
-        let mut next = vec![0usize; nd];
+        let (ic, ns) = (&self.interconnect, self.num_streams);
+        let mut lanes: Vec<Lane<'_>> = (tasks.iter().enumerate())
+            .map(|(d, list)| Lane {
+                device: d,
+                host: ic.queue(ic.host_link_of(d as u32), false),
+                items: Items::Tasks(list.as_ref()),
+                slots: d * ns..(d + 1) * ns,
+                next: 0,
+            })
+            .collect();
         let mut tl = MultiTimeline {
-            per_device: vec![Timeline::default(); nd],
-            link_busy: vec![0.0; self.interconnect.num_queues()],
+            per_device: vec![Timeline::default(); self.num_devices],
+            link_busy: vec![0.0; ic.num_queues()],
             ..Default::default()
         };
-
-        loop {
-            // Pick the device whose head-of-queue task could start earliest.
-            let mut best: Option<(f64, usize, usize)> = None; // (start, device, stream)
-            for (d, queue) in tasks.iter().enumerate() {
-                let Some(task) = queue.as_ref().get(next[d]) else { continue };
-                let host = self.host_queue_of(d as u32);
-                let (sid, cursor) = earliest_stream(&stream_free[d]);
-                let start = match task.phases.first() {
-                    Some(Phase::Cpu(_)) => cursor.max(cpu_free),
-                    Some(Phase::Transfer(_)) => cursor.max(link_free[host]),
-                    Some(Phase::Kernel(_)) => cursor.max(gpu_free[d]),
-                    Some(Phase::Fused { .. }) => cursor.max(link_free[host]).max(gpu_free[d]),
-                    None => cursor,
-                };
-                if best.is_none_or(|(s, _, _)| start < s) {
-                    best = Some((start, d, sid));
-                }
-            }
-            let Some((_, d, sid)) = best else { break };
-            let task = &tasks[d].as_ref()[next[d]];
-            let tid = next[d];
-            next[d] += 1;
-            let host = self.host_queue_of(d as u32);
-
-            let dev_tl = &mut tl.per_device[d];
-            let mut cursor = stream_free[d][sid];
-            let mut first = true;
-            let mut task_start = cursor;
-            for phase in &task.phases {
-                let dur = phase.duration();
-                let start = match phase {
-                    Phase::Cpu(_) => cursor.max(cpu_free),
-                    Phase::Transfer(_) => cursor.max(link_free[host]),
-                    Phase::Kernel(_) => cursor.max(gpu_free[d]),
-                    Phase::Fused { .. } => cursor.max(link_free[host]).max(gpu_free[d]),
-                };
-                let end = start + dur;
-                let span = |resource, fused| PhaseSpan { task: tid, resource, start, end, fused };
-                match phase {
-                    Phase::Cpu(t) => {
-                        cpu_free = end;
-                        dev_tl.cpu_busy += t;
-                        dev_tl.phase_spans.push(span(Resource::Cpu, false));
-                    }
-                    Phase::Transfer(t) => {
-                        link_free[host] = end;
-                        dev_tl.pcie_busy += t;
-                        tl.link_busy[host] += t;
-                        dev_tl.phase_spans.push(span(Resource::Pcie, false));
-                        tl.bus_spans.push((d as u32, start, end));
-                    }
-                    Phase::Kernel(t) => {
-                        gpu_free[d] = end;
-                        dev_tl.gpu_busy += t;
-                        dev_tl.phase_spans.push(span(Resource::Gpu, false));
-                    }
-                    Phase::Fused { transfer, kernel } => {
-                        link_free[host] = end;
-                        gpu_free[d] = end;
-                        dev_tl.pcie_busy += transfer;
-                        tl.link_busy[host] += transfer;
-                        dev_tl.gpu_busy += kernel;
-                        dev_tl.phase_spans.push(span(Resource::Pcie, true));
-                        dev_tl.phase_spans.push(span(Resource::Gpu, true));
-                        tl.bus_spans.push((d as u32, start, end));
-                    }
-                }
-                if first {
-                    task_start = start;
-                    first = false;
-                }
-                cursor = end;
-            }
-            stream_free[d][sid] = cursor;
-            dev_tl.makespan = dev_tl.makespan.max(cursor);
-            dev_tl.spans.push((task.label.clone(), task_start, cursor));
-        }
-
-        tl.makespan = tl.max_device_makespan();
+        play(&mut lanes, &mut tl);
         tl.bus_busy = tl.per_device.iter().map(|t| t.pcie_busy).sum();
         tl.cpu_busy = tl.per_device.iter().map(|t| t.cpu_busy).sum();
         tl
     }
+
+    /// Route the frontier all-gather ([`Interconnect::price_all_gather`])
+    /// and play its legs after `tl`'s barrier, which moves to the last
+    /// leg's landing; the report's makespan is the legs' own.
+    pub fn schedule_exchange(
+        &self,
+        tl: &mut MultiTimeline,
+        owned: &[u64],
+        participates: &[bool],
+    ) -> ExchangeReport {
+        let (mut report, legs) = self.interconnect.route_all_gather(owned, participates);
+        report.makespan = play_legs(&legs, tl);
+        report
+    }
 }
 
-/// Earliest-available stream (stable tie-break), as `(index, free_time)`.
-fn earliest_stream(streams: &[f64]) -> (usize, f64) {
-    streams
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-        .map_or((0, 0.0), |(sid, &t)| (sid, t))
+/// An exchange's leg chains in one buffer: chain `c` is `hops[chains[c]]`.
+#[derive(Debug, Default)]
+pub(crate) struct Legs {
+    hops: Vec<Phase>,
+    chains: Vec<Range<usize>>,
+}
+
+impl Legs {
+    pub(crate) fn push(&mut self, chain: impl IntoIterator<Item = Phase>) {
+        let first = self.hops.len();
+        self.hops.extend(chain);
+        self.chains.push(first..self.hops.len());
+    }
+}
+
+/// Play `legs` after `tl`'s barrier; returns the legs' own makespan.
+pub(crate) fn play_legs(legs: &Legs, tl: &mut MultiTimeline) -> SimTime {
+    let mut lanes: Vec<Lane<'_>> = (legs.chains.iter().enumerate())
+        .map(|(c, hops)| Lane {
+            device: 0,
+            host: 0,
+            items: Items::Hops(&legs.hops[hops.clone()]),
+            slots: c..c + 1,
+            next: 0,
+        })
+        .collect();
+    tl.link_spans.reserve(legs.hops.len());
+    play(&mut lanes, tl)
+}
+
+/// One lane of the list scheduler.
+struct Lane<'a> {
+    /// The device whose GPU and host queue (`host`) task phases hold.
+    device: usize,
+    host: usize,
+    items: Items<'a>,
+    /// The lane's slots in [`Free::slot`]: its device's streams, or the
+    /// chain's one, free when the previous hop lands.
+    slots: Range<usize>,
+    next: usize,
+}
+
+#[derive(Clone, Copy)]
+enum Items<'a> {
+    Tasks(&'a [SimTask]),
+    Hops(&'a [Phase]),
+}
+
+impl<'a> Lane<'a> {
+    /// The phases of the lane's next item: a task, or one hop.
+    fn head(&self) -> Option<&'a [Phase]> {
+        match self.items {
+            Items::Tasks(tasks) => tasks.get(self.next).map(|t| t.phases.as_slice()),
+            Items::Hops(hops) => hops.get(self.next).map(std::slice::from_ref),
+        }
+    }
+
+    /// Tie rank: a leg chain's hops left; task lists rank alike.
+    fn hops_left(&self) -> usize {
+        match self.items {
+            Items::Tasks(_) => 0,
+            Items::Hops(hops) => hops.len() - self.next,
+        }
+    }
+}
+
+/// When each shared resource and each lane slot is next free.
+struct Free {
+    link: Vec<SimTime>,
+    cpu: SimTime,
+    gpu: Vec<SimTime>,
+    slot: Vec<SimTime>,
+}
+
+impl Free {
+    /// When `phase` of device `d` can start once `cursor` is reached.
+    fn start(&self, phase: &Phase, cursor: SimTime, d: usize, host: usize) -> SimTime {
+        match *phase {
+            Phase::Cpu(_) => cursor.max(self.cpu),
+            Phase::Transfer(_) => cursor.max(self.link[host]),
+            Phase::Kernel(_) => cursor.max(self.gpu[d]),
+            Phase::Fused { .. } => cursor.max(self.link[host]).max(self.gpu[d]),
+            Phase::Link { queue, .. } => cursor.max(self.link[queue]),
+        }
+    }
+}
+
+/// The one loop that turns phase durations into start and end times:
+/// plays `lanes` on an idle machine, records them shifted by `tl`'s
+/// makespan so far (shifting records, not resources, keeps
+/// `origin + makespan` bit-exact), and returns the lanes' own makespan.
+fn play(lanes: &mut [Lane<'_>], tl: &mut MultiTimeline) -> SimTime {
+    let origin = tl.makespan;
+    let mut free = Free {
+        link: vec![0.0; tl.link_busy.len()],
+        cpu: 0.0,
+        gpu: vec![0.0; tl.per_device.len()],
+        slot: vec![0.0; lanes.last().map_or(0, |l| l.slots.end)],
+    };
+    let mut makespan = 0.0f64;
+    let mut live: Vec<usize> = (0..lanes.len()).collect(); // lanes with items left
+    loop {
+        let mut best: Option<(SimTime, usize, usize, usize)> = None; // (start, hops left, lane, slot)
+        for &l in &live {
+            let lane = &lanes[l];
+            let Some(phases) = lane.head() else { continue };
+            let (slot, cursor) = (lane.slots.clone().map(|i| (i, free.slot[i])))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                .unwrap_or((0, 0.0));
+            let start =
+                phases.first().map_or(cursor, |p| free.start(p, cursor, lane.device, lane.host));
+            let left = lane.hops_left();
+            if best.is_none_or(|(s, k, _, _)| start.total_cmp(&s).then(k.cmp(&left)).is_lt()) {
+                best = Some((start, left, l, slot));
+            }
+        }
+        let Some((item_start, _, l, slot)) = best else { break };
+        let lane = &mut lanes[l];
+        let (item, d, host) = (lane.next, lane.device, lane.host);
+        let phases = lane.head().unwrap_or_default();
+        lane.next += 1;
+
+        let mut cursor = free.slot[slot];
+        for phase in phases {
+            let start = free.start(phase, cursor, d, host);
+            let end = start + phase.duration();
+            let (s, e) = (origin + start, origin + end);
+            let span =
+                |task, resource, fused| PhaseSpan { task, resource, start: s, end: e, fused };
+            match *phase {
+                Phase::Cpu(t) => {
+                    free.cpu = end;
+                    tl.per_device[d].cpu_busy += t;
+                    tl.per_device[d].phase_spans.push(span(item, Resource::Cpu, false));
+                }
+                Phase::Transfer(t) => {
+                    free.link[host] = end;
+                    tl.per_device[d].pcie_busy += t;
+                    tl.link_busy[host] += t;
+                    tl.per_device[d].phase_spans.push(span(item, Resource::Pcie, false));
+                    tl.bus_spans.push((d as u32, s, e));
+                }
+                Phase::Kernel(t) => {
+                    free.gpu[d] = end;
+                    tl.per_device[d].gpu_busy += t;
+                    tl.per_device[d].phase_spans.push(span(item, Resource::Gpu, false));
+                }
+                Phase::Fused { transfer, kernel } => {
+                    free.link[host] = end;
+                    free.gpu[d] = end;
+                    let dev = &mut tl.per_device[d];
+                    dev.pcie_busy += transfer;
+                    dev.gpu_busy += kernel;
+                    dev.phase_spans.push(span(item, Resource::Pcie, true));
+                    dev.phase_spans.push(span(item, Resource::Gpu, true));
+                    tl.link_busy[host] += transfer;
+                    tl.bus_spans.push((d as u32, s, e));
+                }
+                Phase::Link { queue, time } => {
+                    free.link[queue] = end;
+                    tl.link_busy[queue] += time;
+                    tl.link_spans.push(span(l, Resource::Link(queue), false));
+                }
+            }
+            cursor = end;
+        }
+        free.slot[slot] = cursor;
+        makespan = makespan.max(cursor);
+        if lane.head().is_none() {
+            live.retain(|&x| x != l);
+        }
+        if let Items::Tasks(tasks) = lane.items {
+            let dev = &mut tl.per_device[d];
+            dev.makespan = dev.makespan.max(origin + cursor);
+            dev.spans.push((tasks[item].label.clone(), origin + item_start, origin + cursor));
+        }
+    }
+    tl.makespan = tl.makespan.max(origin + makespan);
+    makespan
 }
 
 #[cfg(test)]
@@ -382,6 +464,6 @@ mod tests {
             assert!(tl.makespan >= dev.gpu_busy - 1e-9);
             assert!(tl.makespan >= dev.makespan - 1e-9);
         }
-        assert_eq!(tl.makespan, tl.max_device_makespan());
+        assert_eq!(tl.makespan, tl.per_device.iter().map(|t| t.makespan).fold(0.0, f64::max));
     }
 }

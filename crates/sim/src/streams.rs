@@ -15,13 +15,13 @@
 //! same interval (implicit transfer/compute overlap, Section V-B).
 //!
 //! This module holds the task and timeline vocabulary; the one list
-//! scheduler is [`MultiGpuSim::schedule`], and [`StreamSim`] is its
-//! one-device view. A schedule plays a task list (already in priority
-//! order) against `num_streams` streams and returns the [`Timeline`]: the
-//! makespan, per-resource busy times, and per-task spans. This is a
-//! deterministic, list-scheduling approximation of what the CUDA runtime
-//! does — tasks are dealt to the earliest-available stream in priority
-//! order, and each phase waits for its predecessor phase and its resource.
+//! scheduler is [`MultiGpuSim`], and [`StreamSim`] is its one-device
+//! view. A schedule plays a task list (already in priority order) against
+//! `num_streams` streams and returns the [`Timeline`]: the makespan,
+//! per-resource busy times, and per-task spans. This is a deterministic,
+//! list-scheduling approximation of what the CUDA runtime does — tasks
+//! are dealt to the earliest-available stream in priority order, and each
+//! phase waits for its predecessor phase and its resource.
 
 use crate::{MultiGpuSim, SimTime};
 
@@ -42,6 +42,14 @@ pub enum Phase {
         /// Compute time of the kernel consuming them.
         kernel: SimTime,
     },
+    /// An exchange hop: holds one interconnect queue, and no stream, GPU
+    /// or host pool.
+    Link {
+        /// The contention queue ([`crate::topology::Interconnect::queue`]).
+        queue: usize,
+        /// Transfer time.
+        time: SimTime,
+    },
 }
 
 impl Phase {
@@ -50,6 +58,7 @@ impl Phase {
         match *self {
             Phase::Cpu(t) | Phase::Transfer(t) | Phase::Kernel(t) => t,
             Phase::Fused { transfer, kernel } => transfer.max(kernel),
+            Phase::Link { time, .. } => time,
         }
     }
 }
@@ -109,13 +118,15 @@ pub enum Resource {
     Pcie,
     /// GPU compute (kernels serialise).
     Gpu,
+    /// One interconnect contention queue, held by a [`Phase::Link`] hop.
+    Link(usize),
 }
 
 /// One resource-occupation interval of one task phase. Fused zero-copy
 /// phases emit two spans (bus + GPU) over the same interval.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseSpan {
-    /// Index of the task in the scheduled input list.
+    /// Index of the task (of the leg chain, for a hop) in the played list.
     pub task: usize,
     /// Which resource the phase held.
     pub resource: Resource,
@@ -144,13 +155,6 @@ pub struct Timeline {
     /// the timeline-invariant tests check (exclusive resources must never
     /// overlap; fused phases hold bus and GPU for the same interval).
     pub phase_spans: Vec<PhaseSpan>,
-}
-
-impl Timeline {
-    /// Sum of all phase durations (the no-overlap lower bound on resources).
-    pub fn total_work(&self) -> SimTime {
-        self.pcie_busy + self.gpu_busy + self.cpu_busy
-    }
 }
 
 /// The single-device scheduler: a one-device [`MultiGpuSim`] on the
@@ -247,7 +251,7 @@ mod tests {
         assert!(tl.makespan >= tl.pcie_busy - 1e-9);
         assert!(tl.makespan >= tl.gpu_busy - 1e-9);
         assert!(tl.makespan >= tl.cpu_busy - 1e-9);
-        assert!(tl.makespan <= tl.total_work() + 1e-9);
+        assert!(tl.makespan <= tl.pcie_busy + tl.gpu_busy + tl.cpu_busy + 1e-9);
     }
 
     #[test]

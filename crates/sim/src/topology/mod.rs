@@ -38,10 +38,11 @@
 //!   being used blindly;
 //! * forwarded chains price **store-and-forward**: each hop waits for the
 //!   whole batch, so a chain costs the sum of its hops
-//!   ([`Interconnect::chain_time`]);
-//! * [`Interconnect::price_all_gather`] plays a frontier all-gather
-//!   against the per-direction contention queues: legs on disjoint
-//!   queues overlap, legs sharing a queue serialise. With the host-only
+//!   ([`Interconnect::route_cost`]);
+//! * [`Interconnect::price_all_gather`] routes a frontier all-gather
+//!   into legs and plays them on the one list scheduler
+//!   ([`MultiGpuSim`](crate::MultiGpuSim)): legs on disjoint queues
+//!   overlap, legs sharing a queue serialise. With the host-only
 //!   topology this reduces *bit-identically* to a serial bus pricing
 //!   every leg with the same per-leg rule (asserted by tests), so the
 //!   multi-device differential guarantees hold on every topology.
@@ -49,7 +50,7 @@
 //! Three private siblings, re-exported here so every
 //! `hyt_sim::topology::*` path resolves: `spec` (the link vocabulary),
 //! `route` (builders, the per-breakpoint route tables, contention-free
-//! path pricing) and `price` (the contended all-gather and its
+//! path pricing) and `price` (routing the all-gather into legs, and its
 //! [`ExchangeReport`]).
 
 mod price;

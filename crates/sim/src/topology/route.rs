@@ -304,11 +304,6 @@ impl Interconnect {
         &self.links
     }
 
-    /// The host root complex link id.
-    pub fn host_link(&self) -> usize {
-        HOST_LINK
-    }
-
     /// Host link used by `device`'s host-side transfers.
     ///
     /// Every device's lanes currently converge on the **one** root
@@ -348,23 +343,15 @@ impl Interconnect {
         &self.routes[(bi * nd + src as usize) * nd + dst as usize]
     }
 
-    /// Serialisation time of one `bytes`-sized batch crossing the hop
-    /// chain `hops` end to end (contention-free): store-and-forward, the
-    /// sum of every hop's transfer time — a hop cannot start until the
-    /// previous one delivered the whole batch.
-    pub fn chain_time(&self, hops: &[usize], bytes: u64) -> SimTime {
-        hops.iter().map(|&l| self.transfer_time(l, bytes)).sum()
-    }
-
     /// Price `route(src, dst, bytes)` contention-free: the direct link's
-    /// transfer time, the forwarded chain's store-and-forward sum
-    /// ([`Interconnect::chain_time`]), or upload + download on the host
-    /// root complex. Queueing happens in
-    /// [`Interconnect::price_all_gather`].
+    /// transfer time, the forwarded chain's store-and-forward sum (a hop
+    /// cannot start until the previous one delivered the whole batch),
+    /// or upload + download on the host root complex. Queueing happens
+    /// in [`Interconnect::price_all_gather`].
     pub fn route_cost(&self, src: u32, dst: u32, bytes: u64) -> SimTime {
         match self.route(src, dst, bytes) {
             Route::Direct(l) => self.transfer_time(*l, bytes),
-            Route::Forwarded(hops) => self.chain_time(hops, bytes),
+            Route::Forwarded(hops) => hops.iter().map(|&l| self.transfer_time(l, bytes)).sum(),
             Route::HostStaged => 2.0 * self.transfer_time(HOST_LINK, bytes),
         }
     }

@@ -5,11 +5,12 @@
 //! Three families of invariants:
 //!
 //! * **duplex** — each peer link's two directions queue on their own,
-//!   which can only shorten the all-gather against one shared queue per
-//!   link: a link's shared queue would carry both direction queues'
-//!   legs, i.e. its total wire occupancy, so the makespan never exceeds
-//!   the busiest link's occupancy (floored by the chain critical path),
-//!   and every link's occupancy tiles exactly into its two queues.
+//!   which can only lower the all-gather's bound against one shared
+//!   queue per link: a link's shared queue would carry both direction
+//!   queues' legs, i.e. its total wire occupancy. Every link's occupancy
+//!   tiles exactly into its two queues, and the list-scheduled makespan
+//!   lies between the duplex bound (busiest queue, floored by the
+//!   longest hop chain) and the sum of the legs.
 //! * **payload** — the logical exchange payload is a property of the
 //!   participants, never of the topology or the link specs.
 //! * **routing** — the chosen route is the cheapest priced path at the
@@ -18,7 +19,10 @@
 //!   (store-and-forward, never cheaper), and no route prices above host
 //!   staging.
 
-use hytgraph::sim::{Interconnect, LinkSpec, PcieModel, Route, TopologyKind, ROUTE_PROBE_BYTES};
+use hytgraph::sim::topology::HOST_LINK;
+use hytgraph::sim::{
+    ExchangeReport, Interconnect, LinkSpec, PcieModel, Route, TopologyKind, ROUTE_PROBE_BYTES,
+};
 use proptest::prelude::*;
 
 const EPS: f64 = 1e-9;
@@ -42,15 +46,28 @@ fn mixed_ring(gens: &[usize]) -> Interconnect {
     ic
 }
 
-/// What one shared queue per link would have priced for `r`: the busiest
-/// link's total wire occupancy (both directions), floored like the real
-/// makespan by the chain critical path. Also checks that every link's
-/// occupancy is exactly the sum of its direction queues.
+/// The lower bound one shared queue per link would give `r`, the
+/// busiest link's total wire occupancy (both directions) floored by the
+/// longest hop chain, beside the duplex bound, the busiest direction
+/// queue with the same floor. Also checks that every link's occupancy
+/// is exactly the sum of its direction queues, and that the makespan
+/// lies between the duplex bound and the sum of the legs.
 fn shared_queue_makespan(
     ic: &Interconnect,
-    r: &hytgraph::sim::ExchangeReport,
-) -> Result<f64, TestCaseError> {
-    let mut shared = r.critical_path;
+    owned: &[u64],
+    participates: &[bool],
+    r: &ExchangeReport,
+) -> Result<(f64, f64), TestCaseError> {
+    let mut chain = 0.0f64;
+    for s in (0..owned.len() as u32).filter(|&s| participates[s as usize] && owned[s as usize] > 0)
+    {
+        for d in (0..owned.len() as u32).filter(|&d| d != s && participates[d as usize]) {
+            if ic.route(s, d, owned[s as usize]) != &Route::HostStaged {
+                chain = chain.max(ic.route_cost(s, d, owned[s as usize]));
+            }
+        }
+    }
+    let mut shared = chain;
     for (l, &busy) in r.per_link_busy.iter().enumerate() {
         let (fwd, rev) = (ic.queue(l, false), ic.queue(l, true));
         let queued = if fwd == rev {
@@ -61,7 +78,11 @@ fn shared_queue_makespan(
         prop_assert!((busy - queued).abs() < EPS, "link {l}: {busy} != {queued}");
         shared = shared.max(busy);
     }
-    Ok(shared)
+    let duplex = r.per_queue_busy.iter().fold(chain, |a, &b| a.max(b));
+    let legs: f64 = r.per_queue_busy.iter().sum();
+    prop_assert!(duplex <= r.makespan + EPS, "makespan {} under the bound {duplex}", r.makespan);
+    prop_assert!(r.makespan <= legs + EPS, "makespan {} over the legs {legs}", r.makespan);
+    Ok((duplex, shared))
 }
 
 proptest! {
@@ -85,8 +106,8 @@ proptest! {
             spec(generation),
         );
         let r = ic.price_all_gather(&owned, &participates);
-        let shared = shared_queue_makespan(&ic, &r)?;
-        prop_assert!(r.makespan <= shared + EPS, "full {} > shared {}", r.makespan, shared);
+        let (full, shared) = shared_queue_makespan(&ic, &owned, &participates, &r)?;
+        prop_assert!(full <= shared + EPS, "full {full} > shared {shared}");
         // Class totals tile the per-link occupancy.
         let sum: f64 = r.per_link_busy.iter().sum();
         prop_assert!((sum - r.host_time - r.peer_time).abs() < EPS);
@@ -100,9 +121,10 @@ proptest! {
         let nd = gens.len();
         let owned: Vec<u64> = owned_seed.iter().cycle().take(nd).copied().collect();
         let ic = mixed_ring(&gens);
-        let r = ic.price_all_gather(&owned, &vec![true; nd]);
-        let shared = shared_queue_makespan(&ic, &r)?;
-        prop_assert!(r.makespan <= shared + EPS, "full {} > shared {}", r.makespan, shared);
+        let participates = vec![true; nd];
+        let r = ic.price_all_gather(&owned, &participates);
+        let (full, shared) = shared_queue_makespan(&ic, &owned, &participates, &r)?;
+        prop_assert!(full <= shared + EPS, "full {full} > shared {shared}");
     }
 
     #[test]
@@ -144,7 +166,7 @@ proptest! {
             ic = ic.with_link_spec(a, b, LinkSpec::with_nominal_bw(1.0e9));
         }
         let probe = ROUTE_PROBE_BYTES;
-        let host_cost = 2.0 * ic.transfer_time(ic.host_link(), probe);
+        let host_cost = 2.0 * ic.transfer_time(HOST_LINK, probe);
         for s in 0..nd as u32 {
             for d in (0..nd as u32).filter(|&d| d != s) {
                 let cost = ic.route_cost(s, d, probe);

@@ -8,11 +8,15 @@
 //!   host compaction pool) never hold two overlapping spans;
 //! * fused zero-copy phases occupy bus and GPU for the *same* interval;
 //! * the multi-device scheduler at `D = 1` gives `StreamSim`'s timeline
-//!   on every topology, and keeps bus exclusivity *across* devices.
+//!   on every topology, and keeps bus exclusivity *across* devices;
+//! * the frontier exchange's legs, played after the barrier, never
+//!   overlap on a queue, follow their chain's previous hop, and land
+//!   between the busiest queue / longest chain bound and the sum of the
+//!   legs.
 
 use hytgraph::sim::{
-    Interconnect, LinkSpec, MultiGpuSim, PcieModel, Phase, PhaseSpan, Resource, SimTask, StreamSim,
-    Timeline, TopologyKind,
+    Interconnect, LinkSpec, MultiGpuSim, PcieModel, Phase, PhaseSpan, Resource, Route, SimTask,
+    StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
 
@@ -117,7 +121,7 @@ proptest! {
         prop_assert_eq!(multi.per_device[0].phase_spans.clone(), single.phase_spans);
         prop_assert_eq!(multi.bus_busy, single.pcie_busy);
         prop_assert_eq!(multi.cpu_busy, single.cpu_busy);
-        prop_assert_eq!(multi.gpu_busy_total(), single.gpu_busy);
+        prop_assert_eq!(multi.per_device[0].gpu_busy, single.gpu_busy);
         // D=1 with any topology still equals StreamSim: a single device
         // has no peer to link to, so every shape degenerates to the one
         // host root complex for task traffic.
@@ -166,16 +170,14 @@ proptest! {
         let participates = vec![true; nd];
         let ic = Interconnect::build(kind, nd, pcie, peer);
         let r = ic.price_all_gather(&owned, &participates);
-        // Per-queue busy never exceeds the makespan, which is exactly
-        // the busiest direction queue (legs on disjoint queues overlap
-        // fully) floored by the longest forwarded hop chain (a batch's
-        // hops depend on each other even across idle queues).
-        let busiest = r.per_queue_busy.iter().fold(r.critical_path, |a, &b| a.max(b));
-        prop_assert!((r.makespan - busiest).abs() < EPS);
-        prop_assert!(r.makespan >= r.critical_path - EPS, "makespan under the chain floor");
+        // Per-queue busy never exceeds the makespan (legs sharing a
+        // queue serialise), and the makespan never exceeds playing
+        // every leg back to back.
         for &b in &r.per_queue_busy {
             prop_assert!(b <= r.makespan + EPS);
         }
+        let legs: f64 = r.per_queue_busy.iter().sum();
+        prop_assert!(r.makespan <= legs + EPS, "makespan {} over the legs {legs}", r.makespan);
         // A link's wire occupancy is the sum of its queues, and class
         // totals tile the per-link vector.
         let link_sum: f64 = r.per_link_busy.iter().sum();
@@ -195,6 +197,108 @@ proptest! {
         prop_assert_eq!(host.peer_bytes, 0);
         prop_assert_eq!(host.forwarded_bytes, 0);
     }
+
+    #[test]
+    fn played_legs_respect_queues_chains_and_bounds(
+        lists in proptest::collection::vec(proptest::collection::vec(arb_task(), 0..4), 2..8),
+        owned_seed in proptest::collection::vec(0u64..2_000_000, 2..8),
+        participates_bits in proptest::collection::vec(any::<bool>(), 2..8),
+        kind_idx in 0usize..3,
+        slow_bridge in any::<bool>(),
+        laddered in any::<bool>(),
+    ) {
+        let nd = lists.len();
+        // About a fifth of the batches are empty: a holder with nothing
+        // to publish still receives.
+        let owned: Vec<u64> = (owned_seed.iter().cycle().take(nd))
+            .map(|&o| if o < 400_000 { 0 } else { o })
+            .collect();
+        let mut participates: Vec<bool> =
+            participates_bits.iter().cycle().take(nd).copied().collect();
+        participates[0] = true;
+        let pcie = PcieModel::pcie3();
+        let kind = TopologyKind::ALL[kind_idx];
+        // A named shape, optionally with a slow (0, 1) bridge (added on
+        // host-only) and the sized route ladder.
+        let mut ic = Interconnect::build(kind, nd, pcie, LinkSpec::nvlink());
+        if slow_bridge {
+            ic = ic.with_link_spec(0, 1, LinkSpec::with_nominal_bw(2.0e9));
+        }
+        if laddered {
+            ic = ic.with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
+        }
+        let sim = MultiGpuSim::with_interconnect(nd, 2, ic.clone());
+        let mut tl = sim.schedule(&lists);
+        let barrier = tl.makespan;
+        let r = sim.schedule_exchange(&mut tl, &owned, &participates);
+        prop_assert_eq!(tl.makespan, barrier + r.makespan);
+        prop_assert_eq!(r, ic.price_all_gather(&owned, &participates));
+        // Spans on one queue never overlap, and none starts before the
+        // barrier.
+        let spans = &tl.link_spans;
+        for q in 0..ic.num_queues() {
+            assert_no_overlap(spans, Resource::Link(q), "exchange legs");
+        }
+        prop_assert!(spans.iter().all(|s| s.start >= barrier && s.end <= tl.makespan));
+        // Hop k + 1 starts at or after hop k ends (a chain's hops are
+        // committed, so recorded, in hop order).
+        for chain in 0..spans.len() {
+            let hops: Vec<&PhaseSpan> = spans.iter().filter(|s| s.task == chain).collect();
+            for w in hops.windows(2) {
+                prop_assert!(w[1].start >= w[0].end, "hop before its predecessor: {:?} / {:?}", w[0], w[1]);
+            }
+        }
+        // The deleted max(busiest queue, longest chain) rule is a lower
+        // bound; the legs played back to back an upper one.
+        let mut chain = 0.0f64;
+        for s in (0..nd as u32).filter(|&s| participates[s as usize] && owned[s as usize] > 0) {
+            for d in (0..nd as u32).filter(|&d| d != s && participates[d as usize]) {
+                if ic.route(s, d, owned[s as usize]) != &Route::HostStaged {
+                    chain = chain.max(ic.route_cost(s, d, owned[s as usize]));
+                }
+            }
+        }
+        let busiest = r.per_queue_busy.iter().fold(chain, |a, &b| a.max(b));
+        let legs: f64 = r.per_queue_busy.iter().sum();
+        prop_assert!(busiest <= r.makespan + EPS, "makespan {} under {busiest}", r.makespan);
+        prop_assert!(r.makespan <= legs + EPS, "makespan {} over {legs}", r.makespan);
+        // Peer queues carry only legs.
+        for q in 1..ic.num_queues() {
+            prop_assert!((tl.link_busy[q] - r.per_queue_busy[q]).abs() < EPS);
+        }
+
+        // Host-only: the serial bus, bit for bit. Per participant, one
+        // upload and one download on the one queue, each leg the cheaper
+        // of an explicit copy and a zero-copy run.
+        let host = Interconnect::host_only(nd, pcie).price_all_gather(&owned, &participates);
+        let holders = participates.iter().filter(|&&p| p).count() as u64;
+        let total: u64 = (0..nd).filter(|&d| participates[d]).map(|d| owned[d]).sum();
+        let (mut serial, mut bytes) = (0.0, 0);
+        if holders > 1 {
+            for d in (0..nd).filter(|&d| participates[d]) {
+                for b in [owned[d], total - owned[d]] {
+                    if b > 0 {
+                        serial += pcie.hybrid_copy_time(b);
+                        bytes += b;
+                    }
+                }
+            }
+        }
+        prop_assert_eq!((host.makespan, host.host_time, host.host_bytes), (serial, serial, bytes));
+        prop_assert_eq!((host.peer_time, host.peer_bytes, host.forwarded_bytes), (0.0, 0, 0));
+        prop_assert_eq!(host.payload_bytes, if holders > 1 { total * (holders - 1) } else { 0 });
+
+        // Uniform clique: every batch rides its own direction queue, so
+        // the makespan is the longest leg.
+        let spec = LinkSpec::nvlink();
+        let clique = Interconnect::build(TopologyKind::AllToAll, nd, pcie, spec)
+            .price_all_gather(&owned, &participates);
+        let longest = (0..nd)
+            .filter(|&d| participates[d] && participates.iter().filter(|&&p| p).count() > 1)
+            .map(|d| spec.transfer_time(owned[d]))
+            .fold(0.0, f64::max);
+        prop_assert_eq!(clique.makespan, longest);
+    }
 }
 
 #[test]
@@ -212,4 +316,29 @@ fn fused_phase_holds_bus_and_gpu_for_identical_interval() {
     // Busy accounting still records the true demand, not the wall interval.
     assert_eq!(tl.pcie_busy, 5.0);
     assert_eq!(tl.gpu_busy, 2.0);
+}
+
+#[test]
+fn legs_go_earliest_first_and_ties_to_the_longer_chain() {
+    // Device 0 of a 4-ring publishes to devices 1 and 2; device 3 holds
+    // no shard. Both batches start on the 0 → 1 queue at time 0: the
+    // batch bound for 2 (two hops) goes first, so its second hop
+    // overlaps the direct batch and the exchange takes two hop times,
+    // where pair order would have taken three.
+    let ic = Interconnect::build(TopologyKind::Ring, 4, PcieModel::pcie3(), LinkSpec::nvlink());
+    let sim = MultiGpuSim::with_interconnect(4, 1, ic);
+    // Four 0.5 s bus transfers: the barrier is at 2.
+    let mut tl = sim.schedule(&vec![vec![SimTask::explicit("t", 0.5, 0.0)]; 4]);
+    let b = 200_000;
+    let r = sim.schedule_exchange(&mut tl, &[b, 0, 0, 0], &[true, true, true, false]);
+    let hop = LinkSpec::nvlink().transfer_time(b);
+    assert_eq!(r.makespan, hop + hop);
+    assert_eq!(tl.makespan, 2.0 + r.makespan, "the legs play after the barrier");
+    // Chain 0 is the direct batch, chain 1 the two-hop one. Commit
+    // order: chain 1's first hop, then (a tie at one hop left each) the
+    // lower chain, then chain 1's second hop.
+    let chains: Vec<usize> = tl.link_spans.iter().map(|s| s.task).collect();
+    assert_eq!(chains, [1, 0, 1]);
+    assert_eq!(tl.link_spans[0].start, 2.0);
+    assert!(tl.per_device.iter().all(|d| d.spans.len() == 1), "legs are not tasks");
 }
