@@ -19,7 +19,13 @@
 //! * since v4: every grid record carries its attribution — scheduled
 //!   units, bus busy time and exposed exchange (the whole exchange time:
 //!   nothing hides it) — so a moved makespan can be decomposed from the
-//!   diff alone.
+//!   diff alone;
+//! * since v5: `records` run under the default host-port grouping (two
+//!   devices per PCIe switch uplink), and `shared_root_complex` keeps the
+//!   `D ∈ {4, 8}` grid with every device behind one root complex
+//!   ([`HostPorts::Shared`], the v4 model), so that table stays
+//!   reproducible. It is a separate array because readers of `records`
+//!   take the first `(dataset, algo, devices)` match.
 //!
 //! Since v3 the run also **diffs against the committed baseline**: any
 //! matching `(dataset, algo, devices)` record whose simulated makespan
@@ -34,13 +40,13 @@
 use crate::context::{base_config, run_algo_with_config, Ctx};
 use crate::table::{secs, Table};
 use hyt_algos::AlgoKind;
-use hyt_core::SystemKind;
-use hyt_graph::DatasetId;
+use hyt_core::{HostPorts, SystemKind};
+use hyt_graph::{Csr, DatasetId};
 use serde::Serialize;
 use serde_json::Value;
 
 /// Schema tag for the emitted JSON, bumped on layout changes.
-pub const PERF_SCHEMA: &str = "hytgraph-perf-v4";
+pub const PERF_SCHEMA: &str = "hytgraph-perf-v5";
 
 /// Fractional `total_time` growth over the committed baseline that
 /// fails a non-smoke `repro perf` run (25%).
@@ -121,8 +127,11 @@ pub struct PerfBaseline {
     pub schema: &'static str,
     /// System preset every record ran under.
     pub system: &'static str,
-    /// Measurements, in sweep order.
+    /// Measurements under the default host ports, in sweep order.
     pub records: Vec<PerfRecord>,
+    /// The `D > 1` cells again with every device behind one shared root
+    /// complex (since v5).
+    pub shared_root_complex: Vec<PerfRecord>,
     /// Session-layer batched-vs-serial throughput (since v2).
     pub batched: Vec<BatchedPerfRecord>,
     /// Placement pricing comparison on the skewed ring (since v3).
@@ -197,36 +206,50 @@ pub fn diff_regressions(old: &[PerfRecord], new: &[PerfRecord]) -> Vec<String> {
 const ALGOS: [AlgoKind; 5] =
     [AlgoKind::PageRank, AlgoKind::Sssp, AlgoKind::Cc, AlgoKind::Bfs, AlgoKind::HyperBall];
 
+/// One grid cell: the HyTGraph preset on `d` devices behind `host_ports`.
+fn grid_record(
+    g: &Csr,
+    ds: DatasetId,
+    algo: AlgoKind,
+    d: usize,
+    host_ports: HostPorts,
+) -> PerfRecord {
+    let mut cfg = SystemKind::HyTGraph.configure(base_config());
+    cfg.num_devices = d;
+    cfg.host_ports = host_ports;
+    cfg.threads = 1; // bit-reproducible host kernels
+    let m = run_algo_with_config(SystemKind::HyTGraph, algo, g, cfg);
+    let its = &m.per_iteration;
+    PerfRecord {
+        dataset: ds.name().to_string(),
+        algo: algo.name().to_string(),
+        devices: d,
+        iterations: m.iterations,
+        total_time: m.total_time,
+        exchange_bytes: m.counters.exchange_bytes,
+        scheduled_units: its.iter().map(|it| it.tasks as u64).sum(),
+        bus_busy: its.iter().flat_map(|it| &it.per_device).map(|dev| dev.transfer_time).sum(),
+        exchange_exposed: its.iter().map(|it| it.exchange.time).sum(),
+    }
+}
+
 /// Run the sweep (pure; no I/O) — also used by the integration tests.
 pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
     let datasets: &[DatasetId] =
         if smoke { &[DatasetId::Sk] } else { &[DatasetId::Sk, DatasetId::Tw] };
     let devices: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 8] };
-    let mut records = Vec::new();
+    let default_ports = base_config().host_ports;
+    let (mut records, mut shared_root_complex) = (Vec::new(), Vec::new());
     for &ds in datasets {
         let g = ctx.graph(ds);
         for algo in ALGOS {
             for &d in devices {
-                let mut cfg = SystemKind::HyTGraph.configure(base_config());
-                cfg.num_devices = d;
-                cfg.threads = 1; // bit-reproducible host kernels
-                let m = run_algo_with_config(SystemKind::HyTGraph, algo, &g, cfg);
-                let its = &m.per_iteration;
-                records.push(PerfRecord {
-                    dataset: ds.name().to_string(),
-                    algo: algo.name().to_string(),
-                    devices: d,
-                    iterations: m.iterations,
-                    total_time: m.total_time,
-                    exchange_bytes: m.counters.exchange_bytes,
-                    scheduled_units: its.iter().map(|it| it.tasks as u64).sum(),
-                    bus_busy: its
-                        .iter()
-                        .flat_map(|it| &it.per_device)
-                        .map(|dev| dev.transfer_time)
-                        .sum(),
-                    exchange_exposed: its.iter().map(|it| it.exchange.time).sum(),
-                });
+                records.push(grid_record(&g, ds, algo, d, default_ports));
+            }
+        }
+        for algo in ALGOS {
+            for &d in devices.iter().filter(|&&d| d > 1) {
+                shared_root_complex.push(grid_record(&g, ds, algo, d, HostPorts::Shared));
             }
         }
     }
@@ -259,6 +282,7 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
         schema: PERF_SCHEMA,
         system: SystemKind::HyTGraph.name(),
         records,
+        shared_root_complex,
         batched,
         placement,
     }
@@ -303,23 +327,44 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         Ok(()) => eprintln!("   wrote {} records to {path}", baseline.records.len()),
         Err(e) => eprintln!("   could not write {path}: {e}"),
     }
-    let mut t = Table::new(
+    let grid = |title: String, records: &[PerfRecord]| {
+        let mut t = Table::new(
+            title,
+            &[
+                "dataset",
+                "algo",
+                "D",
+                "iters",
+                "time",
+                "exchange KB",
+                "units",
+                "bus",
+                "exposed exch",
+            ],
+        );
+        for r in records {
+            t.row(vec![
+                r.dataset.clone(),
+                r.algo.clone(),
+                r.devices.to_string(),
+                r.iterations.to_string(),
+                secs(r.total_time),
+                format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
+                r.scheduled_units.to_string(),
+                secs(r.bus_busy),
+                secs(r.exchange_exposed),
+            ]);
+        }
+        t
+    };
+    let t = grid(
         format!("Perf baseline ({}, {})", baseline.schema, baseline.system),
-        &["dataset", "algo", "D", "iters", "time", "exchange KB", "units", "bus", "exposed exch"],
+        &baseline.records,
     );
-    for r in &baseline.records {
-        t.row(vec![
-            r.dataset.clone(),
-            r.algo.clone(),
-            r.devices.to_string(),
-            r.iterations.to_string(),
-            secs(r.total_time),
-            format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
-            r.scheduled_units.to_string(),
-            secs(r.bus_busy),
-            secs(r.exchange_exposed),
-        ]);
-    }
+    let s = grid(
+        "D > 1 behind one shared root complex (HostPorts::Shared)".to_string(),
+        &baseline.shared_root_complex,
+    );
     let mut b = Table::new(
         "Batched vs serial traversal throughput (skewed graph, D=8 ring)",
         &["width", "serial time", "batched time", "speedup", "serial KB", "batched KB"],
@@ -348,5 +393,5 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
         ]);
     }
-    vec![t, b, p]
+    vec![t, s, b, p]
 }

@@ -2,7 +2,7 @@
 
 use crate::select::{SelectParams, Selection};
 use hyt_graph::DeviceAssignment;
-use hyt_sim::{LinkSpec, MachineModel, TopologyKind};
+use hyt_sim::{HostPorts, LinkSpec, MachineModel, TopologyKind};
 
 /// Scale shift shared with `hyt_graph::datasets`: datasets are 2¹⁰ smaller
 /// than the paper's, so partitions and device budgets shrink by the same
@@ -81,11 +81,19 @@ pub struct HyTGraphConfig {
     /// How partitions map to devices when `num_devices > 1`.
     pub device_assignment: DeviceAssignment,
     /// Interconnect shape between the devices: host-only (every byte
-    /// staged through the shared PCIe root complex — the paper's
+    /// staged through the devices' PCIe host ports — the paper's
     /// platform), or NVLink-style peer links in a ring / fully-connected
     /// clique that the frontier exchange routes over (direct, forwarded
     /// device-via-device, or host-staged — whichever prices cheapest).
     pub topology: TopologyKind,
+    /// How the devices' host lanes group onto PCIe host ports, each its
+    /// own queue for task transfers and host-staged exchange legs
+    /// ([`hyt_sim::Interconnect::with_host_ports`]). The default,
+    /// [`HostPorts::PairedSwitches`], is the DGX-1-class 8-GPU PCIe tree:
+    /// two devices per switch, one x16 uplink each. [`HostPorts::Shared`]
+    /// puts every device behind one root complex. At `num_devices = 1`
+    /// every preset is the same single port.
+    pub host_ports: HostPorts,
     /// Bandwidth and latency of each peer link when `topology` has any.
     /// Each direction of a peer link owns its own contention queue, so
     /// the two legs of a symmetric exchange overlap. Forwarded chains
@@ -143,6 +151,7 @@ impl Default for HyTGraphConfig {
             num_devices: 1,
             device_assignment: DeviceAssignment::EdgeBalanced,
             topology: TopologyKind::HostOnly,
+            host_ports: HostPorts::PairedSwitches,
             peer_link: LinkSpec::nvlink().scaled(SCALE_SHIFT),
             link_overrides: Vec::new(),
             affine_migration: false,
@@ -179,6 +188,7 @@ mod tests {
         assert_eq!(c.num_devices, 1, "the paper's platform is single-GPU");
         assert_eq!(c.device_assignment, DeviceAssignment::EdgeBalanced);
         assert_eq!(c.topology, TopologyKind::HostOnly, "the paper's platform has no peer links");
+        assert_eq!(c.host_ports, HostPorts::PairedSwitches, "a DGX-1-class PCIe tree at D > 1");
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
         assert!(!c.affine_migration, "static placement is the reproducible baseline");
         let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
@@ -201,6 +211,7 @@ mod tests {
         // endpoint order) and one chord added.
         let ring = system(8, TopologyKind::Ring, vec![(0, 1, fast), (7, 6, slow), (2, 6, fast)]);
         let expect = Interconnect::build(TopologyKind::Ring, 8, pcie, peer)
+            .with_host_ports(c.host_ports)
             .with_link_spec(0, 1, fast)
             .with_link_spec(7, 6, slow)
             .with_link_spec(2, 6, fast)
@@ -210,6 +221,7 @@ mod tests {
         // mixed-generation fabric, built the same way.
         let sparse = system(4, TopologyKind::HostOnly, vec![(0, 1, fast), (1, 2, slow)]);
         let expect = Interconnect::build(TopologyKind::HostOnly, 4, pcie, peer)
+            .with_host_ports(c.host_ports)
             .with_link_spec(0, 1, fast)
             .with_link_spec(1, 2, slow)
             .with_route_breakpoints(&ROUTE_LADDER);

@@ -74,7 +74,7 @@ pub use api::{
 pub use config::{AsyncMode, HyTGraphConfig};
 pub use cost::{partition_costs_sized, PartitionCosts};
 pub use hyt_engines::EngineKind;
-pub use hyt_sim::{Interconnect, LinkSpec, Route, TopologyKind};
+pub use hyt_sim::{HostPorts, Interconnect, LinkSpec, Route, TopologyKind};
 pub use runner::{
     HyTGraphSystem, MigrationEvent, MutationReport, COMPACTION_HORIZON_ITERS,
     MIGRATION_HORIZON_ITERS,

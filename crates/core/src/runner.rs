@@ -41,9 +41,10 @@
 //! [`crate::exchange`]) to the peers along each pair's cheapest path: a
 //! direct NVLink-class peer link (`config.topology` ring / all-to-all,
 //! optionally re-priced per link by `config.link_overrides`), a
-//! forwarded device-via-device multi-hop path, or staging through the
-//! host root complex, each host leg an explicit copy or a zero-copy run,
-//! whichever is cheaper. The legs play on the tasks' list scheduler after
+//! forwarded device-via-device multi-hop path, or staging through host
+//! memory (up on the source's host port, down on the destination's:
+//! `config.host_ports`), each host leg an explicit copy or a zero-copy
+//! run, whichever is cheaper. The legs play on the tasks' list scheduler after
 //! the barrier, so every [`IterationStats`] is final when its iteration
 //! returns: its time is the barrier plus the legs' makespan plus
 //! [`ITERATION_OVERHEAD_COPIES`] copy latencies.
@@ -235,7 +236,8 @@ impl HyTGraphSystem {
             nd as usize,
             config.machine.pcie,
             config.peer_link,
-        );
+        )
+        .with_host_ports(config.host_ports);
         for &(a, b, spec) in &config.link_overrides {
             interconnect = interconnect.with_link_spec(a, b, spec);
         }
@@ -442,7 +444,7 @@ impl HyTGraphSystem {
     /// per-iteration barrier makes placement invisible to the computed
     /// values — while pricing slices each combined task by owning device
     /// (one slice when the task lies on one device) and plays the slices
-    /// on per-device timelines behind the shared bus.
+    /// on per-device timelines behind their host ports.
     fn run_iteration_gpu<P: VertexProgram>(
         &self,
         program: &P,

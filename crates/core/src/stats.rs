@@ -80,12 +80,13 @@ pub struct ExchangeStats {
     pub time: SimTime,
     /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.
     pub hidden: SimTime,
-    /// Host root-complex busy time (staged uploads + downloads).
+    /// Host-port busy time, summed over the ports (staged uploads +
+    /// downloads).
     pub host_time: SimTime,
     /// Peer-link busy time (direct device-to-device legs).
     pub peer_time: SimTime,
-    /// Bytes that crossed the host root complex (staged records count
-    /// on both hops).
+    /// Bytes that crossed the host ports (staged records count on both
+    /// hops).
     pub host_bytes: u64,
     /// Bytes that crossed peer links (a forwarded record counts on
     /// every hop).

@@ -5,10 +5,13 @@
 //! simulated devices ([`StreamSim`](crate::StreamSim) is its `D = 1`
 //! view). Each device owns its streams and its kernel engine (kernels on
 //! *different* devices overlap freely); shared across the host are each
-//! contention queue of the [`Interconnect`] (one for the host root
-//! complex, one per direction of every peer link) and the host
-//! compaction pool. Task traffic is host-routed (edge data lives in host
-//! memory), so with the host-only topology it queues on one shared bus.
+//! contention queue of the [`Interconnect`] (one per host port, one per
+//! direction of every peer link) and the host compaction pool. Task
+//! traffic is host-routed (edge data lives in host memory), so it queues
+//! on its device's host port
+//! ([`Interconnect::host_link_of`]): one shared bus behind
+//! [`HostPorts::Shared`](crate::topology::HostPorts::Shared), one queue
+//! per PCIe switch or per device otherwise.
 //!
 //! One loop plays two kinds of lane: a device's task list, in that
 //! device's priority order, and an exchange leg chain, one batch's
@@ -31,17 +34,18 @@ pub struct MultiTimeline {
     /// Elapsed time until the last device drains (the iteration barrier)
     /// or, once the exchange has played, until its last leg lands.
     pub makespan: SimTime,
-    /// Shared-bus busy time of the tasks (all devices).
+    /// Host-port busy time of the tasks, summed over all devices (and so
+    /// over all ports).
     pub bus_busy: SimTime,
     /// Host compaction-pool busy time (all devices).
     pub cpu_busy: SimTime,
     /// Per-device timelines: device-local makespan, busy times and spans.
     pub per_device: Vec<Timeline>,
-    /// Shared-bus occupations of the tasks as `(device, start, end)`, in
-    /// schedule order (bus exclusivity must hold across devices).
+    /// Host-port occupations of the tasks as `(device, start, end)`, in
+    /// schedule order (exclusivity holds among the devices of one port).
     pub bus_spans: Vec<(u32, SimTime, SimTime)>,
     /// Busy time per interconnect contention queue (index =
-    /// [`Interconnect::queue`] id, host root complex first). Task traffic
+    /// [`Interconnect::queue`] id, host ports first). Task traffic
     /// is host-routed, so only exchange legs occupy the peer entries.
     pub link_busy: Vec<SimTime>,
     /// Played exchange hops in commit order (so each chain's in hop
@@ -65,7 +69,7 @@ pub struct MultiGpuSim {
 impl MultiGpuSim {
     /// A scheduler over `num_devices` devices with `num_streams` streams
     /// each (both clamped to at least 1), on the host-only
-    /// interconnect (one shared root complex).
+    /// interconnect behind one shared root complex.
     pub fn new(num_devices: usize, num_streams: usize) -> Self {
         let nd = num_devices.max(1);
         Self::with_interconnect(nd, num_streams, Interconnect::host_only(nd, PcieModel::pcie3()))

@@ -111,10 +111,11 @@ pub enum Resource {
     /// Host-side compaction pool (serialises with itself).
     Cpu,
     /// The host–device bus (one DMA direction). In multi-device runs
-    /// this is the host root complex of the configured
-    /// [`Interconnect`](crate::topology::Interconnect); peer links are
-    /// separate queues and never appear in task phase spans (task data
-    /// is host-resident).
+    /// this is the device's host port of the configured
+    /// [`Interconnect`](crate::topology::Interconnect)
+    /// ([`Interconnect::host_link_of`](crate::topology::Interconnect::host_link_of));
+    /// peer links are separate queues and never appear in task phase
+    /// spans (task data is host-resident).
     Pcie,
     /// GPU compute (kernels serialise).
     Gpu,

@@ -6,20 +6,26 @@
 //! bus" assumption the paper's Section VIII names as the open frontier.
 //! This module makes the interconnect a first-class object:
 //!
-//! * a [`Link`] is one contended wire with its own pricing: the **host
-//!   root complex** ([`Link::Host`]: all devices' PCIe lanes converge
-//!   there, and each leg takes the cheaper of an explicit copy and a
-//!   zero-copy run, [`PcieModel::hybrid_copy_time`](crate::PcieModel::hybrid_copy_time))
+//! * a [`Link`] is one contended wire with its own pricing: a **host
+//!   port** ([`Link::Host`]: the PCIe root port or switch uplink its
+//!   devices' lanes converge on, and each leg takes the cheaper of an
+//!   explicit copy and a zero-copy run,
+//!   [`PcieModel::hybrid_copy_time`](crate::PcieModel::hybrid_copy_time))
 //!   or an **NVLink-class peer link** between two devices ([`Link::Peer`]:
 //!   smooth latency + bandwidth, [`LinkSpec`]).
 //!   Every peer link carries its *own* spec, so mixed-generation fabrics
 //!   (x4 beside x8 bridges, NVLink 2 beside NVLink 4) are first-class;
+//! * the host side is **one queue per host port** ([`HostPorts`]):
+//!   [`Interconnect::build`] puts every device behind one shared root
+//!   complex (a host-only interconnect is then the serial shared bus),
+//!   and [`Interconnect::with_host_ports`] splits it into one port per
+//!   PCIe switch or per device, so devices on different ports move host
+//!   bytes concurrently;
 //! * peer links are **full-duplex**: each direction owns its own
 //!   contention queue, so the two legs of a symmetric exchange overlap
-//!   instead of serialising. The host root complex always stays **one**
-//!   queue, so a host-only interconnect is the serial shared bus;
+//!   instead of serialising;
 //! * an [`Interconnect`] is one of three named shapes ([`TopologyKind`])
-//!   — host-only (the shared bus), a ring of neighbour links, or a
+//!   — host-only, a ring of neighbour links, or a
 //!   fully-connected clique — plus per-link edits
 //!   ([`Interconnect::with_link_spec`]) that re-price a link or add a
 //!   missing one, which is how any heterogeneous fabric is built;
@@ -32,10 +38,10 @@
 //!   matches the batch, so latency-bound tiny batches may legitimately
 //!   take fewer hops than bandwidth-bound bulk ones. Each entry is
 //!   **direct** over a peer link, **forwarded** device-via-device over a
-//!   multi-hop peer path, or **host-staged** (up then down on the root
-//!   complex) when the peer fabric is absent or slower. A slow bridge
-//!   therefore shifts its pair's traffic back to host staging instead of
-//!   being used blindly;
+//!   multi-hop peer path, or **host-staged** (up on the source's host
+//!   port, down on the destination's) when the peer fabric is absent or
+//!   slower. A slow bridge therefore shifts its pair's traffic back to
+//!   host staging instead of being used blindly;
 //! * forwarded chains price **store-and-forward**: each hop waits for the
 //!   whole batch, so a chain costs the sum of its hops
 //!   ([`Interconnect::route_cost`]);
@@ -43,7 +49,8 @@
 //!   into legs and plays them on the one list scheduler
 //!   ([`MultiGpuSim`](crate::MultiGpuSim)): legs on disjoint queues
 //!   overlap, legs sharing a queue serialise. With the host-only
-//!   topology this reduces *bit-identically* to a serial bus pricing
+//!   topology behind one shared root complex this reduces
+//!   *bit-identically* to a serial bus pricing
 //!   every leg with the same per-leg rule (asserted by tests), so the
 //!   multi-device differential guarantees hold on every topology.
 //!
@@ -59,7 +66,7 @@ mod spec;
 
 pub use price::ExchangeReport;
 pub use route::{Interconnect, Route, HOST_LINK, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES};
-pub use spec::{Link, LinkSpec, TopologyKind};
+pub use spec::{HostPorts, Link, LinkSpec, TopologyKind};
 
 // One test module for all three siblings (not one per file): the suite
 // tracks tests by path, and these keep their `topology::tests::*` names.

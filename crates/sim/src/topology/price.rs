@@ -2,7 +2,7 @@
 //! batch routed into legs, written against `route`'s public lookups
 //! only, then played on the one list scheduler ([`crate::MultiGpuSim`]).
 
-use super::route::{Interconnect, Route, HOST_LINK};
+use super::route::{Interconnect, Route};
 use super::spec::Link;
 use crate::multi::{play_legs, Legs, MultiTimeline};
 use crate::streams::Phase;
@@ -11,7 +11,7 @@ use crate::SimTime;
 impl Interconnect {
     /// One hop of a `bytes` batch over `link`, leaving `from`: its leg on
     /// that direction's queue (busy time charged to `report`) and the
-    /// device at the other end (`from` again on the host root complex).
+    /// device at the other end (`from` again on a host port).
     fn hop(&self, report: &mut ExchangeReport, from: u32, link: usize, bytes: u64) -> (Phase, u32) {
         let time = self.transfer_time(link, bytes);
         let (reverse, to) = match self.links()[link] {
@@ -31,15 +31,17 @@ impl Interconnect {
     /// Each pair's batch is routed into legs on its cheapest route at its
     /// own size: one leg over a direct peer link, a chain of
     /// store-and-forward hops over a forwarded path, or host staging —
-    /// one upload per staged source (reused by all its staged
-    /// destinations) and one aggregated download per destination, each
-    /// the cheaper of explicit copy and zero-copy. The legs then play on
-    /// an idle fabric through [`MultiGpuSim`](crate::MultiGpuSim)'s one
-    /// loop. Pairs route in ascending `(src, dst)` order, then host legs
-    /// by device, upload first: busy sums accumulate, and the host queue
-    /// plays, in that order, so host-only is bit-identical to the serial
-    /// bus. A free exchange (≤ 1 participant, or nothing published)
-    /// returns a zeroed report with the per-link / per-queue vectors sized.
+    /// one upload per staged source on its host port (reused by all its
+    /// staged destinations) and one aggregated download per destination
+    /// on its own, each the cheaper of explicit copy and zero-copy. The
+    /// legs then play on an idle fabric through
+    /// [`MultiGpuSim`](crate::MultiGpuSim)'s one loop. Pairs route in
+    /// ascending `(src, dst)` order, then host legs by device, upload
+    /// first: busy sums accumulate, and each host port plays, in that
+    /// order, so host-only behind one shared root complex is
+    /// bit-identical to the serial bus. A free exchange (≤ 1
+    /// participant, or nothing published) returns a zeroed report with
+    /// the per-link / per-queue vectors sized.
     #[must_use = "an ExchangeReport is a priced plan, not an action; dropping it discards the pricing"]
     pub fn price_all_gather(&self, owned: &[u64], participates: &[bool]) -> ExchangeReport {
         let (mut report, legs) = self.route_all_gather(owned, participates);
@@ -115,13 +117,20 @@ impl Interconnect {
         for d in 0..nd {
             for b in [host_up[d], host_down[d]] {
                 if b > 0 {
-                    legs.push([self.hop(&mut report, d as u32, HOST_LINK, b).0]);
+                    let port = self.host_link_of(d as u32);
+                    legs.push([self.hop(&mut report, d as u32, port, b).0]);
                     report.host_bytes += b;
                 }
             }
         }
-        report.host_time = report.per_link_busy[HOST_LINK];
-        report.peer_time = report.per_link_busy[HOST_LINK + 1..].iter().sum();
+        // Summed per link kind (an empty sum is -0.0, as it always was).
+        let busy_of = |host: bool| {
+            (self.links().iter().zip(&report.per_link_busy))
+                .filter(|(l, _)| matches!(l, Link::Host(_)) == host)
+                .map(|(_, &b)| b)
+                .sum()
+        };
+        (report.host_time, report.peer_time) = (busy_of(true), busy_of(false));
         (report, legs)
     }
 }
@@ -133,12 +142,12 @@ pub struct ExchangeReport {
     /// fabric: legs on disjoint queues overlap, legs sharing a queue
     /// serialise, and a forwarded batch's hops follow one another.
     pub makespan: SimTime,
-    /// Host root-complex busy time.
+    /// Host-port busy time, summed over the ports.
     pub host_time: SimTime,
     /// Total peer-link busy time (all peer links, both directions).
     pub peer_time: SimTime,
-    /// Bytes that crossed the host root complex (staged uploads +
-    /// downloads; a staged record is counted on both hops).
+    /// Bytes that crossed the host ports (staged uploads + downloads; a
+    /// staged record is counted on both hops).
     pub host_bytes: u64,
     /// Bytes that crossed peer links (a forwarded record is counted on
     /// every hop, mirroring the host staging convention).
@@ -154,12 +163,12 @@ pub struct ExchangeReport {
     /// receiver — identical for every topology, unlike the per-link byte
     /// counts.
     pub payload_bytes: u64,
-    /// Busy time per link (index = link id; `HOST_LINK` first). For a
+    /// Busy time per link (index = link id; host ports first). For a
     /// peer link this is the *sum* of its two direction queues (total
     /// wire occupancy) — the figure one shared queue would have priced.
     pub per_link_busy: Vec<SimTime>,
-    /// Busy time per contention queue (host root complex first, then
-    /// each link's queues in link order). The makespan is at least the
+    /// Busy time per contention queue (host ports first, then each peer
+    /// link's two queues in link order). The makespan is at least the
     /// maximum entry.
     pub per_queue_busy: Vec<SimTime>,
 }

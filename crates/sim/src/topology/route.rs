@@ -1,19 +1,21 @@
 //! The interconnect and its route tables: builders, the dense tables
 //! derived from the link set, and contention-free path pricing.
 
-use super::spec::{Link, LinkSpec, TopologyKind};
+use super::spec::{HostPorts, Link, LinkSpec, TopologyKind};
 use crate::pcie::PcieModel;
 use crate::SimTime;
 
-/// Index of the host root complex in every [`Interconnect`]'s link table.
+/// Index of host port 0 in every [`Interconnect`]'s link table: the one
+/// host link under [`HostPorts::Shared`], the first of
+/// [`Interconnect::num_host_ports`] otherwise.
 pub const HOST_LINK: usize = 0;
 
 /// Default probe payload used to price candidate routes when the dense
 /// route table is built: large enough that sustained bandwidth (not
 /// launch latency) dominates, so route choices reflect link *generations*
 /// rather than fixed costs. One probe prices one hop; host staging is
-/// priced as one upload plus one download of the probe on the root
-/// complex. An [`Interconnect`] built without
+/// priced as one upload of the probe on the source's host port plus one
+/// download on the destination's. An [`Interconnect`] built without
 /// [`Interconnect::with_route_breakpoints`] probes at exactly this one
 /// size.
 pub const ROUTE_PROBE_BYTES: u64 = 1 << 20;
@@ -37,10 +39,10 @@ pub enum Route {
     /// in hop order. Every hop pays its own transfer time and occupies
     /// its own direction queue.
     Forwarded(Vec<usize>),
-    /// Store-and-forward through host memory, one upload and one
-    /// download on the host root complex — chosen when no peer path
-    /// exists or every peer path prices slower (e.g. across a slow
-    /// mixed-generation bridge).
+    /// Store-and-forward through host memory, one upload on the source's
+    /// host port and one download on the destination's — chosen when no
+    /// peer path exists or every peer path prices slower (e.g. across a
+    /// slow mixed-generation bridge).
     HostStaged,
 }
 
@@ -52,6 +54,10 @@ pub enum Route {
 pub struct Interconnect {
     kind: TopologyKind,
     num_devices: usize,
+    /// Devices sharing each host port: device `d` uses host link
+    /// `d / devices_per_port`.
+    devices_per_port: usize,
+    /// Host ports first (link ids `0..num_host_ports`), then peer links.
     links: Vec<Link>,
     /// Dense `nd × nd` direct-peer-link table (`None` off the diagonal of
     /// the topology; the diagonal is always `None`).
@@ -66,17 +72,19 @@ pub struct Interconnect {
     /// device does not route to itself).
     routes: Vec<Route>,
     /// Per link: `[forward, reverse]` queue ids. Both entries coincide
-    /// for the host root complex, which is one queue.
+    /// for a host port, which is one queue.
     queue_of: Vec<[usize; 2]>,
     num_queues: usize,
 }
 
 impl Interconnect {
-    /// Build the `kind` topology over `num_devices` devices (minimum 1):
-    /// link 0 is always the host root complex priced by `host`; peer
-    /// links (if any) all carry the uniform `peer` spec. Mixed
-    /// generations and arbitrary fabrics are this plus
-    /// [`Interconnect::with_link_spec`] per edited link.
+    /// Build the `kind` topology over `num_devices` devices (minimum 1)
+    /// behind one shared host root complex ([`HostPorts::Shared`]): link
+    /// 0 is that root complex, priced by `host`; peer links (if any) all
+    /// carry the uniform `peer` spec. Mixed generations and arbitrary
+    /// fabrics are this plus [`Interconnect::with_link_spec`] per edited
+    /// link, and other host-port groupings this plus
+    /// [`Interconnect::with_host_ports`].
     ///
     /// # Panics
     /// When the shape has a peer link and `peer` is unusable (see
@@ -98,6 +106,7 @@ impl Interconnect {
         let mut ic = Interconnect {
             kind,
             num_devices: nd,
+            devices_per_port: nd,
             links,
             peer_adj: Vec::new(),
             breakpoints: vec![ROUTE_PROBE_BYTES],
@@ -122,6 +131,20 @@ impl Interconnect {
         bps.dedup();
         assert!(bps[0] > 0, "route probe sizes must be positive");
         self.breakpoints = bps;
+        self.finalize();
+        self
+    }
+
+    /// The same interconnect with its host lanes grouped by `ports`: one
+    /// [`Link::Host`] per port, all priced like the current port 0, at
+    /// the head of the link table (peer links keep their order after
+    /// them), and device `d` on host link `d / devices_per_port`. Route
+    /// and queue tables are rebuilt.
+    pub fn with_host_ports(mut self, ports: HostPorts) -> Self {
+        let host = self.links[HOST_LINK];
+        self.devices_per_port = ports.devices_per_port(self.num_devices);
+        self.links.retain(|l| matches!(l, Link::Peer { .. }));
+        self.links.splice(0..0, vec![host; self.num_host_ports()]);
         self.finalize();
         self
     }
@@ -165,8 +188,8 @@ impl Interconnect {
         self.queue_of = Vec::with_capacity(self.links.len());
         let mut q = 0usize;
         for (l, link) in self.links.iter().enumerate() {
-            // The host root complex is one queue; each direction of a
-            // peer link owns its own.
+            // A host port is one queue; each direction of a peer link
+            // owns its own.
             match *link {
                 Link::Host(_) => {
                     self.queue_of.push([q, q]);
@@ -227,7 +250,8 @@ impl Interconnect {
     /// Cheapest route per ordered pair *per breakpoint*: per-source
     /// Dijkstra over the peer fabric (hop cost = the link's probe
     /// transfer time at that breakpoint), compared against host staging
-    /// (probe upload + probe download on the root complex).
+    /// (probe upload on the source's host port + probe download on the
+    /// destination's).
     ///
     /// The host comparison is per-pair and static, and it **overprices
     /// host staging once a source already stages**:
@@ -245,14 +269,14 @@ impl Interconnect {
         let nd = self.num_devices;
         let mut routes = vec![Route::HostStaged; self.breakpoints.len() * nd * nd];
         for (bi, &probe) in self.breakpoints.iter().enumerate() {
-            let host_cost = 2.0 * self.links[HOST_LINK].transfer_time(probe);
             let hop_cost: Vec<SimTime> =
                 self.links.iter().map(|l| l.transfer_time(probe)).collect();
+            let port_cost = |d: usize| hop_cost[self.host_link_of(d as u32)];
             for src in 0..nd {
                 let (dist, via, prev) = self.dijkstra(src, &hop_cost);
                 for (dst, &d) in dist.iter().enumerate() {
                     // Host staging wins strictly costlier peer paths.
-                    if dst == src || !d.is_finite() || d > host_cost {
+                    if dst == src || !d.is_finite() || d > port_cost(src) + port_cost(dst) {
                         continue;
                     }
                     let hops = extract_hops(src, dst, &via, &prev);
@@ -266,7 +290,7 @@ impl Interconnect {
         routes
     }
 
-    /// The shared-bus interconnect (no peer links).
+    /// The shared-bus interconnect (no peer links, one host root complex).
     pub fn host_only(num_devices: usize, host: PcieModel) -> Self {
         Self::build(TopologyKind::HostOnly, num_devices, host, LinkSpec::nvlink())
     }
@@ -281,46 +305,44 @@ impl Interconnect {
         self.num_devices
     }
 
-    /// Total links, host root complex included.
+    /// Total links, host ports included.
     pub fn num_links(&self) -> usize {
         self.links.len()
     }
 
-    /// Total contention queues: one for the host root complex, two (one
-    /// per direction) for each peer link.
+    /// Host ports: host links `0..num_host_ports()`.
+    pub fn num_host_ports(&self) -> usize {
+        self.num_devices.div_ceil(self.devices_per_port)
+    }
+
+    /// Total contention queues: one per host port, two (one per
+    /// direction) for each peer link.
     pub fn num_queues(&self) -> usize {
         self.num_queues
     }
 
     /// The queue serving `link` in direction `reverse` (`false` =
-    /// `ends.0 → ends.1` of a [`Link::Peer`]). The host root complex
-    /// returns the same id for both directions.
+    /// `ends.0 → ends.1` of a [`Link::Peer`]). A host port returns the
+    /// same id for both directions.
     pub fn queue(&self, link: usize, reverse: bool) -> usize {
         self.queue_of[link][reverse as usize]
     }
 
-    /// The link table (index = link id; `HOST_LINK` first).
+    /// The link table (index = link id; host ports first).
     pub fn links(&self) -> &[Link] {
         &self.links
     }
 
-    /// Host link used by `device`'s host-side transfers.
-    ///
-    /// Every device's lanes currently converge on the **one** root
-    /// complex, so every in-range device maps to [`HOST_LINK`] — the
-    /// device argument exists because per-device root ports (independent
-    /// host switches on heterogeneous hosts) are where this API goes
-    /// next, and callers must already address the host link per device.
-    /// The debug assertion keeps callers honest: passing a device the
-    /// topology does not span is a bug even while the answer happens to
-    /// be uniform.
+    /// Host port (link id) of `device`'s host-side transfers:
+    /// `device / devices_per_port`. Debug builds reject a device the
+    /// topology does not span.
     pub fn host_link_of(&self, device: u32) -> usize {
         debug_assert!(
             (device as usize) < self.num_devices,
             "host_link_of({device}) out of range: the topology spans {} devices",
             self.num_devices
         );
-        HOST_LINK
+        device as usize / self.devices_per_port
     }
 
     /// Direct peer link between `a` and `b`, if the topology has one.
@@ -346,13 +368,16 @@ impl Interconnect {
     /// Price `route(src, dst, bytes)` contention-free: the direct link's
     /// transfer time, the forwarded chain's store-and-forward sum (a hop
     /// cannot start until the previous one delivered the whole batch),
-    /// or upload + download on the host root complex. Queueing happens
-    /// in [`Interconnect::price_all_gather`].
+    /// or an upload on `src`'s host port + a download on `dst`'s.
+    /// Queueing happens in [`Interconnect::price_all_gather`].
     pub fn route_cost(&self, src: u32, dst: u32, bytes: u64) -> SimTime {
         match self.route(src, dst, bytes) {
             Route::Direct(l) => self.transfer_time(*l, bytes),
             Route::Forwarded(hops) => hops.iter().map(|&l| self.transfer_time(l, bytes)).sum(),
-            Route::HostStaged => 2.0 * self.transfer_time(HOST_LINK, bytes),
+            Route::HostStaged => {
+                self.transfer_time(self.host_link_of(src), bytes)
+                    + self.transfer_time(self.host_link_of(dst), bytes)
+            }
         }
     }
 
@@ -363,7 +388,7 @@ impl Interconnect {
 
     /// Does every ordered device pair price identically at every route
     /// breakpoint? On such a fabric — host-only (every pair stages through
-    /// the one root complex), or a clique of identical links — no
+    /// identically priced host ports), or a clique of identical links — no
     /// placement can be cheaper than any other as far as pair routing is
     /// concerned, so cost-driven placement planners short-circuit to
     /// their positional seed and stay bit-identical to it. The comparison

@@ -10,8 +10,8 @@ use crate::SimTime;
 /// or `link_overrides` in the system configuration).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
-    /// No peer links: every transfer is staged through the host root
-    /// complex. The paper's platform; the default.
+    /// No peer links: every transfer is staged through the host ports.
+    /// The paper's platform; the default.
     #[default]
     HostOnly,
     /// Each device has a direct link to its two ring neighbours
@@ -43,6 +43,37 @@ impl TopologyKind {
             "ring" => Some(TopologyKind::Ring),
             "all-to-all" | "alltoall" | "a2a" | "nvswitch" => Some(TopologyKind::AllToAll),
             _ => None,
+        }
+    }
+}
+
+/// How the devices' host lanes are grouped onto PCIe host ports: each
+/// port is one [`Link::Host`] with its own queue, shared by
+/// [`HostPorts::devices_per_port`] consecutive devices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum HostPorts {
+    /// Every device behind one root complex: the paper's one-GPU box,
+    /// generalised. What [`Interconnect::build`](super::Interconnect::build)
+    /// makes.
+    Shared,
+    /// Two devices per PCIe switch, one x16 uplink each: the DGX-1 /
+    /// 4-switch 8-GPU server tree (the system configuration's default).
+    PairedSwitches,
+    /// One x16 root port per device, as on 128-lane hosts.
+    PerDevice,
+}
+
+impl HostPorts {
+    /// Every preset, in sweep order.
+    pub const ALL: [HostPorts; 3] =
+        [HostPorts::Shared, HostPorts::PairedSwitches, HostPorts::PerDevice];
+
+    /// Devices sharing one port in a `num_devices`-device box (≥ 1).
+    pub fn devices_per_port(self, num_devices: usize) -> usize {
+        match self {
+            HostPorts::Shared => num_devices.max(1),
+            HostPorts::PairedSwitches => 2,
+            HostPorts::PerDevice => 1,
         }
     }
 }
@@ -93,8 +124,9 @@ impl LinkSpec {
 /// One contended wire of the interconnect.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Link {
-    /// The PCIe root complex every device's host lanes converge on: one
-    /// queue. Each leg moves the cheaper way at its own size
+    /// One PCIe host port (a root port or switch uplink) that its
+    /// devices' host lanes converge on ([`HostPorts`]): one queue. Each
+    /// leg moves the cheaper way at its own size
     /// ([`PcieModel::hybrid_copy_time`]): a TLP-quantised explicit copy,
     /// or a zero-copy run whose last TLP may be partly filled.
     Host(PcieModel),

@@ -28,6 +28,23 @@ fn link_counts_per_topology() {
     assert_eq!(Interconnect::build(TopologyKind::Ring, 2, p, s).num_links(), 1 + 1);
     assert_eq!(Interconnect::build(TopologyKind::Ring, 1, p, s).num_links(), 1);
     assert_eq!(Interconnect::build(TopologyKind::AllToAll, 4, p, s).num_links(), 1 + 6);
+    // One host link per port (⌈D / devices per port⌉), then the peers.
+    let ring = |nd, ports| Interconnect::build(TopologyKind::Ring, nd, p, s).with_host_ports(ports);
+    for (nd, ports, host_links) in [
+        (8, HostPorts::Shared, 1),
+        (8, HostPorts::PairedSwitches, 4),
+        (8, HostPorts::PerDevice, 8),
+        (5, HostPorts::PairedSwitches, 3),
+        (1, HostPorts::PerDevice, 1),
+    ] {
+        let ic = ring(nd, ports);
+        assert_eq!(ic.num_host_ports(), host_links, "D={nd} {ports:?}");
+        let peers = if nd == 1 { 0 } else { nd };
+        assert_eq!(ic.num_links(), host_links + peers, "D={nd} {ports:?}");
+        let (head, tail) = ic.links().split_at(host_links);
+        assert!(head.iter().all(|l| matches!(l, Link::Host(_))), "host ports lead");
+        assert!(tail.iter().all(|l| matches!(l, Link::Peer { .. })), "peers follow");
+    }
 }
 
 #[test]
@@ -37,9 +54,18 @@ fn queue_counts_follow_duplex() {
     let full = Interconnect::build(TopologyKind::Ring, 4, p, LinkSpec::nvlink());
     assert_eq!(full.num_queues(), 1 + 2 * 4);
     assert_ne!(full.queue(1, false), full.queue(1, true));
-    // The host root complex is always one queue.
+    // A host port is always one queue.
     assert_eq!(full.queue(HOST_LINK, false), full.queue(HOST_LINK, true));
     assert_eq!(Interconnect::host_only(4, p).num_queues(), 1);
+    // One queue per port, numbered first, then each peer link's two.
+    let paired = full.with_host_ports(HostPorts::PairedSwitches);
+    assert_eq!(paired.num_queues(), 2 + 2 * 4);
+    for port in 0..2 {
+        assert_eq!(paired.queue(port, false), port);
+        assert_eq!(paired.queue(port, true), port);
+    }
+    assert_eq!((paired.queue(2, false), paired.queue(2, true)), (2, 3));
+    assert_eq!(Interconnect::host_only(4, p).with_host_ports(HostPorts::PerDevice).num_queues(), 4);
 }
 
 #[test]
@@ -348,11 +374,48 @@ fn host_link_of_rejects_devices_the_topology_does_not_span() {
 }
 
 #[test]
-fn host_link_of_maps_every_spanned_device_to_the_root_complex() {
-    let ic = Interconnect::build(TopologyKind::Ring, 4, pcie(), LinkSpec::nvlink());
-    for d in 0..4 {
-        assert_eq!(ic.host_link_of(d), HOST_LINK);
+fn host_link_of_maps_every_spanned_device_to_its_host_port() {
+    let ring = Interconnect::build(TopologyKind::Ring, 8, pcie(), LinkSpec::nvlink());
+    let ports_of = |ports| {
+        let ic = ring.clone().with_host_ports(ports);
+        (0..8).map(|d| ic.host_link_of(d)).collect::<Vec<_>>()
+    };
+    assert_eq!(ring.host_link_of(7), HOST_LINK, "build shares one root complex");
+    assert_eq!(ports_of(HostPorts::Shared), [HOST_LINK; 8]);
+    assert_eq!(ports_of(HostPorts::PairedSwitches), [0, 0, 1, 1, 2, 2, 3, 3]);
+    assert_eq!(ports_of(HostPorts::PerDevice), [0, 1, 2, 3, 4, 5, 6, 7]);
+    // Re-grouping keeps the peer fabric, and `Shared` is `build`'s own
+    // layout.
+    let per_device = ring.clone().with_host_ports(HostPorts::PerDevice);
+    assert_eq!(per_device.peer_link(2, 3).map(|l| per_device.links()[l]), Some(ring.links()[3]));
+    assert_eq!(per_device.with_host_ports(HostPorts::Shared), ring);
+}
+
+#[test]
+fn host_staging_prices_the_source_port_plus_the_destination_port() {
+    // Identical ports price identically, so the staged route costs two
+    // legs under every preset, bit for bit the shared bus's `2 ×` one.
+    let b = 300_000;
+    let leg = Link::Host(pcie()).transfer_time(b);
+    for ports in HostPorts::ALL {
+        let ic = Interconnect::host_only(4, pcie()).with_host_ports(ports);
+        for (s, d) in [(0, 1), (1, 2), (3, 0)] {
+            assert_eq!(ic.route(s, d, b), &Route::HostStaged);
+            assert_eq!(ic.route_cost(s, d, b), 2.0 * leg, "{ports:?} {s}->{d}");
+        }
     }
+    // Staged legs ride their own ports: under PerDevice two publishers'
+    // uploads overlap, so the exchange is shorter than the serial bus
+    // while moving the same bytes over the same total busy time.
+    let owned = [b, b, 0, 0];
+    let shared = Interconnect::host_only(4, pcie()).price_all_gather(&owned, &[true; 4]);
+    let split = Interconnect::host_only(4, pcie())
+        .with_host_ports(HostPorts::PerDevice)
+        .price_all_gather(&owned, &[true; 4]);
+    assert_eq!((split.host_bytes, split.payload_bytes), (shared.host_bytes, shared.payload_bytes));
+    assert!((split.host_time - shared.host_time).abs() < EPS);
+    assert!(split.makespan < shared.makespan, "{} !< {}", split.makespan, shared.makespan);
+    assert_eq!(split.per_queue_busy.len(), 4);
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! algorithms).
 
 use hytgraph::algos::reference;
-use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
+use hytgraph::core::{HostPorts, HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
 use hytgraph::graph::generators;
 use hytgraph::graph::DeviceAssignment;
 use hytgraph::prelude::*;
@@ -320,8 +320,11 @@ fn heterogeneous_and_duplex_configs_stay_value_transparent() {
         // Each direction of a peer link queues on its own: a symmetric
         // exchange prices strictly below its busiest link's two-way wire
         // occupancy, the figure one shared queue per link would price.
-        let x = sys.interconnect().price_all_gather(&[64 << 10; 4], &[true; 4]);
-        let busiest_link = x.per_link_busy[1..].iter().fold(0.0f64, |a, &b| a.max(b));
+        let ic = sys.interconnect();
+        let x = ic.price_all_gather(&[64 << 10; 4], &[true; 4]);
+        let busiest_link = (ic.links().iter().zip(&x.per_link_busy))
+            .filter(|(l, _)| matches!(l, hytgraph::sim::Link::Peer { .. }))
+            .fold(0.0f64, |a, (_, &b)| a.max(b));
         assert!(x.makespan < busiest_link, "{label}: {} !< {busiest_link}", x.makespan);
         let r = sys.run(Sssp::from_source(0));
         assert_eq!(r.values, base_v, "{label} changed the computed values");
@@ -330,6 +333,44 @@ fn heterogeneous_and_duplex_configs_stay_value_transparent() {
             r.counters.exchange_bytes, base_payload,
             "{label}: exchange payload must be routing-invariant"
         );
+    }
+}
+
+#[test]
+fn host_port_presets_change_the_timeline_but_never_the_computation() {
+    // The host-port grouping only re-queues host transfers: at D > 1,
+    // values, iterations and every iteration's engine mix are
+    // bit-identical under each preset, and at D = 1 (one port whatever
+    // the preset) the whole run record is.
+    let g = generators::rmat(10, 8.0, 5, true);
+    let run = |d: usize, topology: TopologyKind, host_ports: HostPorts| {
+        let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+        (cfg.topology, cfg.host_ports) = (topology, host_ports);
+        cfg.partition_bytes = 4 << 10;
+        let mut sys = HyTGraphSystem::new(g.clone(), cfg.clone());
+        assert!(sys.num_partitions() >= 8, "every device of eight must hold shards");
+        let sssp = sys.run(Sssp::from_source(0));
+        (sssp, HyTGraphSystem::new(g.clone(), cfg).run(PageRank::new()))
+    };
+    let (sssp1, pr1) = run(1, TopologyKind::HostOnly, HostPorts::Shared);
+    // `Debug` prints every f64 in its shortest round-tripping form, so
+    // equal renderings are bit-identical records.
+    let (sssp1_text, pr1_text) = (format!("{sssp1:?}"), format!("{pr1:?}"));
+    for ports in HostPorts::ALL {
+        let (sssp, pr) = run(1, TopologyKind::HostOnly, ports);
+        assert_eq!(format!("{sssp:?}"), sssp1_text, "SSSP at D=1 under {ports:?}");
+        assert_eq!(format!("{pr:?}"), pr1_text, "PageRank at D=1 under {ports:?}");
+    }
+    let values = |r: &RunResult<u32>| r.values.clone();
+    for d in [2usize, 4, 8] {
+        for topology in TopologyKind::ALL {
+            for ports in HostPorts::ALL {
+                let what = format!("D={d} {topology:?} {ports:?}");
+                let (sssp, pr) = run(d, topology, ports);
+                assert_same_run(&sssp, &sssp1, values, &format!("SSSP at {what}"));
+                assert_same_run(&pr, &pr1, PageRank::ranks, &format!("PageRank at {what}"));
+            }
+        }
     }
 }
 

@@ -8,15 +8,14 @@
 //! * **oracle** — the all-gather routes **bit-identically** to the
 //!   reference model re-implemented here from the public route/queue
 //!   API, on single-probe fabrics and on the five-rung ladder every
-//!   system prices with: exact `==` on every field but the makespan —
-//!   per-queue and per-link busy vectors, class times, every byte
-//!   counter — no epsilon. The list-scheduled makespan lies between the
-//!   oracle's lower bound (busiest queue, longest hop chain) and the sum
-//!   of the legs.
+//!   system prices with, under every host-port preset: exact `==` on
+//!   every field but the makespan — per-queue and per-link busy vectors,
+//!   class times, every byte counter — no epsilon. The list-scheduled
+//!   makespan lies between the oracle's lower bound (busiest queue,
+//!   longest hop chain) and the sum of the legs.
 
-use hytgraph::sim::topology::HOST_LINK;
 use hytgraph::sim::{
-    ExchangeReport, Interconnect, Link, LinkSpec, PcieModel, Route, TopologyKind,
+    ExchangeReport, HostPorts, Interconnect, Link, LinkSpec, PcieModel, Route, TopologyKind,
     ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
@@ -49,11 +48,12 @@ fn mixed_fabric(gens: &[usize], slow_sel: usize) -> Interconnect {
 
 /// The reference all-gather routing, re-implemented from the public
 /// API: each pair's route looked up at its own batch size,
-/// per-direction queue occupancy, shared host upload per source +
-/// aggregated download per destination (ascending device order, upload
-/// before download). Returns the report with a zero makespan, and the
-/// makespan's lower bound: the busiest queue floored by the longest
-/// store-and-forward chain, summed by the oracle itself.
+/// per-direction queue occupancy, shared host upload per source on its
+/// host port + aggregated download per destination on its own
+/// (ascending device order, upload before download). Returns the report
+/// with a zero makespan, and the makespan's lower bound: the busiest
+/// queue floored by the longest store-and-forward chain, summed by the
+/// oracle itself.
 fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> (ExchangeReport, f64) {
     let nd = owned.len();
     let mut r = ExchangeReport {
@@ -69,7 +69,7 @@ fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> (ExchangeR
     r.payload_bytes = total * (holders as u64 - 1);
     let ends = |link: usize| match ic.links()[link] {
         Link::Peer { ends, .. } => ends,
-        Link::Host(_) => panic!("link {link} is the host root complex"),
+        Link::Host(_) => panic!("link {link} is a host port"),
     };
     let occupy = |link: usize, reverse: bool, b: u64, r: &mut ExchangeReport| {
         let t = ic.transfer_time(link, b);
@@ -114,13 +114,18 @@ fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> (ExchangeR
     for d in 0..nd {
         for b in [host_up[d], host_down[d]] {
             if b > 0 {
-                occupy(HOST_LINK, false, b, &mut r);
+                occupy(ic.host_link_of(d as u32), false, b, &mut r);
                 r.host_bytes += b;
             }
         }
     }
-    r.host_time = r.per_link_busy[HOST_LINK];
-    r.peer_time = r.per_link_busy[HOST_LINK + 1..].iter().sum();
+    let busy_of = |host: bool| -> f64 {
+        (ic.links().iter().zip(&r.per_link_busy))
+            .filter(|(l, _)| matches!(l, Link::Host(_)) == host)
+            .map(|(_, &b)| b)
+            .sum()
+    };
+    (r.host_time, r.peer_time) = (busy_of(true), busy_of(false));
     let bound = r.per_queue_busy.iter().fold(longest_chain, |a, &b| a.max(b));
     (r, bound)
 }
@@ -133,19 +138,25 @@ proptest! {
         gens in proptest::collection::vec(0usize..6, 3..9),
         slow_sel in 0usize..16,
     ) {
-        let ic = mixed_fabric(&gens, slow_sel).with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
         let nd = gens.len();
-        for &probe in ic.route_breakpoints() {
-            let host_cost = 2.0 * ic.transfer_time(HOST_LINK, probe);
-            for s in 0..nd as u32 {
-                for d in (0..nd as u32).filter(|&d| d != s) {
-                    // Host staging is always available, so no rung's
-                    // route may price above it at that rung's probe.
-                    let cost = ic.route_cost(s, d, probe);
-                    prop_assert!(
-                        cost <= host_cost + EPS,
-                        "{s}->{d} at {probe}B: {cost} > host {host_cost}"
-                    );
+        for ports in HostPorts::ALL {
+            let ic = mixed_fabric(&gens, slow_sel)
+                .with_host_ports(ports)
+                .with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
+            for &probe in ic.route_breakpoints() {
+                for s in 0..nd as u32 {
+                    for d in (0..nd as u32).filter(|&d| d != s) {
+                        // Host staging (up on s's port, down on d's) is
+                        // always available, so no rung's route may price
+                        // above it at that rung's probe.
+                        let host_cost = ic.transfer_time(ic.host_link_of(s), probe)
+                            + ic.transfer_time(ic.host_link_of(d), probe);
+                        let cost = ic.route_cost(s, d, probe);
+                        prop_assert!(
+                            cost <= host_cost + EPS,
+                            "{s}->{d} at {probe}B ({ports:?}): {cost} > host {host_cost}"
+                        );
+                    }
                 }
             }
         }
@@ -164,11 +175,13 @@ proptest! {
             participates_bits.iter().cycle().take(nd).copied().collect();
         participates[0] = true;
         // A mixed-generation ring (with an optional slow bridge) and the
-        // three uniform named shapes, each probed once and on the ladder
-        // production prices with (batches up to 2 MB span four rungs).
+        // three uniform named shapes, under every host-port preset, each
+        // probed once and on the ladder production prices with (batches
+        // up to 2 MB span four rungs).
         let uniform = TopologyKind::ALL
             .map(|kind| Interconnect::build(kind, nd, PcieModel::pcie3(), spec(gens[0])));
-        for single in std::iter::once(mixed_fabric(&gens, slow_sel)).chain(uniform) {
+        let fabrics = std::iter::once(mixed_fabric(&gens, slow_sel)).chain(uniform);
+        for single in fabrics.flat_map(|ic| HostPorts::ALL.map(|p| ic.clone().with_host_ports(p))) {
             let laddered = single.clone().with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
             for ic in [single, laddered] {
                 // The list schedule never beats the bound, and never

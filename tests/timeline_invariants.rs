@@ -8,25 +8,32 @@
 //!   host compaction pool) never hold two overlapping spans;
 //! * fused zero-copy phases occupy bus and GPU for the *same* interval;
 //! * the multi-device scheduler at `D = 1` gives `StreamSim`'s timeline
-//!   on every topology, and keeps bus exclusivity *across* devices;
+//!   on every topology, and keeps bus exclusivity *across* the devices
+//!   of one host port, whatever the port grouping;
 //! * the frontier exchange's legs, played after the barrier, never
 //!   overlap on a queue, follow their chain's previous hop, and land
 //!   between the busiest queue / longest chain bound and the sum of the
 //!   legs.
 
 use hytgraph::sim::{
-    Interconnect, LinkSpec, MultiGpuSim, PcieModel, Phase, PhaseSpan, Resource, Route, SimTask,
-    StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
+    HostPorts, Interconnect, LinkSpec, MultiGpuSim, PcieModel, Phase, PhaseSpan, Resource, Route,
+    SimTask, StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
 
 const EPS: f64 = 1e-9;
 
 /// Strategy: one task of a random engine shape with millisecond-scale
-/// durations (integer tenths, so sums stay exactly representable).
+/// durations in integer tenths.
 fn arb_task() -> impl Strategy<Value = SimTask> {
-    (0u8..4, 0u64..40, 0u64..40, 0u64..40).prop_map(|(shape, a, b, c)| {
-        let (a, b, c) = (a as f64 / 10.0, b as f64 / 10.0, c as f64 / 10.0);
+    arb_task_in(10.0)
+}
+
+/// [`arb_task`] with durations in integer `1 / per_unit`ths: a power of
+/// two keeps every sum exact, whatever its order.
+fn arb_task_in(per_unit: f64) -> impl Strategy<Value = SimTask> {
+    (0u8..4, 0u64..40, 0u64..40, 0u64..40).prop_map(move |(shape, a, b, c)| {
+        let (a, b, c) = (a as f64 / per_unit, b as f64 / per_unit, c as f64 / per_unit);
         match shape {
             0 => SimTask::explicit("e", a, b),
             1 => SimTask::compaction("c", a, b, c),
@@ -108,6 +115,45 @@ proptest! {
         prop_assert!((tl.bus_busy - bus_sum).abs() < EPS);
         prop_assert!(tl.makespan >= tl.bus_busy - EPS);
         prop_assert!(tl.makespan >= tl.cpu_busy - EPS);
+    }
+
+    #[test]
+    fn each_host_port_is_its_own_exclusive_queue(
+        lists in proptest::collection::vec(
+            proptest::collection::vec(arb_task_in(16.0), 0..8), 1..9),
+        streams in 1usize..4,
+        ports_idx in 0usize..3,
+    ) {
+        let nd = lists.len();
+        let ports = HostPorts::ALL[ports_idx];
+        let shared = Interconnect::host_only(nd, PcieModel::pcie3());
+        let ic = shared.clone().with_host_ports(ports);
+        let tl = MultiGpuSim::with_interconnect(nd, streams, ic.clone()).schedule(&lists);
+        for port in 0..ic.num_host_ports() {
+            let on_port = |d: u32| ic.host_link_of(d) == port;
+            // Bus spans of one port's devices never overlap…
+            let mut bus: Vec<_> = tl.bus_spans.iter().filter(|s| on_port(s.0)).collect();
+            bus.sort_by(|a, b| a.1.total_cmp(&b.1));
+            for w in bus.windows(2) {
+                prop_assert!(w[1].1 >= w[0].2, "port {port} overlap: {:?} / {:?}", w[0], w[1]);
+            }
+            // …and the port's queue is busy for exactly its devices'
+            // transfers (dyadic durations, so the two sums are exact).
+            let devices: f64 = (0..nd as u32)
+                .filter(|&d| on_port(d))
+                .map(|d| tl.per_device[d as usize].pcie_busy)
+                .sum();
+            let busy = tl.link_busy[ic.queue(port, false)];
+            prop_assert!(busy == devices, "port {port}: queue {busy} != devices {devices}");
+            prop_assert!(tl.makespan >= devices);
+        }
+        // `Shared` is `build`'s layout, so it reproduces the one-bus
+        // scheduler bit for bit.
+        prop_assert_eq!(&shared.clone().with_host_ports(HostPorts::Shared), &shared);
+        let one_bus = MultiGpuSim::new(nd, streams).schedule(&lists);
+        let shared_ic = ic.with_host_ports(HostPorts::Shared);
+        let shared_tl = MultiGpuSim::with_interconnect(nd, streams, shared_ic).schedule(&lists);
+        prop_assert_eq!(format!("{shared_tl:?}"), format!("{one_bus:?}"));
     }
 
     #[test]
