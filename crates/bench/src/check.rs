@@ -340,9 +340,8 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
             }
             let ic = sys.interconnect();
             let report = ic.price_all_gather(&owned, &vec![true; d]);
-            let busiest_peer = (ic.links().iter().zip(&report.per_link_busy))
-                .filter(|(l, _)| matches!(l, hyt_sim::Link::Peer { .. }))
-                .fold(0.0f64, |a, (_, &b)| a.max(b));
+            let busiest_peer =
+                report.per_link_busy[ic.num_host_ports()..].iter().copied().fold(0.0, f64::max);
             let r = sys.run(hyt_algos::Sssp::from_source(src));
             (r.values, r.iterations, report.makespan, busiest_peer)
         };

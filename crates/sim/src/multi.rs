@@ -11,7 +11,7 @@
 //! on its device's host port
 //! ([`Interconnect::host_link_of`]): one shared bus behind
 //! [`HostPorts::Shared`](crate::topology::HostPorts::Shared), one queue
-//! per PCIe switch or per device otherwise.
+//! per PCIe switch otherwise.
 //!
 //! One loop plays two kinds of lane: a device's task list, in that
 //! device's priority order, and an exchange leg chain, one batch's
@@ -20,8 +20,10 @@
 //! that could start earliest. A task takes its device's earliest-free
 //! stream (lowest index on ties) and each phase waits for its predecessor
 //! and its resource; a hop waits only for its chain's previous hop and
-//! its queue. Ties go to the chain with more hops left, then to the lower
-//! lane: the lower device, or the earlier leg in routing order.
+//! its queue, and a chain's first hop for the chains it is released
+//! after (a host-staged download for the uploads it carries). Ties go to
+//! the chain with more hops left, then to the lower lane: the lower
+//! device, or the earlier leg in routing order.
 
 use crate::streams::{Phase, PhaseSpan, Resource, SimTask, Timeline};
 use crate::topology::{ExchangeReport, Interconnect};
@@ -101,6 +103,7 @@ impl MultiGpuSim {
                 device: d,
                 host: ic.queue(ic.host_link_of(d as u32), false),
                 items: Items::Tasks(list.as_ref()),
+                after: &[],
                 slots: d * ns..(d + 1) * ns,
                 next: 0,
             })
@@ -131,28 +134,43 @@ impl MultiGpuSim {
     }
 }
 
-/// An exchange's leg chains in one buffer: chain `c` is `hops[chains[c]]`.
+/// An exchange's leg chains in one buffer: chain `c` is `hops[chains[c]]`
+/// and is released once chains `after[waits[c]]` have landed.
 #[derive(Debug, Default)]
 pub(crate) struct Legs {
     hops: Vec<Phase>,
     chains: Vec<Range<usize>>,
+    after: Vec<usize>,
+    waits: Vec<Range<usize>>,
 }
 
 impl Legs {
-    pub(crate) fn push(&mut self, chain: impl IntoIterator<Item = Phase>) {
-        let first = self.hops.len();
+    /// Add a chain released once every chain in `after` (each pushed
+    /// earlier) has landed; returns its index.
+    pub(crate) fn push(
+        &mut self,
+        after: &[usize],
+        chain: impl IntoIterator<Item = Phase>,
+    ) -> usize {
+        let c = self.chains.len();
+        debug_assert!(after.iter().all(|&a| a < c), "a chain waits only for earlier chains");
+        let (first, wait) = (self.hops.len(), self.after.len());
         self.hops.extend(chain);
+        self.after.extend_from_slice(after);
         self.chains.push(first..self.hops.len());
+        self.waits.push(wait..self.after.len());
+        c
     }
 }
 
 /// Play `legs` after `tl`'s barrier; returns the legs' own makespan.
 pub(crate) fn play_legs(legs: &Legs, tl: &mut MultiTimeline) -> SimTime {
-    let mut lanes: Vec<Lane<'_>> = (legs.chains.iter().enumerate())
-        .map(|(c, hops)| Lane {
+    let mut lanes: Vec<Lane<'_>> = (legs.chains.iter().zip(&legs.waits).enumerate())
+        .map(|(c, (hops, wait))| Lane {
             device: 0,
             host: 0,
             items: Items::Hops(&legs.hops[hops.clone()]),
+            after: &legs.after[wait.clone()],
             slots: c..c + 1,
             next: 0,
         })
@@ -167,6 +185,9 @@ struct Lane<'a> {
     device: usize,
     host: usize,
     items: Items<'a>,
+    /// Lanes that must have landed before this one starts (a staged
+    /// download's uploads); empty for task lists.
+    after: &'a [usize],
     /// The lane's slots in [`Free::slot`]: its device's streams, or the
     /// chain's one, free when the previous hop lands.
     slots: Range<usize>,
@@ -232,28 +253,37 @@ fn play(lanes: &mut [Lane<'_>], tl: &mut MultiTimeline) -> SimTime {
     };
     let mut makespan = 0.0f64;
     let mut live: Vec<usize> = (0..lanes.len()).collect(); // lanes with items left
+    let mut landed: Vec<Option<SimTime>> = vec![None; lanes.len()];
     loop {
-        let mut best: Option<(SimTime, usize, usize, usize)> = None; // (start, hops left, lane, slot)
+        // (start, hops left, lane, slot, cursor)
+        let mut best: Option<(SimTime, usize, usize, usize, SimTime)> = None;
         for &l in &live {
             let lane = &lanes[l];
             let Some(phases) = lane.head() else { continue };
+            // Held until the lanes it waits for have landed: those end
+            // after any start still open, so commits stay in start order.
+            let Some(release) =
+                lane.after.iter().try_fold(0.0f64, |r, &a| landed[a].map(|t| r.max(t)))
+            else {
+                continue;
+            };
             let (slot, cursor) = (lane.slots.clone().map(|i| (i, free.slot[i])))
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .unwrap_or((0, 0.0));
+            let cursor = cursor.max(release);
             let start =
                 phases.first().map_or(cursor, |p| free.start(p, cursor, lane.device, lane.host));
             let left = lane.hops_left();
-            if best.is_none_or(|(s, k, _, _)| start.total_cmp(&s).then(k.cmp(&left)).is_lt()) {
-                best = Some((start, left, l, slot));
+            if best.is_none_or(|(s, k, ..)| start.total_cmp(&s).then(k.cmp(&left)).is_lt()) {
+                best = Some((start, left, l, slot, cursor));
             }
         }
-        let Some((item_start, _, l, slot)) = best else { break };
+        let Some((item_start, _, l, slot, mut cursor)) = best else { break };
         let lane = &mut lanes[l];
         let (item, d, host) = (lane.next, lane.device, lane.host);
         let phases = lane.head().unwrap_or_default();
         lane.next += 1;
 
-        let mut cursor = free.slot[slot];
         for phase in phases {
             let start = free.start(phase, cursor, d, host);
             let end = start + phase.duration();
@@ -301,6 +331,7 @@ fn play(lanes: &mut [Lane<'_>], tl: &mut MultiTimeline) -> SimTime {
         makespan = makespan.max(cursor);
         if lane.head().is_none() {
             live.retain(|&x| x != l);
+            landed[l] = Some(cursor);
         }
         if let Items::Tasks(tasks) = lane.items {
             let dev = &mut tl.per_device[d];

@@ -19,8 +19,8 @@
 //!   [`Interconnect::build`] puts every device behind one shared root
 //!   complex (a host-only interconnect is then the serial shared bus),
 //!   and [`Interconnect::with_host_ports`] splits it into one port per
-//!   PCIe switch or per device, so devices on different ports move host
-//!   bytes concurrently;
+//!   PCIe switch, so devices on different ports move host bytes
+//!   concurrently;
 //! * peer links are **full-duplex**: each direction owns its own
 //!   contention queue, so the two legs of a symmetric exchange overlap
 //!   instead of serialising;

@@ -33,15 +33,16 @@ impl Interconnect {
     /// store-and-forward hops over a forwarded path, or host staging —
     /// one upload per staged source on its host port (reused by all its
     /// staged destinations) and one aggregated download per destination
-    /// on its own, each the cheaper of explicit copy and zero-copy. The
+    /// on its own, each the cheaper of explicit copy and zero-copy. A
+    /// download is released once every upload it carries has landed. The
     /// legs then play on an idle fabric through
     /// [`MultiGpuSim`](crate::MultiGpuSim)'s one loop. Pairs route in
-    /// ascending `(src, dst)` order, then host legs by device, upload
-    /// first: busy sums accumulate, and each host port plays, in that
-    /// order, so host-only behind one shared root complex is
-    /// bit-identical to the serial bus. A free exchange (≤ 1
-    /// participant, or nothing published) returns a zeroed report with
-    /// the per-link / per-queue vectors sized.
+    /// ascending `(src, dst)` order, then the uploads by device, then the
+    /// downloads by device: busy sums accumulate, and each host port
+    /// plays, in that order, so host-only behind one shared root complex
+    /// is the serial bus (makespan == host busy, bit for bit). A free
+    /// exchange (≤ 1 participant, or nothing published) returns a zeroed
+    /// report with the per-link / per-queue vectors sized.
     #[must_use = "an ExchangeReport is a priced plan, not an action; dropping it discards the pricing"]
     pub fn price_all_gather(&self, owned: &[u64], participates: &[bool]) -> ExchangeReport {
         let (mut report, legs) = self.route_all_gather(owned, participates);
@@ -85,8 +86,10 @@ impl Interconnect {
         // Topology-invariant: every participant receives every other
         // participant's records, however routed.
         report.payload_bytes = total * (holders as u64 - 1);
-        let mut host_up = vec![0u64; nd];
-        let mut host_down = vec![0u64; nd];
+        // Which sources stage, and per destination the sources whose
+        // batches it takes from host memory.
+        let mut stages = vec![false; nd];
+        let mut staged_from: Vec<Vec<usize>> = vec![Vec::new(); nd];
         for s in (0..nd as u32).filter(|&s| participates[s as usize]) {
             let b = owned[s as usize];
             if b == 0 {
@@ -97,31 +100,39 @@ impl Interconnect {
                     Route::Direct(link) => std::slice::from_ref(link),
                     Route::Forwarded(hops) => hops.as_slice(),
                     Route::HostStaged => {
-                        // Staged destinations share the source's host copy.
-                        host_up[s as usize] = b;
-                        host_down[d as usize] += b;
+                        stages[s as usize] = true;
+                        staged_from[d as usize].push(s as usize);
                         continue;
                     }
                 };
                 let mut cur = s;
-                legs.push(hops.iter().map(|&link| {
-                    let (leg, to) = self.hop(&mut report, cur, link, b);
-                    cur = to;
-                    leg
-                }));
+                legs.push(
+                    &[],
+                    hops.iter().map(|&link| {
+                        let (leg, to) = self.hop(&mut report, cur, link, b);
+                        cur = to;
+                        leg
+                    }),
+                );
                 debug_assert_eq!(cur, d, "peer path must end at the destination");
                 report.peer_bytes += b * hops.len() as u64;
                 report.forwarded_bytes += b * (hops.len() as u64 - 1);
             }
         }
-        for d in 0..nd {
-            for b in [host_up[d], host_down[d]] {
-                if b > 0 {
-                    let port = self.host_link_of(d as u32);
-                    legs.push([self.hop(&mut report, d as u32, port, b).0]);
-                    report.host_bytes += b;
-                }
-            }
+        // Staged destinations share their source's one upload; each
+        // destination's aggregated download is released once the uploads
+        // it carries have landed in host memory.
+        let mut host_leg = |report: &mut ExchangeReport, d: usize, b: u64, after: &[usize]| {
+            report.host_bytes += b;
+            let port = self.host_link_of(d as u32);
+            legs.push(after, [self.hop(report, d as u32, port, b).0])
+        };
+        let upload: Vec<Option<usize>> =
+            (0..nd).map(|s| stages[s].then(|| host_leg(&mut report, s, owned[s], &[]))).collect();
+        for (d, sources) in staged_from.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+            let after: Vec<usize> = sources.iter().filter_map(|&s| upload[s]).collect();
+            let b = sources.iter().map(|&s| owned[s]).sum();
+            host_leg(&mut report, d, b, &after);
         }
         // Summed per link kind (an empty sum is -0.0, as it always was).
         let busy_of = |host: bool| {

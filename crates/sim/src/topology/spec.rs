@@ -59,21 +59,17 @@ pub enum HostPorts {
     /// Two devices per PCIe switch, one x16 uplink each: the DGX-1 /
     /// 4-switch 8-GPU server tree (the system configuration's default).
     PairedSwitches,
-    /// One x16 root port per device, as on 128-lane hosts.
-    PerDevice,
 }
 
 impl HostPorts {
     /// Every preset, in sweep order.
-    pub const ALL: [HostPorts; 3] =
-        [HostPorts::Shared, HostPorts::PairedSwitches, HostPorts::PerDevice];
+    pub const ALL: [HostPorts; 2] = [HostPorts::Shared, HostPorts::PairedSwitches];
 
     /// Devices sharing one port in a `num_devices`-device box (≥ 1).
     pub fn devices_per_port(self, num_devices: usize) -> usize {
         match self {
             HostPorts::Shared => num_devices.max(1),
             HostPorts::PairedSwitches => 2,
-            HostPorts::PerDevice => 1,
         }
     }
 }

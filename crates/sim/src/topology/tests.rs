@@ -33,9 +33,8 @@ fn link_counts_per_topology() {
     for (nd, ports, host_links) in [
         (8, HostPorts::Shared, 1),
         (8, HostPorts::PairedSwitches, 4),
-        (8, HostPorts::PerDevice, 8),
         (5, HostPorts::PairedSwitches, 3),
-        (1, HostPorts::PerDevice, 1),
+        (1, HostPorts::PairedSwitches, 1),
     ] {
         let ic = ring(nd, ports);
         assert_eq!(ic.num_host_ports(), host_links, "D={nd} {ports:?}");
@@ -65,7 +64,8 @@ fn queue_counts_follow_duplex() {
         assert_eq!(paired.queue(port, true), port);
     }
     assert_eq!((paired.queue(2, false), paired.queue(2, true)), (2, 3));
-    assert_eq!(Interconnect::host_only(4, p).with_host_ports(HostPorts::PerDevice).num_queues(), 4);
+    let paired_host = Interconnect::host_only(6, p).with_host_ports(HostPorts::PairedSwitches);
+    assert_eq!(paired_host.num_queues(), 3);
 }
 
 #[test]
@@ -383,12 +383,11 @@ fn host_link_of_maps_every_spanned_device_to_its_host_port() {
     assert_eq!(ring.host_link_of(7), HOST_LINK, "build shares one root complex");
     assert_eq!(ports_of(HostPorts::Shared), [HOST_LINK; 8]);
     assert_eq!(ports_of(HostPorts::PairedSwitches), [0, 0, 1, 1, 2, 2, 3, 3]);
-    assert_eq!(ports_of(HostPorts::PerDevice), [0, 1, 2, 3, 4, 5, 6, 7]);
     // Re-grouping keeps the peer fabric, and `Shared` is `build`'s own
     // layout.
-    let per_device = ring.clone().with_host_ports(HostPorts::PerDevice);
-    assert_eq!(per_device.peer_link(2, 3).map(|l| per_device.links()[l]), Some(ring.links()[3]));
-    assert_eq!(per_device.with_host_ports(HostPorts::Shared), ring);
+    let paired = ring.clone().with_host_ports(HostPorts::PairedSwitches);
+    assert_eq!(paired.peer_link(2, 3).map(|l| paired.links()[l]), Some(ring.links()[3]));
+    assert_eq!(paired.with_host_ports(HostPorts::Shared), ring);
 }
 
 #[test]
@@ -404,18 +403,34 @@ fn host_staging_prices_the_source_port_plus_the_destination_port() {
             assert_eq!(ic.route_cost(s, d, b), 2.0 * leg, "{ports:?} {s}->{d}");
         }
     }
-    // Staged legs ride their own ports: under PerDevice two publishers'
-    // uploads overlap, so the exchange is shorter than the serial bus
-    // while moving the same bytes over the same total busy time.
-    let owned = [b, b, 0, 0];
+    // Staged legs ride their own ports: under PairedSwitches the two
+    // switches' publishers upload concurrently, so the exchange is
+    // shorter than the serial bus while moving the same bytes over the
+    // same total busy time.
+    let owned = [b, 0, b, 0];
     let shared = Interconnect::host_only(4, pcie()).price_all_gather(&owned, &[true; 4]);
     let split = Interconnect::host_only(4, pcie())
-        .with_host_ports(HostPorts::PerDevice)
+        .with_host_ports(HostPorts::PairedSwitches)
         .price_all_gather(&owned, &[true; 4]);
     assert_eq!((split.host_bytes, split.payload_bytes), (shared.host_bytes, shared.payload_bytes));
     assert!((split.host_time - shared.host_time).abs() < EPS);
     assert!(split.makespan < shared.makespan, "{} !< {}", split.makespan, shared.makespan);
-    assert_eq!(split.per_queue_busy.len(), 4);
+    assert_eq!(split.per_queue_busy.len(), 2);
+}
+
+#[test]
+fn a_staged_download_waits_for_the_uploads_it_carries() {
+    // Device 0 alone publishes. Its upload holds port 0; device 1's
+    // download follows it there, and devices 2 and 3 download on port 1
+    // once the batch is in host memory: three legs, not the two that
+    // would start port 1 before the data exists.
+    let b = 300_000;
+    let leg = Link::Host(pcie()).transfer_time(b);
+    let ic = Interconnect::host_only(4, pcie()).with_host_ports(HostPorts::PairedSwitches);
+    let r = ic.price_all_gather(&[b, 0, 0, 0], &[true; 4]);
+    assert_eq!(r.makespan, leg + leg + leg);
+    assert!(r.makespan >= ic.route_cost(0, 3, b) + leg);
+    assert_eq!(r.per_queue_busy, [leg + leg, leg + leg]);
 }
 
 #[test]

@@ -49,8 +49,8 @@ fn mixed_fabric(gens: &[usize], slow_sel: usize) -> Interconnect {
 /// The reference all-gather routing, re-implemented from the public
 /// API: each pair's route looked up at its own batch size,
 /// per-direction queue occupancy, shared host upload per source on its
-/// host port + aggregated download per destination on its own
-/// (ascending device order, upload before download). Returns the report
+/// host port + aggregated download per destination on its own (the
+/// uploads by device, then the downloads by device). Returns the report
 /// with a zero makespan, and the makespan's lower bound: the busiest
 /// queue floored by the longest store-and-forward chain, summed by the
 /// oracle itself.
@@ -111,12 +111,10 @@ fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> (ExchangeR
             }
         }
     }
-    for d in 0..nd {
-        for b in [host_up[d], host_down[d]] {
-            if b > 0 {
-                occupy(ic.host_link_of(d as u32), false, b, &mut r);
-                r.host_bytes += b;
-            }
+    for legs in [&host_up, &host_down] {
+        for (d, &b) in legs.iter().enumerate().filter(|&(_, &b)| b > 0) {
+            occupy(ic.host_link_of(d as u32), false, b, &mut r);
+            r.host_bytes += b;
         }
     }
     let busy_of = |host: bool| -> f64 {
