@@ -638,49 +638,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 8: cost-driven placement — on a skewed power-law graph
-    // sharded over the mixed-generation D=8 ring (device 7 behind 2 GB/s
-    // bridges on both sides), pricing the assignment strictly cuts both
-    // the exchange makespan and the total exchanged bytes against the
-    // positional edge-balanced seed, with bit-identical values. The byte
-    // cut is structural: the planner leaves the doubly-bridged device
-    // empty, so the broadcast all-gather has one fewer holder to feed.
-    {
-        use crate::experiments::placement::skewed_ring_config;
-        use hyt_graph::DeviceAssignment;
-        let g = hyt_graph::generators::power_law_preferential(1 << 14, 12.0, 2.2, 7, true);
-        let src = crate::context::source_vertex(&g);
-        let run = |assignment| {
-            let mut sys =
-                hyt_core::HyTGraphSystem::new(g.clone(), skewed_ring_config(8, assignment));
-            let holders = (0..sys.num_partitions() as u32)
-                .map(|p| sys.device_plan().device_of(p))
-                .collect::<std::collections::HashSet<_>>()
-                .len();
-            (sys.run(hyt_algos::Sssp::from_source(src)), holders)
-        };
-        let (bal, bal_holders) = run(DeviceAssignment::EdgeBalanced);
-        let (cost, cost_holders) = run(DeviceAssignment::CostDriven);
-        let xt = |r: &hyt_core::RunResult<u32>| -> f64 {
-            r.per_iteration.iter().map(|it| it.exchange.time).sum()
-        };
-        let (bt, ct) = (xt(&bal), xt(&cost));
-        let (bb, cb) = (bal.counters.exchange_bytes, cost.counters.exchange_bytes);
-        out.push(CheckResult::new(
-            "Cost-driven placement: fewer exchange bytes AND makespan on the skewed D=8 ring",
-            bal.values == cost.values && ct < bt && cb < bb && cost.total_time < bal.total_time,
-            format!(
-                "exchange {:.3}ms -> {:.3}ms, {bb} B -> {cb} B (holders {bal_holders} -> \
-                 {cost_holders}); total {:.3}ms -> {:.3}ms; values identical: {}",
-                bt * 1e3,
-                ct * 1e3,
-                bal.total_time * 1e3,
-                cost.total_time * 1e3,
-                bal.values == cost.values
-            ),
-        ));
-    }
-
     // ISSUE 8: device-affine migration pays off past a priced
     // break-even — the resident system charges the bulk copy to the run
     // that migrates, banks cheaper exchanges afterwards, and its

@@ -139,7 +139,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             name: "placement",
-            about: "extension: cost-driven placement + affine-migration break-even (skewed ring)",
+            about: "extension: skewed mixed-generation ring + affine-migration break-even",
             run: placement::run,
         },
         Experiment {

@@ -13,9 +13,10 @@
 //!   width `B` coalesced hub traversals on a skewed 8-device ring
 //!   against the `B` serial runs they replace (see
 //!   [`super::session::batched_sweep`]);
-//! * since v3: the placement table — `EdgeBalanced` vs `CostDriven`
-//!   assignment on the skewed mixed-generation D=8 ring (see
-//!   [`super::placement::placement_sweep`]);
+//! * since v3: the skewed mixed-generation D=8 ring (see
+//!   [`super::placement::skewed_ring_sweep`]), the only peer-fabric
+//!   rows; named `placement` and carrying a second, cost-driven
+//!   assignment per cell until v6;
 //! * since v4: every grid record carries its attribution — scheduled
 //!   units, bus busy time and exposed exchange (the whole exchange time:
 //!   nothing hides it) — so a moved makespan can be decomposed from the
@@ -25,7 +26,9 @@
 //!   `D ∈ {4, 8}` grid with every device behind one root complex
 //!   ([`HostPorts::Shared`], the v4 model), so that table stays
 //!   reproducible. It is a separate array because readers of `records`
-//!   take the first `(dataset, algo, devices)` match.
+//!   take the first `(dataset, algo, devices)` match;
+//! * since v6: the skewed-ring array is `skewed_ring`, edge-balanced
+//!   placement only (the priced placement planner is gone).
 //!
 //! Since v3 the run also **diffs against the committed baseline**: any
 //! matching `(dataset, algo, devices)` record whose simulated makespan
@@ -46,7 +49,7 @@ use serde::Serialize;
 use serde_json::Value;
 
 /// Schema tag for the emitted JSON, bumped on layout changes.
-pub const PERF_SCHEMA: &str = "hytgraph-perf-v5";
+pub const PERF_SCHEMA: &str = "hytgraph-perf-v6";
 
 /// Fractional `total_time` growth over the committed baseline that
 /// fails a non-smoke `repro perf` run (25%).
@@ -98,16 +101,14 @@ pub struct BatchedPerfRecord {
     pub batched_exchange_bytes: u64,
 }
 
-/// One placement comparison cell (schema v3): `EdgeBalanced` vs
-/// `CostDriven` assignment on the skewed mixed-generation D=8 ring.
+/// One skewed-ring cell (schema v3; `skewed_ring` since v6): the
+/// edge-balanced plan on the skewed mixed-generation D=8 ring.
 #[derive(Clone, Debug, Serialize)]
-pub struct PlacementPerfRecord {
+pub struct SkewedRingPerfRecord {
     /// Dataset short name.
     pub dataset: String,
     /// Algorithm short name.
     pub algo: String,
-    /// Assignment policy (`EdgeBalanced` / `CostDriven`).
-    pub assignment: String,
     /// Device count.
     pub devices: usize,
     /// Iterations to convergence.
@@ -134,8 +135,9 @@ pub struct PerfBaseline {
     pub shared_root_complex: Vec<PerfRecord>,
     /// Session-layer batched-vs-serial throughput (since v2).
     pub batched: Vec<BatchedPerfRecord>,
-    /// Placement pricing comparison on the skewed ring (since v3).
-    pub placement: Vec<PlacementPerfRecord>,
+    /// The skewed mixed-generation D=8 ring (since v3; named
+    /// `placement` before v6).
+    pub skewed_ring: Vec<SkewedRingPerfRecord>,
 }
 
 /// The fields of a committed baseline the regression gate needs. Parsed
@@ -265,12 +267,11 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
             batched_exchange_bytes: c.batched_bytes,
         })
         .collect();
-    let placement = super::placement::placement_sweep(ctx, smoke)
+    let skewed_ring = super::placement::skewed_ring_sweep(ctx, smoke)
         .into_iter()
-        .map(|c| PlacementPerfRecord {
+        .map(|c| SkewedRingPerfRecord {
             dataset: c.dataset,
             algo: c.algo,
-            assignment: c.assignment.to_string(),
             devices: c.devices,
             iterations: c.iterations,
             total_time: c.total_time,
@@ -284,7 +285,7 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
         records,
         shared_root_complex,
         batched,
-        placement,
+        skewed_ring,
     }
 }
 
@@ -380,14 +381,13 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         ]);
     }
     let mut p = Table::new(
-        "Placement pricing (skewed mixed-generation ring, D=8)",
-        &["dataset", "algo", "assignment", "iters", "time", "exchange KB"],
+        "Skewed mixed-generation ring, D=8 (edge-balanced placement)",
+        &["dataset", "algo", "iters", "time", "exchange KB"],
     );
-    for r in &baseline.placement {
+    for r in &baseline.skewed_ring {
         p.row(vec![
             r.dataset.clone(),
             r.algo.clone(),
-            r.assignment.clone(),
             r.iterations.to_string(),
             secs(r.total_time),
             format!("{:.1}", r.exchange_bytes as f64 / 1024.0),

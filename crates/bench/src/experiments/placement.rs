@@ -1,15 +1,13 @@
-//! Extension experiment: cost-driven placement and device-affine
-//! migration on a skewed mixed-generation fabric (ISSUE 8).
+//! Extension experiment: the skewed mixed-generation fabric and
+//! device-affine migration on it.
 //!
-//! The fabric is the tentpole's worst case: a D=8 ring whose highest
-//! device id sits behind 2 GB/s bridges on *both* sides, so anything
-//! placed there pays dearly to talk to anyone. Two tables:
+//! The fabric is the worst case for positional placement: a D=8 ring
+//! whose highest device id sits behind 2 GB/s bridges on *both* sides,
+//! so anything placed there pays dearly to talk to anyone. Two tables:
 //!
-//! * **placement** — `EdgeBalanced` (positional) vs `CostDriven`
-//!   (priced) assignment per `(dataset, algorithm)`: the cost-driven
-//!   planner must cut both the priced exchange makespan and the total
-//!   exchanged bytes while the values stay bit-identical (asserted by
-//!   the integration suite; this table records the magnitudes).
+//! * **skewed ring** — the edge-balanced plan per `(dataset, algorithm)`:
+//!   makespan, exchange time and exchange bytes. These are the only
+//!   committed peer-fabric rows of the perf baseline.
 //! * **migration break-even** — a resident edge-balanced system with
 //!   `affine_migration` on, re-run against the same migration-off twin:
 //!   the first migrated run pays the priced bulk copy, later runs bank
@@ -22,7 +20,7 @@ use crate::context::{base_config, run_algo_with_config, source_vertex, Ctx, SCAL
 use crate::table::{secs, Table};
 use hyt_algos::{AlgoKind, Sssp};
 use hyt_core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
-use hyt_graph::{DatasetId, DeviceAssignment};
+use hyt_graph::DatasetId;
 use hyt_sim::LinkSpec;
 
 /// Device count of the skewed ring (matches the perf baseline's largest
@@ -31,12 +29,11 @@ pub const PLACEMENT_DEVICES: usize = 8;
 
 /// The skewed mixed-generation ring: device `d-1` is an old-generation
 /// card behind 2 GB/s bridges on both sides.
-pub fn skewed_ring_config(d: usize, assignment: DeviceAssignment) -> HyTGraphConfig {
+pub fn skewed_ring_config(d: usize) -> HyTGraphConfig {
     let slow = LinkSpec::with_nominal_bw(2.0e9).scaled(SCALE_SHIFT);
     let mut cfg = SystemKind::HyTGraph.configure(base_config());
     cfg.num_devices = d;
     cfg.topology = TopologyKind::Ring;
-    cfg.device_assignment = assignment;
     cfg.threads = 1;
     cfg.link_overrides = match d {
         0 | 1 => Vec::new(),
@@ -46,15 +43,13 @@ pub fn skewed_ring_config(d: usize, assignment: DeviceAssignment) -> HyTGraphCon
     cfg
 }
 
-/// One `(dataset, algo, assignment)` cell of the placement comparison.
+/// One `(dataset, algo)` cell of the skewed-ring sweep.
 #[derive(Clone, Debug)]
-pub struct PlacementCell {
+pub struct SkewedRingCell {
     /// Dataset short name.
     pub dataset: String,
     /// Algorithm short name.
     pub algo: String,
-    /// Assignment policy name (`EdgeBalanced` / `CostDriven`).
-    pub assignment: &'static str,
     /// Device count (always [`PLACEMENT_DEVICES`]).
     pub devices: usize,
     /// Iterations to convergence.
@@ -67,9 +62,9 @@ pub struct PlacementCell {
     pub exchange_bytes: u64,
 }
 
-/// Run the placement sweep (pure; no I/O) — also feeds the perf
-/// baseline's `placement` table.
-pub fn placement_sweep(ctx: &mut Ctx, smoke: bool) -> Vec<PlacementCell> {
+/// Run the skewed-ring sweep (pure; no I/O) — also feeds the perf
+/// baseline's `skewed_ring` table.
+pub fn skewed_ring_sweep(ctx: &mut Ctx, smoke: bool) -> Vec<SkewedRingCell> {
     let datasets: &[DatasetId] =
         if smoke { &[DatasetId::Sk] } else { &[DatasetId::Sk, DatasetId::Tw] };
     let algos: &[AlgoKind] =
@@ -78,23 +73,17 @@ pub fn placement_sweep(ctx: &mut Ctx, smoke: bool) -> Vec<PlacementCell> {
     for &ds in datasets {
         let g = ctx.graph(ds);
         for &algo in algos {
-            for (name, assignment) in [
-                ("EdgeBalanced", DeviceAssignment::EdgeBalanced),
-                ("CostDriven", DeviceAssignment::CostDriven),
-            ] {
-                let cfg = skewed_ring_config(PLACEMENT_DEVICES, assignment);
-                let m = run_algo_with_config(SystemKind::HyTGraph, algo, &g, cfg);
-                cells.push(PlacementCell {
-                    dataset: ds.name().to_string(),
-                    algo: algo.name().to_string(),
-                    assignment: name,
-                    devices: PLACEMENT_DEVICES,
-                    iterations: m.iterations,
-                    total_time: m.total_time,
-                    exchange_time: m.per_iteration.iter().map(|it| it.exchange.time).sum(),
-                    exchange_bytes: m.counters.exchange_bytes,
-                });
-            }
+            let cfg = skewed_ring_config(PLACEMENT_DEVICES);
+            let m = run_algo_with_config(SystemKind::HyTGraph, algo, &g, cfg);
+            cells.push(SkewedRingCell {
+                dataset: ds.name().to_string(),
+                algo: algo.name().to_string(),
+                devices: PLACEMENT_DEVICES,
+                iterations: m.iterations,
+                total_time: m.total_time,
+                exchange_time: m.per_iteration.iter().map(|it| it.exchange.time).sum(),
+                exchange_bytes: m.counters.exchange_bytes,
+            });
         }
     }
     cells
@@ -126,23 +115,17 @@ pub struct MigrationRun {
 /// device — the inherited static plan strands a chatty partition on the
 /// doubly-bridged card, and a single affine move drains that card out
 /// of the broadcast holder set entirely. That is the regime migration
-/// exists for: the cost-driven planner would never have placed it
-/// there, but a resident service inheriting a positional plan can only
-/// repair it at runtime, one priced copy at a time. (On graphs with
+/// exists for: a resident service inheriting the positional plan
+/// repairs it at runtime, one priced copy at a time. (On graphs with
 /// many partitions per device no single move empties a holder, so
-/// strict-improvement migration moves little and banks little — the
-/// placement table's `CostDriven` column is the from-scratch answer
-/// there.)
+/// strict-improvement migration moves little and banks little.)
 pub fn migration_study(runs: usize) -> Vec<MigrationRun> {
     let g = hyt_graph::generators::power_law_preferential(1 << 14, 10.0, 2.2, 7, true);
     let src = source_vertex(&g);
-    let mut on_cfg = skewed_ring_config(PLACEMENT_DEVICES, DeviceAssignment::EdgeBalanced);
+    let mut on_cfg = skewed_ring_config(PLACEMENT_DEVICES);
     on_cfg.affine_migration = true;
     let mut on = HyTGraphSystem::new(g.clone(), on_cfg);
-    let mut off = HyTGraphSystem::new(
-        g.clone(),
-        skewed_ring_config(PLACEMENT_DEVICES, DeviceAssignment::EdgeBalanced),
-    );
+    let mut off = HyTGraphSystem::new(g.clone(), skewed_ring_config(PLACEMENT_DEVICES));
     let mut out = Vec::new();
     let (mut cum_on, mut cum_off) = (0.0, 0.0);
     for run in 0..runs {
@@ -166,16 +149,15 @@ pub fn migration_study(runs: usize) -> Vec<MigrationRun> {
 /// Print both tables.
 pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     let smoke = std::env::var("REPRO_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let cells = placement_sweep(ctx, smoke);
+    let cells = skewed_ring_sweep(ctx, smoke);
     let mut t = Table::new(
-        format!("Placement pricing on the skewed mixed-generation D={PLACEMENT_DEVICES} ring"),
-        &["dataset", "algo", "assignment", "iters", "time", "exchange ms", "exchange KB"],
+        format!("Skewed mixed-generation D={PLACEMENT_DEVICES} ring (edge-balanced placement)"),
+        &["dataset", "algo", "iters", "time", "exchange ms", "exchange KB"],
     );
     for c in &cells {
         t.row(vec![
             c.dataset.clone(),
             c.algo.clone(),
-            c.assignment.to_string(),
             c.iterations.to_string(),
             secs(c.total_time),
             format!("{:.3}", c.exchange_time * 1e3),

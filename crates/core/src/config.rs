@@ -78,7 +78,11 @@ pub struct HyTGraphConfig {
     /// computed values, convergence iteration and per-iteration engine
     /// choices are identical for every device count.
     pub num_devices: usize,
-    /// How partitions map to devices when `num_devices > 1`.
+    /// How partitions map to devices when `num_devices > 1`. There is one
+    /// policy, [`DeviceAssignment::EdgeBalanced`]; the field stays because
+    /// the frozen `wall` harness reads it (ROADMAP, `wall` v2 item (a)).
+    /// [`HyTGraphConfig::affine_migration`] is what moves partitions off
+    /// it.
     pub device_assignment: DeviceAssignment,
     /// Interconnect shape between the devices: host-only (every byte
     /// staged through the devices' PCIe host ports — the paper's

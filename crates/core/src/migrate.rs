@@ -1,8 +1,8 @@
-//! Placement and device-affine migration: where partitions live and
-//! when one moves.
+//! Device-affine migration: when a partition moves off its positional
+//! device.
 //!
-//! Placement is decided once at build time (and again after a delta
-//! compaction) by [`build_placement`]. With
+//! Placement is the positional [`DevicePlan::build`], decided once at
+//! build time and again after a delta compaction. With
 //! [`HyTGraphConfig::affine_migration`] on, the runner calls
 //! `maybe_migrate` between iterations. A moved partition's edge data is
 //! read from host memory like any other; the copy left on its old device
@@ -11,9 +11,8 @@
 use crate::config::HyTGraphConfig;
 use crate::runner::{HyTGraphSystem, EXCHANGE_RECORD_BYTES};
 use crate::ValueLayout;
-use hyt_graph::placement::{plan_cost_driven, AffinityMatrix, PlacementPricer, AFFINITY_DENSE_CAP};
-use hyt_graph::{Csr, DeviceAssignment, DevicePlan, Frontier, PartitionSet};
-use hyt_sim::Interconnect;
+use hyt_graph::placement::{AffinityMatrix, AFFINITY_DENSE_CAP};
+use hyt_graph::{Csr, DevicePlan, Frontier, PartitionSet};
 
 /// Pay-off horizon of device-affine migration
 /// ([`crate::config::HyTGraphConfig::affine_migration`]): a partition
@@ -49,10 +48,9 @@ pub struct MigrationEvent {
 /// run state this persists across runs of a resident system — the
 /// documented exception to the resident-reuse contract.
 pub(crate) struct MigrationState {
-    /// Pairwise expected-exchange matrix, kept when cost-driven
-    /// placement or affine migration needs it (`None` on single-device
-    /// builds, past [`AFFINITY_DENSE_CAP`], or when neither feature is
-    /// on).
+    /// Pairwise expected-exchange matrix the migration planner prices
+    /// moves with (`None` with affine migration off, on single-device
+    /// builds, or past [`AFFINITY_DENSE_CAP`] partitions).
     affinity: Option<AffinityMatrix>,
     /// Per-partition newly-activated-vertex observations feeding the
     /// planner (reset after every applied migration).
@@ -64,12 +62,12 @@ pub(crate) struct MigrationState {
 }
 
 impl MigrationState {
-    /// Fresh state over `num_parts` partitions: nothing observed,
-    /// nothing moved.
-    pub(crate) fn new(affinity: Option<AffinityMatrix>, num_parts: usize) -> Self {
+    /// Fresh state over `parts` of `working`: nothing observed, nothing
+    /// moved.
+    pub(crate) fn new(config: &HyTGraphConfig, working: &Csr, parts: &PartitionSet) -> Self {
         MigrationState {
-            affinity,
-            react_records: vec![0; num_parts],
+            affinity: affinity_for(config, working, parts),
+            react_records: vec![0; parts.len()],
             observed_iters: 0,
             log: Vec::new(),
         }
@@ -77,9 +75,9 @@ impl MigrationState {
 
     /// A delta compaction re-partitioned the graph: every per-partition
     /// record starts over, the applied-migration log stays.
-    pub(crate) fn reset(&mut self, affinity: Option<AffinityMatrix>, num_parts: usize) {
+    pub(crate) fn reset(&mut self, config: &HyTGraphConfig, working: &Csr, parts: &PartitionSet) {
         let log = std::mem::take(&mut self.log);
-        *self = MigrationState { log, ..MigrationState::new(affinity, num_parts) };
+        *self = MigrationState { log, ..MigrationState::new(config, working, parts) };
     }
 
     /// Partition `pid`'s adjacency changed: its old activations described
@@ -89,52 +87,18 @@ impl MigrationState {
     }
 }
 
-/// Build the affinity matrix (when a priced feature wants it) and the
-/// partition→device plan for `parts` over `working`. Shared by the
-/// initial build and the post-compaction rebuild: compaction re-derives
-/// placement from the folded base with exactly the construction-time
-/// logic.
-///
-/// The matrix serves both priced features: cost-driven initial placement
-/// and between-iteration affine migration. It is estimated before any
-/// program runs, with the narrow layout's exchange record — placement is
-/// program-agnostic, and wider records scale every entry uniformly (the
-/// planner's comparisons are invariant to that scale up to route-rung
-/// boundaries).
-pub(crate) fn build_placement(
+/// The affinity matrix, when affine migration will read it. It is
+/// estimated before any program runs, with the narrow layout's exchange
+/// record: the estimate is program-agnostic, and `maybe_migrate` rescales
+/// it to the running program's record.
+fn affinity_for(
     config: &HyTGraphConfig,
-    interconnect: &Interconnect,
     working: &Csr,
     parts: &PartitionSet,
-) -> (Option<AffinityMatrix>, DevicePlan) {
-    let nd = config.num_devices.max(1) as u32;
-    let wants_affinity = nd > 1
-        && parts.len() <= AFFINITY_DENSE_CAP
-        && (config.device_assignment == DeviceAssignment::CostDriven || config.affine_migration);
-    let affinity =
-        wants_affinity.then(|| AffinityMatrix::build(working, parts, EXCHANGE_RECORD_BYTES));
-    let devices = match (config.device_assignment, affinity.as_ref()) {
-        (DeviceAssignment::CostDriven, Some(aff)) => {
-            // The planner lives below the simulator; the fabric
-            // arrives as pricing closures over this interconnect.
-            let exchange = |pubd: &[u64], holders: &[bool]| {
-                interconnect.price_all_gather(pubd, holders).makespan
-            };
-            let compute = |edges: u64| config.machine.kernel.kernel_time(edges);
-            let link = |src: u32, dst: u32, bytes: u64| interconnect.route_cost(src, dst, bytes);
-            let pricer = PlacementPricer {
-                exchange: &exchange,
-                compute: &compute,
-                link: &link,
-                uniform: interconnect.is_uniform_fabric(),
-            };
-            plan_cost_driven(parts, nd, aff, &pricer)
-        }
-        // CostDriven past the dense cap (or at D = 1) degrades to its
-        // documented edge-balanced fallback inside DevicePlan::build.
-        (assignment, _) => DevicePlan::build(parts, nd, assignment, 0),
-    };
-    (affinity, devices)
+) -> Option<AffinityMatrix> {
+    let wanted =
+        config.affine_migration && config.num_devices > 1 && parts.len() <= AFFINITY_DENSE_CAP;
+    wanted.then(|| AffinityMatrix::build(working, parts, EXCHANGE_RECORD_BYTES))
 }
 
 /// Which devices own at least one of the `num_parts` partitions.

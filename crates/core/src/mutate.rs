@@ -4,11 +4,12 @@
 //! price cache those invalidations keep honest.
 
 use crate::api::ValueLayout;
-use crate::migrate::{build_placement, shard_holders};
+use crate::migrate::shard_holders;
 use crate::runner::HyTGraphSystem;
 use hyt_engines::analyze_one;
 use hyt_graph::{
-    DeltaCsr, EdgeOp, Frontier, GraphError, MutationBatch, PartitionSet, VertexId, NEIGHBOR_BYTES,
+    DeltaCsr, DevicePlan, EdgeOp, Frontier, GraphError, MutationBatch, PartitionSet, VertexId,
+    NEIGHBOR_BYTES,
 };
 use std::collections::HashMap;
 
@@ -233,10 +234,10 @@ impl HyTGraphSystem {
     fn compact_now(&mut self) {
         let new_base = self.graph.compact();
         let parts = PartitionSet::build(&new_base, self.config.partition_bytes);
-        let (affinity, devices) =
-            build_placement(&self.config, self.interconnect(), &new_base, &parts);
+        let nd = self.devices.num_devices();
+        let devices = DevicePlan::build(&parts, nd, self.config.device_assignment, 0);
+        self.migration.reset(&self.config, &new_base, &parts);
         self.graph = DeltaCsr::with_partitions(new_base, &parts);
-        self.migration.reset(affinity, parts.len());
         self.shard_holders = shard_holders(&devices, parts.len());
         self.parts = parts;
         self.devices = devices;

@@ -64,7 +64,7 @@ use crate::config::{AsyncMode, HyTGraphConfig, ROUTE_LADDER};
 use crate::exchange::IdEncoding;
 use crate::grus::GrusResidency;
 use crate::kernel::{run_kernel, EdgeSource};
-use crate::migrate::{build_placement, shard_holders, MigrationState};
+use crate::migrate::{shard_holders, MigrationState};
 use crate::mutate::SweepCache;
 use crate::priority::order_tasks;
 use crate::select::{device_budgets, select_engines, SelectParams, Selection};
@@ -242,14 +242,14 @@ impl HyTGraphSystem {
             interconnect = interconnect.with_link_spec(a, b, spec);
         }
         let interconnect = interconnect.with_route_breakpoints(&ROUTE_LADDER);
-        let (affinity, devices) = build_placement(&config, &interconnect, &working, &parts);
+        let devices = DevicePlan::build(&parts, nd, config.device_assignment, 0);
         let shard_holders = shard_holders(&devices, parts.len());
-        let nd = devices.num_devices() as usize;
-        let sim = MultiGpuSim::with_interconnect(nd, config.num_streams, interconnect);
+        let sim = MultiGpuSim::with_interconnect(nd as usize, config.num_streams, interconnect);
+        let migration = MigrationState::new(&config, &working, &parts);
         HyTGraphSystem {
             graph: DeltaCsr::with_partitions(working, &parts),
             hub,
-            migration: MigrationState::new(affinity, parts.len()),
+            migration,
             parts,
             devices,
             shard_holders,

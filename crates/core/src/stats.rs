@@ -153,7 +153,9 @@ pub struct DeviceIterationStats {
     pub mix: EngineMix,
     /// Device-local makespan (the iteration barrier waits for the max).
     pub time: SimTime,
-    /// This device's share of shared-bus busy time.
+    /// Busy time of this device's task transfers on its PCIe host port
+    /// (a port may be shared with other devices; exchange legs are not
+    /// included).
     pub transfer_time: SimTime,
     /// This device's kernel busy time.
     pub compute_time: SimTime,

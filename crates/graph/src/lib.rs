@@ -21,9 +21,10 @@
 //! * [`error`] — the typed [`GraphError`] every construction and
 //!   mutation path reports through.
 //! * [`partition`] — chunk-based edge-balanced partitioning (Section IV).
-//! * [`placement`] — cost-driven topology-aware partition→device
-//!   placement: the affinity matrix from the CSR cut structure and a
-//!   priced greedy + local-search planner.
+//! * [`placement`] — the partition-affinity matrix (expected exchange
+//!   bytes between partition pairs, from the CSR cut structure) that
+//!   device-affine migration prices moves with. Placement itself is the
+//!   positional [`DevicePlan::build`].
 //! * [`hub_sort`](mod@hub_sort) — hub gathering by `H(v) = Do·Di / (Domax·Dimax)`
 //!   (Section VI-A, formula 4).
 //! * [`frontier`] — atomic bitmap frontiers with dense/sparse iteration.
@@ -54,7 +55,7 @@ pub use frontier::Frontier;
 pub use generators::GraphBuilder;
 pub use hub_sort::{hub_sort, HubSortResult};
 pub use partition::{DeviceAssignment, DevicePlan, Partition, PartitionSet, COMBINE_RUN};
-pub use placement::{placement_score, plan_cost_driven, AffinityMatrix, PlacementPricer};
+pub use placement::AffinityMatrix;
 
 /// Vertex identifier. The paper assumes 4-byte vertex ids (`d1 = 4`), and so
 /// do we: all cost-model arithmetic uses `size_of::<VertexId>()`.

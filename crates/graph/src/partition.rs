@@ -163,6 +163,9 @@ impl PartitionSet {
 pub const COMBINE_RUN: usize = 4;
 
 /// How partitions are assigned to simulated devices in a multi-GPU run.
+/// Placement has one policy; the enum and
+/// `HyTGraphConfig::device_assignment` stay because the frozen `wall`
+/// harness passes them (ROADMAP, `wall` v2 item (a)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceAssignment {
     /// Weighted round-robin over runs: partition ids are cut into aligned
@@ -175,20 +178,6 @@ pub enum DeviceAssignment {
     /// small graph still spreads over every device instead of piling
     /// onto the first few.
     EdgeBalanced,
-    /// Cost-driven: placements are *priced*, not positional. The planner
-    /// ([`crate::placement::plan_cost_driven`]) scores candidate
-    /// assignments with the partition-affinity matrix (expected exchange
-    /// bytes between partition pairs, from the CSR cut structure) priced
-    /// through the interconnect's routed transfer costs, seeds greedily
-    /// and refines with bounded strict-improvement swaps. On a uniform
-    /// fabric — host-only, or identical links everywhere — every
-    /// placement prices the same, so the planner returns the
-    /// [`DeviceAssignment::EdgeBalanced`] plan bit-identically.
-    ///
-    /// [`DevicePlan::build`] has no interconnect to price against, so it
-    /// also resolves this variant to the edge-balanced seed; the routed
-    /// refinement happens wherever a pricer is available (the runner).
-    CostDriven,
 }
 
 /// A static assignment of every partition to one of `D` simulated devices.
@@ -208,12 +197,11 @@ pub struct DevicePlan {
 
 impl DevicePlan {
     /// Deal `parts` to `num_devices` devices (minimum 1) in the
-    /// edge-balanced runs of [`DeviceAssignment::EdgeBalanced`]. Both
-    /// variants build that plan: [`DeviceAssignment::CostDriven`]
-    /// resolves to it here (see its docs), because the routed refinement
-    /// needs a pricer. The last two arguments are therefore unread;
-    /// they stay because the frozen `wall` harness passes them (ROADMAP,
-    /// `wall` v2 item (a)).
+    /// edge-balanced runs of [`DeviceAssignment::EdgeBalanced`], the one
+    /// placement policy. The last two arguments are unread; they stay
+    /// because the frozen `wall` harness passes them (ROADMAP, `wall` v2
+    /// item (a)). Device-affine migration may later move single
+    /// partitions off this plan ([`DevicePlan::reassign`]).
     ///
     /// At `D = 1` every run lands on device 0, the single-device plan.
     ///
@@ -255,27 +243,6 @@ impl DevicePlan {
             (d as usize).saturating_sub(parts.len())
         );
         plan
-    }
-
-    /// Wrap an explicit `device_of` assignment (one entry per partition,
-    /// every device id `< num_devices`) into a plan, deriving the
-    /// per-device edge loads. This is the constructor for priced planners
-    /// ([`crate::placement::plan_cost_driven`]) whose assignments are not
-    /// positional.
-    pub fn from_assignment(
-        parts: &PartitionSet,
-        num_devices: u32,
-        device_of: Vec<u32>,
-    ) -> DevicePlan {
-        let d = num_devices.max(1);
-        assert_eq!(device_of.len(), parts.len(), "one device per partition");
-        let mut loads = vec![0u64; d as usize];
-        for p in parts.partitions() {
-            let dev = device_of[p.id as usize];
-            assert!(dev < d, "partition {} assigned to device {dev} of {d}", p.id);
-            loads[dev as usize] += p.num_edges();
-        }
-        DevicePlan { num_devices: d, device_of, loads }
     }
 
     /// Move partition `pid` (with `num_edges` edges) to `device`,
@@ -526,32 +493,18 @@ mod tests {
     fn spare_devices_are_the_highest_ids_under_every_policy() {
         // Documented behaviour for num_devices > partitions.len(): the
         // low device ids are filled first, the spare top ids own nothing
-        // and carry zero load — for the positional policy and for the
-        // pricer-less CostDriven fallback.
+        // and carry zero load.
         let g = generators::rmat(8, 6.0, 2, true);
         let ps = PartitionSet::build_count(&g, 3);
         let n = ps.len() as u32;
         let d = n + 5;
-        for assignment in [DeviceAssignment::EdgeBalanced, DeviceAssignment::CostDriven] {
-            let plan = DevicePlan::build(&ps, d, assignment, 0);
-            for p in 0..n {
-                assert!(plan.device_of(p) < n, "{assignment:?} assigned past the partition count");
-            }
-            for spare in n..d {
-                assert_eq!(plan.load(spare), 0, "{assignment:?} loaded spare device {spare}");
-                assert!(plan.partitions_on(spare).is_empty());
-            }
+        let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
+        for p in 0..n {
+            assert!(plan.device_of(p) < n, "assigned past the partition count");
         }
-    }
-
-    #[test]
-    fn cost_driven_without_pricer_equals_edge_balanced() {
-        let g = generators::rmat(9, 6.0, 7, false);
-        let ps = PartitionSet::build_count(&g, 12);
-        let a = DevicePlan::build(&ps, 4, DeviceAssignment::CostDriven, 0);
-        let b = DevicePlan::build(&ps, 4, DeviceAssignment::EdgeBalanced, 0);
-        for p in 0..ps.len() as u32 {
-            assert_eq!(a.device_of(p), b.device_of(p));
+        for spare in n..d {
+            assert_eq!(plan.load(spare), 0, "loaded spare device {spare}");
+            assert!(plan.partitions_on(spare).is_empty());
         }
     }
 
@@ -573,19 +526,6 @@ mod tests {
         plan.reassign(pid, edges, to);
         assert_eq!(plan.load(to), load_to + edges);
         let total: u64 = (0..4).map(|d| plan.load(d)).sum();
-        assert_eq!(total, g.num_edges());
-    }
-
-    #[test]
-    fn from_assignment_derives_loads() {
-        let g = generators::rmat(9, 6.0, 5, false);
-        let ps = PartitionSet::build_count(&g, 6);
-        let device_of: Vec<u32> = (0..ps.len() as u32).map(|p| p % 3).collect();
-        let plan = DevicePlan::from_assignment(&ps, 3, device_of.clone());
-        for (p, &dev) in device_of.iter().enumerate() {
-            assert_eq!(plan.device_of(p as u32), dev);
-        }
-        let total: u64 = (0..3).map(|d| plan.load(d)).sum();
         assert_eq!(total, g.num_edges());
     }
 }

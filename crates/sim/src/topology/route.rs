@@ -390,10 +390,11 @@ impl Interconnect {
     /// breakpoint? On such a fabric — host-only (every pair stages through
     /// identically priced host ports), or a clique of identical links — no
     /// placement can be cheaper than any other as far as pair routing is
-    /// concerned, so cost-driven placement planners short-circuit to
-    /// their positional seed and stay bit-identical to it. The comparison
-    /// is exact (`==` on the priced f64): pairs on a uniform fabric run
-    /// the identical arithmetic, so no tolerance is needed.
+    /// concerned. No planner reads it any more; it stays because the
+    /// frozen `wall` harness fills `PlacementPricer::uniform` with it
+    /// (ROADMAP, `wall` v2 item (a)). The comparison is exact (`==` on
+    /// the priced f64): pairs on a uniform fabric run the identical
+    /// arithmetic, so no tolerance is needed.
     pub fn is_uniform_fabric(&self) -> bool {
         if self.num_devices <= 2 {
             // 0 or 1 devices route nothing; 2 devices have one ordered

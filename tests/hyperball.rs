@@ -19,7 +19,7 @@ use hytgraph::algos::hyperball::{run_hyperball, HllSketch, HLL_RSE};
 use hytgraph::algos::reference;
 use hytgraph::core::api::VertexValue;
 use hytgraph::core::{HyTGraphConfig, SystemKind, TopologyKind};
-use hytgraph::graph::{generators, DeviceAssignment, EdgeList};
+use hytgraph::graph::{generators, EdgeList};
 use proptest::prelude::*;
 
 /// Sketch of a whole set of vertex ids.
@@ -87,7 +87,6 @@ proptest! {
 fn cfg(d: usize, topo: TopologyKind) -> HyTGraphConfig {
     let mut cfg = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
     cfg.num_devices = d;
-    cfg.device_assignment = DeviceAssignment::EdgeBalanced;
     cfg.topology = topo;
     cfg.threads = 1;
     cfg

@@ -16,15 +16,13 @@
 use hytgraph::algos::reference;
 use hytgraph::core::{HostPorts, HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
 use hytgraph::graph::generators;
-use hytgraph::graph::DeviceAssignment;
 use hytgraph::prelude::*;
 use proptest::prelude::*;
 
 /// HyTGraph preset sharded over `d` devices, single-threaded host kernels.
-fn sharded_config(d: usize, assignment: DeviceAssignment) -> HyTGraphConfig {
+fn sharded_config(d: usize) -> HyTGraphConfig {
     let mut cfg = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
     cfg.num_devices = d;
-    cfg.device_assignment = assignment;
     cfg.threads = 1;
     cfg
 }
@@ -34,10 +32,9 @@ fn sharded_config(d: usize, assignment: DeviceAssignment) -> HyTGraphConfig {
 fn run_with<P: hytgraph::core::api::VertexProgram>(
     g: &Csr,
     d: usize,
-    assignment: DeviceAssignment,
     program: P,
 ) -> (Vec<P::Value>, u32, f64, u64) {
-    let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(d, assignment));
+    let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(d));
     let r = sys.run(program);
     (r.values, r.iterations, r.total_time, r.counters.exchange_bytes)
 }
@@ -61,8 +58,7 @@ fn all_four_algorithms_bit_identical_across_device_counts() {
     // Algorithm 1 prices each partition as if its device owned the bus,
     // so engine choices may not depend on D any more than values do.
     let g = generators::rmat(11, 10.0, 42, true);
-    let assign = DeviceAssignment::EdgeBalanced;
-    let sys = |d: usize| HyTGraphSystem::new(g.clone(), sharded_config(d, assign));
+    let sys = |d: usize| HyTGraphSystem::new(g.clone(), sharded_config(d));
     let values = |r: &RunResult<u32>| r.values.clone();
 
     let sssp1 = sys(1).run(Sssp::from_source(0));
@@ -101,7 +97,7 @@ fn sharding_keeps_combined_runs_whole() {
     const MAX_UNIT_GROWTH: f64 = 1.75;
     let g = generators::rmat(12, 12.0, 42, true);
     let run = |d: usize| {
-        let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+        let mut cfg = sharded_config(d);
         cfg.partition_bytes = 4 << 10;
         let mut sys = HyTGraphSystem::new(g.clone(), cfg);
         assert!(sys.num_partitions() >= 4 * 8, "{} partitions", sys.num_partitions());
@@ -135,7 +131,7 @@ fn default_thread_runs_still_match_oracles_when_sharded() {
 fn per_device_stats_partition_the_iteration() {
     let g = generators::rmat(11, 10.0, 3, true);
     let d = 4usize;
-    let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(d, DeviceAssignment::EdgeBalanced));
+    let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(d));
     let r = sys.run(Sssp::from_source(0));
     for it in &r.per_iteration {
         assert_eq!(it.per_device.len(), d);
@@ -161,7 +157,7 @@ fn idle_devices_pay_no_exchange() {
     // A graph small enough for one partition: 7 of the 8 "devices" own no
     // shard, so there are no peers and the exchange must stay zero.
     let g = generators::chain(64, true);
-    let mut cfg = sharded_config(8, DeviceAssignment::EdgeBalanced);
+    let mut cfg = sharded_config(8);
     cfg.partition_bytes = 1 << 20; // everything fits one partition
     let mut sys = HyTGraphSystem::new(g.clone(), cfg);
     assert_eq!(sys.num_partitions(), 1);
@@ -193,7 +189,7 @@ fn run_topology(
     d: usize,
     topo: TopologyKind,
 ) -> (Vec<u32>, u32, u64, hytgraph::core::ExchangeStats) {
-    let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+    let mut cfg = sharded_config(d);
     cfg.topology = topo;
     let mut sys = HyTGraphSystem::new(g.clone(), cfg);
     let r = sys.run(Sssp::from_source(0));
@@ -241,7 +237,7 @@ fn iteration_records_are_final_and_sum_to_the_total() {
     use hytgraph::core::runner::ITERATION_OVERHEAD_COPIES;
     let g = generators::rmat(11, 10.0, 9, true);
     let run = |d: usize, topo: TopologyKind, max_iterations: u32| {
-        let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+        let mut cfg = sharded_config(d);
         cfg.topology = topo;
         cfg.max_iterations = max_iterations;
         let mut sys = HyTGraphSystem::new(g.clone(), cfg);
@@ -295,12 +291,12 @@ fn heterogeneous_and_duplex_configs_stay_value_transparent() {
     let (base_v, base_i, base_payload, _) = run_topology(&g, d, TopologyKind::HostOnly);
     let variants: Vec<(&str, HyTGraphConfig)> = vec![
         ("uniform ring", {
-            let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+            let mut cfg = sharded_config(d);
             cfg.topology = TopologyKind::Ring;
             cfg
         }),
         ("mixed-generation ring", {
-            let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+            let mut cfg = sharded_config(d);
             cfg.topology = TopologyKind::Ring;
             cfg.link_overrides = vec![
                 (0, 1, LinkSpec::with_nominal_bw(100.0e9).scaled(10)),
@@ -309,7 +305,7 @@ fn heterogeneous_and_duplex_configs_stay_value_transparent() {
             cfg
         }),
         ("slow-bridge ring", {
-            let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+            let mut cfg = sharded_config(d);
             cfg.topology = TopologyKind::Ring;
             cfg.link_overrides = vec![(1, 2, LinkSpec::with_nominal_bw(2.0e9).scaled(10))];
             cfg
@@ -343,7 +339,7 @@ fn host_port_presets_change_the_timeline_but_never_the_computation() {
     // the preset) the whole run record is.
     let g = generators::rmat(10, 8.0, 5, true);
     let run = |d: usize, topology: TopologyKind, host_ports: HostPorts| {
-        let mut cfg = sharded_config(d, DeviceAssignment::EdgeBalanced);
+        let mut cfg = sharded_config(d);
         (cfg.topology, cfg.host_ports) = (topology, host_ports);
         cfg.partition_bytes = 4 << 10;
         let mut sys = HyTGraphSystem::new(g.clone(), cfg.clone());
@@ -387,29 +383,28 @@ proptest! {
         g in arb_rmat(),
         d in 2usize..=4,
     ) {
-        let assign = DeviceAssignment::EdgeBalanced;
         let src = (0..g.num_vertices()).max_by_key(|&v| g.out_degree(v)).unwrap_or(0);
 
-        let (s1, si1, _, _) = run_with(&g, 1, assign, Sssp::from_source(src));
-        let (sd, sid, _, _) = run_with(&g, d, assign, Sssp::from_source(src));
+        let (s1, si1, _, _) = run_with(&g, 1, Sssp::from_source(src));
+        let (sd, sid, _, _) = run_with(&g, d, Sssp::from_source(src));
         prop_assert_eq!(&sd, &s1);
         prop_assert_eq!(sid, si1);
         prop_assert_eq!(&s1, &reference::dijkstra(&g, src));
 
-        let (b1, bi1, _, _) = run_with(&g, 1, assign, Bfs::from_source(src));
-        let (bd, bid, _, _) = run_with(&g, d, assign, Bfs::from_source(src));
+        let (b1, bi1, _, _) = run_with(&g, 1, Bfs::from_source(src));
+        let (bd, bid, _, _) = run_with(&g, d, Bfs::from_source(src));
         prop_assert_eq!(&bd, &b1);
         prop_assert_eq!(bid, bi1);
         prop_assert_eq!(&b1, &reference::bfs_depths(&g, src));
 
-        let (c1, ci1, _, _) = run_with(&g, 1, assign, Cc::new());
-        let (cd, cid, _, _) = run_with(&g, d, assign, Cc::new());
+        let (c1, ci1, _, _) = run_with(&g, 1, Cc::new());
+        let (cd, cid, _, _) = run_with(&g, d, Cc::new());
         prop_assert_eq!(&cd, &c1);
         prop_assert_eq!(cid, ci1);
         prop_assert_eq!(&c1, &reference::cc_labels(&g));
 
         let run_pr = |dd: usize| {
-            let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(dd, assign));
+            let mut sys = HyTGraphSystem::new(g.clone(), sharded_config(dd));
             let r = sys.run(PageRank::new());
             (PageRank::ranks(&r), r.iterations)
         };

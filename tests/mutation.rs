@@ -12,15 +12,14 @@
 //! compaction rebuilds) is invisible to computed values.
 
 use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
-use hytgraph::graph::{generators, Csr, DeviceAssignment, EdgeList, MutationBatch};
+use hytgraph::graph::{generators, Csr, EdgeList, MutationBatch};
 use hytgraph::prelude::*;
 use std::collections::BTreeMap;
 
-fn cfg(d: usize, topo: TopologyKind, assign: DeviceAssignment) -> HyTGraphConfig {
+fn cfg(d: usize, topo: TopologyKind) -> HyTGraphConfig {
     let mut c = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
     c.num_devices = d;
     c.topology = topo;
-    c.device_assignment = assign;
     c.threads = 1; // deterministic bit-comparison, per the check harness
     c
 }
@@ -183,7 +182,7 @@ fn interleaved_mutations_match_cold_oracle_single_device() {
     let base = base_graph();
     let mut shadow = Shadow::of(&base);
     let steps = script(&mut shadow, 15, 0xfeed);
-    replay(&base, &steps, &cfg(1, TopologyKind::HostOnly, DeviceAssignment::EdgeBalanced));
+    replay(&base, &steps, &cfg(1, TopologyKind::HostOnly));
 }
 
 #[test]
@@ -193,18 +192,8 @@ fn interleaved_mutations_match_cold_oracle_across_devices_and_topologies() {
     let steps = script(&mut shadow, 9, 0xabcd);
     for d in [2usize, 4, 8] {
         for topo in [TopologyKind::HostOnly, TopologyKind::Ring, TopologyKind::AllToAll] {
-            replay(&base, &steps, &cfg(d, topo, DeviceAssignment::EdgeBalanced));
+            replay(&base, &steps, &cfg(d, topo));
         }
-    }
-}
-
-#[test]
-fn interleaved_mutations_match_cold_oracle_under_cost_driven_placement() {
-    let base = base_graph();
-    let mut shadow = Shadow::of(&base);
-    let steps = script(&mut shadow, 9, 0x5eed);
-    for d in [2usize, 4, 8] {
-        replay(&base, &steps, &cfg(d, TopologyKind::Ring, DeviceAssignment::CostDriven));
     }
 }
 
@@ -214,7 +203,7 @@ fn delete_heavy_stream_compacts_and_stays_correct() {
     // the priced surplus trips the fold, and correctness must survive the
     // partition/placement rebuild mid-stream.
     let base = base_graph();
-    let c = cfg(2, TopologyKind::Ring, DeviceAssignment::EdgeBalanced);
+    let c = cfg(2, TopologyKind::Ring);
     let mut sys = HyTGraphSystem::new(base.clone(), c.clone());
     let mut shadow = Shadow::of(&base);
     let mut rng = 0x7777u64;
@@ -246,7 +235,7 @@ fn out_of_range_endpoints_return_the_typed_error_and_keep_the_applied_prefix() {
     const FAR: u32 = 1_000_000;
     let base = base_graph();
     let nv = base.num_vertices();
-    let c = cfg(4, TopologyKind::Ring, DeviceAssignment::EdgeBalanced);
+    let c = cfg(4, TopologyKind::Ring);
     assert!(c.contribution_scheduling, "the hub-sorted path is the one under test");
     let mut sys = HyTGraphSystem::new(base.clone(), c.clone());
     let mut shadow = Shadow::of(&base);

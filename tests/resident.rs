@@ -16,13 +16,12 @@
 //! mixes, exchange breakdowns, counters).
 
 use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, RunResult, SystemKind};
-use hytgraph::graph::{generators, Csr, DeviceAssignment};
+use hytgraph::graph::{generators, Csr};
 use hytgraph::prelude::*;
 
 fn config(devices: usize) -> HyTGraphConfig {
     let mut cfg = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
     cfg.num_devices = devices;
-    cfg.device_assignment = DeviceAssignment::EdgeBalanced;
     cfg.threads = 1;
     cfg
 }

@@ -18,14 +18,13 @@
 
 use hytgraph::algos::{lane_values, reference};
 use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
-use hytgraph::graph::{generators, Csr, DeviceAssignment, EdgeList};
+use hytgraph::graph::{generators, Csr, EdgeList};
 use hytgraph::prelude::*;
 use proptest::prelude::*;
 
 fn cfg(d: usize, topo: TopologyKind) -> HyTGraphConfig {
     let mut c = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
     c.num_devices = d;
-    c.device_assignment = DeviceAssignment::EdgeBalanced;
     c.topology = topo;
     c.threads = 1;
     c

@@ -4,7 +4,7 @@
 
 use hytgraph::core::api::{EdgeCtx, InitialFrontier, ValueLayout, VertexProgram};
 use hytgraph::core::{AsyncMode, HyTGraphConfig, HyTGraphSystem, IterationStats, SystemKind};
-use hytgraph::graph::{generators, DeviceAssignment, VertexId};
+use hytgraph::graph::{generators, VertexId};
 
 /// Min-fold over `u32` values — 4 bytes on the wire (8-byte records).
 struct Min32;
@@ -46,7 +46,6 @@ impl VertexProgram for Min64 {
 fn sharded_cfg(d: usize) -> HyTGraphConfig {
     let mut cfg = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
     cfg.num_devices = d;
-    cfg.device_assignment = DeviceAssignment::EdgeBalanced;
     cfg.threads = 1;
     cfg
 }
