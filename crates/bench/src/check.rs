@@ -638,32 +638,6 @@ pub fn run_all(ctx: &mut Ctx) -> Vec<CheckResult> {
         ));
     }
 
-    // ISSUE 8: device-affine migration pays off past a priced
-    // break-even — the resident system charges the bulk copy to the run
-    // that migrates, banks cheaper exchanges afterwards, and its
-    // cumulative makespan ends below the static twin's while every run's
-    // values stay bit-identical.
-    {
-        let study = crate::experiments::placement::migration_study(5);
-        let identical = study.iter().all(|r| r.identical);
-        let moves = study.last().map_or(0, |r| r.migrations);
-        let (affine_cum, static_cum) =
-            study.last().map_or((f64::INFINITY, 0.0), |r| (r.affine_cum, r.static_cum));
-        let break_even = study.iter().find(|r| r.affine_cum < r.static_cum).map(|r| r.run);
-        out.push(CheckResult::new(
-            "Affine migration: priced copy up front, cumulative makespan crosses below static",
-            identical && moves > 0 && affine_cum < static_cum,
-            format!(
-                "{moves} migration(s) over {} resident runs; cumulative {:.3}ms affine vs \
-                 {:.3}ms static (break-even at run {:?}); values identical every run: {identical}",
-                study.len(),
-                affine_cum * 1e3,
-                static_cum * 1e3,
-                break_even
-            ),
-        ));
-    }
-
     // ISSUE 10: incremental reactivation — a localized mutation batch
     // dirties strictly fewer partitions than the whole graph holds, the
     // next sweep reprices exactly those (a cold system reprices all of

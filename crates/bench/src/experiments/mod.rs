@@ -139,7 +139,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             name: "placement",
-            about: "extension: skewed mixed-generation ring + affine-migration break-even",
+            about: "extension: skewed mixed-generation D=8 ring, edge-balanced placement",
             run: placement::run,
         },
         Experiment {

@@ -1,25 +1,18 @@
-//! Extension experiment: the skewed mixed-generation fabric and
-//! device-affine migration on it.
+//! Extension experiment: the skewed mixed-generation fabric.
 //!
 //! The fabric is the worst case for positional placement: a D=8 ring
 //! whose highest device id sits behind 2 GB/s bridges on *both* sides,
-//! so anything placed there pays dearly to talk to anyone. Two tables:
-//!
-//! * **skewed ring** — the edge-balanced plan per `(dataset, algorithm)`:
-//!   makespan, exchange time and exchange bytes. These are the only
-//!   committed peer-fabric rows of the perf baseline.
-//! * **migration break-even** — a resident edge-balanced system with
-//!   `affine_migration` on, re-run against the same migration-off twin:
-//!   the first migrated run pays the priced bulk copy, later runs bank
-//!   the cheaper exchange, and the cumulative makespan crosses below
-//!   the static twin past a break-even run.
+//! so anything placed there pays dearly to talk to anyone. One table,
+//! the edge-balanced plan per `(dataset, algorithm)`: makespan, exchange
+//! time and exchange bytes. These are the only committed peer-fabric rows
+//! of the perf baseline.
 //!
 //! `REPRO_SMOKE=1` reduces the sweep to one dataset and one algorithm.
 
-use crate::context::{base_config, run_algo_with_config, source_vertex, Ctx, SCALE_SHIFT};
+use crate::context::{base_config, run_algo_with_config, Ctx, SCALE_SHIFT};
 use crate::table::{secs, Table};
-use hyt_algos::{AlgoKind, Sssp};
-use hyt_core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
+use hyt_algos::AlgoKind;
+use hyt_core::{HyTGraphConfig, SystemKind, TopologyKind};
 use hyt_graph::DatasetId;
 use hyt_sim::LinkSpec;
 
@@ -89,64 +82,7 @@ pub fn skewed_ring_sweep(ctx: &mut Ctx, smoke: bool) -> Vec<SkewedRingCell> {
     cells
 }
 
-/// One resident run of the migration break-even study.
-#[derive(Clone, Debug)]
-pub struct MigrationRun {
-    /// Resident run index (0-based).
-    pub run: usize,
-    /// Migration-off twin's makespan for this run, seconds.
-    pub static_time: f64,
-    /// Migration-on system's makespan (includes any priced copy).
-    pub affine_time: f64,
-    /// Cumulative static makespan through this run.
-    pub static_cum: f64,
-    /// Cumulative affine makespan through this run.
-    pub affine_cum: f64,
-    /// Migrations applied so far (cumulative).
-    pub migrations: usize,
-    /// Values bit-identical between the twins on this run.
-    pub identical: bool,
-}
-
-/// Run the resident break-even study: `runs` SSSP runs against a
-/// migration-off twin.
-///
-/// The graph is sized so edge-balancing yields about one partition per
-/// device — the inherited static plan strands a chatty partition on the
-/// doubly-bridged card, and a single affine move drains that card out
-/// of the broadcast holder set entirely. That is the regime migration
-/// exists for: a resident service inheriting the positional plan
-/// repairs it at runtime, one priced copy at a time. (On graphs with
-/// many partitions per device no single move empties a holder, so
-/// strict-improvement migration moves little and banks little.)
-pub fn migration_study(runs: usize) -> Vec<MigrationRun> {
-    let g = hyt_graph::generators::power_law_preferential(1 << 14, 10.0, 2.2, 7, true);
-    let src = source_vertex(&g);
-    let mut on_cfg = skewed_ring_config(PLACEMENT_DEVICES);
-    on_cfg.affine_migration = true;
-    let mut on = HyTGraphSystem::new(g.clone(), on_cfg);
-    let mut off = HyTGraphSystem::new(g.clone(), skewed_ring_config(PLACEMENT_DEVICES));
-    let mut out = Vec::new();
-    let (mut cum_on, mut cum_off) = (0.0, 0.0);
-    for run in 0..runs {
-        let r_on = on.run(Sssp::from_source(src));
-        let r_off = off.run(Sssp::from_source(src));
-        cum_on += r_on.total_time;
-        cum_off += r_off.total_time;
-        out.push(MigrationRun {
-            run,
-            static_time: r_off.total_time,
-            affine_time: r_on.total_time,
-            static_cum: cum_off,
-            affine_cum: cum_on,
-            migrations: on.migrations().len(),
-            identical: r_on.values == r_off.values,
-        });
-    }
-    out
-}
-
-/// Print both tables.
+/// Print the skewed-ring table.
 pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     let smoke = std::env::var("REPRO_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let cells = skewed_ring_sweep(ctx, smoke);
@@ -164,22 +100,5 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             format!("{:.1}", c.exchange_bytes as f64 / 1024.0),
         ]);
     }
-    let runs = if smoke { 3 } else { 5 };
-    let study = migration_study(runs);
-    let mut m = Table::new(
-        "Device-affine migration break-even (resident SSSP, edge-balanced start)",
-        &["run", "static", "affine", "static cum", "affine cum", "moves", "identical"],
-    );
-    for r in &study {
-        m.row(vec![
-            r.run.to_string(),
-            secs(r.static_time),
-            secs(r.affine_time),
-            secs(r.static_cum),
-            secs(r.affine_cum),
-            r.migrations.to_string(),
-            r.identical.to_string(),
-        ]);
-    }
-    vec![t, m]
+    vec![t]
 }

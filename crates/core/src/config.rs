@@ -81,8 +81,6 @@ pub struct HyTGraphConfig {
     /// How partitions map to devices when `num_devices > 1`. There is one
     /// policy, [`DeviceAssignment::EdgeBalanced`]; the field stays because
     /// the frozen `wall` harness reads it (ROADMAP, `wall` v2 item (a)).
-    /// [`HyTGraphConfig::affine_migration`] is what moves partitions off
-    /// it.
     pub device_assignment: DeviceAssignment,
     /// Interconnect shape between the devices: host-only (every byte
     /// staged through the devices' PCIe host ports — the paper's
@@ -112,18 +110,6 @@ pub struct HyTGraphConfig {
     /// edited links (e.g. a slow bridge sends its pair back to host
     /// staging). Empty by default.
     pub link_overrides: Vec<(u32, u32, LinkSpec)>,
-    /// Device-affine migration: between iterations (and, because the
-    /// device plan is resident, between back-to-back runs on one
-    /// system), move a partition to the device its activity keeps
-    /// coupling it with whenever the one-off bulk copy — priced over the
-    /// routed interconnect — is cheaper than
-    /// [`crate::runner::MIGRATION_HORIZON_ITERS`] more iterations of
-    /// exchange at the observed rate. Strict-improvement-only; values
-    /// are bit-identical by construction (placement never changes what
-    /// a synchronised iteration computes). An opt-in *feature*, not a
-    /// compatibility switch: stateful placement is a behaviour choice,
-    /// and off keeps placements static and reproducible.
-    pub affine_migration: bool,
     /// CUDA streams for the timeline simulator (per device).
     pub num_streams: usize,
     /// Host threads for real computation (kernels, compaction, analysis).
@@ -158,7 +144,6 @@ impl Default for HyTGraphConfig {
             host_ports: HostPorts::PairedSwitches,
             peer_link: LinkSpec::nvlink().scaled(SCALE_SHIFT),
             link_overrides: Vec::new(),
-            affine_migration: false,
             num_streams: 4,
             threads: default_threads(),
             max_iterations: 10_000,
@@ -194,7 +179,6 @@ mod tests {
         assert_eq!(c.topology, TopologyKind::HostOnly, "the paper's platform has no peer links");
         assert_eq!(c.host_ports, HostPorts::PairedSwitches, "a DGX-1-class PCIe tree at D > 1");
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
-        assert!(!c.affine_migration, "static placement is the reproducible baseline");
         let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
         let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), ring);
         assert_eq!(sys.interconnect().route_breakpoints(), ROUTE_LADDER);

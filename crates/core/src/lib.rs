@@ -19,11 +19,10 @@
 //! * [`kernel`] — real host-side execution of vertex programs over exactly
 //!   the edges each engine delivers;
 //! * [`runner`] — the iteration driver weaving it together (Fig. 5), and
-//!   the [`HyTGraphSystem`] it drives. Three private siblings hold the
-//!   system's other concerns, re-exported through `runner`: `migrate`
-//!   (placement, device-affine migration), `mutate` (streaming
-//!   mutations, delta compaction, the sweep-price cache) and `grus` (the
-//!   Grus baseline's residency, selection and pricing);
+//!   the [`HyTGraphSystem`] it drives. Two private siblings hold the
+//!   system's other concerns, re-exported through `runner`: `mutate`
+//!   (streaming mutations, delta compaction, the sweep-price cache) and
+//!   `grus` (the Grus baseline's residency, selection and pricing);
 //! * [`systems`] — whole-system presets reproducing every Table V row;
 //! * [`session`] — the resident multi-tenant query service: cost-priced
 //!   admission control and MS-BFS-style query coalescing over one
@@ -58,7 +57,6 @@ pub mod cost;
 pub mod exchange;
 mod grus;
 pub mod kernel;
-mod migrate;
 mod mutate;
 pub mod priority;
 pub mod runner;
@@ -75,10 +73,7 @@ pub use config::{AsyncMode, HyTGraphConfig};
 pub use cost::{partition_costs_sized, PartitionCosts};
 pub use hyt_engines::EngineKind;
 pub use hyt_sim::{HostPorts, Interconnect, LinkSpec, Route, TopologyKind};
-pub use runner::{
-    HyTGraphSystem, MigrationEvent, MutationReport, COMPACTION_HORIZON_ITERS,
-    MIGRATION_HORIZON_ITERS,
-};
+pub use runner::{HyTGraphSystem, MutationReport, COMPACTION_HORIZON_ITERS};
 pub use select::{SelectParams, Selection};
 pub use session::{
     Admission, CohortOutcome, CompletedQuery, CostQuote, MutationOutcome, QueryId, QueryKind,

@@ -4,7 +4,6 @@
 //! price cache those invalidations keep honest.
 
 use crate::api::ValueLayout;
-use crate::migrate::shard_holders;
 use crate::runner::HyTGraphSystem;
 use hyt_engines::analyze_one;
 use hyt_graph::{
@@ -17,9 +16,9 @@ use std::collections::HashMap;
 /// delta segments into a fresh base exactly when the priced per-sweep
 /// overhead of carrying them (dead base slots still shipped, out-of-line
 /// segment fetches) over this many iterations exceeds the priced one-off
-/// fold. Mirrors [`crate::runner::MIGRATION_HORIZON_ITERS`]: the session
-/// service re-runs query shapes against one resident build, so the fold
-/// keeps paying off across runs.
+/// fold. The horizon spans more than one run on purpose: the session
+/// service re-runs query shapes against one resident build, so a fold
+/// paid in one run keeps paying off in the runs after it.
 pub const COMPACTION_HORIZON_ITERS: f64 = 32.0;
 
 /// What applying one [`MutationBatch`] did to the resident system (see
@@ -29,8 +28,8 @@ pub struct MutationReport {
     /// Ops applied (equals the batch length on success).
     pub applied: usize,
     /// Partitions whose adjacency changed, ascending. Exactly these had
-    /// their cached sweep prices and migration observations
-    /// invalidated; clean partitions keep their plan.
+    /// their cached sweep prices invalidated; clean partitions keep
+    /// their plan.
     pub dirty_partitions: Vec<u32>,
     /// The reactivation frontier in original-id order: every touched
     /// source plus the incident boundary vertices (the destinations
@@ -146,16 +145,15 @@ impl HyTGraphSystem {
     /// is fixed at build time and never re-derived. After the batch:
     ///
     /// * partitions whose adjacency changed are marked dirty: their
-    ///   cached sweep prices ([`Self::price_full_sweep`]) and migration
-    ///   observations are dropped, while clean partitions keep their
-    ///   plan, placement, and prices;
+    ///   cached sweep prices ([`Self::price_full_sweep`]) are dropped,
+    ///   while clean partitions keep their plan, placement, and prices;
     /// * the reactivation frontier — touched sources plus incident
     ///   boundary destinations — is computed through the frontier
     ///   machinery and reported in original ids;
     /// * the compaction trigger is evaluated: when the priced per-sweep
     ///   delta overhead over [`COMPACTION_HORIZON_ITERS`] exceeds the
-    ///   priced fold, the deltas fold into a fresh base and partitions,
-    ///   placement, and affinity are rebuilt from it (hub order stays).
+    ///   priced fold, the deltas fold into a fresh base and partitions
+    ///   and placement are rebuilt from it (hub order stays).
     ///
     /// # Errors
     ///
@@ -182,7 +180,6 @@ impl HyTGraphSystem {
             for slots in self.sweep.slots.values_mut() {
                 slots[pid as usize] = None;
             }
-            self.migration.invalidate(pid);
         }
         if let Some(e) = failure {
             return Err(e);
@@ -225,9 +222,9 @@ impl HyTGraphSystem {
     }
 
     /// Fold the delta segments into a fresh base and rebuild everything
-    /// the partition structure feeds: partitions, affinity, the
-    /// partition→device plan, shard holders, and migration
-    /// observations. The hub permutation, interconnect, route tables, and
+    /// the partition structure feeds: partitions and the
+    /// partition→device plan (with its shard holders and owned-vertex
+    /// counts). The hub permutation, interconnect, route tables, and
     /// the resident scheduler are untouched — they do not depend on the
     /// edge set. The sweep cache clears wholesale: partition boundaries
     /// moved, so no per-partition price survives.
@@ -235,12 +232,9 @@ impl HyTGraphSystem {
         let new_base = self.graph.compact();
         let parts = PartitionSet::build(&new_base, self.config.partition_bytes);
         let nd = self.devices.num_devices();
-        let devices = DevicePlan::build(&parts, nd, self.config.device_assignment, 0);
-        self.migration.reset(&self.config, &new_base, &parts);
+        self.devices = DevicePlan::build(&parts, nd, self.config.device_assignment, 0);
         self.graph = DeltaCsr::with_partitions(new_base, &parts);
-        self.shard_holders = shard_holders(&devices, parts.len());
         self.parts = parts;
-        self.devices = devices;
         self.sweep.slots.clear();
     }
 }

@@ -18,9 +18,8 @@
 //! and one kernel launch per combined task, whatever the device count.
 //!
 //! [`HyTGraphSystem`]'s other concerns live in private sibling modules and
-//! are re-exported from this one: `migrate` (placement, device-affine
-//! migration), `mutate` (mutation batches, delta compaction, the
-//! sweep-price cache) and `grus` (the Grus baseline).
+//! are re-exported from this one: `mutate` (mutation batches, delta
+//! compaction, the sweep-price cache) and `grus` (the Grus baseline).
 //!
 //! # Multi-device sharding
 //!
@@ -64,7 +63,6 @@ use crate::config::{AsyncMode, HyTGraphConfig, ROUTE_LADDER};
 use crate::exchange::IdEncoding;
 use crate::grus::GrusResidency;
 use crate::kernel::{run_kernel, EdgeSource};
-use crate::migrate::{shard_holders, MigrationState};
 use crate::mutate::SweepCache;
 use crate::priority::order_tasks;
 use crate::select::{device_budgets, select_engines, SelectParams, Selection};
@@ -78,7 +76,6 @@ use hyt_graph::{
 };
 use hyt_sim::{Interconnect, MultiGpuSim, MultiTimeline, SimTask, TransferCounters};
 
-pub use crate::migrate::{MigrationEvent, MIGRATION_HORIZON_ITERS, MIGRATION_MIN_OBSERVATIONS};
 pub use crate::mutate::{MutationReport, COMPACTION_HORIZON_ITERS};
 
 /// Per-iteration orchestration overhead (GPU-side cost analysis +
@@ -119,36 +116,24 @@ pub const EXCHANGE_RECORD_BYTES: u64 = ValueLayout::narrow().record_bytes();
 /// algorithm state (values, frontier, unified-memory caches, Grus
 /// residency, exchange scratch, per-iteration stats) is created inside
 /// `run` and dropped when it returns. The only state resident across
-/// runs is the immutable build (graph, hub order, partitions, device
-/// plan, interconnect route tables) plus the run-constant [`MultiGpuSim`]
+/// runs is the build (graph, hub order, partitions, device plan,
+/// interconnect route tables) plus the run-constant [`MultiGpuSim`]
 /// scheduler, kept warm deliberately (cloning the interconnect's dense
 /// route table per run was the expensive part); scheduling is pure
-/// pricing, so it cannot leak one run's data into the next.
-/// `tests/resident.rs` holds the system to this contract, and the
-/// session service ([`crate::session`]) depends on it.
-///
-/// The one documented exception is opt-in: with
-/// [`HyTGraphConfig::affine_migration`] on, the partition→device plan
-/// (and the re-activation observations driving it) deliberately
-/// persists and evolves across runs — a partition one run's trajectory
-/// migrated stays migrated for the next, which is the point for
-/// resident multi-tenant sessions. Values stay bit-identical either
-/// way (placement cannot change what a synchronised iteration
-/// computes); only the timeline moves, and `tests/resident.rs` holds
-/// the differential claim.
+/// pricing, so it cannot leak one run's data into the next. No run
+/// changes the build: only a mutation batch does, and the device plan
+/// changes only with the partition set it is built from (a delta
+/// compaction). `tests/resident.rs` holds the system to this contract,
+/// `tests/placement.rs` holds the device plan to it, and the session
+/// service ([`crate::session`]) depends on it.
 pub struct HyTGraphSystem {
     pub(crate) graph: DeltaCsr,
     pub(crate) hub: Option<HubOrder>,
     pub(crate) parts: PartitionSet,
     pub(crate) devices: DevicePlan,
-    /// Devices that own at least one partition: the exchange
-    /// participants.
-    pub(crate) shard_holders: Vec<bool>,
     /// Run-constant discrete-event scheduler (see the reuse contract).
     /// It owns the system's one copy of the interconnect.
     pub(crate) sim: MultiGpuSim,
-    /// Placement evidence and history (`migrate.rs`).
-    pub(crate) migration: MigrationState,
     /// Cached all-active sweep prices (`mutate.rs`).
     pub(crate) sweep: SweepCache,
     pub(crate) config: HyTGraphConfig,
@@ -199,8 +184,6 @@ struct RunState {
 /// One device's exchange batch before encoding.
 #[derive(Clone, Copy, Debug, Default)]
 struct BatchTally {
-    /// Vertices the device owns: the bits a bitmap batch would carry.
-    owned: u64,
     /// Records the device publishes.
     published: u64,
     /// Value bytes of those records.
@@ -243,16 +226,12 @@ impl HyTGraphSystem {
         }
         let interconnect = interconnect.with_route_breakpoints(&ROUTE_LADDER);
         let devices = DevicePlan::build(&parts, nd, config.device_assignment, 0);
-        let shard_holders = shard_holders(&devices, parts.len());
         let sim = MultiGpuSim::with_interconnect(nd as usize, config.num_streams, interconnect);
-        let migration = MigrationState::new(&config, &working, &parts);
         HyTGraphSystem {
             graph: DeltaCsr::with_partitions(working, &parts),
             hub,
-            migration,
             parts,
             devices,
-            shard_holders,
             sim,
             sweep: SweepCache::default(),
             config,
@@ -284,9 +263,8 @@ impl HyTGraphSystem {
         self.parts.len()
     }
 
-    /// The partition→device assignment (static unless
-    /// [`HyTGraphConfig::affine_migration`] moves partitions between
-    /// iterations).
+    /// The partition→device assignment: built with the partition set and
+    /// rebuilt only when a delta compaction re-partitions the graph.
     pub fn device_plan(&self) -> &DevicePlan {
         &self.devices
     }
@@ -381,15 +359,6 @@ impl HyTGraphSystem {
             total_time += stats.time;
             total_counters.merge(&stats.counters);
             per_iteration.push(stats);
-            // Device-affine migration: between iterations (the only
-            // point where no iteration state is in flight) move at most
-            // one partition to the device that keeps activating it,
-            // strictly-improvement-only against the priced one-off bulk
-            // copy. The copy is charged to this run's clock; the values
-            // are untouched by construction (placement invisibility).
-            if self.config.affine_migration && self.config.selection != Selection::CpuOnly {
-                total_time += self.maybe_migrate(&frontier, state.bpe, layout);
-            }
             if P::OBSERVES_ITERATIONS {
                 // Trajectory observers see every executed iteration's
                 // converged state in original-id order (including the
@@ -656,8 +625,8 @@ impl HyTGraphSystem {
     ///
     /// Batch sizes: each device's batch is its value bytes plus its id
     /// section, the shorter of an id list and a bitmap over the vertices
-    /// the *current* plan gives it ([`IdEncoding::cheaper`];
-    /// migration can change the plan between iterations). Value bytes: a
+    /// the plan gives it ([`IdEncoding::cheaper`],
+    /// [`DevicePlan::owned_vertices`]). Value bytes: a
     /// sync iteration has its iteration-start `snapshot`, which is
     /// exactly what every holder's replica of a vertex holds after the
     /// previous all-gather, so each value is
@@ -685,9 +654,6 @@ impl HyTGraphSystem {
         }
         let batches = &mut state.exchange_batches;
         batches.fill(BatchTally::default());
-        for p in self.parts.partitions() {
-            batches[self.devices.device_of(p.id) as usize].owned += u64::from(p.num_vertices());
-        }
         for v in next.iter() {
             let value_bytes = match snapshot {
                 Some(snap) => values.get(v).wire_bytes_since(&snap[v as usize]),
@@ -699,17 +665,18 @@ impl HyTGraphSystem {
         }
         let two_forms = snapshot.is_some() && V::TWO_FORM_RECORDS;
         let mut bitmap_batches = 0;
-        for (bytes, b) in state.exchange_bytes.iter_mut().zip(batches.iter()) {
-            let encoding = IdEncoding::cheaper(b.published, b.owned, two_forms);
+        for (d, (bytes, b)) in state.exchange_bytes.iter_mut().zip(batches.iter()).enumerate() {
+            let owned = self.devices.owned_vertices(d as u32);
+            let encoding = IdEncoding::cheaper(b.published, owned, two_forms);
             if b.published > 0 && encoding == IdEncoding::Bitmap {
                 bitmap_batches += 1;
             }
-            *bytes = b.value_bytes + encoding.bytes(b.published, b.owned, two_forms);
+            *bytes = b.value_bytes + encoding.bytes(b.published, owned, two_forms);
         }
         let published: u64 = batches.iter().map(|b| b.published).sum();
-        let holders = self.shard_holders.iter().filter(|&&h| h).count() as u64;
-        let report =
-            self.sim.schedule_exchange(timeline, &state.exchange_bytes, &self.shard_holders);
+        let holders = self.devices.holders();
+        let report = self.sim.schedule_exchange(timeline, &state.exchange_bytes, holders);
+        let holders = holders.iter().filter(|&&h| h).count() as u64;
         let stats = ExchangeStats {
             records: published * holders.saturating_sub(1),
             bitmap_batches,

@@ -210,8 +210,7 @@ pub struct RunResult<V> {
     /// Iterations executed.
     pub iterations: u32,
     /// Total simulated runtime: the startup edge passes plus the
-    /// in-order sum of every `per_iteration[i].time` (plus any migration
-    /// copies when [`crate::HyTGraphConfig::affine_migration`] is on).
+    /// in-order sum of every `per_iteration[i].time`.
     pub total_time: SimTime,
     /// Per-iteration records.
     pub per_iteration: Vec<IterationStats>,

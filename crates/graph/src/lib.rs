@@ -21,10 +21,9 @@
 //! * [`error`] — the typed [`GraphError`] every construction and
 //!   mutation path reports through.
 //! * [`partition`] — chunk-based edge-balanced partitioning (Section IV).
-//! * [`placement`] — the partition-affinity matrix (expected exchange
-//!   bytes between partition pairs, from the CSR cut structure) that
-//!   device-affine migration prices moves with. Placement itself is the
-//!   positional [`DevicePlan::build`].
+//! * [`placement`] — stubs of the retired placement planners, kept for
+//!   the frozen `wall` harness. Placement itself is the positional
+//!   [`DevicePlan::build`], fixed per partition set.
 //! * [`hub_sort`](mod@hub_sort) — hub gathering by `H(v) = Do·Di / (Domax·Dimax)`
 //!   (Section VI-A, formula 4).
 //! * [`frontier`] — atomic bitmap frontiers with dense/sparse iteration.
@@ -55,7 +54,6 @@ pub use frontier::Frontier;
 pub use generators::GraphBuilder;
 pub use hub_sort::{hub_sort, HubSortResult};
 pub use partition::{DeviceAssignment, DevicePlan, Partition, PartitionSet, COMBINE_RUN};
-pub use placement::AffinityMatrix;
 
 /// Vertex identifier. The paper assumes 4-byte vertex ids (`d1 = 4`), and so
 /// do we: all cost-model arithmetic uses `size_of::<VertexId>()`.

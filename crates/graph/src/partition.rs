@@ -182,17 +182,23 @@ pub enum DeviceAssignment {
 
 /// A static assignment of every partition to one of `D` simulated devices.
 ///
-/// Device placement is a preprocessing decision (like hub sorting): it is
-/// computed once per system and stays fixed across iterations, so the
-/// per-iteration exchange step only ever moves frontier activations, never
-/// re-shards edge data.
-#[derive(Clone, Debug)]
+/// Device placement is a preprocessing decision (like hub sorting): the
+/// plan is a function of the partition set alone, built with it and
+/// rebuilt only when it is (a delta compaction re-partitions the graph),
+/// so the per-iteration exchange step only ever moves frontier
+/// activations, never re-shards edge data. Because the plan never moves,
+/// it also carries the per-device figures the exchange prices with.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DevicePlan {
     num_devices: u32,
     /// `device_of[pid]` = owning device.
     device_of: Vec<u32>,
     /// Accumulated edge count per device.
     loads: Vec<u64>,
+    /// `holders[d]`: device `d` owns at least one partition.
+    holders: Vec<bool>,
+    /// Vertices owned per device.
+    owned: Vec<u64>,
 }
 
 impl DevicePlan {
@@ -200,8 +206,7 @@ impl DevicePlan {
     /// edge-balanced runs of [`DeviceAssignment::EdgeBalanced`], the one
     /// placement policy. The last two arguments are unread; they stay
     /// because the frozen `wall` harness passes them (ROADMAP, `wall` v2
-    /// item (a)). Device-affine migration may later move single
-    /// partitions off this plan ([`DevicePlan::reassign`]).
+    /// item (a)).
     ///
     /// At `D = 1` every run lands on device 0, the single-device plan.
     ///
@@ -227,6 +232,8 @@ impl DevicePlan {
             num_devices: d,
             device_of: vec![0; parts.len()],
             loads: vec![0; d as usize],
+            holders: vec![false; d as usize],
+            owned: vec![0; d as usize],
         };
         let run = COMBINE_RUN.min((parts.len() / d as usize).max(1));
         for chunk in parts.partitions().chunks(run) {
@@ -234,6 +241,8 @@ impl DevicePlan {
             for p in chunk {
                 plan.device_of[p.id as usize] = dev;
                 plan.loads[dev as usize] += p.num_edges();
+                plan.holders[dev as usize] = true;
+                plan.owned[dev as usize] += u64::from(p.num_vertices());
             }
         }
         debug_assert!(
@@ -243,22 +252,6 @@ impl DevicePlan {
             (d as usize).saturating_sub(parts.len())
         );
         plan
-    }
-
-    /// Move partition `pid` (with `num_edges` edges) to `device`,
-    /// updating the per-device loads. This is the migration primitive:
-    /// placement is otherwise static, and callers own the invariant that
-    /// a reassignment happens only at an iteration barrier (where
-    /// placement cannot change computed values).
-    pub fn reassign(&mut self, pid: u32, num_edges: u64, device: u32) {
-        assert!(device < self.num_devices, "device {device} of {}", self.num_devices);
-        let old = self.device_of[pid as usize];
-        if old == device {
-            return;
-        }
-        self.loads[old as usize] -= num_edges;
-        self.loads[device as usize] += num_edges;
-        self.device_of[pid as usize] = device;
     }
 
     /// A trivial single-device plan (every partition on device 0).
@@ -291,6 +284,19 @@ impl DevicePlan {
     /// Accumulated edge count on device `d`.
     pub fn load(&self, d: u32) -> u64 {
         self.loads[d as usize]
+    }
+
+    /// Which devices own at least one partition: the exchange's
+    /// participants. Spare devices (more devices than partitions) hold
+    /// nothing.
+    pub fn holders(&self) -> &[bool] {
+        &self.holders
+    }
+
+    /// Vertices owned by device `d`: the bits a bitmap exchange batch
+    /// from `d` carries.
+    pub fn owned_vertices(&self, d: u32) -> u64 {
+        self.owned[d as usize]
     }
 
     /// Partition ids owned by device `d`, ascending.
@@ -509,23 +515,30 @@ mod tests {
     }
 
     #[test]
-    fn reassign_moves_load_with_the_partition() {
-        let g = generators::rmat(9, 6.0, 3, true);
-        let ps = PartitionSet::build_count(&g, 8);
-        let mut plan = DevicePlan::build(&ps, 4, DeviceAssignment::EdgeBalanced, 0);
-        let pid = 0u32;
-        let edges = ps.get(pid).num_edges();
-        let from = plan.device_of(pid);
-        let to = (from + 1) % 4;
-        let (load_from, load_to) = (plan.load(from), plan.load(to));
-        plan.reassign(pid, edges, to);
-        assert_eq!(plan.device_of(pid), to);
-        assert_eq!(plan.load(from), load_from - edges);
-        assert_eq!(plan.load(to), load_to + edges);
-        // Moving to the current owner is a no-op.
-        plan.reassign(pid, edges, to);
-        assert_eq!(plan.load(to), load_to + edges);
-        let total: u64 = (0..4).map(|d| plan.load(d)).sum();
-        assert_eq!(total, g.num_edges());
+    fn holders_and_owned_counts_match_a_recount_over_device_of() {
+        let g = generators::rmat(10, 8.0, 3, true);
+        let ps = PartitionSet::build_count(&g, 20);
+        let n = ps.len() as u32;
+        for d in [1u32, 2, 3, 8, n + 3] {
+            let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
+            let mut holders = vec![false; d as usize];
+            let mut owned = vec![0u64; d as usize];
+            for p in ps.partitions() {
+                let dev = plan.device_of(p.id) as usize;
+                holders[dev] = true;
+                owned[dev] += u64::from(p.num_vertices());
+            }
+            assert_eq!(plan.holders(), holders, "D={d}");
+            for dev in 0..d {
+                assert_eq!(plan.owned_vertices(dev), owned[dev as usize], "D={d} device {dev}");
+            }
+            assert_eq!(owned.iter().sum::<u64>(), u64::from(g.num_vertices()));
+            if d > n {
+                for spare in n..d {
+                    assert!(!plan.holders()[spare as usize], "spare device {spare} holds a shard");
+                    assert_eq!(plan.owned_vertices(spare), 0, "spare device {spare} owns vertices");
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Placement transparency and device-affine migration.
+//! Placement transparency and the fixed device plan.
 //!
 //! Two families of claims:
 //!
@@ -6,10 +6,10 @@
 //!   (host-only, or a mixed-generation ring with a doubly-bridged slow
 //!   device) produces values and a convergence-iteration count
 //!   bit-identical to the single-device run: placement is pricing-only.
-//! * **migration differential** — a resident system with
-//!   `affine_migration` on keeps producing values bit-identical to
-//!   migration-off across repeated runs, while actually moving
-//!   partitions and charging priced copies.
+//! * **fixed plan** — a resident system's partition→device plan is a
+//!   function of its partition set: runs and session cohorts never move
+//!   it, and a delta compaction rebuilds exactly the plan a fresh build
+//!   over the mutated graph gets.
 
 use hytgraph::algos::reference;
 use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
@@ -85,66 +85,59 @@ proptest! {
 }
 
 #[test]
-fn affine_migration_moves_partitions_and_keeps_values_bit_identical() {
-    // Edge-balanced start on the skewed ring leaves chatty partitions on
-    // the slow-bridged device; the migration planner must move at least
-    // one off it over repeated resident runs, charging a priced copy,
-    // while every run's values stay bit-identical to the migration-off
-    // system.
+fn device_plan_is_fixed_by_runs_and_cohorts_and_rebuilt_by_compaction() {
+    use hytgraph::algos::AlgoBackend;
+    use hytgraph::core::session::{QueryKind, QueryOutput, SessionConfig};
+    use hytgraph::core::SessionService;
+    use hytgraph::graph::{EdgeList, MutationBatch};
+    // No hub sort: working ids are original ids, so a fresh build over
+    // the mutated graph partitions the same vertex order. Small
+    // partitions give every device several.
+    let mut cfg = skewed_ring_config();
+    cfg.contribution_scheduling = false;
+    cfg.partition_bytes = 8 << 10;
     let g = generators::power_law_preferential(1 << 13, 12.0, 2.2, 11, true);
     let src = (0..g.num_vertices()).max_by_key(|&v| g.out_degree(v)).unwrap();
-    let mut cfg_on = skewed_ring_config();
-    cfg_on.affine_migration = true;
-    let mut on = HyTGraphSystem::new(g.clone(), cfg_on);
-    let mut off = HyTGraphSystem::new(g.clone(), skewed_ring_config());
-    let oracle = reference::dijkstra(&g, src);
-    for run in 0..3 {
-        let r_on = on.run(Sssp::from_source(src));
-        let r_off = off.run(Sssp::from_source(src));
-        assert_eq!(r_on.values, r_off.values, "values diverged on run {run}");
-        assert_eq!(r_on.values, oracle, "migrated system left the oracle on run {run}");
-        assert_eq!(r_on.iterations, r_off.iterations);
-    }
-    assert!(
-        !on.migrations().is_empty(),
-        "the skewed ring never triggered a migration over 3 resident runs"
-    );
-    for m in on.migrations() {
-        assert_ne!(m.from, m.to);
-        assert!(m.copy_cost > 0.0, "migration must charge its priced bulk copy");
-    }
-    assert!(off.migrations().is_empty(), "migration-off system must never move partitions");
-}
 
-#[test]
-fn session_service_with_migration_stays_bit_identical_across_interleaved_runs() {
-    // The resident session service inherits the evolving device plan
-    // across cohorts. Interleaved traversal kinds over several rounds
-    // must answer bit-identically whether migration is on or off — the
-    // plan may move, the answers may not.
-    use hytgraph::algos::AlgoBackend;
-    use hytgraph::core::session::{QueryKind, SessionConfig};
-    use hytgraph::core::SessionService;
-    let g = generators::power_law_preferential(1 << 13, 12.0, 2.2, 11, true);
-    let mk = |migrate: bool| {
-        let mut cfg = skewed_ring_config();
-        cfg.affine_migration = migrate;
-        let sys = HyTGraphSystem::new(g.clone(), cfg);
-        let scfg = SessionConfig { max_batch: 2, admission_budget: f64::INFINITY, max_queue: 16 };
-        SessionService::new(sys, AlgoBackend, scfg)
-    };
-    let mut on = mk(true);
-    let mut off = mk(false);
+    let mut sys = HyTGraphSystem::new(g.clone(), cfg.clone());
+    let built = sys.device_plan().clone();
+    assert!(sys.num_partitions() >= 16, "{} partitions", sys.num_partitions());
+    for run in 0..3 {
+        sys.run(Sssp::from_source(src));
+        assert_eq!(sys.device_plan(), &built, "run {run} moved the device plan");
+    }
+    let scfg = SessionConfig { max_batch: 2, admission_budget: f64::INFINITY, max_queue: 16 };
+    let mut svc = SessionService::new(sys, AlgoBackend, scfg);
     for round in 0..3 {
         for kind in [QueryKind::Bfs(3), QueryKind::Sssp(17), QueryKind::Bfs(44)] {
-            on.submit(kind.clone());
-            off.submit(kind);
+            svc.submit(kind);
         }
-        let a = on.drain();
-        let b = off.drain();
-        assert_eq!(a.len(), b.len());
-        for (qa, qb) in a.iter().zip(&b) {
-            assert_eq!(qa.output, qb.output, "outputs diverged in round {round}");
+        assert_eq!(svc.drain().len(), 3);
+        assert_eq!(svc.system().device_plan(), &built, "cohort round {round} moved the plan");
+    }
+
+    // Delete every out-edge of the upper half of the ids: enough dead
+    // base slots to trip the priced fold in one batch.
+    let half = g.num_vertices() / 2;
+    let mut batch = MutationBatch::new();
+    for s in half..g.num_vertices() {
+        for &d in g.neighbors(s) {
+            batch.delete(s, d);
         }
     }
+    let mut mutated = EdgeList::new(g.num_vertices());
+    for v in 0..half {
+        for (i, &d) in g.neighbors(v).iter().enumerate() {
+            mutated.push_weighted(v, d, g.weights_of(v)[i]);
+        }
+    }
+    svc.submit(QueryKind::Mutate(batch));
+    let done = svc.drain();
+    match &done[0].output {
+        QueryOutput::Mutation(m) => assert!(m.compacted && m.error.is_none(), "{m:?}"),
+        other => panic!("mutation answered {other:?}"),
+    }
+    let fresh = HyTGraphSystem::new(mutated.to_csr(), cfg);
+    assert_ne!(fresh.device_plan(), &built, "the mutation must change the plan");
+    assert_eq!(svc.system().device_plan(), fresh.device_plan());
 }
