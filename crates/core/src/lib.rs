@@ -22,7 +22,8 @@
 //!   the [`HyTGraphSystem`] it drives. Two private siblings hold the
 //!   system's other concerns, re-exported through `runner`: `mutate`
 //!   (streaming mutations, delta compaction, the sweep-price cache) and
-//!   `grus` (the Grus baseline's residency, selection and pricing);
+//!   `residency` (which partitions a device keeps for the rest of a run:
+//!   HyTGraph's whole-share pins and the Grus and ImpTM-UM baselines);
 //! * [`systems`] — whole-system presets reproducing every Table V row;
 //! * [`session`] — the resident multi-tenant query service: cost-priced
 //!   admission control and MS-BFS-style query coalescing over one
@@ -55,10 +56,10 @@ pub mod combine;
 pub mod config;
 pub mod cost;
 pub mod exchange;
-mod grus;
 pub mod kernel;
 mod mutate;
 pub mod priority;
+mod residency;
 pub mod runner;
 pub mod select;
 pub mod session;

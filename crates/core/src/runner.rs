@@ -19,7 +19,8 @@
 //!
 //! [`HyTGraphSystem`]'s other concerns live in private sibling modules and
 //! are re-exported from this one: `mutate` (mutation batches, delta
-//! compaction, the sweep-price cache) and `grus` (the Grus baseline).
+//! compaction, the sweep-price cache) and `residency` (which partitions a
+//! device keeps for the rest of a run).
 //!
 //! # Multi-device sharding
 //!
@@ -30,8 +31,9 @@
 //! members span devices — the merged compaction and zero-copy tasks, a
 //! filter run straddling two placement runs, any run under a non-default
 //! `combine_k` — is *sliced* by owning device. Each device prices its
-//! slice with its own engines (per-device unified-memory caches and Grus
-//! budgets of `edge_budget / D`) and schedules it on its own streams,
+//! slice with its own engines and its own residency (every device is a
+//! whole card, with the full edge budget less its own vertex-state
+//! replica) and schedules it on its own streams,
 //! while all devices contend for the configured [`Interconnect`]'s links
 //! and one host compaction pool ([`MultiGpuSim`]). Between iterations a
 //! routed all-gather publishes every device's newly-activated owned
@@ -56,16 +58,30 @@
 //! count *and* every topology; only the timeline (and its per-device /
 //! per-link breakdown) changes. The differential suite in
 //! `tests/multi_gpu.rs` holds the runner to those claims.
+//!
+//! # Residency
+//!
+//! A partition already on the device is the cheapest delivery of all.
+//! Under [`Selection::Hybrid`], a device whose whole share of the edge
+//! data (its partitions' live edges × the program's bytes per edge) fits
+//! its budget keeps every partition an ExpTM-filter slice ships whole,
+//! and from then on prices that partition's slices kernel-only: no host
+//! bytes, no host port ([`SimTask::kernel_only`]). Algorithm 1, task
+//! combining and the kernels never see the pins, so only prices move;
+//! `tests/residency.rs` holds the runner to that against the same run
+//! with a zero edge budget. A device whose share does not fit keeps
+//! nothing. The pins are per-run state, like the Grus baseline's and the
+//! unified-memory caches.
 
 use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue};
 use crate::combine::{combine_tasks_sized, CombinedTask};
 use crate::config::{AsyncMode, HyTGraphConfig, ROUTE_LADDER};
 use crate::exchange::IdEncoding;
-use crate::grus::GrusResidency;
 use crate::kernel::{run_kernel, EdgeSource};
 use crate::mutate::SweepCache;
 use crate::priority::order_tasks;
-use crate::select::{device_budgets, select_engines, SelectParams, Selection};
+use crate::residency::{Pins, Residency};
+use crate::select::{select_engines, SelectParams, Selection};
 use crate::stats::{DeviceIterationStats, EngineMix, ExchangeStats, IterationStats, RunResult};
 use hyt_engines::{
     analyze_partitions, compaction, filter, zero_copy, EngineKind, PartitionActivity, TaskPlan,
@@ -113,8 +129,8 @@ pub const EXCHANGE_RECORD_BYTES: u64 = ValueLayout::narrow().record_bytes();
 ///
 /// Back-to-back [`run`](Self::run) calls on one resident system are
 /// **bit-identical** to runs on freshly-built systems: every piece of
-/// algorithm state (values, frontier, unified-memory caches, Grus
-/// residency, exchange scratch, per-iteration stats) is created inside
+/// algorithm state (values, frontier, unified-memory caches, pinned
+/// partitions, exchange scratch, per-iteration stats) is created inside
 /// `run` and dropped when it returns. The only state resident across
 /// runs is the build (graph, hub order, partitions, device plan,
 /// interconnect route tables) plus the run-constant [`MultiGpuSim`]
@@ -190,15 +206,13 @@ struct BatchTally {
     value_bytes: u64,
 }
 
-/// Device residency of edge data, for the policies that keep any: each
-/// simulated GPU caches out of its own carve of the edge budget.
-enum Residency {
-    /// Filter, compaction and zero-copy deliver afresh every iteration.
-    Stateless,
-    /// Pure unified memory: one LRU page cache per device.
-    Unified(Vec<UnifiedState>),
-    /// The Grus baseline: pin whole partitions until the budget is spent.
-    Grus(GrusResidency),
+/// One device's priced slice of a combined task.
+struct Slice {
+    device: u32,
+    plan: TaskPlan,
+    /// Every member's edge data was on the device already: the slice is
+    /// its kernel alone.
+    kernel_only: bool,
 }
 
 impl HyTGraphSystem {
@@ -319,24 +333,28 @@ impl HyTGraphSystem {
         }
 
         let layout = ValueLayout::of::<P::Value>();
-        // Device memory left for edge data once vertex state is resident,
-        // derated by the UM driver-headroom utilisation, carved evenly
-        // across the devices.
+        let bpe = self.effective_bytes_per_edge::<P>();
+        // Every device is a whole card: device memory left for edge data
+        // once its vertex-state replica is resident, derated by the UM
+        // driver-headroom utilisation.
         let machine = &self.config.machine;
         let edge_budget = (machine.edge_budget.saturating_sub(nv as u64 * layout.state_bytes())
             as f64
             * machine.um_utilization) as u64;
         let nd = self.devices.num_devices() as usize;
-        let budgets = device_budgets(edge_budget, nd);
+        let num_parts = self.parts.len();
         let mut state = RunState {
-            bpe: self.effective_bytes_per_edge::<P>(),
+            bpe,
             layout,
             residency: match self.config.selection {
+                Selection::Hybrid => {
+                    Residency::Hybrid(Pins::whole_shares(num_parts, &self.shares(bpe), edge_budget))
+                }
                 Selection::UnifiedOnly => Residency::Unified(
-                    budgets.iter().map(|&b| UnifiedState::with_budget(machine, b)).collect(),
+                    (0..nd).map(|_| UnifiedState::with_budget(machine, edge_budget)).collect(),
                 ),
                 Selection::GrusLike => {
-                    Residency::Grus(GrusResidency::new(self.parts.len(), &budgets))
+                    Residency::Grus(Pins::first_touch(num_parts, nd, edge_budget))
                 }
                 _ => Residency::Stateless,
             },
@@ -394,6 +412,17 @@ impl HyTGraphSystem {
         } else {
             hyt_graph::NEIGHBOR_BYTES
         }
+    }
+
+    /// Each device's whole share of the edge data: its partitions' live
+    /// (base + delta) edges × `bpe`.
+    fn shares(&self, bpe: u64) -> Vec<u64> {
+        let mut shares = vec![0; self.devices.num_devices() as usize];
+        for p in self.parts.partitions() {
+            let edges = p.num_edges() + self.graph.delta_edges(p.id);
+            shares[self.devices.device_of(p.id) as usize] += edges * bpe;
+        }
+        shares
     }
 
     /// Edge-data volume the program would move shipping the graph once
@@ -480,41 +509,9 @@ impl HyTGraphSystem {
             slices.sort_by_key(|&(d, _)| d);
 
             // Price each device's slice with that device's engine state.
-            let mut plans: Vec<(u32, TaskPlan)> = slices
+            let mut plans: Vec<Slice> = slices
                 .iter()
-                .map(|(dev, srefs)| {
-                    let d = *dev as usize;
-                    let plan = match task.kind {
-                        EngineKind::ExpFilter => {
-                            filter::plan_filter(machine, self.graph.view(), srefs, bpe)
-                        }
-                        EngineKind::ExpCompaction => compaction::price_compaction_sized(
-                            machine,
-                            srefs,
-                            bpe,
-                            layout.compaction_surplus(),
-                        ),
-                        EngineKind::ImpZeroCopy => {
-                            let mut p = zero_copy::plan_zero_copy(machine, srefs);
-                            if matches!(state.residency, Residency::Grus(_)) {
-                                GrusResidency::penalize_zero_copy(&mut p);
-                            }
-                            p
-                        }
-                        EngineKind::ImpUnified => match &mut state.residency {
-                            Residency::Unified(um) => {
-                                um[d].plan_unified(machine, self.graph.view(), srefs, bpe)
-                            }
-                            Residency::Grus(grus) => {
-                                grus.plan_um(d, machine, &self.parts, srefs, bpe)
-                            }
-                            Residency::Stateless => {
-                                unreachable!("only the unified-memory policies select ImpUnified")
-                            }
-                        },
-                    };
-                    (*dev, plan)
-                })
+                .map(|(dev, srefs)| self.price_slice(task.kind, *dev, srefs, state))
                 .collect();
 
             // Real kernel over exactly the delivered edges, one launch per
@@ -557,12 +554,16 @@ impl HyTGraphSystem {
                     None,
                     cfg.threads,
                 );
-                self.charge_recompute(&eligible, task.kind, bpe, &mut plans);
+                self.charge_recompute(&eligible, task.kind, bpe, &state.residency, &mut plans);
             }
 
-            for (dev, plan) in &plans {
-                counters.merge(&plan.counters);
-                dev_tasks[*dev as usize].push(plan.to_sim_task_for_device(*dev));
+            for s in &plans {
+                counters.merge(&s.plan.counters);
+                dev_tasks[s.device as usize].push(if s.kernel_only {
+                    s.plan.to_kernel_only_task_for_device(s.device)
+                } else {
+                    s.plan.to_sim_task_for_device(s.device)
+                });
             }
         }
 
@@ -685,6 +686,82 @@ impl HyTGraphSystem {
         (stats, report.payload_bytes)
     }
 
+    /// Price device `dev`'s slice `srefs` of a combined task delivered by
+    /// `kind`, with that device's engine state. Under HyTGraph's
+    /// residency, members the device holds already cost only their share
+    /// of the slice's one kernel launch, so a slice it holds whole is
+    /// kernel-only; the other members ship through `kind`, and what an
+    /// ExpTM-filter slice ships whole the device keeps when its whole
+    /// share fits.
+    fn price_slice(
+        &self,
+        kind: EngineKind,
+        dev: u32,
+        srefs: &[&PartitionActivity],
+        state: &mut RunState,
+    ) -> Slice {
+        let machine = &self.config.machine;
+        let (d, bpe) = (dev as usize, state.bpe);
+        let held = match &state.residency {
+            Residency::Hybrid(pins) => srefs.iter().filter(|a| pins.holds(d, a.partition)).count(),
+            _ => 0,
+        };
+        if held == srefs.len() {
+            let plan = TaskPlan::over(kind, machine, srefs);
+            return Slice { device: dev, plan, kernel_only: true };
+        }
+        let unheld: Vec<&PartitionActivity>;
+        let shipped = match &state.residency {
+            Residency::Hybrid(pins) if held > 0 => {
+                unheld = srefs.iter().copied().filter(|a| !pins.holds(d, a.partition)).collect();
+                &unheld[..]
+            }
+            _ => srefs,
+        };
+        let mut plan = match kind {
+            EngineKind::ExpFilter => filter::plan_filter(machine, self.graph.view(), shipped, bpe),
+            EngineKind::ExpCompaction => compaction::price_compaction_sized(
+                machine,
+                shipped,
+                bpe,
+                state.layout.compaction_surplus(),
+            ),
+            EngineKind::ImpZeroCopy => {
+                let mut p = zero_copy::plan_zero_copy(machine, shipped);
+                if matches!(state.residency, Residency::Grus(_)) {
+                    Pins::penalize_zero_copy(&mut p);
+                }
+                p
+            }
+            EngineKind::ImpUnified => match &mut state.residency {
+                Residency::Unified(um) => {
+                    um[d].plan_unified(machine, self.graph.view(), shipped, bpe)
+                }
+                Residency::Grus(grus) => grus.plan_um(d, machine, &self.parts, shipped, bpe),
+                _ => unreachable!("only the unified-memory policies select ImpUnified"),
+            },
+        };
+        if let Residency::Hybrid(pins) = &mut state.residency {
+            if kind == EngineKind::ExpFilter {
+                pins.keep(d, shipped);
+            }
+        }
+        if held > 0 {
+            // The shipped members' delivery, and one kernel over them all.
+            let whole = TaskPlan::over(kind, machine, srefs);
+            plan = TaskPlan {
+                cpu_time: plan.cpu_time,
+                transfer_time: plan.transfer_time,
+                counters: TransferCounters {
+                    kernel_edges: whole.counters.kernel_edges,
+                    ..plan.counters
+                },
+                ..whole
+            };
+        }
+        Slice { device: dev, plan, kernel_only: false }
+    }
+
     /// Newly-activated vertices that the already-loaded task data can
     /// serve: whole partition ranges for filter/UM/ZC; the originally
     /// gathered vertex set for compaction (only their runs were shipped).
@@ -713,28 +790,32 @@ impl HyTGraphSystem {
     /// Price the recompute pass, attributing each vertex's share to the
     /// device slice that loaded its partition: an extra kernel launch per
     /// participating device; zero-copy also pays the bus again (its reads
-    /// are never resident).
+    /// are never resident), except over partitions the device holds.
     fn charge_recompute(
         &self,
         eligible: &[VertexId],
         kind: EngineKind,
         bpe: u64,
-        plans: &mut [(u32, TaskPlan)],
+        residency: &Residency,
+        slices: &mut [Slice],
     ) {
         let machine = &self.config.machine;
-        for (dev, plan) in plans.iter_mut() {
-            let mine = eligible
-                .iter()
-                .copied()
-                .filter(|&v| self.devices.device_of(self.parts.owner_of(v)) == *dev);
+        for Slice { device, plan, .. } in slices.iter_mut() {
+            let dev = *device;
             let mut edges = 0u64;
             let mut requests = 0u64;
             let mut any = false;
-            for v in mine {
+            for v in eligible.iter().copied() {
+                let pid = self.parts.owner_of(v);
+                if self.devices.device_of(pid) != dev {
+                    continue;
+                }
                 any = true;
                 let deg = self.graph.out_degree(v);
                 edges += deg;
-                if kind == EngineKind::ImpZeroCopy {
+                let held =
+                    || matches!(residency, Residency::Hybrid(p) if p.holds(dev as usize, pid));
+                if kind == EngineKind::ImpZeroCopy && !held() {
                     let start = self.graph.edge_offset(v) * bpe;
                     requests += machine.pcie.requests_for_span(start, deg * bpe);
                 }
@@ -911,6 +992,60 @@ mod tests {
         let mut sys = HyTGraphSystem::new(g, cfg);
         let without_hub = sys.run(MiniSssp);
         assert_eq!(with_hub.values, without_hub.values);
+    }
+
+    #[test]
+    fn kept_partitions_cost_only_their_kernel_share() {
+        let g = generators::rmat(9, 8.0, 5, true);
+        let cfg = HyTGraphConfig { partition_bytes: 2 << 10, ..HyTGraphConfig::default() };
+        let sys = HyTGraphSystem::new(g, cfg);
+        let machine = &sys.config.machine;
+        let bpe = sys.graph.bytes_per_edge();
+        let state_with = |budget: u64| RunState {
+            bpe,
+            layout: ValueLayout::narrow(),
+            residency: Residency::Hybrid(Pins::whole_shares(
+                sys.parts.len(),
+                &sys.shares(bpe),
+                budget,
+            )),
+            exchange_batches: Vec::new(),
+            exchange_bytes: Vec::new(),
+        };
+        let full = Frontier::full(sys.num_vertices());
+        let acts = analyze_partitions(sys.graph.view(), &sys.parts, &full, &machine.pcie, bpe, 1);
+        let (a, b) = (&acts[0], &acts[1]);
+        let bytes = |x: &PartitionActivity| x.total_edges * bpe;
+        assert!(bytes(a) > 0 && bytes(b) > 0);
+
+        // The whole share fits: what filter ships once stays.
+        let mut state = state_with(u64::MAX);
+        let first = sys.price_slice(EngineKind::ExpFilter, 0, &[a], &mut state);
+        assert!(!first.kernel_only);
+        assert_eq!(first.plan.counters.explicit_bytes, bytes(a));
+        // A mixed slice ships only the member not kept, under one kernel
+        // over both.
+        let mixed = sys.price_slice(EngineKind::ExpFilter, 0, &[a, b], &mut state);
+        let whole = TaskPlan::over(EngineKind::ExpFilter, machine, &[a, b]);
+        assert!(!mixed.kernel_only);
+        assert_eq!(mixed.plan.counters.explicit_bytes, bytes(b));
+        assert_eq!(mixed.plan.transfer_time, machine.pcie.explicit_copy_time(bytes(b)));
+        assert_eq!(mixed.plan.kernel_time, whole.kernel_time);
+        assert_eq!(mixed.plan.counters.kernel_edges, whole.counters.kernel_edges);
+        assert_eq!(mixed.plan.partitions, vec![a.partition, b.partition]);
+        // Once both are kept, any engine's slice over them is its kernel.
+        let kept = sys.price_slice(EngineKind::ExpCompaction, 0, &[a, b], &mut state);
+        assert!(kept.kernel_only);
+        assert_eq!(kept.plan.counters, whole.counters);
+        assert_eq!((kept.plan.cpu_time, kept.plan.transfer_time), (0.0, 0.0));
+
+        // The whole share does not fit: nothing stays.
+        let mut state = state_with(0);
+        for _ in 0..2 {
+            let again = sys.price_slice(EngineKind::ExpFilter, 0, &[a], &mut state);
+            assert!(!again.kernel_only);
+            assert_eq!(again.plan.counters.explicit_bytes, bytes(a));
+        }
     }
 
     #[test]

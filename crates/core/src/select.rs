@@ -120,18 +120,6 @@ pub fn select_engines_sharded(
     select_engines(acts, pcie, bytes_per_edge, selection, params)
 }
 
-/// An even carve-up of the device edge budget across `num_devices`
-/// (minimum 1) devices, the remainder spread over the lowest device ids:
-/// each simulated GPU caches edge data out of its own memory, so the
-/// stateful residency policies (unified-memory LRU, Grus pin-until-full)
-/// get `total / D` each instead of one shared pool.
-pub(crate) fn device_budgets(total: u64, num_devices: usize) -> Vec<u64> {
-    let n = num_devices.max(1);
-    let base = total / n as u64;
-    let rem = (total % n as u64) as usize;
-    (0..n).map(|i| base + u64::from(i < rem)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,14 +203,6 @@ mod tests {
                 assert_eq!(sharded, global, "{sel:?} with {d} devices");
             }
         }
-    }
-
-    #[test]
-    fn device_budgets_split_evenly_with_remainder_low() {
-        assert_eq!(device_budgets(10, 4), vec![3, 3, 2, 2]);
-        assert_eq!(device_budgets(77, 1), vec![77]);
-        // Zero devices clamps to one: never empty.
-        assert_eq!(device_budgets(5, 0), vec![5]);
     }
 
     #[test]

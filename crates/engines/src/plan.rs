@@ -83,7 +83,18 @@ impl TaskPlan {
     /// multi-device runner files one slice of a combined task per device
     /// and the trace must say whose timeline it landed on.
     pub fn to_sim_task_for_device(&self, device: u32) -> SimTask {
-        self.with_label(format!("d{device}|{}:{:?}", self.kind.label(), self.partitions))
+        self.with_label(self.device_label(device))
+    }
+
+    /// A slice whose edge data is already on `device`: the kernel alone
+    /// ([`SimTask::kernel_only`]), labelled like
+    /// [`TaskPlan::to_sim_task_for_device`].
+    pub fn to_kernel_only_task_for_device(&self, device: u32) -> SimTask {
+        SimTask::kernel_only(self.device_label(device), self.kernel_time)
+    }
+
+    fn device_label(&self, device: u32) -> String {
+        format!("d{device}|{}:{:?}", self.kind.label(), self.partitions)
     }
 
     fn with_label(&self, label: String) -> SimTask {

@@ -218,9 +218,8 @@ impl DevicePlan {
     /// `num_devices − parts.len()` **highest** device ids end the build
     /// owning no partition and carrying zero load. Spares stay priced
     /// out of the run — the runner excludes devices without a shard from
-    /// the exchange — but they still size the interconnect and split the
-    /// per-device edge budget. A debug assertion holds the build to this
-    /// shape.
+    /// the exchange — but they still size the interconnect. A debug
+    /// assertion holds the build to this shape.
     pub fn build(
         parts: &PartitionSet,
         num_devices: u32,

@@ -141,8 +141,10 @@ pub struct MachineModel {
     /// Subway's runtime implies the 10-core Xeon gathers at roughly
     /// 1.6x the practical PCIe bandwidth (~20 GB/s of output bytes).
     pub compaction_bw: f64,
-    /// Device bytes available for caching edge data, after vertex state.
-    /// Scaled down alongside the datasets (see `DESIGN.md`).
+    /// Device memory of one card, out of which each simulated device
+    /// carves its own vertex-state replica before caching edge data.
+    /// Scaled down alongside the datasets ([`MachineModel::scaled`]).
+    /// Every device of a multi-device run is a whole card.
     pub edge_budget: u64,
     /// Fraction of the edge budget unified memory can actually keep
     /// resident: the CUDA driver reserves headroom and page-level
@@ -175,11 +177,18 @@ impl MachineModel {
     }
 
     /// Scale the machine to 2^-shift datasets: the device edge budget
-    /// shrinks to keep the paper's oversubscription ratio, and the fixed
-    /// software latencies (copy launch, kernel launch, fault overhead)
+    /// shrinks by the same factor as the proxies' vertex counts, and the
+    /// fixed software latencies (copy launch, kernel launch, fault overhead)
     /// shrink by the same factor so fixed-vs-streaming cost *ratios* match
     /// the paper's second-scale runs instead of dominating our
     /// millisecond-scale ones.
+    ///
+    /// The edge budget does not reproduce Table IV's oversubscription
+    /// factor, whose sizes are on-disk bytes (14.5–16.6 B per edge). In
+    /// in-memory CSR bytes, a scaled proxy's edge data is 0.91 (SK) to
+    /// 1.76 (FS) times one card's edge budget with 4-byte edges, and 1.82
+    /// to 3.53 times with weights; `hyt_graph::datasets` lists every
+    /// ratio.
     pub fn scaled(mut self, shift: u32) -> Self {
         let f = (1u64 << shift) as f64;
         self.edge_budget >>= shift;

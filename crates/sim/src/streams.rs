@@ -99,6 +99,12 @@ impl SimTask {
         SimTask { label: label.into(), phases: vec![Phase::Fused { transfer, kernel }] }
     }
 
+    /// A task whose edge data is already on the device: one kernel phase,
+    /// holding no host port.
+    pub fn kernel_only(label: impl Into<String>, kernel: SimTime) -> Self {
+        SimTask { label: label.into(), phases: vec![Phase::Kernel(kernel)] }
+    }
+
     /// Serial duration if nothing overlapped.
     pub fn serial_time(&self) -> SimTime {
         self.phases.iter().map(Phase::duration).sum()
@@ -264,6 +270,22 @@ mod tests {
         assert!(t2 <= t1 + 1e-9);
         assert!(t4 <= t2 + 1e-9);
         assert!(t4 < t1, "overlap should win: t4 {t4} t1 {t1}");
+    }
+
+    #[test]
+    fn kernel_only_holds_the_gpu_and_no_bus() {
+        let sim = StreamSim::new(2);
+        let t = SimTask::kernel_only("k", 3.0);
+        assert_eq!(t.phases, vec![Phase::Kernel(3.0)]);
+        // The next task's transfer runs under the kernel-only task (0..2)
+        // and its kernel queues behind it on the GPU (3..4).
+        let tl = sim.schedule(&[t, SimTask::explicit("e", 2.0, 1.0)]);
+        assert_eq!(tl.pcie_busy, 2.0);
+        assert_eq!(tl.gpu_busy, 4.0);
+        assert!((tl.makespan - 4.0).abs() < 1e-12, "makespan {}", tl.makespan);
+        let mine: Vec<_> = tl.phase_spans.iter().filter(|s| s.task == 0).collect();
+        assert_eq!(mine.len(), 1);
+        assert_eq!((mine[0].resource, mine[0].start, mine[0].end), (Resource::Gpu, 0.0, 3.0));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! * exclusive resources (the PCIe bus, each GPU's kernel engine, the
 //!   host compaction pool) never hold two overlapping spans;
 //! * fused zero-copy phases occupy bus and GPU for the *same* interval;
+//! * a kernel-only task (edge data already on the device) holds its
+//!   GPU and nothing else: no host port, no link queue;
 //! * the multi-device scheduler at `D = 1` gives `StreamSim`'s timeline
 //!   on every topology, and keeps bus exclusivity *across* the devices
 //!   of one host port, whatever the port grouping;
@@ -16,8 +18,8 @@
 //!   queue / longest chain bound and the sum of the legs.
 
 use hytgraph::sim::{
-    HostPorts, Interconnect, LinkSpec, MultiGpuSim, PcieModel, Phase, PhaseSpan, Resource, Route,
-    SimTask, StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
+    HostPorts, Interconnect, LinkSpec, MultiGpuSim, PcieModel, PhaseSpan, Resource, Route, SimTask,
+    StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
 
@@ -38,7 +40,7 @@ fn arb_task_in(per_unit: f64) -> impl Strategy<Value = SimTask> {
             0 => SimTask::explicit("e", a, b),
             1 => SimTask::compaction("c", a, b, c),
             2 => SimTask::zero_copy("z", a, b),
-            _ => SimTask { label: "k".into(), phases: vec![Phase::Kernel(a)] },
+            _ => SimTask::kernel_only("k", a),
         }
     })
 }
@@ -154,6 +156,53 @@ proptest! {
         let shared_ic = ic.with_host_ports(HostPorts::Shared);
         let shared_tl = MultiGpuSim::with_interconnect(nd, streams, shared_ic).schedule(&lists);
         prop_assert_eq!(format!("{shared_tl:?}"), format!("{one_bus:?}"));
+    }
+
+    #[test]
+    fn kernel_only_tasks_hold_no_host_port(
+        lists in proptest::collection::vec(
+            proptest::collection::vec(arb_task_in(16.0), 0..8), 1..9),
+        kernels in proptest::collection::vec(
+            proptest::collection::vec(0u64..40, 0..6), 1..9),
+        streams in 1usize..4,
+        ports_idx in 0usize..2,
+    ) {
+        let nd = lists.len();
+        let ic = Interconnect::host_only(nd, PcieModel::pcie3())
+            .with_host_ports(HostPorts::ALL[ports_idx]);
+        let sim = MultiGpuSim::with_interconnect(nd, streams, ic);
+        // Each device's list with kernel-only tasks dealt in ahead of its
+        // tasks (dyadic durations, so every busy sum is exact).
+        let with: Vec<Vec<SimTask>> = (lists.iter().zip(kernels.iter().cycle()))
+            .map(|(list, ks)| {
+                let mut out = Vec::new();
+                for i in 0..list.len().max(ks.len()) {
+                    if let Some(&k) = ks.get(i) {
+                        out.push(SimTask::kernel_only("resident", k as f64 / 16.0));
+                    }
+                    out.extend(list.get(i).cloned());
+                }
+                out
+            })
+            .collect();
+        let base = sim.schedule(&lists);
+        let tl = sim.schedule(&with);
+        // The host ports and every link queue carry exactly what they
+        // carried without the kernel-only tasks…
+        prop_assert_eq!(&tl.link_busy, &base.link_busy);
+        prop_assert_eq!(tl.bus_busy, base.bus_busy);
+        for (d, dev) in tl.per_device.iter().enumerate() {
+            assert_timeline_invariants(dev, &format!("device {d} with kernel-only tasks"));
+            prop_assert_eq!(dev.pcie_busy, base.per_device[d].pcie_busy);
+            // …and each kernel-only task holds its device's GPU alone.
+            let added: f64 = with[d].iter().filter(|t| t.label == "resident")
+                .map(SimTask::serial_time).sum();
+            let kernel_only = |task: usize| with[d][task].label == "resident";
+            prop_assert!(dev.phase_spans.iter().filter(|s| kernel_only(s.task))
+                .all(|s| s.resource == Resource::Gpu && !s.fused));
+            let base_gpu = base.per_device[d].gpu_busy;
+            prop_assert!(dev.gpu_busy >= base_gpu + added - EPS && dev.gpu_busy <= base_gpu + added + EPS);
+        }
     }
 
     #[test]
