@@ -7,13 +7,14 @@
 //!
 //! * **HyTGraph** (`Selection::Hybrid`). A partition already on the device
 //!   is the cheapest delivery of all. A device whose whole share fits its
-//!   budget keeps every partition an ExpTM-filter slice ships whole. The
-//!   share is its partitions' live (base + delta) edges × the program's
-//!   bytes per edge. Algorithm 1 decides exactly as before. A slice whose
-//!   members the device all keeps is priced kernel-only, and a mixed
-//!   slice ships only the members it does not keep. A device whose share
-//!   does not fit keeps nothing, so it prices as if residency did not
-//!   exist.
+//!   budget loads each partition whole on its first touch, by one
+//!   ExpTM-filter copy whatever engine Algorithm 1 chose, and keeps it.
+//!   The share is its partitions' live (base + delta) edges × the
+//!   program's bytes per edge. Algorithm 1 decides exactly as before. A
+//!   slice whose members the device all holds is priced kernel-only, and
+//!   a mixed slice loads only the members it does not hold yet. A device
+//!   whose share does not fit keeps nothing, so it prices as if
+//!   residency did not exist.
 //! * **Grus** (Table V's comparison row): unified memory as a prefetch
 //!   cache. Resident partitions are unified-memory hits. While the owning
 //!   device's budget lasts, whole partitions migrate (and pin) through UM
@@ -40,8 +41,8 @@ pub(crate) enum Residency {
     /// The Grus baseline: pin whole partitions on first touch until the
     /// budget is spent.
     Grus(Pins),
-    /// HyTGraph: keep what ExpTM-filter ships, on devices whose whole
-    /// share fits.
+    /// HyTGraph: load each partition whole on first touch and keep it, on
+    /// devices whose whole share fits.
     Hybrid(Pins),
 }
 
@@ -80,11 +81,17 @@ impl Pins {
         Self::with_budgets(num_parts, (0..num_devices).map(|_| Some(budget)))
     }
 
-    /// HyTGraph: nothing resident yet. Device `d` keeps what it ships
-    /// whole iff its whole share `shares[d]` fits `budget`, which it
+    /// HyTGraph: nothing resident yet. Device `d` loads and keeps what it
+    /// touches iff its whole share `shares[d]` fits `budget`, which it
     /// reserves up front; any other device keeps nothing.
     pub(crate) fn whole_shares(num_parts: usize, shares: &[u64], budget: u64) -> Self {
         Self::with_budgets(num_parts, shares.iter().map(|&s| budget.checked_sub(s)))
+    }
+
+    /// HyTGraph: `device`'s whole share fits, so it loads whole and keeps
+    /// every partition it touches.
+    pub(crate) fn fits(&self, device: usize) -> bool {
+        self.devices[device].budget_left.is_some()
     }
 
     /// Partition `pid`'s edge data is already on `device`.
@@ -92,8 +99,9 @@ impl Pins {
         self.devices[device].resident[pid as usize]
     }
 
-    /// HyTGraph: `device` just shipped `acts`' partitions whole, and keeps
-    /// them when its whole share fits.
+    /// HyTGraph: `device` just shipped `acts`' partitions, and keeps them
+    /// when its whole share fits (everything such a device ships is
+    /// whole).
     pub(crate) fn keep(&mut self, device: usize, acts: &[&PartitionActivity]) {
         let dev = &mut self.devices[device];
         if dev.budget_left.is_some() {

@@ -64,14 +64,20 @@
 //! A partition already on the device is the cheapest delivery of all.
 //! Under [`Selection::Hybrid`], a device whose whole share of the edge
 //! data (its partitions' live edges × the program's bytes per edge) fits
-//! its budget keeps every partition an ExpTM-filter slice ships whole,
-//! and from then on prices that partition's slices kernel-only: no host
-//! bytes, no host port ([`SimTask::kernel_only`]). Algorithm 1, task
-//! combining and the kernels never see the pins, so only prices move;
-//! `tests/residency.rs` holds the runner to that against the same run
-//! with a zero edge budget. A device whose share does not fit keeps
-//! nothing. The pins are per-run state, like the Grus baseline's and the
-//! unified-memory caches.
+//! its budget loads each partition whole on its first touch: one explicit
+//! copy at ExpTM-filter's price, whatever engine Algorithm 1 chose, so
+//! the slice takes the filter shape (copy, then kernel; no host gather,
+//! no fused zero-copy). From then on it prices that partition's slices
+//! kernel-only: no host bytes, no host port ([`SimTask::kernel_only`]).
+//! The load sits where the partition is first needed, in priority order
+//! on the device's streams, so it overlaps other tasks' kernels, and a
+//! partition never touched is never loaded. Algorithm 1, task combining
+//! and the kernels never see the pins (compaction still gathers for the
+//! host kernel), so only prices move; `tests/residency.rs` holds the
+//! runner to that against the same run with a zero edge budget. A device
+//! whose share does not fit keeps nothing and ships through Algorithm
+//! 1's engine. The pins are per-run state, like the Grus baseline's and
+//! the unified-memory caches.
 
 use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue};
 use crate::combine::{combine_tasks_sized, CombinedTask};
@@ -686,13 +692,14 @@ impl HyTGraphSystem {
         (stats, report.payload_bytes)
     }
 
-    /// Price device `dev`'s slice `srefs` of a combined task delivered by
-    /// `kind`, with that device's engine state. Under HyTGraph's
+    /// Price device `dev`'s slice `srefs` of a combined task Algorithm 1
+    /// gave to `kind`, with that device's engine state. Under HyTGraph's
     /// residency, members the device holds already cost only their share
     /// of the slice's one kernel launch, so a slice it holds whole is
-    /// kernel-only; the other members ship through `kind`, and what an
-    /// ExpTM-filter slice ships whole the device keeps when its whole
-    /// share fits.
+    /// kernel-only. A device whose whole share fits loads the other
+    /// members whole on this first touch, at ExpTM-filter's price whatever
+    /// `kind` is, and keeps them; any other device ships them through
+    /// `kind`.
     fn price_slice(
         &self,
         kind: EngineKind,
@@ -702,9 +709,11 @@ impl HyTGraphSystem {
     ) -> Slice {
         let machine = &self.config.machine;
         let (d, bpe) = (dev as usize, state.bpe);
-        let held = match &state.residency {
-            Residency::Hybrid(pins) => srefs.iter().filter(|a| pins.holds(d, a.partition)).count(),
-            _ => 0,
+        let (held, fits) = match &state.residency {
+            Residency::Hybrid(pins) => {
+                (srefs.iter().filter(|a| pins.holds(d, a.partition)).count(), pins.fits(d))
+            }
+            _ => (0, false),
         };
         if held == srefs.len() {
             let plan = TaskPlan::over(kind, machine, srefs);
@@ -718,7 +727,8 @@ impl HyTGraphSystem {
             }
             _ => srefs,
         };
-        let mut plan = match kind {
+        let delivery = if fits { EngineKind::ExpFilter } else { kind };
+        let mut plan = match delivery {
             EngineKind::ExpFilter => filter::plan_filter(machine, self.graph.view(), shipped, bpe),
             EngineKind::ExpCompaction => compaction::price_compaction_sized(
                 machine,
@@ -742,13 +752,11 @@ impl HyTGraphSystem {
             },
         };
         if let Residency::Hybrid(pins) = &mut state.residency {
-            if kind == EngineKind::ExpFilter {
-                pins.keep(d, shipped);
-            }
+            pins.keep(d, shipped);
         }
         if held > 0 {
             // The shipped members' delivery, and one kernel over them all.
-            let whole = TaskPlan::over(kind, machine, srefs);
+            let whole = TaskPlan::over(delivery, machine, srefs);
             plan = TaskPlan {
                 cpu_time: plan.cpu_time,
                 transfer_time: plan.transfer_time,
@@ -885,6 +893,7 @@ mod tests {
     use crate::api::{EdgeCtx, InitialFrontier};
     use crate::stats::RunResult;
     use hyt_graph::{generators, MutationBatch};
+    use hyt_sim::Phase;
 
     /// SSSP-shaped program local to the runner tests.
     struct MiniSssp;
@@ -994,14 +1003,17 @@ mod tests {
         assert_eq!(with_hub.values, without_hub.values);
     }
 
-    #[test]
-    fn kept_partitions_cost_only_their_kernel_share() {
+    /// A small weighted system cut into many partitions.
+    fn small_system() -> HyTGraphSystem {
         let g = generators::rmat(9, 8.0, 5, true);
         let cfg = HyTGraphConfig { partition_bytes: 2 << 10, ..HyTGraphConfig::default() };
-        let sys = HyTGraphSystem::new(g, cfg);
-        let machine = &sys.config.machine;
+        HyTGraphSystem::new(g, cfg)
+    }
+
+    /// A HyTGraph run's pricing state with `budget` bytes per device.
+    fn hybrid_state(sys: &HyTGraphSystem, budget: u64) -> RunState {
         let bpe = sys.graph.bytes_per_edge();
-        let state_with = |budget: u64| RunState {
+        RunState {
             bpe,
             layout: ValueLayout::narrow(),
             residency: Residency::Hybrid(Pins::whole_shares(
@@ -1011,9 +1023,23 @@ mod tests {
             )),
             exchange_batches: Vec::new(),
             exchange_bytes: Vec::new(),
-        };
+        }
+    }
+
+    /// Every partition's activity under an all-active frontier.
+    fn all_active(sys: &HyTGraphSystem) -> Vec<PartitionActivity> {
         let full = Frontier::full(sys.num_vertices());
-        let acts = analyze_partitions(sys.graph.view(), &sys.parts, &full, &machine.pcie, bpe, 1);
+        let (pcie, bpe) = (&sys.config.machine.pcie, sys.graph.bytes_per_edge());
+        analyze_partitions(sys.graph.view(), &sys.parts, &full, pcie, bpe, 1)
+    }
+
+    #[test]
+    fn kept_partitions_cost_only_their_kernel_share() {
+        let sys = small_system();
+        let machine = &sys.config.machine;
+        let bpe = sys.graph.bytes_per_edge();
+        let state_with = |budget: u64| hybrid_state(&sys, budget);
+        let acts = all_active(&sys);
         let (a, b) = (&acts[0], &acts[1]);
         let bytes = |x: &PartitionActivity| x.total_edges * bpe;
         assert!(bytes(a) > 0 && bytes(b) > 0);
@@ -1046,6 +1072,66 @@ mod tests {
             assert!(!again.kernel_only);
             assert_eq!(again.plan.counters.explicit_bytes, bytes(a));
         }
+    }
+
+    #[test]
+    fn fitting_device_loads_every_engine_whole_on_first_touch() {
+        let sys = small_system();
+        let machine = &sys.config.machine;
+        let bpe = sys.graph.bytes_per_edge();
+        let acts = all_active(&sys);
+        let (a, b) = (&acts[0], &acts[1]);
+        let bytes = |x: &PartitionActivity| x.total_edges * bpe;
+        let p = sys.parts.get(b.partition);
+        let in_b: Vec<VertexId> = (p.first_vertex..p.end_vertex).collect();
+        let zc = EngineKind::ImpZeroCopy;
+
+        // The whole share fits: a compaction slice and a zero-copy slice
+        // each load their member whole, in the filter shape, and keep it.
+        let mut state = hybrid_state(&sys, u64::MAX);
+        for (kind, x) in [(EngineKind::ExpCompaction, a), (zc, b)] {
+            let s = sys.price_slice(kind, 0, &[x], &mut state);
+            let want = TaskPlan::over(kind, machine, &[x]);
+            assert!(!s.kernel_only);
+            assert_eq!(s.plan.counters.explicit_bytes, bytes(x), "{kind:?}");
+            assert_eq!(s.plan.counters.compaction_bytes, 0, "{kind:?}");
+            assert_eq!(s.plan.counters.zero_copy_bytes, 0, "{kind:?}");
+            assert_eq!(s.plan.cpu_time, 0.0, "{kind:?}");
+            assert_eq!(s.plan.transfer_time, machine.pcie.explicit_copy_time(bytes(x)));
+            assert_eq!(s.plan.kernel_time, want.kernel_time);
+            let task = s.plan.to_sim_task_for_device(0);
+            assert!(matches!(task.phases[..], [Phase::Transfer(_), Phase::Kernel(_)]));
+        }
+        // A zero-copy recompute over the loaded partition pays no bus.
+        let mut slices = vec![sys.price_slice(zc, 0, &[a, b], &mut state)];
+        assert!(slices[0].kernel_only, "the next slice over them is kernel-only");
+        let before = slices[0].plan.transfer_time;
+        sys.charge_recompute(&in_b, zc, bpe, &state.residency, &mut slices);
+        assert_eq!(slices[0].plan.transfer_time, before);
+        assert_eq!(slices[0].plan.counters.zero_copy_bytes, 0);
+        assert_eq!(slices[0].plan.counters.kernel_launches, 2);
+
+        // The whole share does not fit: each engine prices as itself, and
+        // a zero-copy recompute pays the bus again.
+        let mut state = hybrid_state(&sys, 0);
+        for _ in 0..2 {
+            let c = sys.price_slice(EngineKind::ExpCompaction, 0, &[a], &mut state);
+            let surplus = ValueLayout::narrow().compaction_surplus();
+            let want = compaction::price_compaction_sized(machine, &[a], bpe, surplus);
+            assert_eq!(c.plan.counters, want.counters);
+            assert_eq!(c.plan.cpu_time, want.cpu_time);
+            assert_eq!(c.plan.transfer_time, want.transfer_time);
+            assert_eq!(c.plan.to_sim_task().phases, want.to_sim_task().phases);
+            let z = sys.price_slice(zc, 0, &[b], &mut state);
+            let want = zero_copy::plan_zero_copy(machine, &[b]);
+            assert_eq!(z.plan.counters, want.counters);
+            assert_eq!(z.plan.transfer_time, want.transfer_time);
+            assert_eq!(z.plan.to_sim_task().phases, want.to_sim_task().phases);
+        }
+        let mut slices = vec![sys.price_slice(zc, 0, &[b], &mut state)];
+        let before = slices[0].plan.counters.zero_copy_bytes;
+        sys.charge_recompute(&in_b, zc, bpe, &state.residency, &mut slices);
+        assert!(slices[0].plan.counters.zero_copy_bytes > before);
     }
 
     #[test]

@@ -85,21 +85,27 @@ pub fn hub_sort_with_fraction(graph: &Csr, fraction: f64) -> HubSortResult {
 
     // Select the num_hubs highest-H(v) vertices. H preserves order under
     // the positive monotone map H -> Do*Di, so compare integer products
-    // (u128 to dodge overflow) instead of floats.
-    let mut order: Vec<u32> = (0..nv as u32).collect();
-    order.sort_unstable_by_key(|&v| {
+    // (u128 to dodge overflow) instead of floats; ties break by natural
+    // order, so the order is total. Selection is linear, and only the
+    // hubs are sorted.
+    let key = |&v: &u32| {
         let p = out_degs[v as usize] as u128 * in_degs[v as usize] as u128;
-        (std::cmp::Reverse(p), v) // ties broken by natural order
-    });
+        (std::cmp::Reverse(p), v)
+    };
+    let mut hubs: Vec<u32> = (0..nv as u32).collect();
+    if num_hubs < nv {
+        hubs.select_nth_unstable_by_key(num_hubs, key);
+        hubs.truncate(num_hubs);
+    }
+    hubs.sort_unstable_by_key(key);
     let mut is_hub = vec![false; nv];
-    for &v in order.iter().take(num_hubs) {
+    for &v in &hubs {
         is_hub[v as usize] = true;
     }
 
     // New layout: hubs first (in descending importance), then the rest in
-    // natural order.
-    let mut inv: Vec<VertexId> = Vec::with_capacity(nv);
-    inv.extend(order.iter().take(num_hubs).copied());
+    // natural order (`hubs` still has the capacity for all nv).
+    let mut inv: Vec<VertexId> = hubs;
     inv.extend((0..nv as u32).filter(|&v| !is_hub[v as usize]));
     let mut perm = vec![0 as VertexId; nv];
     for (new, &old) in inv.iter().enumerate() {
@@ -181,6 +187,48 @@ mod tests {
         let back = r.values_to_old_order(&vals);
         let expect: Vec<u32> = (0..g.num_vertices()).collect();
         assert_eq!(back, expect);
+    }
+
+    /// The permutation by a full sort of every vertex under the same
+    /// order: the definition selection must reproduce.
+    fn full_sort_inv(g: &Csr, fraction: f64) -> Vec<VertexId> {
+        let nv = g.num_vertices() as usize;
+        let (out, inn) = (g.out_degrees(), g.in_degrees());
+        let mut order: Vec<u32> = (0..nv as u32).collect();
+        order.sort_by_key(|&v| {
+            (std::cmp::Reverse(out[v as usize] as u128 * inn[v as usize] as u128), v)
+        });
+        let num_hubs = ((nv as f64) * fraction).round() as usize;
+        let mut is_hub = vec![false; nv];
+        let mut inv: Vec<VertexId> = order[..num_hubs].to_vec();
+        for &v in &inv {
+            is_hub[v as usize] = true;
+        }
+        inv.extend((0..nv as u32).filter(|&v| !is_hub[v as usize]));
+        inv
+    }
+
+    #[test]
+    fn selection_matches_full_sort_order() {
+        // A grid ties nearly every vertex; R-MAT spreads the products.
+        let mut grid = crate::CsrBuilder::new(32 * 32, false);
+        for v in 0..32 * 32u32 {
+            if v % 32 + 1 < 32 {
+                grid.add_edge(v, v + 1);
+                grid.add_edge(v + 1, v);
+            }
+            if v + 32 < 32 * 32 {
+                grid.add_edge(v, v + 32);
+                grid.add_edge(v + 32, v);
+            }
+        }
+        let empty = crate::CsrBuilder::new(0, false).build();
+        for g in [grid.build(), generators::rmat(10, 8.0, 7, true), empty] {
+            for fraction in [0.0, 0.03, HUB_FRACTION, 0.5, 1.0] {
+                let r = hub_sort_with_fraction(&g, fraction);
+                assert_eq!(r.inv, full_sort_inv(&g, fraction), "fraction {fraction}");
+            }
+        }
     }
 
     #[test]
