@@ -23,16 +23,17 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         let m = run_algo(SystemKind::HyTGraph, algo, &g, base_config());
         let mut t = Table::new(
             format!("Fig 7({panel}): HyTGraph engine mix per iteration, {} on FK", algo.name()),
-            &["iter", "ExpTM-F", "ExpTM-C", "ImpTM-ZC", "active parts"],
+            &["iter", "ExpTM-F", "ExpTM-C", "ImpTM-ZC", "resident", "active parts"],
         );
         for i in sample(m.per_iteration.len(), 24) {
             let it = &m.per_iteration[i];
-            let (f, c, z, _) = it.mix.fractions();
+            let (f, c, z, _, r) = it.mix.fractions();
             t.row(vec![
                 it.iteration.to_string(),
                 pct(f),
                 pct(c),
                 pct(z),
+                pct(r),
                 it.active_partitions.to_string(),
             ]);
         }

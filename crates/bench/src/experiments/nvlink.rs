@@ -20,7 +20,9 @@
 //!
 //! 1. runtimes scale with bandwidth, but the engine *mix* is invariant —
 //!    formulas (1)–(3) compare TLP counts in RTT units and RTT cancels
-//!    (the original nvlink finding, kept as the baseline table);
+//!    (the original nvlink finding, kept as the baseline table). FS/SSSP
+//!    does not fit one card, so the `D = 1` table's `resident` column
+//!    reads 0; each `D = 4` share fits, so the grid's reads 100 %;
 //! 2. peer topologies drain the exchange off the host link: the per-link
 //!    class breakdown shows host bytes collapsing to zero on the clique;
 //! 3. rings overlap the two directions of every bridge and forward
@@ -124,7 +126,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     );
     let mut base_mix = Table::new(
         "Extension: HyTGraph engine mix vs link bandwidth (D=1: invariant, RTT cancels)",
-        &["link", "E-F", "E-C", "I-ZC"],
+        &["link", "E-F", "E-C", "I-ZC", "resident"],
     );
     for &(label, bw) in links {
         let base = HyTGraphConfig { machine: machine_with_link(bw), threads: 1, ..base_config() };
@@ -137,8 +139,8 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         let m = run_algo_with_config(SystemKind::HyTGraph, AlgoKind::Sssp, &g, cfg);
         row.push(secs(m.total_time));
         runtime.row(row);
-        let (f, c, z, _) = mix_of(&m.per_iteration).fractions();
-        base_mix.row(vec![label.to_string(), pct(f), pct(c), pct(z)]);
+        let (f, c, z, _, r) = mix_of(&m.per_iteration).fractions();
+        base_mix.row(vec![label.to_string(), pct(f), pct(c), pct(z), pct(r)]);
     }
 
     // Two-axis grid: bandwidth x topology at D = 4.
@@ -151,6 +153,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             "E-F",
             "E-C",
             "I-ZC",
+            "resident",
             "exch host",
             "exch peer",
             "host KB",
@@ -162,7 +165,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         for topo in TopologyKind::ALL {
             let cfg = cell_config(bw, topo, SWEEP_DEVICES);
             let m = run_algo_with_config(SystemKind::HyTGraph, AlgoKind::Sssp, &g, cfg);
-            let (f, c, z, _) = mix_of(&m.per_iteration).fractions();
+            let (f, c, z, _, r) = mix_of(&m.per_iteration).fractions();
             let mut x = hyt_core::ExchangeStats::default();
             for it in &m.per_iteration {
                 x.merge(&it.exchange);
@@ -174,6 +177,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
                 pct(f),
                 pct(c),
                 pct(z),
+                pct(r),
                 secs(x.host_time),
                 secs(x.peer_time),
                 format!("{:.1}", x.host_bytes as f64 / 1024.0),

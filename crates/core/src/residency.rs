@@ -6,20 +6,22 @@
 //! `um_utilization`. Three policies keep edge data on it:
 //!
 //! * **HyTGraph** (`Selection::Hybrid`). A partition already on the device
-//!   is the cheapest delivery of all. A device whose whole share fits its
-//!   budget loads each partition whole on its first touch, by one
-//!   ExpTM-filter copy whatever engine Algorithm 1 chose, and keeps it.
-//!   The share is its partitions' live (base + delta) edges × the
-//!   program's bytes per edge. Algorithm 1 decides exactly as before. A
-//!   slice whose members the device all holds is priced kernel-only, and
-//!   a mixed slice loads only the members it does not hold yet. A device
-//!   whose share does not fit keeps nothing, so it prices as if
-//!   residency did not exist.
+//!   is the cheapest delivery of all. Each iteration,
+//!   [`Residency::resolve`] turns Algorithm 1's engine for each active
+//!   partition into its one [`Delivery`]. On a device whose whole share
+//!   fits its budget, a partition it holds is [`Delivery::Held`] (only
+//!   the kernel runs), and any other is [`Delivery::Load`]: one whole
+//!   ExpTM-filter copy, kept for the rest of the run. The share is its
+//!   partitions' live (base + delta) edges × the program's bytes per
+//!   edge. A device whose share does not fit keeps nothing and ships
+//!   through Algorithm 1's engine, so it prices as if residency did not
+//!   exist. Algorithm 1 itself decides exactly as if the card were empty.
 //! * **Grus** (Table V's comparison row): unified memory as a prefetch
 //!   cache. Resident partitions are unified-memory hits. While the owning
 //!   device's budget lasts, whole partitions migrate (and pin) through UM
 //!   on first touch. After that the policy falls back to zero-copy, at
-//!   Grus's own unmerged request size.
+//!   Grus's own unmerged request size. Residency is an input of its
+//!   selection ([`Pins::select`]), so its delivery is the engine chosen.
 //! * **ImpTM-UM** (`Selection::UnifiedOnly`): one LRU page cache per
 //!   device.
 //!
@@ -44,6 +46,71 @@ pub(crate) enum Residency {
     /// HyTGraph: load each partition whole on first touch and keep it, on
     /// devices whose whole share fits.
     Hybrid(Pins),
+}
+
+/// How one active partition reaches its device in one iteration. Decided
+/// once, right after Algorithm 1 ([`Residency::resolve`]); pricing, the
+/// recompute pass, the host gather and the engine mix all read it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Delivery {
+    /// The device holds the partition already: only the kernel runs.
+    Held,
+    /// The device's whole share fits: the partition is copied whole at
+    /// ExpTM-filter's price, and kept.
+    Load,
+    /// Algorithm 1's engine: on a device that keeps nothing, and under
+    /// every policy but HyTGraph's.
+    Engine(EngineKind),
+}
+
+impl Delivery {
+    /// The engine that moves the partition's edge data to the device;
+    /// `None` when it is there already.
+    pub(crate) fn shipped_by(self) -> Option<EngineKind> {
+        match self {
+            Delivery::Held => None,
+            Delivery::Load => Some(EngineKind::ExpFilter),
+            Delivery::Engine(kind) => Some(kind),
+        }
+    }
+}
+
+impl Residency {
+    /// Each active partition's delivery this iteration, from Algorithm 1's
+    /// `decisions` (indices into `acts`, each with its engine). The result
+    /// is indexed like `acts`, `None` for a partition that is not active.
+    ///
+    /// Under HyTGraph, a device whose whole share fits holds what it
+    /// loaded in an earlier iteration and loads (and from now on holds)
+    /// the rest; every other device, and every other policy, ships
+    /// through Algorithm 1's engine.
+    pub(crate) fn resolve(
+        &mut self,
+        decisions: &[(usize, EngineKind)],
+        acts: &[PartitionActivity],
+        plan: &DevicePlan,
+    ) -> Vec<Option<Delivery>> {
+        let mut out = vec![None; acts.len()];
+        for &(i, kind) in decisions {
+            out[i] = Some(match self {
+                Residency::Hybrid(pins) => {
+                    let pid = acts[i].partition;
+                    let dev = &mut pins.devices[plan.device_of(pid) as usize];
+                    let resident = &mut dev.resident[pid as usize];
+                    if *resident {
+                        Delivery::Held
+                    } else if dev.budget_left.is_some() {
+                        *resident = true;
+                        Delivery::Load
+                    } else {
+                        Delivery::Engine(kind)
+                    }
+                }
+                _ => Delivery::Engine(kind),
+            });
+        }
+        out
+    }
 }
 
 /// One device's pinned partitions.
@@ -86,29 +153,6 @@ impl Pins {
     /// reserves up front; any other device keeps nothing.
     pub(crate) fn whole_shares(num_parts: usize, shares: &[u64], budget: u64) -> Self {
         Self::with_budgets(num_parts, shares.iter().map(|&s| budget.checked_sub(s)))
-    }
-
-    /// HyTGraph: `device`'s whole share fits, so it loads whole and keeps
-    /// every partition it touches.
-    pub(crate) fn fits(&self, device: usize) -> bool {
-        self.devices[device].budget_left.is_some()
-    }
-
-    /// Partition `pid`'s edge data is already on `device`.
-    pub(crate) fn holds(&self, device: usize, pid: u32) -> bool {
-        self.devices[device].resident[pid as usize]
-    }
-
-    /// HyTGraph: `device` just shipped `acts`' partitions, and keeps them
-    /// when its whole share fits (everything such a device ships is
-    /// whole).
-    pub(crate) fn keep(&mut self, device: usize, acts: &[&PartitionActivity]) {
-        let dev = &mut self.devices[device];
-        if dev.budget_left.is_some() {
-            for a in acts {
-                dev.resident[a.partition as usize] = true;
-            }
-        }
     }
 
     /// Grus's policy for every active partition, in partition order: UM
@@ -201,14 +245,27 @@ mod tests {
 
     #[test]
     fn whole_share_is_all_or_nothing_per_device() {
+        let parts = PartitionSet::build_count(&generators::rmat(8, 8.0, 1, true), 8);
+        let plan = DevicePlan::build(&parts, 2, hyt_graph::DeviceAssignment::EdgeBalanced, 0);
+        let acts: Vec<_> = (0..parts.len() as u32).map(act).collect();
+        let zc = EngineKind::ImpZeroCopy;
+        let decisions: Vec<_> = (0..acts.len()).map(|i| (i, zc)).collect();
         // Device 0's share fits exactly, device 1's is one byte over.
-        let mut pins = Pins::whole_shares(4, &[100, 101], 100);
-        let (a, b) = (act(0), act(1));
-        pins.keep(0, &[&a]);
-        pins.keep(1, &[&b]);
-        assert!(pins.holds(0, 0));
-        assert!(!pins.holds(1, 1), "a device whose share does not fit keeps nothing");
-        assert!(!pins.holds(0, 1));
+        let mut residency = Residency::Hybrid(Pins::whole_shares(parts.len(), &[100, 101], 100));
+        let on = |pid: usize| plan.device_of(pid as u32);
+        for (round, want0) in [(0, Delivery::Load), (1, Delivery::Held)] {
+            let got = residency.resolve(&decisions, &acts, &plan);
+            for (pid, d) in got.into_iter().enumerate() {
+                let want = if on(pid) == 0 { want0 } else { Delivery::Engine(zc) };
+                assert_eq!(d, Some(want), "round {round} partition {pid}");
+            }
+        }
+        assert!((0..acts.len()).any(|p| on(p) == 1), "device 1 must own a partition");
+        // Only active partitions get a delivery, and other policies keep
+        // Algorithm 1's engine.
+        let got = Residency::Stateless.resolve(&decisions[1..], &acts, &plan);
+        assert_eq!(got[0], None);
+        assert!(got[1..].iter().all(|&d| d == Some(Delivery::Engine(zc))));
     }
 
     #[test]

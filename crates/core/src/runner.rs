@@ -14,8 +14,9 @@
 //! The runner owns the correctness/timing split: *results* come from real
 //! host-side kernels over exactly the edges each engine delivers; *times*
 //! come from the simulator's makespan of the same task set. Engines hand
-//! back prices only, so delivery is here too: one gather (for compaction)
-//! and one kernel launch per combined task, whatever the device count.
+//! back prices only, so delivery is here too: one gather (for a task with
+//! a member shipped by compaction) and one kernel launch per combined
+//! task, whatever the device count.
 //!
 //! [`HyTGraphSystem`]'s other concerns live in private sibling modules and
 //! are re-exported from this one: `mutate` (mutation batches, delta
@@ -54,30 +55,38 @@
 //! order — the iteration barrier means device placement cannot change
 //! what one synchronised iteration computes, and Algorithm 1 prices each
 //! partition as if its device owned the bus, so values, convergence
-//! iteration and engine choices are **bit-identical** for every device
-//! count *and* every topology; only the timeline (and its per-device /
-//! per-link breakdown) changes. The differential suite in
+//! iteration and Algorithm 1's engine choices are **bit-identical** for
+//! every device count *and* every topology; only the timeline (and its
+//! per-device / per-link breakdown) changes, and with it which devices'
+//! shares fit (see Residency below). The differential suite in
 //! `tests/multi_gpu.rs` holds the runner to those claims.
 //!
 //! # Residency
 //!
 //! A partition already on the device is the cheapest delivery of all.
-//! Under [`Selection::Hybrid`], a device whose whole share of the edge
-//! data (its partitions' live edges × the program's bytes per edge) fits
-//! its budget loads each partition whole on its first touch: one explicit
-//! copy at ExpTM-filter's price, whatever engine Algorithm 1 chose, so
-//! the slice takes the filter shape (copy, then kernel; no host gather,
-//! no fused zero-copy). From then on it prices that partition's slices
+//! Each iteration decides every active partition's delivery once, right
+//! after Algorithm 1 (`residency::Residency::resolve`), and everything
+//! downstream reads that one answer. Under [`Selection::Hybrid`], a
+//! device whose whole share of the edge data (its partitions' live edges
+//! × the program's bytes per edge) fits its budget either *holds* a
+//! partition, loaded in an earlier iteration, or *loads* it now: one
+//! explicit copy at ExpTM-filter's price, whatever engine Algorithm 1
+//! chose, kept for the rest of the run. A held slice is priced
 //! kernel-only: no host bytes, no host port ([`SimTask::kernel_only`]).
-//! The load sits where the partition is first needed, in priority order
-//! on the device's streams, so it overlaps other tasks' kernels, and a
-//! partition never touched is never loaded. Algorithm 1, task combining
-//! and the kernels never see the pins (compaction still gathers for the
-//! host kernel), so only prices move; `tests/residency.rs` holds the
-//! runner to that against the same run with a zero edge budget. A device
-//! whose share does not fit keeps nothing and ships through Algorithm
-//! 1's engine. The pins are per-run state, like the Grus baseline's and
-//! the unified-memory caches.
+//! A loading slice takes the filter shape (copy, then kernel; no fused
+//! zero-copy), and the host kernel reads the CSR directly, with no
+//! gather. The load sits where the partition is first needed, in
+//! priority order on the device's streams, so it overlaps other tasks'
+//! kernels, and a partition never touched is never loaded. A device whose
+//! share does not fit keeps nothing and ships through Algorithm 1's
+//! engine. [`EngineMix`] counts what happened: `held`, `load`, and per
+//! engine only the partitions that engine shipped.
+//!
+//! Algorithm 1, task combining, priority order and the recompute pass's
+//! vertex set stay keyed on Algorithm 1's engine, so only prices (and
+//! the mix) move; `tests/residency.rs` holds the runner to that against
+//! the same run with a zero edge budget. The pins are per-run state, like
+//! the Grus baseline's and the unified-memory caches.
 
 use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue};
 use crate::combine::{combine_tasks_sized, CombinedTask};
@@ -86,7 +95,7 @@ use crate::exchange::IdEncoding;
 use crate::kernel::{run_kernel, EdgeSource};
 use crate::mutate::SweepCache;
 use crate::priority::order_tasks;
-use crate::residency::{Pins, Residency};
+use crate::residency::{Delivery, Pins, Residency};
 use crate::select::{select_engines, SelectParams, Selection};
 use crate::stats::{DeviceIterationStats, EngineMix, ExchangeStats, IterationStats, RunResult};
 use hyt_engines::{
@@ -212,13 +221,27 @@ struct BatchTally {
     value_bytes: u64,
 }
 
+/// One device's members of a combined task, split by delivery.
+struct Members<'a> {
+    device: u32,
+    /// Every member on the device, in task order: the kernel runs over
+    /// them all.
+    all: Vec<&'a PartitionActivity>,
+    /// The members whose edge data moves to the device, in task order.
+    shipped: Vec<&'a PartitionActivity>,
+    /// The engine that moves them. There is one per device: a device
+    /// whose share fits loads everything it ships, and any other ships
+    /// through the task's engine.
+    via: Option<EngineKind>,
+}
+
 /// One device's priced slice of a combined task.
 struct Slice {
     device: u32,
     plan: TaskPlan,
-    /// Every member's edge data was on the device already: the slice is
-    /// its kernel alone.
-    kernel_only: bool,
+    /// The engine that shipped the slice's edge data; `None` when the
+    /// device held every member, so the slice is its kernel alone.
+    via: Option<EngineKind>,
 }
 
 impl HyTGraphSystem {
@@ -485,11 +508,14 @@ impl HyTGraphSystem {
             Residency::Grus(grus) => grus.select(&acts, &self.parts, devices, bpe),
             _ => select_engines(&acts, &machine.pcie, bpe, cfg.selection, &select_params),
         };
+        let delivery = state.residency.resolve(&decisions, &acts, devices);
         let mut mix = EngineMix::default();
         let mut dev_mix = vec![EngineMix::default(); nd];
-        for &(i, kind) in &decisions {
-            mix.add(kind, 1);
-            dev_mix[devices.device_of(acts[i].partition) as usize].add(kind, 1);
+        for (a, d) in acts.iter().zip(&delivery) {
+            if let Some(d) = *d {
+                mix.record(d);
+                dev_mix[devices.device_of(a.partition) as usize].record(d);
+            }
         }
         let mut tasks =
             combine_tasks_sized(&decisions, cfg.combine_k, cfg.task_combining, layout.lane_bytes());
@@ -500,32 +526,20 @@ impl HyTGraphSystem {
         let mut dev_tasks: Vec<Vec<SimTask>> = vec![Vec::new(); nd];
         let mut counters = TransferCounters::new();
         for task in &tasks {
-            let refs: Vec<&PartitionActivity> = task.members.iter().map(|&i| &acts[i]).collect();
-
-            // Slice the task's members by owning device (ascending device
-            // id, members keeping their order within a slice).
-            let mut slices: Vec<(u32, Vec<&PartitionActivity>)> = Vec::new();
-            for a in &refs {
-                let dev = devices.device_of(a.partition);
-                match slices.iter_mut().find(|(d, _)| *d == dev) {
-                    Some((_, v)) => v.push(a),
-                    None => slices.push((dev, vec![a])),
-                }
-            }
-            slices.sort_by_key(|&(d, _)| d);
-
-            // Price each device's slice with that device's engine state.
-            let mut plans: Vec<Slice> = slices
-                .iter()
-                .map(|(dev, srefs)| self.price_slice(task.kind, *dev, srefs, state))
-                .collect();
+            let mut plans = self.price_task(task, &acts, &delivery, state);
 
             // Real kernel over exactly the delivered edges, one launch per
             // combined task (identical to the single-device run: same
-            // member order, same gather, same edge source).
-            let active_all: Vec<VertexId> =
-                refs.iter().flat_map(|a| a.active_vertices.iter().copied()).collect();
-            let compacted = (task.kind == EngineKind::ExpCompaction)
+            // member order, same edges). Only a task with a member shipped
+            // by compaction gathers; the others read the CSR directly.
+            let active_all: Vec<VertexId> = task
+                .members
+                .iter()
+                .flat_map(|&i| acts[i].active_vertices.iter().copied())
+                .collect();
+            let compacted = plans
+                .iter()
+                .any(|s| s.via == Some(EngineKind::ExpCompaction))
                 .then(|| compaction::compact(self.graph.view(), &active_all, cfg.threads));
             let source = match compacted.as_ref() {
                 Some(c) => EdgeSource::Compacted(c),
@@ -560,15 +574,14 @@ impl HyTGraphSystem {
                     None,
                     cfg.threads,
                 );
-                self.charge_recompute(&eligible, task.kind, bpe, &state.residency, &mut plans);
+                self.charge_recompute(&eligible, bpe, &mut plans);
             }
 
             for s in &plans {
                 counters.merge(&s.plan.counters);
-                dev_tasks[s.device as usize].push(if s.kernel_only {
-                    s.plan.to_kernel_only_task_for_device(s.device)
-                } else {
-                    s.plan.to_sim_task_for_device(s.device)
+                dev_tasks[s.device as usize].push(match s.via {
+                    None => s.plan.to_kernel_only_task_for_device(s.device),
+                    Some(_) => s.plan.to_sim_task_for_device(s.device),
                 });
             }
         }
@@ -692,43 +705,54 @@ impl HyTGraphSystem {
         (stats, report.payload_bytes)
     }
 
-    /// Price device `dev`'s slice `srefs` of a combined task Algorithm 1
-    /// gave to `kind`, with that device's engine state. Under HyTGraph's
-    /// residency, members the device holds already cost only their share
-    /// of the slice's one kernel launch, so a slice it holds whole is
-    /// kernel-only. A device whose whole share fits loads the other
-    /// members whole on this first touch, at ExpTM-filter's price whatever
-    /// `kind` is, and keeps them; any other device ships them through
-    /// `kind`.
-    fn price_slice(
+    /// Slice combined `task` by owning device (ascending device id,
+    /// members keeping their order within a slice) and price each slice
+    /// with its device's engine state, by the members' resolved
+    /// `delivery` (indexed like `acts`).
+    fn price_task(
         &self,
-        kind: EngineKind,
-        dev: u32,
-        srefs: &[&PartitionActivity],
+        task: &CombinedTask,
+        acts: &[PartitionActivity],
+        delivery: &[Option<Delivery>],
         state: &mut RunState,
-    ) -> Slice {
-        let machine = &self.config.machine;
-        let (d, bpe) = (dev as usize, state.bpe);
-        let (held, fits) = match &state.residency {
-            Residency::Hybrid(pins) => {
-                (srefs.iter().filter(|a| pins.holds(d, a.partition)).count(), pins.fits(d))
+    ) -> Vec<Slice> {
+        let mut slices: Vec<Members> = Vec::new();
+        for &i in &task.members {
+            let a = &acts[i];
+            let device = self.devices.device_of(a.partition);
+            let k = match slices.iter().position(|m| m.device == device) {
+                Some(k) => k,
+                None => {
+                    let (all, shipped) = (Vec::new(), Vec::new());
+                    slices.push(Members { device, all, shipped, via: None });
+                    slices.len() - 1
+                }
+            };
+            let m = &mut slices[k];
+            m.all.push(a);
+            if let Some(via) = delivery[i].and_then(Delivery::shipped_by) {
+                m.shipped.push(a);
+                m.via = Some(via);
             }
-            _ => (0, false),
-        };
-        if held == srefs.len() {
-            let plan = TaskPlan::over(kind, machine, srefs);
-            return Slice { device: dev, plan, kernel_only: true };
         }
-        let unheld: Vec<&PartitionActivity>;
-        let shipped = match &state.residency {
-            Residency::Hybrid(pins) if held > 0 => {
-                unheld = srefs.iter().copied().filter(|a| !pins.holds(d, a.partition)).collect();
-                &unheld[..]
-            }
-            _ => srefs,
+        slices.sort_by_key(|m| m.device);
+        slices.iter().map(|m| self.price_slice(task.kind, m, state)).collect()
+    }
+
+    /// Price one device's slice of a combined task Algorithm 1 gave to
+    /// `kind`. A slice whose members the device all holds is priced
+    /// kernel-only. Otherwise the shipped members pay their delivery
+    /// through `m.via` (ExpTM-filter for a device that loads them), and
+    /// one kernel runs over every member.
+    fn price_slice(&self, kind: EngineKind, m: &Members, state: &mut RunState) -> Slice {
+        let machine = &self.config.machine;
+        let (device, d, bpe) = (m.device, m.device as usize, state.bpe);
+        let Some(via) = m.via else {
+            let plan = TaskPlan::over(kind, machine, &m.all);
+            return Slice { device, plan, via: None };
         };
-        let delivery = if fits { EngineKind::ExpFilter } else { kind };
-        let mut plan = match delivery {
+        let shipped = &m.shipped[..];
+        let mut plan = match via {
             EngineKind::ExpFilter => filter::plan_filter(machine, self.graph.view(), shipped, bpe),
             EngineKind::ExpCompaction => compaction::price_compaction_sized(
                 machine,
@@ -751,12 +775,9 @@ impl HyTGraphSystem {
                 _ => unreachable!("only the unified-memory policies select ImpUnified"),
             },
         };
-        if let Residency::Hybrid(pins) = &mut state.residency {
-            pins.keep(d, shipped);
-        }
-        if held > 0 {
+        if shipped.len() < m.all.len() {
             // The shipped members' delivery, and one kernel over them all.
-            let whole = TaskPlan::over(delivery, machine, srefs);
+            let whole = TaskPlan::over(via, machine, &m.all);
             plan = TaskPlan {
                 cpu_time: plan.cpu_time,
                 transfer_time: plan.transfer_time,
@@ -767,7 +788,7 @@ impl HyTGraphSystem {
                 ..whole
             };
         }
-        Slice { device: dev, plan, kernel_only: false }
+        Slice { device, plan, via: Some(via) }
     }
 
     /// Newly-activated vertices that the already-loaded task data can
@@ -797,33 +818,23 @@ impl HyTGraphSystem {
 
     /// Price the recompute pass, attributing each vertex's share to the
     /// device slice that loaded its partition: an extra kernel launch per
-    /// participating device; zero-copy also pays the bus again (its reads
-    /// are never resident), except over partitions the device holds.
-    fn charge_recompute(
-        &self,
-        eligible: &[VertexId],
-        kind: EngineKind,
-        bpe: u64,
-        residency: &Residency,
-        slices: &mut [Slice],
-    ) {
+    /// participating device; a slice zero-copy shipped also pays the bus
+    /// again (its reads are never resident).
+    fn charge_recompute(&self, eligible: &[VertexId], bpe: u64, slices: &mut [Slice]) {
         let machine = &self.config.machine;
-        for Slice { device, plan, .. } in slices.iter_mut() {
-            let dev = *device;
+        for Slice { device, plan, via } in slices.iter_mut() {
+            let zero_copy = *via == Some(EngineKind::ImpZeroCopy);
             let mut edges = 0u64;
             let mut requests = 0u64;
             let mut any = false;
             for v in eligible.iter().copied() {
-                let pid = self.parts.owner_of(v);
-                if self.devices.device_of(pid) != dev {
+                if self.devices.device_of(self.parts.owner_of(v)) != *device {
                     continue;
                 }
                 any = true;
                 let deg = self.graph.out_degree(v);
                 edges += deg;
-                let held =
-                    || matches!(residency, Residency::Hybrid(p) if p.holds(dev as usize, pid));
-                if kind == EngineKind::ImpZeroCopy && !held() {
+                if zero_copy {
                     let start = self.graph.edge_offset(v) * bpe;
                     requests += machine.pcie.requests_for_span(start, deg * bpe);
                 }
@@ -834,7 +845,7 @@ impl HyTGraphSystem {
             plan.kernel_time += machine.kernel.kernel_time(edges);
             plan.counters.kernel_edges += edges;
             plan.counters.kernel_launches += 1;
-            if kind == EngineKind::ImpZeroCopy {
+            if zero_copy {
                 let tlps = machine.pcie.zero_copy_tlps(requests);
                 plan.transfer_time += tlps as f64 * machine.pcie.rtt_zc(1.0);
                 plan.counters.zero_copy_bytes += requests * machine.pcie.request_bytes;
@@ -1033,6 +1044,24 @@ mod tests {
         analyze_partitions(sys.graph.view(), &sys.parts, &full, pcie, bpe, 1)
     }
 
+    /// One iteration's pricing of a task of `kind` over `members`
+    /// (indices into `acts`) on a single-device system: resolve each
+    /// member's delivery, then price the task's one slice.
+    fn price(
+        sys: &HyTGraphSystem,
+        kind: EngineKind,
+        members: &[usize],
+        acts: &[PartitionActivity],
+        state: &mut RunState,
+    ) -> Slice {
+        let decisions: Vec<_> = members.iter().map(|&i| (i, kind)).collect();
+        let delivery = state.residency.resolve(&decisions, acts, &sys.devices);
+        let task = CombinedTask { kind, members: members.to_vec() };
+        let mut slices = sys.price_task(&task, acts, &delivery, state);
+        assert_eq!(slices.len(), 1);
+        slices.remove(0)
+    }
+
     #[test]
     fn kept_partitions_cost_only_their_kernel_share() {
         let sys = small_system();
@@ -1043,33 +1072,34 @@ mod tests {
         let (a, b) = (&acts[0], &acts[1]);
         let bytes = |x: &PartitionActivity| x.total_edges * bpe;
         assert!(bytes(a) > 0 && bytes(b) > 0);
+        let filter = EngineKind::ExpFilter;
 
-        // The whole share fits: what filter ships once stays.
+        // The whole share fits: what is loaded once stays.
         let mut state = state_with(u64::MAX);
-        let first = sys.price_slice(EngineKind::ExpFilter, 0, &[a], &mut state);
-        assert!(!first.kernel_only);
+        let first = price(&sys, filter, &[0], &acts, &mut state);
+        assert_eq!(first.via, Some(filter));
         assert_eq!(first.plan.counters.explicit_bytes, bytes(a));
-        // A mixed slice ships only the member not kept, under one kernel
+        // A mixed slice ships only the member not held, under one kernel
         // over both.
-        let mixed = sys.price_slice(EngineKind::ExpFilter, 0, &[a, b], &mut state);
-        let whole = TaskPlan::over(EngineKind::ExpFilter, machine, &[a, b]);
-        assert!(!mixed.kernel_only);
+        let mixed = price(&sys, filter, &[0, 1], &acts, &mut state);
+        let whole = TaskPlan::over(filter, machine, &[a, b]);
+        assert_eq!(mixed.via, Some(filter));
         assert_eq!(mixed.plan.counters.explicit_bytes, bytes(b));
         assert_eq!(mixed.plan.transfer_time, machine.pcie.explicit_copy_time(bytes(b)));
         assert_eq!(mixed.plan.kernel_time, whole.kernel_time);
         assert_eq!(mixed.plan.counters.kernel_edges, whole.counters.kernel_edges);
         assert_eq!(mixed.plan.partitions, vec![a.partition, b.partition]);
-        // Once both are kept, any engine's slice over them is its kernel.
-        let kept = sys.price_slice(EngineKind::ExpCompaction, 0, &[a, b], &mut state);
-        assert!(kept.kernel_only);
+        // Once both are held, any engine's slice over them is its kernel.
+        let kept = price(&sys, EngineKind::ExpCompaction, &[0, 1], &acts, &mut state);
+        assert_eq!(kept.via, None);
         assert_eq!(kept.plan.counters, whole.counters);
         assert_eq!((kept.plan.cpu_time, kept.plan.transfer_time), (0.0, 0.0));
 
         // The whole share does not fit: nothing stays.
         let mut state = state_with(0);
         for _ in 0..2 {
-            let again = sys.price_slice(EngineKind::ExpFilter, 0, &[a], &mut state);
-            assert!(!again.kernel_only);
+            let again = price(&sys, filter, &[0], &acts, &mut state);
+            assert_eq!(again.via, Some(filter));
             assert_eq!(again.plan.counters.explicit_bytes, bytes(a));
         }
     }
@@ -1084,15 +1114,17 @@ mod tests {
         let bytes = |x: &PartitionActivity| x.total_edges * bpe;
         let p = sys.parts.get(b.partition);
         let in_b: Vec<VertexId> = (p.first_vertex..p.end_vertex).collect();
-        let zc = EngineKind::ImpZeroCopy;
+        let (ec, zc) = (EngineKind::ExpCompaction, EngineKind::ImpZeroCopy);
 
         // The whole share fits: a compaction slice and a zero-copy slice
-        // each load their member whole, in the filter shape, and keep it.
+        // each load their member whole, in the filter shape (so nothing
+        // gathers), and keep it.
         let mut state = hybrid_state(&sys, u64::MAX);
-        for (kind, x) in [(EngineKind::ExpCompaction, a), (zc, b)] {
-            let s = sys.price_slice(kind, 0, &[x], &mut state);
+        for (kind, i) in [(ec, 0), (zc, 1)] {
+            let x = &acts[i];
+            let s = price(&sys, kind, &[i], &acts, &mut state);
             let want = TaskPlan::over(kind, machine, &[x]);
-            assert!(!s.kernel_only);
+            assert_eq!(s.via, Some(EngineKind::ExpFilter), "{kind:?}");
             assert_eq!(s.plan.counters.explicit_bytes, bytes(x), "{kind:?}");
             assert_eq!(s.plan.counters.compaction_bytes, 0, "{kind:?}");
             assert_eq!(s.plan.counters.zero_copy_bytes, 0, "{kind:?}");
@@ -1103,10 +1135,10 @@ mod tests {
             assert!(matches!(task.phases[..], [Phase::Transfer(_), Phase::Kernel(_)]));
         }
         // A zero-copy recompute over the loaded partition pays no bus.
-        let mut slices = vec![sys.price_slice(zc, 0, &[a, b], &mut state)];
-        assert!(slices[0].kernel_only, "the next slice over them is kernel-only");
+        let mut slices = vec![price(&sys, zc, &[0, 1], &acts, &mut state)];
+        assert_eq!(slices[0].via, None, "the next slice over them is kernel-only");
         let before = slices[0].plan.transfer_time;
-        sys.charge_recompute(&in_b, zc, bpe, &state.residency, &mut slices);
+        sys.charge_recompute(&in_b, bpe, &mut slices);
         assert_eq!(slices[0].plan.transfer_time, before);
         assert_eq!(slices[0].plan.counters.zero_copy_bytes, 0);
         assert_eq!(slices[0].plan.counters.kernel_launches, 2);
@@ -1115,22 +1147,23 @@ mod tests {
         // a zero-copy recompute pays the bus again.
         let mut state = hybrid_state(&sys, 0);
         for _ in 0..2 {
-            let c = sys.price_slice(EngineKind::ExpCompaction, 0, &[a], &mut state);
+            let c = price(&sys, ec, &[0], &acts, &mut state);
             let surplus = ValueLayout::narrow().compaction_surplus();
             let want = compaction::price_compaction_sized(machine, &[a], bpe, surplus);
+            assert_eq!(c.via, Some(ec));
             assert_eq!(c.plan.counters, want.counters);
             assert_eq!(c.plan.cpu_time, want.cpu_time);
             assert_eq!(c.plan.transfer_time, want.transfer_time);
             assert_eq!(c.plan.to_sim_task().phases, want.to_sim_task().phases);
-            let z = sys.price_slice(zc, 0, &[b], &mut state);
+            let z = price(&sys, zc, &[1], &acts, &mut state);
             let want = zero_copy::plan_zero_copy(machine, &[b]);
             assert_eq!(z.plan.counters, want.counters);
             assert_eq!(z.plan.transfer_time, want.transfer_time);
             assert_eq!(z.plan.to_sim_task().phases, want.to_sim_task().phases);
         }
-        let mut slices = vec![sys.price_slice(zc, 0, &[b], &mut state)];
+        let mut slices = vec![price(&sys, zc, &[1], &acts, &mut state)];
         let before = slices[0].plan.counters.zero_copy_bytes;
-        sys.charge_recompute(&in_b, zc, bpe, &state.residency, &mut slices);
+        sys.charge_recompute(&in_b, bpe, &mut slices);
         assert!(slices[0].plan.counters.zero_copy_bytes > before);
     }
 

@@ -5,26 +5,35 @@
 //! Fig. 7(a)/(b) engine mixes, Fig. 7(c)/(d) per-iteration runtimes, and
 //! Table VI transfer counters.
 
+use crate::residency::Delivery;
 use hyt_engines::EngineKind;
 use hyt_sim::{SimTime, TransferCounters};
 use serde::Serialize;
 
-/// How many active partitions each engine served in one iteration
-/// (Fig. 7(a)/(b)'s stacked proportions).
+/// How each active partition reached its device in one iteration
+/// (Fig. 7(a)/(b)'s stacked proportions, plus the partitions HyTGraph's
+/// residency served without Algorithm 1's engine).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct EngineMix {
-    /// Partitions served by ExpTM-filter.
+    /// Partitions shipped by ExpTM-filter.
     pub filter: u32,
-    /// Partitions served by ExpTM-compaction.
+    /// Partitions shipped by ExpTM-compaction.
     pub compaction: u32,
-    /// Partitions served by ImpTM-zero-copy.
+    /// Partitions shipped by ImpTM-zero-copy.
     pub zero_copy: u32,
-    /// Partitions served by ImpTM-unified-memory.
+    /// Partitions shipped by ImpTM-unified-memory.
     pub unified: u32,
+    /// Partitions a device held already, so only the kernel ran
+    /// (HyTGraph, on a device whose whole share fits).
+    pub held: u32,
+    /// Partitions a device whose whole share fits loaded whole on first
+    /// touch, at ExpTM-filter's price whatever Algorithm 1 chose, and
+    /// kept.
+    pub load: u32,
 }
 
 impl EngineMix {
-    /// Record `n` partitions for `kind`.
+    /// Record `n` partitions shipped by `kind`.
     pub fn add(&mut self, kind: EngineKind, n: u32) {
         match kind {
             EngineKind::ExpFilter => self.filter += n,
@@ -34,12 +43,23 @@ impl EngineMix {
         }
     }
 
-    /// Merge another mix into this one (summing all four engines).
+    /// Record one partition's resolved delivery.
+    pub(crate) fn record(&mut self, delivery: Delivery) {
+        match delivery {
+            Delivery::Held => self.held += 1,
+            Delivery::Load => self.load += 1,
+            Delivery::Engine(kind) => self.add(kind, 1),
+        }
+    }
+
+    /// Merge another mix into this one (summing every field).
     pub fn merge(&mut self, other: &EngineMix) {
         self.filter += other.filter;
         self.compaction += other.compaction;
         self.zero_copy += other.zero_copy;
         self.unified += other.unified;
+        self.held += other.held;
+        self.load += other.load;
     }
 
     /// Run-total mix: the sum over a run's per-iteration records.
@@ -51,20 +71,26 @@ impl EngineMix {
         total
     }
 
-    /// Total active partitions.
-    pub fn total(&self) -> u32 {
-        self.filter + self.compaction + self.zero_copy + self.unified
+    /// Partitions on the device without an engine: held plus loaded.
+    pub fn resident(&self) -> u32 {
+        self.held + self.load
     }
 
-    /// `(filter, compaction, zero_copy, unified)` as fractions of the
-    /// total (zeros when idle).
-    pub fn fractions(&self) -> (f64, f64, f64, f64) {
+    /// Total active partitions.
+    pub fn total(&self) -> u32 {
+        self.filter + self.compaction + self.zero_copy + self.unified + self.resident()
+    }
+
+    /// `(filter, compaction, zero_copy, unified, resident)` as fractions
+    /// of the total (zeros when idle); they sum to one.
+    pub fn fractions(&self) -> (f64, f64, f64, f64, f64) {
         let t = self.total().max(1) as f64;
         (
             self.filter as f64 / t,
             self.compaction as f64 / t,
             self.zero_copy as f64 / t,
             self.unified as f64 / t,
+            self.resident() as f64 / t,
         )
     }
 }
@@ -244,16 +270,26 @@ mod tests {
         merged.merge(&m);
         assert_eq!(merged.total(), 7);
         assert_eq!((merged.filter, merged.zero_copy, merged.unified), (4, 1, 2));
-        let (f, c, z, u) = m.fractions();
+        let (f, c, z, u, r) = m.fractions();
         assert!((f - 0.8).abs() < 1e-12);
         assert_eq!(c, 0.0);
         assert!((z - 0.2).abs() < 1e-12);
-        assert_eq!(u, 0.0);
+        assert_eq!((u, r), (0.0, 0.0));
+        // Resident partitions count in the total and in their own column.
+        m.record(Delivery::Held);
+        m.record(Delivery::Load);
+        m.record(Delivery::Engine(EngineKind::ExpCompaction));
+        assert_eq!((m.held, m.load, m.compaction, m.total()), (1, 1, 1, 8));
+        let (f, c, z, u, r) = m.fractions();
+        assert!((f + c + z + u + r - 1.0).abs() < 1e-12);
+        assert!((r - 0.25).abs() < 1e-12);
+        merged.merge(&m);
+        assert_eq!((merged.resident(), merged.total()), (2, 15));
     }
 
     #[test]
     fn empty_mix_has_zero_fractions() {
         let m = EngineMix::default();
-        assert_eq!(m.fractions(), (0.0, 0.0, 0.0, 0.0));
+        assert_eq!(m.fractions(), (0.0, 0.0, 0.0, 0.0, 0.0));
     }
 }

@@ -77,16 +77,17 @@ fn main() {
         result.counters.exchange_bytes as f64 / 1024.0,
     );
 
-    println!("\nper-iteration engine mix (filter / compaction / zero-copy):");
+    println!("\nper-iteration engine mix (filter / compaction / zero-copy / resident):");
     for it in &result.per_iteration {
-        let (f, c, z, _) = it.mix.fractions();
+        let (f, c, z, _, r) = it.mix.fractions();
         println!(
-            "  iter {:>2}: {:>6} active vertices | {:>3.0}% E-F {:>3.0}% E-C {:>3.0}% I-ZC | {:>8.1} us",
+            "  iter {:>2}: {:>6} active vertices | {:>3.0}% E-F {:>3.0}% E-C {:>3.0}% I-ZC {:>3.0}% res | {:>8.1} us",
             it.iteration,
             it.active_vertices,
             f * 100.0,
             c * 100.0,
             z * 100.0,
+            r * 100.0,
             it.time * 1e6
         );
     }

@@ -19,17 +19,18 @@ use hytgraph::prelude::*;
 fn summarize(label: &str, iters: &[IterationStats]) {
     let total: f64 = iters.iter().map(|i| i.time).sum();
     println!("\n{label}: {} iterations, {:.2} ms simulated", iters.len(), total * 1e3);
-    println!("  iter | active-vertices | engine mix (E-F/E-C/I-ZC)");
+    println!("  iter | active-vertices | engine mix (E-F/E-C/I-ZC/resident)");
     let step = (iters.len() / 8).max(1);
     for it in iters.iter().step_by(step) {
-        let (f, c, z, _) = it.mix.fractions();
+        let (f, c, z, _, r) = it.mix.fractions();
         println!(
-            "  {:>4} | {:>14} | {:>3.0}% / {:>3.0}% / {:>3.0}%",
+            "  {:>4} | {:>14} | {:>3.0}% / {:>3.0}% / {:>3.0}% / {:>3.0}%",
             it.iteration,
             it.active_vertices,
             f * 100.0,
             c * 100.0,
-            z * 100.0
+            z * 100.0,
+            r * 100.0
         );
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! The sharding contract (ISSUE 2): for any device count `D`, the runner
 //! must produce values, a convergence-iteration count and per-iteration
-//! engine choices **bit-identical** to the `D = 1` run — sharding may only
-//! change the timeline. These tests
+//! Algorithm 1 engine choices **bit-identical** to the `D = 1` run —
+//! sharding may only change the timeline, and which devices' shares fit.
+//! The engine mix shows Algorithm 1's choices wherever no partition is
+//! held or loaded, so a zero-budget run pins them. These tests
 //! hold the runner to that with fixed mid-size graphs, a proptest sweep
 //! over random graphs, and the sequential oracles as ground truth.
 //!
@@ -14,7 +16,8 @@
 //! algorithms).
 
 use hytgraph::algos::reference;
-use hytgraph::core::{HostPorts, HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
+use hytgraph::core::{EngineMix, HostPorts, HyTGraphConfig, HyTGraphSystem, SystemKind};
+use hytgraph::core::{IterationStats, TopologyKind};
 use hytgraph::graph::generators;
 use hytgraph::prelude::*;
 use proptest::prelude::*;
@@ -40,8 +43,11 @@ fn run_with<P: hytgraph::core::api::VertexProgram>(
 }
 
 /// Assert that a sharded run repeats the `D = 1` run `r1`: the same
-/// values (compared through `key`), iterations, and engine mix in every
-/// iteration.
+/// values (compared through `key`), iterations, and in every iteration
+/// the same active partitions and kernel edges. Where neither run's
+/// devices held or loaded a partition that iteration, every partition
+/// went through Algorithm 1's engine, so the engine mix is the same too.
+/// (Tasks and kernel launches grow with `D`: a task is sliced per device.)
 fn assert_same_run<V, K: PartialEq + std::fmt::Debug>(
     r: &RunResult<V>,
     r1: &RunResult<V>,
@@ -49,8 +55,14 @@ fn assert_same_run<V, K: PartialEq + std::fmt::Debug>(
     what: &str,
 ) {
     assert_eq!((key(r), r.iterations), (key(r1), r1.iterations), "{what} diverged");
-    let mixes = |r: &RunResult<V>| r.per_iteration.iter().map(|it| it.mix).collect::<Vec<_>>();
-    assert_eq!(mixes(r), mixes(r1), "{what} changed its engine choices");
+    for (i, (a, b)) in r.per_iteration.iter().zip(&r1.per_iteration).enumerate() {
+        assert_eq!(a.mix.total(), b.mix.total(), "{what}: iteration {i} active partitions");
+        let edges = |it: &IterationStats| it.counters.kernel_edges;
+        assert_eq!(edges(a), edges(b), "{what}: iteration {i} kernel edges");
+        if a.mix.resident() == 0 && b.mix.resident() == 0 {
+            assert_eq!(a.mix, b.mix, "{what}: iteration {i} changed its engine choices");
+        }
+    }
 }
 
 #[test]
@@ -60,6 +72,17 @@ fn all_four_algorithms_bit_identical_across_device_counts() {
     let g = generators::rmat(11, 10.0, 42, true);
     let sys = |d: usize| HyTGraphSystem::new(g.clone(), sharded_config(d));
     let values = |r: &RunResult<u32>| r.values.clone();
+    // With no edge budget nothing is resident, so every run's mix is
+    // Algorithm 1's choices alone.
+    let unpinned = |d: usize| {
+        let mut cfg = sharded_config(d);
+        cfg.machine.edge_budget = 0;
+        HyTGraphSystem::new(g.clone(), cfg)
+    };
+    let sssp1_unpinned = unpinned(1).run(Sssp::from_source(0));
+    let pr1_unpinned = unpinned(1).run(PageRank::new());
+    let mix_of = |r: &RunResult<u32>| EngineMix::sum_over(&r.per_iteration);
+    assert!(mix_of(&sssp1_unpinned).zero_copy > 0, "SSSP never zero-copied");
 
     let sssp1 = sys(1).run(Sssp::from_source(0));
     assert_eq!(sssp1.counters.exchange_bytes, 0, "single-device runs must not pay the exchange");
@@ -83,6 +106,11 @@ fn all_four_algorithms_bit_identical_across_device_counts() {
         assert_same_run(&cc, &cc1, values, &format!("CC at D={d}"));
         let pr = sys(d).run(PageRank::new());
         assert_same_run(&pr, &pr1, PageRank::ranks, &format!("PageRank at D={d}"));
+        let sssp = unpinned(d).run(Sssp::from_source(0));
+        assert_same_run(&sssp, &sssp1_unpinned, values, &format!("unpinned SSSP at D={d}"));
+        let pr = unpinned(d).run(PageRank::new());
+        let what = format!("unpinned PageRank at D={d}");
+        assert_same_run(&pr, &pr1_unpinned, PageRank::ranks, &what);
     }
 }
 
