@@ -5,10 +5,9 @@
 //!
 //! 1. **Device sweep** (host-only topology): `D ∈ {1, 2, 4, 8}` for SSSP
 //!    and PageRank, reporting the simulated makespan and the speedup over
-//!    `D = 1` under the default host ports (two devices per PCIe switch
-//!    uplink) beside the same under one shared root complex, the exchange
-//!    payload, and whether the computed values stayed bit-identical to
-//!    the single-device run (the sharding contract; `tests/multi_gpu.rs`
+//!    `D = 1` (two devices per PCIe switch uplink), the exchange payload,
+//!    and whether the computed values stayed bit-identical to the
+//!    single-device run (the sharding contract; `tests/multi_gpu.rs`
 //!    enforces it, this table *shows* it).
 //! 2. **Topology sweep** (SSSP): host-only vs ring vs all-to-all at
 //!    `D ∈ {2, 4, 8}`, reporting the total exchange time and its
@@ -18,15 +17,14 @@
 //!
 //! Host-only scaling is sub-linear: every device brings its own kernel
 //! engine and streams, but the devices of one PCIe host port share its
-//! queue, so transfer-bound phases serialise per port (across all of them
-//! behind one shared root complex) and the staged exchange grows with
-//! `D`. NVLink-style topologies move the exchange off the host ports,
+//! queue, so transfer-bound phases serialise per port and the staged
+//! exchange grows with `D`. NVLink-style topologies move the exchange off the host ports,
 //! which is exactly the gap the paper's Section VIII names.
 
 use crate::context::{base_config, source_vertex, Ctx};
 use crate::table::{secs, Table};
 use hyt_algos::{PageRank, Sssp};
-use hyt_core::{HostPorts, HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
+use hyt_core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
 use hyt_graph::{generators, Csr};
 
 const DEVICE_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -50,13 +48,12 @@ struct SweepPoint {
     identical: bool,
 }
 
-fn sweep_algo(g: &Csr, pagerank: bool, host_ports: HostPorts) -> Vec<SweepPoint> {
+fn sweep_algo(g: &Csr, pagerank: bool) -> Vec<SweepPoint> {
     let src = source_vertex(g);
     let mut baseline: Option<(Vec<u64>, u32)> = None; // (value bits, iterations)
     let mut out = Vec::new();
     for &d in &DEVICE_SWEEP {
-        let mut cfg = sharded(base_config(), d, TopologyKind::HostOnly);
-        cfg.host_ports = host_ports;
+        let cfg = sharded(base_config(), d, TopologyKind::HostOnly);
         let mut sys = HyTGraphSystem::new(g.clone(), cfg);
         let (bits, iterations, time, exchange_bytes): (Vec<u64>, u32, f64, u64) = if pagerank {
             let r = sys.run(PageRank::new());
@@ -124,31 +121,18 @@ pub fn run(_ctx: &mut Ctx) -> Vec<Table> {
                     "Multi-GPU ({algo}, {label}, {} edges): makespan vs device count",
                     g.num_edges()
                 ),
-                &[
-                    "D",
-                    "time",
-                    "speedup",
-                    "shared-bus time",
-                    "shared-bus speedup",
-                    "iters",
-                    "exchange KB",
-                    "values==D1",
-                ],
+                &["D", "time", "speedup", "iters", "exchange KB", "values==D1"],
             );
-            let points = sweep_algo(g, pagerank, base_config().host_ports);
-            let shared = sweep_algo(g, pagerank, HostPorts::Shared);
-            let (base, shared_base) = (points[0].time, shared[0].time);
-            for ((&d, p), s) in DEVICE_SWEEP.iter().zip(&points).zip(&shared) {
-                let identical = p.identical && s.identical && p.iterations == s.iterations;
+            let points = sweep_algo(g, pagerank);
+            let base = points[0].time;
+            for (&d, p) in DEVICE_SWEEP.iter().zip(&points) {
                 t.row(vec![
                     d.to_string(),
                     secs(p.time),
                     format!("{:.2}x", base / p.time),
-                    secs(s.time),
-                    format!("{:.2}x", shared_base / s.time),
                     p.iterations.to_string(),
                     format!("{:.1}", p.exchange_bytes as f64 / 1024.0),
-                    if identical { "yes".into() } else { "NO".into() },
+                    if p.identical { "yes".into() } else { "NO".into() },
                 ]);
             }
             out.push(t);

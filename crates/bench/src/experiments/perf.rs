@@ -21,14 +21,14 @@
 //!   units, bus busy time and exposed exchange (the whole exchange time:
 //!   nothing hides it) — so a moved makespan can be decomposed from the
 //!   diff alone;
-//! * since v5: `records` run under the default host-port grouping (two
-//!   devices per PCIe switch uplink), and `shared_root_complex` keeps the
-//!   `D ∈ {4, 8}` grid with every device behind one root complex
-//!   ([`HostPorts::Shared`], the v4 model), so that table stays
-//!   reproducible. It is a separate array because readers of `records`
-//!   take the first `(dataset, algo, devices)` match;
+//! * since v5: `records` run with two devices per PCIe switch uplink
+//!   (v5 and v6 also carried the `D ∈ {4, 8}` grid with every device
+//!   behind one shared root complex, the v4 model, in a second array);
 //! * since v6: the skewed-ring array is `skewed_ring`, edge-balanced
-//!   placement only (the priced placement planner is gone).
+//!   placement only (the priced placement planner is gone);
+//! * since v7: two devices per uplink is the interconnect's only host
+//!   layout, so the shared-root-complex array is gone; `records`,
+//!   `batched` and `skewed_ring` are v6's.
 //!
 //! Since v3 the run also **diffs against the committed baseline**: any
 //! matching `(dataset, algo, devices)` record whose simulated makespan
@@ -43,13 +43,13 @@
 use crate::context::{base_config, run_algo_with_config, Ctx};
 use crate::table::{secs, Table};
 use hyt_algos::AlgoKind;
-use hyt_core::{HostPorts, SystemKind};
+use hyt_core::SystemKind;
 use hyt_graph::{Csr, DatasetId};
 use serde::Serialize;
 use serde_json::Value;
 
 /// Schema tag for the emitted JSON, bumped on layout changes.
-pub const PERF_SCHEMA: &str = "hytgraph-perf-v6";
+pub const PERF_SCHEMA: &str = "hytgraph-perf-v7";
 
 /// Fractional `total_time` growth over the committed baseline that
 /// fails a non-smoke `repro perf` run (25%).
@@ -73,8 +73,9 @@ pub struct PerfRecord {
     /// Scheduled units: Σ `IterationStats::tasks` — combined tasks after
     /// slicing by owning device (since v4).
     pub scheduled_units: u64,
-    /// Σ per-device `transfer_time`, seconds: the run's bus busy time
-    /// (since v4).
+    /// Σ per-device `transfer_time`, seconds: the run's host-port busy
+    /// time, summed over the ports (since v4). It is not the busiest
+    /// port's time: at `D` devices there are `D.div_ceil(2)` ports.
     pub bus_busy: f64,
     /// Σ `exchange.time`, seconds: the exchange on the critical path,
     /// all of it, since it is charged after the iteration barrier (since
@@ -128,11 +129,8 @@ pub struct PerfBaseline {
     pub schema: &'static str,
     /// System preset every record ran under.
     pub system: &'static str,
-    /// Measurements under the default host ports, in sweep order.
+    /// Measurements, in sweep order.
     pub records: Vec<PerfRecord>,
-    /// The `D > 1` cells again with every device behind one shared root
-    /// complex (since v5).
-    pub shared_root_complex: Vec<PerfRecord>,
     /// Session-layer batched-vs-serial throughput (since v2).
     pub batched: Vec<BatchedPerfRecord>,
     /// The skewed mixed-generation D=8 ring (since v3; named
@@ -208,17 +206,10 @@ pub fn diff_regressions(old: &[PerfRecord], new: &[PerfRecord]) -> Vec<String> {
 const ALGOS: [AlgoKind; 5] =
     [AlgoKind::PageRank, AlgoKind::Sssp, AlgoKind::Cc, AlgoKind::Bfs, AlgoKind::HyperBall];
 
-/// One grid cell: the HyTGraph preset on `d` devices behind `host_ports`.
-fn grid_record(
-    g: &Csr,
-    ds: DatasetId,
-    algo: AlgoKind,
-    d: usize,
-    host_ports: HostPorts,
-) -> PerfRecord {
+/// One grid cell: the HyTGraph preset on `d` devices.
+fn grid_record(g: &Csr, ds: DatasetId, algo: AlgoKind, d: usize) -> PerfRecord {
     let mut cfg = SystemKind::HyTGraph.configure(base_config());
     cfg.num_devices = d;
-    cfg.host_ports = host_ports;
     cfg.threads = 1; // bit-reproducible host kernels
     let m = run_algo_with_config(SystemKind::HyTGraph, algo, g, cfg);
     let its = &m.per_iteration;
@@ -240,18 +231,12 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
     let datasets: &[DatasetId] =
         if smoke { &[DatasetId::Sk] } else { &[DatasetId::Sk, DatasetId::Tw] };
     let devices: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 8] };
-    let default_ports = base_config().host_ports;
-    let (mut records, mut shared_root_complex) = (Vec::new(), Vec::new());
+    let mut records = Vec::new();
     for &ds in datasets {
         let g = ctx.graph(ds);
         for algo in ALGOS {
             for &d in devices {
-                records.push(grid_record(&g, ds, algo, d, default_ports));
-            }
-        }
-        for algo in ALGOS {
-            for &d in devices.iter().filter(|&&d| d > 1) {
-                shared_root_complex.push(grid_record(&g, ds, algo, d, HostPorts::Shared));
+                records.push(grid_record(&g, ds, algo, d));
             }
         }
     }
@@ -283,7 +268,6 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
         schema: PERF_SCHEMA,
         system: SystemKind::HyTGraph.name(),
         records,
-        shared_root_complex,
         batched,
         skewed_ring,
     }
@@ -328,44 +312,23 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         Ok(()) => eprintln!("   wrote {} records to {path}", baseline.records.len()),
         Err(e) => eprintln!("   could not write {path}: {e}"),
     }
-    let grid = |title: String, records: &[PerfRecord]| {
-        let mut t = Table::new(
-            title,
-            &[
-                "dataset",
-                "algo",
-                "D",
-                "iters",
-                "time",
-                "exchange KB",
-                "units",
-                "bus",
-                "exposed exch",
-            ],
-        );
-        for r in records {
-            t.row(vec![
-                r.dataset.clone(),
-                r.algo.clone(),
-                r.devices.to_string(),
-                r.iterations.to_string(),
-                secs(r.total_time),
-                format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
-                r.scheduled_units.to_string(),
-                secs(r.bus_busy),
-                secs(r.exchange_exposed),
-            ]);
-        }
-        t
-    };
-    let t = grid(
+    let mut t = Table::new(
         format!("Perf baseline ({}, {})", baseline.schema, baseline.system),
-        &baseline.records,
+        &["dataset", "algo", "D", "iters", "time", "exchange KB", "units", "bus", "exposed exch"],
     );
-    let s = grid(
-        "D > 1 behind one shared root complex (HostPorts::Shared)".to_string(),
-        &baseline.shared_root_complex,
-    );
+    for r in &baseline.records {
+        t.row(vec![
+            r.dataset.clone(),
+            r.algo.clone(),
+            r.devices.to_string(),
+            r.iterations.to_string(),
+            secs(r.total_time),
+            format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
+            r.scheduled_units.to_string(),
+            secs(r.bus_busy),
+            secs(r.exchange_exposed),
+        ]);
+    }
     let mut b = Table::new(
         "Batched vs serial traversal throughput (skewed graph, D=8 ring)",
         &["width", "serial time", "batched time", "speedup", "serial KB", "batched KB"],
@@ -393,5 +356,5 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
         ]);
     }
-    vec![t, s, b, p]
+    vec![t, b, p]
 }

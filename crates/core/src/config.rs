@@ -2,7 +2,7 @@
 
 use crate::select::{SelectParams, Selection};
 use hyt_graph::DeviceAssignment;
-use hyt_sim::{HostPorts, LinkSpec, MachineModel, TopologyKind};
+use hyt_sim::{LinkSpec, MachineModel, TopologyKind};
 
 /// Scale shift shared with `hyt_graph::datasets`: datasets are 2¹⁰ smaller
 /// than the paper's, so partitions and device budgets shrink by the same
@@ -87,15 +87,12 @@ pub struct HyTGraphConfig {
     /// platform), or NVLink-style peer links in a ring / fully-connected
     /// clique that the frontier exchange routes over (direct, forwarded
     /// device-via-device, or host-staged — whichever prices cheapest).
+    /// Every shape has the same host side, the DGX-1-class 8-GPU PCIe
+    /// tree ([`hyt_sim::Interconnect::build`]): two devices per switch,
+    /// one x16 uplink each, and each uplink its own queue for task
+    /// transfers and host-staged exchange legs. At `num_devices ≤ 2`
+    /// that is the paper's single port.
     pub topology: TopologyKind,
-    /// How the devices' host lanes group onto PCIe host ports, each its
-    /// own queue for task transfers and host-staged exchange legs
-    /// ([`hyt_sim::Interconnect::with_host_ports`]). The default,
-    /// [`HostPorts::PairedSwitches`], is the DGX-1-class 8-GPU PCIe tree:
-    /// two devices per switch, one x16 uplink each. [`HostPorts::Shared`]
-    /// puts every device behind one root complex. At `num_devices = 1`
-    /// every preset is the same single port.
-    pub host_ports: HostPorts,
     /// Bandwidth and latency of each peer link when `topology` has any.
     /// Each direction of a peer link owns its own contention queue, so
     /// the two legs of a symmetric exchange overlap. Forwarded chains
@@ -141,7 +138,6 @@ impl Default for HyTGraphConfig {
             num_devices: 1,
             device_assignment: DeviceAssignment::EdgeBalanced,
             topology: TopologyKind::HostOnly,
-            host_ports: HostPorts::PairedSwitches,
             peer_link: LinkSpec::nvlink().scaled(SCALE_SHIFT),
             link_overrides: Vec::new(),
             num_streams: 4,
@@ -177,7 +173,6 @@ mod tests {
         assert_eq!(c.num_devices, 1, "the paper's platform is single-GPU");
         assert_eq!(c.device_assignment, DeviceAssignment::EdgeBalanced);
         assert_eq!(c.topology, TopologyKind::HostOnly, "the paper's platform has no peer links");
-        assert_eq!(c.host_ports, HostPorts::PairedSwitches, "a DGX-1-class PCIe tree at D > 1");
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
         let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
         let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), ring);
@@ -188,33 +183,38 @@ mod tests {
     fn config_link_overrides_build_the_fabric_with_link_spec_builds() {
         use hyt_sim::Interconnect;
         let c = HyTGraphConfig::default();
-        let (pcie, peer) = (c.machine.pcie, c.peer_link);
         let fast = LinkSpec::with_nominal_bw(200.0e9).scaled(SCALE_SHIFT);
         let slow = LinkSpec::with_nominal_bw(2.0e9).scaled(SCALE_SHIFT);
-        let system = |num_devices, topology, link_overrides| {
-            let cfg = HyTGraphConfig { num_devices, topology, link_overrides, ..c.clone() };
-            crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), cfg)
-        };
-        // A D = 8 ring: two links re-priced (one named against its
-        // endpoint order) and one chord added.
-        let ring = system(8, TopologyKind::Ring, vec![(0, 1, fast), (7, 6, slow), (2, 6, fast)]);
-        let expect = Interconnect::build(TopologyKind::Ring, 8, pcie, peer)
-            .with_host_ports(c.host_ports)
-            .with_link_spec(0, 1, fast)
-            .with_link_spec(7, 6, slow)
-            .with_link_spec(2, 6, fast)
-            .with_route_breakpoints(&ROUTE_LADDER);
-        assert_eq!(*ring.interconnect(), expect);
-        // A D = 4 host-only system with two added links: a sparse
-        // mixed-generation fabric, built the same way.
-        let sparse = system(4, TopologyKind::HostOnly, vec![(0, 1, fast), (1, 2, slow)]);
-        let expect = Interconnect::build(TopologyKind::HostOnly, 4, pcie, peer)
-            .with_host_ports(c.host_ports)
-            .with_link_spec(0, 1, fast)
-            .with_link_spec(1, 2, slow)
-            .with_route_breakpoints(&ROUTE_LADDER);
-        assert_eq!(*sparse.interconnect(), expect);
-        assert_eq!(sparse.interconnect().kind(), TopologyKind::HostOnly);
+        for nd in 1..=9usize {
+            for topology in TopologyKind::ALL {
+                // Two links re-priced or added (the second named against
+                // its endpoint order) and one chord, where D spans them.
+                let edits = [(0, 1, fast), (nd - 1, nd.saturating_sub(2), slow), (2, nd - 1, fast)];
+                let link_overrides: Vec<_> = (edits.into_iter())
+                    .filter(|&(a, b, _)| a != b && a.max(b) < nd)
+                    .map(|(a, b, spec)| (a as u32, b as u32, spec))
+                    .collect();
+                let cfg = HyTGraphConfig {
+                    num_devices: nd,
+                    topology,
+                    link_overrides: link_overrides.clone(),
+                    ..c.clone()
+                };
+                let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), cfg);
+                let (ic, what) = (sys.interconnect(), format!("D={nd} {topology:?}"));
+                // Two devices per host port, whatever the shape.
+                assert_eq!(ic.num_host_ports(), nd.div_ceil(2), "{what}");
+                for d in 0..nd {
+                    assert_eq!(ic.host_link_of(d as u32), d / 2, "{what} device {d}");
+                }
+                let mut expect = Interconnect::build(topology, nd, c.machine.pcie, c.peer_link);
+                for (a, b, spec) in link_overrides {
+                    expect = expect.with_link_spec(a, b, spec);
+                }
+                assert_eq!(*ic, expect.with_route_breakpoints(&ROUTE_LADDER), "{what}");
+                assert_eq!(ic.kind(), topology, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use api::{
 pub use config::{AsyncMode, HyTGraphConfig};
 pub use cost::{partition_costs_sized, PartitionCosts};
 pub use hyt_engines::EngineKind;
-pub use hyt_sim::{HostPorts, Interconnect, LinkSpec, Route, TopologyKind};
+pub use hyt_sim::{Interconnect, LinkSpec, Route, TopologyKind};
 pub use runner::{HyTGraphSystem, MutationReport, COMPACTION_HORIZON_ITERS};
 pub use select::{SelectParams, Selection};
 pub use session::{

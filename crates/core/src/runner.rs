@@ -44,8 +44,8 @@
 //! direct NVLink-class peer link (`config.topology` ring / all-to-all,
 //! optionally re-priced per link by `config.link_overrides`), a
 //! forwarded device-via-device multi-hop path, or staging through host
-//! memory (up on the source's host port, down on the destination's:
-//! `config.host_ports`), each host leg an explicit copy or a zero-copy
+//! memory (up on the source's host port, down on the destination's; two
+//! devices share each port), each host leg an explicit copy or a zero-copy
 //! run, whichever is cheaper. The legs play on the tasks' list scheduler after
 //! the barrier, so every [`IterationStats`] is final when its iteration
 //! returns: its time is the barrier plus the legs' makespan plus
@@ -262,8 +262,7 @@ impl HyTGraphSystem {
             nd as usize,
             config.machine.pcie,
             config.peer_link,
-        )
-        .with_host_ports(config.host_ports);
+        );
         for &(a, b, spec) in &config.link_overrides {
             interconnect = interconnect.with_link_spec(a, b, spec);
         }

@@ -101,7 +101,8 @@ impl EngineMix {
 pub struct ExchangeStats {
     /// Routed exchange wall time: the makespan of its legs on the list
     /// scheduler, where legs on disjoint queues overlap (equals the
-    /// serial bus time on the host-only topology). All of it is on the
+    /// serial bus time on a host-only fabric of one port, `D ≤ 2`). All
+    /// of it is on the
     /// iteration's critical path: the legs play after the barrier.
     pub time: SimTime,
     /// Always zero; kept for the frozen harness until ROADMAP's `wall` v2 item.

@@ -31,8 +31,8 @@
 //! * [`multi`] — the one discrete-event list scheduler: per-device
 //!   streams and kernel engines behind a routed interconnect and one host
 //!   compaction pool, then the frontier exchange's legs.
-//! * [`topology`] — the interconnect itself: host ports (one shared root
-//!   complex, one per PCIe switch, or one per device) plus
+//! * [`topology`] — the interconnect itself: host ports (one per PCIe
+//!   switch uplink, two devices each) plus
 //!   optional NVLink-class peer links (ring / all-to-all, edited per link
 //!   into heterogeneous fabrics, each link with its own spec and duplex
 //!   discipline), byte-size-aware cheapest-path
@@ -57,8 +57,8 @@ pub use multi::{MultiGpuSim, MultiTimeline};
 pub use pcie::PcieModel;
 pub use streams::{Phase, PhaseSpan, Resource, SimTask, StreamSim, Timeline};
 pub use topology::{
-    ExchangeReport, HostPorts, Interconnect, Link, LinkSpec, Route, TopologyKind,
-    ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES,
+    ExchangeReport, Interconnect, Link, LinkSpec, Route, TopologyKind, ROUTE_BREAKPOINT_LADDER,
+    ROUTE_PROBE_BYTES,
 };
 pub use um::{UmCache, UmModel};
 

@@ -9,9 +9,8 @@
 //! direction of every peer link) and the host compaction pool. Task
 //! traffic is host-routed (edge data lives in host memory), so it queues
 //! on its device's host port
-//! ([`Interconnect::host_link_of`]): one shared bus behind
-//! [`HostPorts::Shared`](crate::topology::HostPorts::Shared), one queue
-//! per PCIe switch otherwise.
+//! ([`Interconnect::host_link_of`]): one queue per PCIe switch uplink,
+//! shared by the two devices behind it.
 //!
 //! One loop plays two kinds of lane: a device's task list, in that
 //! device's priority order, and an exchange leg chain, one batch's
@@ -36,8 +35,9 @@ pub struct MultiTimeline {
     /// Elapsed time until the last device drains (the iteration barrier)
     /// or, once the exchange has played, until its last leg lands.
     pub makespan: SimTime,
-    /// Host-port busy time of the tasks, summed over all devices (and so
-    /// over all ports).
+    /// Host-port busy time of the tasks: the sum over all ports (and so
+    /// over all devices), not the busiest port. A port's own share is its
+    /// [`MultiTimeline::link_busy`] entry.
     pub bus_busy: SimTime,
     /// Host compaction-pool busy time (all devices).
     pub cpu_busy: SimTime,
@@ -71,7 +71,8 @@ pub struct MultiGpuSim {
 impl MultiGpuSim {
     /// A scheduler over `num_devices` devices with `num_streams` streams
     /// each (both clamped to at least 1), on the host-only
-    /// interconnect behind one shared root complex.
+    /// interconnect ([`Interconnect::host_only`]: one host port per two
+    /// devices).
     pub fn new(num_devices: usize, num_streams: usize) -> Self {
         let nd = num_devices.max(1);
         Self::with_interconnect(nd, num_streams, Interconnect::host_only(nd, PcieModel::pcie3()))
@@ -393,7 +394,8 @@ mod tests {
 
     #[test]
     fn shared_bus_serialises_across_devices() {
-        // Two pure transfers on different devices still share one bus.
+        // Two pure transfers on different devices of one port (D = 2)
+        // still share its bus.
         let t = || vec![explicit("t", 3.0, 0.0)];
         let tl = MultiGpuSim::new(2, 4).schedule(&[t(), t()]);
         assert!((tl.makespan - 6.0).abs() < 1e-12, "makespan {}", tl.makespan);
@@ -456,8 +458,8 @@ mod tests {
         let ic = Interconnect::build(TopologyKind::Ring, 2, PcieModel::pcie3(), LinkSpec::nvlink());
         let t = || vec![explicit("t", 3.0, 1.0), SimTask::zero_copy("z", 2.0, 0.5)];
         let tl = MultiGpuSim::with_interconnect(2, 4, ic).schedule(&[t(), t()]);
-        // Host root complex + two direction queues of the full-duplex
-        // peer link.
+        // One host port (D = 2) + two direction queues of the
+        // full-duplex peer link.
         assert_eq!(tl.link_busy.len(), 3);
         assert!((tl.link_busy[0] - tl.bus_busy).abs() < 1e-12);
         assert!(tl.link_busy[1..].iter().all(|&b| b == 0.0), "task traffic is host-routed");
@@ -493,7 +495,13 @@ mod tests {
             vec![explicit("e", 0.9, 0.9)],
         ];
         let tl = MultiGpuSim::new(3, 2).schedule(&lists);
-        assert!(tl.makespan >= tl.bus_busy - 1e-9);
+        // Devices 0 and 1 share port 0, device 2 has port 1: each port's
+        // busy time is its devices' and bounds the makespan.
+        let bus = |d: usize| tl.per_device[d].pcie_busy;
+        let ports = [bus(0) + bus(1), bus(2)];
+        assert_eq!(tl.link_busy.len(), ports.len());
+        assert!(tl.link_busy.iter().zip(ports).all(|(&q, p)| (q - p).abs() < 1e-12));
+        assert!(tl.link_busy.iter().all(|&port| tl.makespan >= port - 1e-9));
         assert!(tl.makespan >= tl.cpu_busy - 1e-9);
         for dev in &tl.per_device {
             assert!(tl.makespan >= dev.gpu_busy - 1e-9);

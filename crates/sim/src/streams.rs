@@ -117,8 +117,8 @@ pub enum Resource {
     /// Host-side compaction pool (serialises with itself).
     Cpu,
     /// The host–device bus (one DMA direction). In multi-device runs
-    /// this is the device's host port of the configured
-    /// [`Interconnect`](crate::topology::Interconnect)
+    /// this is the device's host port (one per two devices) of the
+    /// configured [`Interconnect`](crate::topology::Interconnect)
     /// ([`Interconnect::host_link_of`](crate::topology::Interconnect::host_link_of));
     /// peer links are separate queues and never appear in task phase
     /// spans (task data is host-resident).

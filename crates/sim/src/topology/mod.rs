@@ -2,8 +2,8 @@
 //! multi-hop) paths, and per-direction contention.
 //!
 //! Pricing every byte — edge slices *and* the inter-device frontier
-//! exchange — on one shared PCIe root complex is exactly the "one flat
-//! bus" assumption the paper's Section VIII names as the open frontier.
+//! exchange — on one flat PCIe bus is exactly the assumption the paper's
+//! Section VIII names as the open frontier.
 //! This module makes the interconnect a first-class object:
 //!
 //! * a [`Link`] is one contended wire with its own pricing: a **host
@@ -15,12 +15,11 @@
 //!   smooth latency + bandwidth, [`LinkSpec`]).
 //!   Every peer link carries its *own* spec, so mixed-generation fabrics
 //!   (x4 beside x8 bridges, NVLink 2 beside NVLink 4) are first-class;
-//! * the host side is **one queue per host port** ([`HostPorts`]):
-//!   [`Interconnect::build`] puts every device behind one shared root
-//!   complex (a host-only interconnect is then the serial shared bus),
-//!   and [`Interconnect::with_host_ports`] splits it into one port per
-//!   PCIe switch, so devices on different ports move host bytes
-//!   concurrently;
+//! * the host side is **one queue per host port**, one port per PCIe
+//!   switch uplink with two devices behind it (device `d` on port
+//!   `d / 2`, [`Interconnect::host_link_of`]), so devices on different
+//!   ports move host bytes concurrently and the two devices of one port
+//!   serialise on it;
 //! * peer links are **full-duplex**: each direction owns its own
 //!   contention queue, so the two legs of a symmetric exchange overlap
 //!   instead of serialising;
@@ -49,10 +48,11 @@
 //!   into legs and plays them on the one list scheduler
 //!   ([`MultiGpuSim`](crate::MultiGpuSim)): legs on disjoint queues
 //!   overlap, legs sharing a queue serialise. With the host-only
-//!   topology behind one shared root complex this reduces
-//!   *bit-identically* to a serial bus pricing
-//!   every leg with the same per-leg rule (asserted by tests), so the
-//!   multi-device differential guarantees hold on every topology.
+//!   topology at `D ≤ 2` (one port) this reduces *bit-identically* to a
+//!   serial bus pricing every leg with the same per-leg rule, and at any
+//!   `D` each port is that serial bus for its own legs (asserted by
+//!   tests), so the multi-device differential guarantees hold on every
+//!   topology.
 //!
 //! Three private siblings, re-exported here so every
 //! `hyt_sim::topology::*` path resolves: `spec` (the link vocabulary),
@@ -66,7 +66,7 @@ mod spec;
 
 pub use price::ExchangeReport;
 pub use route::{Interconnect, Route, HOST_LINK, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES};
-pub use spec::{HostPorts, Link, LinkSpec, TopologyKind};
+pub use spec::{Link, LinkSpec, TopologyKind};
 
 // One test module for all three siblings (not one per file): the suite
 // tracks tests by path, and these keep their `topology::tests::*` names.

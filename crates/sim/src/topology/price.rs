@@ -39,7 +39,7 @@ impl Interconnect {
     /// [`MultiGpuSim`](crate::MultiGpuSim)'s one loop. Pairs route in
     /// ascending `(src, dst)` order, then the uploads by device, then the
     /// downloads by device: busy sums accumulate, and each host port
-    /// plays, in that order, so host-only behind one shared root complex
+    /// plays, in that order, so a host-only fabric of one port (`D ≤ 2`)
     /// is the serial bus (makespan == host busy, bit for bit). A free
     /// exchange (≤ 1 participant, or nothing published) returns a zeroed
     /// report with the per-link / per-queue vectors sized.

@@ -1,14 +1,18 @@
 //! The interconnect and its route tables: builders, the dense tables
 //! derived from the link set, and contention-free path pricing.
 
-use super::spec::{HostPorts, Link, LinkSpec, TopologyKind};
+use super::spec::{Link, LinkSpec, TopologyKind};
 use crate::pcie::PcieModel;
 use crate::SimTime;
 
-/// Index of host port 0 in every [`Interconnect`]'s link table: the one
-/// host link under [`HostPorts::Shared`], the first of
-/// [`Interconnect::num_host_ports`] otherwise.
+/// Index of host port 0 in every [`Interconnect`]'s link table, the
+/// first of its [`Interconnect::num_host_ports`] host links.
 pub const HOST_LINK: usize = 0;
+
+/// Devices behind one PCIe host port: two GPUs per PCIe switch, one x16
+/// uplink each (the DGX-1-class 8-GPU server tree). Device `d` uses host
+/// link `d / DEVICES_PER_PORT`, so at `D ≤ 2` there is one port.
+const DEVICES_PER_PORT: usize = 2;
 
 /// Default probe payload used to price candidate routes when the dense
 /// route table is built: large enough that sustained bandwidth (not
@@ -54,9 +58,6 @@ pub enum Route {
 pub struct Interconnect {
     kind: TopologyKind,
     num_devices: usize,
-    /// Devices sharing each host port: device `d` uses host link
-    /// `d / devices_per_port`.
-    devices_per_port: usize,
     /// Host ports first (link ids `0..num_host_ports`), then peer links.
     links: Vec<Link>,
     /// Dense `nd × nd` direct-peer-link table (`None` off the diagonal of
@@ -78,13 +79,12 @@ pub struct Interconnect {
 }
 
 impl Interconnect {
-    /// Build the `kind` topology over `num_devices` devices (minimum 1)
-    /// behind one shared host root complex ([`HostPorts::Shared`]): link
-    /// 0 is that root complex, priced by `host`; peer links (if any) all
-    /// carry the uniform `peer` spec. Mixed generations and arbitrary
-    /// fabrics are this plus [`Interconnect::with_link_spec`] per edited
-    /// link, and other host-port groupings this plus
-    /// [`Interconnect::with_host_ports`].
+    /// Build the `kind` topology over `num_devices` devices (minimum 1):
+    /// one host port per two devices, links `0..D.div_ceil(2)`, each
+    /// priced by `host` (device `d` uses port `d / 2`); then the peer
+    /// links (if any), all carrying the uniform `peer` spec. Mixed
+    /// generations and arbitrary fabrics are this plus
+    /// [`Interconnect::with_link_spec`] per edited link.
     ///
     /// # Panics
     /// When the shape has a peer link and `peer` is unusable (see
@@ -98,7 +98,7 @@ impl Interconnect {
                 (0..nd as u32).flat_map(|a| (a + 1..nd as u32).map(move |b| (a, b))).collect()
             }
         };
-        let mut links = vec![Link::Host(host)];
+        let mut links = vec![Link::Host(host); nd.div_ceil(DEVICES_PER_PORT)];
         for (a, b) in pairs {
             check_peer_link(nd, a, b, &peer);
             links.push(Link::Peer { ends: (a, b), spec: peer });
@@ -106,7 +106,6 @@ impl Interconnect {
         let mut ic = Interconnect {
             kind,
             num_devices: nd,
-            devices_per_port: nd,
             links,
             peer_adj: Vec::new(),
             breakpoints: vec![ROUTE_PROBE_BYTES],
@@ -131,20 +130,6 @@ impl Interconnect {
         bps.dedup();
         assert!(bps[0] > 0, "route probe sizes must be positive");
         self.breakpoints = bps;
-        self.finalize();
-        self
-    }
-
-    /// The same interconnect with its host lanes grouped by `ports`: one
-    /// [`Link::Host`] per port, all priced like the current port 0, at
-    /// the head of the link table (peer links keep their order after
-    /// them), and device `d` on host link `d / devices_per_port`. Route
-    /// and queue tables are rebuilt.
-    pub fn with_host_ports(mut self, ports: HostPorts) -> Self {
-        let host = self.links[HOST_LINK];
-        self.devices_per_port = ports.devices_per_port(self.num_devices);
-        self.links.retain(|l| matches!(l, Link::Peer { .. }));
-        self.links.splice(0..0, vec![host; self.num_host_ports()]);
         self.finalize();
         self
     }
@@ -290,7 +275,8 @@ impl Interconnect {
         routes
     }
 
-    /// The shared-bus interconnect (no peer links, one host root complex).
+    /// The host-only interconnect: no peer links, one host port per two
+    /// devices, every exchange leg staged through them.
     pub fn host_only(num_devices: usize, host: PcieModel) -> Self {
         Self::build(TopologyKind::HostOnly, num_devices, host, LinkSpec::nvlink())
     }
@@ -312,7 +298,7 @@ impl Interconnect {
 
     /// Host ports: host links `0..num_host_ports()`.
     pub fn num_host_ports(&self) -> usize {
-        self.num_devices.div_ceil(self.devices_per_port)
+        self.num_devices.div_ceil(DEVICES_PER_PORT)
     }
 
     /// Total contention queues: one per host port, two (one per
@@ -334,15 +320,15 @@ impl Interconnect {
     }
 
     /// Host port (link id) of `device`'s host-side transfers:
-    /// `device / devices_per_port`. Debug builds reject a device the
-    /// topology does not span.
+    /// `device / 2`. Debug builds reject a device the topology does not
+    /// span.
     pub fn host_link_of(&self, device: u32) -> usize {
         debug_assert!(
             (device as usize) < self.num_devices,
             "host_link_of({device}) out of range: the topology spans {} devices",
             self.num_devices
         );
-        device as usize / self.devices_per_port
+        device as usize / DEVICES_PER_PORT
     }
 
     /// Direct peer link between `a` and `b`, if the topology has one.

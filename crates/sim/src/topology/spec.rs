@@ -47,33 +47,6 @@ impl TopologyKind {
     }
 }
 
-/// How the devices' host lanes are grouped onto PCIe host ports: each
-/// port is one [`Link::Host`] with its own queue, shared by
-/// [`HostPorts::devices_per_port`] consecutive devices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HostPorts {
-    /// Every device behind one root complex: the paper's one-GPU box,
-    /// generalised. What [`Interconnect::build`](super::Interconnect::build)
-    /// makes.
-    Shared,
-    /// Two devices per PCIe switch, one x16 uplink each: the DGX-1 /
-    /// 4-switch 8-GPU server tree (the system configuration's default).
-    PairedSwitches,
-}
-
-impl HostPorts {
-    /// Every preset, in sweep order.
-    pub const ALL: [HostPorts; 2] = [HostPorts::Shared, HostPorts::PairedSwitches];
-
-    /// Devices sharing one port in a `num_devices`-device box (≥ 1).
-    pub fn devices_per_port(self, num_devices: usize) -> usize {
-        match self {
-            HostPorts::Shared => num_devices.max(1),
-            HostPorts::PairedSwitches => 2,
-        }
-    }
-}
-
 /// Bandwidth and latency of an NVLink-class point-to-point link. The
 /// bandwidth is *per direction*, and each direction owns its own
 /// contention queue.
@@ -120,8 +93,9 @@ impl LinkSpec {
 /// One contended wire of the interconnect.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Link {
-    /// One PCIe host port (a root port or switch uplink) that its
-    /// devices' host lanes converge on ([`HostPorts`]): one queue. Each
+    /// One PCIe switch uplink that its two devices' host lanes converge
+    /// on ([`Interconnect::host_link_of`](super::Interconnect::host_link_of)):
+    /// one queue. Each
     /// leg moves the cheaper way at its own size
     /// ([`PcieModel::hybrid_copy_time`]): a TLP-quantised explicit copy,
     /// or a zero-copy run whose last TLP may be partly filled.

@@ -23,25 +23,22 @@ fn topology_kind_parse_roundtrips() {
 fn link_counts_per_topology() {
     let p = pcie();
     let s = LinkSpec::nvlink();
-    assert_eq!(Interconnect::build(TopologyKind::HostOnly, 4, p, s).num_links(), 1);
-    assert_eq!(Interconnect::build(TopologyKind::Ring, 4, p, s).num_links(), 1 + 4);
+    // One host port per two devices, then the peers.
+    assert_eq!(Interconnect::build(TopologyKind::HostOnly, 4, p, s).num_links(), 2);
+    assert_eq!(Interconnect::build(TopologyKind::HostOnly, 2, p, s).num_links(), 1);
+    assert_eq!(Interconnect::build(TopologyKind::Ring, 4, p, s).num_links(), 2 + 4);
     assert_eq!(Interconnect::build(TopologyKind::Ring, 2, p, s).num_links(), 1 + 1);
     assert_eq!(Interconnect::build(TopologyKind::Ring, 1, p, s).num_links(), 1);
-    assert_eq!(Interconnect::build(TopologyKind::AllToAll, 4, p, s).num_links(), 1 + 6);
-    // One host link per port (⌈D / devices per port⌉), then the peers.
-    let ring = |nd, ports| Interconnect::build(TopologyKind::Ring, nd, p, s).with_host_ports(ports);
-    for (nd, ports, host_links) in [
-        (8, HostPorts::Shared, 1),
-        (8, HostPorts::PairedSwitches, 4),
-        (5, HostPorts::PairedSwitches, 3),
-        (1, HostPorts::PairedSwitches, 1),
-    ] {
-        let ic = ring(nd, ports);
-        assert_eq!(ic.num_host_ports(), host_links, "D={nd} {ports:?}");
-        let peers = if nd == 1 { 0 } else { nd };
-        assert_eq!(ic.num_links(), host_links + peers, "D={nd} {ports:?}");
+    assert_eq!(Interconnect::build(TopologyKind::AllToAll, 4, p, s).num_links(), 2 + 6);
+    // ⌈D / 2⌉ host links lead the table; the peers follow them.
+    for (nd, host_links, peers) in
+        [(8, 4, 8), (7, 4, 7), (5, 3, 5), (3, 2, 3), (2, 1, 1), (1, 1, 0)]
+    {
+        let ic = Interconnect::build(TopologyKind::Ring, nd, p, s);
+        assert_eq!(ic.num_host_ports(), host_links, "D={nd}");
+        assert_eq!(ic.num_links(), host_links + peers, "D={nd}");
         let (head, tail) = ic.links().split_at(host_links);
-        assert!(head.iter().all(|l| matches!(l, Link::Host(_))), "host ports lead");
+        assert!(head.iter().all(|l| *l == Link::Host(p)), "host ports lead, priced by `host`");
         assert!(tail.iter().all(|l| matches!(l, Link::Peer { .. })), "peers follow");
     }
 }
@@ -49,23 +46,20 @@ fn link_counts_per_topology() {
 #[test]
 fn queue_counts_follow_duplex() {
     let p = pcie();
-    // Host queue + one per direction of every peer link.
+    // One queue per host port, numbered first, then one per direction of
+    // every peer link.
     let full = Interconnect::build(TopologyKind::Ring, 4, p, LinkSpec::nvlink());
-    assert_eq!(full.num_queues(), 1 + 2 * 4);
-    assert_ne!(full.queue(1, false), full.queue(1, true));
+    assert_eq!(full.num_queues(), 2 + 2 * 4);
     // A host port is always one queue.
-    assert_eq!(full.queue(HOST_LINK, false), full.queue(HOST_LINK, true));
-    assert_eq!(Interconnect::host_only(4, p).num_queues(), 1);
-    // One queue per port, numbered first, then each peer link's two.
-    let paired = full.with_host_ports(HostPorts::PairedSwitches);
-    assert_eq!(paired.num_queues(), 2 + 2 * 4);
     for port in 0..2 {
-        assert_eq!(paired.queue(port, false), port);
-        assert_eq!(paired.queue(port, true), port);
+        assert_eq!(full.queue(port, false), port);
+        assert_eq!(full.queue(port, true), port);
     }
-    assert_eq!((paired.queue(2, false), paired.queue(2, true)), (2, 3));
-    let paired_host = Interconnect::host_only(6, p).with_host_ports(HostPorts::PairedSwitches);
-    assert_eq!(paired_host.num_queues(), 3);
+    assert_eq!((full.queue(2, false), full.queue(2, true)), (2, 3));
+    assert_eq!(Interconnect::host_only(2, p).num_queues(), 1);
+    assert_eq!(Interconnect::host_only(4, p).num_queues(), 2);
+    assert_eq!(Interconnect::host_only(5, p).num_queues(), 3);
+    assert_eq!(Interconnect::host_only(6, p).num_queues(), 3);
 }
 
 #[test]
@@ -222,14 +216,16 @@ fn forwarded_legs_price_as_the_sum_of_their_hops() {
 }
 
 #[test]
-fn mesh_builder_prices_mixed_generations_per_link() {
+fn link_spec_edits_price_mixed_generations_per_link() {
     let p = pcie();
     let fast = LinkSpec::with_nominal_bw(200.0e9);
     let slow = LinkSpec::with_nominal_bw(25.0e9);
-    // A sparse fabric: the bare host-only shape plus two added links.
+    // A sparse fabric: the bare host-only shape plus two added links,
+    // appended after its two host ports.
     let ic = Interconnect::host_only(3, p).with_link_spec(0, 1, fast).with_link_spec(1, 2, slow);
     assert_eq!(ic.kind(), TopologyKind::HostOnly, "the shape it was edited from");
-    assert_eq!(ic.num_links(), 3);
+    assert_eq!(ic.num_links(), 2 + 2);
+    assert_eq!((ic.peer_link(0, 1), ic.peer_link(1, 2)), (Some(2), Some(3)));
     let b = 1 << 20;
     let l01 = ic.peer_link(0, 1).unwrap();
     let l12 = ic.peer_link(1, 2).unwrap();
@@ -244,21 +240,26 @@ fn mesh_builder_prices_mixed_generations_per_link() {
 }
 
 #[test]
-fn ring_with_specs_assigns_in_link_order() {
+fn link_spec_edits_keep_link_and_endpoint_order() {
     let p = pcie();
     let specs =
         [LinkSpec::with_nominal_bw(50.0e9), LinkSpec::nvlink(), LinkSpec::with_nominal_bw(100.0e9)];
     let ic = Interconnect::build(TopologyKind::Ring, 3, p, specs[0])
         .with_link_spec(1, 2, specs[1])
         .with_link_spec(2, 0, specs[2]);
-    assert_eq!(ic.num_links(), 1 + 3);
+    assert_eq!(ic.num_links(), 2 + 3);
     let l20 = ic.peer_link(2, 0).unwrap();
-    // Re-pricing keeps the ring's link order and endpoint order.
-    assert_eq!(l20, 3);
+    // Re-pricing keeps the ring's link order (after the two host ports)
+    // and endpoint order.
+    assert_eq!(l20, 4);
     assert_eq!(ic.links()[l20], Link::Peer { ends: (2, 0), spec: specs[2] });
+    assert_eq!(
+        ic.links()[ic.peer_link(1, 2).unwrap()],
+        Link::Peer { ends: (1, 2), spec: specs[1] }
+    );
     let b = 1 << 20;
-    // Link (2, 0) carries the 100 GB/s spec and is the fastest.
-    for l in 1..ic.num_links() {
+    // Link (2, 0) carries the 100 GB/s spec and is the fastest peer.
+    for l in ic.num_host_ports()..ic.num_links() {
         if l != l20 {
             assert!(ic.transfer_time(l20, b) < ic.transfer_time(l, b) + EPS);
         }
@@ -375,47 +376,56 @@ fn host_link_of_rejects_devices_the_topology_does_not_span() {
 
 #[test]
 fn host_link_of_maps_every_spanned_device_to_its_host_port() {
-    let ring = Interconnect::build(TopologyKind::Ring, 8, pcie(), LinkSpec::nvlink());
-    let ports_of = |ports| {
-        let ic = ring.clone().with_host_ports(ports);
-        (0..8).map(|d| ic.host_link_of(d)).collect::<Vec<_>>()
+    let ports_of = |nd: usize| {
+        let ic = Interconnect::build(TopologyKind::Ring, nd, pcie(), LinkSpec::nvlink());
+        (0..nd as u32).map(|d| ic.host_link_of(d)).collect::<Vec<_>>()
     };
-    assert_eq!(ring.host_link_of(7), HOST_LINK, "build shares one root complex");
-    assert_eq!(ports_of(HostPorts::Shared), [HOST_LINK; 8]);
-    assert_eq!(ports_of(HostPorts::PairedSwitches), [0, 0, 1, 1, 2, 2, 3, 3]);
-    // Re-grouping keeps the peer fabric, and `Shared` is `build`'s own
-    // layout.
-    let paired = ring.clone().with_host_ports(HostPorts::PairedSwitches);
-    assert_eq!(paired.peer_link(2, 3).map(|l| paired.links()[l]), Some(ring.links()[3]));
-    assert_eq!(paired.with_host_ports(HostPorts::Shared), ring);
+    assert_eq!(ports_of(8), [0, 0, 1, 1, 2, 2, 3, 3]);
+    // An odd count leaves the last port with one device.
+    assert_eq!(ports_of(5), [0, 0, 1, 1, 2]);
+    assert_eq!(ports_of(2), [HOST_LINK; 2]);
+    assert_eq!(ports_of(1), [HOST_LINK]);
+    // Every port index is a host link, and the peers start after them.
+    let ring = Interconnect::build(TopologyKind::Ring, 8, pcie(), LinkSpec::nvlink());
+    for d in 0..8 {
+        assert!(matches!(ring.links()[ring.host_link_of(d)], Link::Host(_)), "device {d}");
+    }
+    assert_eq!(ring.peer_link(0, 1), Some(ring.num_host_ports()));
 }
 
 #[test]
 fn host_staging_prices_the_source_port_plus_the_destination_port() {
     // Identical ports price identically, so the staged route costs two
-    // legs under every preset, bit for bit the shared bus's `2 ×` one.
+    // legs whether the pair shares a port or not, bit for bit one
+    // port's `2 ×`.
     let b = 300_000;
     let leg = Link::Host(pcie()).transfer_time(b);
-    for ports in HostPorts::ALL {
-        let ic = Interconnect::host_only(4, pcie()).with_host_ports(ports);
-        for (s, d) in [(0, 1), (1, 2), (3, 0)] {
-            assert_eq!(ic.route(s, d, b), &Route::HostStaged);
-            assert_eq!(ic.route_cost(s, d, b), 2.0 * leg, "{ports:?} {s}->{d}");
-        }
+    let ic = Interconnect::host_only(4, pcie());
+    for (s, d) in [(0, 1), (1, 2), (3, 0), (2, 3)] {
+        assert_eq!(ic.route(s, d, b), &Route::HostStaged);
+        assert_eq!(ic.route_cost(s, d, b), 2.0 * leg, "{s}->{d}");
     }
-    // Staged legs ride their own ports: under PairedSwitches the two
-    // switches' publishers upload concurrently, so the exchange is
-    // shorter than the serial bus while moving the same bytes over the
-    // same total busy time.
-    let owned = [b, 0, b, 0];
-    let shared = Interconnect::host_only(4, pcie()).price_all_gather(&owned, &[true; 4]);
-    let split = Interconnect::host_only(4, pcie())
-        .with_host_ports(HostPorts::PairedSwitches)
-        .price_all_gather(&owned, &[true; 4]);
-    assert_eq!((split.host_bytes, split.payload_bytes), (shared.host_bytes, shared.payload_bytes));
-    assert!((split.host_time - shared.host_time).abs() < EPS);
-    assert!(split.makespan < shared.makespan, "{} !< {}", split.makespan, shared.makespan);
-    assert_eq!(split.per_queue_busy.len(), 2);
+    // Staged legs ride their own ports: publishers behind different
+    // ports upload concurrently, so the exchange is shorter than with
+    // both publishers behind port 0, while moving the same bytes over
+    // the same total busy time.
+    let all = [true; 4];
+    let split = ic.price_all_gather(&[b, 0, b, 0], &all);
+    let packed = ic.price_all_gather(&[b, b, 0, 0], &all);
+    assert_eq!((split.host_bytes, split.payload_bytes), (packed.host_bytes, packed.payload_bytes));
+    assert!((split.host_time - packed.host_time).abs() < EPS);
+    assert!(split.makespan < packed.makespan, "{} !< {}", split.makespan, packed.makespan);
+    for r in [&split, &packed] {
+        assert_eq!(r.per_queue_busy.len(), 2, "one queue per port");
+        // No port can finish before its own legs have played.
+        let busiest = r.per_queue_busy.iter().fold(0.0f64, |a, &x| a.max(x));
+        assert!(r.makespan >= busiest - EPS, "{} < {busiest}", r.makespan);
+    }
+    // At D = 2 both devices share one port: the serial bus, bit for bit.
+    let one = Interconnect::host_only(2, pcie()).price_all_gather(&[b, b], &[true; 2]);
+    assert_eq!(one.per_queue_busy.len(), 1);
+    assert_eq!(one.makespan, one.per_queue_busy[0]);
+    assert_eq!(one.makespan, leg + leg + leg + leg);
 }
 
 #[test]
@@ -426,7 +436,7 @@ fn a_staged_download_waits_for_the_uploads_it_carries() {
     // would start port 1 before the data exists.
     let b = 300_000;
     let leg = Link::Host(pcie()).transfer_time(b);
-    let ic = Interconnect::host_only(4, pcie()).with_host_ports(HostPorts::PairedSwitches);
+    let ic = Interconnect::host_only(4, pcie());
     let r = ic.price_all_gather(&[b, 0, 0, 0], &[true; 4]);
     assert_eq!(r.makespan, leg + leg + leg);
     assert!(r.makespan >= ic.route_cost(0, 3, b) + leg);

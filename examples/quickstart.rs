@@ -11,7 +11,7 @@
 //! transfer engines the cost model picked as the frontier evolved — the
 //! paper's core behaviour, visible in miniature. The optional argument
 //! selects the inter-device topology; peer links drain the frontier
-//! exchange off the shared PCIe root complex.
+//! exchange off the PCIe host ports.
 
 use hytgraph::core::TopologyKind;
 use hytgraph::prelude::*;

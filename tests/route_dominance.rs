@@ -8,14 +8,14 @@
 //! * **oracle** — the all-gather routes **bit-identically** to the
 //!   reference model re-implemented here from the public route/queue
 //!   API, on single-probe fabrics and on the five-rung ladder every
-//!   system prices with, under every host-port preset: exact `==` on
+//!   system prices with, two devices per host port: exact `==` on
 //!   every field but the makespan — per-queue and per-link busy vectors,
 //!   class times, every byte counter — no epsilon. The list-scheduled
 //!   makespan lies between the oracle's lower bound (busiest queue,
 //!   longest hop chain) and the sum of the legs.
 
 use hytgraph::sim::{
-    ExchangeReport, HostPorts, Interconnect, Link, LinkSpec, PcieModel, Route, TopologyKind,
+    ExchangeReport, Interconnect, Link, LinkSpec, PcieModel, Route, TopologyKind,
     ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
@@ -49,7 +49,8 @@ fn mixed_fabric(gens: &[usize], slow_sel: usize) -> Interconnect {
 /// The reference all-gather routing, re-implemented from the public
 /// API: each pair's route looked up at its own batch size,
 /// per-direction queue occupancy, shared host upload per source on its
-/// host port + aggregated download per destination on its own (the
+/// host port (device `d` on port `d / 2`, stated here rather than asked
+/// of the fabric) + aggregated download per destination on its own (the
 /// uploads by device, then the downloads by device). Returns the report
 /// with a zero makespan, and the makespan's lower bound: the busiest
 /// queue floored by the longest store-and-forward chain, summed by the
@@ -113,7 +114,7 @@ fn oracle(ic: &Interconnect, owned: &[u64], participates: &[bool]) -> (ExchangeR
     }
     for legs in [&host_up, &host_down] {
         for (d, &b) in legs.iter().enumerate().filter(|&(_, &b)| b > 0) {
-            occupy(ic.host_link_of(d as u32), false, b, &mut r);
+            occupy(d / 2, false, b, &mut r);
             r.host_bytes += b;
         }
     }
@@ -137,24 +138,21 @@ proptest! {
         slow_sel in 0usize..16,
     ) {
         let nd = gens.len();
-        for ports in HostPorts::ALL {
-            let ic = mixed_fabric(&gens, slow_sel)
-                .with_host_ports(ports)
-                .with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
-            for &probe in ic.route_breakpoints() {
-                for s in 0..nd as u32 {
-                    for d in (0..nd as u32).filter(|&d| d != s) {
-                        // Host staging (up on s's port, down on d's) is
-                        // always available, so no rung's route may price
-                        // above it at that rung's probe.
-                        let host_cost = ic.transfer_time(ic.host_link_of(s), probe)
-                            + ic.transfer_time(ic.host_link_of(d), probe);
-                        let cost = ic.route_cost(s, d, probe);
-                        prop_assert!(
-                            cost <= host_cost + EPS,
-                            "{s}->{d} at {probe}B ({ports:?}): {cost} > host {host_cost}"
-                        );
-                    }
+        let ic = mixed_fabric(&gens, slow_sel).with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
+        for &probe in ic.route_breakpoints() {
+            for s in 0..nd as u32 {
+                for d in (0..nd as u32).filter(|&d| d != s) {
+                    // Host staging (up on s's port, down on d's; two
+                    // devices per port) is always available, so no
+                    // rung's route may price above it at that rung's
+                    // probe.
+                    let host_cost = ic.transfer_time(s as usize / 2, probe)
+                        + ic.transfer_time(d as usize / 2, probe);
+                    let cost = ic.route_cost(s, d, probe);
+                    prop_assert!(
+                        cost <= host_cost + EPS,
+                        "{s}->{d} at {probe}B: {cost} > host {host_cost}"
+                    );
                 }
             }
         }
@@ -173,13 +171,11 @@ proptest! {
             participates_bits.iter().cycle().take(nd).copied().collect();
         participates[0] = true;
         // A mixed-generation ring (with an optional slow bridge) and the
-        // three uniform named shapes, under every host-port preset, each
-        // probed once and on the ladder production prices with (batches
-        // up to 2 MB span four rungs).
+        // three uniform named shapes, each probed once and on the ladder
+        // production prices with (batches up to 2 MB span four rungs).
         let uniform = TopologyKind::ALL
             .map(|kind| Interconnect::build(kind, nd, PcieModel::pcie3(), spec(gens[0])));
-        let fabrics = std::iter::once(mixed_fabric(&gens, slow_sel)).chain(uniform);
-        for single in fabrics.flat_map(|ic| HostPorts::ALL.map(|p| ic.clone().with_host_ports(p))) {
+        for single in std::iter::once(mixed_fabric(&gens, slow_sel)).chain(uniform) {
             let laddered = single.clone().with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
             for ic in [single, laddered] {
                 // The list schedule never beats the bound, and never

@@ -11,19 +11,56 @@
 //!   GPU and nothing else: no host port, no link queue;
 //! * the multi-device scheduler at `D = 1` gives `StreamSim`'s timeline
 //!   on every topology, and keeps bus exclusivity *across* the devices
-//!   of one host port, whatever the port grouping;
+//!   of one host port (two devices per port, device `d` on port `d / 2`),
+//!   each port busy for exactly its devices' transfers;
 //! * the frontier exchange's legs, played after the barrier, never
 //!   overlap on a queue, follow their chain's previous hop (a staged
 //!   download, the uploads it carries), and land between the busiest
 //!   queue / longest chain bound and the sum of the legs.
 
 use hytgraph::sim::{
-    HostPorts, Interconnect, LinkSpec, MultiGpuSim, PcieModel, PhaseSpan, Resource, Route, SimTask,
-    StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
+    Interconnect, LinkSpec, MultiGpuSim, MultiTimeline, PcieModel, PhaseSpan, Resource, Route,
+    SimTask, StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
 
 const EPS: f64 = 1e-9;
+
+/// The host port of device `d`, stated independently of the simulator:
+/// two devices per PCIe switch uplink.
+fn port_of(d: usize) -> usize {
+    d / 2
+}
+
+/// The per-port form of the one-bus oracles, for a task timeline on
+/// `ic`: `ic` maps device `d` to port `d / 2`; no two bus spans of
+/// devices on one port overlap; each port's queue is busy for the sum
+/// of its devices' `pcie_busy` (within `tol`: zero for dyadic
+/// durations, whose sums are exact); the makespan is at least the
+/// busiest port's busy time; and the ports together carry `bus_busy`.
+fn assert_per_port_bus(ic: &Interconnect, tl: &MultiTimeline, tol: f64) {
+    let nd = tl.per_device.len();
+    assert_eq!(ic.num_host_ports(), nd.div_ceil(2), "one port per two devices");
+    for d in 0..nd {
+        assert_eq!(ic.host_link_of(d as u32), port_of(d), "device {d}'s port");
+    }
+    let mut ports = 0.0;
+    for port in 0..ic.num_host_ports() {
+        let mut bus: Vec<_> =
+            tl.bus_spans.iter().filter(|s| port_of(s.0 as usize) == port).collect();
+        bus.sort_by(|a, b| a.1.total_cmp(&b.1));
+        for w in bus.windows(2) {
+            assert!(w[1].1 >= w[0].2 - tol, "port {port} overlap: {:?} / {:?}", w[0], w[1]);
+        }
+        let devices: f64 =
+            (0..nd).filter(|&d| port_of(d) == port).map(|d| tl.per_device[d].pcie_busy).sum();
+        let busy = tl.link_busy[ic.queue(port, false)];
+        assert!((busy - devices).abs() <= tol, "port {port}: queue {busy} != devices {devices}");
+        assert!(tl.makespan >= busy - EPS, "makespan {} < port {port} busy {busy}", tl.makespan);
+        ports += busy;
+    }
+    assert!((ports - tl.bus_busy).abs() <= tol + EPS, "ports {ports} != bus busy {}", tl.bus_busy);
+}
 
 /// Strategy: one task of a random engine shape with millisecond-scale
 /// durations in integer tenths.
@@ -96,26 +133,23 @@ proptest! {
 
     #[test]
     fn multi_gpu_invariants_hold(
-        lists in proptest::collection::vec(proptest::collection::vec(arb_task(), 0..10), 1..5),
+        lists in proptest::collection::vec(proptest::collection::vec(arb_task(), 0..10), 1..9),
         streams in 1usize..4,
     ) {
         let nd = lists.len();
-        let tl = MultiGpuSim::new(nd, streams).schedule(&lists);
+        let sim = MultiGpuSim::new(nd, streams);
+        let tl = sim.schedule(&lists);
         // Per-device timelines obey the single-device invariants.
         for (d, dev) in tl.per_device.iter().enumerate() {
             assert_timeline_invariants(dev, &format!("device {d}"));
             prop_assert!(tl.makespan >= dev.makespan - EPS);
         }
-        // The shared bus serialises across devices, not just within one.
-        let mut bus = tl.bus_spans.clone();
-        bus.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        for w in bus.windows(2) {
-            prop_assert!(w[1].1 >= w[0].2 - EPS, "cross-device bus overlap: {:?} / {:?}", w[0], w[1]);
-        }
-        // Shared totals are the per-device sums.
+        // Each port's bus serialises across its devices, not just within
+        // one, and bounds the makespan.
+        assert_per_port_bus(&sim.interconnect, &tl, EPS);
+        // Totals are the per-device sums.
         let bus_sum: f64 = tl.per_device.iter().map(|t| t.pcie_busy).sum();
         prop_assert!((tl.bus_busy - bus_sum).abs() < EPS);
-        prop_assert!(tl.makespan >= tl.bus_busy - EPS);
         prop_assert!(tl.makespan >= tl.cpu_busy - EPS);
     }
 
@@ -124,38 +158,17 @@ proptest! {
         lists in proptest::collection::vec(
             proptest::collection::vec(arb_task_in(16.0), 0..8), 1..9),
         streams in 1usize..4,
-        ports_idx in 0usize..2,
     ) {
         let nd = lists.len();
-        let ports = HostPorts::ALL[ports_idx];
-        let shared = Interconnect::host_only(nd, PcieModel::pcie3());
-        let ic = shared.clone().with_host_ports(ports);
+        let ic = Interconnect::host_only(nd, PcieModel::pcie3());
         let tl = MultiGpuSim::with_interconnect(nd, streams, ic.clone()).schedule(&lists);
-        for port in 0..ic.num_host_ports() {
-            let on_port = |d: u32| ic.host_link_of(d) == port;
-            // Bus spans of one port's devices never overlap…
-            let mut bus: Vec<_> = tl.bus_spans.iter().filter(|s| on_port(s.0)).collect();
-            bus.sort_by(|a, b| a.1.total_cmp(&b.1));
-            for w in bus.windows(2) {
-                prop_assert!(w[1].1 >= w[0].2, "port {port} overlap: {:?} / {:?}", w[0], w[1]);
-            }
-            // …and the port's queue is busy for exactly its devices'
-            // transfers (dyadic durations, so the two sums are exact).
-            let devices: f64 = (0..nd as u32)
-                .filter(|&d| on_port(d))
-                .map(|d| tl.per_device[d as usize].pcie_busy)
-                .sum();
-            let busy = tl.link_busy[ic.queue(port, false)];
-            prop_assert!(busy == devices, "port {port}: queue {busy} != devices {devices}");
-            prop_assert!(tl.makespan >= devices);
-        }
-        // `Shared` is `build`'s layout, so it reproduces the one-bus
-        // scheduler bit for bit.
-        prop_assert_eq!(&shared.clone().with_host_ports(HostPorts::Shared), &shared);
-        let one_bus = MultiGpuSim::new(nd, streams).schedule(&lists);
-        let shared_ic = ic.with_host_ports(HostPorts::Shared);
-        let shared_tl = MultiGpuSim::with_interconnect(nd, streams, shared_ic).schedule(&lists);
-        prop_assert_eq!(format!("{shared_tl:?}"), format!("{one_bus:?}"));
+        // Bus spans of one port's devices never overlap, and the port's
+        // queue is busy for exactly its devices' transfers (dyadic
+        // durations, so the two sums are exact).
+        assert_per_port_bus(&ic, &tl, 0.0);
+        // `MultiGpuSim::new` is the host-only fabric, bit for bit.
+        let new_tl = MultiGpuSim::new(nd, streams).schedule(&lists);
+        prop_assert_eq!(format!("{new_tl:?}"), format!("{tl:?}"));
     }
 
     #[test]
@@ -165,12 +178,9 @@ proptest! {
         kernels in proptest::collection::vec(
             proptest::collection::vec(0u64..40, 0..6), 1..9),
         streams in 1usize..4,
-        ports_idx in 0usize..2,
     ) {
         let nd = lists.len();
-        let ic = Interconnect::host_only(nd, PcieModel::pcie3())
-            .with_host_ports(HostPorts::ALL[ports_idx]);
-        let sim = MultiGpuSim::with_interconnect(nd, streams, ic);
+        let sim = MultiGpuSim::with_interconnect(nd, streams, Interconnect::host_only(nd, PcieModel::pcie3()));
         // Each device's list with kernel-only tasks dealt in ahead of its
         // tasks (dyadic durations, so every busy sum is exact).
         let with: Vec<Vec<SimTask>> = (lists.iter().zip(kernels.iter().cycle()))
@@ -218,8 +228,8 @@ proptest! {
         prop_assert_eq!(multi.cpu_busy, single.cpu_busy);
         prop_assert_eq!(multi.per_device[0].gpu_busy, single.gpu_busy);
         // D=1 with any topology still equals StreamSim: a single device
-        // has no peer to link to, so every shape degenerates to the one
-        // host root complex for task traffic.
+        // has no peer to link to, so every shape degenerates to its one
+        // host port for task traffic.
         for kind in TopologyKind::ALL {
             let ic = Interconnect::build(kind, 1, PcieModel::pcie3(), LinkSpec::nvlink());
             let tl = MultiGpuSim::with_interconnect(1, streams, ic).schedule(std::slice::from_ref(&tasks));
@@ -239,7 +249,7 @@ proptest! {
         let kind = TopologyKind::ALL[kind_idx];
         let ic = Interconnect::build(kind, nd, PcieModel::pcie3(), LinkSpec::nvlink());
         let num_queues = ic.num_queues();
-        let tl = MultiGpuSim::with_interconnect(nd, streams, ic).schedule(&lists);
+        let tl = MultiGpuSim::with_interconnect(nd, streams, ic.clone()).schedule(&lists);
         // One busy slot per contention queue (full-duplex peer links
         // expose one per direction).
         prop_assert_eq!(tl.link_busy.len(), num_queues);
@@ -247,10 +257,11 @@ proptest! {
             prop_assert!(busy <= tl.makespan + EPS, "queue {q} busy {busy} > makespan {}", tl.makespan);
             prop_assert!(busy >= 0.0);
         }
-        // Task traffic is host-routed: the host queue's busy time is the
-        // bus total and the peer queues stay idle.
-        prop_assert!((tl.link_busy[0] - tl.bus_busy).abs() < EPS);
-        prop_assert!(tl.link_busy[1..].iter().all(|&b| b == 0.0));
+        // Task traffic is host-routed: each host port's queue is busy for
+        // its own devices' transfers, the ports together for the bus
+        // total, and the peer queues stay idle.
+        assert_per_port_bus(&ic, &tl, EPS);
+        prop_assert!(tl.link_busy[ic.num_host_ports()..].iter().all(|&b| b == 0.0));
     }
 
     #[test]
@@ -286,9 +297,17 @@ proptest! {
         // …and peer links (at least as fast as the host link here) never
         // make the exchange slower than full host staging.
         prop_assert!(r.makespan <= host.makespan + EPS);
-        // Host-only is the legacy serial bus: makespan == host busy, and
-        // nothing rides or relays over peers.
-        prop_assert_eq!(host.makespan, host.host_time);
+        // Host-only stages everything on the ports: one queue per two
+        // devices, nothing rides or relays over peers, the makespan is at
+        // least the busiest port's legs and at most all of them back to
+        // back, and a one-port fabric (D ≤ 2) is the serial bus.
+        prop_assert_eq!(host.per_queue_busy.len(), nd.div_ceil(2));
+        let busiest = host.per_queue_busy.iter().fold(0.0f64, |a, &b| a.max(b));
+        prop_assert!(host.makespan >= busiest, "makespan {} < busiest port {busiest}", host.makespan);
+        prop_assert!(host.makespan <= host.host_time + EPS);
+        if nd <= 2 {
+            prop_assert_eq!(host.makespan, host.host_time);
+        }
         prop_assert_eq!(host.peer_bytes, 0);
         prop_assert_eq!(host.forwarded_bytes, 0);
     }
@@ -358,33 +377,43 @@ proptest! {
         prop_assert!(busiest <= r.makespan + EPS, "makespan {} under {busiest}", r.makespan);
         prop_assert!(r.makespan <= legs + EPS, "makespan {} over {legs}", r.makespan);
         // Peer queues carry only legs.
-        for q in 1..ic.num_queues() {
+        for q in ic.num_host_ports()..ic.num_queues() {
             prop_assert!((tl.link_busy[q] - r.per_queue_busy[q]).abs() < EPS);
         }
 
-        // Host-only: the serial bus, bit for bit. Per participant, one
-        // upload and one download on the one queue, each leg the cheaper
-        // of an explicit copy and a zero-copy run; every upload plays
-        // before the downloads it feeds.
+        // Host-only: each port is the serial bus for its own legs, bit
+        // for bit. Per participant, one upload and one download on its
+        // port (`d / 2`), each leg the cheaper of an explicit copy and a
+        // zero-copy run; a port plays its uploads, then its downloads,
+        // in device order. The makespan is at least the busiest port and
+        // at most every leg back to back; one port (D ≤ 2) is exactly
+        // the serial bus.
         let host = Interconnect::host_only(nd, pcie).price_all_gather(&owned, &participates);
         let holders = participates.iter().filter(|&&p| p).count() as u64;
         let total: u64 = (0..nd).filter(|&d| participates[d]).map(|d| owned[d]).sum();
-        let (mut serial, mut bytes) = (0.0, 0);
+        let mut port_busy = vec![0.0; nd.div_ceil(2)];
+        let mut bytes = 0;
         if holders > 1 {
             let holding = (0..nd).filter(|&d| participates[d]);
-            let ups = holding.clone().map(|d| owned[d]);
-            for b in ups.chain(holding.map(|d| total - owned[d])).filter(|&b| b > 0) {
-                serial += pcie.hybrid_copy_time(b);
+            let ups = holding.clone().map(|d| (d, owned[d]));
+            for (d, b) in ups.chain(holding.map(|d| (d, total - owned[d]))).filter(|&(_, b)| b > 0) {
+                port_busy[port_of(d)] += pcie.hybrid_copy_time(b);
                 bytes += b;
             }
         }
-        prop_assert_eq!((host.makespan, host.host_time, host.host_bytes), (serial, serial, bytes));
+        prop_assert_eq!(&host.per_queue_busy, &port_busy);
+        let serial: f64 = port_busy.iter().sum();
+        prop_assert_eq!((host.host_time, host.host_bytes), (serial, bytes));
+        let busiest = port_busy.iter().fold(0.0f64, |a, &b| a.max(b));
+        prop_assert!(host.makespan >= busiest && host.makespan <= serial + EPS);
+        if nd <= 2 {
+            prop_assert_eq!(host.makespan, serial);
+        }
 
-        // Host-only on paired ports: each download starts once the
-        // uploads it carries have landed. The chains are one upload per
-        // publisher, then one download per receiver, in device order.
-        let paired = Interconnect::host_only(nd, pcie).with_host_ports(HostPorts::PairedSwitches);
-        let sim = MultiGpuSim::with_interconnect(nd, 2, paired);
+        // Host-only: each download starts once the uploads it carries
+        // have landed. The chains are one upload per publisher, then one
+        // download per receiver, in device order.
+        let sim = MultiGpuSim::with_interconnect(nd, 2, Interconnect::host_only(nd, pcie));
         let mut tl = sim.schedule(&lists);
         let _ = sim.schedule_exchange(&mut tl, &owned, &participates);
         let publishers: Vec<usize> = (0..nd).filter(|&d| participates[d] && owned[d] > 0).collect();
@@ -441,18 +470,20 @@ fn legs_go_earliest_first_and_ties_to_the_longer_chain() {
     // where pair order would have taken three.
     let ic = Interconnect::build(TopologyKind::Ring, 4, PcieModel::pcie3(), LinkSpec::nvlink());
     let sim = MultiGpuSim::with_interconnect(4, 1, ic);
-    // Four 0.5 s bus transfers: the barrier is at 2.
+    // Four 0.5 s bus transfers, two on each of the two host ports: the
+    // barrier is at 1.
     let mut tl = sim.schedule(&vec![vec![SimTask::explicit("t", 0.5, 0.0)]; 4]);
+    assert_eq!(tl.makespan, 1.0, "each port serialises its two devices' transfers");
     let b = 200_000;
     let r = sim.schedule_exchange(&mut tl, &[b, 0, 0, 0], &[true, true, true, false]);
     let hop = LinkSpec::nvlink().transfer_time(b);
     assert_eq!(r.makespan, hop + hop);
-    assert_eq!(tl.makespan, 2.0 + r.makespan, "the legs play after the barrier");
+    assert_eq!(tl.makespan, 1.0 + r.makespan, "the legs play after the barrier");
     // Chain 0 is the direct batch, chain 1 the two-hop one. Commit
     // order: chain 1's first hop, then (a tie at one hop left each) the
     // lower chain, then chain 1's second hop.
     let chains: Vec<usize> = tl.link_spans.iter().map(|s| s.task).collect();
     assert_eq!(chains, [1, 0, 1]);
-    assert_eq!(tl.link_spans[0].start, 2.0);
+    assert_eq!(tl.link_spans[0].start, 1.0);
     assert!(tl.per_device.iter().all(|d| d.spans.len() == 1), "legs are not tasks");
 }
