@@ -51,15 +51,6 @@ use hyt_graph::{Csr, VertexId};
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
-/// HLL precision of the default sketch: `p = 6`, i.e. [`HLL_REGISTERS`]
-/// = 64 registers. Chosen so one sketch is exactly 8 value lanes (64
-/// bytes) per vertex — wide enough to exercise every width-aware layer,
-/// small enough to sweep.
-pub const HLL_P: u32 = 6;
-
-/// Registers per default sketch (`2^p`).
-pub const HLL_REGISTERS: usize = 1 << HLL_P;
-
 /// Standard relative standard error of the default 64-register counter:
 /// `1.04 / √64 = 0.13`.
 pub const HLL_RSE: f64 = 1.04 / 8.0;
@@ -135,9 +126,9 @@ macro_rules! hll_precisions {
             /// Precision exponent (`2^p` registers).
             pub const P: u32 = $p;
             /// Registers per sketch.
-            pub const REGISTERS: usize = 1 << $p;
+            const REGISTERS: usize = 1 << $p;
             /// 64-bit lanes per sketch.
-            pub const SKETCH_LANES: usize = Self::REGISTERS / 8;
+            const SKETCH_LANES: usize = Self::REGISTERS / 8;
 
             /// The empty sketch (estimates 0).
             pub fn empty() -> $name {
@@ -145,7 +136,7 @@ macro_rules! hll_precisions {
             }
 
             /// The sketch of the one-element set `{v}`.
-            pub fn singleton(v: VertexId) -> $name {
+            fn singleton_of(v: VertexId) -> $name {
                 let h = splitmix64(v as u64);
                 let idx = (h & (Self::REGISTERS as u64 - 1)) as usize;
                 // Rank of the first 1-bit in the non-index part of the
@@ -253,7 +244,7 @@ macro_rules! hll_precisions {
                 $name::empty()
             }
             fn singleton(v: VertexId) -> Self {
-                $name::singleton(v)
+                $name::singleton_of(v)
             }
             fn merge(self, other: Self) -> Self {
                 $name::merge(self, other)
@@ -291,7 +282,9 @@ hll_precisions! {
 }
 
 /// The default 64-register sketch (`p = 6`): 8 registers per 64-bit
-/// lane, merge = element-wise register maximum.
+/// lane, merge = element-wise register maximum. Chosen so one sketch is
+/// exactly 8 value lanes (64 bytes) per vertex — wide enough to exercise
+/// every width-aware layer, small enough to sweep.
 pub type HllSketch = HllP6;
 
 /// Per-radius accumulators read off the sketch trajectory.

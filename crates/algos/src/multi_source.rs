@@ -44,7 +44,7 @@ pub struct MultiDist<const B: usize> {
 
 impl<const B: usize> MultiDist<B> {
     /// All-unreached state.
-    pub fn unreached() -> Self {
+    fn unreached() -> Self {
         MultiDist { d: [UNREACHED; B] }
     }
 

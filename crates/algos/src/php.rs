@@ -22,7 +22,7 @@ use hyt_core::RunResult;
 use hyt_graph::VertexId;
 
 /// Per-hop decay factor `d`.
-pub const DECAY: f32 = 0.8;
+const DECAY: f32 = 0.8;
 
 /// Default activation threshold ε.
 pub const DEFAULT_EPSILON: f32 = 1.0e-5;

@@ -143,6 +143,7 @@ pub fn php(graph: &Csr, source: VertexId, decay: f64, iterations: u32) -> Vec<f6
 /// Exact neighbourhood statistics computed by all-pairs BFS — the oracle
 /// for `crate::hyperball`'s sketch estimates.
 #[derive(Clone, Debug, PartialEq)]
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `neighbourhood_function`
 pub struct NeighbourhoodOracle {
     /// `nf[t]` = number of ordered pairs `(u, v)` with `d(u→v) ≤ t`,
     /// including the `nv` trivial `d = 0` pairs; `nf[0] = nv`. The last

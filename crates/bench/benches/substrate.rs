@@ -53,7 +53,6 @@ fn bench_frontier(c: &mut Criterion) {
         f.insert(v);
     }
     g.bench_function("iter_sparse", |b| b.iter(|| black_box(f.iter().count())));
-    g.bench_function("count_range", |b| b.iter(|| black_box(f.count_range(n / 4, 3 * n / 4))));
     g.finish();
 }
 

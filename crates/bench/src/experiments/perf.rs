@@ -31,10 +31,12 @@
 //!   `batched` and `skewed_ring` are v6's.
 //!
 //! Since v3 the run also **diffs against the committed baseline**: any
-//! matching `(dataset, algo, devices)` record whose simulated makespan
-//! regressed by more than [`PERF_REGRESSION_TOLERANCE`] fails the run
-//! (outside smoke mode), so perf regressions fail CI instead of being
-//! silently committed as the new baseline.
+//! matching cell whose simulated time regressed by more than
+//! [`PERF_REGRESSION_TOLERANCE`] fails the run (outside smoke mode), so
+//! perf regressions fail CI instead of being silently committed as the
+//! new baseline. The gate covers all three arrays: a `records` or
+//! `skewed_ring` cell's `total_time` and a `batched` cell's
+//! `batched_time`.
 //!
 //! Set `REPRO_SMOKE=1` for a reduced sweep (one dataset, `D ∈ {1, 4}`,
 //! batch widths `{1, 4}`) in CI; the committed baseline comes from the
@@ -138,15 +140,42 @@ pub struct PerfBaseline {
     pub skewed_ring: Vec<SkewedRingPerfRecord>,
 }
 
-/// The fields of a committed baseline the regression gate needs. Parsed
-/// leniently from the dynamic [`Value`] tree — older schemas still
-/// yield their records (fields they predate read as 0), so the first v4
-/// run diffs against the committed v3 file, and a malformed file
-/// degrades to "no baseline".
+/// The fields of a committed baseline the regression gate needs: every
+/// gated cell as `(key, time)` ([`gated_cells`]). Parsed leniently from
+/// the dynamic [`Value`] tree — an array an older schema predates, or a
+/// cell missing a field, yields nothing, and a malformed file degrades
+/// to "no baseline".
 #[derive(Debug, Default)]
 struct CommittedBaseline {
     schema: String,
-    records: Vec<PerfRecord>,
+    cells: Vec<(String, f64)>,
+}
+
+/// Gate key of a `records` cell.
+fn grid_key(dataset: &str, algo: &str, devices: u64) -> String {
+    format!("{dataset} {algo} D={devices}")
+}
+
+/// Gate key of a `batched` cell.
+fn batched_key(width: u64) -> String {
+    format!("batched B={width}")
+}
+
+/// Gate key of a `skewed_ring` cell.
+fn skewed_ring_key(dataset: &str, algo: &str, devices: u64) -> String {
+    format!("skewed ring {dataset} {algo} D={devices}")
+}
+
+/// Every gated cell of a fresh sweep, keyed like [`parse_committed`]'s.
+fn gated_cells(b: &PerfBaseline) -> Vec<(String, f64)> {
+    let records =
+        b.records.iter().map(|r| (grid_key(&r.dataset, &r.algo, r.devices as u64), r.total_time));
+    let batched = b.batched.iter().map(|r| (batched_key(r.width as u64), r.batched_time));
+    let ring = b
+        .skewed_ring
+        .iter()
+        .map(|r| (skewed_ring_key(&r.dataset, &r.algo, r.devices as u64), r.total_time));
+    records.chain(batched).chain(ring).collect()
 }
 
 fn parse_committed(text: &str) -> CommittedBaseline {
@@ -154,53 +183,40 @@ fn parse_committed(text: &str) -> CommittedBaseline {
         return CommittedBaseline::default();
     };
     let schema = doc.get("schema").and_then(Value::as_str).unwrap_or_default().to_string();
-    let records = doc
-        .get("records")
-        .and_then(Value::as_array)
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|r| {
-            Some(PerfRecord {
-                dataset: r.get("dataset")?.as_str()?.to_string(),
-                algo: r.get("algo")?.as_str()?.to_string(),
-                devices: r.get("devices")?.as_u64()? as usize,
-                iterations: r.get("iterations")?.as_u64()? as u32,
-                total_time: r.get("total_time")?.as_f64()?,
-                exchange_bytes: r.get("exchange_bytes")?.as_u64()?,
-                scheduled_units: r.get("scheduled_units").and_then(Value::as_u64).unwrap_or(0),
-                bus_busy: r.get("bus_busy").and_then(Value::as_f64).unwrap_or(0.0),
-                exchange_exposed: r.get("exchange_exposed").and_then(Value::as_f64).unwrap_or(0.0),
-            })
-        })
-        .collect();
-    CommittedBaseline { schema, records }
+    let cells_of = |array: &str, cell: &dyn Fn(&Value) -> Option<(String, f64)>| {
+        let cells = doc.get(array).and_then(Value::as_array).unwrap_or_default();
+        cells.iter().filter_map(cell).collect::<Vec<_>>()
+    };
+    let str_of = |c: &Value, field: &str| c.get(field)?.as_str().map(str::to_string);
+    let u64_of = |c: &Value, field: &str| c.get(field)?.as_u64();
+    let f64_of = |c: &Value, field: &str| c.get(field)?.as_f64();
+    let mut cells = cells_of("records", &|c| {
+        let key = grid_key(&str_of(c, "dataset")?, &str_of(c, "algo")?, u64_of(c, "devices")?);
+        Some((key, f64_of(c, "total_time")?))
+    });
+    cells.extend(cells_of("batched", &|c| {
+        Some((batched_key(u64_of(c, "width")?), f64_of(c, "batched_time")?))
+    }));
+    cells.extend(cells_of("skewed_ring", &|c| {
+        let key =
+            skewed_ring_key(&str_of(c, "dataset")?, &str_of(c, "algo")?, u64_of(c, "devices")?);
+        Some((key, f64_of(c, "total_time")?))
+    }));
+    CommittedBaseline { schema, cells }
 }
 
-/// Compare a fresh sweep against the committed records: one line per
-/// matching `(dataset, algo, devices)` cell whose `total_time` grew by
-/// more than [`PERF_REGRESSION_TOLERANCE`].
-pub fn diff_regressions(old: &[PerfRecord], new: &[PerfRecord]) -> Vec<String> {
-    let mut out = Vec::new();
-    for n in new {
-        let matched = old
-            .iter()
-            .find(|o| o.dataset == n.dataset && o.algo == n.algo && o.devices == n.devices);
-        if let Some(o) = matched {
-            if o.total_time > 0.0 && n.total_time > o.total_time * (1.0 + PERF_REGRESSION_TOLERANCE)
-            {
-                out.push(format!(
-                    "{} {} D={}: {} -> {} (+{:.0}%)",
-                    n.dataset,
-                    n.algo,
-                    n.devices,
-                    secs(o.total_time),
-                    secs(n.total_time),
-                    (n.total_time / o.total_time - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    out
+/// Compare fresh cells against the committed ones: one line per cell
+/// whose key matches and whose time grew by more than
+/// [`PERF_REGRESSION_TOLERANCE`].
+fn diff_regressions(old: &[(String, f64)], new: &[(String, f64)]) -> Vec<String> {
+    new.iter()
+        .filter_map(|(key, n)| {
+            let (_, o) = old.iter().find(|(k, _)| k == key)?;
+            (*o > 0.0 && *n > o * (1.0 + PERF_REGRESSION_TOLERANCE)).then(|| {
+                format!("{key}: {} -> {} (+{:.0}%)", secs(*o), secs(*n), (n / o - 1.0) * 100.0)
+            })
+        })
+        .collect()
 }
 
 const ALGOS: [AlgoKind; 5] =
@@ -275,18 +291,18 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
 
 /// Regenerate the perf baseline: diff against the committed file, write
 /// the JSON, and return the same figures as printable tables. Outside
-/// smoke mode a >[`PERF_REGRESSION_TOLERANCE`] makespan regression on
-/// any matching record panics instead of overwriting the baseline.
+/// smoke mode a >[`PERF_REGRESSION_TOLERANCE`] regression on any
+/// matching cell panics instead of overwriting the baseline.
 pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     let smoke = std::env::var("REPRO_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let baseline = collect_baseline(ctx, smoke);
     let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_PERF.json".to_string());
     let committed =
         std::fs::read_to_string(&path).ok().map(|s| parse_committed(&s)).unwrap_or_default();
-    if committed.records.is_empty() {
+    if committed.cells.is_empty() {
         eprintln!("   no committed baseline at {path}; skipping regression diff");
     } else {
-        let regressions = diff_regressions(&committed.records, &baseline.records);
+        let regressions = diff_regressions(&committed.cells, &gated_cells(&baseline));
         if regressions.is_empty() {
             eprintln!(
                 "   no >{:.0}% regressions vs committed {} baseline",
@@ -299,7 +315,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             }
             assert!(
                 smoke,
-                "repro perf: {} record(s) regressed >{:.0}% vs committed {path}",
+                "repro perf: {} cell(s) regressed >{:.0}% vs committed {path}",
                 regressions.len(),
                 PERF_REGRESSION_TOLERANCE * 100.0
             );
@@ -357,4 +373,65 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
         ]);
     }
     vec![t, b, p]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ring_cell(total_time: f64) -> SkewedRingPerfRecord {
+        SkewedRingPerfRecord {
+            dataset: "SK".into(),
+            algo: "PR".into(),
+            devices: 8,
+            iterations: 3,
+            total_time,
+            exchange_time: 0.0,
+            exchange_bytes: 0,
+        }
+    }
+
+    fn baseline(skewed_ring: Vec<SkewedRingPerfRecord>) -> PerfBaseline {
+        PerfBaseline {
+            schema: PERF_SCHEMA,
+            system: "HyTGraph",
+            records: Vec::new(),
+            batched: Vec::new(),
+            skewed_ring,
+        }
+    }
+
+    #[test]
+    fn a_skewed_ring_cell_at_half_its_fresh_time_is_reported() {
+        let committed =
+            serde_json::to_string(&baseline(vec![ring_cell(1.0e-3)])).expect("baseline serialises");
+        let committed = parse_committed(&committed);
+        let fresh = gated_cells(&baseline(vec![ring_cell(2.0e-3)]));
+        let regressions = diff_regressions(&committed.cells, &fresh);
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].starts_with("skewed ring SK PR D=8:"), "{}", regressions[0]);
+        // The same time is no regression.
+        let same = gated_cells(&baseline(vec![ring_cell(1.0e-3)]));
+        assert!(diff_regressions(&committed.cells, &same).is_empty());
+    }
+
+    #[test]
+    fn a_batched_cell_is_gated_on_its_batched_time() {
+        let with_batched = |batched_time: f64| PerfBaseline {
+            batched: vec![BatchedPerfRecord {
+                width: 4,
+                serial_time: 1.0,
+                batched_time,
+                speedup: 1.0 / batched_time,
+                serial_exchange_bytes: 0,
+                batched_exchange_bytes: 0,
+            }],
+            ..baseline(Vec::new())
+        };
+        let committed = serde_json::to_string(&with_batched(1.0e-3)).expect("baseline serialises");
+        let committed = parse_committed(&committed);
+        let regressions = diff_regressions(&committed.cells, &gated_cells(&with_batched(1.3e-3)));
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].starts_with("batched B=4:"), "{}", regressions[0]);
+    }
 }

@@ -293,9 +293,9 @@ impl ValueLayout {
 
     /// GPU-resident vertex-associated bytes per vertex: 16 bytes of
     /// value-independent state (row offset, neighbour index, activity
-    /// bitmaps) plus the value lanes. Narrow layout: 24, the
-    /// `VERTEX_STATE_BYTES` carved out of device memory before edge data
-    /// can be cached (Section II-A's data placement).
+    /// bitmaps) plus the value lanes. Narrow layout: 24 bytes per vertex
+    /// carved out of device memory before edge data can be cached
+    /// (Section II-A's data placement).
     pub const fn state_bytes(&self) -> u64 {
         16 + self.lane_bytes()
     }
@@ -821,7 +821,7 @@ mod tests {
         let narrow = ValueLayout::narrow();
         assert_eq!((narrow.lanes, narrow.wire_bytes), (1, 8));
         assert_eq!(narrow.record_bytes(), 12, "EXCHANGE_RECORD_BYTES");
-        assert_eq!(narrow.state_bytes(), 24, "VERTEX_STATE_BYTES");
+        assert_eq!(narrow.state_bytes(), 24, "narrow state bytes");
         assert_eq!(narrow.compaction_surplus(), 0);
         // u64/f64/F32Pair are exactly the narrow layout.
         assert_eq!(ValueLayout::of::<u64>(), narrow);

@@ -10,7 +10,7 @@ use hyt_sim::{LinkSpec, MachineModel, TopologyKind};
 pub const SCALE_SHIFT: u32 = 10;
 
 /// The paper's partition byte budget (32 MB), before scaling.
-pub const PAPER_PARTITION_BYTES: u64 = 32 << 20;
+const PAPER_PARTITION_BYTES: u64 = 32 << 20;
 
 /// Asynchrony mode of the iteration driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,7 +151,7 @@ impl Default for HyTGraphConfig {
 
 /// Host parallelism default: available cores capped at 8 (the real work is
 /// small; more threads mostly add scope overhead).
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
 }
 
@@ -174,9 +174,11 @@ mod tests {
         assert_eq!(c.device_assignment, DeviceAssignment::EdgeBalanced);
         assert_eq!(c.topology, TopologyKind::HostOnly, "the paper's platform has no peer links");
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
+        let fabric =
+            hyt_sim::Interconnect::build(TopologyKind::Ring, 8, c.machine.pcie, c.peer_link);
         let ring = HyTGraphConfig { num_devices: 8, topology: TopologyKind::Ring, ..c };
         let sys = crate::HyTGraphSystem::new(hyt_graph::generators::chain(64, true), ring);
-        assert_eq!(sys.interconnect().route_breakpoints(), ROUTE_LADDER);
+        assert_eq!(*sys.interconnect(), fabric.with_route_breakpoints(&ROUTE_LADDER));
     }
 
     #[test]

@@ -74,6 +74,7 @@ impl IdEncoding {
     /// The encoding of a `section` that [`IdEncoding::cheaper`] chose for
     /// a device owning `owned` vertices, read off its length and its
     /// bitmap prefix (see the module docs).
+    // hyt-lint: allow(unreached-pub) -- reference codec: tests/exchange_encoding.rs checks the priced bytes against it
     pub fn detect(section: &[u8], owned: u64, two_forms: bool) -> IdEncoding {
         let is_bitmap = members(section, owned).is_some_and(|set| {
             section.len() as u64 == bitmap_bytes(set, owned, two_forms)
@@ -109,12 +110,14 @@ fn members(section: &[u8], owned: u64) -> Option<u64> {
 /// The vertices one device owns: its partitions' vertex ranges in
 /// partition order. Bit `i` of a bitmap batch names the `i`-th of them.
 #[derive(Clone, Debug, PartialEq, Eq)]
+// hyt-lint: allow(unreached-pub) -- reference codec: tests/exchange_encoding.rs checks the priced bytes against it
 pub struct OwnedVertices {
     ranges: Vec<Range<VertexId>>,
 }
 
 impl OwnedVertices {
     /// The vertices of `device`'s partitions under `plan`.
+    // hyt-lint: allow(unreached-pub) -- reference codec: tests/exchange_encoding.rs checks the priced bytes against it
     pub fn of_device(parts: &PartitionSet, plan: &DevicePlan, device: u32) -> OwnedVertices {
         let ranges = parts
             .partitions()
@@ -145,6 +148,7 @@ impl OwnedVertices {
 /// `(vertex, form)` pairs in ascending vertex order, every vertex owned;
 /// `form` (the two-form value's short form, e.g. changed registers only)
 /// is read only when `two_forms`.
+// hyt-lint: allow(unreached-pub) -- reference codec: tests/exchange_encoding.rs checks the priced bytes against it
 pub fn encode_ids(
     encoding: IdEncoding,
     owned: &OwnedVertices,
@@ -184,6 +188,7 @@ pub fn encode_ids(
 /// Decode an id section that [`encode_ids`] wrote in `encoding` for the
 /// same owned set: the records in ascending vertex order. `None` when the
 /// bytes are not a whole number of ids, or not a bitmap of this set.
+// hyt-lint: allow(unreached-pub) -- reference codec: tests/exchange_encoding.rs checks the priced bytes against it
 pub fn decode_ids(
     encoding: IdEncoding,
     owned: &OwnedVertices,

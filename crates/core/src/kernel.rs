@@ -34,6 +34,7 @@ pub enum EdgeSource<'a> {
 
 /// Statistics returned by one kernel invocation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `run_kernel`
 pub struct KernelStats {
     /// Edges relaxed (messages attempted).
     pub edges_processed: u64,

@@ -115,10 +115,9 @@ impl Residency {
 
 /// One device's pinned partitions.
 struct DevicePins {
-    /// Partition's edge data is on the device for the rest of the run.
+    /// Partition's edge data is on the device for the rest of the run
+    /// (under Grus: its one migration has been priced).
     resident: Vec<bool>,
-    /// Partition's one migration has been priced already (Grus).
-    charged: Vec<bool>,
     /// Bytes the device may still pin; `None` for a device that pins
     /// nothing.
     budget_left: Option<u64>,
@@ -133,11 +132,7 @@ pub(crate) struct Pins {
 impl Pins {
     fn with_budgets(num_parts: usize, budgets: impl Iterator<Item = Option<u64>>) -> Self {
         let devices = budgets
-            .map(|budget_left| DevicePins {
-                resident: vec![false; num_parts],
-                charged: vec![false; num_parts],
-                budget_left,
-            })
+            .map(|budget_left| DevicePins { resident: vec![false; num_parts], budget_left })
             .collect();
         Pins { devices }
     }
@@ -157,7 +152,8 @@ impl Pins {
 
     /// Grus's policy for every active partition, in partition order: UM
     /// when resident or when the owning device can still pin it (which
-    /// reserves the bytes), zero-copy otherwise.
+    /// reserves the bytes; [`Pins::plan_um`] makes it resident when it
+    /// prices the migration), zero-copy otherwise.
     pub(crate) fn select(
         &mut self,
         acts: &[PartitionActivity],
@@ -178,7 +174,6 @@ impl Pins {
                 match grus.budget_left {
                     Some(left) if bytes <= left => {
                         grus.budget_left = Some(left - bytes);
-                        grus.resident[pid] = true;
                         (i, EngineKind::ImpUnified)
                     }
                     _ => (i, EngineKind::ImpZeroCopy),
@@ -190,6 +185,9 @@ impl Pins {
     /// Price a Grus unified-memory task on `device`: member partitions
     /// pay their whole span's page migration exactly once (the
     /// prefetch-and-pin), after which accesses are device-local and free.
+    /// Each partition [`Pins::select`] sends to UM is priced in that same
+    /// iteration, in exactly one task slice, so this is where it turns
+    /// resident.
     pub(crate) fn plan_um(
         &mut self,
         device: usize,
@@ -199,12 +197,12 @@ impl Pins {
         bytes_per_edge: u64,
     ) -> TaskPlan {
         let page = machine.um.page_bytes;
-        let charged = &mut self.devices[device].charged;
+        let resident = &mut self.devices[device].resident;
         let mut migrated_pages = 0u64;
         for a in refs {
             let pid = a.partition as usize;
-            if !charged[pid] {
-                charged[pid] = true;
+            if !resident[pid] {
+                resident[pid] = true;
                 let bytes = parts.get(a.partition).num_edges() * bytes_per_edge;
                 migrated_pages += bytes.div_ceil(page);
             }

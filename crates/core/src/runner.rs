@@ -114,21 +114,14 @@ pub use crate::mutate::{MutationReport, COMPACTION_HORIZON_ITERS};
 /// multiple of the explicit-copy launch latency so it scales with the
 /// machine model. Charged once per GPU iteration, serially after the
 /// timeline and the exchange: nothing overlaps it.
+// hyt-lint: allow(unreached-pub) -- tests/multi_gpu.rs recomposes every iteration's time from it
 pub const ITERATION_OVERHEAD_COPIES: f64 = 5.0;
 
 /// Host (Galois-class) edge throughput for the CPU-only comparison rows.
-pub const CPU_EDGE_THROUGHPUT: f64 = 1.5e9;
+const CPU_EDGE_THROUGHPUT: f64 = 1.5e9;
 
 /// Host per-iteration overhead for the CPU-only rows.
-pub const CPU_ITERATION_OVERHEAD: f64 = 100.0e-6;
-
-/// GPU-resident vertex-associated bytes per vertex (value array, neighbour
-/// index / row offsets, activity bitmaps) for the narrow single-lane
-/// layout: carved out of device memory before edge data can be cached
-/// (Section II-A's data placement). The live figure is the program's
-/// [`ValueLayout::state_bytes`] — this constant is its value for one
-/// 64-bit atom.
-pub const VERTEX_STATE_BYTES: u64 = ValueLayout::narrow().state_bytes();
+const CPU_ITERATION_OVERHEAD: f64 = 100.0e-6;
 
 /// Bytes per record of the inter-device frontier exchange for the narrow
 /// layout: a 32-bit vertex id plus the 64-bit value slot it carries. The
@@ -201,8 +194,8 @@ struct RunState {
     bpe: u64,
     /// The program's declared value layout (lanes resident, wire bytes
     /// exchanged): every width-sensitive layer derives its per-vertex
-    /// footprint from it; narrow programs get [`VERTEX_STATE_BYTES`] and
-    /// [`EXCHANGE_RECORD_BYTES`].
+    /// footprint from it; narrow programs get 24 state bytes per vertex
+    /// and [`EXCHANGE_RECORD_BYTES`].
     layout: ValueLayout,
     residency: Residency,
     /// Per-device tallies and encoded batch sizes of the frontier
@@ -434,6 +427,7 @@ impl HyTGraphSystem {
     }
 
     /// Edge-data bytes per edge the program actually transfers.
+    // hyt-lint: allow(unreached-pub) -- tests/residency.rs sizes each device's share with it
     pub fn effective_bytes_per_edge<P: VertexProgram>(&self) -> u64 {
         if P::NEEDS_WEIGHTS {
             self.graph.bytes_per_edge()
@@ -1153,12 +1147,18 @@ mod tests {
             assert_eq!(c.plan.counters, want.counters);
             assert_eq!(c.plan.cpu_time, want.cpu_time);
             assert_eq!(c.plan.transfer_time, want.transfer_time);
-            assert_eq!(c.plan.to_sim_task().phases, want.to_sim_task().phases);
+            assert_eq!(
+                c.plan.to_sim_task_for_device(0).phases,
+                want.to_sim_task_for_device(0).phases
+            );
             let z = price(&sys, zc, &[1], &acts, &mut state);
             let want = zero_copy::plan_zero_copy(machine, &[b]);
             assert_eq!(z.plan.counters, want.counters);
             assert_eq!(z.plan.transfer_time, want.transfer_time);
-            assert_eq!(z.plan.to_sim_task().phases, want.to_sim_task().phases);
+            assert_eq!(
+                z.plan.to_sim_task_for_device(0).phases,
+                want.to_sim_task_for_device(0).phases
+            );
         }
         let mut slices = vec![price(&sys, zc, &[1], &acts, &mut state)];
         let before = slices[0].plan.counters.zero_copy_bytes;

@@ -62,7 +62,7 @@ impl Default for SelectParams {
 }
 
 /// The hybrid rule for one partition (Algorithm 1 lines 4–12).
-pub fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
+fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
     if costs.tec < p.alpha * costs.tef && costs.tec < p.beta * costs.tiz {
         EngineKind::ExpCompaction
     } else if costs.tef < costs.tiz {

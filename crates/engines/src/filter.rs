@@ -87,8 +87,10 @@ mod tests {
         let acts = analyze_partitions(g.view(), &ps, &f, &machine.pcie, g.bytes_per_edge(), 2);
         let plan = plan_filter(&machine, g.view(), &[&acts[0]], g.bytes_per_edge());
         let bytes = acts[0].total_edges * g.bytes_per_edge();
-        let tlps = bytes.div_ceil(machine.pcie.tlp_payload());
-        let want = machine.pcie.copy_latency + tlps as f64 * machine.pcie.rtt();
+        let tlp_payload = machine.pcie.request_bytes * machine.pcie.max_requests;
+        let tlps = bytes.div_ceil(tlp_payload);
+        let rtt = tlp_payload as f64 / machine.pcie.explicit_bw;
+        let want = machine.pcie.copy_latency + tlps as f64 * rtt;
         assert!((plan.transfer_time - want).abs() < 1e-15);
     }
 }

@@ -72,16 +72,12 @@ impl TaskPlan {
         }
     }
 
-    /// Convert to a stream-schedulable task. Zero-copy and unified-memory
-    /// fuse transfer and kernel (implicit overlap); explicit engines
-    /// pipeline transfer → kernel; compaction prepends the CPU phase.
-    pub fn to_sim_task(&self) -> SimTask {
-        self.with_label(format!("{}:{:?}", self.kind.label(), self.partitions))
-    }
-
-    /// [`TaskPlan::to_sim_task`] labelled with the owning device — the
-    /// multi-device runner files one slice of a combined task per device
-    /// and the trace must say whose timeline it landed on.
+    /// Convert to a stream-schedulable task labelled with the owning
+    /// device — the runner files one slice of a combined task per device
+    /// and the trace must say whose timeline it landed on. Zero-copy and
+    /// unified-memory fuse transfer and kernel (implicit overlap);
+    /// explicit engines pipeline transfer → kernel; compaction prepends
+    /// the CPU phase.
     pub fn to_sim_task_for_device(&self, device: u32) -> SimTask {
         self.with_label(self.device_label(device))
     }
@@ -146,9 +142,9 @@ mod tests {
 
     #[test]
     fn sim_task_shape_matches_engine() {
-        assert_eq!(plan(EngineKind::ExpFilter).to_sim_task().phases.len(), 2);
-        assert_eq!(plan(EngineKind::ExpCompaction).to_sim_task().phases.len(), 3);
-        assert_eq!(plan(EngineKind::ImpZeroCopy).to_sim_task().phases.len(), 1);
+        assert_eq!(plan(EngineKind::ExpFilter).to_sim_task_for_device(0).phases.len(), 2);
+        assert_eq!(plan(EngineKind::ExpCompaction).to_sim_task_for_device(0).phases.len(), 3);
+        assert_eq!(plan(EngineKind::ImpZeroCopy).to_sim_task_for_device(0).phases.len(), 1);
     }
 
     #[test]
@@ -156,7 +152,7 @@ mod tests {
         let p = plan(EngineKind::ExpFilter);
         let t = p.to_sim_task_for_device(3);
         assert!(t.label.starts_with("d3|E-F:"), "label {}", t.label);
-        assert_eq!(t.phases, p.to_sim_task().phases);
+        assert_eq!(t.phases, p.to_sim_task_for_device(0).phases);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl UnifiedState {
         self.cache.hits()
     }
 
-    /// Drop residency (between algorithm runs).
-    pub fn reset(&mut self) {
-        self.cache.clear();
-    }
-
     /// Price an ImpTM-unified task over (task-combined) partitions: touch
     /// every active vertex's neighbour run in the page cache, charge
     /// migration for the faulted pages, fuse with the kernel.
@@ -147,17 +142,5 @@ mod tests {
             assert!(plan.counters.um_bytes >= 4096);
             assert!(plan.counters.um_bytes >= g.out_degree(10) * g.bytes_per_edge());
         }
-    }
-
-    #[test]
-    fn reset_clears_residency() {
-        let (g, ps, machine) = setup();
-        let mut state = UnifiedState::new(&machine);
-        let acts = full_acts(&g, &ps, &machine);
-        let refs: Vec<_> = acts.iter().collect();
-        let first = state.plan_unified(&machine, g.view(), &refs, g.bytes_per_edge());
-        state.reset();
-        let again = state.plan_unified(&machine, g.view(), &refs, g.bytes_per_edge());
-        assert_eq!(again.counters.page_faults, first.counters.page_faults);
     }
 }

@@ -11,7 +11,7 @@ use crate::{EdgeList, VertexId, Weight};
 
 /// An immutable directed graph in CSR form.
 ///
-/// Invariants (checked by [`Csr::validate`] and enforced by all
+/// Invariants (checked by [`Csr::from_parts`] and enforced by all
 /// constructors in this crate):
 ///
 /// * `row_offset.len() == num_vertices + 1`
@@ -45,7 +45,7 @@ impl Csr {
     }
 
     /// Check all structural invariants, returning the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let nv = self.num_vertices as usize;
         if self.row_offset.len() != nv + 1 {
             return Err(format!(
@@ -187,7 +187,8 @@ impl Csr {
     }
 
     /// The transposed graph (every edge reversed). Weights follow edges.
-    pub fn transpose(&self) -> Csr {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> Csr {
         let nv = self.num_vertices as usize;
         let mut counts = vec![0u64; nv + 1];
         for &dst in &self.col_index {

@@ -146,11 +146,6 @@ pub fn load(id: DatasetId) -> Dataset {
     Dataset { id, graph, paper_edges, web_like }
 }
 
-/// Load all five proxies in the paper's order.
-pub fn load_all() -> Vec<Dataset> {
-    DatasetId::ALL.iter().map(|&id| load(id)).collect()
-}
-
 /// The RMAT size sweep of Fig. 9. The paper sweeps 0.1 B → 6.4 B edges
 /// (64×); we sweep the same 64× range at 2¹⁰ reduction:
 /// ~0.1 M → 6.4 M edges, doubling each step.
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn proxies_preserve_average_degree() {
-        for d in load_all() {
+        for d in DatasetId::ALL.iter().map(|&id| load(id)) {
             let avg = d.graph.num_edges() as f64 / d.graph.num_vertices() as f64;
             let want = match d.id {
                 DatasetId::Sk => 38.0,
@@ -224,7 +219,7 @@ mod tests {
         // majority of vertices sits under degree 32 despite avg degree >30.
         let mut under32 = 0f64;
         let mut total = 0f64;
-        for d in load_all() {
+        for d in DatasetId::ALL.iter().map(|&id| load(id)) {
             let degs = d.graph.out_degrees();
             under32 += degs.iter().filter(|&&x| x < 32).count() as f64;
             total += degs.len() as f64;

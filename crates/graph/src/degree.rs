@@ -47,7 +47,7 @@ pub struct DegreeStats {
 }
 
 /// Bucket boundaries used by Fig. 3(f).
-pub const FIG3F_BOUNDS: [u64; 4] = [8, 16, 24, 32];
+const FIG3F_BOUNDS: [u64; 4] = [8, 16, 24, 32];
 
 impl DegreeStats {
     /// Compute stats and Fig. 3(f) buckets for `graph`.

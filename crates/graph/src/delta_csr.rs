@@ -301,7 +301,7 @@ impl DeltaCsr {
     }
 
     /// True when partition `pid` carries any delta state.
-    pub fn has_deltas(&self, pid: u32) -> bool {
+    fn has_deltas(&self, pid: u32) -> bool {
         let i = pid as usize;
         self.delta_live[i] > 0 || self.dead_base[i] > 0 || self.garbage[i] > 0
     }
@@ -464,7 +464,7 @@ pub struct DeltaEdges<'a> {
 impl<'a> DeltaEdges<'a> {
     /// A delta-free iterator over a plain CSR vertex run (the fast path
     /// [`crate::AdjacencyView::Base`] uses).
-    pub fn over_base(nbrs: &'a [VertexId], ws: Option<&'a [Weight]>) -> Self {
+    fn over_base(nbrs: &'a [VertexId], ws: Option<&'a [Weight]>) -> Self {
         DeltaEdges {
             nbrs,
             ws,

@@ -140,6 +140,7 @@ impl EdgeList {
     ///
     /// [`GraphError::VertexOutOfRange`] or
     /// [`GraphError::DuplicateEdgeOverflow`] on the first violation.
+    // hyt-lint: allow(unreached-pub) -- the safety check for untrusted edge lists such as `io::parse_edge_list` reads
     pub fn try_to_csr(&self) -> Result<Csr, GraphError> {
         for &(s, d) in &self.edges {
             self.check_range(s)?;

@@ -93,30 +93,6 @@ impl Frontier {
         }
     }
 
-    /// Count of active vertices within `[first, end)` — the per-partition
-    /// activity probe used by cost analysis.
-    pub fn count_range(&self, first: VertexId, end: VertexId) -> u64 {
-        debug_assert!(first <= end && end <= self.num_vertices);
-        let mut n = 0u64;
-        let mut v = first;
-        // Head: partial word.
-        while v < end && !v.is_multiple_of(64) {
-            n += self.contains(v) as u64;
-            v += 1;
-        }
-        // Body: whole words.
-        while v + 64 <= end {
-            n += self.words[(v / 64) as usize].load(Ordering::Relaxed).count_ones() as u64;
-            v += 64;
-        }
-        // Tail.
-        while v < end {
-            n += self.contains(v) as u64;
-            v += 1;
-        }
-        n
-    }
-
     /// Iterate active vertices in ascending order.
     pub fn iter(&self) -> FrontierIter<'_> {
         FrontierIter { frontier: self, word_idx: 0, current: 0 }
@@ -137,7 +113,7 @@ impl Frontier {
     }
 
     /// Copy the contents of `other` into `self` (sizes must match).
-    pub fn copy_from(&self, other: &Frontier) {
+    fn copy_from(&self, other: &Frontier) {
         assert_eq!(self.num_vertices, other.num_vertices);
         for (a, b) in self.words.iter().zip(&other.words) {
             a.store(b.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -161,6 +137,7 @@ impl Clone for Frontier {
 }
 
 /// Ascending iterator over active vertices; see [`Frontier::iter`].
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `Frontier::iter`
 pub struct FrontierIter<'a> {
     frontier: &'a Frontier,
     word_idx: usize,
@@ -233,18 +210,6 @@ mod tests {
             f.insert(v);
         }
         assert_eq!(f.to_vec(), vs);
-    }
-
-    #[test]
-    fn count_range_matches_filtered_iter() {
-        let f = Frontier::new(300);
-        for v in (0..300).step_by(7) {
-            f.insert(v);
-        }
-        for (a, b) in [(0u32, 300u32), (13, 200), (64, 128), (65, 66), (100, 100)] {
-            let want = f.iter_range(a, b).count() as u64;
-            assert_eq!(f.count_range(a, b), want, "range {a}..{b}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`power_law_local`] — power-law out-degrees with ring-local target
 //!   bias, approximating the locality of crawled web graphs (SK/UK) where
 //!   consecutive ids are same-host pages.
-//! * [`chain`], [`star`], [`complete`] — tiny deterministic shapes for unit
+//! * [`chain`], [`star`] — tiny deterministic shapes for unit
 //!   tests.
 //!
 //! Every generator takes an explicit seed; identical seeds produce identical
@@ -24,15 +24,15 @@ use rand::{Rng, SeedableRng};
 
 /// Default RMAT quadrant probabilities (the literature-standard skew used
 /// by Graph500 and the paper's reference \[7\]).
-pub const RMAT_A: f64 = 0.57;
+const RMAT_A: f64 = 0.57;
 /// See [`RMAT_A`].
-pub const RMAT_B: f64 = 0.19;
+const RMAT_B: f64 = 0.19;
 /// See [`RMAT_A`].
-pub const RMAT_C: f64 = 0.19;
+const RMAT_C: f64 = 0.19;
 
 /// Maximum random edge weight produced by the weighted generators;
 /// weights are drawn uniformly from `1..=MAX_RANDOM_WEIGHT`.
-pub const MAX_RANDOM_WEIGHT: Weight = 64;
+const MAX_RANDOM_WEIGHT: Weight = 64;
 
 /// Generate one RMAT edge endpoint pair in a `2^scale`-vertex id space.
 fn rmat_edge(rng: &mut StdRng, scale: u32, a: f64, b: f64, c: f64) -> (VertexId, VertexId) {
@@ -67,7 +67,7 @@ pub fn rmat(scale: u32, edge_factor: f64, seed: u64, weighted: bool) -> Csr {
 }
 
 /// RMAT with explicit quadrant probabilities `(a, b, c)`; `d = 1 - a - b - c`.
-pub fn rmat_with_probs(
+fn rmat_with_probs(
     scale: u32,
     edge_factor: f64,
     seed: u64,
@@ -278,6 +278,7 @@ pub fn chain(num_vertices: u32, weighted: bool) -> Csr {
 }
 
 /// A star: vertex 0 points at every other vertex.
+// hyt-lint: allow(unreached-pub) -- fixture constructor the integration tests build hub graphs with
 pub fn star(num_vertices: u32, weighted: bool) -> Csr {
     let mut b = CsrBuilder::new(num_vertices, weighted);
     for v in 1..num_vertices {
@@ -285,23 +286,6 @@ pub fn star(num_vertices: u32, weighted: bool) -> Csr {
             b.add_weighted_edge(0, v, 1);
         } else {
             b.add_edge(0, v);
-        }
-    }
-    b.build()
-}
-
-/// A complete directed graph (no self loops). Quadratic; tests only.
-pub fn complete(num_vertices: u32, weighted: bool) -> Csr {
-    let mut b = CsrBuilder::new(num_vertices, weighted);
-    for s in 0..num_vertices {
-        for d in 0..num_vertices {
-            if s != d {
-                if weighted {
-                    b.add_weighted_edge(s, d, 1 + ((s + d) % 7) as Weight);
-                } else {
-                    b.add_edge(s, d);
-                }
-            }
         }
     }
     b.build()
@@ -481,8 +465,6 @@ mod tests {
         let s = star(5, false);
         assert_eq!(s.out_degree(0), 4);
         assert_eq!(s.out_degree(1), 0);
-        let k = complete(4, false);
-        assert_eq!(k.num_edges(), 12);
     }
 
     #[test]

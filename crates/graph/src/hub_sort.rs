@@ -41,12 +41,6 @@ pub struct HubSortResult {
 }
 
 impl HubSortResult {
-    /// Map an original vertex id to its relabelled id.
-    #[inline]
-    pub fn to_new(&self, old: VertexId) -> VertexId {
-        self.perm[old as usize]
-    }
-
     /// Map a relabelled vertex id back to the original id.
     #[inline]
     pub fn to_old(&self, new: VertexId) -> VertexId {
@@ -58,15 +52,6 @@ impl HubSortResult {
         assert_eq!(values.len(), self.perm.len());
         self.perm.iter().map(|&new| values[new as usize]).collect()
     }
-}
-
-/// Importance score `H(v)` of formula (4). Returns 0 when the graph has no
-/// edges (both maxima are 0).
-pub fn importance(do_v: u64, di_v: u64, do_max: u64, di_max: u64) -> f64 {
-    if do_max == 0 || di_max == 0 {
-        return 0.0;
-    }
-    (do_v as f64 * di_v as f64) / (do_max as f64 * di_max as f64)
 }
 
 /// Gather the top [`HUB_FRACTION`] of vertices by `H(v)` at the front of
@@ -122,18 +107,11 @@ mod tests {
     use crate::generators;
 
     #[test]
-    fn importance_matches_formula() {
-        assert_eq!(importance(4, 5, 10, 10), 0.2);
-        assert_eq!(importance(0, 5, 10, 10), 0.0);
-        assert_eq!(importance(1, 1, 0, 0), 0.0);
-    }
-
-    #[test]
     fn perm_and_inv_are_inverse_permutations() {
         let g = generators::rmat(9, 8.0, 4, false);
         let r = hub_sort(&g);
         for old in 0..g.num_vertices() {
-            assert_eq!(r.to_old(r.to_new(old)), old);
+            assert_eq!(r.to_old(r.perm[old as usize]), old);
         }
     }
 
@@ -173,7 +151,7 @@ mod tests {
         let g = generators::rmat(8, 8.0, 6, true);
         let r = hub_sort(&g);
         for old in 0..g.num_vertices() {
-            assert_eq!(g.out_degree(old), r.graph.out_degree(r.to_new(old)));
+            assert_eq!(g.out_degree(old), r.graph.out_degree(r.perm[old as usize]));
         }
         assert_eq!(g.num_edges(), r.graph.num_edges());
     }

@@ -14,7 +14,7 @@
 //!   chains) in [`generators`].
 //! * [`datasets`] — deterministic scaled-down proxies of the paper's five
 //!   real-world graphs (SK, TW, FK, UK, FS) plus the RMAT sweep of Fig. 9.
-//! * [`delta_csr`] — streaming mutations: an immutable base CSR plus
+//! * [`DeltaCsr`] — streaming mutations: an immutable base CSR plus
 //!   per-partition append-only delta segments (inserts, tombstoned
 //!   deletes, degree overlays), a unified adjacency iterator
 //!   ([`AdjacencyView`]), and a fold back into a fresh base.
@@ -27,15 +27,15 @@
 //! * [`hub_sort`](mod@hub_sort) — hub gathering by `H(v) = Do·Di / (Domax·Dimax)`
 //!   (Section VI-A, formula 4).
 //! * [`frontier`] — atomic bitmap frontiers with dense/sparse iteration.
-//! * [`degree`] — degree statistics and the bucketed distribution of
+//! * [`DegreeStats`] — degree statistics and the bucketed distribution of
 //!   Fig. 3(f).
 //! * [`io`] — binary CSR and text edge-list (de)serialisation.
 
 pub mod csr;
 pub mod datasets;
-pub mod degree;
-pub mod delta_csr;
-pub mod edgelist;
+mod degree;
+mod delta_csr;
+mod edgelist;
 pub mod error;
 pub mod frontier;
 pub mod generators;

@@ -54,8 +54,6 @@ impl Partition {
 #[derive(Clone, Debug)]
 pub struct PartitionSet {
     partitions: Vec<Partition>,
-    /// Bytes of edge data per partition at the budget used to build this set.
-    byte_budget: u64,
     /// `owner[v]` = partition id of vertex `v`.
     owner: Vec<u32>,
 }
@@ -110,11 +108,12 @@ impl PartitionSet {
                 end_edge: 0,
             });
         }
-        PartitionSet { partitions, byte_budget, owner }
+        PartitionSet { partitions, owner }
     }
 
     /// Partition into (roughly) `count` edge-balanced partitions; used where
     /// the paper fixes the count (e.g. 256 partitions in Fig. 3(a)).
+    // hyt-lint: allow(unreached-pub) -- fixture constructor: integration tests fix the partition count with it
     pub fn build_count(graph: &Csr, count: u32) -> PartitionSet {
         let total = graph.edge_bytes().max(1);
         let budget = total.div_ceil(count.max(1) as u64).max(1);
@@ -134,11 +133,6 @@ impl PartitionSet {
     /// True when the set holds a single empty partition of an empty graph.
     pub fn is_empty(&self) -> bool {
         self.partitions.len() == 1 && self.partitions[0].num_vertices() == 0
-    }
-
-    /// Byte budget the set was built with.
-    pub fn byte_budget(&self) -> u64 {
-        self.byte_budget
     }
 
     /// Which partition owns vertex `v`.
@@ -254,6 +248,7 @@ impl DevicePlan {
     }
 
     /// A trivial single-device plan (every partition on device 0).
+    // hyt-lint: allow(unreached-pub) -- fixture constructor: integration tests build one-device plans with it
     pub fn single(parts: &PartitionSet) -> DevicePlan {
         DevicePlan::build(parts, 1, DeviceAssignment::EdgeBalanced, 0)
     }
@@ -297,17 +292,17 @@ impl DevicePlan {
     pub fn owned_vertices(&self, d: u32) -> u64 {
         self.owned[d as usize]
     }
-
-    /// Partition ids owned by device `d`, ascending.
-    pub fn partitions_on(&self, d: u32) -> Vec<u32> {
-        (0..self.device_of.len() as u32).filter(|&p| self.device_of[p as usize] == d).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+
+    /// Partition ids owned by device `d`, ascending.
+    fn partitions_on(plan: &DevicePlan, d: u32) -> Vec<u32> {
+        (0..plan.device_of.len() as u32).filter(|&p| plan.device_of(p) == d).collect()
+    }
 
     #[test]
     fn covers_all_vertices_and_edges_without_overlap() {
@@ -402,7 +397,7 @@ mod tests {
         for d in [1u32, 2, 4, 8] {
             let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
             assert_eq!(plan.num_devices(), d);
-            let mut seen: Vec<u32> = (0..d).flat_map(|dev| plan.partitions_on(dev)).collect();
+            let mut seen: Vec<u32> = (0..d).flat_map(|dev| partitions_on(&plan, dev)).collect();
             seen.sort_unstable();
             let want: Vec<u32> = (0..ps.len() as u32).collect();
             assert_eq!(seen, want);
@@ -465,7 +460,10 @@ mod tests {
                 }
                 let plan = DevicePlan::build(&ps, d, DeviceAssignment::EdgeBalanced, 0);
                 for dev in 0..d {
-                    assert!(!plan.partitions_on(dev).is_empty(), "device {dev} empty, P={p} D={d}");
+                    assert!(
+                        !partitions_on(&plan, dev).is_empty(),
+                        "device {dev} empty, P={p} D={d}"
+                    );
                 }
                 checked += 1;
             }
@@ -509,7 +507,7 @@ mod tests {
         }
         for spare in n..d {
             assert_eq!(plan.load(spare), 0, "loaded spare device {spare}");
-            assert!(plan.partitions_on(spare).is_empty());
+            assert!(partitions_on(&plan, spare).is_empty());
         }
     }
 

@@ -11,8 +11,9 @@
 //! is only probed by wall-clock thread races. This crate machine-checks
 //! all of it:
 //!
-//! * [`lints`] — six deny-by-default lexical lints over
-//!   `crates/*/src/**/*.rs`, built on the hand-rolled scanner in
+//! * [`lints`] — seven deny-by-default lexical lints over
+//!   `crates/*/src/**/*.rs` (`unreached-pub` also reads the examples and
+//!   the facade crate for uses), built on the hand-rolled scanner in
 //!   [`lexer`] (the environment is offline and vendored, so no `syn`),
 //!   with an explicit in-source allow syntax that must carry a reason.
 //! * [`interleave`] — a loom-style bounded-schedule explorer that

@@ -1,8 +1,8 @@
 //! The workspace invariant lints.
 //!
-//! Six deny-by-default lints enforce the contracts nine PRs of growth
-//! have made load-bearing (see the README's *Static analysis* section
-//! for the rationale of each):
+//! Seven deny-by-default lints enforce the contracts the workspace's
+//! growth has made load-bearing (see the README's *Static analysis*
+//! section for the rationale of each):
 //!
 //! | lint | contract |
 //! |------|----------|
@@ -28,20 +28,25 @@
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions) is exempt
 //! from every lint except `atomics-allowlist`, which polices *file*
 //! ownership: a stray atomic in a unit test still spreads the
-//! concurrency story outside its three owner files.
+//! concurrency story outside its three owner files. For
+//! `unreached-pub`, test code neither declares items nor reaches them.
+//!
+//! Six lints read one file at a time ([`lint_source`]);
+//! `unreached-pub` reads the workspace as a whole ([`lint_sources`]).
 
 use crate::lexer::{tokenize, Tok, TokKind};
 use std::fmt;
 use std::path::Path;
 
-/// Names of the six real lints, in reporting order.
-pub const LINT_NAMES: [&str; 6] = [
+/// Names of the seven real lints, in reporting order.
+pub const LINT_NAMES: [&str; 7] = [
     "hardcoded-value-bytes",
     "unwrap-in-lib",
     "atomics-allowlist",
     "float-eq-in-pricing",
     "undocumented-pub-const",
     "no-direct-csr-mut",
+    "unreached-pub",
 ];
 
 /// Pseudo-lint reported for unparseable `hyt-lint:` annotations; cannot
@@ -99,20 +104,20 @@ const FLOATY_NAMES: [&str; 17] = [
 ];
 
 /// The three files that own atomics (suffix-matched).
-const ATOMIC_OWNER_FILES: [&str; 3] =
+pub const ATOMIC_OWNER_FILES: [&str; 3] =
     ["core/src/api.rs", "core/src/priority.rs", "graph/src/frontier.rs"];
 
 /// Files in scope for `hardcoded-value-bytes`: the pricing / exchange /
 /// cost layers that must derive every byte figure from `ValueLayout`.
-/// An entry ending in `/` is a directory segment (see [`in_scope`]).
-const BYTE_SCOPE_FILES: [&str; 10] = [
+/// An entry ending in `/` is a directory segment (see `in_scope`).
+pub const BYTE_SCOPE_FILES: [&str; 10] = [
     "core/src/cost.rs",
     "core/src/select.rs",
     "core/src/combine.rs",
     "core/src/runner.rs",
     "core/src/exchange.rs",
     "core/src/mutate.rs",
-    "core/src/grus.rs",
+    "core/src/residency.rs",
     "core/src/session.rs",
     "sim/src/topology/",
     "sim/src/pcie.rs",
@@ -120,7 +125,7 @@ const BYTE_SCOPE_FILES: [&str; 10] = [
 
 /// Files in scope for `float-eq-in-pricing`: the files that compare
 /// prices to make a decision (`multi.rs` orders the exchange's legs).
-const FLOAT_SCOPE_FILES: [&str; 5] = [
+pub const FLOAT_SCOPE_FILES: [&str; 5] = [
     "core/src/cost.rs",
     "core/src/select.rs",
     "sim/src/topology/",
@@ -132,7 +137,11 @@ const FLOAT_SCOPE_FILES: [&str; 5] = [
 /// every file of the graph crate (`csr.rs` defines the builder,
 /// `delta_csr.rs::compact()` is the one sanctioned delta fold, and the
 /// loaders/generators construct initial graphs).
-const CSR_OWNER_SEGMENT: &str = "graph/src/";
+pub const CSR_OWNER_SEGMENT: &str = "graph/src/";
+
+/// The library crates (`crates/<name>/src`) whose `pub` items
+/// `unreached-pub` collects.
+pub const LIBRARY_CRATES: [&str; 5] = ["graph", "sim", "engines", "core", "algos"];
 
 const ATOMIC_TYPES: [&str; 12] = [
     "AtomicBool",
@@ -159,54 +168,92 @@ fn in_scope(path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|s| if s.ends_with('/') { path.contains(s) } else { path.ends_with(s) })
 }
 
-/// Lint one file's source. `rel_path` is the workspace-relative path
-/// (forward slashes) — it drives the per-file scoping above.
+/// Lint one file's source with the six per-file lints. `rel_path` is
+/// the workspace-relative path (forward slashes) — it drives the
+/// per-file scoping above.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let toks = tokenize(src);
     let file = FileCtx::new(rel_path, src, &toks);
     let mut out = Vec::new();
-    out.extend(file.allow_syntax_errors.iter().cloned());
-    lint_hardcoded_value_bytes(&file, &mut out);
-    lint_unwrap_in_lib(&file, &mut out);
-    lint_atomics_allowlist(&file, &mut out);
-    lint_float_eq_in_pricing(&file, &mut out);
-    lint_undocumented_pub_const(&file, &mut out);
-    lint_no_direct_csr_mut(&file, &mut out);
+    lint_file(&file, &mut out);
     out.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
     out
 }
 
-/// Walk `crates/*/src/**/*.rs` under `root` and lint every file.
-/// Returns diagnostics sorted by path then line.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in std::fs::read_dir(&crates_dir)? {
-        let src_dir = entry?.path().join("src");
-        if src_dir.is_dir() {
-            collect_rs(&src_dir, &mut files)?;
-        }
-    }
-    files.sort();
+/// Lint a whole workspace given as `(workspace-relative path, source)`
+/// pairs: the per-file lints on every `crates/*/src/` file, and
+/// `unreached-pub` on the [`LIBRARY_CRATES`]' items against the non-test
+/// tokens of every file given. Returns diagnostics sorted by path, then
+/// line.
+pub fn lint_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let toks: Vec<Vec<Tok<'_>>> = files.iter().map(|(_, src)| tokenize(src)).collect();
+    let ctxs: Vec<FileCtx<'_>> =
+        files.iter().zip(&toks).map(|((path, src), t)| FileCtx::new(path, src, t)).collect();
     let mut out = Vec::new();
-    for f in &files {
-        let src = std::fs::read_to_string(f)?;
-        let rel = f.strip_prefix(root).unwrap_or(f).to_string_lossy().replace('\\', "/");
-        out.extend(lint_source(&rel, &src));
+    for file in ctxs.iter().filter(|f| crate_of(f.rel_path).is_some()) {
+        lint_file(file, &mut out);
     }
-    Ok(out)
+    lint_unreached_pub(&ctxs, &mut out);
+    out.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
+    out
 }
 
+/// Walk the workspace under `root` and lint it with [`lint_sources`]:
+/// every `.rs` file under `crates/*/src`, `crates/*/examples`, the root
+/// `src/` and `examples/`. `tests/` directories are never read, so an
+/// item that only integration tests reach is unreached.
+pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
+    let mut dirs = vec![root.join("src"), root.join("examples")];
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let krate = entry?.path();
+        dirs.push(krate.join("src"));
+        dirs.push(krate.join("examples"));
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut files)?;
+    }
+    files.sort();
+    let sources = files
+        .iter()
+        .map(|f| {
+            let rel = f.strip_prefix(root).unwrap_or(f).to_string_lossy().replace('\\', "/");
+            Ok((rel, std::fs::read_to_string(f)?))
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
+    Ok(lint_sources(&sources))
+}
+
+/// The crate `path` is a library source of: `crates/<name>/src/...`.
+fn crate_of(path: &str) -> Option<&str> {
+    let (name, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    rest.starts_with("src/").then_some(name)
+}
+
+/// Recursively collect `.rs` files, skipping build output (`target/`).
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let p = entry?.path();
         if p.is_dir() {
-            collect_rs(&p, out)?;
+            if !p.ends_with("target") {
+                collect_rs(&p, out)?;
+            }
         } else if p.extension().is_some_and(|e| e == "rs") {
             out.push(p);
         }
     }
     Ok(())
+}
+
+/// The six per-file lints, plus the file's malformed annotations.
+fn lint_file(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    out.extend(file.allow_syntax_errors.iter().cloned());
+    lint_hardcoded_value_bytes(file, out);
+    lint_unwrap_in_lib(file, out);
+    lint_atomics_allowlist(file, out);
+    lint_float_eq_in_pricing(file, out);
+    lint_undocumented_pub_const(file, out);
+    lint_no_direct_csr_mut(file, out);
 }
 
 /// Pre-computed per-file context shared by the lint passes.
@@ -740,6 +787,101 @@ fn lint_no_direct_csr_mut(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// `unreached-pub`: a `pub` item of a [`LIBRARY_CRATES`] file whose name
+/// appears in no non-test token of any other file given. A name that two
+/// items share counts as reached, and so does one that a `pub use`
+/// re-exports (the re-export is a token in another file).
+fn lint_unreached_pub(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) {
+    // Every file each non-test identifier appears in.
+    let mut seen_in: std::collections::HashMap<&str, Vec<usize>> = Default::default();
+    for (f, file) in files.iter().enumerate() {
+        for &i in file.code.iter().filter(|&&i| !file.in_test[i]) {
+            let t = &file.toks[i];
+            if t.kind == TokKind::Ident {
+                let at = seen_in.entry(t.text).or_default();
+                if at.last() != Some(&f) {
+                    at.push(f);
+                }
+            }
+        }
+    }
+    let items: Vec<(usize, Vec<PubItem<'_>>)> = files
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| crate_of(f.rel_path).is_some_and(|c| LIBRARY_CRATES.contains(&c)))
+        .map(|(f, file)| (f, pub_items(file)))
+        .collect();
+    let mut declared: std::collections::HashMap<&str, usize> = Default::default();
+    for item in items.iter().flat_map(|(_, v)| v) {
+        *declared.entry(item.name).or_default() += 1;
+    }
+    for (f, file_items) in &items {
+        for item in file_items {
+            let reached = declared[item.name] > 1
+                || seen_in.get(item.name).is_some_and(|at| at.iter().any(|g| g != f));
+            if !reached {
+                emit(
+                    &files[*f],
+                    out,
+                    item.line,
+                    "unreached-pub",
+                    format!(
+                        "`pub {} {}` is named by no non-test code outside this file — \
+                         delete it, narrow it, or allow it with the reason it stays public",
+                        item.kind, item.name
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// One `pub` item: keyword, name and the name's line.
+struct PubItem<'a> {
+    kind: &'a str,
+    name: &'a str,
+    line: u32,
+}
+
+/// The non-test `pub fn|struct|enum|type|const|trait|static|mod` items of
+/// `file` (through `const`/`unsafe`/`async` qualifiers and `static mut`),
+/// and every leaf name of a `pub use` tree. `pub(crate)` and the like are
+/// not public API and are not collected.
+fn pub_items<'a>(file: &FileCtx<'a>) -> Vec<PubItem<'a>> {
+    let tok = |k: usize| file.code.get(k).map(|&j| &file.toks[j]);
+    let text = |k: usize| tok(k).map_or("", |t| t.text);
+    let mut items = Vec::new();
+    for (k, &i) in file.code.iter().enumerate() {
+        if file.in_test[i] || file.toks[i].kind != TokKind::Ident || file.toks[i].text != "pub" {
+            continue;
+        }
+        let mut n = k + 1;
+        while matches!(text(n), "unsafe" | "async") || (text(n) == "const" && text(n + 1) == "fn") {
+            n += 1;
+        }
+        let kind = text(n);
+        match kind {
+            "fn" | "struct" | "enum" | "type" | "const" | "trait" | "static" | "mod" => {
+                let m = if text(n + 1) == "mut" { n + 2 } else { n + 1 };
+                if let Some(name) = tok(m).filter(|t| t.kind == TokKind::Ident) {
+                    items.push(PubItem { kind, name: name.text, line: name.line });
+                }
+            }
+            "use" => {
+                for m in n + 1.. {
+                    let Some(t) = tok(m).filter(|t| t.text != ";") else { break };
+                    let leaf = matches!(text(m + 1), "," | "}" | ";");
+                    if t.kind == TokKind::Ident && t.text != "self" && leaf {
+                        items.push(PubItem { kind, name: t.text, line: t.line });
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    items
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,6 +1039,26 @@ mod tests {
             "// hyt-lint: allow(no-direct-csr-mut) -- oracle rebuild for the check harness\n\
                        fn f() { let g = Csr::from_parts(ro, ci, None); }\n";
         assert_eq!(lints_of("crates/bench/src/check.rs", allowed), vec![]);
+    }
+
+    #[test]
+    fn pub_items_reads_qualifiers_use_trees_and_skips_scoped_and_test_items() {
+        let src = "pub const fn a() {}\npub unsafe fn b() {}\npub static mut C: u32 = 0;\n\
+                   pub use x::{self, y::D, E as F};\npub(crate) fn g() {}\npub struct H;\n\
+                   #[cfg(test)]\nmod tests {\n pub fn i() {}\n}\n";
+        let toks = tokenize(src);
+        let file = FileCtx::new("crates/core/src/x.rs", src, &toks);
+        let got: Vec<(u32, &str, &str)> =
+            pub_items(&file).iter().map(|it| (it.line, it.kind, it.name)).collect();
+        let want = [
+            (1, "fn", "a"),
+            (2, "fn", "b"),
+            (3, "static", "C"),
+            (4, "use", "D"),
+            (4, "use", "F"),
+            (6, "struct", "H"),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -4,26 +4,52 @@
 //! A fixture's first line is a `//@path <workspace-relative-path>`
 //! directive giving the path the snippet pretends to live at (the lints
 //! scope by file); the directive line stays in the linted source so
-//! fixture line numbers and diagnostic line numbers agree. Regenerate
-//! goldens with `UPDATE_EXPECT=1 cargo test -p hyt-lint --test fixtures`.
+//! fixture line numbers and diagnostic line numbers agree. A fixture with
+//! several `//@path` sections lints as a small workspace, one file per
+//! section, so the cross-file `unreached-pub` lint can fire; each file
+//! keeps the fixture's line numbers (lines of other sections are blank).
+//! Regenerate goldens with `UPDATE_EXPECT=1 cargo test -p hyt-lint --test
+//! fixtures`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use hyt_lint::lints::{lint_source, LINT_NAMES};
+use hyt_lint::lints::{lint_source, lint_sources, LINT_NAMES};
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
 }
 
+/// The path a `//@path <rel-path>` directive line names.
+fn directive(line: &str) -> Option<&str> {
+    line.strip_prefix("//@path ").map(str::trim)
+}
+
 fn render(path: &Path) -> (String, Vec<&'static str>) {
     let src = std::fs::read_to_string(path).expect("fixture readable");
-    let first = src.lines().next().unwrap_or("");
-    let pretend = first
-        .strip_prefix("//@path ")
-        .unwrap_or_else(|| panic!("{}: first line must be `//@path <rel-path>`", path.display()))
-        .trim();
-    let diags = lint_source(pretend, &src);
+    let lines: Vec<&str> = src.lines().collect();
+    assert!(
+        lines.first().is_some_and(|l| directive(l).is_some()),
+        "{}: first line must be `//@path <rel-path>`",
+        path.display()
+    );
+    let starts: Vec<usize> = (0..lines.len()).filter(|&i| directive(lines[i]).is_some()).collect();
+    let diags = if let [only] = starts[..] {
+        lint_source(directive(lines[only]).unwrap_or_default(), &src)
+    } else {
+        let files: Vec<(String, String)> = starts
+            .iter()
+            .enumerate()
+            .map(|(k, &a)| {
+                let b = starts.get(k + 1).copied().unwrap_or(lines.len());
+                let text: Vec<&str> = (0..lines.len())
+                    .map(|i| if (a..b).contains(&i) { lines[i] } else { "" })
+                    .collect();
+                (directive(lines[a]).unwrap_or_default().to_string(), text.join("\n"))
+            })
+            .collect();
+        lint_sources(&files)
+    };
     let fired = diags.iter().map(|d| d.lint).collect();
     let mut out = String::new();
     for d in &diags {
@@ -65,7 +91,7 @@ fn fixtures_match_goldens() {
         checked += 1;
     }
     if !update {
-        assert!(checked >= 7, "expected at least 7 fixtures, checked {checked}");
+        assert!(checked >= 8, "expected at least 8 fixtures, checked {checked}");
     }
     // Every lint must be proven to fire by at least one fixture, and the
     // malformed-annotation pseudo-lint as well.

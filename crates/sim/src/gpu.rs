@@ -30,7 +30,7 @@ pub struct GpuModel {
 
 impl GpuModel {
     /// GTX 1080 (2560 cores, 8 GB) — Fig. 10.
-    pub fn gtx1080() -> Self {
+    pub(crate) fn gtx1080() -> Self {
         GpuModel {
             name: "GTX 1080",
             mem_bw: 320.0e9,
@@ -43,7 +43,7 @@ impl GpuModel {
     }
 
     /// Tesla P100 (3584 cores, 16 GB) — Table I and Fig. 10.
-    pub fn p100() -> Self {
+    pub(crate) fn p100() -> Self {
         GpuModel {
             name: "P100",
             mem_bw: 732.0e9,
@@ -56,7 +56,7 @@ impl GpuModel {
     }
 
     /// Tesla V100 — Table I.
-    pub fn v100() -> Self {
+    pub(crate) fn v100() -> Self {
         GpuModel {
             name: "V100",
             mem_bw: 900.0e9,
@@ -69,7 +69,7 @@ impl GpuModel {
     }
 
     /// RTX 2080Ti (4352 cores, 11 GB) — the paper's main test GPU.
-    pub fn rtx2080ti() -> Self {
+    pub(crate) fn rtx2080ti() -> Self {
         GpuModel {
             name: "2080Ti",
             mem_bw: 616.0e9,
@@ -82,7 +82,7 @@ impl GpuModel {
     }
 
     /// A100 — Table I.
-    pub fn a100() -> Self {
+    pub(crate) fn a100() -> Self {
         GpuModel {
             name: "A100",
             mem_bw: 1.9e12,
@@ -95,7 +95,7 @@ impl GpuModel {
     }
 
     /// H100 — Table I.
-    pub fn h100() -> Self {
+    pub(crate) fn h100() -> Self {
         GpuModel {
             name: "H100",
             mem_bw: 3.0e12,

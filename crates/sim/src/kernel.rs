@@ -26,7 +26,7 @@ pub struct KernelModel {
 /// Estimated device-memory traffic per processed edge (neighbour id read,
 /// value read, value write amortised, frontier update): used to derive
 /// throughput from memory bandwidth.
-pub const BYTES_PER_EDGE_TRAFFIC: f64 = 16.0;
+const BYTES_PER_EDGE_TRAFFIC: f64 = 16.0;
 
 impl KernelModel {
     /// Derive the model from a device's memory bandwidth and core count.

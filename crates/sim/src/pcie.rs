@@ -66,7 +66,7 @@ impl PcieModel {
 
     /// Payload of one saturated TLP (`m · MR` bytes = 32 KB on PCIe 3.0).
     #[inline]
-    pub fn tlp_payload(&self) -> u64 {
+    fn tlp_payload(&self) -> u64 {
         self.request_bytes * self.max_requests
     }
 
@@ -75,7 +75,7 @@ impl PcieModel {
     /// absolute value cancels in engine comparison; it matters here because
     /// the simulator also reports absolute times.
     #[inline]
-    pub fn rtt(&self) -> SimTime {
+    fn rtt(&self) -> SimTime {
         self.tlp_payload() as f64 / self.explicit_bw
     }
 
@@ -92,24 +92,6 @@ impl PcieModel {
             return 0.0;
         }
         self.copy_latency + self.explicit_copy_tlps(bytes) as f64 * self.rtt()
-    }
-
-    /// Memory requests needed for one vertex's neighbour run of
-    /// `run_bytes`, including the misalignment extra (`am(v)`):
-    /// `ceil(run_bytes / m) + am`.
-    #[inline]
-    pub fn requests_for_run(&self, run_bytes: u64, misaligned: bool) -> u64 {
-        if run_bytes == 0 {
-            return 0;
-        }
-        run_bytes.div_ceil(self.request_bytes) + misaligned as u64
-    }
-
-    /// `am(v)` from the paper: 1 if a neighbour run starting at
-    /// `start_byte` does not begin on a request boundary, else 0.
-    #[inline]
-    pub fn misaligned(&self, start_byte: u64) -> bool {
-        !start_byte.is_multiple_of(self.request_bytes)
     }
 
     /// Exact memory requests for a neighbour run at byte `start` of length
@@ -215,19 +197,6 @@ mod tests {
         assert_eq!(b.zero_copy_tlps(256), 1);
         assert_eq!(b.zero_copy_tlps(257), 2);
         assert_eq!(b.zero_copy_tlps(0), 0);
-    }
-
-    #[test]
-    fn requests_for_run_matches_paper_formula() {
-        let b = bus();
-        // 32 neighbours * 4B = 128B = exactly one request.
-        assert_eq!(b.requests_for_run(128, false), 1);
-        assert_eq!(b.requests_for_run(129, false), 2);
-        // misalignment adds one transaction
-        assert_eq!(b.requests_for_run(128, true), 2);
-        assert_eq!(b.requests_for_run(0, false), 0);
-        assert!(b.misaligned(4));
-        assert!(!b.misaligned(256));
     }
 
     #[test]

@@ -135,7 +135,8 @@ impl Interconnect {
     }
 
     /// The probe-size ladder the route tables were built at (ascending).
-    pub fn route_breakpoints(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn route_breakpoints(&self) -> &[u64] {
         &self.breakpoints
     }
 

@@ -30,7 +30,7 @@ pub struct UmModel {
 }
 
 /// Measured UM/explicit bandwidth ratio from the paper.
-pub const UM_BANDWIDTH_FRACTION: f64 = 0.739;
+const UM_BANDWIDTH_FRACTION: f64 = 0.739;
 
 impl UmModel {
     /// Derive a UM model from the bus it migrates over.
@@ -48,17 +48,8 @@ impl UmModel {
 
     /// Page index holding byte `addr`.
     #[inline]
-    pub fn page_of(&self, addr: u64) -> u64 {
+    fn page_of(&self, addr: u64) -> u64 {
         addr / self.page_bytes
-    }
-
-    /// Number of distinct pages overlapped by `[start, start+len)`.
-    #[inline]
-    pub fn pages_for_range(&self, start: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        self.page_of(start + len - 1) - self.page_of(start) + 1
     }
 
     /// Time to fault-in `pages` pages (transfer + bookkeeping).
@@ -133,6 +124,7 @@ impl UmCache {
     }
 
     /// Pages currently resident.
+    // hyt-lint: allow(unreached-pub) -- the UM cache's capacity bound is proptested through it (tests/engine_invariants.rs)
     pub fn resident_pages(&self) -> u64 {
         self.resident.len() as u64
     }
@@ -145,22 +137,6 @@ impl UmCache {
     /// Total hits since construction.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Bytes migrated so far (faults × page size).
-    pub fn migrated_bytes(&self) -> u64 {
-        self.faults * self.model.page_bytes
-    }
-
-    /// Drop all residency (e.g. between algorithm runs).
-    pub fn clear(&mut self) {
-        self.resident.clear();
-        self.lru.clear();
-    }
-
-    /// The model this cache charges against.
-    pub fn model(&self) -> &UmModel {
-        &self.model
     }
 }
 
@@ -180,23 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn pages_for_range_counts_straddles() {
-        let m = model();
-        assert_eq!(m.pages_for_range(0, 1), 1);
-        assert_eq!(m.pages_for_range(0, 4096), 1);
-        assert_eq!(m.pages_for_range(0, 4097), 2);
-        assert_eq!(m.pages_for_range(4095, 2), 2); // straddles a boundary
-        assert_eq!(m.pages_for_range(123, 0), 0);
-    }
-
-    #[test]
     fn cache_hits_after_first_touch() {
         let mut c = UmCache::new(model(), 1 << 20);
         assert_eq!(c.touch_range(0, 8192), 2); // 2 pages fault
         assert_eq!(c.touch_range(0, 8192), 0); // now resident
         assert_eq!(c.faults(), 2);
         assert_eq!(c.hits(), 2);
-        assert_eq!(c.migrated_bytes(), 8192);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ISSUE 26 adds the changed-register exchange: a record carries only the
 //! registers the merge raised, and they rebuild the sketch on a replica.
 
-use hytgraph::algos::hyperball::{run_hyperball, HllSketch, HLL_RSE};
+use hytgraph::algos::hyperball::{run_hyperball, HllSketch, HllValue, HLL_RSE};
 use hytgraph::algos::reference;
 use hytgraph::core::api::VertexValue;
 use hytgraph::core::{HyTGraphConfig, SystemKind, TopologyKind};
@@ -183,7 +183,7 @@ fn wide_layout_is_reported_and_exchange_records_are_sketch_sized() {
 
 /// Registers of a sketch, in register order (8 per lane, low byte first).
 fn registers(s: HllSketch) -> Vec<u8> {
-    let mut lanes = [0u64; HllSketch::SKETCH_LANES];
+    let mut lanes = [0u64; <HllSketch as VertexValue>::LANES];
     s.store_lanes(&mut lanes);
     lanes.iter().flat_map(|l| l.to_le_bytes()).collect()
 }
@@ -208,7 +208,7 @@ proptest! {
             replica[j] = after[j];
         }
         prop_assert_eq!(&replica, &after);
-        let sparse = HllSketch::REGISTERS as u64 / 8 + raised.len() as u64;
+        let sparse = <HllSketch as HllValue>::REGISTERS as u64 / 8 + raised.len() as u64;
         prop_assert_eq!(new.wire_bytes_since(&old), sparse.min(HllSketch::WIRE_BYTES));
     }
 }

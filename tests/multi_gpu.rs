@@ -271,7 +271,7 @@ fn iteration_records_are_final_and_sum_to_the_total() {
         let mut sys = HyTGraphSystem::new(g.clone(), cfg);
         let r = sys.run(Sssp::from_source(0));
         let c = sys.config();
-        let edge_bytes = sys.num_edges() * sys.effective_bytes_per_edge::<Sssp>();
+        let edge_bytes = sys.effective_edge_bytes::<Sssp>();
         let startup = c.startup_edge_passes * edge_bytes as f64 / c.machine.compaction_bw;
         (r, startup, c.machine.pcie.copy_latency)
     };

@@ -144,7 +144,7 @@ fn first_touches<P: VertexProgram>(
     assert!(cfg.contribution_scheduling, "the preset hub-sorts");
     let sorted = hub_sort::hub_sort_with_fraction(g, cfg.hub_fraction);
     let parts = PartitionSet::build(&sorted.graph, cfg.partition_bytes);
-    let owner = |v: VertexId| parts.owner_of(sorted.to_new(v)) as usize;
+    let owner = |v: VertexId| parts.owner_of(sorted.perm[v as usize]) as usize;
     let mut first = vec![None; parts.len()];
     let mut touch = |p: usize, i: usize| {
         first[p].get_or_insert(i);

@@ -139,7 +139,7 @@ proptest! {
     ) {
         let nd = gens.len();
         let ic = mixed_fabric(&gens, slow_sel).with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
-        for &probe in ic.route_breakpoints() {
+        for probe in ROUTE_BREAKPOINT_LADDER {
             for s in 0..nd as u32 {
                 for d in (0..nd as u32).filter(|&d| d != s) {
                     // Host staging (up on s's port, down on d's; two
