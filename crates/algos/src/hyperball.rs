@@ -24,12 +24,13 @@
 //!
 //! The register budget is the accuracy/traffic dial: an HLL counter
 //! with `m = 2^p` registers carries a relative standard error of
-//! `1.04/√m` but ships `m` bytes per exchanged vertex. The macro-built
-//! [`HllP4`]..[`HllP12`] types cover `p ∈ {4..12}` (2 to 512 value
-//! lanes); [`HllSketch`] is the `p = 6` default, and
-//! [`run_hyperball_with`] runs the analytics at any member. Every
-//! precision exercises the same width-aware value layer — `p = 12` is
-//! also what sizes `MAX_VALUE_LANES`.
+//! `1.04/√m` but ships `m` bytes per exchanged vertex. `hll_precisions!`
+//! builds one fixed-precision type per `p`; the library builds
+//! [`HllSketch`] (`p = 6`), and [`run_hyperball_with`] runs the
+//! analytics at any [`HllValue`]. The unit tests build the rest of the
+//! family, `HllP4`..`HllP12` (`p ∈ {4..12}`, 2 to 512 value lanes), and
+//! run every width through the same value layer — `p = 12` is also what
+//! sizes `MAX_VALUE_LANES`.
 //!
 //! HyperBall's classic systolic→local optimisation — scan all vertices
 //! while the frontier is dense, then switch to propagating only changed
@@ -86,8 +87,8 @@ fn nonzero_bytes(x: u64) -> u64 {
 }
 
 /// The interface shared by the whole precision family, letting
-/// [`HyperBallP`] run at any register budget. Implemented by the
-/// macro-built [`HllP4`]..[`HllP12`] (and hence [`HllSketch`]).
+/// [`HyperBallP`] run at any register budget. Implemented by every
+/// `hll_precisions!` type, [`HllSketch`] among them.
 pub trait HllValue: VertexValue {
     /// Precision exponent: `2^p` registers per sketch.
     const P: u32;
@@ -257,14 +258,20 @@ macro_rules! hll_precisions {
 }
 
 hll_precisions! {
+    /// 64-register counter (`p = 6`, 8 lanes, RSE 13%) — the default
+    /// [`HllSketch`].
+    HllP6 => 6,
+}
+
+// The rest of the family: the width tests run every precision through
+// the value layer, and nothing else needs them.
+#[cfg(test)]
+hll_precisions! {
     /// 16-register counter (`p = 4`, 2 lanes, RSE 26%) — the cheapest
     /// member; its exchange record is barely wider than a scalar's.
     HllP4 => 4,
     /// 32-register counter (`p = 5`, 4 lanes, RSE 18%).
     HllP5 => 5,
-    /// 64-register counter (`p = 6`, 8 lanes, RSE 13%) — the default
-    /// [`HllSketch`].
-    HllP6 => 6,
     /// 128-register counter (`p = 7`, 16 lanes, RSE 9.2%).
     HllP7 => 7,
     /// 256-register counter (`p = 8`, 32 lanes, RSE 6.5%) — the

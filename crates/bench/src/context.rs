@@ -11,7 +11,7 @@ use hyt_sim::{GpuModel, MachineModel, TransferCounters};
 use std::collections::HashMap;
 
 /// Scale shift shared with the dataset proxies.
-pub use hyt_core::config::SCALE_SHIFT;
+pub use hyt_graph::datasets::SCALE_SHIFT;
 
 /// Lazy dataset cache: generating a proxy costs a second or two, and most
 /// experiments reuse the same five graphs.

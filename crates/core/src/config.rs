@@ -2,12 +2,10 @@
 
 use crate::select::{SelectParams, Selection};
 use hyt_graph::DeviceAssignment;
+// Datasets are 2¹⁰ smaller than the paper's, so partitions and device
+// budgets shrink by the same factor (all cost-model ratios are preserved).
+use hyt_graph::datasets::SCALE_SHIFT;
 use hyt_sim::{LinkSpec, MachineModel, TopologyKind};
-
-/// Scale shift shared with `hyt_graph::datasets`: datasets are 2¹⁰ smaller
-/// than the paper's, so partitions and device budgets shrink by the same
-/// factor (all cost-model ratios are preserved).
-pub const SCALE_SHIFT: u32 = 10;
 
 /// The paper's partition byte budget (32 MB), before scaling.
 const PAPER_PARTITION_BYTES: u64 = 32 << 20;
@@ -21,8 +19,7 @@ pub enum AsyncMode {
     Sync,
     /// Asynchronous with `recompute` extra passes over each loaded task's
     /// newly-activated local vertices. HyTGraph uses 1 ("processes the
-    /// loaded partition only one more time"); Subway squeezes until a
-    /// fixpoint (capped).
+    /// loaded partition only one more time"); Subway squeezes it twice.
     Async {
         /// Extra local passes per loaded task.
         recompute: u32,

@@ -1,55 +1,50 @@
-//! Device residency of edge data: which partitions a device keeps for the
-//! rest of a run, and how the policies that keep any price it.
+//! The run's transfer policy: which engine ships each active partition,
+//! which partitions a device keeps for the rest of a run, and what each
+//! shipment costs.
+//!
+//! Each Table V row is one [`Policy`], built from `config.selection` when
+//! a run starts; nothing else knows which system runs. Each iteration it
+//! picks an engine per active partition ([`Policy::select`]), turns each
+//! into the partition's one [`Delivery`] ([`Policy::resolve`]), and
+//! prices what each device ships ([`Policy::ship`]).
 //!
 //! Every simulated GPU is a whole card: its edge budget is the card's
 //! memory minus its own vertex-state replica, derated by
-//! `um_utilization`. Three policies keep edge data on it:
-//!
-//! * **HyTGraph** (`Selection::Hybrid`). A partition already on the device
-//!   is the cheapest delivery of all. Each iteration,
-//!   [`Residency::resolve`] turns Algorithm 1's engine for each active
-//!   partition into its one [`Delivery`]. On a device whose whole share
-//!   fits its budget, a partition it holds is [`Delivery::Held`] (only
-//!   the kernel runs), and any other is [`Delivery::Load`]: one whole
-//!   ExpTM-filter copy, kept for the rest of the run. The share is its
-//!   partitions' live (base + delta) edges × the program's bytes per
-//!   edge. A device whose share does not fit keeps nothing and ships
-//!   through Algorithm 1's engine, so it prices as if residency did not
-//!   exist. Algorithm 1 itself decides exactly as if the card were empty.
-//! * **Grus** (Table V's comparison row): unified memory as a prefetch
-//!   cache. Resident partitions are unified-memory hits. While the owning
-//!   device's budget lasts, whole partitions migrate (and pin) through UM
-//!   on first touch. After that the policy falls back to zero-copy, at
-//!   Grus's own unmerged request size. Residency is an input of its
-//!   selection ([`Pins::select`]), so its delivery is the engine chosen.
-//! * **ImpTM-UM** (`Selection::UnifiedOnly`): one LRU page cache per
-//!   device.
-//!
-//! HyTGraph and Grus share one pin set, [`Pins`]. All of it lives in the
-//! run's state: nothing survives a run, so a mutation between runs needs
-//! no delta-upload charge.
+//! `um_utilization`. Three policies keep edge data on it. Under HyTGraph,
+//! a device whose whole share (its partitions' live edges × the program's
+//! bytes per edge) fits loads each partition whole on first touch,
+//! whatever engine Algorithm 1 chose, and holds it after that; a device
+//! whose share does not fit keeps nothing, and Algorithm 1 decides as if
+//! every card were empty. Grus migrates and pins whole partitions through
+//! unified memory on first touch while the budget lasts, then falls back
+//! to zero-copy at its own unmerged request size ([`Pins::select`]).
+//! ImpTM-UM keeps one LRU page cache per device. Nothing survives a run,
+//! so a mutation between runs needs no delta-upload charge.
 
+use crate::runner::HyTGraphSystem;
+use crate::select::{select_engines, SelectParams, Selection};
+use hyt_engines::{compaction, filter, zero_copy};
 use hyt_engines::{EngineKind, PartitionActivity, TaskPlan, UnifiedState};
 use hyt_graph::{DevicePlan, PartitionSet};
 use hyt_sim::MachineModel;
 
-/// Device residency of edge data for one run.
-pub(crate) enum Residency {
-    /// Filter, compaction and zero-copy deliver afresh every iteration
-    /// (the single-engine baselines).
+/// One run's transfer policy: a Table V row's engine choice and the
+/// device state it keeps.
+pub(crate) enum Policy {
+    /// Host-only execution (the Galois-class row): there is no device.
+    Cpu,
+    /// One constant engine, delivering afresh every iteration.
     Stateless,
     /// Pure unified memory: one LRU page cache per device.
     Unified(Vec<UnifiedState>),
-    /// The Grus baseline: pin whole partitions on first touch until the
-    /// budget is spent.
+    /// Grus: pin whole partitions on first touch until the budget is spent.
     Grus(Pins),
-    /// HyTGraph: load each partition whole on first touch and keep it, on
-    /// devices whose whole share fits.
+    /// HyTGraph: a device whose whole share fits keeps what it touches.
     Hybrid(Pins),
 }
 
 /// How one active partition reaches its device in one iteration. Decided
-/// once, right after Algorithm 1 ([`Residency::resolve`]); pricing, the
+/// once, right after Algorithm 1 ([`Policy::resolve`]); pricing, the
 /// recompute pass, the host gather and the engine mix all read it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Delivery {
@@ -75,7 +70,54 @@ impl Delivery {
     }
 }
 
-impl Residency {
+impl Policy {
+    /// `sys`'s configured policy for a run in which each card holds
+    /// `budget` edge bytes and the program moves `bpe` bytes per edge.
+    pub(crate) fn new(sys: &HyTGraphSystem, budget: u64, bpe: u64) -> Self {
+        let (machine, num_parts) = (&sys.config.machine, sys.parts.len());
+        let num_devices = sys.devices.num_devices() as usize;
+        match sys.config.selection {
+            Selection::Hybrid => {
+                Policy::Hybrid(Pins::whole_shares(num_parts, &shares(sys, bpe), budget))
+            }
+            Selection::FilterOnly | Selection::CompactionOnly | Selection::ZeroCopyOnly => {
+                Policy::Stateless
+            }
+            Selection::UnifiedOnly => Policy::Unified(
+                (0..num_devices).map(|_| UnifiedState::with_budget(machine, budget)).collect(),
+            ),
+            Selection::GrusLike => {
+                Policy::Grus(Pins::with_budgets(num_parts, (0..num_devices).map(|_| Some(budget))))
+            }
+            Selection::CpuOnly => Policy::Cpu,
+        }
+    }
+
+    /// The run executes on the host: no partition reaches a device.
+    pub(crate) fn on_host(&self) -> bool {
+        matches!(self, Policy::Cpu)
+    }
+
+    /// An engine for every active partition, as `(index in acts, engine)`
+    /// in partition order: Algorithm 1 or the constant engine
+    /// ([`select_engines`], which prices `surplus` value bytes per gathered
+    /// vertex), or Grus's residency check ([`Pins::select`]). Never asked
+    /// of the CPU policy ([`select_engines`] panics).
+    pub(crate) fn select(
+        &mut self,
+        acts: &[PartitionActivity],
+        sys: &HyTGraphSystem,
+        bpe: u64,
+        surplus: u64,
+    ) -> Vec<(usize, EngineKind)> {
+        let cfg = &sys.config;
+        let params = SelectParams { value_surplus: surplus, ..cfg.select_params };
+        match self {
+            Policy::Grus(pins) => pins.select(acts, &sys.parts, &sys.devices, bpe),
+            _ => select_engines(acts, &cfg.machine.pcie, bpe, cfg.selection, &params),
+        }
+    }
+
     /// Each active partition's delivery this iteration, from Algorithm 1's
     /// `decisions` (indices into `acts`, each with its engine). The result
     /// is indexed like `acts`, `None` for a partition that is not active.
@@ -93,7 +135,7 @@ impl Residency {
         let mut out = vec![None; acts.len()];
         for &(i, kind) in decisions {
             out[i] = Some(match self {
-                Residency::Hybrid(pins) => {
+                Policy::Hybrid(pins) => {
                     let pid = acts[i].partition;
                     let dev = &mut pins.devices[plan.device_of(pid) as usize];
                     let resident = &mut dev.resident[pid as usize];
@@ -111,6 +153,51 @@ impl Residency {
         }
         out
     }
+
+    /// Price shipping `shipped` (one device's members of a task) to
+    /// `device` through `via`: the engine's own price, but Grus's zero-copy
+    /// is penalised, and unified memory is a cache or a migrate-and-pin.
+    pub(crate) fn ship(
+        &mut self,
+        via: EngineKind,
+        device: usize,
+        shipped: &[&PartitionActivity],
+        sys: &HyTGraphSystem,
+        bpe: u64,
+        surplus: u64,
+    ) -> TaskPlan {
+        let (machine, graph) = (&sys.config.machine, sys.graph.view());
+        match (self, via) {
+            (Policy::Unified(caches), EngineKind::ImpUnified) => {
+                caches[device].plan_unified(machine, graph, shipped, bpe)
+            }
+            (Policy::Grus(pins), EngineKind::ImpUnified) => {
+                pins.plan_um(device, machine, &sys.parts, shipped, bpe)
+            }
+            (Policy::Grus(_), EngineKind::ImpZeroCopy) => {
+                Pins::penalize_zero_copy(zero_copy::plan_zero_copy(machine, shipped))
+            }
+            (_, EngineKind::ExpFilter) => filter::plan_filter(machine, graph, shipped, bpe),
+            (_, EngineKind::ExpCompaction) => {
+                compaction::price_compaction_sized(machine, shipped, bpe, surplus)
+            }
+            (_, EngineKind::ImpZeroCopy) => zero_copy::plan_zero_copy(machine, shipped),
+            (_, EngineKind::ImpUnified) => {
+                unreachable!("only the unified-memory policies select ImpUnified")
+            }
+        }
+    }
+}
+
+/// Each device's whole share of the edge data: its partitions' live
+/// (base + delta) edges × `bpe`.
+fn shares(sys: &HyTGraphSystem, bpe: u64) -> Vec<u64> {
+    let mut shares = vec![0; sys.devices.num_devices() as usize];
+    for p in sys.parts.partitions() {
+        let edges = p.num_edges() + sys.graph.delta_edges(p.id);
+        shares[sys.devices.device_of(p.id) as usize] += edges * bpe;
+    }
+    shares
 }
 
 /// One device's pinned partitions.
@@ -123,13 +210,13 @@ struct DevicePins {
     budget_left: Option<u64>,
 }
 
-/// Per-device pin sets (single-device runs see exactly the original
-/// global behaviour).
+/// Per-device pin sets, the state of HyTGraph's and Grus's policies.
 pub(crate) struct Pins {
     devices: Vec<DevicePins>,
 }
 
 impl Pins {
+    /// Nothing resident; device `d` may pin up to `budgets[d]` bytes.
     fn with_budgets(num_parts: usize, budgets: impl Iterator<Item = Option<u64>>) -> Self {
         let devices = budgets
             .map(|budget_left| DevicePins { resident: vec![false; num_parts], budget_left })
@@ -137,16 +224,10 @@ impl Pins {
         Pins { devices }
     }
 
-    /// Grus: nothing resident; each of `num_devices` devices may pin up to
-    /// `budget` bytes on first touch.
-    pub(crate) fn first_touch(num_parts: usize, num_devices: usize, budget: u64) -> Self {
-        Self::with_budgets(num_parts, (0..num_devices).map(|_| Some(budget)))
-    }
-
-    /// HyTGraph: nothing resident yet. Device `d` loads and keeps what it
-    /// touches iff its whole share `shares[d]` fits `budget`, which it
-    /// reserves up front; any other device keeps nothing.
-    pub(crate) fn whole_shares(num_parts: usize, shares: &[u64], budget: u64) -> Self {
+    /// HyTGraph: device `d` loads and keeps what it touches iff its whole
+    /// share `shares[d]` fits `budget`, which it reserves up front; any
+    /// other device keeps nothing.
+    fn whole_shares(num_parts: usize, shares: &[u64], budget: u64) -> Self {
         Self::with_budgets(num_parts, shares.iter().map(|&s| budget.checked_sub(s)))
     }
 
@@ -154,7 +235,7 @@ impl Pins {
     /// when resident or when the owning device can still pin it (which
     /// reserves the bytes; [`Pins::plan_um`] makes it resident when it
     /// prices the migration), zero-copy otherwise.
-    pub(crate) fn select(
+    fn select(
         &mut self,
         acts: &[PartitionActivity],
         parts: &PartitionSet,
@@ -188,7 +269,7 @@ impl Pins {
     /// Each partition [`Pins::select`] sends to UM is priced in that same
     /// iteration, in exactly one task slice, so this is where it turns
     /// resident.
-    pub(crate) fn plan_um(
+    fn plan_um(
         &mut self,
         device: usize,
         machine: &MachineModel,
@@ -217,10 +298,11 @@ impl Pins {
     /// Grus predates EMOGI's merged-and-aligned warp access; its
     /// zero-copy path issues ~64-byte requests, doubling TLP traffic
     /// (Fig. 3(e)).
-    pub(crate) fn penalize_zero_copy(plan: &mut TaskPlan) {
+    fn penalize_zero_copy(mut plan: TaskPlan) -> TaskPlan {
         plan.transfer_time *= 2.0;
         plan.counters.zero_copy_bytes *= 2;
         plan.counters.tlps *= 2;
+        plan
     }
 }
 
@@ -228,7 +310,6 @@ impl Pins {
 mod tests {
     use super::*;
     use crate::config::HyTGraphConfig;
-    use crate::runner::HyTGraphSystem;
     use hyt_graph::generators;
 
     fn act(partition: u32) -> PartitionActivity {
@@ -249,10 +330,10 @@ mod tests {
         let zc = EngineKind::ImpZeroCopy;
         let decisions: Vec<_> = (0..acts.len()).map(|i| (i, zc)).collect();
         // Device 0's share fits exactly, device 1's is one byte over.
-        let mut residency = Residency::Hybrid(Pins::whole_shares(parts.len(), &[100, 101], 100));
+        let mut policy = Policy::Hybrid(Pins::whole_shares(parts.len(), &[100, 101], 100));
         let on = |pid: usize| plan.device_of(pid as u32);
         for (round, want0) in [(0, Delivery::Load), (1, Delivery::Held)] {
-            let got = residency.resolve(&decisions, &acts, &plan);
+            let got = policy.resolve(&decisions, &acts, &plan);
             for (pid, d) in got.into_iter().enumerate() {
                 let want = if on(pid) == 0 { want0 } else { Delivery::Engine(zc) };
                 assert_eq!(d, Some(want), "round {round} partition {pid}");
@@ -261,7 +342,7 @@ mod tests {
         assert!((0..acts.len()).any(|p| on(p) == 1), "device 1 must own a partition");
         // Only active partitions get a delivery, and other policies keep
         // Algorithm 1's engine.
-        let got = Residency::Stateless.resolve(&decisions[1..], &acts, &plan);
+        let got = Policy::Stateless.resolve(&decisions[1..], &acts, &plan);
         assert_eq!(got[0], None);
         assert!(got[1..].iter().all(|&d| d == Some(Delivery::Engine(zc))));
     }

@@ -20,8 +20,8 @@
 //!
 //! [`HyTGraphSystem`]'s other concerns live in private sibling modules and
 //! are re-exported from this one: `mutate` (mutation batches, delta
-//! compaction, the sweep-price cache) and `residency` (which partitions a
-//! device keeps for the rest of a run).
+//! compaction, the sweep-price cache) and `residency` (the run's transfer
+//! policy).
 //!
 //! # Multi-device sharding
 //!
@@ -32,9 +32,8 @@
 //! members span devices — the merged compaction and zero-copy tasks, a
 //! filter run straddling two placement runs, any run under a non-default
 //! `combine_k` — is *sliced* by owning device. Each device prices its
-//! slice with its own engines and its own residency (every device is a
-//! whole card, with the full edge budget less its own vertex-state
-//! replica) and schedules it on its own streams,
+//! slice with its own engines and policy state (every device is a whole
+//! card) and schedules it on its own streams,
 //! while all devices contend for the configured [`Interconnect`]'s links
 //! and one host compaction pool ([`MultiGpuSim`]). Between iterations a
 //! routed all-gather publishes every device's newly-activated owned
@@ -58,35 +57,23 @@
 //! iteration and Algorithm 1's engine choices are **bit-identical** for
 //! every device count *and* every topology; only the timeline (and its
 //! per-device / per-link breakdown) changes, and with it which devices'
-//! shares fit (see Residency below). The differential suite in
+//! shares fit (see below). The differential suite in
 //! `tests/multi_gpu.rs` holds the runner to those claims.
 //!
-//! # Residency
+//! # The transfer policy
 //!
-//! A partition already on the device is the cheapest delivery of all.
-//! Each iteration decides every active partition's delivery once, right
-//! after Algorithm 1 (`residency::Residency::resolve`), and everything
-//! downstream reads that one answer. Under [`Selection::Hybrid`], a
-//! device whose whole share of the edge data (its partitions' live edges
-//! × the program's bytes per edge) fits its budget either *holds* a
-//! partition, loaded in an earlier iteration, or *loads* it now: one
-//! explicit copy at ExpTM-filter's price, whatever engine Algorithm 1
-//! chose, kept for the rest of the run. A held slice is priced
-//! kernel-only: no host bytes, no host port ([`SimTask::kernel_only`]).
-//! A loading slice takes the filter shape (copy, then kernel; no fused
-//! zero-copy), and the host kernel reads the CSR directly, with no
-//! gather. The load sits where the partition is first needed, in
-//! priority order on the device's streams, so it overlaps other tasks'
-//! kernels, and a partition never touched is never loaded. A device whose
-//! share does not fit keeps nothing and ships through Algorithm 1's
-//! engine. [`EngineMix`] counts what happened: `held`, `load`, and per
-//! engine only the partitions that engine shipped.
-//!
-//! Algorithm 1, task combining, priority order and the recompute pass's
-//! vertex set stay keyed on Algorithm 1's engine, so only prices (and
-//! the mix) move; `tests/residency.rs` holds the runner to that against
-//! the same run with a zero edge budget. The pins are per-run state, like
-//! the Grus baseline's and the unified-memory caches.
+//! Which system runs is known only to the run's transfer policy
+//! (`residency.rs`), built from `config.selection` when the run starts.
+//! Each iteration it selects an engine per active partition, resolves
+//! each partition's one delivery, and prices what each device ships;
+//! everything downstream reads those answers. A slice whose members the
+//! device all holds is priced kernel-only: no host bytes, no host port
+//! ([`SimTask::kernel_only`]). A slice that loads takes the filter shape
+//! and gathers nothing. [`EngineMix`] counts `held`, `load`, and per
+//! engine only the partitions that engine shipped. Algorithm 1, task
+//! combining, priority order and the recompute pass's vertex set stay
+//! keyed on Algorithm 1's engine, so residency moves only prices and the
+//! mix; `tests/residency.rs` holds the runner to that.
 
 use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram, VertexValue};
 use crate::combine::{combine_tasks_sized, CombinedTask};
@@ -95,13 +82,9 @@ use crate::exchange::IdEncoding;
 use crate::kernel::{run_kernel, EdgeSource};
 use crate::mutate::SweepCache;
 use crate::priority::order_tasks;
-use crate::residency::{Delivery, Pins, Residency};
-use crate::select::{select_engines, SelectParams, Selection};
+use crate::residency::{Delivery, Policy};
 use crate::stats::{DeviceIterationStats, EngineMix, ExchangeStats, IterationStats, RunResult};
-use hyt_engines::{
-    analyze_partitions, compaction, filter, zero_copy, EngineKind, PartitionActivity, TaskPlan,
-    UnifiedState,
-};
+use hyt_engines::{analyze_partitions, compaction, EngineKind, PartitionActivity, TaskPlan};
 use hyt_graph::{
     hub_sort, Csr, DeltaCsr, DevicePlan, Frontier, GraphError, PartitionSet, VertexId,
 };
@@ -188,16 +171,13 @@ impl HubOrder {
 /// and the frontier. Built when the run starts and dropped when it
 /// returns, so no engine state survives a run.
 struct RunState {
-    /// Edge-data bytes per edge the program transfers: weight-blind
-    /// programs only move the neighbour array (d1 = 4), weight-reading
-    /// programs move neighbours + weights.
+    /// Edge-data bytes per edge the program transfers
+    /// ([`HyTGraphSystem::effective_bytes_per_edge`]).
     bpe: u64,
-    /// The program's declared value layout (lanes resident, wire bytes
-    /// exchanged): every width-sensitive layer derives its per-vertex
-    /// footprint from it; narrow programs get 24 state bytes per vertex
-    /// and [`EXCHANGE_RECORD_BYTES`].
+    /// The program's declared value layout: every width-sensitive layer
+    /// derives its per-vertex footprint from it.
     layout: ValueLayout,
-    residency: Residency,
+    policy: Policy,
     /// Per-device tallies and encoded batch sizes of the frontier
     /// exchange: scratch reused across iterations, reset before every
     /// use (see `price_exchange`).
@@ -250,16 +230,14 @@ impl HyTGraphSystem {
         };
         let parts = PartitionSet::build(&working, config.partition_bytes);
         let nd = config.num_devices.max(1) as u32;
-        let mut interconnect = Interconnect::build(
+        let interconnect = Interconnect::build_with(
             config.topology,
             nd as usize,
             config.machine.pcie,
             config.peer_link,
+            &config.link_overrides,
+            &ROUTE_LADDER,
         );
-        for &(a, b, spec) in &config.link_overrides {
-            interconnect = interconnect.with_link_spec(a, b, spec);
-        }
-        let interconnect = interconnect.with_route_breakpoints(&ROUTE_LADDER);
         let devices = DevicePlan::build(&parts, nd, config.device_assignment, 0);
         let sim = MultiGpuSim::with_interconnect(nd as usize, config.num_streams, interconnect);
         HyTGraphSystem {
@@ -363,22 +341,10 @@ impl HyTGraphSystem {
             as f64
             * machine.um_utilization) as u64;
         let nd = self.devices.num_devices() as usize;
-        let num_parts = self.parts.len();
         let mut state = RunState {
             bpe,
             layout,
-            residency: match self.config.selection {
-                Selection::Hybrid => {
-                    Residency::Hybrid(Pins::whole_shares(num_parts, &self.shares(bpe), edge_budget))
-                }
-                Selection::UnifiedOnly => Residency::Unified(
-                    (0..nd).map(|_| UnifiedState::with_budget(machine, edge_budget)).collect(),
-                ),
-                Selection::GrusLike => {
-                    Residency::Grus(Pins::first_touch(num_parts, nd, edge_budget))
-                }
-                _ => Residency::Stateless,
-            },
+            policy: Policy::new(self, edge_budget, bpe),
             exchange_batches: vec![BatchTally::default(); nd],
             exchange_bytes: vec![0; nd],
         };
@@ -390,7 +356,7 @@ impl HyTGraphSystem {
         let mut iter = 0u32;
 
         while !frontier.is_empty() && iter < self.config.max_iterations {
-            let stats = if self.config.selection == Selection::CpuOnly {
+            let stats = if state.policy.on_host() {
                 self.run_iteration_cpu(&program, &values, &mut frontier, iter)
             } else {
                 self.run_iteration_gpu(&program, &values, &mut frontier, iter, &mut state)
@@ -434,17 +400,6 @@ impl HyTGraphSystem {
         } else {
             hyt_graph::NEIGHBOR_BYTES
         }
-    }
-
-    /// Each device's whole share of the edge data: its partitions' live
-    /// (base + delta) edges × `bpe`.
-    fn shares(&self, bpe: u64) -> Vec<u64> {
-        let mut shares = vec![0; self.devices.num_devices() as usize];
-        for p in self.parts.partitions() {
-            let edges = p.num_edges() + self.graph.delta_edges(p.id);
-            shares[self.devices.device_of(p.id) as usize] += edges * bpe;
-        }
-        shares
     }
 
     /// Edge-data volume the program would move shipping the graph once
@@ -492,16 +447,9 @@ impl HyTGraphSystem {
             bpe,
             cfg.threads,
         );
-        // Wide values make compaction's gather ship real value payload
-        // per active vertex; the selector must price that freight
-        // (exact no-op for ≤ 8-byte values).
-        let select_params =
-            SelectParams { value_surplus: layout.compaction_surplus(), ..cfg.select_params };
-        let decisions = match &mut state.residency {
-            Residency::Grus(grus) => grus.select(&acts, &self.parts, devices, bpe),
-            _ => select_engines(&acts, &machine.pcie, bpe, cfg.selection, &select_params),
-        };
-        let delivery = state.residency.resolve(&decisions, &acts, devices);
+        // Wide values pay their gather freight in formula (2).
+        let decisions = state.policy.select(&acts, self, bpe, layout.compaction_surplus());
+        let delivery = state.policy.resolve(&decisions, &acts, devices);
         let mut mix = EngineMix::default();
         let mut dev_mix = vec![EngineMix::default(); nd];
         for (a, d) in acts.iter().zip(&delivery) {
@@ -713,14 +661,10 @@ impl HyTGraphSystem {
         for &i in &task.members {
             let a = &acts[i];
             let device = self.devices.device_of(a.partition);
-            let k = match slices.iter().position(|m| m.device == device) {
-                Some(k) => k,
-                None => {
-                    let (all, shipped) = (Vec::new(), Vec::new());
-                    slices.push(Members { device, all, shipped, via: None });
-                    slices.len() - 1
-                }
-            };
+            let k = slices.iter().position(|m| m.device == device).unwrap_or_else(|| {
+                slices.push(Members { device, all: Vec::new(), shipped: Vec::new(), via: None });
+                slices.len() - 1
+            });
             let m = &mut slices[k];
             m.all.push(a);
             if let Some(via) = delivery[i].and_then(Delivery::shipped_by) {
@@ -738,37 +682,15 @@ impl HyTGraphSystem {
     /// through `m.via` (ExpTM-filter for a device that loads them), and
     /// one kernel runs over every member.
     fn price_slice(&self, kind: EngineKind, m: &Members, state: &mut RunState) -> Slice {
-        let machine = &self.config.machine;
-        let (device, d, bpe) = (m.device, m.device as usize, state.bpe);
+        let (machine, device) = (&self.config.machine, m.device);
         let Some(via) = m.via else {
             let plan = TaskPlan::over(kind, machine, &m.all);
             return Slice { device, plan, via: None };
         };
-        let shipped = &m.shipped[..];
-        let mut plan = match via {
-            EngineKind::ExpFilter => filter::plan_filter(machine, self.graph.view(), shipped, bpe),
-            EngineKind::ExpCompaction => compaction::price_compaction_sized(
-                machine,
-                shipped,
-                bpe,
-                state.layout.compaction_surplus(),
-            ),
-            EngineKind::ImpZeroCopy => {
-                let mut p = zero_copy::plan_zero_copy(machine, shipped);
-                if matches!(state.residency, Residency::Grus(_)) {
-                    Pins::penalize_zero_copy(&mut p);
-                }
-                p
-            }
-            EngineKind::ImpUnified => match &mut state.residency {
-                Residency::Unified(um) => {
-                    um[d].plan_unified(machine, self.graph.view(), shipped, bpe)
-                }
-                Residency::Grus(grus) => grus.plan_um(d, machine, &self.parts, shipped, bpe),
-                _ => unreachable!("only the unified-memory policies select ImpUnified"),
-            },
-        };
-        if shipped.len() < m.all.len() {
+        let surplus = state.layout.compaction_surplus();
+        let mut plan =
+            state.policy.ship(via, device as usize, &m.shipped, self, state.bpe, surplus);
+        if m.shipped.len() < m.all.len() {
             // The shipped members' delivery, and one kernel over them all.
             let whole = TaskPlan::over(via, machine, &m.all);
             plan = TaskPlan {
@@ -874,17 +796,11 @@ impl HyTGraphSystem {
             iteration,
             active_vertices: active.len() as u64,
             active_edges,
-            active_partitions: 0,
             total_partitions: self.parts.len() as u32,
-            mix: EngineMix::default(),
-            tasks: 0,
             time,
-            transfer_time: 0.0,
             compute_time: time,
-            compaction_time: 0.0,
-            exchange: ExchangeStats::default(),
-            per_device: Vec::new(),
             counters: TransferCounters { kernel_edges: active_edges, ..Default::default() },
+            ..Default::default()
         };
         *frontier = next;
         stats
@@ -896,6 +812,7 @@ mod tests {
     use super::*;
     use crate::api::{EdgeCtx, InitialFrontier};
     use crate::stats::RunResult;
+    use hyt_engines::zero_copy;
     use hyt_graph::{generators, MutationBatch};
     use hyt_sim::Phase;
 
@@ -1020,11 +937,7 @@ mod tests {
         RunState {
             bpe,
             layout: ValueLayout::narrow(),
-            residency: Residency::Hybrid(Pins::whole_shares(
-                sys.parts.len(),
-                &sys.shares(bpe),
-                budget,
-            )),
+            policy: Policy::new(sys, budget, bpe),
             exchange_batches: Vec::new(),
             exchange_bytes: Vec::new(),
         }
@@ -1048,7 +961,7 @@ mod tests {
         state: &mut RunState,
     ) -> Slice {
         let decisions: Vec<_> = members.iter().map(|&i| (i, kind)).collect();
-        let delivery = state.residency.resolve(&decisions, acts, &sys.devices);
+        let delivery = state.policy.resolve(&decisions, acts, &sys.devices);
         let task = CombinedTask { kind, members: members.to_vec() };
         let mut slices = sys.price_task(&task, acts, &delivery, state);
         assert_eq!(slices.len(), 1);

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Baseline systems replace the hybrid rule with a constant choice; the
-//! Grus-like policy layers a residency check on top (resident → UM "hit",
-//! capacity left → UM migrate, otherwise zero-copy).
+//! Grus-like policy decides by residency instead (resident → UM "hit",
+//! capacity left → UM migrate, otherwise zero-copy; `residency.rs`).
 
 use crate::cost::{partition_costs_sized, PartitionCosts};
 use hyt_engines::{EngineKind, PartitionActivity};
@@ -78,8 +78,12 @@ fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
 ///
 /// Every policy here is stateless per partition, so one pass is also
 /// what a sharded deployment's per-device selectors would decide between
-/// them. `GrusLike` is stateful (device residency) and is decided by the
-/// runner's Grus baseline instead.
+/// them.
+///
+/// # Panics
+///
+/// For `GrusLike` and `CpuOnly`: Grus decides by what its devices hold
+/// and the CPU row runs no engine, so neither has a stateless answer.
 pub fn select_engines(
     acts: &[PartitionActivity],
     pcie: &PcieModel,
@@ -87,23 +91,21 @@ pub fn select_engines(
     selection: Selection,
     params: &SelectParams,
 ) -> Vec<(usize, EngineKind)> {
+    let constant = match selection {
+        Selection::Hybrid => None,
+        Selection::FilterOnly => Some(EngineKind::ExpFilter),
+        Selection::CompactionOnly => Some(EngineKind::ExpCompaction),
+        Selection::ZeroCopyOnly => Some(EngineKind::ImpZeroCopy),
+        Selection::UnifiedOnly => Some(EngineKind::ImpUnified),
+        Selection::GrusLike | Selection::CpuOnly => panic!("{selection:?} is not stateless"),
+    };
+    let hybrid = |a| {
+        choose_engine(&partition_costs_sized(a, pcie, bytes_per_edge, params.value_surplus), params)
+    };
     acts.iter()
         .enumerate()
         .filter(|(_, a)| a.is_active())
-        .map(|(i, a)| {
-            let kind = match selection {
-                Selection::Hybrid => choose_engine(
-                    &partition_costs_sized(a, pcie, bytes_per_edge, params.value_surplus),
-                    params,
-                ),
-                Selection::FilterOnly => EngineKind::ExpFilter,
-                Selection::CompactionOnly => EngineKind::ExpCompaction,
-                Selection::ZeroCopyOnly => EngineKind::ImpZeroCopy,
-                Selection::UnifiedOnly | Selection::GrusLike => EngineKind::ImpUnified,
-                Selection::CpuOnly => unreachable!("CPU-only systems bypass engine selection"),
-            };
-            (i, kind)
-        })
+        .map(|(i, a)| (i, constant.unwrap_or_else(|| hybrid(a))))
         .collect()
 }
 

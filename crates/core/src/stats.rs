@@ -189,7 +189,7 @@ pub struct DeviceIterationStats {
 }
 
 /// One iteration's record.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct IterationStats {
     /// Iteration number (0-based).
     pub iteration: u32,

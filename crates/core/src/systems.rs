@@ -8,7 +8,7 @@
 //! |---|---|---|---|---|
 //! | HyTGraph | hybrid | recompute ×1 | on | on |
 //! | ExpTM-F | filter only | sync | on | off |
-//! | Subway | compaction only | squeeze to fixpoint (×8 cap) | on | off |
+//! | Subway | compaction only | recompute ×2 | on | off |
 //! | EMOGI | zero-copy only | sync | on | off |
 //! | Grus | UM-cache + ZC overflow | sync | on | off |
 //! | ImpTM-UM | unified only | sync | on | off |

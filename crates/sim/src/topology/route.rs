@@ -90,6 +90,25 @@ impl Interconnect {
     /// When the shape has a peer link and `peer` is unusable (see
     /// [`Interconnect::with_link_spec`]).
     pub fn build(kind: TopologyKind, num_devices: usize, host: PcieModel, peer: LinkSpec) -> Self {
+        Self::build_with(kind, num_devices, host, peer, &[], &[ROUTE_PROBE_BYTES])
+    }
+
+    /// [`Interconnect::build`], then [`Interconnect::with_link_spec`] for
+    /// each `(a, b, spec)` of `edits` in order, then
+    /// [`Interconnect::with_route_breakpoints`] at `breakpoints`: the same
+    /// interconnect as that chain, with the route tables computed once
+    /// instead of after every step.
+    ///
+    /// # Panics
+    /// Where a step of the chain would.
+    pub fn build_with(
+        kind: TopologyKind,
+        num_devices: usize,
+        host: PcieModel,
+        peer: LinkSpec,
+        edits: &[(u32, u32, LinkSpec)],
+        breakpoints: &[u64],
+    ) -> Self {
         let nd = num_devices.max(1);
         let pairs: Vec<(u32, u32)> = match kind {
             TopologyKind::HostOnly => Vec::new(),
@@ -108,11 +127,15 @@ impl Interconnect {
             num_devices: nd,
             links,
             peer_adj: Vec::new(),
-            breakpoints: vec![ROUTE_PROBE_BYTES],
+            breakpoints: Vec::new(),
             routes: Vec::new(),
             queue_of: Vec::new(),
             num_queues: 0,
         };
+        for &(a, b, spec) in edits {
+            ic.set_link(a, b, spec);
+        }
+        ic.set_breakpoints(breakpoints);
         ic.finalize();
         ic
     }
@@ -123,15 +146,20 @@ impl Interconnect {
     /// route by batch size instead of pricing everything at the single
     /// [`ROUTE_PROBE_BYTES`] probe. See [`ROUTE_BREAKPOINT_LADDER`] for
     /// a ready-made ladder.
+    // hyt-lint: allow(unreached-pub) -- re-probes a built fabric: tests/route_dominance.rs compares one fabric's routes across ladders
     pub fn with_route_breakpoints(mut self, breakpoints: &[u64]) -> Self {
+        self.set_breakpoints(breakpoints);
+        self.finalize();
+        self
+    }
+
+    fn set_breakpoints(&mut self, breakpoints: &[u64]) {
         assert!(!breakpoints.is_empty(), "at least one route probe size is required");
         let mut bps = breakpoints.to_vec();
         bps.sort_unstable();
         bps.dedup();
         assert!(bps[0] > 0, "route probe sizes must be positive");
         self.breakpoints = bps;
-        self.finalize();
-        self
     }
 
     /// The probe-size ladder the route tables were built at (ascending).
@@ -153,17 +181,20 @@ impl Interconnect {
     /// missing link, a negative one would send route search into a
     /// cycle).
     pub fn with_link_spec(mut self, a: u32, b: u32, spec: LinkSpec) -> Self {
-        check_peer_link(self.num_devices, a, b, &spec);
-        match self.peer_link(a, b) {
-            Some(l) => {
-                if let Link::Peer { spec: s, .. } = &mut self.links[l] {
-                    *s = spec;
-                }
-            }
-            None => self.links.push(Link::Peer { ends: (a, b), spec }),
-        }
+        self.set_link(a, b, spec);
         self.finalize();
         self
+    }
+
+    /// Re-price or add the `(a, b)` peer link, leaving the dense tables
+    /// stale: it finds the link in the link table, not `peer_adj`.
+    fn set_link(&mut self, a: u32, b: u32, spec: LinkSpec) {
+        check_peer_link(self.num_devices, a, b, &spec);
+        let joins = |ends: (u32, u32)| ends == (a, b) || ends == (b, a);
+        match self.links.iter_mut().find(|l| matches!(l, Link::Peer { ends, .. } if joins(*ends))) {
+            Some(Link::Peer { spec: s, .. }) => *s = spec,
+            _ => self.links.push(Link::Peer { ends: (a, b), spec }),
+        }
     }
 
     /// Recompute the dense tables (adjacency, queue layout, cheapest

@@ -334,6 +334,30 @@ fn breakpoint_ladder_is_sorted_deduped_and_defaults_to_the_single_probe() {
 }
 
 #[test]
+fn one_build_with_edits_and_ladder_equals_the_chained_build() {
+    let (fast, slow) = (LinkSpec::with_nominal_bw(50.0e9), LinkSpec::with_nominal_bw(2.0e9));
+    // Re-price a ring link, add a chord, then re-price the chord named
+    // from its other end.
+    let edits = [(0, 1, slow), (0, 2, fast), (2, 0, slow)];
+    for kind in TopologyKind::ALL {
+        let mut chained = Interconnect::build(kind, 4, pcie(), LinkSpec::nvlink());
+        for &(a, b, spec) in &edits {
+            chained = chained.with_link_spec(a, b, spec);
+        }
+        let chained = chained.with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
+        let once = Interconnect::build_with(
+            kind,
+            4,
+            pcie(),
+            LinkSpec::nvlink(),
+            &edits,
+            &ROUTE_BREAKPOINT_LADDER,
+        );
+        assert_eq!(once, chained, "{kind:?}");
+    }
+}
+
+#[test]
 fn sized_routes_let_tiny_batches_take_fewer_hops_than_bulk() {
     let ic = slow_direct_fast_detour().with_route_breakpoints(&ROUTE_BREAKPOINT_LADDER);
     // Bandwidth-bound bulk forwards over the fast detour…
