@@ -14,23 +14,15 @@
 //!
 //! This is the HyperBall family of Boldi & Vigna, recast as a HyTGraph
 //! vertex program over the width-aware value layer: the registers live
-//! in a multi-lane [`HllValue`] sketch, the fold is the lane-wise
-//! register max (commutative, associative, idempotent — but **not** a
-//! 64-bit semiring atom, which is exactly what the generalised
-//! `accumulate` contract permits), and change detection is explicit
-//! (`merge` reports whether any register rose).
+//! in a multi-lane [`HllSketch`], the fold is the lane-wise register
+//! max (commutative, associative, idempotent — but **not** a 64-bit
+//! semiring atom, which is exactly what the generalised `accumulate`
+//! contract permits), and change detection is explicit (`merge` reports
+//! whether any register rose).
 //!
-//! ## Precision family
-//!
-//! The register budget is the accuracy/traffic dial: an HLL counter
-//! with `m = 2^p` registers carries a relative standard error of
-//! `1.04/√m` but ships `m` bytes per exchanged vertex. `hll_precisions!`
-//! builds one fixed-precision type per `p`; the library builds
-//! [`HllSketch`] (`p = 6`), and [`run_hyperball_with`] runs the
-//! analytics at any [`HllValue`]. The unit tests build the rest of the
-//! family, `HllP4`..`HllP12` (`p ∈ {4..12}`, 2 to 512 value lanes), and
-//! run every width through the same value layer — `p = 12` is also what
-//! sizes `MAX_VALUE_LANES`.
+//! Every counter is one [`HllSketch`] (64 one-byte registers, RSE 13%):
+//! 8 value lanes per vertex, wide enough to exercise every width-aware
+//! layer and small enough to sweep.
 //!
 //! HyperBall's classic systolic→local optimisation — scan all vertices
 //! while the frontier is dense, then switch to propagating only changed
@@ -46,27 +38,24 @@
 //! the registers that rose this iteration, or the whole sketch when
 //! that is smaller (`VertexValue::wire_bytes_since`).
 
-use hyt_core::api::{EdgeCtx, InitialFrontier, VertexProgram, VertexValue};
+use hyt_core::api::{EdgeCtx, InitialFrontier, VertexProgram, VertexValue, MAX_VALUE_LANES};
 use hyt_core::{AsyncMode, HyTGraphConfig, HyTGraphSystem, RunResult};
 use hyt_graph::{Csr, VertexId};
-use std::marker::PhantomData;
 use std::sync::Mutex;
 
-/// Standard relative standard error of the default 64-register counter:
-/// `1.04 / √64 = 0.13`.
+/// Standard relative standard error of one counter: `1.04 / √64 = 0.13`.
 pub const HLL_RSE: f64 = 1.04 / 8.0;
 
-/// Bias-correction constant `α_m` of the raw HLL estimator: the three
-/// small register counts take their empirically-fitted values, larger
-/// ones the closed form `0.7213 / (1 + 1.079/m)` (Flajolet et al.).
-fn alpha(m: usize) -> f64 {
-    match m {
-        16 => 0.673,
-        32 => 0.697,
-        64 => 0.709,
-        _ => 0.7213 / (1.0 + 1.079 / m as f64),
-    }
-}
+/// Precision exponent: `2^P` registers per sketch.
+const P: u32 = 6;
+/// Registers per sketch.
+const REGISTERS: usize = 1 << P;
+/// 64-bit lanes per sketch (8 one-byte registers each).
+const SKETCH_LANES: usize = REGISTERS / 8;
+
+/// Bias-correction constant `α_64` of the raw HLL estimator, the
+/// empirically-fitted value for 64 registers (Flajolet et al.).
+const ALPHA: f64 = 0.709;
 
 /// SplitMix64 finaliser — the stateless vertex-id hash feeding the
 /// sketch. Deterministic by construction: no seeds, no platform state.
@@ -86,213 +75,117 @@ fn nonzero_bytes(x: u64) -> u64 {
     u64::from((t & 0x0101_0101_0101_0101).count_ones())
 }
 
-/// The interface shared by the whole precision family, letting
-/// [`HyperBallP`] run at any register budget. Implemented by every
-/// `hll_precisions!` type, [`HllSketch`] among them.
-pub trait HllValue: VertexValue {
-    /// Precision exponent: `2^p` registers per sketch.
-    const P: u32;
-    /// Registers per sketch.
-    const REGISTERS: usize;
+/// The 64-register HyperLogLog counter (`p = 6`, RSE 13%): one-byte
+/// registers packed 8 per 64-bit lane, so one sketch is exactly 8 value
+/// lanes (64 bytes) per vertex; merge = element-wise register maximum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HllSketch {
+    lanes: [u64; SKETCH_LANES],
+}
 
+// The value store stages a sketch in fixed stack buffers.
+const _: () = assert!(SKETCH_LANES <= MAX_VALUE_LANES);
+
+impl HllSketch {
     /// The empty sketch (estimates 0).
-    fn empty() -> Self;
-    /// The sketch of the one-element set `{v}`.
-    fn singleton(v: VertexId) -> Self;
-    /// Element-wise register maximum.
-    fn merge(self, other: Self) -> Self;
-    /// The HLL cardinality estimate.
-    fn estimate(&self) -> f64;
+    // hyt-lint: allow(unreached-pub) -- integration tests fold explicit id sets into a sketch starting from it
+    pub fn empty() -> HllSketch {
+        HllSketch { lanes: [0; SKETCH_LANES] }
+    }
 
-    /// Standard relative standard error of one counter: `1.04 / √m`.
-    fn rse() -> f64 {
-        1.04 / (Self::REGISTERS as f64).sqrt()
+    /// The sketch of the one-element set `{v}`.
+    // hyt-lint: allow(unreached-pub) -- integration tests build the sketch of an explicit id set and of exact in-balls from it
+    pub fn singleton(v: VertexId) -> HllSketch {
+        let h = splitmix64(v as u64);
+        let idx = (h & (REGISTERS as u64 - 1)) as usize;
+        // Rank of the first 1-bit in the non-index part of the hash,
+        // capped so the register value always fits its byte.
+        let w = h >> P;
+        let rho = (w.trailing_zeros() + 1).min(64 - P) as u64;
+        let mut lanes = [0u64; SKETCH_LANES];
+        lanes[idx / 8] = rho << (8 * (idx % 8));
+        HllSketch { lanes }
+    }
+
+    /// Register `j` (0..`REGISTERS`).
+    fn register(&self, j: usize) -> u8 {
+        (self.lanes[j / 8] >> (8 * (j % 8))) as u8
+    }
+
+    /// Element-wise register maximum — commutative, associative,
+    /// idempotent, and monotone per lane (each register only grows),
+    /// which is what makes lock-free torn reads of the wide value safe.
+    pub fn merge(self, other: HllSketch) -> HllSketch {
+        let mut lanes = [0u64; SKETCH_LANES];
+        for (out, (&a, &b)) in lanes.iter_mut().zip(self.lanes.iter().zip(other.lanes.iter())) {
+            let mut merged = 0u64;
+            for byte in 0..8 {
+                let sh = 8 * byte;
+                let x = (a >> sh) & 0xFF;
+                let y = (b >> sh) & 0xFF;
+                merged |= x.max(y) << sh;
+            }
+            *out = merged;
+        }
+        HllSketch { lanes }
+    }
+
+    /// The HLL cardinality estimate: `α_m · m² / Σ_j 2^(−M_j)`, with the
+    /// standard linear-counting correction in the small range.
+    pub fn estimate(&self) -> f64 {
+        let m = REGISTERS as f64;
+        let mut inv_sum = 0.0f64;
+        let mut zeros = 0u32;
+        for j in 0..REGISTERS {
+            let r = self.register(j);
+            if r == 0 {
+                zeros += 1;
+            }
+            inv_sum += (-(r as f64)).exp2();
+        }
+        let raw = ALPHA * m * m / inv_sum;
+        if raw <= 2.5 * m && zeros > 0 {
+            m * (m / zeros as f64).ln()
+        } else {
+            raw
+        }
     }
 }
 
-/// Generate one fixed-precision HLL counter type: `2^p` one-byte
-/// registers packed 8 per 64-bit lane, a [`VertexValue`] at exactly that
-/// width, and the [`HllValue`] vocabulary forwarding to the inherent
-/// methods (kept inherent so concrete-type callers need no trait
-/// import).
-macro_rules! hll_precisions {
-    ($($(#[$meta:meta])* $name:ident => $p:expr),+ $(,)?) => {$(
-        $(#[$meta])*
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-        pub struct $name {
-            lanes: [u64; (1usize << $p) / 8],
-        }
+impl VertexValue for HllSketch {
+    const LANES: usize = SKETCH_LANES;
+    const WIRE_BYTES: u64 = REGISTERS as u64;
 
-        impl $name {
-            /// Precision exponent (`2^p` registers).
-            pub const P: u32 = $p;
-            /// Registers per sketch.
-            const REGISTERS: usize = 1 << $p;
-            /// 64-bit lanes per sketch.
-            const SKETCH_LANES: usize = Self::REGISTERS / 8;
+    /// A `REGISTERS / 8`-byte bitmap of the changed registers plus one
+    /// byte per changed register, or the whole sketch when that is
+    /// smaller (a form flag says which: the id's spare bit, or a form bit
+    /// in a bitmap batch).
+    /// Exact because register-max only raises registers, so the changed
+    /// ones rebuild `self` on a replica holding `old`.
+    fn wire_bytes_since(&self, old: &Self) -> u64 {
+        let changed: u64 =
+            self.lanes.iter().zip(old.lanes.iter()).map(|(&a, &b)| nonzero_bytes(a ^ b)).sum();
+        let sparse = REGISTERS as u64 / 8 + changed;
+        sparse.min(Self::WIRE_BYTES)
+    }
 
-            /// The empty sketch (estimates 0).
-            pub fn empty() -> $name {
-                $name { lanes: [0; Self::SKETCH_LANES] }
-            }
+    const TWO_FORM_RECORDS: bool = true;
 
-            /// The sketch of the one-element set `{v}`.
-            fn singleton_of(v: VertexId) -> $name {
-                let h = splitmix64(v as u64);
-                let idx = (h & (Self::REGISTERS as u64 - 1)) as usize;
-                // Rank of the first 1-bit in the non-index part of the
-                // hash, capped so the register value always fits its
-                // byte.
-                let w = h >> Self::P;
-                let rho = (w.trailing_zeros() + 1).min(64 - Self::P) as u64;
-                let mut lanes = [0u64; Self::SKETCH_LANES];
-                lanes[idx / 8] = rho << (8 * (idx % 8));
-                $name { lanes }
-            }
-
-            /// Register `j` (0..`REGISTERS`).
-            fn register(&self, j: usize) -> u8 {
-                (self.lanes[j / 8] >> (8 * (j % 8))) as u8
-            }
-
-            /// Registers that differ from `old`'s.
-            fn changed_registers(&self, old: &$name) -> u64 {
-                self.lanes.iter().zip(old.lanes.iter()).map(|(&a, &b)| nonzero_bytes(a ^ b)).sum()
-            }
-
-            /// Element-wise register maximum — commutative, associative,
-            /// idempotent, and monotone per lane (each register only
-            /// grows), which is what makes lock-free torn reads of the
-            /// wide value safe.
-            pub fn merge(self, other: $name) -> $name {
-                let mut lanes = [0u64; Self::SKETCH_LANES];
-                for (out, (&a, &b)) in
-                    lanes.iter_mut().zip(self.lanes.iter().zip(other.lanes.iter()))
-                {
-                    let mut merged = 0u64;
-                    for byte in 0..8 {
-                        let sh = 8 * byte;
-                        let x = (a >> sh) & 0xFF;
-                        let y = (b >> sh) & 0xFF;
-                        merged |= x.max(y) << sh;
-                    }
-                    *out = merged;
-                }
-                $name { lanes }
-            }
-
-            /// The HLL cardinality estimate: `α_m · m² / Σ_j 2^(−M_j)`,
-            /// with the standard linear-counting correction in the small
-            /// range.
-            pub fn estimate(&self) -> f64 {
-                let m = Self::REGISTERS as f64;
-                let mut inv_sum = 0.0f64;
-                let mut zeros = 0u32;
-                for j in 0..Self::REGISTERS {
-                    let r = self.register(j);
-                    if r == 0 {
-                        zeros += 1;
-                    }
-                    inv_sum += (-(r as f64)).exp2();
-                }
-                let raw = alpha(Self::REGISTERS) * m * m / inv_sum;
-                if raw <= 2.5 * m && zeros > 0 {
-                    m * (m / zeros as f64).ln()
-                } else {
-                    raw
-                }
-            }
-        }
-
-        impl VertexValue for $name {
-            const LANES: usize = Self::SKETCH_LANES;
-            const WIRE_BYTES: u64 = Self::REGISTERS as u64;
-
-            /// A `REGISTERS / 8`-byte bitmap of the changed registers plus
-            /// one byte per changed register, or the whole sketch when
-            /// that is smaller (a form flag says which: the id's spare bit,
-            /// or a form bit in a bitmap batch).
-            /// Exact because register-max only raises registers, so the
-            /// changed ones rebuild `self` on a replica holding `old`.
-            fn wire_bytes_since(&self, old: &Self) -> u64 {
-                let sparse = Self::REGISTERS as u64 / 8 + self.changed_registers(old);
-                sparse.min(Self::WIRE_BYTES)
-            }
-
-            const TWO_FORM_RECORDS: bool = true;
-
-            fn to_bits(self) -> u64 {
-                unreachable!("wide values use the lane interface")
-            }
-            fn from_bits(_: u64) -> Self {
-                unreachable!("wide values use the lane interface")
-            }
-            fn store_lanes(self, out: &mut [u64]) {
-                out.copy_from_slice(&self.lanes);
-            }
-            fn load_lanes(lanes: &[u64]) -> Self {
-                let mut a = [0u64; Self::SKETCH_LANES];
-                a.copy_from_slice(lanes);
-                $name { lanes: a }
-            }
-        }
-
-        impl HllValue for $name {
-            const P: u32 = $p;
-            const REGISTERS: usize = 1 << $p;
-
-            fn empty() -> Self {
-                $name::empty()
-            }
-            fn singleton(v: VertexId) -> Self {
-                $name::singleton_of(v)
-            }
-            fn merge(self, other: Self) -> Self {
-                $name::merge(self, other)
-            }
-            fn estimate(&self) -> f64 {
-                $name::estimate(self)
-            }
-        }
-    )+};
+    fn to_bits(self) -> u64 {
+        unreachable!("wide values use the lane interface")
+    }
+    fn from_bits(_: u64) -> Self {
+        unreachable!("wide values use the lane interface")
+    }
+    fn store_lanes(self, out: &mut [u64]) {
+        out.copy_from_slice(&self.lanes);
+    }
+    fn load_lanes(lanes: &[u64]) -> Self {
+        let mut a = [0u64; SKETCH_LANES];
+        a.copy_from_slice(lanes);
+        HllSketch { lanes: a }
+    }
 }
-
-hll_precisions! {
-    /// 64-register counter (`p = 6`, 8 lanes, RSE 13%) — the default
-    /// [`HllSketch`].
-    HllP6 => 6,
-}
-
-// The rest of the family: the width tests run every precision through
-// the value layer, and nothing else needs them.
-#[cfg(test)]
-hll_precisions! {
-    /// 16-register counter (`p = 4`, 2 lanes, RSE 26%) — the cheapest
-    /// member; its exchange record is barely wider than a scalar's.
-    HllP4 => 4,
-    /// 32-register counter (`p = 5`, 4 lanes, RSE 18%).
-    HllP5 => 5,
-    /// 128-register counter (`p = 7`, 16 lanes, RSE 9.2%).
-    HllP7 => 7,
-    /// 256-register counter (`p = 8`, 32 lanes, RSE 6.5%) — the
-    /// precision the 4σ oracle envelope is asserted at.
-    HllP8 => 8,
-    /// 512-register counter (`p = 9`, 64 lanes, RSE 4.6%).
-    HllP9 => 9,
-    /// 1024-register counter (`p = 10`, 128 lanes, RSE 3.3%).
-    HllP10 => 10,
-    /// 2048-register counter (`p = 11`, 256 lanes, RSE 2.3%).
-    HllP11 => 11,
-    /// 4096-register counter (`p = 12`, 512 lanes, RSE 1.6%) — the
-    /// widest member; it is what sizes `MAX_VALUE_LANES`.
-    HllP12 => 12,
-}
-
-/// The default 64-register sketch (`p = 6`): 8 registers per 64-bit
-/// lane, merge = element-wise register maximum. Chosen so one sketch is
-/// exactly 8 value lanes (64 bytes) per vertex — wide enough to exercise
-/// every width-aware layer, small enough to sweep.
-pub type HllSketch = HllP6;
 
 /// Per-radius accumulators read off the sketch trajectory.
 struct Trajectory {
@@ -306,58 +199,54 @@ struct Trajectory {
     sum_of_distances: Vec<f64>,
 }
 
-/// The HyperBall vertex program at sketch precision `S`. Must run under
-/// [`AsyncMode::Sync`] — one hop per iteration is what makes iteration
-/// `t` mean radius `t` — which [`run_hyperball_with`] enforces; the
-/// program itself converges under any mode (the merge is idempotent),
-/// but the per-radius readings would be meaningless.
-pub struct HyperBallP<S: HllValue> {
+/// The HyperBall vertex program. Must run under [`AsyncMode::Sync`] —
+/// one hop per iteration is what makes iteration `t` mean radius `t` —
+/// which [`run_hyperball`] enforces; the program itself converges under
+/// any mode (the merge is idempotent), but the per-radius readings would
+/// be meaningless.
+pub struct HyperBall {
     trajectory: Mutex<Trajectory>,
-    _sketch: PhantomData<S>,
 }
 
-/// The default-precision HyperBall program ([`HllSketch`], `p = 6`).
-pub type HyperBall = HyperBallP<HllSketch>;
-
-impl<S: HllValue> HyperBallP<S> {
+impl HyperBall {
     /// A HyperBall program for a graph of `num_vertices` vertices.
-    pub fn new(num_vertices: u32) -> HyperBallP<S> {
-        let prev: Vec<f64> = (0..num_vertices).map(|v| S::singleton(v).estimate()).collect();
+    pub fn new(num_vertices: u32) -> HyperBall {
+        let prev: Vec<f64> =
+            (0..num_vertices).map(|v| HllSketch::singleton(v).estimate()).collect();
         let nf0 = prev.iter().sum();
-        HyperBallP {
+        HyperBall {
             trajectory: Mutex::new(Trajectory {
                 prev,
                 nf: vec![nf0],
                 harmonic: vec![0.0; num_vertices as usize],
                 sum_of_distances: vec![0.0; num_vertices as usize],
             }),
-            _sketch: PhantomData,
         }
     }
 }
 
-impl<S: HllValue> VertexProgram for HyperBallP<S> {
-    type Value = S;
+impl VertexProgram for HyperBall {
+    type Value = HllSketch;
     const OBSERVES_ITERATIONS: bool = true;
 
-    fn init(&self, v: VertexId) -> S {
-        S::singleton(v)
+    fn init(&self, v: VertexId) -> HllSketch {
+        HllSketch::singleton(v)
     }
 
     fn initial_frontier(&self) -> InitialFrontier {
         InitialFrontier::All
     }
 
-    fn message(&self, seed: S, _ctx: EdgeCtx) -> Option<S> {
+    fn message(&self, seed: HllSketch, _ctx: EdgeCtx) -> Option<HllSketch> {
         Some(seed)
     }
 
-    fn accumulate(&self, state: S, msg: S) -> Option<S> {
+    fn accumulate(&self, state: HllSketch, msg: HllSketch) -> Option<HllSketch> {
         let merged = state.merge(msg);
         (merged != state).then_some(merged)
     }
 
-    fn observe_iteration(&self, iteration: u32, values: &[S]) {
+    fn observe_iteration(&self, iteration: u32, values: &[HllSketch]) {
         // After iteration i every sketch holds its radius-(i+1) ball.
         let t = (iteration + 1) as f64;
         // hyt-lint: allow(unwrap-in-lib) -- a poisoned trajectory means an observer panicked mid-update and the running sums are inconsistent; propagate the panic
@@ -380,13 +269,12 @@ impl<S: HllValue> VertexProgram for HyperBallP<S> {
 }
 
 /// Everything HyperBall reads off one run. All estimates carry the
-/// standard HLL relative error ([`HllValue::rse`] per counter — 13% for
-/// the default [`HllSketch`]); the register states themselves are
-/// deterministic — bit-identical across thread counts, device counts
-/// and topologies (the merge is idempotent and commutative, and
-/// iterations are synchronous).
+/// standard HLL relative error ([`HLL_RSE`] per counter); the register
+/// states themselves are deterministic — bit-identical across thread
+/// counts, device counts and topologies (the merge is idempotent and
+/// commutative, and iterations are synchronous).
 #[derive(Clone, Debug)]
-pub struct HyperBallResult<S: HllValue = HllSketch> {
+pub struct HyperBallResult {
     /// Estimated neighbourhood function: `nf[t]` ≈ ordered pairs within
     /// distance `t` (`nf[0]` = the `nv` trivial pairs). One entry per
     /// executed radius; the last two entries agree (the final iteration
@@ -403,24 +291,16 @@ pub struct HyperBallResult<S: HllValue = HllSketch> {
     /// the last hop, and the run wasn't capped by `max_iterations`).
     pub diameter_lower_bound: u32,
     /// The underlying run record (values are the converged sketches).
-    pub run: RunResult<S>,
+    pub run: RunResult<HllSketch>,
 }
 
-/// Run HyperBall on `graph` under `config` at the default `p = 6`
-/// precision; see [`run_hyperball_with`] for the accuracy dial.
+/// Run HyperBall on `graph` under `config`, forcing synchronous mode
+/// (radius semantics; see [`HyperBall`]). In-distance conventions —
+/// transpose the graph first for out-distances. Every published vertex
+/// ships up to [`HllSketch`]'s 64 wire bytes per exchange.
 pub fn run_hyperball(graph: Csr, config: HyTGraphConfig) -> HyperBallResult {
-    run_hyperball_with::<HllSketch>(graph, config)
-}
-
-/// Run HyperBall on `graph` under `config` at sketch precision `S`,
-/// forcing synchronous mode (radius semantics; see [`HyperBallP`]).
-/// In-distance conventions — transpose the graph first for
-/// out-distances. Precision trades exchange bytes for accuracy: every
-/// published vertex ships up to `S::REGISTERS` wire bytes against a
-/// per-counter error of [`HllValue::rse`].
-pub fn run_hyperball_with<S: HllValue>(graph: Csr, config: HyTGraphConfig) -> HyperBallResult<S> {
     let config = HyTGraphConfig { async_mode: AsyncMode::Sync, ..config };
-    let program = HyperBallP::<S>::new(graph.num_vertices());
+    let program = HyperBall::new(graph.num_vertices());
     let mut sys = HyTGraphSystem::new(graph, config);
     let run = sys.run(&program);
     // hyt-lint: allow(unwrap-in-lib) -- same poisoning contract as observe_iteration: inconsistent sums must not be reported as results
@@ -479,61 +359,20 @@ mod tests {
         }
     }
 
-    /// ISSUE satellite: every member of the precision family estimates
-    /// within its own 4σ envelope, and the macro wired its layout
-    /// constants consistently (lanes ↔ registers ↔ wire bytes).
-    #[test]
-    fn precision_family_estimates_within_their_own_envelopes() {
-        fn check<S: HllValue>() {
-            assert_eq!(S::REGISTERS, 1 << S::P);
-            assert_eq!(S::LANES, S::REGISTERS / 8);
-            assert_eq!(S::WIRE_BYTES, S::REGISTERS as u64);
-            assert!((S::rse() - 1.04 / (S::REGISTERS as f64).sqrt()).abs() < 1e-15);
-            for n in [64u32, 1024, 8192] {
-                let mut s = S::empty();
-                for v in 0..n {
-                    s = s.merge(S::singleton(v));
-                }
-                let rel = (s.estimate() - n as f64).abs() / n as f64;
-                assert!(rel < 4.0 * S::rse(), "p={} n={n} rel={rel}", S::P);
-            }
-        }
-        check::<HllP4>();
-        check::<HllP5>();
-        check::<HllP6>();
-        check::<HllP7>();
-        check::<HllP8>();
-        check::<HllP9>();
-        check::<HllP10>();
-        check::<HllP11>();
-        check::<HllP12>();
-    }
-
-    /// ISSUE 26: a changed-register record is a `R/8`-byte bitmap plus
-    /// one byte per changed register, capped at the full sketch.
+    /// A changed-register record is a bitmap of one bit per register
+    /// plus one byte per changed register, capped at the full sketch.
     #[test]
     fn wire_bytes_since_prices_bitmap_plus_changed_registers() {
-        fn check<S: HllValue>() {
-            let r = S::REGISTERS as u64;
-            let empty = S::empty();
-            let one = S::singleton(7);
-            let all = S::load_lanes(&vec![0x0101_0101_0101_0101; S::LANES]);
-            assert_eq!(one.wire_bytes_since(&one), r / 8, "p={} unchanged", S::P);
-            assert_eq!(one.wire_bytes_since(&empty), r / 8 + 1, "p={} one raised", S::P);
-            assert_eq!(all.wire_bytes_since(&empty), r, "p={} all raised", S::P);
-            for (new, old) in [(one, empty), (all, empty), (all, one), (empty, empty)] {
-                assert!(new.wire_bytes_since(&old) <= S::WIRE_BYTES, "p={}", S::P);
-            }
+        let bitmap = REGISTERS as u64 / 8;
+        let empty = HllSketch::empty();
+        let one = HllSketch::singleton(7);
+        let all = HllSketch::load_lanes(&[0x0101_0101_0101_0101; SKETCH_LANES]);
+        assert_eq!(one.wire_bytes_since(&one), bitmap, "unchanged");
+        assert_eq!(one.wire_bytes_since(&empty), bitmap + 1, "one raised");
+        assert_eq!(all.wire_bytes_since(&empty), HllSketch::WIRE_BYTES, "all raised");
+        for (new, old) in [(one, empty), (all, empty), (all, one), (empty, empty)] {
+            assert!(new.wire_bytes_since(&old) <= HllSketch::WIRE_BYTES);
         }
-        check::<HllP4>();
-        check::<HllP5>();
-        check::<HllP6>();
-        check::<HllP7>();
-        check::<HllP8>();
-        check::<HllP9>();
-        check::<HllP10>();
-        check::<HllP11>();
-        check::<HllP12>();
     }
 
     #[test]
@@ -549,11 +388,11 @@ mod tests {
 
     #[test]
     fn alpha_matches_the_published_constants() {
-        assert_eq!(alpha(16), 0.673);
-        assert_eq!(alpha(32), 0.697);
-        assert_eq!(alpha(64), 0.709);
-        let m = 256.0f64;
-        assert!((alpha(256) - 0.7213 / (1.0 + 1.079 / m)).abs() < 1e-15);
+        assert_eq!(ALPHA, 0.709);
+        // The fitted constant sits within rounding of the closed form
+        // `0.7213 / (1 + 1.079/m)` at m = 64.
+        let m = REGISTERS as f64;
+        assert!((ALPHA - 0.7213 / (1.0 + 1.079 / m)).abs() < 5e-4);
     }
 
     #[test]
@@ -592,23 +431,6 @@ mod tests {
                 r.nf[t],
                 oracle.nf[t]
             );
-        }
-    }
-
-    /// ISSUE satellite: the 4σ oracle envelope at `p = 8` — four times
-    /// tighter (RSE 1.04/16 = 6.5%) than the default precision's, on the
-    /// same whole-system run.
-    #[test]
-    fn neighbourhood_function_tracks_oracle_at_p8() {
-        let g = generators::rmat(9, 6.0, 3, false);
-        let oracle = reference::neighbourhood_function(&g);
-        let r = run_hyperball_with::<HllP8>(g, HyTGraphConfig::default());
-        let envelope = 4.0 * (1.04 / 16.0);
-        let upto = r.nf.len().min(oracle.nf.len());
-        assert!(upto >= 2, "the sweep must cover at least radius 1");
-        for t in 1..upto {
-            let rel = (r.nf[t] - oracle.nf[t]).abs() / oracle.nf[t];
-            assert!(rel < envelope, "t={t} sketch={} exact={} rel={rel}", r.nf[t], oracle.nf[t]);
         }
     }
 

@@ -44,10 +44,7 @@ pub mod sssp;
 
 pub use bfs::Bfs;
 pub use cc::Cc;
-pub use hyperball::{
-    run_hyperball, run_hyperball_with, HllSketch, HllValue, HyperBall, HyperBallP, HyperBallResult,
-    HLL_RSE,
-};
+pub use hyperball::{run_hyperball, HllSketch, HyperBall, HyperBallResult, HLL_RSE};
 pub use multi_source::{lane_values, MultiBfs, MultiDist, MultiSssp};
 pub use pagerank::PageRank;
 pub use php::Php;

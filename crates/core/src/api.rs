@@ -133,9 +133,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Upper bound on [`VertexValue::LANES`], so lane staging can use fixed
-/// stack buffers (512 lanes = 4 KiB of state per vertex — sized for the
-/// widest HyperBall precision, `p = 12` ⇒ 4096 one-byte registers).
-pub const MAX_VALUE_LANES: usize = 512;
+/// 128-byte stack buffers. The widest value the library stores is
+/// HyperBall's `HllSketch` (64 one-byte registers, 8 lanes); 16 lanes
+/// leave it one doubling of headroom.
+pub const MAX_VALUE_LANES: usize = 16;
 
 /// Bytes of the vertex-id half of an exchange record (a `u32` id) in an
 /// id-list batch; a dense batch ships a vertex bitmap instead when that
@@ -626,24 +627,11 @@ impl<V: VertexValue> Values<V> {
     }
 }
 
-/// Lane count up to which a wide read or write stages through a small
-/// stack array instead of a [`MAX_VALUE_LANES`]-sized one.
-const SMALL_VALUE_LANES: usize = 16;
-
-/// Run `f` over a zeroed staging buffer of exactly `V::LANES` lanes.
-///
-/// The branch folds at monomorphisation. Zeroing the full
-/// [`MAX_VALUE_LANES`] array costs 4 KB per access unless the optimiser
-/// inlines every lane accessor and elides it, and whether it does turned
-/// on unrelated code elsewhere in the build (HyperBall's 8-lane kernel
-/// measured ±40 % between otherwise equivalent builds); values of up to
-/// [`SMALL_VALUE_LANES`] lanes therefore never touch more than 128 bytes.
+/// Run `f` over a zeroed staging buffer of exactly `V::LANES` lanes: the
+/// front of one [`MAX_VALUE_LANES`]-lane stack array, so an access zeroes
+/// at most 128 bytes even where the optimiser keeps the zeroing.
 fn with_lane_buf<V: VertexValue, R>(f: impl FnOnce(&mut [u64]) -> R) -> R {
-    if V::LANES <= SMALL_VALUE_LANES {
-        f(&mut [0u64; SMALL_VALUE_LANES][..V::LANES])
-    } else {
-        f(&mut [0u64; MAX_VALUE_LANES][..V::LANES])
-    }
+    f(&mut [0u64; MAX_VALUE_LANES][..V::LANES])
 }
 
 #[cfg(test)]
@@ -722,6 +710,25 @@ mod tests {
         assert_eq!(vals.get(0), 0);
         assert_eq!(vals.get(3), u32::MAX);
         assert_eq!(vals.len(), 4);
+    }
+
+    /// A value one lane wider than the store's ceiling.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct TooWide;
+    impl VertexValue for TooWide {
+        const LANES: usize = MAX_VALUE_LANES + 1;
+        fn to_bits(self) -> u64 {
+            0
+        }
+        fn from_bits(_: u64) -> Self {
+            TooWide
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "VertexValue::LANES must be 1..=16, got 17")]
+    fn values_reject_a_value_wider_than_max_value_lanes() {
+        Values::init_with(4, |_| TooWide);
     }
 
     #[test]

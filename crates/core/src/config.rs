@@ -14,8 +14,11 @@ const PAPER_PARTITION_BYTES: u64 = 32 << 20;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AsyncMode {
     /// Synchronous: scatter seeds come from an iteration-start snapshot;
-    /// no recompute. Used by the Section III motivating study so all
-    /// engines see identical frontiers.
+    /// no recompute. Used by the Section III motivating study. Engines see
+    /// identical frontiers only under order-insensitive folds (min, HLL
+    /// max): `f32` Δ folds sum in combined-task order, which the engine
+    /// mix changes (in `tests/presets.rs` Grus on a half card runs PR for
+    /// 56 iterations where the other systems run 62).
     Sync,
     /// Asynchronous with `recompute` extra passes over each loaded task's
     /// newly-activated local vertices. HyTGraph uses 1 ("processes the

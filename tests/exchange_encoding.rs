@@ -3,7 +3,7 @@
 //! vertices), decodes back to the same records, and is priced at the
 //! shorter encoding's exact length.
 
-use hytgraph::algos::hyperball::{HllSketch, HllValue};
+use hytgraph::algos::hyperball::HllSketch;
 use hytgraph::core::api::VertexValue;
 use hytgraph::core::exchange::{decode_ids, encode_ids, IdEncoding, OwnedVertices};
 use hytgraph::graph::{generators, DeviceAssignment, DevicePlan, PartitionSet, VertexId};

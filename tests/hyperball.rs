@@ -10,12 +10,13 @@
 //! 3. **Determinism** — converged registers are **bit-identical** across
 //!    device counts D ∈ {1, 2, 4, 8} and every topology: the merge is
 //!    idempotent and commutative and iterations are synchronous, so
-//!    placement can only change the timeline.
+//!    placement can only change the timeline. Sync iterations also make
+//!    them **exact**: each is the sketch of the vertex's exact in-ball.
 //!
 //! ISSUE 26 adds the changed-register exchange: a record carries only the
 //! registers the merge raised, and they rebuild the sketch on a replica.
 
-use hytgraph::algos::hyperball::{run_hyperball, HllSketch, HllValue, HLL_RSE};
+use hytgraph::algos::hyperball::{run_hyperball, HllSketch, HLL_RSE};
 use hytgraph::algos::reference;
 use hytgraph::core::api::VertexValue;
 use hytgraph::core::{HyTGraphConfig, SystemKind, TopologyKind};
@@ -104,6 +105,39 @@ fn registers_bit_identical_across_device_counts_and_topologies() {
             assert_eq!(r.run.iterations, base.run.iterations, "D={d} {topo:?}");
             assert_eq!(r.nf, base.nf, "trajectory diverged at D={d} on {topo:?}");
             assert!(r.run.counters.exchange_bytes > 0, "D={d} never exchanged");
+        }
+    }
+}
+
+/// Sync iterations make HyperBall exact, not just accurate: after radius
+/// `t` every register array equals the sketch of the exact in-ball
+/// `{u : d(u→v) ≤ t}`, and `nf[t]` is the sum of those sketches'
+/// estimates in vertex order. A lost or misplaced merge fails this even
+/// when every count agrees.
+#[test]
+fn converged_registers_equal_the_exact_in_ball_sketches() {
+    let g = generators::rmat(10, 8.0, 21, false);
+    let diameter = reference::neighbourhood_function(&g).diameter;
+    let depths: Vec<_> = (0..g.num_vertices()).map(|u| reference::bfs_depths(&g, u)).collect();
+    // balls[t][v]: the sketch of v's exact radius-t in-ball.
+    let mut balls = vec![(0..g.num_vertices()).map(HllSketch::singleton).collect::<Vec<_>>()];
+    for t in 1..=diameter {
+        let mut ball = balls[balls.len() - 1].clone();
+        for (u, depth) in (0..).zip(&depths) {
+            for (v, _) in depth.iter().enumerate().filter(|&(_, &d)| d == t) {
+                ball[v] = ball[v].merge(HllSketch::singleton(u));
+            }
+        }
+        balls.push(ball);
+    }
+    let nf_of = |sketches: &[HllSketch]| sketches.iter().fold(0.0, |acc, s| acc + s.estimate());
+    for d in [1usize, 4] {
+        let r = run_hyperball(g.clone(), cfg(d, TopologyKind::HostOnly));
+        assert_eq!(r.run.counters.exchange_bytes > 0, d > 1, "D={d} exchange");
+        assert_eq!(&r.run.values, &balls[balls.len() - 1], "D={d}: converged registers");
+        for (t, &got) in r.nf.iter().enumerate() {
+            let ball = &balls[t.min(balls.len() - 1)];
+            assert_eq!(got.to_bits(), nf_of(ball).to_bits(), "D={d} t={t}");
         }
     }
 }
@@ -208,7 +242,8 @@ proptest! {
             replica[j] = after[j];
         }
         prop_assert_eq!(&replica, &after);
-        let sparse = <HllSketch as HllValue>::REGISTERS as u64 / 8 + raised.len() as u64;
+        // One bitmap bit per register (`WIRE_BYTES` registers of a byte).
+        let sparse = HllSketch::WIRE_BYTES / 8 + raised.len() as u64;
         prop_assert_eq!(new.wire_bytes_since(&old), sparse.min(HllSketch::WIRE_BYTES));
     }
 }
