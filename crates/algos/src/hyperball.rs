@@ -274,6 +274,7 @@ impl VertexProgram for HyperBall {
 /// counts, device counts and topologies (the merge is idempotent and
 /// commutative, and iterations are synchronous).
 #[derive(Clone, Debug)]
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `run_hyperball`
 pub struct HyperBallResult {
     /// Estimated neighbourhood function: `nf[t]` ≈ ordered pairs within
     /// distance `t` (`nf[0]` = the `nv` trivial pairs). One entry per

@@ -44,7 +44,7 @@ pub mod sssp;
 
 pub use bfs::Bfs;
 pub use cc::Cc;
-pub use hyperball::{run_hyperball, HllSketch, HyperBall, HyperBallResult, HLL_RSE};
+pub use hyperball::{run_hyperball, HllSketch, HyperBall, HLL_RSE};
 pub use multi_source::{lane_values, MultiBfs, MultiDist, MultiSssp};
 pub use pagerank::PageRank;
 pub use php::Php;

@@ -22,7 +22,7 @@ use hyt_graph::VertexId;
 pub const DAMPING: f32 = 0.85;
 
 /// Default activation threshold ε for pending Δ.
-pub const DEFAULT_EPSILON: f32 = 1.0e-3;
+const DEFAULT_EPSILON: f32 = 1.0e-3;
 
 /// Δ-PageRank vertex program.
 #[derive(Clone, Copy, Debug)]
@@ -38,16 +38,9 @@ impl Default for PageRank {
 }
 
 impl PageRank {
-    /// PageRank with standard damping and [`DEFAULT_EPSILON`].
+    /// PageRank with standard damping and activation threshold 10⁻³.
     pub fn new() -> Self {
         PageRank { damping: DAMPING, epsilon: DEFAULT_EPSILON }
-    }
-
-    /// Custom damping / threshold (ablations).
-    pub fn with_params(damping: f32, epsilon: f32) -> Self {
-        assert!((0.0..1.0).contains(&damping));
-        assert!(epsilon > 0.0);
-        PageRank { damping, epsilon }
     }
 
     /// Extract final ranks (settled + residual pending mass) from a run.
@@ -174,7 +167,7 @@ mod tests {
         let oracle = reference::pagerank(&g, DAMPING as f64, 400);
         let run = |eps: f32| {
             let mut sys = HyTGraphSystem::new(g.clone(), HyTGraphConfig::default());
-            let r = sys.run(PageRank::with_params(DAMPING, eps));
+            let r = sys.run(PageRank { damping: DAMPING, epsilon: eps });
             max_rel_err(&PageRank::ranks(&r), &oracle)
         };
         let coarse = run(1e-2);

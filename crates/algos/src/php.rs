@@ -25,7 +25,7 @@ use hyt_graph::VertexId;
 const DECAY: f32 = 0.8;
 
 /// Default activation threshold ε.
-pub const DEFAULT_EPSILON: f32 = 1.0e-5;
+const DEFAULT_EPSILON: f32 = 1.0e-5;
 
 /// Sentinel settled-score marking the absorbing source state.
 const ABSORBING: f32 = f32::INFINITY;
@@ -42,13 +42,6 @@ impl Php {
     /// PHP from `source` with default decay and threshold.
     pub fn from_source(source: VertexId) -> Self {
         Php { source, decay: DECAY, epsilon: DEFAULT_EPSILON }
-    }
-
-    /// Custom decay / threshold.
-    pub fn with_params(source: VertexId, decay: f32, epsilon: f32) -> Self {
-        assert!((0.0..1.0).contains(&decay));
-        assert!(epsilon > 0.0);
-        Php { source, decay, epsilon }
     }
 
     /// The configured source vertex.

@@ -1,10 +1,11 @@
 //! Automated shape-claim verification: `repro check`.
 //!
-//! `EXPERIMENTS.md` records which of the paper's qualitative claims hold
-//! on the scaled proxies. This module asserts those claims *in code*, so
-//! any model or calibration change that breaks a reproduced shape fails
-//! loudly instead of silently drifting. Each check returns a
-//! [`CheckResult`] with the measured evidence.
+//! The paper's qualitative claims, asserted *in code* on the scaled
+//! proxies, so any model or calibration change that breaks a reproduced
+//! shape fails loudly instead of silently drifting. Each check returns a
+//! [`CheckResult`] with the measured evidence; the committed
+//! `BENCH_CHECK.txt` holds every evidence string, and CI diffs a pinned
+//! run against it (README, *Verifying*).
 
 use crate::context::{base_config, run_algo, run_algo_with_config, Ctx};
 use hyt_algos::AlgoKind;

@@ -13,7 +13,6 @@ pub mod multigpu;
 pub mod mutate;
 pub mod nvlink;
 pub mod perf;
-pub mod placement;
 pub mod session;
 pub mod table1;
 pub mod table2;
@@ -136,11 +135,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "mutate",
             about: "extension: streaming mutations — delta pricing, incremental repricing, session barrier",
             run: mutate::run,
-        },
-        Experiment {
-            name: "placement",
-            about: "extension: skewed mixed-generation D=8 ring, edge-balanced placement",
-            run: placement::run,
         },
         Experiment {
             name: "perf",

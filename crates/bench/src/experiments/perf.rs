@@ -14,9 +14,9 @@
 //!   against the `B` serial runs they replace (see
 //!   [`super::session::batched_sweep`]);
 //! * since v3: the skewed mixed-generation D=8 ring (see
-//!   [`super::placement::skewed_ring_sweep`]), the only peer-fabric
-//!   rows; named `placement` and carrying a second, cost-driven
-//!   assignment per cell until v6;
+//!   `skewed_ring_sweep`), the only peer-fabric rows; named
+//!   `placement` and carrying a second, cost-driven assignment per cell
+//!   until v6;
 //! * since v4: every grid record carries its attribution — scheduled
 //!   units, bus busy time and exposed exchange (the whole exchange time:
 //!   nothing hides it) — so a moved makespan can be decomposed from the
@@ -42,11 +42,12 @@
 //! batch widths `{1, 4}`) in CI; the committed baseline comes from the
 //! full sweep.
 
-use crate::context::{base_config, run_algo_with_config, Ctx};
+use crate::context::{base_config, run_algo_with_config, Ctx, SCALE_SHIFT};
 use crate::table::{secs, Table};
 use hyt_algos::AlgoKind;
-use hyt_core::SystemKind;
+use hyt_core::{HyTGraphConfig, SystemKind, TopologyKind};
 use hyt_graph::{Csr, DatasetId};
+use hyt_sim::LinkSpec;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -102,6 +103,50 @@ pub struct BatchedPerfRecord {
     pub serial_exchange_bytes: u64,
     /// The batched run's exchange payload bytes.
     pub batched_exchange_bytes: u64,
+}
+
+/// Device count of the skewed ring (the grid's largest sweep point).
+const SKEWED_RING_DEVICES: usize = 8;
+
+/// The skewed mixed-generation ring, the worst case for positional
+/// placement: the last device is an old-generation card behind 2 GB/s
+/// bridges on both sides, so anything placed there pays dearly to talk
+/// to anyone.
+fn skewed_ring_config() -> HyTGraphConfig {
+    let last = SKEWED_RING_DEVICES as u32 - 1;
+    let slow = LinkSpec::with_nominal_bw(2.0e9).scaled(SCALE_SHIFT);
+    let mut cfg = SystemKind::HyTGraph.configure(base_config());
+    cfg.num_devices = SKEWED_RING_DEVICES;
+    cfg.topology = TopologyKind::Ring;
+    cfg.threads = 1;
+    cfg.link_overrides = vec![(last - 1, last, slow), (last, 0, slow)];
+    cfg
+}
+
+/// The edge-balanced plan on the skewed D=8 ring per `(dataset, algo)`
+/// (pure; no I/O). Smoke mode runs SK/SSSP only.
+fn skewed_ring_sweep(ctx: &mut Ctx, smoke: bool) -> Vec<SkewedRingPerfRecord> {
+    let datasets: &[DatasetId] =
+        if smoke { &[DatasetId::Sk] } else { &[DatasetId::Sk, DatasetId::Tw] };
+    let algos: &[AlgoKind] =
+        if smoke { &[AlgoKind::Sssp] } else { &[AlgoKind::PageRank, AlgoKind::Sssp] };
+    let mut cells = Vec::new();
+    for &ds in datasets {
+        let g = ctx.graph(ds);
+        for &algo in algos {
+            let m = run_algo_with_config(SystemKind::HyTGraph, algo, &g, skewed_ring_config());
+            cells.push(SkewedRingPerfRecord {
+                dataset: ds.name().to_string(),
+                algo: algo.name().to_string(),
+                devices: SKEWED_RING_DEVICES,
+                iterations: m.iterations,
+                total_time: m.total_time,
+                exchange_time: m.per_iteration.iter().map(|it| it.exchange.time).sum(),
+                exchange_bytes: m.counters.exchange_bytes,
+            });
+        }
+    }
+    cells
 }
 
 /// One skewed-ring cell (schema v3; `skewed_ring` since v6): the
@@ -268,18 +313,7 @@ pub fn collect_baseline(ctx: &mut Ctx, smoke: bool) -> PerfBaseline {
             batched_exchange_bytes: c.batched_bytes,
         })
         .collect();
-    let skewed_ring = super::placement::skewed_ring_sweep(ctx, smoke)
-        .into_iter()
-        .map(|c| SkewedRingPerfRecord {
-            dataset: c.dataset,
-            algo: c.algo,
-            devices: c.devices,
-            iterations: c.iterations,
-            total_time: c.total_time,
-            exchange_time: c.exchange_time,
-            exchange_bytes: c.exchange_bytes,
-        })
-        .collect();
+    let skewed_ring = skewed_ring_sweep(ctx, smoke);
     PerfBaseline {
         schema: PERF_SCHEMA,
         system: SystemKind::HyTGraph.name(),
@@ -361,7 +395,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     }
     let mut p = Table::new(
         "Skewed mixed-generation ring, D=8 (edge-balanced placement)",
-        &["dataset", "algo", "iters", "time", "exchange KB"],
+        &["dataset", "algo", "iters", "time", "exchange ms", "exchange KB"],
     );
     for r in &baseline.skewed_ring {
         p.row(vec![
@@ -369,6 +403,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
             r.algo.clone(),
             r.iterations.to_string(),
             secs(r.total_time),
+            format!("{:.3}", r.exchange_time * 1e3),
             format!("{:.1}", r.exchange_bytes as f64 / 1024.0),
         ]);
     }

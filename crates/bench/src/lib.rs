@@ -5,9 +5,9 @@
 //! Every experiment of Section VII (plus Tables I/II from the front
 //! matter) has a module under [`experiments`] that regenerates the same
 //! rows/series the paper reports, on the scaled proxy datasets and the
-//! simulated 2080Ti platform. `EXPERIMENTS.md` at the repository root
-//! records paper-reported vs measured values and whether each shape claim
-//! holds.
+//! simulated 2080Ti platform. `repro check` asserts the paper's shape
+//! claims in code; `BENCH_CHECK.txt` at the repository root records their
+//! evidence.
 //!
 //! Run them through the `repro` binary:
 //!

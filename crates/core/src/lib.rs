@@ -74,12 +74,14 @@ pub use config::{AsyncMode, HyTGraphConfig};
 pub use cost::{partition_costs_sized, PartitionCosts};
 pub use hyt_engines::EngineKind;
 pub use hyt_sim::{Interconnect, LinkSpec, Route, TopologyKind};
-pub use runner::{HyTGraphSystem, MutationReport, COMPACTION_HORIZON_ITERS};
+// hyt-lint: allow(unreached-pub) -- the one path to the return type of `HyTGraphSystem::apply_mutations`
+pub use mutate::MutationReport;
+pub use mutate::COMPACTION_HORIZON_ITERS;
+pub use runner::HyTGraphSystem;
 pub use select::{SelectParams, Selection};
 pub use session::{
-    Admission, CohortOutcome, CompletedQuery, CostQuote, MutationOutcome, QueryId, QueryKind,
-    QueryOutput, QueryShape, QueryStats, RejectReason, SessionBackend, SessionConfig,
-    SessionService, SessionStats,
+    Admission, CohortOutcome, MutationOutcome, QueryKind, QueryOutput, QueryShape, SessionBackend,
+    SessionConfig, SessionService, SessionStats,
 };
 pub use stats::{DeviceIterationStats, EngineMix, ExchangeStats, IterationStats, RunResult};
 pub use systems::SystemKind;

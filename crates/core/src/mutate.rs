@@ -24,6 +24,7 @@ pub const COMPACTION_HORIZON_ITERS: f64 = 32.0;
 /// What applying one [`MutationBatch`] did to the resident system (see
 /// [`HyTGraphSystem::apply_mutations`]).
 #[derive(Clone, Debug, PartialEq)]
+// hyt-lint: allow(unreached-pub) -- returned by `HyTGraphSystem::apply_mutations`; `mutate` is private, so the crate root re-exports it
 pub struct MutationReport {
     /// Ops applied (equals the batch length on success).
     pub applied: usize,

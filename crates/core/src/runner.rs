@@ -90,8 +90,6 @@ use hyt_graph::{
 };
 use hyt_sim::{Interconnect, MultiGpuSim, MultiTimeline, SimTask, TransferCounters};
 
-pub use crate::mutate::{MutationReport, COMPACTION_HORIZON_ITERS};
-
 /// Per-iteration orchestration overhead (GPU-side cost analysis +
 /// selection result copy-back + frontier bookkeeping), expressed as a
 /// multiple of the explicit-copy launch latency so it scales with the
@@ -521,8 +519,8 @@ impl HyTGraphSystem {
             for s in &plans {
                 counters.merge(&s.plan.counters);
                 dev_tasks[s.device as usize].push(match s.via {
-                    None => s.plan.to_kernel_only_task_for_device(s.device),
-                    Some(_) => s.plan.to_sim_task_for_device(s.device),
+                    None => SimTask::kernel_only(s.plan.kernel_time),
+                    Some(_) => s.plan.to_sim_task(),
                 });
             }
         }
@@ -994,7 +992,7 @@ mod tests {
         assert_eq!(mixed.plan.transfer_time, machine.pcie.explicit_copy_time(bytes(b)));
         assert_eq!(mixed.plan.kernel_time, whole.kernel_time);
         assert_eq!(mixed.plan.counters.kernel_edges, whole.counters.kernel_edges);
-        assert_eq!(mixed.plan.partitions, vec![a.partition, b.partition]);
+        assert_eq!(mixed.plan.active_edges, whole.active_edges);
         // Once both are held, any engine's slice over them is its kernel.
         let kept = price(&sys, EngineKind::ExpCompaction, &[0, 1], &acts, &mut state);
         assert_eq!(kept.via, None);
@@ -1037,7 +1035,7 @@ mod tests {
             assert_eq!(s.plan.cpu_time, 0.0, "{kind:?}");
             assert_eq!(s.plan.transfer_time, machine.pcie.explicit_copy_time(bytes(x)));
             assert_eq!(s.plan.kernel_time, want.kernel_time);
-            let task = s.plan.to_sim_task_for_device(0);
+            let task = s.plan.to_sim_task();
             assert!(matches!(task.phases[..], [Phase::Transfer(_), Phase::Kernel(_)]));
         }
         // A zero-copy recompute over the loaded partition pays no bus.
@@ -1060,18 +1058,12 @@ mod tests {
             assert_eq!(c.plan.counters, want.counters);
             assert_eq!(c.plan.cpu_time, want.cpu_time);
             assert_eq!(c.plan.transfer_time, want.transfer_time);
-            assert_eq!(
-                c.plan.to_sim_task_for_device(0).phases,
-                want.to_sim_task_for_device(0).phases
-            );
+            assert_eq!(c.plan.to_sim_task().phases, want.to_sim_task().phases);
             let z = price(&sys, zc, &[1], &acts, &mut state);
             let want = zero_copy::plan_zero_copy(machine, &[b]);
             assert_eq!(z.plan.counters, want.counters);
             assert_eq!(z.plan.transfer_time, want.transfer_time);
-            assert_eq!(
-                z.plan.to_sim_task_for_device(0).phases,
-                want.to_sim_task_for_device(0).phases
-            );
+            assert_eq!(z.plan.to_sim_task().phases, want.to_sim_task().phases);
         }
         let mut slices = vec![price(&sys, zc, &[1], &acts, &mut state)];
         let before = slices[0].plan.counters.zero_copy_bytes;

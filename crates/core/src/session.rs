@@ -66,6 +66,7 @@ pub enum QueryKind {
 
 /// Opaque per-query handle, unique within one service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+// hyt-lint: allow(unreached-pub) -- named in the public signatures of `SessionService::submit` and `CompletedQuery`
 pub struct QueryId(pub u64);
 
 /// The pricing shape of a query: what the cost model needs to know to
@@ -82,6 +83,7 @@ pub struct QueryShape {
 
 /// A worst-case price for one query, in the cost model's RTT units.
 #[derive(Clone, Copy, Debug, PartialEq)]
+// hyt-lint: allow(unreached-pub) -- named in the public signatures of `SessionService::quote` and `Admission`
 pub struct CostQuote {
     /// `Σ_partitions min(Tef, Tec, Tiz)` for an all-active sweep at the
     /// query's shape: the upper envelope of one iteration's transfer
@@ -92,6 +94,7 @@ pub struct CostQuote {
 
 /// Why a submission was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `Admission::Rejected`
 pub enum RejectReason {
     /// The query's own quote exceeds the whole admission budget: no
     /// amount of queueing would ever let it in.
@@ -151,7 +154,7 @@ pub enum QueryOutput {
 
 /// The observable outcome of one [`QueryKind::Mutate`] request (the
 /// session-level projection of
-/// [`crate::runner::MutationReport`]).
+/// [`crate::MutationReport`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MutationOutcome {
     /// Ops applied (the full batch on success).
@@ -230,6 +233,7 @@ impl Default for SessionConfig {
 
 /// Per-request accounting, on the deterministic session clock.
 #[derive(Clone, Copy, Debug)]
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `CompletedQuery`
 pub struct QueryStats {
     /// Session-clock time the query was submitted.
     pub arrival: f64,
@@ -255,6 +259,7 @@ pub struct QueryStats {
 
 /// A finished query: output plus accounting.
 #[derive(Clone, Debug)]
+// hyt-lint: allow(unreached-pub) -- named in the public signatures of `SessionService::{run_next, drain}`
 pub struct CompletedQuery {
     /// The handle [`SessionService::submit`] returned.
     pub id: QueryId,

@@ -262,7 +262,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(priced.counters, want);
-        assert_eq!(priced.partitions, acts.iter().map(|a| a.partition).collect::<Vec<_>>());
+        assert_eq!(priced.active_edges, acts.iter().map(|a| a.active_edges).sum::<u64>());
     }
 
     #[test]

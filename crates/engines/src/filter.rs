@@ -74,7 +74,7 @@ mod tests {
         let plan = plan_filter(&machine, g.view(), &refs, g.bytes_per_edge());
         let want: u64 = refs.iter().map(|a| a.total_edges).sum::<u64>() * g.bytes_per_edge();
         assert_eq!(plan.counters.explicit_bytes, want);
-        assert_eq!(plan.partitions, vec![0, 1, 2]);
+        assert_eq!(plan.active_edges, refs.iter().map(|a| a.active_edges).sum::<u64>());
         assert_eq!(plan.counters.kernel_launches, 1);
     }
 

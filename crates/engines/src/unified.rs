@@ -38,16 +38,6 @@ impl UnifiedState {
         UnifiedState { cache: UmCache::new(machine.um, budget) }
     }
 
-    /// Total faults so far (Fig. 3(d) numerator).
-    pub fn faults(&self) -> u64 {
-        self.cache.faults()
-    }
-
-    /// Total hits so far.
-    pub fn hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
     /// Price an ImpTM-unified task over (task-combined) partitions: touch
     /// every active vertex's neighbour run in the page cache, charge
     /// migration for the faulted pages, fuse with the kernel.

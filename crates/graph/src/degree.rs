@@ -9,6 +9,7 @@ use crate::Csr;
 
 /// The five buckets of Fig. 3(f).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `DegreeStats`; `degree` is private, so the crate root re-exports it
 pub struct DegreeBucket {
     /// Inclusive lower bound.
     pub lo: u64,

@@ -449,6 +449,7 @@ impl DeltaCsr {
 /// empty overlay slices, a plain [`Csr`]): surviving base edges in base
 /// order, then live inserts in arrival order.
 #[derive(Clone, Debug)]
+// hyt-lint: allow(unreached-pub) -- named in the public signature of `DeltaCsr::edges_of`; `delta_csr` is private, so the crate root re-exports it
 pub struct DeltaEdges<'a> {
     nbrs: &'a [VertexId],
     ws: Option<&'a [Weight]>,

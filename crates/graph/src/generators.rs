@@ -95,6 +95,7 @@ fn rmat_with_probs(
 }
 
 /// Erdős–Rényi G(n, m): `num_edges` uniform random directed edges.
+// hyt-lint: allow(unreached-pub) -- fixture generator the integration tests build uniform graphs with
 pub fn erdos_renyi(num_vertices: u32, num_edges: u64, seed: u64, weighted: bool) -> Csr {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut builder = CsrBuilder::new(num_vertices, weighted);
@@ -309,7 +310,6 @@ pub struct GraphBuilder {
 #[derive(Clone, Debug)]
 enum BuilderKind {
     Rmat { scale: u32, edge_factor: f64 },
-    ErdosRenyi { num_vertices: u32, num_edges: u64 },
     PowerLawLocal { num_vertices: u32, avg_degree: f64, alpha: f64, locality: f64, window: u32 },
 }
 
@@ -317,15 +317,6 @@ impl GraphBuilder {
     /// RMAT graph with `2^scale` vertices.
     pub fn rmat(scale: u32, edge_factor: f64) -> Self {
         GraphBuilder { kind: BuilderKind::Rmat { scale, edge_factor }, seed: 1, weighted: false }
-    }
-
-    /// Uniform random graph.
-    pub fn erdos_renyi(num_vertices: u32, num_edges: u64) -> Self {
-        GraphBuilder {
-            kind: BuilderKind::ErdosRenyi { num_vertices, num_edges },
-            seed: 1,
-            weighted: false,
-        }
     }
 
     /// Power-law graph with web-like id locality.
@@ -360,9 +351,6 @@ impl GraphBuilder {
         match self.kind {
             BuilderKind::Rmat { scale, edge_factor } => {
                 rmat(scale, edge_factor, self.seed, self.weighted)
-            }
-            BuilderKind::ErdosRenyi { num_vertices, num_edges } => {
-                erdos_renyi(num_vertices, num_edges, self.seed, self.weighted)
             }
             BuilderKind::PowerLawLocal { num_vertices, avg_degree, alpha, locality, window } => {
                 power_law_local(

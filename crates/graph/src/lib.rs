@@ -46,14 +46,18 @@ pub mod placement;
 
 pub use csr::{Csr, CsrBuilder};
 pub use datasets::{Dataset, DatasetId};
-pub use degree::{DegreeBucket, DegreeStats};
-pub use delta_csr::{AdjacencyView, DeltaCsr, DeltaEdges, EdgeOp, MutationBatch};
+// hyt-lint: allow(unreached-pub) -- the one path to a type named in `DegreeStats`
+pub use degree::DegreeBucket;
+pub use degree::DegreeStats;
+pub use delta_csr::{AdjacencyView, DeltaCsr, EdgeOp, MutationBatch};
+// hyt-lint: allow(unreached-pub) -- the one path to the return type of `DeltaCsr::edges_of`
+pub use delta_csr::DeltaEdges;
 pub use edgelist::EdgeList;
 pub use error::{GraphError, MAX_EDGE_MULTIPLICITY};
 pub use frontier::Frontier;
 pub use generators::GraphBuilder;
 pub use hub_sort::{hub_sort, HubSortResult};
-pub use partition::{DeviceAssignment, DevicePlan, Partition, PartitionSet, COMBINE_RUN};
+pub use partition::{DeviceAssignment, DevicePlan, PartitionSet, COMBINE_RUN};
 
 /// Vertex identifier. The paper assumes 4-byte vertex ids (`d1 = 4`), and so
 /// do we: all cost-model arithmetic uses `size_of::<VertexId>()`.

@@ -15,6 +15,7 @@ use crate::{Csr, VertexId};
 
 /// One partition: a contiguous vertex range plus its edge span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// hyt-lint: allow(unreached-pub) -- named in the public signatures of `PartitionSet::{get, partitions}`
 pub struct Partition {
     /// Partition index within the [`PartitionSet`].
     pub id: u32,

@@ -35,6 +35,7 @@
 //! `unreached-pub` reads the workspace as a whole ([`lint_sources`]).
 
 use crate::lexer::{tokenize, Tok, TokKind};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
@@ -267,7 +268,7 @@ struct FileCtx<'a> {
     /// Per-token: inside a `const`/`static` item (name through `;`).
     in_const: Vec<bool>,
     /// Lowercased identifier texts per source line.
-    line_idents: std::collections::HashMap<u32, Vec<String>>,
+    line_idents: HashMap<u32, Vec<String>>,
     /// `(line, lint)` pairs silenced by a well-formed allow annotation.
     allows: Vec<(u32, &'static str)>,
     allow_syntax_errors: Vec<Diagnostic>,
@@ -276,8 +277,7 @@ struct FileCtx<'a> {
 impl<'a> FileCtx<'a> {
     fn new(rel_path: &'a str, src: &str, toks: &'a [Tok<'a>]) -> Self {
         let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-        let mut line_idents: std::collections::HashMap<u32, Vec<String>> =
-            std::collections::HashMap::new();
+        let mut line_idents: HashMap<u32, Vec<String>> = HashMap::new();
         for t in toks {
             if t.kind == TokKind::Ident {
                 line_idents.entry(t.line).or_default().push(t.text.to_ascii_lowercase());
@@ -788,20 +788,23 @@ fn lint_no_direct_csr_mut(file: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 /// `unreached-pub`: a `pub` item of a [`LIBRARY_CRATES`] file whose name
-/// appears in no non-test token of any other file given. A name that two
-/// items share counts as reached, and so does one that a `pub use`
-/// re-exports (the re-export is a token in another file).
+/// appears in no non-test token of any file that does not itself declare
+/// a `pub` item of that name. Two items that share a name reach each
+/// other only through a third file, and a `pub use` re-export is a
+/// declaration, so only its users reach it. An identifier bound by `let`
+/// or `let mut` is not a use.
 fn lint_unreached_pub(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) {
     // Every file each non-test identifier appears in.
-    let mut seen_in: std::collections::HashMap<&str, Vec<usize>> = Default::default();
+    let mut seen_in: HashMap<&str, Vec<usize>> = HashMap::new();
     for (f, file) in files.iter().enumerate() {
-        for &i in file.code.iter().filter(|&&i| !file.in_test[i]) {
+        for (k, &i) in file.code.iter().enumerate().filter(|&(_, &i)| !file.in_test[i]) {
             let t = &file.toks[i];
-            if t.kind == TokKind::Ident {
-                let at = seen_in.entry(t.text).or_default();
-                if at.last() != Some(&f) {
-                    at.push(f);
-                }
+            if t.kind != TokKind::Ident || is_let_binding(file, k) {
+                continue;
+            }
+            let at = seen_in.entry(t.text).or_default();
+            if at.last() != Some(&f) {
+                at.push(f);
             }
         }
     }
@@ -811,14 +814,18 @@ fn lint_unreached_pub(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) {
         .filter(|(_, f)| crate_of(f.rel_path).is_some_and(|c| LIBRARY_CRATES.contains(&c)))
         .map(|(f, file)| (f, pub_items(file)))
         .collect();
-    let mut declared: std::collections::HashMap<&str, usize> = Default::default();
-    for item in items.iter().flat_map(|(_, v)| v) {
-        *declared.entry(item.name).or_default() += 1;
+    // Every file declaring a pub item of each name.
+    let mut declared_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (f, file_items) in &items {
+        for item in file_items {
+            declared_in.entry(item.name).or_default().push(*f);
+        }
     }
     for (f, file_items) in &items {
         for item in file_items {
-            let reached = declared[item.name] > 1
-                || seen_in.get(item.name).is_some_and(|at| at.iter().any(|g| g != f));
+            let declaring = &declared_in[item.name];
+            let reached = (seen_in.get(item.name))
+                .is_some_and(|at| at.iter().any(|g| !declaring.contains(g)));
             if !reached {
                 emit(
                     &files[*f],
@@ -826,7 +833,7 @@ fn lint_unreached_pub(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) {
                     item.line,
                     "unreached-pub",
                     format!(
-                        "`pub {} {}` is named by no non-test code outside this file — \
+                        "`pub {} {}` is named by no non-test code outside the files declaring it — \
                          delete it, narrow it, or allow it with the reason it stays public",
                         item.kind, item.name
                     ),
@@ -834,6 +841,13 @@ fn lint_unreached_pub(files: &[FileCtx<'_>], out: &mut Vec<Diagnostic>) {
             }
         }
     }
+}
+
+/// Is the `k`-th code token of `file` the name a `let` or `let mut`
+/// binds?
+fn is_let_binding(file: &FileCtx<'_>, k: usize) -> bool {
+    let back = |n: usize| k.checked_sub(n).map_or("", |j| file.toks[file.code[j]].text);
+    back(1) == "let" || (back(1) == "mut" && back(2) == "let")
 }
 
 /// One `pub` item: keyword, name and the name's line.

@@ -30,14 +30,23 @@ pub struct Left;
 pub struct Right;
 
 impl Left {
-    /// Shares its name with `Right::reset`: clean.
+    /// Shares its name with `Right::reset`, and no other file names it:
+    /// a finding.
     pub fn reset(&self) {}
 }
 
 impl Right {
-    /// Shares its name with `Left::reset`: clean.
+    /// Shares its name with `Left::reset`: a finding too.
     pub fn reset(&self) {}
 }
+
+/// Declared here and in the other crate, and named by the example:
+/// clean.
+pub fn declared_twice() {}
+
+/// Only bound as a local name elsewhere, never read (a `let` or
+/// `let mut` binding is not a use): a finding.
+pub fn shadowed() {}
 
 /// Crate-visible, so not public API: never collected.
 pub(crate) fn crate_only() {}
@@ -56,7 +65,13 @@ const CORE: &str = "\
 pub fn caller() {
     hyt_graph::used_elsewhere();
     let _ = (hyt_graph::Left, hyt_graph::Right);
+    let shadowed = 0;
+    let mut shadowed = 1;
 }
+
+/// Shares its name with the graph crate's: both are reached through the
+/// example.
+pub fn declared_twice() {}
 
 #[cfg(test)]
 mod tests {
@@ -78,6 +93,7 @@ const EXAMPLE: &str = "\
 fn main() {
     hyt_core::caller();
     hyt_graph::used_by_example();
+    hyt_graph::declared_twice();
 }
 ";
 
@@ -111,10 +127,14 @@ fn mini_workspace_flags_exactly_the_unreached_items() {
     let unreached = |item: &str| at(line_of(GRAPH, item), "unreached-pub");
     // The reason-less annotation silences nothing and is itself reported.
     let bare = line_of(GRAPH, "pub fn allowed_without_reason");
+    let reset = line_of(GRAPH, "pub fn reset");
     let want = vec![
         unreached("pub fn used_by_nothing"),
         unreached("pub fn used_by_unit_tests"),
         unreached("pub fn used_by_integration_tests"),
+        at(reset, "unreached-pub"),
+        at(reset + 5, "unreached-pub"),
+        unreached("pub fn shadowed"),
         at(bare - 1, "allow-syntax"),
         at(bare, "unreached-pub"),
     ];

@@ -24,13 +24,14 @@
 //!   core count, launch overhead). Real computation happens on CPU threads
 //!   in `hyt-engines`; this model only charges simulated *time*.
 //! * [`streams`] — the vocabulary of the CUDA-stream timeline (Fig. 6):
-//!   tasks as ordered phases on three contended resources (PCIe, GPU
-//!   compute, CPU compaction pool) plus exchange hops on interconnect
-//!   queues, spans, and `StreamSim`, the one-device view of `multi`'s
-//!   scheduler.
+//!   tasks as ordered phases on three kinds of contended resource
+//!   (interconnect queues, each device's GPU, the one CPU compaction
+//!   pool) plus exchange hops on interconnect queues, spans, and
+//!   `StreamSim`, the one-device view of `multi`'s scheduler.
 //! * [`multi`] — the one discrete-event list scheduler: per-device
 //!   streams and kernel engines behind a routed interconnect and one host
-//!   compaction pool, then the frontier exchange's legs.
+//!   compaction pool, then the frontier exchange's legs, recorded once in
+//!   one span log.
 //! * [`topology`] — the interconnect itself: host ports (one per PCIe
 //!   switch uplink, two devices each) plus
 //!   optional NVLink-class peer links (ring / all-to-all, edited per link
@@ -55,7 +56,7 @@ pub use gpu::{GpuModel, MachineModel};
 pub use kernel::KernelModel;
 pub use multi::{MultiGpuSim, MultiTimeline};
 pub use pcie::PcieModel;
-pub use streams::{Phase, PhaseSpan, Resource, SimTask, StreamSim, Timeline};
+pub use streams::{Owner, Phase, PhaseSpan, Resource, SimTask, StreamSim, Timeline};
 pub use topology::{
     ExchangeReport, Interconnect, Link, LinkSpec, Route, TopologyKind, ROUTE_BREAKPOINT_LADDER,
     ROUTE_PROBE_BYTES,

@@ -24,7 +24,7 @@
 //! the chain with more hops left, then to the lower lane: the lower
 //! device, or the earlier leg in routing order.
 
-use crate::streams::{Phase, PhaseSpan, Resource, SimTask, Timeline};
+use crate::streams::{Owner, Phase, PhaseSpan, Resource, SimTask, Timeline};
 use crate::topology::{ExchangeReport, Interconnect};
 use crate::{PcieModel, SimTime};
 use std::ops::Range;
@@ -41,18 +41,17 @@ pub struct MultiTimeline {
     pub bus_busy: SimTime,
     /// Host compaction-pool busy time (all devices).
     pub cpu_busy: SimTime,
-    /// Per-device timelines: device-local makespan, busy times and spans.
+    /// Per-device timelines: device-local makespan and busy times.
     pub per_device: Vec<Timeline>,
-    /// Host-port occupations of the tasks as `(device, start, end)`, in
-    /// schedule order (exclusivity holds among the devices of one port).
-    pub bus_spans: Vec<(u32, SimTime, SimTime)>,
     /// Busy time per interconnect contention queue (index =
     /// [`Interconnect::queue`] id, host ports first). Task traffic
     /// is host-routed, so only exchange legs occupy the peer entries.
     pub link_busy: Vec<SimTime>,
-    /// Played exchange hops in commit order (so each chain's in hop
-    /// order); `task` is the leg chain's index.
-    pub link_spans: Vec<PhaseSpan>,
+    /// The one record of the schedule: every phase occupation of every
+    /// task and exchange hop, once, in commit order (so each task's and
+    /// each chain's in phase order). No two spans on one [`Resource`]
+    /// overlap.
+    pub spans: Vec<PhaseSpan>,
 }
 
 /// Deterministic list scheduler over `D` devices behind a routed
@@ -176,7 +175,7 @@ pub(crate) fn play_legs(legs: &Legs, tl: &mut MultiTimeline) -> SimTime {
             next: 0,
         })
         .collect();
-    tl.link_spans.reserve(legs.hops.len());
+    tl.spans.reserve(legs.hops.len());
     play(&mut lanes, tl)
 }
 
@@ -279,35 +278,42 @@ fn play(lanes: &mut [Lane<'_>], tl: &mut MultiTimeline) -> SimTime {
                 best = Some((start, left, l, slot, cursor));
             }
         }
-        let Some((item_start, _, l, slot, mut cursor)) = best else { break };
+        let Some((_, _, l, slot, mut cursor)) = best else { break };
         let lane = &mut lanes[l];
         let (item, d, host) = (lane.next, lane.device, lane.host);
         let phases = lane.head().unwrap_or_default();
         lane.next += 1;
 
+        let owner = match lane.items {
+            Items::Tasks(_) => Owner::Task { device: d, index: item },
+            Items::Hops(_) => Owner::Leg(l),
+        };
         for phase in phases {
             let start = free.start(phase, cursor, d, host);
             let end = start + phase.duration();
-            let (s, e) = (origin + start, origin + end);
-            let span =
-                |task, resource, fused| PhaseSpan { task, resource, start: s, end: e, fused };
+            let span = |resource, fused| PhaseSpan {
+                resource,
+                owner,
+                start: origin + start,
+                end: origin + end,
+                fused,
+            };
             match *phase {
                 Phase::Cpu(t) => {
                     free.cpu = end;
                     tl.per_device[d].cpu_busy += t;
-                    tl.per_device[d].phase_spans.push(span(item, Resource::Cpu, false));
+                    tl.spans.push(span(Resource::Cpu, false));
                 }
                 Phase::Transfer(t) => {
                     free.link[host] = end;
                     tl.per_device[d].pcie_busy += t;
                     tl.link_busy[host] += t;
-                    tl.per_device[d].phase_spans.push(span(item, Resource::Pcie, false));
-                    tl.bus_spans.push((d as u32, s, e));
+                    tl.spans.push(span(Resource::Link(host), false));
                 }
                 Phase::Kernel(t) => {
                     free.gpu[d] = end;
                     tl.per_device[d].gpu_busy += t;
-                    tl.per_device[d].phase_spans.push(span(item, Resource::Gpu, false));
+                    tl.spans.push(span(Resource::Gpu(d), false));
                 }
                 Phase::Fused { transfer, kernel } => {
                     free.link[host] = end;
@@ -315,15 +321,14 @@ fn play(lanes: &mut [Lane<'_>], tl: &mut MultiTimeline) -> SimTime {
                     let dev = &mut tl.per_device[d];
                     dev.pcie_busy += transfer;
                     dev.gpu_busy += kernel;
-                    dev.phase_spans.push(span(item, Resource::Pcie, true));
-                    dev.phase_spans.push(span(item, Resource::Gpu, true));
                     tl.link_busy[host] += transfer;
-                    tl.bus_spans.push((d as u32, s, e));
+                    tl.spans.push(span(Resource::Link(host), true));
+                    tl.spans.push(span(Resource::Gpu(d), true));
                 }
                 Phase::Link { queue, time } => {
                     free.link[queue] = end;
                     tl.link_busy[queue] += time;
-                    tl.link_spans.push(span(l, Resource::Link(queue), false));
+                    tl.spans.push(span(Resource::Link(queue), false));
                 }
             }
             cursor = end;
@@ -334,10 +339,9 @@ fn play(lanes: &mut [Lane<'_>], tl: &mut MultiTimeline) -> SimTime {
             live.retain(|&x| x != l);
             landed[l] = Some(cursor);
         }
-        if let Items::Tasks(tasks) = lane.items {
+        if matches!(lane.items, Items::Tasks(_)) {
             let dev = &mut tl.per_device[d];
             dev.makespan = dev.makespan.max(origin + cursor);
-            dev.spans.push((tasks[item].label.clone(), origin + item_start, origin + cursor));
         }
     }
     tl.makespan = tl.makespan.max(origin + makespan);
@@ -349,18 +353,29 @@ mod tests {
     use super::*;
     use crate::StreamSim;
 
-    fn explicit(label: &str, t: f64, k: f64) -> SimTask {
-        SimTask::explicit(label, t, k)
+    /// Each task's `(device, index, first start, last end)`, from the
+    /// span log.
+    fn task_spans(tl: &MultiTimeline) -> Vec<(usize, usize, SimTime, SimTime)> {
+        let mut out: Vec<(usize, usize, SimTime, SimTime)> = Vec::new();
+        for s in &tl.spans {
+            let Owner::Task { device, index } = s.owner else { continue };
+            match out.iter_mut().find(|t| (t.0, t.1) == (device, index)) {
+                Some(t) => (t.2, t.3) = (t.2.min(s.start), t.3.max(s.end)),
+                None => out.push((device, index, s.start, s.end)),
+            }
+        }
+        out.sort_by_key(|t| (t.0, t.1));
+        out
     }
 
     #[test]
     fn one_device_matches_stream_sim_exactly() {
         // Durations in halves and quarters, so every span is exact.
         let tasks: Vec<SimTask> = vec![
-            SimTask::compaction("c", 0.5, 1.0, 0.75),
-            SimTask::zero_copy("z", 2.0, 1.5),
-            explicit("e1", 1.0, 2.0),
-            explicit("e2", 0.25, 0.25),
+            SimTask::compaction(0.5, 1.0, 0.75),
+            SimTask::zero_copy(2.0, 1.5),
+            SimTask::explicit(1.0, 2.0),
+            SimTask::explicit(0.25, 0.25),
         ];
         let single = StreamSim::new(3).schedule(&tasks);
         let multi = MultiGpuSim::new(1, 3).schedule(&[&tasks]);
@@ -368,15 +383,15 @@ mod tests {
         // GPU are both free at 2.25, so 2.25–4.25. e1 (stream 2): bus
         // 4.25–5.25, gpu 5.25–7.25. e2 (stream 0, free at 2.25): bus
         // 5.25–5.5, gpu waits for e1 until 7.25, ends 7.5.
-        let spans: Vec<(f64, f64)> = single.spans.iter().map(|&(_, s, e)| (s, e)).collect();
+        let spans: Vec<(f64, f64)> =
+            task_spans(&multi).iter().map(|&(_, _, s, e)| (s, e)).collect();
         assert_eq!(spans, [(0.0, 2.25), (2.25, 4.25), (4.25, 7.25), (5.25, 7.5)]);
         assert_eq!(
             (single.makespan, single.pcie_busy, single.gpu_busy, single.cpu_busy),
             (7.5, 4.25, 4.5, 0.5)
         );
         assert_eq!(multi.per_device.len(), 1);
-        assert_eq!(multi.per_device[0].phase_spans, single.phase_spans);
-        assert_eq!(multi.per_device[0].spans, single.spans);
+        assert_eq!(format!("{:?}", multi.per_device[0]), format!("{single:?}"));
         assert_eq!((multi.makespan, multi.bus_busy, multi.cpu_busy), (7.5, 4.25, 0.5));
     }
 
@@ -384,9 +399,9 @@ mod tests {
     fn kernels_on_different_devices_overlap() {
         // Two pure-kernel tasks: on one device they serialise (4s); on two
         // devices they run concurrently (2s).
-        let t = || vec![explicit("k", 0.0, 2.0)];
+        let t = || vec![SimTask::explicit(0.0, 2.0)];
         let one = MultiGpuSim::new(1, 4)
-            .schedule(&[vec![explicit("a", 0.0, 2.0), explicit("b", 0.0, 2.0)]]);
+            .schedule(&[vec![SimTask::explicit(0.0, 2.0), SimTask::explicit(0.0, 2.0)]]);
         let two = MultiGpuSim::new(2, 4).schedule(&[t(), t()]);
         assert!((one.makespan - 4.0).abs() < 1e-12);
         assert!((two.makespan - 2.0).abs() < 1e-12);
@@ -396,15 +411,15 @@ mod tests {
     fn shared_bus_serialises_across_devices() {
         // Two pure transfers on different devices of one port (D = 2)
         // still share its bus.
-        let t = || vec![explicit("t", 3.0, 0.0)];
+        let t = || vec![SimTask::explicit(3.0, 0.0)];
         let tl = MultiGpuSim::new(2, 4).schedule(&[t(), t()]);
         assert!((tl.makespan - 6.0).abs() < 1e-12, "makespan {}", tl.makespan);
-        // Bus spans must not overlap across devices.
-        let mut spans = tl.bus_spans.clone();
-        spans.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        for w in spans.windows(2) {
-            assert!(w[1].1 >= w[0].2 - 1e-12, "bus overlap: {spans:?}");
-        }
+        // The port's spans, one per device, must not overlap.
+        let mut spans: Vec<_> =
+            tl.spans.iter().filter(|s| s.resource == Resource::Link(0)).collect();
+        assert_eq!(spans.len(), 2);
+        spans.sort_by(|a, b| a.start.total_cmp(&b.start));
+        assert!(spans[1].start >= spans[0].end, "bus overlap: {spans:?}");
     }
 
     #[test]
@@ -412,7 +427,7 @@ mod tests {
         // Device 0: transfer 2 then kernel 2. Device 1: transfer 2 then
         // kernel 2. Bus serialises the transfers (0-2, 2-4) but kernels
         // overlap each other: makespan 6, not 8.
-        let t = || vec![explicit("x", 2.0, 2.0)];
+        let t = || vec![SimTask::explicit(2.0, 2.0)];
         let tl = MultiGpuSim::new(2, 4).schedule(&[t(), t()]);
         assert!((tl.makespan - 6.0).abs() < 1e-12, "makespan {}", tl.makespan);
     }
@@ -421,18 +436,23 @@ mod tests {
     fn host_pool_is_shared_across_devices() {
         // Pure CPU gathers serialise on the one host pool even across
         // devices.
-        let t = || vec![SimTask::compaction("c", 2.0, 0.0, 0.0)];
+        let t = || vec![SimTask::compaction(2.0, 0.0, 0.0)];
         let tl = MultiGpuSim::new(2, 2).schedule(&[t(), t()]);
         assert!((tl.makespan - 4.0).abs() < 1e-12, "makespan {}", tl.makespan);
         assert!((tl.cpu_busy - 4.0).abs() < 1e-12);
+        let cpu: Vec<_> = (tl.spans.iter().filter(|s| s.resource == Resource::Cpu))
+            .map(|s| (s.owner, s.start, s.end))
+            .collect();
+        let task = |device| Owner::Task { device, index: 0 };
+        assert_eq!(cpu, [(task(0), 0.0, 2.0), (task(1), 2.0, 4.0)]);
     }
 
     #[test]
     fn empty_device_lists_are_fine() {
-        let tl = MultiGpuSim::new(3, 2).schedule(&[vec![], vec![explicit("t", 1.0, 1.0)], vec![]]);
+        let tl =
+            MultiGpuSim::new(3, 2).schedule(&[vec![], vec![SimTask::explicit(1.0, 1.0)], vec![]]);
         assert!((tl.makespan - 2.0).abs() < 1e-12);
-        assert!(tl.per_device[0].spans.is_empty());
-        assert_eq!(tl.per_device[1].spans.len(), 1);
+        assert_eq!(task_spans(&tl), [(1, 0, 0.0, 2.0)]);
     }
 
     #[test]
@@ -440,7 +460,7 @@ mod tests {
         let mk = |n: usize| -> Vec<Vec<SimTask>> {
             let mut lists = vec![Vec::new(); n];
             for i in 0..8 {
-                lists[i % n].push(explicit(&format!("t{i}"), 0.5, 2.0));
+                lists[i % n].push(SimTask::explicit(0.5, 2.0));
             }
             lists
         };
@@ -456,13 +476,15 @@ mod tests {
     fn link_busy_mirrors_bus_busy_and_peers_stay_idle() {
         use crate::topology::{Interconnect, LinkSpec, TopologyKind};
         let ic = Interconnect::build(TopologyKind::Ring, 2, PcieModel::pcie3(), LinkSpec::nvlink());
-        let t = || vec![explicit("t", 3.0, 1.0), SimTask::zero_copy("z", 2.0, 0.5)];
+        let t = || vec![SimTask::explicit(3.0, 1.0), SimTask::zero_copy(2.0, 0.5)];
         let tl = MultiGpuSim::with_interconnect(2, 4, ic).schedule(&[t(), t()]);
         // One host port (D = 2) + two direction queues of the
         // full-duplex peer link.
         assert_eq!(tl.link_busy.len(), 3);
         assert!((tl.link_busy[0] - tl.bus_busy).abs() < 1e-12);
         assert!(tl.link_busy[1..].iter().all(|&b| b == 0.0), "task traffic is host-routed");
+        assert!(tl.spans.iter().all(|s| s.resource != Resource::Link(1)));
+        assert!(tl.spans.iter().all(|s| s.resource != Resource::Link(2)));
     }
 
     #[test]
@@ -472,9 +494,9 @@ mod tests {
         // identical whichever topology the scheduler is built with.
         let lists = || {
             vec![
-                vec![SimTask::compaction("a", 0.5, 1.0, 0.7), explicit("b", 1.0, 0.2)],
-                vec![SimTask::zero_copy("c", 2.0, 0.4)],
-                vec![explicit("d", 0.9, 0.9)],
+                vec![SimTask::compaction(0.5, 1.0, 0.7), SimTask::explicit(1.0, 0.2)],
+                vec![SimTask::zero_copy(2.0, 0.4)],
+                vec![SimTask::explicit(0.9, 0.9)],
             ]
         };
         let host = MultiGpuSim::new(3, 2).schedule(&lists());
@@ -482,7 +504,7 @@ mod tests {
             let ic = Interconnect::build(kind, 3, PcieModel::pcie3(), LinkSpec::nvlink());
             let tl = MultiGpuSim::with_interconnect(3, 2, ic).schedule(&lists());
             assert_eq!(tl.makespan, host.makespan, "{kind:?}");
-            assert_eq!(tl.bus_spans, host.bus_spans, "{kind:?}");
+            assert_eq!(tl.spans, host.spans, "{kind:?}");
             assert_eq!(tl.link_busy[0], host.link_busy[0], "{kind:?}");
         }
     }
@@ -490,9 +512,9 @@ mod tests {
     #[test]
     fn makespan_bounded_below_by_shared_resources() {
         let lists = vec![
-            vec![SimTask::compaction("a", 0.5, 1.0, 0.7), explicit("b", 1.0, 0.2)],
-            vec![SimTask::zero_copy("c", 2.0, 0.4), explicit("d", 0.7, 1.1)],
-            vec![explicit("e", 0.9, 0.9)],
+            vec![SimTask::compaction(0.5, 1.0, 0.7), SimTask::explicit(1.0, 0.2)],
+            vec![SimTask::zero_copy(2.0, 0.4), SimTask::explicit(0.7, 1.1)],
+            vec![SimTask::explicit(0.9, 0.9)],
         ];
         let tl = MultiGpuSim::new(3, 2).schedule(&lists);
         // Devices 0 and 1 share port 0, device 2 has port 1: each port's

@@ -65,7 +65,7 @@ mod route;
 mod spec;
 
 pub use price::ExchangeReport;
-pub use route::{Interconnect, Route, HOST_LINK, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES};
+pub use route::{Interconnect, Route, ROUTE_BREAKPOINT_LADDER, ROUTE_PROBE_BYTES};
 pub use spec::{Link, LinkSpec, TopologyKind};
 
 // One test module for all three siblings (not one per file): the suite

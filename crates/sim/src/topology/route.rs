@@ -5,10 +5,6 @@ use super::spec::{Link, LinkSpec, TopologyKind};
 use crate::pcie::PcieModel;
 use crate::SimTime;
 
-/// Index of host port 0 in every [`Interconnect`]'s link table, the
-/// first of its [`Interconnect::num_host_ports`] host links.
-pub const HOST_LINK: usize = 0;
-
 /// Devices behind one PCIe host port: two GPUs per PCIe switch, one x16
 /// uplink each (the DGX-1-class 8-GPU server tree). Device `d` uses host
 /// link `d / DEVICES_PER_PORT`, so at `D ≤ 2` there is one port.

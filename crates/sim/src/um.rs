@@ -72,8 +72,6 @@ pub struct UmCache {
     /// last-use tick -> page (ticks are unique), for O(log n) LRU pops
     lru: BTreeMap<u64, u64>,
     tick: u64,
-    faults: u64,
-    hits: u64,
 }
 
 impl UmCache {
@@ -85,8 +83,6 @@ impl UmCache {
             resident: HashMap::new(),
             lru: BTreeMap::new(),
             tick: 0,
-            faults: 0,
-            hits: 0,
         }
     }
 
@@ -102,10 +98,8 @@ impl UmCache {
         for p in first..=last {
             self.tick += 1;
             if let Some(old_tick) = self.resident.insert(p, self.tick) {
-                self.hits += 1;
                 self.lru.remove(&old_tick);
             } else {
-                self.faults += 1;
                 faulted += 1;
                 if self.resident.len() as u64 > self.capacity_pages {
                     self.evict_lru();
@@ -127,16 +121,6 @@ impl UmCache {
     // hyt-lint: allow(unreached-pub) -- the UM cache's capacity bound is proptested through it (tests/engine_invariants.rs)
     pub fn resident_pages(&self) -> u64 {
         self.resident.len() as u64
-    }
-
-    /// Total faults since construction.
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
-    /// Total hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 }
 
@@ -160,8 +144,6 @@ mod tests {
         let mut c = UmCache::new(model(), 1 << 20);
         assert_eq!(c.touch_range(0, 8192), 2); // 2 pages fault
         assert_eq!(c.touch_range(0, 8192), 0); // now resident
-        assert_eq!(c.faults(), 2);
-        assert_eq!(c.hits(), 2);
     }
 
     #[test]

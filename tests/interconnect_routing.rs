@@ -19,7 +19,6 @@
 //!   (store-and-forward, never cheaper), and no route prices above host
 //!   staging.
 
-use hytgraph::sim::topology::HOST_LINK;
 use hytgraph::sim::{
     ExchangeReport, Interconnect, LinkSpec, PcieModel, Route, TopologyKind, ROUTE_PROBE_BYTES,
 };
@@ -166,7 +165,7 @@ proptest! {
             ic = ic.with_link_spec(a, b, LinkSpec::with_nominal_bw(1.0e9));
         }
         let probe = ROUTE_PROBE_BYTES;
-        let host_cost = 2.0 * ic.transfer_time(HOST_LINK, probe);
+        let host_cost = 2.0 * ic.transfer_time(ic.host_link_of(0), probe);
         for s in 0..nd as u32 {
             for d in (0..nd as u32).filter(|&d| d != s) {
                 let cost = ic.route_cost(s, d, probe);

@@ -103,22 +103,22 @@ proptest! {
     ) {
         let sim_tasks: Vec<SimTask> = tasks
             .iter()
-            .enumerate()
-            .map(|(i, &(c, t, k, fused))| {
+            .map(|&(c, t, k, fused)| {
                 if fused {
-                    SimTask::zero_copy(format!("t{i}"), t, k)
+                    SimTask::zero_copy(t, k)
                 } else {
-                    SimTask::compaction(format!("t{i}"), c, t, k)
+                    SimTask::compaction(c, t, k)
                 }
             })
             .collect();
         let tl = StreamSim::new(streams).schedule(&sim_tasks);
         // Lower bounds: busiest resource and longest single task.
-        let longest = sim_tasks.iter().map(|t| t.serial_time()).fold(0.0, f64::max);
+        let serial_time = |t: &SimTask| t.phases.iter().map(Phase::duration).sum::<f64>();
+        let longest = sim_tasks.iter().map(serial_time).fold(0.0, f64::max);
         prop_assert!(tl.makespan + 1e-9 >= tl.pcie_busy.max(tl.gpu_busy).max(tl.cpu_busy));
         prop_assert!(tl.makespan + 1e-9 >= longest);
         // Upper bound: full serialisation.
-        let serial: f64 = sim_tasks.iter().map(|t| t.serial_time()).sum();
+        let serial: f64 = sim_tasks.iter().map(serial_time).sum();
         prop_assert!(tl.makespan <= serial + 1e-9);
         // Phase conservation.
         let want_gpu: f64 = sim_tasks

@@ -1,28 +1,32 @@
 //! Invariant tests for the stream timeline simulators.
 //!
 //! The discrete-event schedulers back every runtime number the harness
-//! reports, so their physical invariants get property coverage:
+//! reports, so their physical invariants get property coverage, all read
+//! off the one span log (`MultiTimeline::spans`):
 //!
 //! * the makespan is never shorter than any single resource's busy time;
-//! * exclusive resources (the PCIe bus, each GPU's kernel engine, the
-//!   host compaction pool) never hold two overlapping spans;
+//! * no two spans on one resource overlap: the host compaction pool
+//!   (shared by every device), each GPU's kernel engine, each host port
+//!   (shared by its two devices) and each interconnect queue;
+//! * every task phase is recorded once, on the resource its kind names,
+//!   after its predecessor;
 //! * fused zero-copy phases occupy bus and GPU for the *same* interval;
 //! * a kernel-only task (edge data already on the device) holds its
 //!   GPU and nothing else: no host port, no link queue;
-//! * the multi-device scheduler at `D = 1` gives `StreamSim`'s timeline
-//!   on every topology, and keeps bus exclusivity *across* the devices
-//!   of one host port (two devices per port, device `d` on port `d / 2`),
-//!   each port busy for exactly its devices' transfers;
+//! * the multi-device scheduler at `D = 1` gives `StreamSim`'s timeline,
+//!   and the host-only span log on every topology; each port (device `d`
+//!   on port `d / 2`) is busy for exactly its devices' transfers;
 //! * the frontier exchange's legs, played after the barrier, never
 //!   overlap on a queue, follow their chain's previous hop (a staged
 //!   download, the uploads it carries), and land between the busiest
 //!   queue / longest chain bound and the sum of the legs.
 
 use hytgraph::sim::{
-    Interconnect, LinkSpec, MultiGpuSim, MultiTimeline, PcieModel, PhaseSpan, Resource, Route,
-    SimTask, StreamSim, Timeline, TopologyKind, ROUTE_BREAKPOINT_LADDER,
+    Interconnect, LinkSpec, MultiGpuSim, MultiTimeline, Owner, PcieModel, Phase, PhaseSpan,
+    Resource, Route, SimTask, StreamSim, TopologyKind, ROUTE_BREAKPOINT_LADDER,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const EPS: f64 = 1e-9;
 
@@ -33,25 +37,26 @@ fn port_of(d: usize) -> usize {
 }
 
 /// The per-port form of the one-bus oracles, for a task timeline on
-/// `ic`: `ic` maps device `d` to port `d / 2`; no two bus spans of
-/// devices on one port overlap; each port's queue is busy for the sum
-/// of its devices' `pcie_busy` (within `tol`: zero for dyadic
-/// durations, whose sums are exact); the makespan is at least the
-/// busiest port's busy time; and the ports together carry `bus_busy`.
+/// `ic`: `ic` maps device `d` to port `d / 2`; every task transfer of
+/// device `d` holds that port's queue, and no other queue; each port's
+/// queue is busy for the sum of its devices' `pcie_busy` (within `tol`:
+/// zero for dyadic durations, whose sums are exact); the makespan is at
+/// least the busiest port's busy time; and the ports together carry
+/// `bus_busy`. Exclusivity of each port is [`assert_exclusive`]'s.
 fn assert_per_port_bus(ic: &Interconnect, tl: &MultiTimeline, tol: f64) {
     let nd = tl.per_device.len();
     assert_eq!(ic.num_host_ports(), nd.div_ceil(2), "one port per two devices");
     for d in 0..nd {
         assert_eq!(ic.host_link_of(d as u32), port_of(d), "device {d}'s port");
     }
+    for s in &tl.spans {
+        if let (Owner::Task { device, .. }, Resource::Link(q)) = (s.owner, s.resource) {
+            assert_eq!(q, ic.queue(port_of(device), false), "device {device}'s transfer {s:?}");
+        }
+    }
+    assert_exclusive(&tl.spans, tol, "tasks");
     let mut ports = 0.0;
     for port in 0..ic.num_host_ports() {
-        let mut bus: Vec<_> =
-            tl.bus_spans.iter().filter(|s| port_of(s.0 as usize) == port).collect();
-        bus.sort_by(|a, b| a.1.total_cmp(&b.1));
-        for w in bus.windows(2) {
-            assert!(w[1].1 >= w[0].2 - tol, "port {port} overlap: {:?} / {:?}", w[0], w[1]);
-        }
         let devices: f64 =
             (0..nd).filter(|&d| port_of(d) == port).map(|d| tl.per_device[d].pcie_busy).sum();
         let busy = tl.link_busy[ic.queue(port, false)];
@@ -74,48 +79,83 @@ fn arb_task_in(per_unit: f64) -> impl Strategy<Value = SimTask> {
     (0u8..4, 0u64..40, 0u64..40, 0u64..40).prop_map(move |(shape, a, b, c)| {
         let (a, b, c) = (a as f64 / per_unit, b as f64 / per_unit, c as f64 / per_unit);
         match shape {
-            0 => SimTask::explicit("e", a, b),
-            1 => SimTask::compaction("c", a, b, c),
-            2 => SimTask::zero_copy("z", a, b),
-            _ => SimTask::kernel_only("k", a),
+            0 => SimTask::explicit(a, b),
+            1 => SimTask::compaction(a, b, c),
+            2 => SimTask::zero_copy(a, b),
+            _ => SimTask::kernel_only(a),
         }
     })
 }
 
-fn assert_no_overlap(spans: &[PhaseSpan], resource: Resource, what: &str) {
-    let mut rs: Vec<&PhaseSpan> = spans.iter().filter(|s| s.resource == resource).collect();
-    rs.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
-    for w in rs.windows(2) {
-        assert!(
-            w[1].start >= w[0].end - EPS,
-            "{what}: overlapping {resource:?} spans {:?} and {:?}",
-            w[0],
-            w[1]
-        );
+/// No two spans on one resource overlap (within `tol`), whatever the
+/// resource and whoever holds it.
+fn assert_exclusive(spans: &[PhaseSpan], tol: f64, what: &str) {
+    let mut by_start: Vec<&PhaseSpan> = spans.iter().collect();
+    by_start.sort_by(|a, b| a.start.total_cmp(&b.start));
+    let mut last: HashMap<Resource, &PhaseSpan> = HashMap::new();
+    for s in by_start {
+        if let Some(prev) = last.insert(s.resource, s) {
+            assert!(s.start >= prev.end - tol, "{what}: overlapping spans {prev:?} and {s:?}");
+        }
     }
 }
 
-fn assert_timeline_invariants(tl: &Timeline, what: &str) {
-    assert!(tl.makespan >= tl.pcie_busy - EPS, "{what}: makespan < bus busy");
-    assert!(tl.makespan >= tl.gpu_busy - EPS, "{what}: makespan < gpu busy");
-    assert!(tl.makespan >= tl.cpu_busy - EPS, "{what}: makespan < cpu busy");
-    for r in [Resource::Cpu, Resource::Pcie, Resource::Gpu] {
-        assert_no_overlap(&tl.phase_spans, r, what);
+/// The spans task `index` of device `d` recorded, in commit order.
+fn spans_of(tl: &MultiTimeline, device: usize, index: usize) -> Vec<&PhaseSpan> {
+    tl.spans.iter().filter(|s| s.owner == Owner::Task { device, index }).collect()
+}
+
+/// The span-log invariants of a task schedule of `lists` on `ic`: each
+/// device's makespan bounds its busy times; every resource is exclusive;
+/// every task records each phase once, in phase order, on the resource
+/// its kind names (a fused phase both its port and its GPU, over one
+/// interval); and nothing else is recorded.
+fn assert_timeline_invariants(
+    ic: &Interconnect,
+    lists: &[Vec<SimTask>],
+    tl: &MultiTimeline,
+    what: &str,
+) {
+    for (d, dev) in tl.per_device.iter().enumerate() {
+        assert!(dev.makespan >= dev.pcie_busy - EPS, "{what}: device {d} makespan < bus busy");
+        assert!(dev.makespan >= dev.gpu_busy - EPS, "{what}: device {d} makespan < gpu busy");
+        assert!(dev.makespan >= dev.cpu_busy - EPS, "{what}: device {d} makespan < cpu busy");
+        assert!(tl.makespan >= dev.makespan - EPS, "{what}: makespan < device {d}'s");
     }
-    // Fused phases: the bus span and the GPU span cover the same interval.
-    for s in tl.phase_spans.iter().filter(|s| s.fused && s.resource == Resource::Pcie) {
-        let twin = tl
-            .phase_spans
-            .iter()
-            .find(|t| {
-                t.fused && t.resource == Resource::Gpu && t.task == s.task && t.start == s.start
-            })
-            .unwrap_or_else(|| panic!("{what}: fused bus span {s:?} has no GPU twin"));
-        assert_eq!(twin.end, s.end, "{what}: fused spans diverge");
+    assert_exclusive(&tl.spans, EPS, what);
+    let mut recorded = 0;
+    for (d, list) in lists.iter().enumerate() {
+        let port = Resource::Link(ic.queue(ic.host_link_of(d as u32), false));
+        for (i, task) in list.iter().enumerate() {
+            let want: Vec<(Resource, bool)> = (task.phases.iter())
+                .flat_map(|p| match p {
+                    Phase::Cpu(_) => vec![(Resource::Cpu, false)],
+                    Phase::Transfer(_) => vec![(port, false)],
+                    Phase::Kernel(_) => vec![(Resource::Gpu(d), false)],
+                    Phase::Fused { .. } => vec![(port, true), (Resource::Gpu(d), true)],
+                    Phase::Link { .. } => panic!("{what}: a task holds no link hop"),
+                })
+                .collect();
+            let got = spans_of(tl, d, i);
+            let held: Vec<(Resource, bool)> = got.iter().map(|s| (s.resource, s.fused)).collect();
+            assert_eq!(held, want, "{what}: task {i} of device {d}");
+            for w in got.windows(2) {
+                if w[0].fused && w[1].fused {
+                    // A fused phase's port span and its GPU twin.
+                    assert_eq!(
+                        (w[0].start, w[0].end),
+                        (w[1].start, w[1].end),
+                        "{what}: fused spans diverge"
+                    );
+                } else {
+                    assert!(w[1].start >= w[0].end, "{what}: phase before its predecessor: {w:?}");
+                }
+            }
+            assert!(got.iter().all(|s| s.end >= s.start), "{what}: negative span");
+            recorded += got.len();
+        }
     }
-    for (_, start, end) in &tl.spans {
-        assert!(end >= start, "{what}: negative task span");
-    }
+    assert_eq!(recorded, tl.spans.len(), "{what}: spans no task owns");
 }
 
 proptest! {
@@ -127,8 +167,14 @@ proptest! {
         streams in 1usize..6,
     ) {
         let tl = StreamSim::new(streams).schedule(&tasks);
-        assert_timeline_invariants(&tl, "StreamSim");
-        prop_assert_eq!(tl.spans.len(), tasks.len());
+        prop_assert!(tl.makespan >= tl.pcie_busy - EPS);
+        prop_assert!(tl.makespan >= tl.gpu_busy - EPS);
+        prop_assert!(tl.makespan >= tl.cpu_busy - EPS);
+        let sim = MultiGpuSim::new(1, streams);
+        let lists = [tasks];
+        let multi = sim.schedule(&lists);
+        assert_timeline_invariants(&sim.interconnect, &lists, &multi, "StreamSim");
+        prop_assert_eq!(format!("{:?}", multi.per_device[0]), format!("{tl:?}"));
     }
 
     #[test]
@@ -139,13 +185,10 @@ proptest! {
         let nd = lists.len();
         let sim = MultiGpuSim::new(nd, streams);
         let tl = sim.schedule(&lists);
-        // Per-device timelines obey the single-device invariants.
-        for (d, dev) in tl.per_device.iter().enumerate() {
-            assert_timeline_invariants(dev, &format!("device {d}"));
-            prop_assert!(tl.makespan >= dev.makespan - EPS);
-        }
-        // Each port's bus serialises across its devices, not just within
-        // one, and bounds the makespan.
+        // Every resource is exclusive across devices, not just within one.
+        assert_timeline_invariants(&sim.interconnect, &lists, &tl, "MultiGpuSim");
+        // Each port's bus serialises across its devices and bounds the
+        // makespan.
         assert_per_port_bus(&sim.interconnect, &tl, EPS);
         // Totals are the per-device sums.
         let bus_sum: f64 = tl.per_device.iter().map(|t| t.pcie_busy).sum();
@@ -162,7 +205,7 @@ proptest! {
         let nd = lists.len();
         let ic = Interconnect::host_only(nd, PcieModel::pcie3());
         let tl = MultiGpuSim::with_interconnect(nd, streams, ic.clone()).schedule(&lists);
-        // Bus spans of one port's devices never overlap, and the port's
+        // Spans of one port's devices never overlap, and the port's
         // queue is busy for exactly its devices' transfers (dyadic
         // durations, so the two sums are exact).
         assert_per_port_bus(&ic, &tl, 0.0);
@@ -180,38 +223,41 @@ proptest! {
         streams in 1usize..4,
     ) {
         let nd = lists.len();
-        let sim = MultiGpuSim::with_interconnect(nd, streams, Interconnect::host_only(nd, PcieModel::pcie3()));
+        let ic = Interconnect::host_only(nd, PcieModel::pcie3());
+        let sim = MultiGpuSim::with_interconnect(nd, streams, ic.clone());
         // Each device's list with kernel-only tasks dealt in ahead of its
-        // tasks (dyadic durations, so every busy sum is exact).
-        let with: Vec<Vec<SimTask>> = (lists.iter().zip(kernels.iter().cycle()))
+        // tasks (dyadic durations, so every busy sum is exact), and the
+        // kernel time they add.
+        let (with, added): (Vec<Vec<SimTask>>, Vec<f64>) = (lists.iter().zip(kernels.iter().cycle()))
             .map(|(list, ks)| {
                 let mut out = Vec::new();
                 for i in 0..list.len().max(ks.len()) {
                     if let Some(&k) = ks.get(i) {
-                        out.push(SimTask::kernel_only("resident", k as f64 / 16.0));
+                        out.push(SimTask::kernel_only(k as f64 / 16.0));
                     }
                     out.extend(list.get(i).cloned());
                 }
-                out
+                (out, ks.iter().map(|&k| k as f64 / 16.0).sum::<f64>())
             })
-            .collect();
+            .unzip();
         let base = sim.schedule(&lists);
         let tl = sim.schedule(&with);
+        assert_timeline_invariants(&ic, &with, &tl, "with kernel-only tasks");
         // The host ports and every link queue carry exactly what they
         // carried without the kernel-only tasks…
         prop_assert_eq!(&tl.link_busy, &base.link_busy);
         prop_assert_eq!(tl.bus_busy, base.bus_busy);
         for (d, dev) in tl.per_device.iter().enumerate() {
-            assert_timeline_invariants(dev, &format!("device {d} with kernel-only tasks"));
             prop_assert_eq!(dev.pcie_busy, base.per_device[d].pcie_busy);
             // …and each kernel-only task holds its device's GPU alone.
-            let added: f64 = with[d].iter().filter(|t| t.label == "resident")
-                .map(SimTask::serial_time).sum();
-            let kernel_only = |task: usize| with[d][task].label == "resident";
-            prop_assert!(dev.phase_spans.iter().filter(|s| kernel_only(s.task))
-                .all(|s| s.resource == Resource::Gpu && !s.fused));
+            for (i, task) in with[d].iter().enumerate() {
+                if matches!(task.phases[..], [Phase::Kernel(_)]) {
+                    let held: Vec<_> = spans_of(&tl, d, i).iter().map(|s| (s.resource, s.fused)).collect();
+                    prop_assert_eq!(held, vec![(Resource::Gpu(d), false)]);
+                }
+            }
             let base_gpu = base.per_device[d].gpu_busy;
-            prop_assert!(dev.gpu_busy >= base_gpu + added - EPS && dev.gpu_busy <= base_gpu + added + EPS);
+            prop_assert!(dev.gpu_busy >= base_gpu + added[d] - EPS && dev.gpu_busy <= base_gpu + added[d] + EPS);
         }
     }
 
@@ -223,19 +269,19 @@ proptest! {
         let single = StreamSim::new(streams).schedule(&tasks);
         let multi = MultiGpuSim::new(1, streams).schedule(std::slice::from_ref(&tasks));
         prop_assert_eq!(multi.makespan, single.makespan);
-        prop_assert_eq!(multi.per_device[0].phase_spans.clone(), single.phase_spans);
+        prop_assert_eq!(format!("{:?}", multi.per_device[0]), format!("{single:?}"));
         prop_assert_eq!(multi.bus_busy, single.pcie_busy);
         prop_assert_eq!(multi.cpu_busy, single.cpu_busy);
         prop_assert_eq!(multi.per_device[0].gpu_busy, single.gpu_busy);
-        // D=1 with any topology still equals StreamSim: a single device
-        // has no peer to link to, so every shape degenerates to its one
-        // host port for task traffic.
+        // D=1 with any topology still equals StreamSim, span for span
+        // the host-only log: a single device has no peer to link to, so
+        // every shape degenerates to its one host port for task traffic.
         for kind in TopologyKind::ALL {
             let ic = Interconnect::build(kind, 1, PcieModel::pcie3(), LinkSpec::nvlink());
             let tl = MultiGpuSim::with_interconnect(1, streams, ic).schedule(std::slice::from_ref(&tasks));
             prop_assert_eq!(tl.makespan, single.makespan);
             prop_assert_eq!(tl.link_busy[0], single.pcie_busy);
-            prop_assert_eq!(tl.per_device[0].phase_spans.clone(), single.phase_spans.clone());
+            prop_assert_eq!(&tl.spans, &multi.spans);
         }
     }
 
@@ -259,9 +305,38 @@ proptest! {
         }
         // Task traffic is host-routed: each host port's queue is busy for
         // its own devices' transfers, the ports together for the bus
-        // total, and the peer queues stay idle.
+        // total, and the peer queues stay idle and unheld.
         assert_per_port_bus(&ic, &tl, EPS);
         prop_assert!(tl.link_busy[ic.num_host_ports()..].iter().all(|&b| b == 0.0));
+        let peer = |s: &PhaseSpan| matches!(s.resource, Resource::Link(q) if q >= ic.num_host_ports());
+        prop_assert!(!tl.spans.iter().any(peer));
+    }
+
+    #[test]
+    fn whole_timeline_is_exclusive_per_resource(
+        lists in proptest::collection::vec(proptest::collection::vec(arb_task(), 0..6), 1..9),
+        owned_seed in proptest::collection::vec(0u64..2_000_000, 1..9),
+        streams in 1usize..4,
+        kind_idx in 0usize..3,
+    ) {
+        // A task schedule, then its exchange played after the barrier:
+        // the one host compaction pool across every device, each host
+        // port across its two devices and the legs it carries, each GPU,
+        // and each peer queue hold at most one span at a time.
+        let nd = lists.len();
+        let kind = TopologyKind::ALL[kind_idx];
+        let ic = Interconnect::build(kind, nd, PcieModel::pcie3(), LinkSpec::nvlink());
+        let sim = MultiGpuSim::with_interconnect(nd, streams, ic.clone());
+        let mut tl = sim.schedule(&lists);
+        let owned: Vec<u64> = owned_seed.iter().cycle().take(nd).copied().collect();
+        let _ = sim.schedule_exchange(&mut tl, &owned, &vec![true; nd]);
+        let resources: Vec<Resource> = std::iter::once(Resource::Cpu)
+            .chain((0..nd).map(Resource::Gpu))
+            .chain((0..ic.num_queues()).map(Resource::Link))
+            .collect();
+        prop_assert!(tl.spans.iter().all(|s| resources.contains(&s.resource)));
+        assert_exclusive(&tl.spans, 0.0, "the whole timeline");
+        prop_assert!(tl.spans.iter().all(|s| s.end <= tl.makespan));
     }
 
     #[test]
@@ -347,17 +422,16 @@ proptest! {
         let r = sim.schedule_exchange(&mut tl, &owned, &participates);
         prop_assert_eq!(tl.makespan, barrier + r.makespan);
         prop_assert_eq!(r, ic.price_all_gather(&owned, &participates));
-        // Spans on one queue never overlap, and none starts before the
-        // barrier.
-        let spans = &tl.link_spans;
-        for q in 0..ic.num_queues() {
-            assert_no_overlap(spans, Resource::Link(q), "exchange legs");
-        }
-        prop_assert!(spans.iter().all(|s| s.start >= barrier && s.end <= tl.makespan));
+        // Spans on one queue never overlap, tasks' and legs' alike, and
+        // no leg starts before the barrier.
+        assert_exclusive(&tl.spans, EPS, "tasks and exchange legs");
+        let legs: Vec<&PhaseSpan> = tl.spans.iter().filter(|s| matches!(s.owner, Owner::Leg(_))).collect();
+        prop_assert!(legs.iter().all(|s| s.start >= barrier && s.end <= tl.makespan));
+        prop_assert!(legs.iter().all(|s| matches!(s.resource, Resource::Link(_)) && !s.fused));
         // Hop k + 1 starts at or after hop k ends (a chain's hops are
         // committed, so recorded, in hop order).
-        for chain in 0..spans.len() {
-            let hops: Vec<&PhaseSpan> = spans.iter().filter(|s| s.task == chain).collect();
+        for chain in 0..legs.len() {
+            let hops: Vec<&&PhaseSpan> = legs.iter().filter(|s| s.owner == Owner::Leg(chain)).collect();
             for w in hops.windows(2) {
                 prop_assert!(w[1].start >= w[0].end, "hop before its predecessor: {:?} / {:?}", w[0], w[1]);
             }
@@ -418,7 +492,7 @@ proptest! {
         let _ = sim.schedule_exchange(&mut tl, &owned, &participates);
         let publishers: Vec<usize> = (0..nd).filter(|&d| participates[d] && owned[d] > 0).collect();
         let receivers = (0..nd).filter(|&d| participates[d] && publishers.iter().any(|&s| s != d));
-        let span = |chain: usize| tl.link_spans.iter().find(|s| s.task == chain).expect("a leg");
+        let span = |chain: usize| tl.spans.iter().find(|s| s.owner == Owner::Leg(chain)).expect("a leg");
         if holders > 1 {
             for (k, d) in receivers.enumerate() {
                 let down = span(publishers.len() + k);
@@ -448,17 +522,12 @@ proptest! {
 fn fused_phase_holds_bus_and_gpu_for_identical_interval() {
     // Deterministic version of the fused invariant with asymmetric times:
     // wall interval is max(transfer, kernel) on both resources.
-    let tl = StreamSim::new(2).schedule(&[SimTask::zero_copy("z", 5.0, 2.0)]);
-    let pcie: Vec<_> = tl.phase_spans.iter().filter(|s| s.resource == Resource::Pcie).collect();
-    let gpu: Vec<_> = tl.phase_spans.iter().filter(|s| s.resource == Resource::Gpu).collect();
-    assert_eq!(pcie.len(), 1);
-    assert_eq!(gpu.len(), 1);
-    assert_eq!((pcie[0].start, pcie[0].end), (gpu[0].start, gpu[0].end));
-    assert_eq!(pcie[0].end, 5.0);
-    assert!(pcie[0].fused && gpu[0].fused);
+    let tl = MultiGpuSim::new(1, 2).schedule(&[[SimTask::zero_copy(5.0, 2.0)]]);
+    let held: Vec<_> = tl.spans.iter().map(|s| (s.resource, s.start, s.end, s.fused)).collect();
+    assert_eq!(held, [(Resource::Link(0), 0.0, 5.0, true), (Resource::Gpu(0), 0.0, 5.0, true)]);
     // Busy accounting still records the true demand, not the wall interval.
-    assert_eq!(tl.pcie_busy, 5.0);
-    assert_eq!(tl.gpu_busy, 2.0);
+    assert_eq!(tl.per_device[0].pcie_busy, 5.0);
+    assert_eq!(tl.per_device[0].gpu_busy, 2.0);
 }
 
 #[test]
@@ -472,18 +541,20 @@ fn legs_go_earliest_first_and_ties_to_the_longer_chain() {
     let sim = MultiGpuSim::with_interconnect(4, 1, ic);
     // Four 0.5 s bus transfers, two on each of the two host ports: the
     // barrier is at 1.
-    let mut tl = sim.schedule(&vec![vec![SimTask::explicit("t", 0.5, 0.0)]; 4]);
+    let mut tl = sim.schedule(&vec![vec![SimTask::explicit(0.5, 0.0)]; 4]);
     assert_eq!(tl.makespan, 1.0, "each port serialises its two devices' transfers");
     let b = 200_000;
     let r = sim.schedule_exchange(&mut tl, &[b, 0, 0, 0], &[true, true, true, false]);
     let hop = LinkSpec::nvlink().transfer_time(b);
     assert_eq!(r.makespan, hop + hop);
     assert_eq!(tl.makespan, 1.0 + r.makespan, "the legs play after the barrier");
-    // Chain 0 is the direct batch, chain 1 the two-hop one. Commit
-    // order: chain 1's first hop, then (a tie at one hop left each) the
-    // lower chain, then chain 1's second hop.
-    let chains: Vec<usize> = tl.link_spans.iter().map(|s| s.task).collect();
-    assert_eq!(chains, [1, 0, 1]);
-    assert_eq!(tl.link_spans[0].start, 1.0);
-    assert!(tl.per_device.iter().all(|d| d.spans.len() == 1), "legs are not tasks");
+    // The tasks' eight spans come first, all before the barrier; the
+    // legs follow. Chain 0 is the direct batch, chain 1 the two-hop one.
+    // Commit order: chain 1's first hop, then (a tie at one hop left
+    // each) the lower chain, then chain 1's second hop.
+    let (tasks, legs) = tl.spans.split_at(8);
+    assert!(tasks.iter().all(|s| matches!(s.owner, Owner::Task { .. }) && s.end <= 1.0));
+    let chains: Vec<Owner> = legs.iter().map(|s| s.owner).collect();
+    assert_eq!(chains, [Owner::Leg(1), Owner::Leg(0), Owner::Leg(1)]);
+    assert_eq!(legs[0].start, 1.0);
 }
