@@ -108,18 +108,23 @@ pub struct BatchedPerfRecord {
 /// Device count of the skewed ring (the grid's largest sweep point).
 const SKEWED_RING_DEVICES: usize = 8;
 
-/// The skewed mixed-generation ring, the worst case for positional
-/// placement: the last device is an old-generation card behind 2 GB/s
-/// bridges on both sides, so anything placed there pays dearly to talk
-/// to anyone.
-fn skewed_ring_config() -> HyTGraphConfig {
-    let last = SKEWED_RING_DEVICES as u32 - 1;
+/// The HyTGraph preset (`threads = 1`) on the skewed mixed-generation
+/// ring of `devices` GPUs, the worst case for positional placement: the
+/// last device is an old-generation card behind 2 GB/s bridges on both
+/// sides, so anything placed there pays dearly to talk to anyone. One or
+/// two devices have one bridge at most.
+pub fn skewed_ring_config(devices: usize) -> HyTGraphConfig {
     let slow = LinkSpec::with_nominal_bw(2.0e9).scaled(SCALE_SHIFT);
     let mut cfg = SystemKind::HyTGraph.configure(base_config());
-    cfg.num_devices = SKEWED_RING_DEVICES;
+    cfg.num_devices = devices;
     cfg.topology = TopologyKind::Ring;
     cfg.threads = 1;
-    cfg.link_overrides = vec![(last - 1, last, slow), (last, 0, slow)];
+    let last = devices.saturating_sub(1) as u32;
+    cfg.link_overrides = match devices {
+        0 | 1 => Vec::new(),
+        2 => vec![(0, 1, slow)],
+        _ => vec![(last - 1, last, slow), (last, 0, slow)],
+    };
     cfg
 }
 
@@ -134,7 +139,8 @@ fn skewed_ring_sweep(ctx: &mut Ctx, smoke: bool) -> Vec<SkewedRingPerfRecord> {
     for &ds in datasets {
         let g = ctx.graph(ds);
         for &algo in algos {
-            let m = run_algo_with_config(SystemKind::HyTGraph, algo, &g, skewed_ring_config());
+            let cfg = skewed_ring_config(SKEWED_RING_DEVICES);
+            let m = run_algo_with_config(SystemKind::HyTGraph, algo, &g, cfg);
             cells.push(SkewedRingPerfRecord {
                 dataset: ds.name().to_string(),
                 algo: algo.name().to_string(),

@@ -31,11 +31,14 @@
 //! filter task inside one run stays one copy on one device. A task whose
 //! members span devices — the merged compaction and zero-copy tasks, a
 //! filter run straddling two placement runs, any run under a non-default
-//! `combine_k` — is *sliced* by owning device. Each device prices its
-//! slice with its own engines and policy state (every device is a whole
-//! card) and schedules it on its own streams,
-//! while all devices contend for the configured [`Interconnect`]'s links
-//! and one host compaction pool ([`MultiGpuSim`]). Between iterations a
+//! `combine_k` — is *sliced* by owning device, in ascending device order.
+//! A `Slice` is the one per-device record of a task: the members the
+//! device owns (positions in the task, in task order), the engine that
+//! shipped them, and their price. Each device prices its slice once with
+//! its own engines and policy state (every device is a whole card) and
+//! schedules it on its own streams, while all devices contend for the
+//! configured [`Interconnect`]'s links and one host compaction pool
+//! ([`MultiGpuSim`]). Between iterations a
 //! routed all-gather publishes every device's newly-activated owned
 //! vertices (values, or changed registers for a sync HLL sketch, named
 //! by an id list or an owned-vertex bitmap, whichever is shorter:
@@ -66,11 +69,14 @@
 //! (`residency.rs`), built from `config.selection` when the run starts.
 //! Each iteration it selects an engine per active partition, resolves
 //! each partition's one delivery, and prices what each device ships;
-//! everything downstream reads those answers. A slice whose members the
-//! device all holds is priced kernel-only: no host bytes, no host port
-//! ([`SimTask::kernel_only`]). A slice that loads takes the filter shape
-//! and gathers nothing. [`EngineMix`] counts `held`, `load`, and per
-//! engine only the partitions that engine shipped. Algorithm 1, task
+//! everything downstream reads those answers. A slice prices one kernel
+//! over all its members plus the delivery of those the device does not
+//! hold. A slice whose members the device all holds is priced
+//! kernel-only: no host bytes, no host port ([`SimTask::kernel_only`]).
+//! A slice that loads takes the filter shape and gathers nothing. The
+//! recompute pass charges each slice for its own members' vertices.
+//! [`EngineMix`] counts `held`, `load`, and per engine only the
+//! partitions that engine shipped. Algorithm 1, task
 //! combining, priority order and the recompute pass's vertex set stay
 //! keyed on Algorithm 1's engine, so residency moves only prices and the
 //! mix; `tests/residency.rs` holds the runner to that.
@@ -176,43 +182,20 @@ struct RunState {
     /// derives its per-vertex footprint from it.
     layout: ValueLayout,
     policy: Policy,
-    /// Per-device tallies and encoded batch sizes of the frontier
-    /// exchange: scratch reused across iterations, reset before every
-    /// use (see `price_exchange`).
-    exchange_batches: Vec<BatchTally>,
-    exchange_bytes: Vec<u64>,
 }
 
-/// One device's exchange batch before encoding.
-#[derive(Clone, Copy, Debug, Default)]
-struct BatchTally {
-    /// Records the device publishes.
-    published: u64,
-    /// Value bytes of those records.
-    value_bytes: u64,
-}
-
-/// One device's members of a combined task, split by delivery.
-struct Members<'a> {
-    device: u32,
-    /// Every member on the device, in task order: the kernel runs over
-    /// them all.
-    all: Vec<&'a PartitionActivity>,
-    /// The members whose edge data moves to the device, in task order.
-    shipped: Vec<&'a PartitionActivity>,
-    /// The engine that moves them. There is one per device: a device
-    /// whose share fits loads everything it ships, and any other ships
-    /// through the task's engine.
-    via: Option<EngineKind>,
-}
-
-/// One device's priced slice of a combined task.
+/// One device's share of a combined task, priced.
 struct Slice {
     device: u32,
-    plan: TaskPlan,
+    /// The members the device owns: positions in the task's `members`,
+    /// in task order.
+    members: Vec<usize>,
     /// The engine that shipped the slice's edge data; `None` when the
-    /// device held every member, so the slice is its kernel alone.
+    /// device held every member, so the slice is its kernel alone. There
+    /// is one per device: a device whose share fits loads everything it
+    /// ships, and any other ships through the task's engine.
     via: Option<EngineKind>,
+    plan: TaskPlan,
 }
 
 impl HyTGraphSystem {
@@ -338,14 +321,7 @@ impl HyTGraphSystem {
         let edge_budget = (machine.edge_budget.saturating_sub(nv as u64 * layout.state_bytes())
             as f64
             * machine.um_utilization) as u64;
-        let nd = self.devices.num_devices() as usize;
-        let mut state = RunState {
-            bpe,
-            layout,
-            policy: Policy::new(self, edge_budget, bpe),
-            exchange_batches: vec![BatchTally::default(); nd],
-            exchange_bytes: vec![0; nd],
-        };
+        let mut state = RunState { bpe, layout, policy: Policy::new(self, edge_budget, bpe) };
         let mut per_iteration: Vec<IterationStats> = Vec::new();
         let mut total_counters = TransferCounters::new();
         let mut total_time = self.config.startup_edge_passes
@@ -391,8 +367,7 @@ impl HyTGraphSystem {
     }
 
     /// Edge-data bytes per edge the program actually transfers.
-    // hyt-lint: allow(unreached-pub) -- tests/residency.rs sizes each device's share with it
-    pub fn effective_bytes_per_edge<P: VertexProgram>(&self) -> u64 {
+    pub(crate) fn effective_bytes_per_edge<P: VertexProgram>(&self) -> u64 {
         if P::NEEDS_WEIGHTS {
             self.graph.bytes_per_edge()
         } else {
@@ -465,7 +440,7 @@ impl HyTGraphSystem {
         let mut dev_tasks: Vec<Vec<SimTask>> = vec![Vec::new(); nd];
         let mut counters = TransferCounters::new();
         for task in &tasks {
-            let mut plans = self.price_task(task, &acts, &delivery, state);
+            let mut slices = self.price_task(task, &acts, &delivery, state);
 
             // Real kernel over exactly the delivered edges, one launch per
             // combined task (identical to the single-device run: same
@@ -476,7 +451,7 @@ impl HyTGraphSystem {
                 .iter()
                 .flat_map(|&i| acts[i].active_vertices.iter().copied())
                 .collect();
-            let compacted = plans
+            let compacted = slices
                 .iter()
                 .any(|s| s.via == Some(EngineKind::ExpCompaction))
                 .then(|| compaction::compact(self.graph.view(), &active_all, cfg.threads));
@@ -497,7 +472,7 @@ impl HyTGraphSystem {
             // Recompute pass(es) over loaded data (Section VI-A: HyTGraph
             // reprocesses the loaded subgraph exactly once; Subway loops).
             for _ in 0..recompute_rounds {
-                let eligible = self.collect_recompute(&next, task, &acts, &active_all);
+                let (eligible, bounds) = self.collect_recompute(&next, task, &acts);
                 if eligible.is_empty() {
                     break;
                 }
@@ -513,10 +488,10 @@ impl HyTGraphSystem {
                     None,
                     cfg.threads,
                 );
-                self.charge_recompute(&eligible, bpe, &mut plans);
+                self.charge_recompute(&eligible, &bounds, bpe, &mut slices);
             }
 
-            for s in &plans {
+            for s in &slices {
                 counters.merge(&s.plan.counters);
                 dev_tasks[s.device as usize].push(match s.via {
                     None => SimTask::kernel_only(s.plan.kernel_time),
@@ -530,7 +505,7 @@ impl HyTGraphSystem {
         // free. Play them, then the exchange's legs after the barrier.
         let mut timeline = self.sim.schedule(&dev_tasks);
         let (exchange, payload_bytes) =
-            self.price_exchange(&next, state, values, snapshot.as_deref(), &mut timeline);
+            self.price_exchange(&next, layout, values, snapshot.as_deref(), &mut timeline);
         counters.exchange_bytes += payload_bytes;
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
 
@@ -579,8 +554,7 @@ impl HyTGraphSystem {
     /// Only devices that own a shard participate: a spare device with no
     /// partitions computes nothing, so it neither publishes nor
     /// subscribes (otherwise idle devices would inflate the exchange
-    /// linearly when D exceeds the partition count). The tallies live in
-    /// `state`'s scratch, reused across iterations.
+    /// linearly when D exceeds the partition count).
     ///
     /// Batch sizes: each device's batch is its value bytes plus its id
     /// section, the shorter of an id list and a bitmap over the vertices
@@ -602,7 +576,7 @@ impl HyTGraphSystem {
     fn price_exchange<V: VertexValue>(
         &self,
         next: &Frontier,
-        state: &mut RunState,
+        layout: ValueLayout,
         values: &Values<V>,
         snapshot: Option<&[V]>,
         timeline: &mut MultiTimeline,
@@ -611,30 +585,30 @@ impl HyTGraphSystem {
         if nd <= 1 {
             return (ExchangeStats::default(), 0);
         }
-        let batches = &mut state.exchange_batches;
-        batches.fill(BatchTally::default());
+        // Per device: the records it publishes, then their value bytes
+        // (encoded batch bytes once the id section is added below).
+        let (mut published, mut batch_bytes) = (vec![0u64; nd], vec![0u64; nd]);
         for v in next.iter() {
-            let value_bytes = match snapshot {
+            let d = self.devices.device_of(self.parts.owner_of(v)) as usize;
+            published[d] += 1;
+            batch_bytes[d] += match snapshot {
                 Some(snap) => values.get(v).wire_bytes_since(&snap[v as usize]),
-                None => state.layout.wire_bytes,
+                None => layout.wire_bytes,
             };
-            let batch = &mut batches[self.devices.device_of(self.parts.owner_of(v)) as usize];
-            batch.published += 1;
-            batch.value_bytes += value_bytes;
         }
         let two_forms = snapshot.is_some() && V::TWO_FORM_RECORDS;
         let mut bitmap_batches = 0;
-        for (d, (bytes, b)) in state.exchange_bytes.iter_mut().zip(batches.iter()).enumerate() {
+        for (d, (&n, bytes)) in published.iter().zip(&mut batch_bytes).enumerate() {
             let owned = self.devices.owned_vertices(d as u32);
-            let encoding = IdEncoding::cheaper(b.published, owned, two_forms);
-            if b.published > 0 && encoding == IdEncoding::Bitmap {
+            let encoding = IdEncoding::cheaper(n, owned, two_forms);
+            if n > 0 && encoding == IdEncoding::Bitmap {
                 bitmap_batches += 1;
             }
-            *bytes = b.value_bytes + encoding.bytes(b.published, owned, two_forms);
+            *bytes += encoding.bytes(n, owned, two_forms);
         }
-        let published: u64 = batches.iter().map(|b| b.published).sum();
+        let published: u64 = published.iter().sum();
         let holders = self.devices.holders();
-        let report = self.sim.schedule_exchange(timeline, &state.exchange_bytes, holders);
+        let report = self.sim.schedule_exchange(timeline, &batch_bytes, holders);
         let holders = holders.iter().filter(|&&h| h).count() as u64;
         let stats = ExchangeStats {
             records: published * holders.saturating_sub(1),
@@ -644,10 +618,9 @@ impl HyTGraphSystem {
         (stats, report.payload_bytes)
     }
 
-    /// Slice combined `task` by owning device (ascending device id,
-    /// members keeping their order within a slice) and price each slice
-    /// with its device's engine state, by the members' resolved
-    /// `delivery` (indexed like `acts`).
+    /// Slice combined `task` by owning device, in ascending device order,
+    /// and price each slice with its device's policy state by the
+    /// members' resolved `delivery` (indexed like `acts`).
     fn price_task(
         &self,
         task: &CombinedTask,
@@ -655,105 +628,121 @@ impl HyTGraphSystem {
         delivery: &[Option<Delivery>],
         state: &mut RunState,
     ) -> Vec<Slice> {
-        let mut slices: Vec<Members> = Vec::new();
-        for &i in &task.members {
-            let a = &acts[i];
-            let device = self.devices.device_of(a.partition);
-            let k = slices.iter().position(|m| m.device == device).unwrap_or_else(|| {
-                slices.push(Members { device, all: Vec::new(), shipped: Vec::new(), via: None });
-                slices.len() - 1
-            });
-            let m = &mut slices[k];
-            m.all.push(a);
-            if let Some(via) = delivery[i].and_then(Delivery::shipped_by) {
-                m.shipped.push(a);
-                m.via = Some(via);
-            }
+        let mut by_device = vec![Vec::new(); self.devices.num_devices() as usize];
+        for (k, &i) in task.members.iter().enumerate() {
+            by_device[self.devices.device_of(acts[i].partition) as usize].push(k);
         }
-        slices.sort_by_key(|m| m.device);
-        slices.iter().map(|m| self.price_slice(task.kind, m, state)).collect()
+        (0..)
+            .zip(by_device)
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(device, members)| self.price_slice(task, device, members, acts, delivery, state))
+            .collect()
     }
 
-    /// Price one device's slice of a combined task Algorithm 1 gave to
-    /// `kind`. A slice whose members the device all holds is priced
-    /// kernel-only. Otherwise the shipped members pay their delivery
-    /// through `m.via` (ExpTM-filter for a device that loads them), and
-    /// one kernel runs over every member.
-    fn price_slice(&self, kind: EngineKind, m: &Members, state: &mut RunState) -> Slice {
-        let (machine, device) = (&self.config.machine, m.device);
-        let Some(via) = m.via else {
-            let plan = TaskPlan::over(kind, machine, &m.all);
-            return Slice { device, plan, via: None };
-        };
-        let surplus = state.layout.compaction_surplus();
-        let mut plan =
-            state.policy.ship(via, device as usize, &m.shipped, self, state.bpe, surplus);
-        if m.shipped.len() < m.all.len() {
-            // The shipped members' delivery, and one kernel over them all.
-            let whole = TaskPlan::over(via, machine, &m.all);
-            plan = TaskPlan {
-                cpu_time: plan.cpu_time,
-                transfer_time: plan.transfer_time,
-                counters: TransferCounters {
-                    kernel_edges: whole.counters.kernel_edges,
-                    ..plan.counters
-                },
-                ..whole
-            };
+    /// Price `device`'s slice of `task` over its `members` (positions in
+    /// `task.members`): one kernel over every member, plus the delivery
+    /// of the members the device does not hold through the engine that
+    /// ships them ([`Policy::ship`]; ExpTM-filter for a device that loads
+    /// them). A slice whose members the device all holds is its kernel
+    /// alone.
+    fn price_slice(
+        &self,
+        task: &CombinedTask,
+        device: u32,
+        members: Vec<usize>,
+        acts: &[PartitionActivity],
+        delivery: &[Option<Delivery>],
+        state: &mut RunState,
+    ) -> Slice {
+        let (mut all, mut shipped, mut via) = (Vec::with_capacity(members.len()), Vec::new(), None);
+        for &k in &members {
+            let i = task.members[k];
+            all.push(&acts[i]);
+            if let Some(by) = delivery[i].and_then(Delivery::shipped_by) {
+                shipped.push(&acts[i]);
+                via = Some(by);
+            }
         }
-        Slice { device, plan, via: Some(via) }
+        let kernel = TaskPlan::over(via.unwrap_or(task.kind), &self.config.machine, &all);
+        let plan = match via {
+            None => kernel,
+            Some(via) => {
+                let surplus = state.layout.compaction_surplus();
+                let ship =
+                    state.policy.ship(via, device as usize, &shipped, self, state.bpe, surplus);
+                TaskPlan {
+                    cpu_time: ship.cpu_time,
+                    transfer_time: ship.transfer_time,
+                    counters: TransferCounters {
+                        kernel_edges: kernel.counters.kernel_edges,
+                        kernel_launches: kernel.counters.kernel_launches,
+                        ..ship.counters
+                    },
+                    ..kernel
+                }
+            }
+        };
+        Slice { device, members, via, plan }
     }
 
     /// Newly-activated vertices that the already-loaded task data can
-    /// serve: whole partition ranges for filter/UM/ZC; the originally
-    /// gathered vertex set for compaction (only their runs were shipped).
+    /// serve, member by member in task order: a member's whole partition
+    /// range for filter/UM/ZC; its originally gathered vertices for
+    /// compaction (only their runs were shipped). Member `k`'s vertices
+    /// are `eligible[bounds[k]..bounds[k + 1]]`.
     fn collect_recompute(
         &self,
         next: &Frontier,
         task: &CombinedTask,
         acts: &[PartitionActivity],
-        active_all: &[VertexId],
-    ) -> Vec<VertexId> {
-        match task.kind {
-            EngineKind::ExpCompaction => {
-                active_all.iter().copied().filter(|&v| next.contains(v)).collect()
-            }
-            _ => {
-                let mut out = Vec::new();
-                for &i in &task.members {
-                    let p = self.parts.get(acts[i].partition);
-                    out.extend(next.iter_range(p.first_vertex, p.end_vertex));
+    ) -> (Vec<VertexId>, Vec<usize>) {
+        let mut eligible = Vec::new();
+        let mut bounds = Vec::with_capacity(task.members.len() + 1);
+        bounds.push(0);
+        for &i in &task.members {
+            let a = &acts[i];
+            match task.kind {
+                EngineKind::ExpCompaction => {
+                    eligible.extend(a.active_vertices.iter().copied().filter(|&v| next.contains(v)))
                 }
-                out
+                _ => {
+                    let p = self.parts.get(a.partition);
+                    eligible.extend(next.iter_range(p.first_vertex, p.end_vertex));
+                }
             }
+            bounds.push(eligible.len());
         }
+        (eligible, bounds)
     }
 
-    /// Price the recompute pass, attributing each vertex's share to the
-    /// device slice that loaded its partition: an extra kernel launch per
-    /// participating device; a slice zero-copy shipped also pays the bus
-    /// again (its reads are never resident).
-    fn charge_recompute(&self, eligible: &[VertexId], bpe: u64, slices: &mut [Slice]) {
+    /// Price the recompute pass over `eligible` (member runs delimited by
+    /// `bounds`, [`Self::collect_recompute`]), charging each slice its
+    /// own members' runs: an extra kernel launch per slice with work; a
+    /// slice zero-copy shipped also pays the bus again (its reads are
+    /// never resident).
+    fn charge_recompute(
+        &self,
+        eligible: &[VertexId],
+        bounds: &[usize],
+        bpe: u64,
+        slices: &mut [Slice],
+    ) {
         let machine = &self.config.machine;
-        for Slice { device, plan, via } in slices.iter_mut() {
+        for Slice { members, via, plan, .. } in slices.iter_mut() {
+            let mut runs =
+                members.iter().flat_map(|&k| &eligible[bounds[k]..bounds[k + 1]]).peekable();
+            if runs.peek().is_none() {
+                continue;
+            }
             let zero_copy = *via == Some(EngineKind::ImpZeroCopy);
-            let mut edges = 0u64;
-            let mut requests = 0u64;
-            let mut any = false;
-            for v in eligible.iter().copied() {
-                if self.devices.device_of(self.parts.owner_of(v)) != *device {
-                    continue;
-                }
-                any = true;
+            let (mut edges, mut requests) = (0u64, 0u64);
+            for &v in runs {
                 let deg = self.graph.out_degree(v);
                 edges += deg;
                 if zero_copy {
                     let start = self.graph.edge_offset(v) * bpe;
                     requests += machine.pcie.requests_for_span(start, deg * bpe);
                 }
-            }
-            if !any {
-                continue;
             }
             plan.kernel_time += machine.kernel.kernel_time(edges);
             plan.counters.kernel_edges += edges;
@@ -932,13 +921,7 @@ mod tests {
     /// A HyTGraph run's pricing state with `budget` bytes per device.
     fn hybrid_state(sys: &HyTGraphSystem, budget: u64) -> RunState {
         let bpe = sys.graph.bytes_per_edge();
-        RunState {
-            bpe,
-            layout: ValueLayout::narrow(),
-            policy: Policy::new(sys, budget, bpe),
-            exchange_batches: Vec::new(),
-            exchange_bytes: Vec::new(),
-        }
+        RunState { bpe, layout: ValueLayout::narrow(), policy: Policy::new(sys, budget, bpe) }
     }
 
     /// Every partition's activity under an all-active frontier.
@@ -1042,7 +1025,7 @@ mod tests {
         let mut slices = vec![price(&sys, zc, &[0, 1], &acts, &mut state)];
         assert_eq!(slices[0].via, None, "the next slice over them is kernel-only");
         let before = slices[0].plan.transfer_time;
-        sys.charge_recompute(&in_b, bpe, &mut slices);
+        sys.charge_recompute(&in_b, &[0, 0, in_b.len()], bpe, &mut slices);
         assert_eq!(slices[0].plan.transfer_time, before);
         assert_eq!(slices[0].plan.counters.zero_copy_bytes, 0);
         assert_eq!(slices[0].plan.counters.kernel_launches, 2);
@@ -1067,7 +1050,7 @@ mod tests {
         }
         let mut slices = vec![price(&sys, zc, &[1], &acts, &mut state)];
         let before = slices[0].plan.counters.zero_copy_bytes;
-        sys.charge_recompute(&in_b, bpe, &mut slices);
+        sys.charge_recompute(&in_b, &[0, in_b.len()], bpe, &mut slices);
         assert!(slices[0].plan.counters.zero_copy_bytes > before);
     }
 

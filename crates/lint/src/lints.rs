@@ -9,7 +9,7 @@
 //! | `hardcoded-value-bytes` | `ValueLayout` is the only source of lane/wire/record byte figures; pricing code must not reintroduce the magic `8`/`12`/`24`/`64`/`68` |
 //! | `unwrap-in-lib` | no `.unwrap()`/`.expect(` in non-test library code — typed errors, or an allow documenting the invariant |
 //! | `atomics-allowlist` | atomic types and `Ordering::*` live only in the three files that own the concurrency story (`core/api.rs`, `core/priority.rs`, `graph/frontier.rs`) |
-//! | `float-eq-in-pricing` | no `==`/`!=` on float expressions in cost/selection/topology/PCIe-leg pricing — bit-identity goes through `to_bits()` |
+//! | `float-eq-in-pricing` | no `==`/`!=` on float expressions in cost/selection/residency/runner/mutation/topology/PCIe-leg pricing — bit-identity goes through `to_bits()` |
 //! | `undocumented-pub-const` | tunable `pub const`s carry a doc comment naming their unit |
 //! | `no-direct-csr-mut` | base-CSR storage is built/rebuilt only inside `crates/graph/src/` — everyone else mutates through `MutationBatch`/`DeltaCsr`, and only `compact()` folds deltas back |
 //!
@@ -125,10 +125,15 @@ pub const BYTE_SCOPE_FILES: [&str; 10] = [
 ];
 
 /// Files in scope for `float-eq-in-pricing`: the files that compare
-/// prices to make a decision (`multi.rs` orders the exchange's legs).
-pub const FLOAT_SCOPE_FILES: [&str; 5] = [
+/// prices to make a decision (`multi.rs` orders the exchange's legs), or
+/// that assemble the prices such decisions compare (the run's transfer
+/// policy, the runner's slices and the mutation and sweep prices).
+pub const FLOAT_SCOPE_FILES: [&str; 8] = [
     "core/src/cost.rs",
     "core/src/select.rs",
+    "core/src/residency.rs",
+    "core/src/runner.rs",
+    "core/src/mutate.rs",
     "sim/src/topology/",
     "sim/src/pcie.rs",
     "sim/src/multi.rs",
@@ -986,8 +991,13 @@ mod tests {
         // to_bits() sanctions bit identity.
         let bits = "fn f(a: f64, b: f64) -> bool { a.to_bits() == b.to_bits() }\n";
         assert_eq!(lints_of("crates/core/src/select.rs", bits), vec![]);
+        // The files that assemble prices are in scope too.
+        for file in ["residency.rs", "runner.rs", "mutate.rs"] {
+            let path = format!("crates/core/src/{file}");
+            assert_eq!(lints_of(&path, named), vec![(1, "float-eq-in-pricing")], "{file}");
+        }
         // Out of scope file: clean.
-        assert_eq!(lints_of("crates/core/src/runner.rs", lit), vec![]);
+        assert_eq!(lints_of("crates/core/src/api.rs", lit), vec![]);
         // Int compares: clean.
         let ints = "fn f(n: usize) -> bool { n == 12 }\n";
         assert_eq!(lints_of("crates/core/src/select.rs", ints), vec![]);

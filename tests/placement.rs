@@ -11,39 +11,12 @@
 //!   it, and a delta compaction rebuilds exactly the plan a fresh build
 //!   over the mutated graph gets.
 
+use hyt_bench::experiments::perf::skewed_ring_config;
 use hytgraph::algos::reference;
-use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, SystemKind, TopologyKind};
+use hytgraph::core::{HyTGraphSystem, TopologyKind};
 use hytgraph::graph::generators;
 use hytgraph::prelude::*;
-use hytgraph::sim::LinkSpec;
 use proptest::prelude::*;
-
-/// HyTGraph preset on a D-device ring with deterministic host kernels.
-fn ring_config(d: usize) -> HyTGraphConfig {
-    let mut cfg = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
-    cfg.num_devices = d;
-    cfg.topology = TopologyKind::Ring;
-    cfg.threads = 1;
-    cfg
-}
-
-/// The skewed mixed-generation ring: the highest device id is an
-/// old-generation card behind 2 GB/s bridges on *both* sides, so
-/// anything placed there pays dearly to talk to anyone.
-fn skewed_ring_config_d(d: usize) -> HyTGraphConfig {
-    let slow = LinkSpec::with_nominal_bw(2.0e9).scaled(10);
-    let mut cfg = ring_config(d);
-    cfg.link_overrides = match d {
-        0 | 1 => Vec::new(),
-        2 => vec![(0, 1, slow)],
-        _ => vec![((d - 2) as u32, (d - 1) as u32, slow), ((d - 1) as u32, 0, slow)],
-    };
-    cfg
-}
-
-fn skewed_ring_config() -> HyTGraphConfig {
-    skewed_ring_config_d(8)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -61,19 +34,17 @@ proptest! {
         let host_only = host_only == 1;
         let g = generators::rmat(scale, avg_deg, seed, true);
         let base = {
-            let mut sys = HyTGraphSystem::new(g.clone(), ring_config(1));
+            let mut sys = HyTGraphSystem::new(g.clone(), skewed_ring_config(1));
             let r = sys.run(Sssp::from_source(0));
             (r.values, r.iterations)
         };
         prop_assert_eq!(&base.0, &reference::dijkstra(&g, 0));
         for d in [2usize, 4, 8] {
-            let cfg = if host_only {
-                let mut c = ring_config(d);
-                c.topology = TopologyKind::HostOnly;
-                c
-            } else {
-                skewed_ring_config_d(d)
-            };
+            let mut cfg = skewed_ring_config(d);
+            if host_only {
+                cfg.topology = TopologyKind::HostOnly;
+                cfg.link_overrides.clear();
+            }
             let mut sys = HyTGraphSystem::new(g.clone(), cfg);
             let r = sys.run(Sssp::from_source(0));
             prop_assert!(
@@ -93,7 +64,7 @@ fn device_plan_is_fixed_by_runs_and_cohorts_and_rebuilt_by_compaction() {
     // No hub sort: working ids are original ids, so a fresh build over
     // the mutated graph partitions the same vertex order. Small
     // partitions give every device several.
-    let mut cfg = skewed_ring_config();
+    let mut cfg = skewed_ring_config(8);
     cfg.contribution_scheduling = false;
     cfg.partition_bytes = 8 << 10;
     let g = generators::power_law_preferential(1 << 13, 12.0, 2.2, 11, true);

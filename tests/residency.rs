@@ -254,7 +254,7 @@ fn assert_mix_ships<V>(r: &RunResult<V>, what: &str) {
 /// Each device's whole share (base edges × `bpe`) and the budget a run
 /// of `P` gets per device from `machine.edge_budget`.
 fn shares_and_budget<P: VertexProgram>(sys: &HyTGraphSystem, edge_budget: u64) -> (Vec<u64>, u64) {
-    let bpe = sys.effective_bytes_per_edge::<P>();
+    let bpe = sys.effective_edge_bytes::<P>() / sys.num_edges();
     let plan = sys.device_plan();
     let shares = (0..plan.num_devices()).map(|d| plan.load(d) * bpe).collect();
     let state = u64::from(sys.num_vertices()) * ValueLayout::of::<P::Value>().state_bytes();
@@ -306,7 +306,7 @@ where
             // Each touched partition is loaded once, whole, by explicit
             // copy, in the iteration that first touches it; nothing else
             // crosses a host port.
-            let bpe = sys.effective_bytes_per_edge::<P>();
+            let bpe = sys.effective_edge_bytes::<P>() / sys.num_edges();
             let values = observed.seen.into_inner().unwrap();
             let loads = first_touches(g, &cfg, &observed.inner, &values, bpe);
             assert_fitting_mix(&p, &loads, &what);
